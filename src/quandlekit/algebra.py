@@ -98,6 +98,8 @@ def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
 
 def make_group_rep(quandle: FiniteQuandle, modulus: int, rho, label: str = "",
                    power: int = 1, check: bool = True) -> GroupRep:
+    if modulus < 1:
+        raise InputError(f"modulus {modulus} is not positive")
     g = GroupRep(quandle=quandle, modulus=modulus, dim=len(rho[0]),
                  rho=tuple(_freeze(m) for m in rho), label=label)
     if check:
@@ -198,6 +200,8 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
 def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t,
                        dim: int = 1) -> AlgebraRep:
     """Constant tables eta = t*I, tau = (1-t)*I; t a unit scalar or matrix."""
+    if modulus < 1:
+        raise InputError(f"modulus {modulus} is not positive")
     if isinstance(t, int):
         tmat = mat_scale(t % modulus, identity(dim), modulus)
     else:

@@ -4,6 +4,10 @@ Subcommands: check, colorings, search, invariant, homology, compare,
 extend.  All output is a single JSON document with sorted keys, so runs
 are byte-for-byte reproducible (including across --jobs settings).
 
+A rep lives on --quandle: alexander-rep and trivial-action are built on it,
+and conj-rep and JSON reps must carry an equal quandle table.  A rep or
+cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
+
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
 """
@@ -22,7 +26,7 @@ from .homology import (ComplexConfig, cocycle_space, cohomology, is_cocycle_2,
                        is_cocycle_3)
 from .invariants import (cocycle_invariant, dynamical_extension,
                          module_invariant, multiset_contained)
-from .quandles import verify_axioms
+from .quandles import ValidationReport, verify_axioms
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -42,6 +46,14 @@ def _load_word(args):
     raise InputError("no braid word or knot name given")
 
 
+def _rep_on_quandle(args, spec: str | None, modulus: int | None = None):
+    """The rep `spec` on --quandle, if one is given."""
+    if spec is None:
+        raise InputError("no --rep given")
+    quandle = qio.load_quandle(args.quandle) if args.quandle else None
+    return qio.load_rep(spec, quandle=quandle, modulus=modulus)
+
+
 def cmd_check(args) -> int:
     kind = args.kind
     if kind == "quandle":
@@ -56,19 +68,15 @@ def cmd_check(args) -> int:
             table = doc["table"]
         report = verify_axioms(table)
     elif kind == "rep":
-        quandle = qio.load_quandle(args.quandle) if args.quandle else None
-        rep = qio.load_rep(args.target, quandle=quandle)
-        report = verify_relations(rep)
+        report = verify_relations(_rep_on_quandle(args, args.target))
     elif kind == "cocycle":
-        quandle = qio.load_quandle(args.quandle) if args.quandle else None
-        rep = qio.load_rep(args.rep, quandle=quandle)
+        rep = _rep_on_quandle(args, args.rep)
         kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
         cfg = ComplexConfig(rep=rep, variant=args.variant)
         ok = (is_cocycle_2(cfg, kappa) if kappa.degree == 2
               else is_cocycle_3(cfg, kappa))
-        report = type("R", (), {})()
-        report.passed = ok
-        report.failures = [] if ok else [f"degree-{kappa.degree} cocycle condition fails"]
+        report = ValidationReport(
+            ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
     else:
         raise InputError(f"unknown check kind {kind!r}")
     _emit({"check": kind, "target": args.target, "passed": report.passed,
@@ -89,8 +97,7 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_search(args) -> int:
-    q = qio.load_quandle(args.quandle)
-    rep = qio.load_rep(args.rep, quandle=q, modulus=args.prime)
+    rep = _rep_on_quandle(args, args.rep, modulus=args.prime)
     if rep.modulus != args.prime:
         raise InputError(
             f"rep modulus {rep.modulus} disagrees with search prime {args.prime}")
@@ -112,19 +119,22 @@ def cmd_invariant(args) -> int:
                "polynomial": {str(e): c for e, c in sorted(poly.items())},
                "display": _poly_str(poly)}, args.out)
         return 0
-    q = qio.load_quandle(args.quandle)
-    rep = qio.load_rep(args.rep, quandle=q)
+    if args.quandle is None:
+        raise InputError("no --quandle given")
+    rep = _rep_on_quandle(args, args.rep)
     meta = {"quandle": args.quandle, "rep": args.rep,
             "braid": list(w.letters), "strands": w.strands}
     if args.kind == "module":
-        inv = module_invariant(q, rep, w, jobs=args.jobs)
+        inv = module_invariant(rep, w, jobs=args.jobs)
         _emit({"invariant": "module", **meta,
                "colorings": len(inv.entries),
                "multiset": [list(e) for e in inv.entries]}, args.out)
         return 0
     if args.kind == "cocycle":
+        if args.cocycle is None:
+            raise InputError("no --cocycle given")
         kappa = qio.load_cochain(args.cocycle, rep=rep)
-        inv = cocycle_invariant(q, rep, kappa, w, jobs=args.jobs)
+        inv = cocycle_invariant(rep, kappa, w, jobs=args.jobs)
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
                "colorings": len(inv.entries),
@@ -134,8 +144,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    q = qio.load_quandle(args.quandle)
-    rep = qio.load_rep(args.rep, quandle=q)
+    rep = _rep_on_quandle(args, args.rep)
     cfg = ComplexConfig(rep=rep, variant=args.variant, basepoint=args.basepoint)
     factors = cohomology(cfg, args.degree)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
@@ -159,10 +168,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    q = qio.load_quandle(args.quandle)
-    rep = qio.load_rep(args.rep, quandle=q)
+    rep = _rep_on_quandle(args, args.rep)
     kappa = qio.load_cochain(args.cocycle, rep=rep) if args.cocycle else None
-    table, report, quandle = dynamical_extension(q, rep, kappa, guard=args.guard)
+    table, report, _ = dynamical_extension(rep, kappa, guard=args.guard)
     _emit({"quandle": args.quandle, "rep": args.rep,
            "size": len(table), "passed": report.passed,
            "failures": list(report.failures),

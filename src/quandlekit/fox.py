@@ -14,7 +14,7 @@ from fractions import Fraction
 from .braids import BraidWord
 from .errors import InputError
 from .laurent import (Laurent, laurent_gcd_of_minors, lp_add, lp_const,
-                      lp_normalize, lp_scale)
+                      lp_normalize)
 from .linalg import identity, mat_frac_inverse, mat_inv_mod, mat_mul
 
 FreeWord = tuple  # of (generator index, +1 | -1)
@@ -49,10 +49,6 @@ def ring_add(a: dict, b: dict) -> dict:
         else:
             out.pop(w, None)
     return out
-
-
-def ring_scale(c: int, a: dict) -> dict:
-    return {w: c * x for w, x in a.items()} if c else {}
 
 
 def ring_mul(a: dict, b: dict) -> dict:

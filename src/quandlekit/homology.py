@@ -118,40 +118,31 @@ def boundary_blocks(cfg: ComplexConfig, n: int):
         yield t, acc
 
 
+def _assemble(cfg: ComplexConfig, n: int, cochains: bool) -> Matrix:
+    """The boundary on (n+1)-tuples in the lex tuple basis, or its block
+    transpose, the coboundary on n-cochains.  Each block occurs once and is
+    never transposed itself: operators act on values from the left."""
+    size, m = cfg.rep.quandle.size, cfg.rep.dim
+    small, big = (size ** n) * m, (size ** (n + 1)) * m
+    out = zeros(big, small) if cochains else zeros(small, big)
+    for t, blocks in boundary_blocks(cfg, n):
+        for key, mat in blocks.items():
+            src, tgt = tuple_index(size, t) * m, tuple_index(size, key) * m
+            r0, c0 = (src, tgt) if cochains else (tgt, src)
+            for i in range(m):
+                out[r0 + i][c0:c0 + m] = mat[i]
+    return out
+
+
 def boundary_matrix(cfg: ComplexConfig, n: int) -> Matrix:
     """Matrix of the boundary C_{n+1} (x) G -> C_n (x) G in the lex tuple basis."""
-    rep = cfg.rep
-    size, m = rep.quandle.size, rep.dim
-    rows = (size ** n) * m
-    cols = (size ** (n + 1)) * m
-    out = zeros(rows, cols)
-    for t, blocks in boundary_blocks(cfg, n):
-        ci = tuple_index(size, t) * m
-        for key, mat in blocks.items():
-            ri = tuple_index(size, key) * m
-            for i in range(m):
-                for j in range(m):
-                    out[ri + i][ci + j] = (out[ri + i][ci + j] + mat[i][j]) % rep.modulus
-    return out
+    return _assemble(cfg, n, cochains=False)
 
 
 def coboundary_matrix(cfg: ComplexConfig, degree: int) -> Matrix:
     """Matrix of delta: C^degree -> C^{degree+1}, the block transpose of the
-    boundary on (degree+1)-tuples (operator blocks are not transposed: they
-    act on values from the left)."""
-    rep = cfg.rep
-    size, m, N = rep.quandle.size, rep.dim, rep.modulus
-    rows = (size ** (degree + 1)) * m
-    cols = (size ** degree) * m
-    out = zeros(rows, cols)
-    for t, blocks in boundary_blocks(cfg, degree):
-        ri = tuple_index(size, t) * m
-        for key, mat in blocks.items():
-            ci = tuple_index(size, key) * m
-            for i in range(m):
-                for j in range(m):
-                    out[ri + i][ci + j] = (out[ri + i][ci + j] + mat[i][j]) % N
-    return out
+    boundary on (degree+1)-tuples."""
+    return _assemble(cfg, degree, cochains=True)
 
 
 def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:

@@ -40,67 +40,58 @@ class ModuleInvariant:
     metadata: dict = field(default_factory=dict)
 
 
+def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
+    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
+        raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
+
+
 def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
                      crossing: int, check: bool = True) -> list[int]:
     """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word."""
     if check:
-        cfg = ComplexConfig(rep=rep, variant="quandle")
-        if not is_cocycle_2(cfg, kappa):
-            raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
+        _require_cocycle(rep, kappa)
     data = crossing_data(rep, w, coloring)
     if not (0 <= crossing < len(data)):
         raise InputError(f"crossing index {crossing} out of range")
     eps, path, x, y = data[crossing]
-    N = rep.modulus
-    vec = mat_vec(path, kappa.value((x, y)), N)
-    return [(eps * c) % N for c in vec]
+    return list(_pairing(rep, kappa, [(eps, path, (x, y))]))
 
 
-def _weight_sum(rep: AlgebraRep, kappa: Cochain, data) -> tuple[int, ...]:
-    N = rep.modulus
-    total = [0] * rep.dim
-    for eps, path, x, y in data:
-        vec = mat_vec(path, kappa.value((x, y)), N)
-        total = [(t + eps * c) % N for t, c in zip(total, vec)]
-    return tuple(total)
-
-
-def _chain_pairing(rep: AlgebraRep, kappa: Cochain, chain: dict) -> tuple[int, ...]:
+def _pairing(rep: AlgebraRep, kappa: Cochain, terms) -> tuple[int, ...]:
+    """Sum of sign * coef * kappa(key) over (sign, coef, key) terms."""
     N = rep.modulus
     total = [0] * rep.dim
-    for key, coef in chain.items():
+    for sign, coef, key in terms:
         vec = mat_vec(coef, kappa.value(key), N)
-        total = [(t + c) % N for t, c in zip(total, vec)]
+        total = [(t + sign * c) % N for t, c in zip(total, vec)]
     return tuple(total)
 
 
-def cocycle_invariant(q: FiniteQuandle, rep: AlgebraRep, kappa: Cochain,
-                      w: BraidWord, jobs: int = 1, check: bool = True,
+def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
+                      jobs: int = 1, check: bool = True,
                       debug_pairing: bool = False) -> InvariantMultiset:
-    """State-sum multiset: one weight sum per closure coloring."""
+    """State-sum multiset: one weight sum per closure coloring by rep.quandle."""
     if check:
-        cfg = ComplexConfig(rep=rep, variant="quandle")
-        if not is_cocycle_2(cfg, kappa):
-            raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
+        _require_cocycle(rep, kappa)
     entries = []
-    for coloring in colorings_of_closure(q, w, jobs=jobs):
+    for coloring in colorings_of_closure(rep.quandle, w, jobs=jobs):
         data = crossing_data(rep, w, coloring)
-        total = _weight_sum(rep, kappa, data)
+        total = _pairing(rep, kappa, ((e, path, (x, y)) for e, path, x, y in data))
         if debug_pairing:
-            chain = diagram_two_chain(rep, w, coloring)
-            assert total == _chain_pairing(rep, kappa, chain), \
+            chain = diagram_two_chain(rep, w, coloring).items()
+            assert total == _pairing(rep, kappa, ((1, c, k) for k, c in chain)), \
                 "per-crossing sum disagrees with the chain pairing"
         entries.append(total)
-    meta = {"quandle": q.label, "rep": rep.label, "strands": w.strands,
+    meta = {"quandle": rep.quandle.label, "rep": rep.label, "strands": w.strands,
             "letters": list(w.letters)}
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
                              dim=rep.dim, metadata=meta)
 
 
-def module_invariant(q: FiniteQuandle, rep: AlgebraRep,
-                     w: BraidWord, jobs: int = 1) -> ModuleInvariant:
-    """Multiset of invariant-factor lists of G^k / Im(M(w, x) - I)."""
-    N = rep.modulus
+def module_invariant(rep: AlgebraRep, w: BraidWord,
+                     jobs: int = 1) -> ModuleInvariant:
+    """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by rep.quandle."""
+    q, N = rep.quandle, rep.modulus
     entries = []
     for coloring in colorings_of_closure(q, w, jobs=jobs):
         m = colored_matrix(rep, w, coloring)
@@ -112,16 +103,15 @@ def module_invariant(q: FiniteQuandle, rep: AlgebraRep,
     return ModuleInvariant(entries=tuple(sorted(entries)), metadata=meta)
 
 
-def dynamical_extension(q: FiniteQuandle, rep: AlgebraRep,
-                        kappa: Cochain | None = None,
+def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
                         guard: int = EXTENSION_GUARD):
-    """Quandle structure on G x X:
+    """Quandle structure on G x X, X = rep.quandle:
     (a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y).
 
     Returns (table, report, quandle-or-None); the quandle is built only when
     the axioms pass.
     """
-    N, m = rep.modulus, rep.dim
+    q, N, m = rep.quandle, rep.modulus, rep.dim
     vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
     vindex = {tuple(v): i for i, v in enumerate(vectors)}
     total = len(vectors) * q.size

@@ -70,53 +70,82 @@ def rep_to_doc(rep: AlgebraRep) -> dict:
         "quandle": quandle_to_doc(rep.quandle),
         "modulus": rep.modulus,
         "dim": rep.dim,
-        "eta": [[[list(r) for r in rep.eta[x][y]] for y in range(rep.quandle.size)]
-                for x in range(rep.quandle.size)],
-        "tau": [[[list(r) for r in rep.tau[x][y]] for y in range(rep.quandle.size)]
-                for x in range(rep.quandle.size)],
+        "eta": [[[list(r) for r in mat] for mat in row] for row in rep.eta],
+        "tau": [[[list(r) for r in mat] for mat in row] for row in rep.tau],
         "label": rep.label,
     }
 
 
+def _has_shape(v, shape) -> bool:
+    """v is nested lists of the lengths in `shape`, with integer leaves."""
+    if not (isinstance(v, list) and len(v) == shape[0]):
+        return False
+    if len(shape) == 1:
+        return all(isinstance(e, int) for e in v)
+    return all(_has_shape(x, shape[1:]) for x in v)
+
+
+def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
+    if given is not None and own.table != given.table:
+        raise InputError(f"{what} lives on a quandle other than {given.label}")
+
+
 def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None) -> AlgebraRep:
+    """A rep document on its 'quandle' or on `quandle`; both must agree if given."""
     for key in ("modulus", "dim", "eta", "tau"):
         if key not in doc:
             raise InputError(f"rep document is missing {key!r}")
-    if quandle is None:
-        if "quandle" not in doc:
-            raise InputError("rep document has no quandle and none was supplied")
-        quandle = quandle_from_doc(doc["quandle"])
-    return make_rep(quandle, doc["modulus"], doc["eta"], doc["tau"],
+    if "quandle" in doc:
+        own = quandle_from_doc(doc["quandle"])
+        _check_quandle(own, quandle, "rep document")
+        quandle = quandle or own
+    elif quandle is None:
+        raise InputError("rep document has no quandle and none was supplied")
+    modulus, dim, size = doc["modulus"], doc["dim"], quandle.size
+    if not all(isinstance(v, int) and v >= 1 for v in (modulus, dim)):
+        raise InputError("rep 'modulus' and 'dim' must be positive integers")
+    if not all(_has_shape(doc[k], (size, size, dim, dim)) for k in ("eta", "tau")):
+        raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
+                         f"of {dim} x {dim} integer matrices")
+    return make_rep(quandle, modulus, doc["eta"], doc["tau"],
                     label=doc.get("label", ""), check=True)
+
+
+def _ints(spec: str, texts) -> list[int]:
+    try:
+        return [int(x) for x in texts]
+    except ValueError:
+        raise InputError(f"bad rep shorthand {spec!r}") from None
 
 
 def load_rep(spec: str, quandle: FiniteQuandle | None = None,
              modulus: int | None = None) -> AlgebraRep:
-    """A representation by shorthand or JSON file path.
+    """A rep by shorthand or JSON file path: the one place a rep meets a quandle.
 
-    Shorthands: alexander-rep:N:t (on the supplied quandle),
-    conj-rep:perm3 (dihedral R3 permutation action, mod 3 by default),
-    trivial-action[:N] (eta = I, tau = 0).
+    alexander-rep:N:t and trivial-action[:N] (eta = I, tau = 0; N defaults to
+    `modulus`) are built on `quandle`; conj-rep:perm3[:N] (R3 permuting
+    coordinates, mod 3 by default) and JSON reps must live on it if it is given.
     """
     parts = spec.split(":")
-    if parts[0] == "alexander-rep" and len(parts) == 3:
-        if quandle is None:
-            raise InputError("alexander-rep shorthand needs a quandle")
-        return make_alexander_rep(quandle, int(parts[1]), int(parts[2]))
-    if parts[0] == "conj-rep" and len(parts) >= 2 and parts[1] == "perm3":
-        mod = int(parts[2]) if len(parts) == 3 else 3
-        return make_conj_rep(permutation_rep_r3(mod))
-    if parts[0] == "trivial-action":
-        if len(parts) == 2:
-            modulus = int(parts[1])
-        if modulus is None:
+    kind = parts[0]
+    if kind not in ("alexander-rep", "conj-rep", "trivial-action"):
+        return rep_from_doc(_load_json(spec), quandle=quandle)
+    if kind != "conj-rep" and quandle is None:
+        raise InputError(f"{kind} shorthand needs a quandle")
+    if kind == "alexander-rep" and len(parts) == 3:
+        n, t = _ints(spec, parts[1:])
+        return make_alexander_rep(quandle, n, t)
+    if kind == "conj-rep" and len(parts) in (2, 3) and parts[1] == "perm3":
+        (n,) = _ints(spec, parts[2:]) or [3]
+        rep = make_conj_rep(permutation_rep_r3(n))
+        _check_quandle(rep.quandle, quandle, f"rep {spec!r}")
+        return rep
+    if kind == "trivial-action" and len(parts) <= 2:
+        (n,) = _ints(spec, parts[1:]) or [modulus]
+        if n is None:
             raise InputError("trivial-action shorthand needs a modulus")
-        if quandle is None:
-            raise InputError("trivial-action shorthand needs a quandle")
-        return make_alexander_rep(quandle, modulus, 1)
-    if parts[0] in ("alexander-rep", "conj-rep"):
-        raise InputError(f"bad rep shorthand {spec!r}")
-    return rep_from_doc(_load_json(spec), quandle=quandle)
+        return make_alexander_rep(quandle, n, 1)
+    raise InputError(f"bad rep shorthand {spec!r}")
 
 
 def cochain_to_doc(kappa: Cochain) -> dict:
@@ -143,9 +172,18 @@ def cochain_from_doc(doc: dict) -> Cochain:
 
 def load_cochain(spec: str, rep: AlgebraRep | None = None,
                  degree: int = 2) -> Cochain:
-    """A cochain from a JSON file, or the shorthand 'zero'."""
+    """A cochain from a JSON file, or the shorthand 'zero'; with a rep, the
+    cochain must take values in the rep's module on the rep's quandle."""
     if spec == "zero":
         if rep is None:
             raise InputError("'zero' cochain shorthand needs a rep for its shape")
         return Cochain(degree=degree, modulus=rep.modulus, dim=rep.dim, values={})
-    return cochain_from_doc(_load_json(spec))
+    kappa = cochain_from_doc(_load_json(spec))
+    if rep is None:
+        return kappa
+    size = rep.quandle.size
+    if (kappa.modulus, kappa.dim) != (rep.modulus, rep.dim) or any(
+            not 0 <= x < size for key in kappa.values for x in key):
+        raise InputError(f"cochain {spec!r} does not take values in the rep's "
+                         f"(Z_{rep.modulus})^{rep.dim} on its quandle of size {size}")
+    return kappa

@@ -60,12 +60,6 @@ def lp_mul(a: Laurent, b: Laurent) -> Laurent:
     return out
 
 
-def lp_scale(c, a: Laurent) -> Laurent:
-    if not c:
-        return {}
-    return {e: c * x for e, x in a.items()}
-
-
 def lp_eval(a: Laurent, t0, mod: int | None = None):
     """Evaluate at an integer t0; with a modulus, t0 must be a unit mod N."""
     if mod is None:

@@ -71,14 +71,6 @@ def mat_vec(a: Matrix, v: list[int], mod: Optional[int] = None) -> list[int]:
     return out
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:
     """Exact inverse over Q by Gauss-Jordan; raises on singular input."""
     n = len(a)
@@ -261,13 +253,6 @@ def smith_normal_form(mat: Matrix, transforms: bool = False) -> SnfResult:
     return SnfResult(diag=diag, rows=rows, cols=cols, u=u, v=v)
 
 
-def snf_diagonal_matrix(res: SnfResult) -> Matrix:
-    d = zeros(res.rows, res.cols)
-    for i, x in enumerate(res.diag):
-        d[i][i] = x
-    return d
-
-
 def int_kernel(mat: Matrix) -> list[list[int]]:
     """Basis (as column vectors) of the integer kernel lattice of mat."""
     rows = len(mat)
@@ -279,15 +264,6 @@ def int_kernel(mat: Matrix) -> list[list[int]]:
     res = smith_normal_form(mat, transforms=True)
     r = res.rank
     return [[res.v[i][j] for i in range(cols)] for j in range(r, cols)]
-
-
-def cokernel(mat: Matrix) -> list[int]:
-    """Invariant factors > 1 of Z^rows / column-span(mat); 0 entries mean free summands."""
-    rows = len(mat)
-    res = smith_normal_form(mat)
-    factors = [d for d in res.diag if d > 1]
-    factors += [0] * (rows - res.rank)
-    return factors
 
 
 def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:

@@ -208,10 +208,10 @@ def test_criterion_07_cocycle_invariant_well_defined():
     for name in ("3_1", "4_1"):
         w = braid_or_knot(name)
         # (c) the per-crossing sums equal the chain pairing on every coloring
-        base = cocycle_invariant(q, rep, kappa, w, debug_pairing=True)
+        base = cocycle_invariant(rep, kappa, w, debug_pairing=True)
         # (a) Markov variants
         for v in markov_moves(w):
-            ok &= cocycle_invariant(q, rep, kappa, v,
+            ok &= cocycle_invariant(rep, kappa, v,
                                     check=False).entries == base.entries
         # (b) kappa + delta(phi) for 20 random phi
         for _ in range(20):
@@ -226,7 +226,7 @@ def test_criterion_07_cocycle_invariant_well_defined():
                 if any(v):
                     shifted[key] = v
             k2 = Cochain(2, 3, 3, shifted)
-            ok &= cocycle_invariant(q, rep, k2, w,
+            ok &= cocycle_invariant(rep, k2, w,
                                     check=False).entries == base.entries
     report(7, "cocycle invariant well-defined", ok, t0, 10)
 
@@ -236,15 +236,15 @@ def test_criterion_08_module_invariant():
     ok = True
     t1 = make_trivial(1)
     burau = make_alexander_rep(t1, 5, 2)
-    ok &= module_invariant(t1, burau, braid_or_knot("3_1")).entries == ((5,),)
+    ok &= module_invariant(burau, braid_or_knot("3_1")).entries == ((5,),)
     r3 = make_dihedral(3)
     for rep in (make_alexander_rep(r3, 3, 2),
                 make_conj_rep(permutation_rep_r3(3))):
         for name in ("3_1", "4_1"):
             w = braid_or_knot(name)
-            base = module_invariant(r3, rep, w).entries
+            base = module_invariant(rep, w).entries
             for v in markov_moves(w):
-                ok &= module_invariant(r3, rep, v).entries == base
+                ok &= module_invariant(rep, v).entries == base
     rep = make_conj_rep(permutation_rep_r3(3))
     lhs, rhs = parse_braid("k=3; 1 2 1"), parse_braid("k=3; 2 1 2")
     for bottom in itertools.product(range(3), repeat=3):
@@ -261,7 +261,7 @@ def test_criterion_09_extension_biconditional():
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for vals in itertools.product(range(2), repeat=4):
         kappa = Cochain(2, 2, 1, {k: [v] for k, v in zip(keys, vals) if v})
-        _, rpt, quandle = dynamical_extension(t2, rep, kappa)
+        _, rpt, quandle = dynamical_extension(rep, kappa)
         ok &= bool(rpt) == is_cocycle_2(cfg, kappa)
         ok &= (quandle is not None) == bool(rpt)
     report(9, "dynamical extension biconditional", ok, t0, 5)

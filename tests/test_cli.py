@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quandlekit.cli import main
 
 
@@ -128,3 +130,63 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["count"] == 9
+
+
+def _write_inputs(tmp_path):
+    """A mod-3, dim-3 cochain, one with a key outside R3, and JSON reps of
+    conj-rep:perm3 without a 'quandle' key and with a broken 'eta'."""
+    from quandlekit.io import load_rep, rep_to_doc
+    doc = rep_to_doc(load_rep("conj-rep:perm3"))
+    del doc["quandle"]
+    paths = {"rep_noq": doc, "rep_bad_eta": {**doc, "eta": doc["eta"][:2]},
+             "kappa3": {"degree": 2, "modulus": 3, "dim": 3,
+                        "values": {"0,1": [1, 0, 0]}},
+             "kappa_key": {"degree": 2, "modulus": 3, "dim": 3,
+                           "values": {"0,5": [1, 0, 0]}}}
+    for name, content in paths.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        paths[name] = str(tmp_path / f"{name}.json")
+    return paths
+
+
+MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "module", *MISMATCH, "--knot", "3_1"],
+    ["invariant", "cocycle", *MISMATCH, "--cocycle", "zero", "--knot", "3_1"],
+    ["homology", "2", *MISMATCH],
+    ["search", "2", "trivial:3", "conj-rep:perm3", "3"],
+    ["extend", *MISMATCH],
+    ["check", "rep", "conj-rep:perm3", "--quandle", "dihedral:5"],
+    ["invariant", "module", "--rep", "conj-rep:perm3", "--knot", "3_1"],
+    ["invariant", "module", "--quandle", "dihedral:3", "--knot", "3_1"],
+    ["invariant", "cocycle", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+     "--knot", "3_1"],
+    ["check", "rep", "{rep_noq}", "--quandle", "dihedral:5"],
+    ["check", "rep", "{rep_noq}", "--quandle", "trivial:2"],
+    ["check", "rep", "{rep_bad_eta}", "--quandle", "dihedral:3"],
+    ["check", "cocycle", "{kappa3}", "--quandle", "dihedral:3",
+     "--rep", "alexander-rep:5:2"],
+    ["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:5:2",
+     "--cocycle", "{kappa3}"],
+    ["check", "cocycle", "{kappa_key}", "--rep", "conj-rep:perm3"],
+    ["check", "rep", "alexander-rep:x:2", "--quandle", "dihedral:3"],
+    ["check", "rep", "alexander-rep:0:2", "--quandle", "dihedral:3"],
+    ["check", "rep", "conj-rep:perm3:-3"],
+], ids=lambda argv: " ".join(argv))
+def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
+    paths = _write_inputs(tmp_path)
+    code = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in out + err
+
+
+def test_rep_on_matching_quandle(capsys):
+    code, out = run(capsys, "invariant", "cocycle", "--quandle", "dihedral:3",
+                    "--rep", "conj-rep:perm3", "--cocycle", "zero", "--knot", "3_1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["colorings"] == len(doc["multiset"]) == 9

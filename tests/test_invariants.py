@@ -52,7 +52,7 @@ def test_module_invariant_burau_oracle():
     the unreduced Burau matrix at t=2 minus I; the trefoil gives Z/5."""
     t1 = make_trivial(1)
     rep = make_alexander_rep(t1, 5, 2)
-    inv = module_invariant(t1, rep, braid_or_knot("3_1"))
+    inv = module_invariant(rep, braid_or_knot("3_1"))
     assert inv.entries == ((5,),)
 
 
@@ -62,16 +62,16 @@ def test_module_invariant_markov():
     for rep in reps:
         for name in ("3_1", "4_1"):
             w = braid_or_knot(name)
-            base = module_invariant(r3, rep, w).entries
+            base = module_invariant(rep, w).entries
             for v in markov_moves(w):
-                assert module_invariant(r3, rep, v).entries == base
+                assert module_invariant(rep, v).entries == base
 
 
 def test_module_invariant_distinguishes():
     r3 = make_dihedral(3)
     rep = make_conj_rep(permutation_rep_r3(3))
-    a = module_invariant(r3, rep, braid_or_knot("3_1")).entries
-    b = module_invariant(r3, rep, braid_or_knot("4_1")).entries
+    a = module_invariant(rep, braid_or_knot("3_1")).entries
+    b = module_invariant(rep, braid_or_knot("4_1")).entries
     assert a != b
 
 
@@ -81,9 +81,9 @@ def test_cocycle_invariant_markov_and_coboundary():
     cfg = ComplexConfig(rep=rep, variant="quandle")
     for name in ("3_1", "4_1"):
         w = braid_or_knot(name)
-        base = cocycle_invariant(r3, rep, kappa, w, debug_pairing=True)
+        base = cocycle_invariant(rep, kappa, w, debug_pairing=True)
         for v in markov_moves(w):
-            assert cocycle_invariant(r3, rep, kappa, v).entries == base.entries
+            assert cocycle_invariant(rep, kappa, v).entries == base.entries
         for _ in range(5):
             phi = Cochain(1, 3, 3, {(x,): [random.randrange(3) for _ in range(3)]
                                     for x in range(3)})
@@ -97,13 +97,13 @@ def test_cocycle_invariant_markov_and_coboundary():
                 else:
                     shifted.pop(key, None)
             k2 = Cochain(2, 3, 3, shifted)
-            assert cocycle_invariant(r3, rep, k2, w).entries == base.entries
+            assert cocycle_invariant(rep, k2, w).entries == base.entries
 
 
 def test_cocycle_invariant_nontrivial_on_trefoil():
     rep, kappa = nontrivial_kappa()
     r3 = make_dihedral(3)
-    inv = cocycle_invariant(r3, rep, kappa, braid_or_knot("3_1"))
+    inv = cocycle_invariant(rep, kappa, braid_or_knot("3_1"))
     assert any(any(e) for e in inv.entries)
 
 
@@ -112,7 +112,7 @@ def test_cocycle_invariant_rejects_non_cocycle():
     r3 = make_dihedral(3)
     bad = Cochain(2, 3, 3, {(0, 1): [1, 0, 0]})
     with pytest.raises(CheckFailed):
-        cocycle_invariant(r3, rep, bad, braid_or_knot("3_1"))
+        cocycle_invariant(rep, bad, braid_or_knot("3_1"))
 
 
 def test_boltzmann_weight_sums_to_invariant_entry():
@@ -124,7 +124,7 @@ def test_boltzmann_weight_sums_to_invariant_entry():
     for c in range(len(w.letters)):
         wt = boltzmann_weight(rep, kappa, w, coloring, c, check=False)
         total = [(a + b) % 3 for a, b in zip(total, wt)]
-    inv = cocycle_invariant(r3, rep, kappa, w)
+    inv = cocycle_invariant(rep, kappa, w)
     assert tuple(total) in inv.entries
 
 
@@ -135,7 +135,7 @@ def test_dynamical_extension_cocycle_gate():
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for vals in itertools.product(range(2), repeat=4):
         kappa = Cochain(2, 2, 1, {k: [v] for k, v in zip(keys, vals) if v})
-        table, report, quandle = dynamical_extension(t2, rep, kappa)
+        table, report, quandle = dynamical_extension(rep, kappa)
         assert bool(report) == is_cocycle_2(cfg, kappa)
         if report:
             assert quandle is not None and quandle.size == 4
@@ -148,7 +148,7 @@ def test_dynamical_extension_of_zero_cocycle():
     the trivial quandle on 4 elements."""
     t2 = make_trivial(2)
     rep = make_alexander_rep(t2, 2, 1)
-    _, report, quandle = dynamical_extension(t2, rep)
+    _, report, quandle = dynamical_extension(rep)
     assert report.passed
     assert is_isomorphic(quandle, make_trivial(4))
 
@@ -157,7 +157,7 @@ def test_dynamical_extension_guard():
     q = make_dihedral(3)
     rep = make_alexander_rep(q, 5, 2, dim=3)
     with pytest.raises(GuardExceeded):
-        dynamical_extension(q, rep, guard=100)
+        dynamical_extension(rep, guard=100)
 
 
 def test_multiset_containment():
