@@ -16,11 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep, bar
-from .errors import GuardExceeded, InputError
+from .errors import GUARD, GuardExceeded, InputError
 from .linalg import Matrix, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
-
-COLORING_GUARD = 10 ** 7
 
 KNOT_TABLE = {
     "3_1": "k=2; 1 1 1",
@@ -135,7 +133,7 @@ def _fixed_in_range(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
 
 
 def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
-                         guard: int = COLORING_GUARD,
+                         guard: int = GUARD,
                          jobs: int = 1) -> list[tuple[int, ...]]:
     """All bottom vectors fixed by the word, in lexicographic order."""
     total = q.size ** w.strands

@@ -20,7 +20,7 @@ import sys
 from . import io as qio
 from .algebra import verify_relations
 from .braids import braid_or_knot, colorings_of_closure
-from .errors import CheckFailed, GuardExceeded, InputError
+from .errors import GUARD, CheckFailed, GuardExceeded, InputError
 from .fox import alexander_polynomial
 from .homology import (ComplexConfig, cocycle_space, cohomology, is_cocycle_2,
                        is_cocycle_3)
@@ -46,12 +46,12 @@ def _load_word(args):
     raise InputError("no braid word or knot name given")
 
 
-def _rep_on_quandle(args, spec: str | None, modulus: int | None = None):
-    """The rep `spec` on --quandle, if one is given."""
+def _rep_on_quandle(args, spec: str | None, **options):
+    """The rep `spec` on --quandle, if one is given; `options` go to load_rep."""
     if spec is None:
         raise InputError("no --rep given")
     quandle = qio.load_quandle(args.quandle) if args.quandle else None
-    return qio.load_rep(spec, quandle=quandle, modulus=modulus)
+    return qio.load_rep(spec, quandle=quandle, **options)
 
 
 def cmd_check(args) -> int:
@@ -59,7 +59,7 @@ def cmd_check(args) -> int:
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
         # input error
-        if args.target.split(":")[0] in ("dihedral", "alexander", "trivial"):
+        if args.target.split(":")[0] in qio.QUANDLE_SHORTHANDS:
             table = [list(r) for r in qio.load_quandle(args.target).table]
         else:
             doc = qio._load_json(args.target)
@@ -68,7 +68,8 @@ def cmd_check(args) -> int:
             table = doc["table"]
         report = verify_axioms(table)
     elif kind == "rep":
-        report = verify_relations(_rep_on_quandle(args, args.target))
+        # a rep that fails the relations prints its report and exits 1
+        report = verify_relations(_rep_on_quandle(args, args.target, check=False))
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
         kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="write the output document here")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--guard", type=int, default=10 ** 7)
+        p.add_argument("--guard", type=int, default=GUARD)
 
     p = sub.add_parser("check", help="validate a quandle, rep, or cocycle")
     p.add_argument("kind", choices=["quandle", "rep", "cocycle"])

@@ -19,3 +19,8 @@ class CheckFailed(QuandleKitError, ValueError):
 
 class GuardExceeded(QuandleKitError, RuntimeError):
     """An enumeration or table-size guard was exceeded."""
+
+
+# default bound on the work of an enumeration: candidate colorings, or the
+# size^3 axiom checks of an extension table
+GUARD = 10 ** 7

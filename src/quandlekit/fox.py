@@ -4,18 +4,21 @@ Free words are freely reduced tuples of (generator, +-1); group-ring
 elements map free words to integer coefficients.  The derivative rules are
   d(x_i)/d(x_i) = 1,   d(x_j)/d(x_i) = 0  (j != i),
   d(uv) = d(u) + u d(v),   d(w^-1) = -w^-1 d(w).
+
+For a Wirtinger relator r = x_o x_s x_o^-1 x_t^-1 these are 1 - x_t, x_o and
+-1 at o, s and t once r = 1.  twisted_matrix writes its rows in this closed
+form, so rho must respect every relator and be invertible on every over and
+target arc; it checks both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braids import BraidWord
 from .errors import InputError
-from .laurent import (Laurent, laurent_gcd_of_minors, lp_add, lp_const,
-                      lp_normalize)
-from .linalg import identity, mat_frac_inverse, mat_inv_mod, mat_mul
+from .laurent import Laurent, laurent_gcd_of_minors, lp_const, lp_normalize
+from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
 FreeWord = tuple  # of (generator index, +1 | -1)
 
@@ -137,70 +140,49 @@ def wirtinger_from_braid(w: BraidWord) -> WirtingerPresentation:
     return WirtingerPresentation(generators=len(classes), relators=tuple(relators))
 
 
-def _chi_word(word, rho, dim: int, modulus):
-    """chi(word) = t^(exponent sum) * product of rho matrices, as a dict
-    exponent -> matrix."""
-    deg = sum(e for _, e in word)
-    mat = identity(dim)
-    for g, e in word:
-        m = rho[g]
-        if e == -1:
-            if modulus is None:
-                inv = mat_frac_inverse(m)
-                m = [[_as_int(x) for x in row] for row in inv]
-            else:
-                m = mat_inv_mod(m, modulus)
-        mat = mat_mul(mat, m, modulus)
-    return deg, mat
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise InputError("rho matrix is not invertible over the integers")
-    return int(f)
-
-
-def _chi(element: dict, rho, dim: int, modulus):
-    """chi of a group-ring element: a dim x dim matrix of Laurent polynomials."""
-    out = [[{} for _ in range(dim)] for _ in range(dim)]
-    for word, coef in element.items():
-        deg, mat = _chi_word(word, rho, dim, modulus)
-        for i in range(dim):
-            for j in range(dim):
-                c = coef * mat[i][j]
-                if modulus is not None:
-                    c %= modulus
-                if c:
-                    out[i][j] = lp_add(out[i][j], {deg: c})
-    return out
-
-
-def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None,
-                   check: bool = True):
+def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None):
     """Presentation matrix [chi(dr_i/dx_j)] with chi = rho (x) abelianization.
 
-    `rho` maps each generator index to an invertible matrix (over Z, or over
-    Z_N when a modulus is given); every relator must be respected.  Entries
-    are dim x dim blocks of Laurent polynomials.
+    `rho` maps each generator index to a matrix (over Z, or over Z_N when a
+    modulus is given).  For the relator x_o x_s x_o^-1 x_t^-1 the row is the
+    closed form  I - t rho(t)  at o,  t rho(o)  at s  and  -I  at t, summed
+    where arcs coincide.  It equals chi of the Fox derivatives only when
+    rho(o) rho(s) = rho(t) rho(o) and rho(o), rho(t) are invertible, so both
+    are checked (InputError otherwise).  Entries are dim x dim blocks of
+    Laurent polynomials, with coefficients reduced mod N when one is given.
     """
     rho = [[list(r) for r in m] for m in rho]
     dim = len(rho[0])
-    if check:
-        for r in pres.relators:
-            _, mat = _chi_word(r, rho, dim, modulus)
-            ident = identity(dim)
-            if modulus is not None:
-                ident = [[x % modulus for x in row] for row in ident]
-            if mat != ident:
-                raise InputError(f"rho does not respect relator {r}")
+    arcs = [(r[0][0], r[1][0], r[3][0]) for r in pres.relators]
+    for a in sorted({a for o, _, t in arcs for a in (o, t)}):
+        unit = (abs(int_det(rho[a])) == 1 if modulus is None
+                else is_invertible_mod(rho[a], modulus))
+        if not unit:
+            raise InputError(f"rho({a}) is not invertible"
+                             + ("" if modulus is None else f" mod {modulus}"))
+    ident = identity(dim)
     rows = []
-    for r in pres.relators:
-        row = []
-        for j in range(pres.generators):
-            row.append(_chi(fox_derivative(r, j), rho, dim, modulus))
-        rows.append(row)
+    for (o, s, t), r in zip(arcs, pres.relators):
+        if mat_mul(rho[o], rho[s], modulus) != mat_mul(rho[t], rho[o], modulus):
+            raise InputError(f"rho does not respect relator {r}")
+        row = [[[{} for _ in range(dim)] for _ in range(dim)]
+               for _ in range(pres.generators)]
+        for arc, deg, sign, mat in ((o, 0, 1, ident), (o, 1, -1, rho[t]),
+                                    (s, 1, 1, rho[o]), (t, 0, -1, ident)):
+            for i in range(dim):
+                for j in range(dim):
+                    cell = row[arc][i][j]
+                    cell[deg] = cell.get(deg, 0) + sign * mat[i][j]
+        rows.append([[[_settle(cell, modulus) for cell in line] for line in block]
+                     for block in row])
     return rows
+
+
+def _settle(cell: Laurent, modulus) -> Laurent:
+    """Reduce the coefficients mod N, when one is given, and drop zeros."""
+    if modulus is not None:
+        cell = {e: c % modulus for e, c in cell.items()}
+    return {e: c for e, c in cell.items() if c}
 
 
 def trivial_rho(pres: WirtingerPresentation):

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
                      crossing_data, diagram_two_chain)
-from .errors import CheckFailed, GuardExceeded, InputError
+from .errors import GUARD, CheckFailed, GuardExceeded, InputError
 from .homology import Cochain, ComplexConfig, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, ValidationReport, verify_axioms
-
-EXTENSION_GUARD = 64
 
 
 @dataclass
@@ -104,19 +102,20 @@ def module_invariant(rep: AlgebraRep, w: BraidWord,
 
 
 def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
-                        guard: int = EXTENSION_GUARD):
+                        guard: int = GUARD):
     """Quandle structure on G x X, X = rep.quandle:
     (a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y).
 
     Returns (table, report, quandle-or-None); the quandle is built only when
-    the axioms pass.
+    the axioms pass.  The size^3 axiom checks must not exceed `guard`.
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
     vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
     vindex = {tuple(v): i for i, v in enumerate(vectors)}
     total = len(vectors) * q.size
-    if total > guard:
-        raise GuardExceeded(f"extension size {total} exceeds guard {guard}")
+    if total ** 3 > guard:
+        raise GuardExceeded(f"extension of size {total} needs {total ** 3} "
+                            f"axiom checks, over the guard of {guard}")
 
     def pair_index(a_idx: int, x: int) -> int:
         return a_idx * q.size + x

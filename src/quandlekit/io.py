@@ -47,22 +47,22 @@ def quandle_from_doc(doc: dict, label: str = "") -> FiniteQuandle:
     return quandle_from_table(table, label=doc.get("label", label))
 
 
+# shorthand name -> (constructor, number of integer arguments)
+QUANDLE_SHORTHANDS = {"dihedral": (make_dihedral, 1),
+                      "alexander": (make_alexander, 2),
+                      "trivial": (make_trivial, 1)}
+
+
 def load_quandle(spec: str) -> FiniteQuandle:
     """A quandle by shorthand (dihedral:3, alexander:5:2, trivial:4) or by
     JSON file path."""
-    parts = spec.split(":")
-    try:
-        if parts[0] == "dihedral" and len(parts) == 2:
-            return make_dihedral(int(parts[1]))
-        if parts[0] == "alexander" and len(parts) == 3:
-            return make_alexander(int(parts[1]), int(parts[2]))
-        if parts[0] == "trivial" and len(parts) == 2:
-            return make_trivial(int(parts[1]))
-    except ValueError:
-        raise InputError(f"bad quandle shorthand {spec!r}") from None
-    if parts[0] in ("dihedral", "alexander", "trivial"):
+    kind, *args = spec.split(":")
+    if kind not in QUANDLE_SHORTHANDS:
+        return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
+    make, arity = QUANDLE_SHORTHANDS[kind]
+    if len(args) != arity:
         raise InputError(f"bad quandle shorthand {spec!r}")
-    return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
+    return make(*_ints(spec, args))
 
 
 def rep_to_doc(rep: AlgebraRep) -> dict:
@@ -90,8 +90,10 @@ def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
         raise InputError(f"{what} lives on a quandle other than {given.label}")
 
 
-def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None) -> AlgebraRep:
-    """A rep document on its 'quandle' or on `quandle`; both must agree if given."""
+def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
+                 check: bool = True) -> AlgebraRep:
+    """A rep document on its 'quandle' or on `quandle`; both must agree if given.
+    With `check`, a rep that fails the relations raises CheckFailed."""
     for key in ("modulus", "dim", "eta", "tau"):
         if key not in doc:
             raise InputError(f"rep document is missing {key!r}")
@@ -108,28 +110,29 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None) -> AlgebraRep:
         raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
                          f"of {dim} x {dim} integer matrices")
     return make_rep(quandle, modulus, doc["eta"], doc["tau"],
-                    label=doc.get("label", ""), check=True)
+                    label=doc.get("label", ""), check=check)
 
 
 def _ints(spec: str, texts) -> list[int]:
     try:
         return [int(x) for x in texts]
     except ValueError:
-        raise InputError(f"bad rep shorthand {spec!r}") from None
+        raise InputError(f"bad shorthand {spec!r}") from None
 
 
 def load_rep(spec: str, quandle: FiniteQuandle | None = None,
-             modulus: int | None = None) -> AlgebraRep:
+             modulus: int | None = None, check: bool = True) -> AlgebraRep:
     """A rep by shorthand or JSON file path: the one place a rep meets a quandle.
 
     alexander-rep:N:t and trivial-action[:N] (eta = I, tau = 0; N defaults to
     `modulus`) are built on `quandle`; conj-rep:perm3[:N] (R3 permuting
     coordinates, mod 3 by default) and JSON reps must live on it if it is given.
+    `check` is passed to rep_from_doc for JSON reps.
     """
     parts = spec.split(":")
     kind = parts[0]
     if kind not in ("alexander-rep", "conj-rep", "trivial-action"):
-        return rep_from_doc(_load_json(spec), quandle=quandle)
+        return rep_from_doc(_load_json(spec), quandle=quandle, check=check)
     if kind != "conj-rep" and quandle is None:
         raise InputError(f"{kind} shorthand needs a quandle")
     if kind == "alexander-rep" and len(parts) == 3:
@@ -158,16 +161,26 @@ def cochain_from_doc(doc: dict) -> Cochain:
     for key in ("degree", "modulus", "dim"):
         if key not in doc:
             raise InputError(f"cochain document is missing {key!r}")
+    degree, modulus, dim = doc["degree"], doc["modulus"], doc["dim"]
+    if not all(isinstance(v, int) and v >= 1 for v in (degree, modulus, dim)):
+        raise InputError("cochain 'degree', 'modulus' and 'dim' must be "
+                         "positive integers")
+    if not isinstance(doc.get("values", {}), dict):
+        raise InputError("cochain 'values' must map keys to value lists")
     values = {}
     for key, vec in doc.get("values", {}).items():
-        parts = tuple(int(x) for x in key.split(","))
-        if len(parts) != doc["degree"]:
+        try:
+            parts = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            raise InputError(f"cochain key {key!r} is not 'x,y[,z]' with "
+                             "integer parts") from None
+        if len(parts) != degree:
             raise InputError(f"cochain key {key!r} has wrong arity")
-        if len(vec) != doc["dim"]:
-            raise InputError(f"cochain value for {key!r} has wrong length")
-        values[parts] = [int(x) % doc["modulus"] for x in vec]
-    return Cochain(degree=doc["degree"], modulus=doc["modulus"],
-                   dim=doc["dim"], values=values)
+        if not _has_shape(vec, (dim,)):
+            raise InputError(f"cochain value for {key!r} is not a list of "
+                             f"{dim} integers")
+        values[parts] = [x % modulus for x in vec]
+    return Cochain(degree=degree, modulus=modulus, dim=dim, values=values)
 
 
 def load_cochain(spec: str, rep: AlgebraRep | None = None,

@@ -33,6 +33,14 @@ def test_input_error_exit_code(capsys):
     assert main(["colorings", "dihedral:3", "not-a-braid"]) == 2
 
 
+def test_quandle_constructor_message_shows(capsys):
+    """The constructor's own complaint reaches the user, not only 'bad shorthand'."""
+    assert main(["check", "quandle", "dihedral:0"]) == 2
+    assert "quandle size must be positive" in capsys.readouterr().err
+    assert main(["check", "quandle", "alexander:6:2"]) == 2
+    assert "not a unit mod 6" in capsys.readouterr().err
+
+
 def test_guard_exit_code(capsys):
     code = main(["colorings", "dihedral:3", "k=20; 1", "--guard", "100"])
     assert code == 3
@@ -42,6 +50,34 @@ def test_check_rep(capsys):
     code, out = run(capsys, "check", "rep", "conj-rep:perm3")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_check_json_rep_verifies_once(capsys, tmp_path, monkeypatch):
+    """`check rep` runs the relations once; a failing JSON rep prints its
+    check document and exits 1, as `check quandle` does."""
+    from quandlekit import algebra, cli
+    from quandlekit.io import load_rep, rep_to_doc
+    verify, calls = algebra.verify_relations, []
+
+    def counted(rep):
+        calls.append(rep)
+        return verify(rep)
+
+    monkeypatch.setattr(algebra, "verify_relations", counted)
+    monkeypatch.setattr(cli, "verify_relations", counted)
+    doc = rep_to_doc(load_rep("conj-rep:perm3"))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    eta = [[[list(r) for r in m] for m in row] for row in doc["eta"]]
+    eta[0][1] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    bad.write_text(json.dumps({**doc, "eta": eta}))
+    code, out = run(capsys, "check", "rep", str(good))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(calls) == 1
+    code, out = run(capsys, "check", "rep", str(bad))
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False and report["failures"]
+    assert len(calls) == 2
 
 
 def test_colorings_document(capsys):
@@ -133,7 +169,9 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def _write_inputs(tmp_path):
-    """A mod-3, dim-3 cochain, one with a key outside R3, and JSON reps of
+    """A mod-3, dim-3 cochain, ones with a key outside R3, a key that is not
+    integers, a value that is not a list, a value entry that is not an
+    integer, modulus 0 and 'values' that is not an object, and JSON reps of
     conj-rep:perm3 without a 'quandle' key and with a broken 'eta'."""
     from quandlekit.io import load_rep, rep_to_doc
     doc = rep_to_doc(load_rep("conj-rep:perm3"))
@@ -142,7 +180,17 @@ def _write_inputs(tmp_path):
              "kappa3": {"degree": 2, "modulus": 3, "dim": 3,
                         "values": {"0,1": [1, 0, 0]}},
              "kappa_key": {"degree": 2, "modulus": 3, "dim": 3,
-                           "values": {"0,5": [1, 0, 0]}}}
+                           "values": {"0,5": [1, 0, 0]}},
+             "kappa_text_key": {"degree": 2, "modulus": 3, "dim": 3,
+                                "values": {"a,b": [1, 0, 0]}},
+             "kappa_scalar": {"degree": 2, "modulus": 3, "dim": 3,
+                              "values": {"0,1": 1}},
+             "kappa_entry": {"degree": 2, "modulus": 3, "dim": 3,
+                             "values": {"0,1": ["x", 0, 0]}},
+             "kappa_mod0": {"degree": 2, "modulus": 0, "dim": 3,
+                            "values": {"0,1": [1, 0, 0]}},
+             "kappa_list": {"degree": 2, "modulus": 3, "dim": 3,
+                            "values": [[1, 0, 0]]}}
     for name, content in paths.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
         paths[name] = str(tmp_path / f"{name}.json")
@@ -171,6 +219,11 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
     ["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:5:2",
      "--cocycle", "{kappa3}"],
     ["check", "cocycle", "{kappa_key}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_text_key}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_scalar}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_entry}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_mod0}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_list}", "--rep", "conj-rep:perm3"],
     ["check", "rep", "alexander-rep:x:2", "--quandle", "dihedral:3"],
     ["check", "rep", "alexander-rep:0:2", "--quandle", "dihedral:3"],
     ["check", "rep", "conj-rep:perm3:-3"],

@@ -1,6 +1,7 @@
 import pytest
 
-from quandlekit.braids import BraidWord, braid_or_knot, colorings_of_closure, parse_braid
+from quandlekit.braids import (BraidWord, braid_or_knot, colorings_of_closure,
+                               markov_moves, parse_braid)
 from quandlekit.errors import InputError
 from quandlekit.fox import (
     WirtingerPresentation,
@@ -124,9 +125,33 @@ def test_twisted_matrix_rejects_bad_rho():
 
 
 def test_twisted_matrix_mod():
-    pres = wirtinger_from_braid(braid_or_knot("3_1"))
-    mat = twisted_matrix(pres, trivial_rho(pres), modulus=5)
-    for row in mat:
-        for cell in row:
-            for c in cell[0][0].values():
-                assert 0 <= c < 5
+    """Coefficients are reduced mod N once, after the terms of coinciding arcs
+    are summed; the second braid has kinks, where an arc meets itself."""
+    for braid, modulus in (("3_1", 5), ("k=5; -4 -2 -1 2 -2 -4 -4", 2)):
+        pres = wirtinger_from_braid(braid_or_knot(braid))
+        mat = twisted_matrix(pres, trivial_rho(pres), modulus=modulus)
+        for row in mat:
+            for cell in row:
+                for c in cell[0][0].values():
+                    assert 0 < c < modulus
+
+
+def _abelianized(element: dict) -> dict:
+    """Sum of coef * t^(exponent sum of the word) over a group-ring element."""
+    out: dict = {}
+    for word, coef in element.items():
+        deg = sum(e for _, e in word)
+        out[deg] = out.get(deg, 0) + coef
+    return {d: c for d, c in out.items() if c}
+
+
+def test_twisted_matrix_trivial_rho_is_abelianized_fox_derivative():
+    """With trivial rho the closed-form rows are the Fox derivatives of the
+    relators, abelianized."""
+    for name in ("3_1", "4_1", "5_1"):
+        w = braid_or_knot(name)
+        for v in [w, *markov_moves(w)]:
+            pres = wirtinger_from_braid(v)
+            expected = [[[[_abelianized(fox_derivative(r, j))]]
+                         for j in range(pres.generators)] for r in pres.relators]
+            assert twisted_matrix(pres, trivial_rho(pres)) == expected

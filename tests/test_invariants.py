@@ -160,6 +160,16 @@ def test_dynamical_extension_guard():
         dynamical_extension(rep, guard=100)
 
 
+def test_dynamical_extension_guard_bounds_axiom_checks():
+    """The guard bounds the size^3 axiom checks, not the size: a 15-element
+    extension needs 3375 checks."""
+    rep = make_alexander_rep(make_dihedral(5), 3, 2)
+    with pytest.raises(GuardExceeded):
+        dynamical_extension(rep, guard=1000)
+    table, _, _ = dynamical_extension(rep, guard=15 ** 3)
+    assert len(table) == 15
+
+
 def test_multiset_containment():
     a = InvariantMultiset(entries=((0, 0), (1, 2)), modulus=3, dim=2)
     b = InvariantMultiset(entries=((0, 0), (0, 0), (1, 2), (2, 2)), modulus=3, dim=2)
