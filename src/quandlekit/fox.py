@@ -151,7 +151,6 @@ def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None):
     are checked (InputError otherwise).  Entries are dim x dim blocks of
     Laurent polynomials, with coefficients reduced mod N when one is given.
     """
-    rho = [[list(r) for r in m] for m in rho]
     dim = len(rho[0])
     arcs = [(r[0][0], r[1][0], r[3][0]) for r in pres.relators]
     for a in sorted({a for o, _, t in arcs for a in (o, t)}):
