@@ -110,12 +110,12 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     the axioms pass.  The size^3 axiom checks must not exceed `guard`.
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
-    vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
-    vindex = {tuple(v): i for i, v in enumerate(vectors)}
-    total = len(vectors) * q.size
+    total = N ** m * q.size
     if total ** 3 > guard:
         raise GuardExceeded(f"extension of size {total} needs {total ** 3} "
                             f"axiom checks, over the guard of {guard}")
+    vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
+    vindex = {tuple(v): i for i, v in enumerate(vectors)}
 
     def pair_index(a_idx: int, x: int) -> int:
         return a_idx * q.size + x

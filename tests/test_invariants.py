@@ -170,6 +170,17 @@ def test_dynamical_extension_guard_bounds_axiom_checks():
     assert len(table) == 15
 
 
+def test_dynamical_extension_guard_before_enumeration(monkeypatch):
+    """The guard fires before the N^dim module vectors are enumerated."""
+    def enumerate_module(*args, **kwargs):
+        raise AssertionError("module vectors enumerated before the guard")
+
+    rep = make_alexander_rep(make_trivial(1), 10 ** 6, 1, dim=3)
+    monkeypatch.setattr(itertools, "product", enumerate_module)
+    with pytest.raises(GuardExceeded):
+        dynamical_extension(rep)
+
+
 def test_multiset_containment():
     a = InvariantMultiset(entries=((0, 0), (1, 2)), modulus=3, dim=2)
     b = InvariantMultiset(entries=((0, 0), (0, 0), (1, 2), (2, 2)), modulus=3, dim=2)
