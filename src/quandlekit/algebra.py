@@ -32,7 +32,7 @@ class AlgebraRep:
     eta: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
     tau: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
     # underlying x -> matrix assignment for conjugation-type reps; needed by
-    # the degree-3 cocycle condition and by diagram chains
+    # diagram chains
     rho: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = field(default=None)
     label: str = ""
 
@@ -140,7 +140,9 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
         for src, dst in perm.items():
             m[dst][src] = 1
         rho.append(m)
-    return make_group_rep(q, modulus, rho, label="perm3")
+    # these transpositions satisfy the conjugation relation over Z, hence mod
+    # every N; make_conj_rep still checks them
+    return make_group_rep(q, modulus, rho, label="perm3", check=False)
 
 
 def verify_relations(rep: AlgebraRep) -> ValidationReport:

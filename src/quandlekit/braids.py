@@ -11,6 +11,7 @@ the strands k, k-1, ..., i+2.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -135,11 +136,13 @@ def _fixed_in_range(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
 def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
                          guard: int = GUARD,
                          jobs: int = 1) -> list[tuple[int, ...]]:
-    """All bottom vectors fixed by the word, in lexicographic order."""
+    """All bottom vectors fixed by the word, in lexicographic order; `jobs`
+    worker processes, at most os.cpu_count(), share the candidates."""
     total = q.size ** w.strands
     if total > guard:
         raise GuardExceeded(
             f"{total} candidate colorings exceed the guard of {guard}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 4 * jobs:
         return _fixed_in_range(q, w, 0, total)
     bounds = [total * i // jobs for i in range(jobs + 1)]

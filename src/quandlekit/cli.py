@@ -7,6 +7,9 @@ are byte-for-byte reproducible (including across --jobs settings).
 A rep lives on --quandle: alexander-rep and trivial-action are built on it,
 and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
+`check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
+any rep, within --guard boundary tuples; other degrees exit 2, as does a
+negative `homology` degree.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -73,9 +76,15 @@ def cmd_check(args) -> int:
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
         kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
-        cfg = ComplexConfig(rep=rep, variant=args.variant)
-        ok = (is_cocycle_2(cfg, kappa) if kappa.degree == 2
-              else is_cocycle_3(cfg, kappa))
+        is_cocycle = {2: is_cocycle_2, 3: is_cocycle_3}.get(kappa.degree)
+        if is_cocycle is None:
+            raise InputError(f"cocycle checks support degrees 2 and 3, "
+                             f"got degree {kappa.degree}")
+        work = rep.quandle.size ** (kappa.degree + 1)
+        if work > args.guard:
+            raise GuardExceeded(
+                f"{work} boundary tuples exceed the guard of {args.guard}")
+        ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa)
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
     else:
@@ -160,9 +169,14 @@ def cmd_compare(args) -> int:
         doc = qio._load_json(path)
         if "multiset" not in doc:
             raise InputError(f"{path} is not an invariant document")
-        docs.append(InvariantMultiset(
-            entries=tuple(tuple(e) for e in doc["multiset"]),
-            modulus=doc.get("modulus", 0), dim=doc.get("dim", 0)))
+        entries = doc["multiset"]
+        modulus, dim = doc.get("modulus", 0), doc.get("dim", 0)
+        rows_ok = isinstance(entries, list) and all(
+            isinstance(e, list) and all(isinstance(x, int) for x in e) for e in entries)
+        if not (rows_ok and isinstance(modulus, int) and isinstance(dim, int)):
+            raise InputError(f"{path}: 'multiset' must be a list of integer lists "
+                             "and 'modulus' and 'dim' integers")
+        docs.append(InvariantMultiset(tuple(tuple(e) for e in entries), modulus, dim))
     contained = multiset_contained(docs[0], docs[1])
     _emit({"contained": contained, "a": args.a, "b": args.b}, args.out)
     return 0

@@ -10,19 +10,19 @@ coefficients in G = (Z_N)^m; the boundary of an (n+1)-tuple is
                   + (-1)^{n+1} tau[[x_1,x_3..],[x_2,x_3..]] (x_2,..,x_{n+1})
 
 with [y_1..y_k] = ((y_1*y_2)*y_3)*...*y_k, and d(x) = -tau[x bar* x0][x0]
-on 1-tuples.  Cochains are dualized by pulling the operator coefficients
-out on the left, so the cocycle conditions come out exactly in the usual
-written form.
+on 1-tuples, listed once by _boundary_terms for the matrices, coboundary()
+and the cocycle checks.  Cochains are dualized by pulling the operator
+coefficients out on the left; a cocycle is a cochain with delta kappa = 0.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import AlgebraRep, bar
+from .algebra import AlgebraRep
 from .errors import GuardExceeded, InputError
-from .linalg import (Matrix, int_kernel, kernel_mod_p, mat_vec,
+from .linalg import (Matrix, identity, int_kernel, kernel_mod_p,
                      quotient_invariant_factors, zeros)
 
 SIZE_GUARD = 6
@@ -78,64 +78,58 @@ def tuple_index(size: int, key) -> int:
     return idx
 
 
-def boundary_blocks(cfg: ComplexConfig, n: int):
-    """Operator coefficients of the boundary on (n+1)-tuples.
+def _boundary_terms(cfg: ComplexConfig, n: int):
+    """The boundary on (n+1)-tuples as signed terms.
 
-    Yields (source_tuple, {target_tuple: m x m matrix mod N}) pairs.
+    Yields (t, [(sign, block, target), ...]) for every (n+1)-tuple t, so that
+    d(t) = sum sign * block (target); block is a matrix of rep.eta or rep.tau,
+    or None for the identity.  Targets may repeat within one tuple.
     """
     rep = cfg.rep
     q = rep.quandle
-    size, N, m = q.size, rep.modulus, rep.dim
     if n == 0:
-        for (x,) in tuples(size, 1):
-            z = q.inv_op(x, cfg.basepoint)
-            coef = [[(-e) % N for e in row] for row in rep.tau_at(z, cfg.basepoint)]
-            yield (x,), {(): coef}
+        for x in range(q.size):
+            yield (x,), [(-1, rep.tau[q.inv_op(x, cfg.basepoint)][cfg.basepoint], ())]
         return
     sgn_outer = (-1) ** (n + 1)
-    for t in tuples(size, n + 1):
-        acc: dict = {}
-
-        def add(key, mat, s):
-            key = tuple(key)
-            if key not in acc:
-                acc[key] = zeros(m, m)
-            tgt = acc[key]
-            for i in range(m):
-                for j in range(m):
-                    tgt[i][j] = (tgt[i][j] + s * mat[i][j]) % N
-
-        ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for t in tuples(q.size, n + 1):
+        terms = []
         for i in range(2, n + 2):  # 1-based position of the removed entry
             s = sgn_outer * ((-1) ** i)
             removed = t[:i - 1] + t[i:]
-            tail = t[i - 1:]
-            add(removed, rep.eta_at(_bracket(q, removed), _bracket(q, tail)), s)
+            eta = rep.eta[_bracket(q, removed)][_bracket(q, t[i - 1:])]
+            terms.append((s, eta, removed))
             shifted = tuple(q.op(t[j], t[i - 1]) for j in range(i - 1)) + t[i:]
-            add(shifted, ident, -s)
-        head = (t[0],) + t[2:]
-        add(t[1:], rep.tau_at(_bracket(q, head), _bracket(q, t[1:])), sgn_outer)
-        yield t, acc
+            terms.append((-s, None, shifted))
+        tau = rep.tau[_bracket(q, (t[0],) + t[2:])][_bracket(q, t[1:])]
+        terms.append((sgn_outer, tau, t[1:]))
+        yield t, terms
 
 
 def _assemble(cfg: ComplexConfig, n: int, cochains: bool) -> Matrix:
     """The boundary on (n+1)-tuples in the lex tuple basis, or its block
-    transpose, the coboundary on n-cochains.  Each block occurs once and is
-    never transposed itself: operators act on values from the left."""
-    size, m = cfg.rep.quandle.size, cfg.rep.dim
+    transpose, the coboundary on n-cochains.  Blocks are never transposed
+    themselves: operators act on values from the left."""
+    size, m, N = cfg.rep.quandle.size, cfg.rep.dim, cfg.rep.modulus
     small, big = (size ** n) * m, (size ** (n + 1)) * m
     out = zeros(big, small) if cochains else zeros(small, big)
-    for t, blocks in boundary_blocks(cfg, n):
-        for key, mat in blocks.items():
-            src, tgt = tuple_index(size, t) * m, tuple_index(size, key) * m
+    ident = identity(m)
+    for t, terms in _boundary_terms(cfg, n):
+        src = tuple_index(size, t) * m
+        for sign, block, key in terms:
+            tgt = tuple_index(size, key) * m
             r0, c0 = (src, tgt) if cochains else (tgt, src)
-            for i in range(m):
-                out[r0 + i][c0:c0 + m] = mat[i]
+            for i, brow in enumerate(block or ident):
+                row = out[r0 + i]
+                for j, e in enumerate(brow):
+                    if e:
+                        row[c0 + j] = (row[c0 + j] + sign * e) % N
     return out
 
 
 def boundary_matrix(cfg: ComplexConfig, n: int) -> Matrix:
-    """Matrix of the boundary C_{n+1} (x) G -> C_n (x) G in the lex tuple basis."""
+    """Matrix of the boundary C_{n+1} (x) G -> C_n (x) G in the lex tuple
+    basis, the signed boundary terms summed mod N."""
     return _assemble(cfg, n, cochains=False)
 
 
@@ -168,66 +162,46 @@ def vector_to_cochain(cfg: ComplexConfig, degree: int, vec) -> Cochain:
 
 
 def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
-    mat = coboundary_matrix(cfg, kappa.degree)
-    vec = mat_vec(mat, cochain_to_vector(cfg, kappa), cfg.rep.modulus)
-    return vector_to_cochain(cfg, kappa.degree + 1, vec)
+    """delta kappa, evaluated tuple by tuple from the signed boundary terms:
+    (delta kappa)(t) = sum sign * block kappa(target); no matrix is built."""
+    m, N = cfg.rep.dim, cfg.rep.modulus
+    values = {}
+    for t, terms in _boundary_terms(cfg, kappa.degree):
+        acc = [0] * m
+        for sign, block, key in terms:
+            v = kappa.values.get(key)
+            if not v:
+                continue
+            for i in range(m):
+                acc[i] += sign * (v[i] if block is None else
+                                  sum(e * x for e, x in zip(block[i], v)))
+        acc = [a % N for a in acc]
+        if any(acc):
+            values[t] = acc
+    return Cochain(degree=kappa.degree + 1, modulus=N, dim=m, values=values)
+
+
+def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int) -> bool:
+    if kappa.degree != degree:
+        raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
+    if cfg.variant == "quandle" and not kappa.is_degenerate_free():
+        return False
+    return not coboundary(cfg, kappa).values
 
 
 def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain) -> bool:
-    """Generalized 2-cocycle condition
+    """delta kappa = 0 for a 2-cochain, that is
     eta[x*y][z] k(x,y) + k(x*y,z) == eta[x*z][y*z] k(x,z)
                                    + tau[x*z][y*z] k(y,z) + k(x*z,y*z);
     the quandle variant additionally requires k(x,x) = 0."""
-    if kappa.degree != 2:
-        raise InputError(f"expected a degree-2 cochain, got degree {kappa.degree}")
-    rep = cfg.rep
-    q, N = rep.quandle, rep.modulus
-    if cfg.variant == "quandle":
-        for x in range(q.size):
-            if any(kappa.value((x, x))):
-                return False
-    for x, y, z in tuples(q.size, 3):
-        xy, xz, yz = q.op(x, y), q.op(x, z), q.op(y, z)
-        lhs = mat_vec(rep.eta_at(xy, z), kappa.value((x, y)), N)
-        lhs = [(a + b) % N for a, b in zip(lhs, kappa.value((xy, z)))]
-        rhs = mat_vec(rep.eta_at(xz, yz), kappa.value((x, z)), N)
-        rhs = [(a + b) % N for a, b in
-               zip(rhs, mat_vec(rep.tau_at(xz, yz), kappa.value((y, z)), N))]
-        rhs = [(a + b) % N for a, b in zip(rhs, kappa.value((xz, yz)))]
-        if lhs != rhs:
-            return False
-    return True
+    return _is_cocycle(cfg, kappa, 2)
 
 
 def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain) -> bool:
-    """Degree-3 cocycle condition in the conjugation-action form; requires a
-    representation with an underlying x -> rho(x) assignment."""
-    if kappa.degree != 3:
-        raise InputError(f"expected a degree-3 cochain, got degree {kappa.degree}")
-    rep = cfg.rep
-    if not rep.is_conj_type:
-        raise InputError("degree-3 cocycle check needs a conjugation-type rep")
-    q, N = rep.quandle, rep.modulus
-    if cfg.variant == "quandle":
-        for x, y in tuples(q.size, 2):
-            if any(kappa.value((x, x, y))) or any(kappa.value((x, y, y))):
-                return False
-    for x, y, z, w in tuples(q.size, 4):
-        xy, xz, yz, zw = q.op(x, y), q.op(x, z), q.op(y, z), q.op(z, w)
-        xw, yw = q.op(x, w), q.op(y, w)
-        lhs = mat_vec(rep.rho_at(w), kappa.value((x, y, z)), N)
-        lhs = [(a + b) % N for a, b in zip(lhs, kappa.value((xz, yz, w)))]
-        lhs = [(a + b) % N for a, b in
-               zip(lhs, mat_vec(rep.rho_at(q.op(yz, w)), kappa.value((x, z, w)), N))]
-        lhs = [(a + b) % N for a, b in zip(lhs, kappa.value((y, z, w)))]
-        rhs = mat_vec(rep.rho_at(q.op(q.op(xy, z), w)), kappa.value((y, z, w)), N)
-        rhs = [(a + b) % N for a, b in zip(rhs, kappa.value((xy, z, w)))]
-        rhs = [(a + b) % N for a, b in
-               zip(rhs, mat_vec(rep.rho_at(zw), kappa.value((x, y, w)), N))]
-        rhs = [(a + b) % N for a, b in zip(rhs, kappa.value((xw, yw, zw)))]
-        if lhs != rhs:
-            return False
-    return True
+    """delta kappa = 0 for a 3-cochain, read from the rep's eta and tau
+    tables, so it works for every rep; the quandle variant additionally
+    requires kappa to vanish on tuples with two equal neighbours."""
+    return _is_cocycle(cfg, kappa, 3)
 
 
 def _admissible_columns(cfg: ComplexConfig, degree: int) -> list[int]:
@@ -263,6 +237,8 @@ def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
 def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) as a finite
     abelian group, computed over Z from integer lifts."""
+    if degree < 0:
+        raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:
         raise GuardExceeded(f"cohomology degree capped at {DEGREE_GUARD}")
     if cfg.rep.quandle.size > SIZE_GUARD:

@@ -27,10 +27,13 @@ def _load_json(path: str) -> dict:
         raise InputError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the top-level JSON value is not an object")
+    return doc
 
 
 def quandle_to_doc(q: FiniteQuandle) -> dict:

@@ -56,6 +56,20 @@ def test_perm3_rep():
     assert rep.eta_at(0, 2) == rep.eta_at(1, 2)
 
 
+def test_perm3_conj_rep_checks_once(monkeypatch):
+    from quandlekit import algebra
+    from quandlekit.io import load_rep
+    check, calls = algebra.check_group_rep, []
+
+    def counted(g, power=1):
+        calls.append(g)
+        return check(g, power)
+
+    monkeypatch.setattr(algebra, "check_group_rep", counted)
+    load_rep("conj-rep:perm3")
+    assert len(calls) == 1
+
+
 def test_conj_rep_rejects_bad_group_rep():
     q = make_dihedral(3)
     # constant rho = diag(2) is not conjugation-consistent on R3

@@ -84,6 +84,36 @@ def test_coloring_guard_and_jobs():
     assert colorings_of_closure(r3, w, jobs=3) == colorings_of_closure(r3, w)
 
 
+def test_coloring_workers_bounded_by_cpu_count(monkeypatch):
+    """A huge --jobs asks for at most os.cpu_count() workers, and one (no
+    pool) when the count is unknown; the colorings stay the same."""
+    from quandlekit import braids
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(braids, "ProcessPoolExecutor", SerialPool)
+    r5, w = make_dihedral(5), braid_or_knot("4_1")
+    expected = colorings_of_closure(r5, w)
+    monkeypatch.setattr(braids.os, "cpu_count", lambda: 2)
+    assert colorings_of_closure(r5, w, jobs=10 ** 9) == expected
+    assert asked == [2]
+    monkeypatch.setattr(braids.os, "cpu_count", lambda: None)
+    assert colorings_of_closure(r5, w, jobs=10 ** 9) == expected
+    assert asked == [2]
+
+
 def test_burau_values():
     """Alexander rep on the trivial quandle gives the unreduced Burau matrix;
     frozen small values mod 5 with t = 2."""

@@ -44,6 +44,9 @@ def test_quandle_constructor_message_shows(capsys):
 def test_guard_exit_code(capsys):
     code = main(["colorings", "dihedral:3", "k=20; 1", "--guard", "100"])
     assert code == 3
+    code = main(["check", "cocycle", "zero", "--quandle", "dihedral:20",
+                 "--rep", "alexander-rep:5:2", "--degree", "3", "--guard", "1000"])
+    assert code == 3
 
 
 def test_check_rep(capsys):
@@ -171,8 +174,9 @@ def test_out_flag_writes_file(capsys, tmp_path):
 def _write_inputs(tmp_path):
     """A mod-3, dim-3 cochain, ones with a key outside R3, a key that is not
     integers, a value that is not a list, a value entry that is not an
-    integer, modulus 0 and 'values' that is not an object, and JSON reps of
-    conj-rep:perm3 without a 'quandle' key and with a broken 'eta'."""
+    integer, modulus 0 and 'values' that is not an object, JSON reps of
+    conj-rep:perm3 without a 'quandle' key and with a broken 'eta', a file
+    holding the number 5 and an invariant document whose 'multiset' is 5."""
     from quandlekit.io import load_rep, rep_to_doc
     doc = rep_to_doc(load_rep("conj-rep:perm3"))
     del doc["quandle"]
@@ -190,7 +194,8 @@ def _write_inputs(tmp_path):
              "kappa_mod0": {"degree": 2, "modulus": 0, "dim": 3,
                             "values": {"0,1": [1, 0, 0]}},
              "kappa_list": {"degree": 2, "modulus": 3, "dim": 3,
-                            "values": [[1, 0, 0]]}}
+                            "values": [[1, 0, 0]]},
+             "num": 5, "ms5": {"multiset": 5}}
     for name, content in paths.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
         paths[name] = str(tmp_path / f"{name}.json")
@@ -227,6 +232,10 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
     ["check", "rep", "alexander-rep:x:2", "--quandle", "dihedral:3"],
     ["check", "rep", "alexander-rep:0:2", "--quandle", "dihedral:3"],
     ["check", "rep", "conj-rep:perm3:-3"],
+    ["check", "quandle", "{num}"],
+    ["check", "rep", "{num}", "--quandle", "dihedral:3"],
+    ["compare", "{ms5}", "{ms5}"],
+    ["homology", "-1", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
 ], ids=lambda argv: " ".join(argv))
 def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     paths = _write_inputs(tmp_path)
@@ -235,6 +244,14 @@ def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("input error:")
     assert "Traceback" not in out + err
+
+
+def test_cocycle_check_names_supported_degrees(capsys):
+    for degree in ("1", "4"):
+        code = main(["check", "cocycle", "zero", "--rep", "conj-rep:perm3",
+                     "--degree", degree])
+        assert code == 2
+        assert "degrees 2 and 3" in capsys.readouterr().err
 
 
 def test_rep_on_matching_quandle(capsys):

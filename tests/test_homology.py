@@ -6,9 +6,12 @@ import pytest
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_wada_rep,
     permutation_rep_r3,
+    regular_group_rep,
 )
 from quandlekit.errors import GuardExceeded, InputError
+from quandlekit.groups import cyclic_group
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
@@ -23,7 +26,7 @@ from quandlekit.homology import (
     vector_to_cochain,
 )
 from quandlekit.linalg import mat_mul, mat_vec
-from quandlekit.quandles import make_dihedral, make_trivial
+from quandlekit.quandles import make_core, make_dihedral, make_trivial
 
 random.seed(12)
 
@@ -35,16 +38,26 @@ def reps_for(q, modulus=3):
     return out
 
 
+def core_z3_wada_rep():
+    """A rep whose eta and tau are not rho(y) and I - rho(x*y)."""
+    z3 = cyclic_group(3)
+    grep = regular_group_rep(z3, make_core(z3), list(range(3)), modulus=5,
+                             check=False)
+    return make_wada_rep(grep, "core")
+
+
 def test_boundary_squares_to_zero():
-    for q in (make_dihedral(3), make_dihedral(4), make_trivial(2)):
-        for rep in reps_for(q):
-            cfg = ComplexConfig(rep=rep, variant="rack")
+    reps = [rep for q in (make_dihedral(3), make_dihedral(4), make_trivial(2))
+            for rep in reps_for(q)]
+    for rep in reps + [core_z3_wada_rep()]:
+        for basepoint in (0, 1):
+            cfg = ComplexConfig(rep=rep, variant="rack", basepoint=basepoint)
             for n in (0, 1, 2):
                 b_low = boundary_matrix(cfg, n)
                 b_high = boundary_matrix(cfg, n + 1)
                 prod = mat_mul(b_low, b_high, rep.modulus)
                 assert all(all(x == 0 for x in row) for row in prod), \
-                    (q.label, rep.label, n)
+                    (rep.quandle.label, rep.label, basepoint, n)
 
 
 def test_coboundary_squares_to_zero():
@@ -57,7 +70,7 @@ def test_coboundary_squares_to_zero():
 
 
 def test_is_cocycle_2_matches_matrix_dual():
-    """The hand-written 2-cocycle condition agrees with delta kappa = 0."""
+    """is_cocycle_2 agrees with the coboundary matrix applied to kappa."""
     rep = make_conj_rep(permutation_rep_r3(3))
     cfg = ComplexConfig(rep=rep, variant="rack")
     d2 = coboundary_matrix(cfg, 2)
@@ -117,31 +130,39 @@ def test_coboundaries_are_cocycles():
 
 
 def test_is_cocycle_3_matches_matrix_dual():
-    rep = make_conj_rep(permutation_rep_r3(3))
+    for rep in (make_conj_rep(permutation_rep_r3(3)),
+                make_alexander_rep(make_dihedral(3), 3, 2)):
+        cfg = ComplexConfig(rep=rep, variant="rack")
+        d3 = coboundary_matrix(cfg, 3)
+        for _ in range(10):
+            values = {}
+            for key in itertools.product(range(3), repeat=3):
+                v = [random.randrange(3) for _ in range(rep.dim)]
+                if any(v):
+                    values[key] = v
+            kappa = Cochain(3, 3, rep.dim, values)
+            vec = cochain_to_vector(cfg, kappa)
+            matrix_says = not any(mat_vec(d3, vec, 3))
+            assert is_cocycle_3(cfg, kappa) == matrix_says
+        # and the members of the solver basis pass the check
+        cfgq = ComplexConfig(rep=rep, variant="quandle")
+        basis = cocycle_space(cfgq, 3)
+        assert basis
+        for kappa in basis[:5]:
+            assert is_cocycle_3(cfgq, kappa)
+
+
+def test_is_cocycle_3_accepts_coboundaries_of_wada_rep():
+    """delta phi is a 3-cocycle for every 2-cochain phi, on a rep whose
+    tables are not of the conjugation form."""
+    rep = core_z3_wada_rep()
     cfg = ComplexConfig(rep=rep, variant="rack")
-    d3 = coboundary_matrix(cfg, 3)
-    for _ in range(10):
-        values = {}
-        for key in itertools.product(range(3), repeat=3):
-            v = [random.randrange(3) for _ in range(3)]
-            if any(v):
-                values[key] = v
-        kappa = Cochain(3, 3, 3, values)
-        vec = cochain_to_vector(cfg, kappa)
-        matrix_says = not any(mat_vec(d3, vec, 3))
-        assert is_cocycle_3(cfg, kappa) == matrix_says
-    # and the members of the solver basis pass the written condition
-    cfgq = ComplexConfig(rep=rep, variant="quandle")
-    basis = cocycle_space(cfgq, 3)
-    for kappa in basis[:5]:
-        assert is_cocycle_3(cfgq, kappa)
-
-
-def test_is_cocycle_3_needs_conj_type():
-    rep = make_alexander_rep(make_dihedral(3), 3, 2)
-    kappa = Cochain(3, 3, 1, {})
-    with pytest.raises(InputError):
-        is_cocycle_3(ComplexConfig(rep=rep), kappa)
+    for _ in range(5):
+        phi = Cochain(2, 5, 3, {key: [random.randrange(5) for _ in range(3)]
+                                for key in itertools.product(range(3), repeat=2)})
+        dphi = coboundary(cfg, phi)
+        assert dphi.values
+        assert is_cocycle_3(cfg, dphi)
 
 
 def test_vector_round_trip():
