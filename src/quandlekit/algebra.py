@@ -36,17 +36,6 @@ class AlgebraRep:
     rho: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = field(default=None)
     label: str = ""
 
-    def eta_at(self, x: int, y: int) -> Matrix:
-        return [list(r) for r in self.eta[x][y]]
-
-    def tau_at(self, x: int, y: int) -> Matrix:
-        return [list(r) for r in self.tau[x][y]]
-
-    def rho_at(self, x: int) -> Matrix:
-        if self.rho is None:
-            raise InputError("representation has no underlying group assignment")
-        return [list(r) for r in self.rho[x]]
-
     @property
     def is_conj_type(self) -> bool:
         return self.rho is not None
@@ -70,9 +59,6 @@ class GroupRep:
     rho: tuple[tuple[tuple[int, ...], ...], ...]
     label: str = ""
 
-    def rho_at(self, x: int) -> Matrix:
-        return [list(r) for r in self.rho[x]]
-
 
 def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
     """Conjugation consistency: rho(x*y) == rho(y)^m rho(x) rho(y)^-m mod N,
@@ -81,16 +67,16 @@ def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
     q, n = g.quandle, g.modulus
     failures = []
     for x in range(q.size):
-        if not is_invertible_mod(g.rho_at(x), n):
+        if not is_invertible_mod(g.rho[x], n):
             failures.append(f"rho({x}) is not invertible mod {n}")
             return ValidationReport(False, failures)
     for x in range(q.size):
         for y in range(q.size):
             ym = identity(g.dim)
             for _ in range(power):
-                ym = mat_mul(ym, g.rho_at(y), n)
-            lhs = mat_mul(g.rho_at(q.op(x, y)), ym, n)
-            if lhs != mat_mul(ym, g.rho_at(x), n):
+                ym = mat_mul(ym, g.rho[y], n)
+            lhs = mat_mul(g.rho[q.op(x, y)], ym, n)
+            if lhs != mat_mul(ym, g.rho[x], n):
                 failures.append(
                     f"rho({x}*{y}) != rho({y})^{power} rho({x}) rho({y})^-{power}")
                 return ValidationReport(False, failures)
@@ -151,7 +137,7 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     failures = []
     for x in range(q.size):
         for y in range(q.size):
-            if not is_invertible_mod(rep.eta_at(x, y), n):
+            if not is_invertible_mod(rep.eta[x][y], n):
                 raise CheckFailed(f"eta[{x}][{y}] is not invertible mod {n}")
     found = [False] * 4
     size = q.size
@@ -160,26 +146,25 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
             for z in range(size):
                 xy, xz, yz = q.op(x, y), q.op(x, z), q.op(y, z)
                 if not found[0]:
-                    lhs = mat_mul(rep.eta_at(xy, z), rep.eta_at(x, y), n)
-                    rhs = mat_mul(rep.eta_at(xz, yz), rep.eta_at(x, z), n)
+                    lhs = mat_mul(rep.eta[xy][z], rep.eta[x][y], n)
+                    rhs = mat_mul(rep.eta[xz][yz], rep.eta[x][z], n)
                     if lhs != rhs:
                         found[0] = True
                         failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
                 if not found[1]:
-                    lhs = mat_mul(rep.eta_at(xy, z), rep.tau_at(x, y), n)
-                    rhs = mat_mul(rep.tau_at(xz, yz), rep.eta_at(y, z), n)
+                    lhs = mat_mul(rep.eta[xy][z], rep.tau[x][y], n)
+                    rhs = mat_mul(rep.tau[xz][yz], rep.eta[y][z], n)
                     if lhs != rhs:
                         found[1] = True
                         failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
                 if not found[2]:
-                    lhs = rep.tau_at(xy, z)
-                    rhs = mat_add(mat_mul(rep.eta_at(xz, yz), rep.tau_at(x, z), n),
-                                  mat_mul(rep.tau_at(xz, yz), rep.tau_at(y, z), n), n)
-                    if lhs != rhs:
+                    rhs = mat_add(mat_mul(rep.eta[xz][yz], rep.tau[x][z], n),
+                                  mat_mul(rep.tau[xz][yz], rep.tau[y][z], n), n)
+                    if rep.tau[xy][z] != _freeze(rhs):
                         found[2] = True
                         failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
         if not found[3]:
-            s = mat_add(rep.tau_at(x, x), rep.eta_at(x, x), n)
+            s = mat_add(rep.tau[x][x], rep.eta[x][x], n)
             if s != identity(rep.dim):
                 found[3] = True
                 failures.append(f"relation (4) fails at x={x}")
@@ -226,10 +211,10 @@ def make_conj_rep(g: GroupRep) -> AlgebraRep:
     if not report:
         raise CheckFailed("; ".join(report.failures))
     q, n, dim = g.quandle, g.modulus, g.dim
-    eta = [[g.rho_at(y) for y in range(q.size)] for _ in range(q.size)]
-    tau = [[mat_sub(identity(dim), g.rho_at(q.op(x, y)), n)
+    eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
+    tau = [[mat_sub(identity(dim), g.rho[q.op(x, y)], n)
             for y in range(q.size)] for x in range(q.size)]
-    return make_rep(q, n, eta, tau, rho=[g.rho_at(x) for x in range(q.size)],
+    return make_rep(q, n, eta, tau, rho=g.rho,
                     label=f"conj-rep({g.label})", check=False)
 
 
@@ -246,15 +231,15 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
     tau = [[None] * size for _ in range(size)]
     if variant == "core":
         for x in range(size):
-            rx_inv = mat_inv_mod(g.rho_at(x), n)
+            rx_inv = mat_inv_mod(g.rho[x], n)
             for y in range(size):
-                prod = mat_mul(g.rho_at(y), rx_inv, n)
+                prod = mat_mul(g.rho[y], rx_inv, n)
                 eta[x][y] = mat_scale(-1, prod, n)
                 tau[x][y] = mat_add(identity(dim), prod, n)
     elif isinstance(variant, int) and variant >= 1:
         m = variant
         for y in range(size):
-            ry = g.rho_at(y)
+            ry = g.rho[y]
             ry_inv = mat_inv_mod(ry, n)
             powers = [identity(dim)]
             for _ in range(m):
@@ -271,10 +256,10 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
             for x in range(size):
                 eta[x][y] = powers[m]
                 tau[x][y] = mat_sub(
-                    geo, mat_mul(mat_mul(powers[m], g.rho_at(x), n), inv_geo, n), n)
+                    geo, mat_mul(mat_mul(powers[m], g.rho[x], n), inv_geo, n), n)
     else:
         raise InputError(f"unknown wada variant {variant!r}")
-    rep = make_rep(q, n, eta, tau, rho=[g.rho_at(x) for x in range(size)],
+    rep = make_rep(q, n, eta, tau, rho=g.rho,
                    label=f"wada-rep({variant},{g.label})", check=False)
     report = verify_relations(rep)
     if not report:
@@ -289,6 +274,6 @@ def bar(rep: AlgebraRep, x: int, y: int) -> tuple[Matrix, Matrix]:
     eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y]."""
     q, n = rep.quandle, rep.modulus
     z = q.inv_op(x, y)
-    eta_bar = mat_inv_mod(rep.eta_at(z, y), n)
-    tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau_at(z, y), n), n)
+    eta_bar = mat_inv_mod(rep.eta[z][y], n)
+    tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
     return eta_bar, tau_bar

@@ -6,11 +6,13 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 (v, u*v); its inverse sends (u, v) to (v bar* u, u).  The closure arcs are
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
-the strands k, k-1, ..., i+2.
+the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
+this crossing rule; `act`, `colored_matrix` and `crossing_data` loop over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep, bar
 from .errors import GUARD, GuardExceeded, InputError
-from .linalg import Matrix, mat_add, mat_mul, zeros
+from .linalg import Matrix, identity, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -94,43 +96,36 @@ def braid_or_knot(text: str) -> BraidWord:
     return parse_braid(text)
 
 
-@dataclass
-class ColoringState:
-    bottom: tuple[int, ...]
-    levels: list[tuple[int, ...]]  # colors after each letter
-    top: tuple[int, ...]
-
-
-def act(q: FiniteQuandle, w: BraidWord, bottom) -> ColoringState:
-    """Propagate bottom colors through the braid word."""
-    if len(bottom) != w.strands:
-        raise InputError(f"expected {w.strands} bottom colors, got {len(bottom)}")
-    cur = list(bottom)
-    levels = []
+def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
+    """Yield (letter, p) before each crossing of the word, p the 0-based left
+    position, then apply the crossing to `colors` in place: sigma_i sends
+    (u, v) to (v, u*v), its inverse sends (u, v) to (v bar* u, u)."""
+    if len(colors) != w.strands:
+        raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
     for e in w.letters:
         p = abs(e) - 1
-        u, v = cur[p], cur[p + 1]
+        yield e, p
+        u, v = colors[p], colors[p + 1]
         if e > 0:
-            cur[p], cur[p + 1] = v, q.op(u, v)
+            colors[p], colors[p + 1] = v, q.op(u, v)
         else:
-            cur[p], cur[p + 1] = q.inv_op(v, u), u
-        levels.append(tuple(cur))
-    return ColoringState(bottom=tuple(bottom), levels=levels, top=tuple(cur))
+            colors[p], colors[p + 1] = q.inv_op(v, u), u
+
+
+def act(q: FiniteQuandle, w: BraidWord, bottom) -> tuple[int, ...]:
+    """The top colors of the word when `bottom` colors its bottom ends."""
+    colors = list(bottom)
+    for _ in _walk(q, w, colors):
+        pass
+    return tuple(colors)
 
 
 def _fixed_in_range(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
-    size, k = q.size, w.strands
-    out = []
-    for idx in range(lo, hi):
-        vec = []
-        r = idx
-        for _ in range(k):
-            vec.append(r % size)
-            r //= size
-        vec.reverse()
-        if act(q, w, vec).top == tuple(vec):
-            out.append(tuple(vec))
-    return out
+    """The bottom vectors fixed by the word among candidates lo..hi-1 in
+    lexicographic order."""
+    candidates = itertools.product(range(q.size), repeat=w.strands)
+    return [vec for vec in itertools.islice(candidates, lo, hi)
+            if act(q, w, vec) == vec]
 
 
 def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
@@ -159,32 +154,23 @@ def _fixed_worker(args):
 def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom) -> Matrix:
     """The km x km matrix over Z_N of the module-color action determined by
     the quandle colors propagated from `bottom`."""
-    q, N, m = rep.quandle, rep.modulus, rep.dim
-    if len(bottom) != w.strands:
-        raise InputError(f"expected {w.strands} bottom colors, got {len(bottom)}")
-    k = w.strands
+    N, m, k = rep.modulus, rep.dim, w.strands
     # row blocks of the running matrix, updated in place per letter
     blocks = [[[1 if (i == j and bi == bj) else 0
                 for bj in range(k) for j in range(m)]
                for i in range(m)] for bi in range(k)]
     cur = list(bottom)
-    for e in w.letters:
-        p = abs(e) - 1
+    for e, p in _walk(rep.quandle, w, cur):
         u, v = cur[p], cur[p + 1]
         if e > 0:
-            eta = rep.eta_at(u, v)
-            tau = rep.tau_at(u, v)
-            new_p1 = mat_add(mat_mul(eta, blocks[p], N),
-                             mat_mul(tau, blocks[p + 1], N), N)
+            new_p1 = mat_add(mat_mul(rep.eta[u][v], blocks[p], N),
+                             mat_mul(rep.tau[u][v], blocks[p + 1], N), N)
             blocks[p], blocks[p + 1] = blocks[p + 1], new_p1
-            cur[p], cur[p + 1] = v, q.op(u, v)
         else:
             eta_bar, tau_bar = bar(rep, v, u)
             new_p = mat_add(mat_mul(eta_bar, blocks[p + 1], N),
                             mat_mul(tau_bar, blocks[p], N), N)
-            blocks[p + 1] = blocks[p]
-            blocks[p] = new_p
-            cur[p], cur[p + 1] = q.inv_op(v, u), u
+            blocks[p], blocks[p + 1] = new_p, blocks[p]
     out = []
     for blk in blocks:
         out.extend(blk)
@@ -201,24 +187,16 @@ def crossing_data(rep: AlgebraRep, w: BraidWord, coloring):
     q, N = rep.quandle, rep.modulus
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
-    state = act(q, w, coloring)
-    if state.top != state.bottom:
-        raise InputError("coloring is not fixed by the braid word")
     cur = list(coloring)
     out = []
-    for e in w.letters:
-        p = abs(e) - 1
-        path = [[1 if i == j else 0 for j in range(rep.dim)] for i in range(rep.dim)]
+    for e, p in _walk(q, w, cur):
+        path = identity(rep.dim)
         for s in range(w.strands - 1, p + 1, -1):
-            path = mat_mul(path, rep.rho_at(cur[s]), N)
+            path = mat_mul(path, rep.rho[cur[s]], N)
         u, v = cur[p], cur[p + 1]
-        if e > 0:
-            out.append((1, path, u, v))
-            cur[p], cur[p + 1] = v, q.op(u, v)
-        else:
-            src = q.inv_op(v, u)
-            out.append((-1, path, src, u))
-            cur[p], cur[p + 1] = src, u
+        out.append((1, path, u, v) if e > 0 else (-1, path, q.inv_op(v, u), u))
+    if tuple(cur) != tuple(coloring):
+        raise InputError("coloring is not fixed by the braid word")
     return out
 
 

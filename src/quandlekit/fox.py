@@ -205,8 +205,3 @@ def alexander_polynomial(w: BraidWord) -> Laurent:
         return lp_const(1)
     g = laurent_gcd_of_minors(cut, size)
     return lp_normalize(g) if g else {}
-
-
-def alexander_at(poly: Laurent, t0: int):
-    from .laurent import lp_eval
-    return lp_eval(poly, t0)

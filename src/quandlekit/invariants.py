@@ -10,15 +10,15 @@ and serialization are canonical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
-                     crossing_data, diagram_two_chain)
+                     crossing_data)
 from .errors import GUARD, CheckFailed, GuardExceeded, InputError
 from .homology import Cochain, ComplexConfig, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
-from .quandles import FiniteQuandle, ValidationReport, verify_axioms
+from .quandles import FiniteQuandle, verify_axioms
 
 
 @dataclass
@@ -26,7 +26,6 @@ class InvariantMultiset:
     entries: tuple            # sorted tuples of ints: one G-vector per coloring
     modulus: int
     dim: int
-    metadata: dict = field(default_factory=dict)
 
     def support(self):
         return set(self.entries)
@@ -35,10 +34,12 @@ class InvariantMultiset:
 @dataclass
 class ModuleInvariant:
     entries: tuple            # sorted invariant-factor tuples, one per coloring
-    metadata: dict = field(default_factory=dict)
 
 
 def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
+    # diagram chains need rho: say so before the size^3 cocycle check
+    if not rep.is_conj_type:
+        raise InputError("diagram chains need a conjugation-type rep")
     if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
@@ -66,24 +67,17 @@ def _pairing(rep: AlgebraRep, kappa: Cochain, terms) -> tuple[int, ...]:
 
 
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
-                      jobs: int = 1, check: bool = True,
-                      debug_pairing: bool = False) -> InvariantMultiset:
+                      jobs: int = 1, check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle."""
     if check:
         _require_cocycle(rep, kappa)
     entries = []
     for coloring in colorings_of_closure(rep.quandle, w, jobs=jobs):
         data = crossing_data(rep, w, coloring)
-        total = _pairing(rep, kappa, ((e, path, (x, y)) for e, path, x, y in data))
-        if debug_pairing:
-            chain = diagram_two_chain(rep, w, coloring).items()
-            assert total == _pairing(rep, kappa, ((1, c, k) for k, c in chain)), \
-                "per-crossing sum disagrees with the chain pairing"
-        entries.append(total)
-    meta = {"quandle": rep.quandle.label, "rep": rep.label, "strands": w.strands,
-            "letters": list(w.letters)}
+        entries.append(_pairing(rep, kappa,
+                                ((e, path, (x, y)) for e, path, x, y in data)))
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
-                             dim=rep.dim, metadata=meta)
+                             dim=rep.dim)
 
 
 def module_invariant(rep: AlgebraRep, w: BraidWord,
@@ -96,9 +90,7 @@ def module_invariant(rep: AlgebraRep, w: BraidWord,
         for i in range(len(m)):
             m[i][i] = (m[i][i] - 1) % N
         entries.append(tuple(cokernel_mod(m, N)))
-    meta = {"quandle": q.label, "rep": rep.label, "strands": w.strands,
-            "letters": list(w.letters)}
-    return ModuleInvariant(entries=tuple(sorted(entries)), metadata=meta)
+    return ModuleInvariant(entries=tuple(sorted(entries)))
 
 
 def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
@@ -126,8 +118,8 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
             row = table[pair_index(ai, x)]
             for bi, b in enumerate(vectors):
                 for y in range(q.size):
-                    val = mat_vec(rep.eta_at(x, y), a, N)
-                    tb = mat_vec(rep.tau_at(x, y), b, N)
+                    val = mat_vec(rep.eta[x][y], a, N)
+                    tb = mat_vec(rep.tau[x][y], b, N)
                     val = [(s + t) % N for s, t in zip(val, tb)]
                     if kappa is not None:
                         val = [(s + t) % N

@@ -84,9 +84,6 @@ class FiniteQuandle:
         """a op-bar b: the unique c with c*b = a."""
         return self._inv_table[a][b]
 
-    def elements(self) -> range:
-        return range(self.size)
-
 
 def quandle_from_table(table, label: str = "") -> FiniteQuandle:
     report = verify_axioms(table)

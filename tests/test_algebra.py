@@ -53,7 +53,7 @@ def test_perm3_rep():
     assert verify_relations(rep).passed
     assert rep.is_conj_type
     # eta does not depend on x for conjugation reps
-    assert rep.eta_at(0, 2) == rep.eta_at(1, 2)
+    assert rep.eta[0][2] == rep.eta[1][2]
 
 
 def test_perm3_conj_rep_checks_once(monkeypatch):
@@ -140,8 +140,8 @@ def test_bar_elements_undo_crossing():
             eta_bar, tau_bar = bar(rep, x, y)
             z = q.inv_op(x, y)
             # eta_bar eta[z][y] == I and eta_bar tau[z][y] + tau_bar == 0
-            assert mat_mul(eta_bar, rep.eta_at(z, y), n) == identity(rep.dim)
-            s = mat_add(mat_mul(eta_bar, rep.tau_at(z, y), n), tau_bar, n)
+            assert mat_mul(eta_bar, rep.eta[z][y], n) == identity(rep.dim)
+            s = mat_add(mat_mul(eta_bar, rep.tau[z][y], n), tau_bar, n)
             assert all(all(v == 0 for v in row) for row in s)
 
 
@@ -152,6 +152,6 @@ def test_relation_four_meaning():
     n = rep.modulus
     for x in range(3):
         for a in ([1], [5], [8]):
-            va = mat_vec(rep.eta_at(x, x), a, n)
-            vb = mat_vec(rep.tau_at(x, x), a, n)
+            va = mat_vec(rep.eta[x][x], a, n)
+            vb = mat_vec(rep.tau[x][x], a, n)
             assert [(p + q) % n for p, q in zip(va, vb)] == [v % n for v in a]

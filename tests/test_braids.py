@@ -5,6 +5,7 @@ import pytest
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_group_rep,
     permutation_rep_r3,
 )
 from quandlekit.braids import (
@@ -57,15 +58,53 @@ def test_inverse_and_mul():
     ww = w * w.inverse()
     r3 = make_dihedral(3)
     for bottom in itertools.product(range(3), repeat=3):
-        assert act(r3, ww, bottom).top == bottom
+        assert act(r3, ww, bottom) == bottom
 
 
 def test_act_trace():
+    """sigma_i sends (u, v) to (v, u*v) and its inverse sends (u, v) to
+    (v bar* u, u); crossing_data reports the source pair of each crossing,
+    (u, v) for a positive one and (v bar* u, u) for a negative one."""
     r3 = make_dihedral(3)
     w = braid_or_knot("3_1")
-    state = act(r3, w, (0, 1))
-    assert state.levels == [(1, 2), (2, 0), (0, 1)]
-    assert state.top == (0, 1)
+    assert act(r3, w, (0, 1)) == (0, 1)
+    rep = make_conj_rep(permutation_rep_r3(3))
+    data = crossing_data(rep, w, (0, 1))
+    assert [(eps, x, y) for eps, _, x, y in data] == [(1, 0, 1), (1, 1, 2), (1, 2, 0)]
+    r5 = make_dihedral(5)
+    trivial = make_conj_rep(make_group_rep(r5, 5, [[[1]]] * 5))
+    w = braid_or_knot("4_1")
+    assert act(r5, w, (0, 1, 4)) == (0, 1, 4)
+    data = crossing_data(trivial, w, (0, 1, 4))
+    assert [(eps, x, y) for eps, _, x, y in data] == [
+        (1, 0, 1), (-1, 0, 2), (1, 1, 0), (-1, 1, 4)]
+
+
+def test_bottom_length_checked():
+    r3 = make_dihedral(3)
+    rep = make_conj_rep(permutation_rep_r3(3))
+    w = braid_or_knot("4_1")
+    for bottom in ((0, 1), (0, 1, 2, 0)):
+        with pytest.raises(InputError):
+            act(r3, w, bottom)
+        with pytest.raises(InputError):
+            colored_matrix(rep, w, bottom)
+    with pytest.raises(InputError):
+        act(r3, parse_braid("k=2;"), (0,))
+
+
+def test_fixed_in_range_chunks_concatenate():
+    """Split candidate ranges, as --jobs hands them out, concatenate to the
+    full lexicographic range."""
+    from quandlekit.braids import _fixed_in_range
+    r5 = make_dihedral(5)
+    w = braid_or_knot("4_1")
+    full = _fixed_in_range(r5, w, 0, 125)
+    assert full == sorted(full) and len(full) == 25
+    for jobs in (2, 3, 7):
+        bounds = [125 * i // jobs for i in range(jobs + 1)]
+        parts = [_fixed_in_range(r5, w, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert [vec for part in parts for vec in part] == full
 
 
 def test_coloring_counts():
@@ -143,7 +182,7 @@ def test_colored_matrix_braid_relations():
     lhs = parse_braid("k=3; 1 2 1")
     rhs = parse_braid("k=3; 2 1 2")
     for bottom in itertools.product(range(3), repeat=3):
-        assert act(q, lhs, bottom).top == act(q, rhs, bottom).top
+        assert act(q, lhs, bottom) == act(q, rhs, bottom)
         assert colored_matrix(rep, lhs, bottom) == colored_matrix(rep, rhs, bottom)
     far_l = parse_braid("k=4; 1 3")
     far_r = parse_braid("k=4; 3 1")

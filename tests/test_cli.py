@@ -246,6 +246,20 @@ def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in out + err
 
 
+def test_cocycle_invariant_without_rho_exits_2_unchecked(capsys, monkeypatch):
+    from quandlekit import invariants
+
+    def cocycle_check(*args, **kwargs):
+        raise AssertionError("cocycle checked before the rep's rho")
+
+    monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
+    code = main(["invariant", "cocycle", "--quandle", "dihedral:61",
+                 "--rep", "alexander-rep:5:2", "--cocycle", "zero", "--knot", "3_1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "conjugation-type" in err and "Traceback" not in out + err
+
+
 def test_cocycle_check_names_supported_degrees(capsys):
     for degree in ("1", "4"):
         code = main(["check", "cocycle", "zero", "--rep", "conj-rep:perm3",

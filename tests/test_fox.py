@@ -5,7 +5,6 @@ from quandlekit.braids import (BraidWord, braid_or_knot, colorings_of_closure,
 from quandlekit.errors import InputError
 from quandlekit.fox import (
     WirtingerPresentation,
-    alexander_at,
     alexander_polynomial,
     fox_derivative,
     reduce_word,
@@ -16,6 +15,7 @@ from quandlekit.fox import (
     word_inv,
     word_mul,
 )
+from quandlekit.laurent import lp_eval
 from quandlekit.quandles import make_dihedral
 
 X = ((0, 1),)
@@ -99,7 +99,7 @@ def test_determinant_vs_colorings():
     (coloring count p^2 vs p for the bundled knots, all of prime determinant)."""
     for name in ("3_1", "4_1", "5_1"):
         w = braid_or_knot(name)
-        det = abs(alexander_at(alexander_polynomial(w), -1))
+        det = abs(lp_eval(alexander_polynomial(w), -1))
         for p in (3, 5, 7):
             count = len(colorings_of_closure(make_dihedral(p), w))
             assert count == (p * p if det % p == 0 else p)

@@ -8,7 +8,8 @@ from quandlekit.algebra import (
     make_conj_rep,
     permutation_rep_r3,
 )
-from quandlekit.braids import braid_or_knot, markov_moves
+from quandlekit.braids import (braid_or_knot, colorings_of_closure, crossing_data,
+                               diagram_two_chain, markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError
 from quandlekit.homology import (
     Cochain,
@@ -25,6 +26,7 @@ from quandlekit.invariants import (
     module_invariant,
     multiset_contained,
 )
+from quandlekit.linalg import mat_vec
 from quandlekit.quandles import is_isomorphic, make_dihedral, make_trivial
 
 random.seed(31)
@@ -75,13 +77,41 @@ def test_module_invariant_distinguishes():
     assert a != b
 
 
+def chain_pairings_match(rep, kappa, w, entries) -> bool:
+    """On every coloring the per-crossing sum equals the pairing of kappa
+    with the diagram 2-chain, and those sums are the invariant's entries."""
+    N = rep.modulus
+
+    def pairing(terms):
+        total = [0] * rep.dim
+        for sign, coef, key in terms:
+            vec = mat_vec(coef, kappa.value(key), N)
+            total = [(t + sign * c) % N for t, c in zip(total, vec)]
+        return tuple(total)
+
+    sums = []
+    for coloring in colorings_of_closure(rep.quandle, w):
+        data = crossing_data(rep, w, coloring)
+        per_crossing = pairing((e, path, (x, y)) for e, path, x, y in data)
+        chain = diagram_two_chain(rep, w, coloring).items()
+        if per_crossing != pairing((1, coef, key) for key, coef in chain):
+            return False
+        sums.append(per_crossing)
+    return tuple(sorted(sums)) == entries
+
+
 def test_cocycle_invariant_markov_and_coboundary():
     rep, kappa = nontrivial_kappa()
+    # negative crossings on non-constant colorings: the signs must agree too
+    mirror = braid_or_knot("3_1").inverse()
+    assert chain_pairings_match(rep, kappa, mirror,
+                                cocycle_invariant(rep, kappa, mirror).entries)
     r3 = make_dihedral(3)
     cfg = ComplexConfig(rep=rep, variant="quandle")
     for name in ("3_1", "4_1"):
         w = braid_or_knot(name)
-        base = cocycle_invariant(rep, kappa, w, debug_pairing=True)
+        base = cocycle_invariant(rep, kappa, w)
+        assert chain_pairings_match(rep, kappa, w, base.entries)
         for v in markov_moves(w):
             assert cocycle_invariant(rep, kappa, v).entries == base.entries
         for _ in range(5):
@@ -113,6 +143,23 @@ def test_cocycle_invariant_rejects_non_cocycle():
     bad = Cochain(2, 3, 3, {(0, 1): [1, 0, 0]})
     with pytest.raises(CheckFailed):
         cocycle_invariant(rep, bad, braid_or_knot("3_1"))
+
+
+def test_cocycle_invariant_needs_rho_before_cocycle_check(monkeypatch):
+    """A rep without rho is rejected before the size^3 cocycle check runs."""
+    from quandlekit import invariants
+
+    def cocycle_check(*args, **kwargs):
+        raise AssertionError("cocycle checked before the rep's rho")
+
+    monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
+    rep = make_alexander_rep(make_dihedral(3), 5, 2)
+    kappa = Cochain(2, 5, 1, {})
+    w = braid_or_knot("3_1")
+    with pytest.raises(InputError):
+        cocycle_invariant(rep, kappa, w)
+    with pytest.raises(InputError):
+        boltzmann_weight(rep, kappa, w, (0, 0), 0)
 
 
 def test_boltzmann_weight_sums_to_invariant_entry():

@@ -50,8 +50,8 @@ def test_rep_shorthands():
     rep2 = qio.load_rep("conj-rep:perm3")
     assert rep2.is_conj_type
     rep3 = qio.load_rep("trivial-action:7", quandle=q)
-    assert rep3.eta_at(0, 1) == [[1]]
-    assert rep3.tau_at(0, 1) == [[0]]
+    assert rep3.eta[0][1] == ((1,),)
+    assert rep3.tau[0][1] == ((0,),)
     with pytest.raises(InputError):
         qio.load_rep("alexander-rep:5:2")   # needs a quandle
 
