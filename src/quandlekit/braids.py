@@ -7,12 +7,20 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
 the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
-this crossing rule; `act`, `colored_matrix` and `crossing_data` loop over it.
+this crossing rule to colors; `act`, `colored_matrix` and `crossing_data`
+loop over it.
+
+`closure_arcs` walks the word once more for the arcs of the closed diagram:
+one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
+the closure.  `fox.wirtinger_from_braid` turns the triples into relators,
+and `colorings_of_closure` searches them: it branches on the bottom arcs in
+position order and propagates each color through the triples, so it reaches
+at most |X|^k leaves, one per bottom vector, and finds the closure colorings
+without testing every candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -102,6 +110,8 @@ def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
     (u, v) to (v, u*v), its inverse sends (u, v) to (v bar* u, u)."""
     if len(colors) != w.strands:
         raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
+    if not all(0 <= c < q.size for c in colors):
+        raise InputError(f"bottom colors {colors} outside 0..{q.size - 1}")
     for e in w.letters:
         p = abs(e) - 1
         yield e, p
@@ -120,35 +130,134 @@ def act(q: FiniteQuandle, w: BraidWord, bottom) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _fixed_in_range(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
-    """The bottom vectors fixed by the word among candidates lo..hi-1 in
-    lexicographic order."""
-    candidates = itertools.product(range(q.size), repeat=w.strands)
-    return [vec for vec in itertools.islice(candidates, lo, hi)
-            if act(q, w, vec) == vec]
+def closure_arcs(w: BraidWord):
+    """The arcs of the closed-braid diagram, as (arc count, crossings, bottom).
+
+    Walking down the word, a crossing ends the under strand's arc and starts
+    a new one; `crossings` lists (over, src, tgt) in letter order, with
+    tgt = src * over in a coloring.  The closure merges the top arc on each
+    position with the bottom arc there (union-find), and the merged arcs are
+    numbered in order of their first raw arc.  `bottom[pos]` is the arc at
+    bottom position pos."""
+    k = w.strands
+    arcs = list(range(k))           # raw arc id currently on each position
+    next_arc = k
+    raw = []                        # (over, src, tgt) raw arc ids
+    for e in w.letters:
+        p = abs(e) - 1
+        if e > 0:
+            over, src, tgt = arcs[p + 1], arcs[p], next_arc
+            arcs[p], arcs[p + 1] = over, tgt
+        else:
+            over, src, tgt = arcs[p], next_arc, arcs[p + 1]
+            arcs[p], arcs[p + 1] = src, over
+        next_arc += 1
+        raw.append((over, src, tgt))
+    parent = list(range(next_arc))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for pos in range(k):
+        ra, rb = find(pos), find(arcs[pos])
+        if ra != rb:
+            parent[rb] = ra
+    classes: dict = {}
+    for a in range(next_arc):
+        classes.setdefault(find(a), len(classes))
+    crossings = [tuple(classes[find(a)] for a in arc) for arc in raw]
+    return len(classes), crossings, [classes[find(pos)] for pos in range(k)]
+
+
+def _colorings_in(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
+    """The closure colorings whose first bottom color lies in lo..hi-1, in
+    lexicographic order: a depth-first search over the bottom arcs with
+    propagation through the crossings."""
+    count, crossings, bottom = closure_arcs(w)
+    table, inv = q.table, q._inv_table
+    at: list[list] = [[] for _ in range(count)]    # crossings on each arc
+    for c in crossings:
+        for a in set(c):
+            at[a].append(c)
+    col = [-1] * count
+    out = []
+
+    def propagate(a, trail):
+        """Color arc a and everything it forces; False on a conflict."""
+        todo = [a]
+        while todo:
+            for o, s, t in at[todo.pop()]:
+                x = col[o]
+                if x < 0:
+                    continue
+                cs, ct = col[s], col[t]
+                if cs >= 0:
+                    y = table[cs][x]
+                    if ct < 0:
+                        col[t] = y
+                        trail.append(t)
+                        todo.append(t)
+                    elif ct != y:
+                        return False
+                elif ct >= 0:
+                    col[s] = inv[ct][x]
+                    trail.append(s)
+                    todo.append(s)
+        return True
+
+    def search(pos, values):
+        if pos == len(bottom):
+            out.append(tuple(col[a] for a in bottom))
+            return
+        a = bottom[pos]
+        if col[a] >= 0:             # forced; never at pos 0
+            search(pos + 1, values)
+            return
+        for v in values:
+            col[a] = v
+            trail = [a]
+            if propagate(a, trail):
+                search(pos + 1, range(q.size))
+            for b in trail:
+                col[b] = -1
+
+    search(0, range(lo, hi))
+    return out
 
 
 def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
                          guard: int = GUARD,
                          jobs: int = 1) -> list[tuple[int, ...]]:
-    """All bottom vectors fixed by the word, in lexicographic order; `jobs`
-    worker processes, at most os.cpu_count(), share the candidates."""
+    """All bottom vectors fixed by the word, in lexicographic order.
+
+    The search colors the bottom arcs in position order, each with every
+    value in turn unless the crossings already force it, and propagates each
+    choice through the crossings: in (over, src, tgt) with the over arc
+    colored, src fixes tgt = src * over and tgt fixes src = tgt bar* over,
+    and a clash with a color already set prunes the branch.  Every leaf is a
+    distinct bottom vector, so at most |X|^k of them are reached, and the
+    guard on |X|^k bounds the work.  `jobs` worker processes, at most
+    os.cpu_count() and at most |X|, take contiguous slices of the first
+    bottom color's values."""
     total = q.size ** w.strands
     if total > guard:
         raise GuardExceeded(
             f"{total} candidate colorings exceed the guard of {guard}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total < 4 * jobs:
-        return _fixed_in_range(q, w, 0, total)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    chunks = [(q, w, bounds[i], bounds[i + 1]) for i in range(jobs)]
+    jobs = min(jobs, os.cpu_count() or 1, q.size)
+    if jobs <= 1:
+        return _colorings_in(q, w, 0, q.size)
+    bounds = [q.size * i // jobs for i in range(jobs + 1)]
+    slices = [(q, w, bounds[i], bounds[i + 1]) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_fixed_worker, chunks))
+        parts = list(pool.map(_colorings_worker, slices))
     return [vec for part in parts for vec in part]
 
 
-def _fixed_worker(args):
-    return _fixed_in_range(*args)
+def _colorings_worker(args):
+    return _colorings_in(*args)
 
 
 def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom) -> Matrix:

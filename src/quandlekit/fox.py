@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord
+from .braids import BraidWord, closure_arcs
 from .errors import InputError
 from .laurent import Laurent, laurent_gcd_of_minors, lp_const, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
@@ -98,46 +98,10 @@ class WirtingerPresentation:
 def wirtinger_from_braid(w: BraidWord) -> WirtingerPresentation:
     """One generator per arc of the closed-braid diagram, one conjugation
     relator per crossing, with the closure identifying bottom and top arcs."""
-    k = w.strands
-    arcs = list(range(k))           # arc id currently on each strand position
-    next_arc = k
-    raw_relators = []               # (over, src, tgt) arc ids
-    for e in w.letters:
-        p = abs(e) - 1
-        if e > 0:
-            over, src = arcs[p + 1], arcs[p]
-            tgt = next_arc
-            next_arc += 1
-            arcs[p], arcs[p + 1] = over, tgt
-        else:
-            over, tgt = arcs[p], arcs[p + 1]
-            src = next_arc
-            next_arc += 1
-            arcs[p], arcs[p + 1] = src, over
-        raw_relators.append((over, src, tgt))
-    # closure: identify the top arc on each position with the bottom arc
-    parent = list(range(next_arc))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for pos in range(k):
-        ra, rb = find(pos), find(arcs[pos])
-        if ra != rb:
-            parent[rb] = ra
-    classes: dict = {}
-    for a in range(next_arc):
-        r = find(a)
-        if r not in classes:
-            classes[r] = len(classes)
-    relators = []
-    for over, src, tgt in raw_relators:
-        o, s, t = classes[find(over)], classes[find(src)], classes[find(tgt)]
-        relators.append(((o, 1), (s, 1), (o, -1), (t, -1)))
-    return WirtingerPresentation(generators=len(classes), relators=tuple(relators))
+    count, crossings, _ = closure_arcs(w)
+    return WirtingerPresentation(
+        generators=count,
+        relators=tuple(((o, 1), (s, 1), (o, -1), (t, -1)) for o, s, t in crossings))
 
 
 def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None):

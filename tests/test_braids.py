@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.algebra import (
     make_alexander_rep,
@@ -23,7 +25,8 @@ from quandlekit.braids import (
 from quandlekit.errors import GuardExceeded, InputError
 from quandlekit.homology import ComplexConfig, boundary_matrix, tuple_index
 from quandlekit.linalg import mat_mul, mat_vec
-from quandlekit.quandles import make_dihedral, make_trivial
+from quandlekit.groups import symmetric_group
+from quandlekit.quandles import make_alexander, make_conj, make_dihedral, make_trivial
 
 
 def test_parse_braid():
@@ -93,18 +96,79 @@ def test_bottom_length_checked():
         act(r3, parse_braid("k=2;"), (0,))
 
 
-def test_fixed_in_range_chunks_concatenate():
-    """Split candidate ranges, as --jobs hands them out, concatenate to the
-    full lexicographic range."""
-    from quandlekit.braids import _fixed_in_range
+def test_color_range_checked():
+    """A bottom color outside 0..size-1 is an InputError, not an index from
+    the end of the table."""
+    r3 = make_dihedral(3)
+    rep = make_conj_rep(permutation_rep_r3(3))
+    w = parse_braid("k=2; 1")
+    for bottom in ((-1, 0), (0, 3)):
+        with pytest.raises(InputError):
+            act(r3, w, bottom)
+        with pytest.raises(InputError):
+            colored_matrix(rep, w, bottom)
+        with pytest.raises(InputError):
+            crossing_data(rep, w, bottom)
+
+
+def brute_force_colorings(q, w):
+    """The |X|^k oracle: every bottom vector the word fixes, in lexicographic
+    order.  All candidates cross at once, one column of colors per position:
+    sigma_i sends (u, v) to (v, u*v), its inverse (u, v) to (v bar* u, u)."""
+    bottom = list(itertools.product(range(q.size), repeat=w.strands))
+    cols = [list(col) for col in zip(*bottom)]
+    for e in w.letters:
+        p = abs(e) - 1
+        u, v = cols[p], cols[p + 1]
+        if e > 0:
+            cols[p], cols[p + 1] = v, [q.op(a, b) for a, b in zip(u, v)]
+        else:
+            cols[p], cols[p + 1] = [q.inv_op(b, a) for a, b in zip(u, v)], u
+    return [vec for vec, top in zip(bottom, zip(*cols)) if vec == top]
+
+
+def test_coloring_slices_concatenate():
+    """The slices of the first bottom color's values, as --jobs hands them
+    out, give parts that join to the full lexicographic list."""
+    from quandlekit.braids import _colorings_in
     r5 = make_dihedral(5)
-    w = braid_or_knot("4_1")
-    full = _fixed_in_range(r5, w, 0, 125)
-    assert full == sorted(full) and len(full) == 25
-    for jobs in (2, 3, 7):
-        bounds = [125 * i // jobs for i in range(jobs + 1)]
-        parts = [_fixed_in_range(r5, w, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        assert [vec for part in parts for vec in part] == full
+    for text in ("4_1", "k=3; 1 1 -2 -2", "k=4; 1 -2 3 1 -2 3"):
+        w = braid_or_knot(text)
+        full = colorings_of_closure(r5, w)
+        assert full == brute_force_colorings(r5, w)
+        for jobs in (2, 3, 5):
+            bounds = [5 * i // jobs for i in range(jobs + 1)]
+            parts = [_colorings_in(r5, w, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            assert [vec for part in parts for vec in part] == full
+
+
+def _transpositions_quandle():
+    """Conjugation quandle of the transpositions of S3 (not Alexander)."""
+    s3 = symmetric_group(3)
+    return make_conj(s3, [a for a in range(s3.size)
+                          if a != s3.identity and s3.mul[a][a] == s3.identity])
+
+
+_PROPERTY_QUANDLES = [make_dihedral(3), make_dihedral(5), make_dihedral(7),
+                      make_alexander(5, 2), _transpositions_quandle()]
+
+
+@st.composite
+def _braid_words(draw):
+    k = draw(st.integers(1, 5))
+    letter = st.integers(1, max(k - 1, 1)).flatmap(
+        lambda i: st.sampled_from([i, -i]))
+    letters = draw(st.lists(letter, max_size=14)) if k > 1 else []
+    return BraidWord(k, tuple(letters))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from(_PROPERTY_QUANDLES), w=_braid_words())
+def test_propagation_matches_brute_force(q, w):
+    """On every Markov variant of the braid, the propagated colorings are the
+    brute-force list."""
+    for v in [w, *markov_moves(w)]:
+        assert colorings_of_closure(q, v) == brute_force_colorings(q, v)
 
 
 def test_coloring_counts():

@@ -96,6 +96,13 @@ def test_colorings_deterministic_across_jobs(capsys):
     _, b = run(capsys, "colorings", "dihedral:5", "4_1", "--jobs", "4")
     _, c = run(capsys, "colorings", "dihedral:5", "4_1", "--jobs", "2")
     assert a == b == c
+    # a 5-strand braid over R7 (343 colorings): the slices of the first
+    # bottom color that two workers search join to one process's JSON
+    braid = "k=5; 3 4 -4 -2 4 4 -1 -3 1"
+    _, a = run(capsys, "colorings", "dihedral:7", braid, "--jobs", "1")
+    _, b = run(capsys, "colorings", "dihedral:7", braid, "--jobs", "2")
+    assert a == b
+    assert json.loads(a)["count"] == 343
 
 
 def test_search_and_check_cocycle(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quandlekit.braids import (BraidWord, braid_or_knot, colorings_of_closure,
@@ -16,7 +18,8 @@ from quandlekit.fox import (
     word_mul,
 )
 from quandlekit.laurent import lp_eval
-from quandlekit.quandles import make_dihedral
+from quandlekit.linalg import kernel_mod_p
+from quandlekit.quandles import make_alexander, make_dihedral
 
 X = ((0, 1),)
 Y = ((1, 1),)
@@ -103,6 +106,35 @@ def test_determinant_vs_colorings():
         for p in (3, 5, 7):
             count = len(colorings_of_closure(make_dihedral(p), w))
             assert count == (p * p if det % p == 0 else p)
+
+
+def _fox_nullity(w, t0, p):
+    """Nullity over Z_p of the trivial-rho Fox matrix evaluated at t = t0."""
+    pres = wirtinger_from_braid(w)
+    if not pres.relators:
+        return pres.generators
+    mat = [[lp_eval(cell[0][0], t0, p) for cell in row]
+           for row in twisted_matrix(pres, trivial_rho(pres))]
+    return len(kernel_mod_p(mat, p))
+
+
+def test_alexander_colorings_are_fox_kernel():
+    """For an Alexander quandle Z_p[t]/(t - t0), and R_p with t0 = -1, the
+    closure colorings are the kernel of the Fox matrix at t0 mod p, so they
+    number p^nullity; this holds for links too.  The 7-strand braid is the
+    R7 case that took seconds by brute force."""
+    rng = random.Random(20261018)
+    quandles = [(make_dihedral(3), -1), (make_dihedral(5), -1),
+                (make_alexander(5, 2), 2), (make_alexander(7, 3), 3)]
+    cases = [(parse_braid("k=7; 1 -2 3 -4 5 -6 1 2 -3 4 -5 6"), make_dihedral(7), -1)]
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        letters = [rng.choice((1, -1)) * rng.randint(1, k - 1)
+                   for _ in range(rng.randint(1, 10))]
+        cases.append((BraidWord(k, tuple(letters)), *rng.choice(quandles)))
+    for w, q, t0 in cases:
+        p = q.size
+        assert len(colorings_of_closure(q, w)) == p ** _fox_nullity(w, t0, p)
 
 
 def test_twisted_matrix_trivial_rho_row_sums():
