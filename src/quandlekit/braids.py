@@ -13,17 +13,15 @@ loop over it.
 `closure_arcs` walks the word once more for the arcs of the closed diagram:
 one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
 the closure.  `fox.wirtinger_from_braid` turns the triples into relators,
-and `colorings_of_closure` searches them: it branches on the bottom arcs in
-position order and propagates each color through the triples, so it reaches
-at most |X|^k leaves, one per bottom vector, and finds the closure colorings
-without testing every candidate.
+and `colorings_of_closure` searches them in one process: it branches on at
+most k arcs, picked beforehand as those that force the most others, and
+propagates each color through the triples, so it reaches at most |X|^k
+leaves and finds the closure colorings without testing every candidate.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep, bar
@@ -172,92 +170,93 @@ def closure_arcs(w: BraidWord):
     return len(classes), crossings, [classes[find(pos)] for pos in range(k)]
 
 
-def _colorings_in(q: FiniteQuandle, w: BraidWord, lo: int, hi: int):
-    """The closure colorings whose first bottom color lies in lo..hi-1, in
-    lexicographic order: a depth-first search over the bottom arcs with
-    propagation through the crossings."""
+def _propagate(at, table, inv, col, a, trail) -> bool:
+    """Color what arc a forces in `col` (-1: uncolored), listing it in `trail`;
+    False on a clash.  In a crossing (over, src, tgt) of `at` with the over
+    arc colored, src fixes tgt = src * over and tgt fixes src = tgt bar* over."""
+    todo = [a]
+    while todo:
+        for o, s, t in at[todo.pop()]:
+            x = col[o]
+            if x < 0:
+                continue
+            cs, ct = col[s], col[t]
+            if cs >= 0:
+                y = table[cs][x]
+                if ct < 0:
+                    col[t] = y
+                    trail.append(t)
+                    todo.append(t)
+                elif ct != y:
+                    return False
+            elif ct >= 0:
+                col[s] = inv[ct][x]
+                trail.append(s)
+                todo.append(s)
+    return True
+
+
+_ONE = ((0,),)  # the one-element quandle: propagating over it marks forced arcs
+
+
+def _search_plan(w: BraidWord):
+    """(at, bottom, branch): the crossings on each arc, the arc at each bottom
+    position, and the arcs to branch on, chosen greedily among those that
+    would force a bottom arc not yet known: the one forcing the most arcs
+    first, ties to the lowest arc id.  Each forces a new bottom arc, and the
+    bottom arcs force all arcs, so there are at most k branch arcs."""
     count, crossings, bottom = closure_arcs(w)
-    table, inv = q.table, q._inv_table
-    at: list[list] = [[] for _ in range(count)]    # crossings on each arc
+    at: list[list] = [[] for _ in range(count)]
     for c in crossings:
         for a in set(c):
             at[a].append(c)
-    col = [-1] * count
-    out = []
-
-    def propagate(a, trail):
-        """Color arc a and everything it forces; False on a conflict."""
-        todo = [a]
-        while todo:
-            for o, s, t in at[todo.pop()]:
-                x = col[o]
-                if x < 0:
-                    continue
-                cs, ct = col[s], col[t]
-                if cs >= 0:
-                    y = table[cs][x]
-                    if ct < 0:
-                        col[t] = y
-                        trail.append(t)
-                        todo.append(t)
-                    elif ct != y:
-                        return False
-                elif ct >= 0:
-                    col[s] = inv[ct][x]
-                    trail.append(s)
-                    todo.append(s)
-        return True
-
-    def search(pos, values):
-        if pos == len(bottom):
-            out.append(tuple(col[a] for a in bottom))
-            return
-        a = bottom[pos]
-        if col[a] >= 0:             # forced; never at pos 0
-            search(pos + 1, values)
-            return
-        for v in values:
-            col[a] = v
-            trail = [a]
-            if propagate(a, trail):
-                search(pos + 1, range(q.size))
-            for b in trail:
-                col[b] = -1
-
-    search(0, range(lo, hi))
-    return out
+    known, branch = [-1] * count, []
+    while min(known[b] for b in bottom) < 0:
+        best = None
+        for a in (a for a in range(count) if known[a] < 0):
+            got, trail = list(known), [a]
+            got[a] = 0
+            _propagate(at, _ONE, _ONE, got, a, trail)
+            if any(known[b] < got[b] for b in bottom) and (
+                    best is None or len(trail) > len(best[1])):
+                best = got, trail
+        known = best[0]
+        branch.append(best[1][0])
+    return at, bottom, branch
 
 
 def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
-                         guard: int = GUARD,
-                         jobs: int = 1) -> list[tuple[int, ...]]:
+                         guard: int = GUARD) -> list[tuple[int, ...]]:
     """All bottom vectors fixed by the word, in lexicographic order.
 
-    The search colors the bottom arcs in position order, each with every
-    value in turn unless the crossings already force it, and propagates each
-    choice through the crossings: in (over, src, tgt) with the over arc
-    colored, src fixes tgt = src * over and tgt fixes src = tgt bar* over,
-    and a clash with a color already set prunes the branch.  Every leaf is a
-    distinct bottom vector, so at most |X|^k of them are reached, and the
-    guard on |X|^k bounds the work.  `jobs` worker processes, at most
-    os.cpu_count() and at most |X|, take contiguous slices of the first
-    bottom color's values."""
+    A depth-first search colors the at most k branch arcs of `_search_plan`
+    with every value in turn and propagates each choice, pruning on a clash;
+    it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work."""
     total = q.size ** w.strands
     if total > guard:
         raise GuardExceeded(
             f"{total} candidate colorings exceed the guard of {guard}")
-    jobs = min(jobs, os.cpu_count() or 1, q.size)
-    if jobs <= 1:
-        return _colorings_in(q, w, 0, q.size)
-    bounds = [q.size * i // jobs for i in range(jobs + 1)]
-    slices = [(q, w, bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_colorings_worker, slices))
-    return [vec for part in parts for vec in part]
+    at, bottom, branch = _search_plan(w)
+    table, inv = q.table, q._inv_table
+    col = [-1] * len(at)
+    out = []
 
+    def search(depth):
+        if depth == len(branch):
+            out.append(tuple(col[a] for a in bottom))
+            return
+        a = branch[depth]
+        for v in range(q.size):
+            col[a] = v
+            trail = [a]
+            if _propagate(at, table, inv, col, a, trail):
+                search(depth + 1)
+            for b in trail:
+                col[b] = -1
 
-def _colorings_worker(args):
-    return _colorings_in(*args)
+    search(0)
+    out.sort()
+    return out
 
 
 def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom) -> Matrix:

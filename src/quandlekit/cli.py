@@ -2,7 +2,7 @@
 
 Subcommands: check, colorings, search, invariant, homology, compare,
 extend.  All output is a single JSON document with sorted keys, so runs
-are byte-for-byte reproducible (including across --jobs settings).
+are byte-for-byte reproducible.  --jobs is accepted and selects nothing.
 
 A rep lives on --quandle: alexander-rep and trivial-action are built on it,
 and conj-rep and JSON reps must carry an equal quandle table.  A rep or
@@ -99,7 +99,7 @@ def cmd_check(args) -> int:
 def cmd_colorings(args) -> int:
     q = qio.load_quandle(args.quandle)
     w = _load_word(args)
-    cols = colorings_of_closure(q, w, guard=args.guard, jobs=args.jobs)
+    cols = colorings_of_closure(q, w, guard=args.guard)
     _emit({"quandle": args.quandle, "braid": list(w.letters),
            "strands": w.strands, "count": len(cols),
            "colorings": [list(c) for c in cols]}, args.out)
@@ -135,7 +135,7 @@ def cmd_invariant(args) -> int:
     meta = {"quandle": args.quandle, "rep": args.rep,
             "braid": list(w.letters), "strands": w.strands}
     if args.kind == "module":
-        inv = module_invariant(rep, w, jobs=args.jobs)
+        inv = module_invariant(rep, w)
         _emit({"invariant": "module", **meta,
                "colorings": len(inv.entries),
                "multiset": [list(e) for e in inv.entries]}, args.out)
@@ -144,7 +144,7 @@ def cmd_invariant(args) -> int:
         if args.cocycle is None:
             raise InputError("no --cocycle given")
         kappa = qio.load_cochain(args.cocycle, rep=rep)
-        inv = cocycle_invariant(rep, kappa, w, jobs=args.jobs)
+        inv = cocycle_invariant(rep, kappa, w)
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
                "colorings": len(inv.entries),
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write the output document here")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted; no effect")
         p.add_argument("--guard", type=int, default=GUARD)
 
     p = sub.add_parser("check", help="validate a quandle, rep, or cocycle")

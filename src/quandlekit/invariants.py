@@ -4,7 +4,8 @@ Both are multisets indexed by the quandle colorings of the closure: the
 cocycle state sum collects signed, path-twisted cocycle values at the
 crossings, and the module invariant collects the cokernels of the colored
 matrices minus the identity.  Multisets are kept sorted so that equality
-and serialization are canonical.
+and serialization are canonical.  Both run in one process, over the
+colorings of the serial search `braids.colorings_of_closure`.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def _pairing(rep: AlgebraRep, kappa: Cochain, terms) -> tuple[int, ...]:
 
 
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
-                      jobs: int = 1, check: bool = True) -> InvariantMultiset:
+                      check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle."""
     if check:
         _require_cocycle(rep, kappa)
     entries = []
-    for coloring in colorings_of_closure(rep.quandle, w, jobs=jobs):
+    for coloring in colorings_of_closure(rep.quandle, w):
         data = crossing_data(rep, w, coloring)
         entries.append(_pairing(rep, kappa,
                                 ((e, path, (x, y)) for e, path, x, y in data)))
@@ -80,12 +81,11 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                              dim=rep.dim)
 
 
-def module_invariant(rep: AlgebraRep, w: BraidWord,
-                     jobs: int = 1) -> ModuleInvariant:
+def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by rep.quandle."""
     q, N = rep.quandle, rep.modulus
     entries = []
-    for coloring in colorings_of_closure(q, w, jobs=jobs):
+    for coloring in colorings_of_closure(q, w):
         m = colored_matrix(rep, w, coloring)
         for i in range(len(m)):
             m[i][i] = (m[i][i] - 1) % N

@@ -114,6 +114,8 @@ def int_det(a: Matrix) -> int:
 
 def mat_inv_mod(a: Matrix, n: int) -> Matrix:
     """Inverse mod n of a matrix whose determinant is a unit mod n."""
+    if n == 1:      # every matrix is zero, and its own inverse, mod 1
+        return zeros(len(a), len(a))
     d = int_det(a)
     if math.gcd(d % n, n) != 1:
         raise InputError(f"matrix determinant {d} is not a unit mod {n}")
@@ -266,39 +268,118 @@ def int_kernel(mat: Matrix) -> list[list[int]]:
     return [[res.v[i][j] for i in range(cols)] for j in range(r, cols)]
 
 
-def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
-    """Invariant factors > 1 of (Z_N)^rows / column-span(mat).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-    Computed over Z from the augmented matrix [mat | N*I]; the trivial group
-    is the empty list.
-    """
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases; exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_powers(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p^e; {} if n < 2.  A composite part
+    gives up a small prime factor or is split by Pollard's rho, so moduli of
+    any size factor quickly."""
+    out: dict[int, int] = {}
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if _probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, c = next((p for p in _BASES if m % p == 0), m), 1
+        while d == m:               # rho on x -> x^2 + c, Floyd's cycle test
+            x = y = 2
+            d = 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = math.gcd(x - y, m)
+            c += 1
+        todo += [d, m // d]
+    return out
+
+
+def _local_cokernel(mat: Matrix, p: int, e: int) -> list[int]:
+    """Exponents v >= 1 of the cyclic factors Z/p^v of the cokernel of mat
+    over Z/p^e.  The pivot of least p-valuation divides every other entry of
+    the remaining submatrix, so clearing its column takes one multiple per
+    row and entries stay below p^e; its row then clears by column operations
+    that touch nothing else.  Each pivot gives p^v, each row left without
+    one gives p^e."""
+    q = p ** e
+    rows = [[x % q for x in row] for row in mat]
+    exps = []
+    while rows:
+        best = None                 # (valuation, row, column)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                # only an entry that p^(best valuation) does not divide is lower
+                if x and (best is None or x % p ** best[0]):
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, i, j = best
+        piv = rows.pop(i)
+        pv = p ** v
+        unit_inv = pow(piv[j] // pv, -1, q)
+        for row in rows:
+            if row[j]:
+                f = row[j] // pv * unit_inv
+                row[:] = [(x - f * y) % q for x, y in zip(row, piv)]
+        for row in rows:
+            del row[j]
+        if v:
+            exps.append(v)
+    return exps + [e] * len(rows)
+
+
+def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
+    """Invariant factors > 1 of (Z_N)^rows / column-span(mat), ascending;
+    the trivial group is the empty list.
+
+    Computed over Z/p^e for each prime power of N, with the local factors
+    multiplied together from the largest down (Chinese remaindering)."""
     if modulus <= 0:
         raise InputError("modulus must be positive")
-    rows = len(mat)
-    aug = [list(row) + [modulus if i == j else 0 for j in range(rows)]
-           for i, row in enumerate(mat)]
-    res = smith_normal_form(aug)
-    return [d for d in res.diag if d > 1]
+    local = [sorted((p ** v for v in _local_cokernel(mat, p, e)), reverse=True)
+             for p, e in _prime_powers(modulus).items()]
+    n = max(map(len, local), default=0)
+    return [math.prod(f[i] for f in local if i < len(f))
+            for i in reversed(range(n))]
 
 
 # ---------------------------------------------------------------------------
 # Prime-field kernels
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def kernel_mod_p(mat: Matrix, p: int) -> list[list[int]]:
     """Echelonized basis of the null space of mat over Z_p."""
-    if not _is_prime(p):
+    if not _probable_prime(p):
         raise InputError(f"{p} is not prime")
     rows = len(mat)
     cols = len(mat[0]) if rows else 0

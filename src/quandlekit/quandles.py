@@ -4,8 +4,7 @@ A quandle satisfies
   (I)   a*a = a
   (II)  for each b, a -> a*b is a bijection
   (III) (a*b)*c = (a*c)*(b*c)
-Tables are immutable once validated, so they can be shared freely by
-enumeration workers.
+Tables are immutable once validated, so they can be shared freely.
 """
 
 from __future__ import annotations

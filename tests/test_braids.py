@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import braids
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
@@ -127,21 +129,6 @@ def brute_force_colorings(q, w):
     return [vec for vec, top in zip(bottom, zip(*cols)) if vec == top]
 
 
-def test_coloring_slices_concatenate():
-    """The slices of the first bottom color's values, as --jobs hands them
-    out, give parts that join to the full lexicographic list."""
-    from quandlekit.braids import _colorings_in
-    r5 = make_dihedral(5)
-    for text in ("4_1", "k=3; 1 1 -2 -2", "k=4; 1 -2 3 1 -2 3"):
-        w = braid_or_knot(text)
-        full = colorings_of_closure(r5, w)
-        assert full == brute_force_colorings(r5, w)
-        for jobs in (2, 3, 5):
-            bounds = [5 * i // jobs for i in range(jobs + 1)]
-            parts = [_colorings_in(r5, w, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            assert [vec for part in parts for vec in part] == full
-
-
 def _transpositions_quandle():
     """Conjugation quandle of the transpositions of S3 (not Alexander)."""
     s3 = symmetric_group(3)
@@ -166,9 +153,10 @@ def _braid_words(draw):
 @given(q=st.sampled_from(_PROPERTY_QUANDLES), w=_braid_words())
 def test_propagation_matches_brute_force(q, w):
     """On every Markov variant of the braid, the propagated colorings are the
-    brute-force list."""
+    brute-force list, found by branching on at most one arc per strand."""
     for v in [w, *markov_moves(w)]:
         assert colorings_of_closure(q, v) == brute_force_colorings(q, v)
+        assert len(braids._search_plan(v)[2]) <= v.strands
 
 
 def test_coloring_counts():
@@ -184,37 +172,33 @@ def test_coloring_guard_and_jobs():
     w = braid_or_knot("3_1")
     with pytest.raises(GuardExceeded):
         colorings_of_closure(r3, w, guard=5)
-    assert colorings_of_closure(r3, w, jobs=3) == colorings_of_closure(r3, w)
 
 
-def test_coloring_workers_bounded_by_cpu_count(monkeypatch):
-    """A huge --jobs asks for at most os.cpu_count() workers, and one (no
-    pool) when the count is unknown; the colorings stay the same."""
-    from quandlekit import braids
-    asked = []
+def test_search_propagations_bounded():
+    """Branching on the arcs that force the most keeps the search small where
+    branching on the bottom arcs in position order stalled: on these R7
+    braids that order made 19,607 and 960,799 propagation calls."""
+    r7 = make_dihedral(7)
+    cases = [("k=5; 1 4 3 3 2 -3 2 3 3 -4 -4 -1 3 -3 3", 343, 19_607),
+             ("k=7; -4 6 5 -6 -6 6 5 -2 2 5 2 6 4 -2 -6", 16_807, 960_799)]
+    for text, colorings, stalled in cases:
+        calls = 0
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def tracer(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            # the propagation step, under whatever name braids gives it
+            if (event == "call" and code.co_filename == braids.__file__
+                    and code.co_name.endswith("propagate")):
+                calls += 1
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(braids, "ProcessPoolExecutor", SerialPool)
-    r5, w = make_dihedral(5), braid_or_knot("4_1")
-    expected = colorings_of_closure(r5, w)
-    monkeypatch.setattr(braids.os, "cpu_count", lambda: 2)
-    assert colorings_of_closure(r5, w, jobs=10 ** 9) == expected
-    assert asked == [2]
-    monkeypatch.setattr(braids.os, "cpu_count", lambda: None)
-    assert colorings_of_closure(r5, w, jobs=10 ** 9) == expected
-    assert asked == [2]
+        sys.settrace(tracer)
+        try:
+            found = colorings_of_closure(r7, parse_braid(text))
+        finally:
+            sys.settrace(None)
+        assert len(found) == colorings
+        assert calls < stalled / 10
 
 
 def test_burau_values():

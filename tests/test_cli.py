@@ -134,6 +134,18 @@ def test_invariant_module(capsys):
     assert doc["multiset"] == [[5]]
 
 
+def test_invariant_module_mod_1_both_mirrors(capsys):
+    """Mod 1 t = 2 is 0, a matrix singular over Q but invertible mod 1; the
+    negative crossings invert it, so the mirror once exited 2."""
+    docs = []
+    for braid in ("k=2; 1 1 1", "k=2; -1 -1 -1"):
+        code, out = run(capsys, "invariant", "module", "--quandle", "dihedral:3",
+                        "--rep", "alexander-rep:1:2", "--braid", braid)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["multiset"] == docs[1]["multiset"] == [[]] * 9
+
+
 def test_invariant_cocycle_and_compare(capsys, tmp_path):
     _, search_out = run(capsys, "search", "2", "dihedral:3", "conj-rep:perm3", "3")
     basis = json.loads(search_out)["basis"]

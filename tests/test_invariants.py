@@ -7,9 +7,10 @@ from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
     permutation_rep_r3,
+    regular_group_rep,
 )
-from quandlekit.braids import (braid_or_knot, colorings_of_closure, crossing_data,
-                               diagram_two_chain, markov_moves)
+from quandlekit.braids import (braid_or_knot, colored_matrix, colorings_of_closure,
+                               crossing_data, diagram_two_chain, markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError
 from quandlekit.homology import (
     Cochain,
@@ -26,8 +27,9 @@ from quandlekit.invariants import (
     module_invariant,
     multiset_contained,
 )
-from quandlekit.linalg import mat_vec
-from quandlekit.quandles import is_isomorphic, make_dihedral, make_trivial
+from quandlekit.groups import dihedral_group
+from quandlekit.linalg import cokernel_mod, mat_vec
+from quandlekit.quandles import is_isomorphic, make_conj, make_dihedral, make_trivial
 
 random.seed(31)
 
@@ -56,6 +58,22 @@ def test_module_invariant_burau_oracle():
     rep = make_alexander_rep(t1, 5, 2)
     inv = module_invariant(rep, braid_or_knot("3_1"))
     assert inv.entries == ((5,),)
+
+
+def test_module_invariant_regular_d4_mod_7():
+    """The Conj(D4) regular rep mod 7 gives 24x24 colored matrices whose
+    cokernels integer SNF of [M | 7I] could not finish; at the coloring
+    (3, 3, 1) the cokernel is twelve copies of Z_7 (checked with sympy)."""
+    d4 = dihedral_group(4)
+    rep = make_conj_rep(regular_group_rep(d4, make_conj(d4), range(8), modulus=7))
+    w = braid_or_knot("k=3; -1 2 2 2 2 -1")
+    inv = module_invariant(rep, w)
+    assert len(inv.entries) == 320
+    m = colored_matrix(rep, w, (3, 3, 1))
+    for i in range(len(m)):
+        m[i][i] = (m[i][i] - 1) % 7
+    assert cokernel_mod(m, 7) == [7] * 12
+    assert (7,) * 12 in inv.entries
 
 
 def test_module_invariant_markov():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -60,6 +62,40 @@ def test_cokernel_mod():
     assert cokernel_mod([[2, -1], [1, 2]], 5) == [5]
     assert cokernel_mod([[1, 0], [0, 1]], 7) == []
     assert cokernel_mod([[0, 0], [0, 0]], 6) == [6, 6]
+    # composite moduli: the local factors at each prime power combine into
+    # the invariant factors of [M | N*I] over Z; the last three moduli are
+    # too large to factor by trial division
+    rng = random.Random(2026)
+    for n in (1, 4, 6, 8, 12, 18, 27, 30, 36, 49, 60,
+              2 ** 61 - 1, 3 ** 40, (10 ** 9 + 7) * (10 ** 9 + 9)):
+        for _ in range(6):
+            rows, cols = rng.randint(0, 3), rng.randint(0, 4)
+            m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            aug = [row + [n if i == j else 0 for j in range(rows)]
+                   for i, row in enumerate(m)]
+            assert cokernel_mod(m, n) == _factors_by_minors(aug)
+
+
+def _det(a):
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det([r[:j] + r[j + 1:] for r in a[1:]])
+               for j in range(len(a)))
+
+
+def _factors_by_minors(a):
+    """Invariant factors > 1 of a full-row-rank integer matrix from its
+    determinantal divisors (gcds of the i x i minors).  Unlike integer SNF
+    of [M | N*I], whose coefficients grow until some of these inputs take
+    minutes, it always finishes."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    d = [1]
+    for i in range(1, rows + 1):
+        d.append(math.gcd(*(
+            _det([[a[r][c] for c in cs] for r in rs])
+            for rs in itertools.combinations(range(rows), i)
+            for cs in itertools.combinations(range(cols), i))))
+    return [d[i] // d[i - 1] for i in range(1, rows + 1) if d[i] > d[i - 1]]
 
 
 def test_int_kernel():
@@ -76,6 +112,9 @@ def test_kernel_mod_p():
         assert (v[0] + v[1]) % 3 == 0
     with pytest.raises(InputError):
         kernel_mod_p([[1]], 6)
+    with pytest.raises(InputError):
+        kernel_mod_p([[1]], (10 ** 9 + 7) * (10 ** 9 + 9))
+    assert kernel_mod_p([[1, -1]], 2 ** 61 - 1) == [[1, 1]]
 
 
 def test_mat_inv_mod():
@@ -86,6 +125,9 @@ def test_mat_inv_mod():
                 continue
             inv = mat_inv_mod(m, n)
             assert mat_mul(m, inv, n) == [[x % n for x in row] for row in identity(3)]
+    # mod 1 every matrix is zero and invertible, even one singular over Q
+    assert is_invertible_mod([[0, 0], [0, 0]], 1)
+    assert mat_inv_mod([[0, 0], [0, 0]], 1) == [[0, 0], [0, 0]]
 
 
 def test_mat_frac_inverse():
