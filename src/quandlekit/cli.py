@@ -9,7 +9,8 @@ and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
 any rep, within --guard boundary tuples; other degrees exit 2, as does a
-negative `homology` degree.
+negative `homology` degree.  `invariant` bounds its candidate colorings and
+the size^3 tuples of its 2-cocycle check by --guard.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -135,7 +136,7 @@ def cmd_invariant(args) -> int:
     meta = {"quandle": args.quandle, "rep": args.rep,
             "braid": list(w.letters), "strands": w.strands}
     if args.kind == "module":
-        inv = module_invariant(rep, w)
+        inv = module_invariant(rep, w, guard=args.guard)
         _emit({"invariant": "module", **meta,
                "colorings": len(inv.entries),
                "multiset": [list(e) for e in inv.entries]}, args.out)
@@ -144,7 +145,7 @@ def cmd_invariant(args) -> int:
         if args.cocycle is None:
             raise InputError("no --cocycle given")
         kappa = qio.load_cochain(args.cocycle, rep=rep)
-        inv = cocycle_invariant(rep, kappa, w)
+        inv = cocycle_invariant(rep, kappa, w, guard=args.guard)
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
                "colorings": len(inv.entries),

@@ -249,10 +249,13 @@ def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     full_up = coboundary_matrix(cfg, degree)
     up = [[full_up[r][c] for c in cols] for r in rows_up]
     d = len(cols)
-    # L = integer lift of ker(delta mod N): kernel of [up | N*I] projected
+    if d == 0:
+        return []
+    # L = integer lift of ker(delta mod N): kernel of [up | N*I] projected;
+    # with no admissible (degree+1)-tuples delta is zero and L = Z^d
     aug = [list(row) + [N if i == j else 0 for j in range(len(up))]
            for i, row in enumerate(up)]
-    lat_gens = [vec[:d] for vec in int_kernel(aug)]
+    lat_gens = [vec[:d] for vec in int_kernel(aug)] if up else identity(d)
     lat_gens += [[N if i == j else 0 for i in range(d)] for j in range(d)]
     # M = image of delta^{degree-1} plus the modulus relations
     sub_gens = []

@@ -37,10 +37,13 @@ class ModuleInvariant:
     entries: tuple            # sorted invariant-factor tuples, one per coloring
 
 
-def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
+def _require_cocycle(rep: AlgebraRep, kappa: Cochain, guard: int = GUARD) -> None:
     # diagram chains need rho: say so before the size^3 cocycle check
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
+    work = rep.quandle.size ** 3
+    if work > guard:
+        raise GuardExceeded(f"{work} boundary tuples exceed the guard of {guard}")
     if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
@@ -68,12 +71,14 @@ def _pairing(rep: AlgebraRep, kappa: Cochain, terms) -> tuple[int, ...]:
 
 
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
-                      check: bool = True) -> InvariantMultiset:
-    """State-sum multiset: one weight sum per closure coloring by rep.quandle."""
+                      check: bool = True, guard: int = GUARD) -> InvariantMultiset:
+    """State-sum multiset: one weight sum per closure coloring by rep.quandle.
+    The size^3 cocycle check and the |X|^k candidate colorings must not
+    exceed `guard`."""
     if check:
-        _require_cocycle(rep, kappa)
+        _require_cocycle(rep, kappa, guard)
     entries = []
-    for coloring in colorings_of_closure(rep.quandle, w):
+    for coloring in colorings_of_closure(rep.quandle, w, guard=guard):
         data = crossing_data(rep, w, coloring)
         entries.append(_pairing(rep, kappa,
                                 ((e, path, (x, y)) for e, path, x, y in data)))
@@ -81,11 +86,13 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                              dim=rep.dim)
 
 
-def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
-    """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by rep.quandle."""
+def module_invariant(rep: AlgebraRep, w: BraidWord,
+                     guard: int = GUARD) -> ModuleInvariant:
+    """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
+    rep.quandle; the |X|^k candidate colorings must not exceed `guard`."""
     q, N = rep.quandle, rep.modulus
     entries = []
-    for coloring in colorings_of_closure(q, w):
+    for coloring in colorings_of_closure(q, w, guard=guard):
         m = colored_matrix(rep, w, coloring)
         for i in range(len(m)):
             m[i][i] = (m[i][i] - 1) % N

@@ -2,6 +2,9 @@
 
 Matrices are plain lists of lists of Python ints (arbitrary precision);
 there is deliberately no floating point anywhere in this package.
+
+Inverses mod N and kernels over F_p share one modular Gauss-Jordan; only
+the lattice route of `cohomology` still uses `Fraction`.
 """
 
 from __future__ import annotations
@@ -91,50 +94,71 @@ def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:
 
 
 def int_det(a: Matrix) -> int:
-    """Exact determinant via fraction-free elimination on Fractions."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+    """Exact determinant by Bareiss' fraction-free elimination."""
+    m = list(a)         # rows are replaced, never changed in place
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
         if piv is None:
             return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    assert det.denominator == 1
-    return int(det)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            m[i] = m[i][:k + 1] + [(x * m[k][k] - m[i][k] * y) // prev
+                                   for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return sign * prev
+
+
+def _gauss_jordan(rows: Matrix, n: int) -> list[int]:
+    """Row-reduce `rows` (entries in [0, n)) mod n in place and return the
+    pivot columns.  A column's pivot is a unit entry below the earlier
+    pivots; failing one, Euclid's algorithm on those rows leaves the gcd of
+    the column in one row.  A unit pivot is scaled to 1 and clears its whole
+    column; the first pivot that is not a unit ends the reduction.  Mod a
+    prime that never happens, and `rows` ends in reduced row echelon form."""
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        below = range(len(pivots), len(rows))
+        while True:
+            piv = next((i for i in below if math.gcd(rows[i][c], n) == 1), None)
+            live = [i for i in below if rows[i][c]]
+            if piv is not None or len(live) < 2:
+                break
+            low = min(live, key=lambda i: rows[i][c])
+            for i in live:
+                if i != low:
+                    f = rows[i][c] // rows[low][c]
+                    rows[i] = [(x - f * y) % n for x, y in zip(rows[i], rows[low])]
+        if piv is None:
+            if live:
+                break
+            continue
+        r = len(pivots)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, n)
+        top = rows[r] = [x * inv % n for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % n for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots
 
 
 def mat_inv_mod(a: Matrix, n: int) -> Matrix:
-    """Inverse mod n of a matrix whose determinant is a unit mod n."""
-    if n == 1:      # every matrix is zero, and its own inverse, mod 1
-        return zeros(len(a), len(a))
-    d = int_det(a)
-    if math.gcd(d % n, n) != 1:
-        raise InputError(f"matrix determinant {d} is not a unit mod {n}")
-    inv_q = mat_frac_inverse(a)
-    # adjugate = det * inverse has integer entries
-    dinv = pow(d % n, -1, n)
-    out = []
-    for row in inv_q:
-        r = []
-        for x in row:
-            adj = x * d
-            assert adj.denominator == 1
-            r.append(dinv * int(adj) % n)
-        out.append(r)
-    return out
+    """Inverse mod n, read off the reduction of [A | I]."""
+    k = len(a)
+    work = [[x % n for x in row] + [int(i == j) % n for j in range(k)]
+            for i, row in enumerate(a)]
+    if _gauss_jordan(work, n)[:k] != list(range(k)):
+        raise InputError(f"matrix is not invertible mod {n}")
+    return [row[k:] for row in work]
 
 
 def is_invertible_mod(a: Matrix, n: int) -> bool:
-    return math.gcd(int_det(a) % n, n) == 1
+    reduced = [[x % n for x in row] for row in a]
+    return _gauss_jordan(reduced, n) == list(range(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +402,14 @@ def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
 
 
 def kernel_mod_p(mat: Matrix, p: int) -> list[list[int]]:
-    """Echelonized basis of the null space of mat over Z_p."""
+    """Echelonized basis of the null space of mat over Z_p, read off its RREF."""
     if not _probable_prime(p):
         raise InputError(f"{p} is not prime")
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+    cols = len(mat[0]) if mat else 0
     work = [[x % p for x in row] for row in mat]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [0] * cols
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-work[i][c]) % p
-        basis.append(vec)
-    return basis
+    at = dict(zip(_gauss_jordan(work, p), work))   # pivot column -> its row
+    return [[-at[j][c] % p if j in at else int(j == c) for j in range(cols)]
+            for c in range(cols) if c not in at]
 
 
 def solve_exact(b: Matrix, m: Matrix) -> Matrix:

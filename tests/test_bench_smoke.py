@@ -1,17 +1,21 @@
-"""A quick traced benchmark run: the harness in bench/ still drives the CLI
-and every output passes its checks."""
+"""A quick traced benchmark run of each workload: the harness in bench/
+still drives the CLI, every output passes its checks and every traced name
+still resolves."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_quick_traced_bench_run():
+@pytest.mark.parametrize("workload", ["knot_invariants", "alexander", "cohomology"])
+def test_quick_traced_bench_run(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "knot_invariants",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--quick", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

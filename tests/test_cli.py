@@ -49,6 +49,20 @@ def test_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_invariant_guard_exit_code(capsys):
+    """`invariant` bounds its colorings and its size^3 cocycle check by
+    --guard: 3^5 = 243 candidate colorings and 3^3 = 27 boundary tuples."""
+    argv = ["invariant", "module", "--quandle", "dihedral:3", "--rep",
+            "conj-rep:perm3", "--braid", "k=5; 1 2 3 4", "--cocycle", "zero"]
+    for kind in ("module", "cocycle"):
+        argv[1] = kind
+        assert main(argv + ["--guard", "100"]) == 3
+        assert "243 candidate colorings" in capsys.readouterr().err
+        assert main(argv + ["--guard", "243"]) == 0
+    assert main(argv + ["--guard", "26"]) == 3
+    assert "27 boundary tuples" in capsys.readouterr().err
+
+
 def test_check_rep(capsys):
     code, out = run(capsys, "check", "rep", "conj-rep:perm3")
     assert code == 0

@@ -117,17 +117,45 @@ def test_kernel_mod_p():
     assert kernel_mod_p([[1, -1]], 2 ** 61 - 1) == [[1, 1]]
 
 
+def test_mat_inv_mod_euclid_pivot():
+    """Column 0 of [[2, 3], [3, 2]] holds no unit mod 6, but det = -5 is one:
+    Euclid's algorithm on the column finds the pivot."""
+    a = [[2, 3], [3, 2]]
+    assert is_invertible_mod(a, 6)
+    assert mat_mul(a, mat_inv_mod(a, 6), 6) == identity(2)
+    assert not is_invertible_mod([[2, 3], [4, 0]], 6)    # det -12
+    with pytest.raises(InputError):
+        mat_inv_mod([[2, 4], [4, 2]], 6)                 # column gcd 2
+
+
 def test_mat_inv_mod():
-    for n in (2, 3, 5, 7, 9):
-        for _ in range(10):
-            m = rand_mat(3, 3, 0, n - 1)
-            if not is_invertible_mod(m, n):
-                continue
-            inv = mat_inv_mod(m, n)
-            assert mat_mul(m, inv, n) == [[x % n for x in row] for row in identity(3)]
+    """A * mat_inv_mod(A) = I exactly when det A is a unit mod n."""
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 30, 2 ** 61 - 1):
+        for _ in range(40):
+            k = rng.randint(0, 5)
+            a = [[rng.randrange(-n, 2 * n) for _ in range(k)] for _ in range(k)]
+            unit = math.gcd(_det(a), n) == 1
+            assert is_invertible_mod(a, n) == unit
+            if unit:
+                one = [[x % n for x in row] for row in identity(k)]
+                assert mat_mul(a, mat_inv_mod(a, n), n) == one
+            else:
+                with pytest.raises(InputError):
+                    mat_inv_mod(a, n)
     # mod 1 every matrix is zero and invertible, even one singular over Q
     assert is_invertible_mod([[0, 0], [0, 0]], 1)
     assert mat_inv_mod([[0, 0], [0, 0]], 1) == [[0, 0], [0, 0]]
+
+
+def test_int_det_matches_cofactor_expansion():
+    rng = random.Random(11)
+    for k in range(7):
+        for _ in range(15):
+            a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+            if k and rng.random() < 0.3:      # a repeated row: det 0
+                a[-1] = list(a[0])
+            assert int_det(a) == _det(a)
 
 
 def test_mat_frac_inverse():
