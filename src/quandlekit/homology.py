@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .errors import GuardExceeded, InputError
-from .linalg import (Matrix, identity, int_kernel, kernel_mod_p,
-                     quotient_invariant_factors, zeros)
+from .linalg import Matrix, identity, ker_mod_im, kernel_mod_p, zeros
 
 SIZE_GUARD = 6
 DEGREE_GUARD = 3
@@ -234,35 +233,23 @@ def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
     return out
 
 
+def _admissible_block(cfg: ComplexConfig, n: int) -> Matrix:
+    """delta^n from the admissible n-cochains to the admissible (n+1)-cochains."""
+    full = coboundary_matrix(cfg, n)
+    cols = _admissible_columns(cfg, n)
+    return [[full[r][c] for c in cols] for r in _admissible_columns(cfg, n + 1)]
+
+
 def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
-    """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) as a finite
-    abelian group, computed over Z from integer lifts."""
+    """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) on the
+    admissible cochains, computed by `ker_mod_im` over Z/p^e for each prime
+    power p^e of N and merged by Chinese remaindering."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:
         raise GuardExceeded(f"cohomology degree capped at {DEGREE_GUARD}")
     if cfg.rep.quandle.size > SIZE_GUARD:
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
-    N = cfg.rep.modulus
-    cols = _admissible_columns(cfg, degree)
-    rows_up = _admissible_columns(cfg, degree + 1)
-    full_up = coboundary_matrix(cfg, degree)
-    up = [[full_up[r][c] for c in cols] for r in rows_up]
-    d = len(cols)
-    if d == 0:
-        return []
-    # L = integer lift of ker(delta mod N): kernel of [up | N*I] projected;
-    # with no admissible (degree+1)-tuples delta is zero and L = Z^d
-    aug = [list(row) + [N if i == j else 0 for j in range(len(up))]
-           for i, row in enumerate(up)]
-    lat_gens = [vec[:d] for vec in int_kernel(aug)] if up else identity(d)
-    lat_gens += [[N if i == j else 0 for i in range(d)] for j in range(d)]
-    # M = image of delta^{degree-1} plus the modulus relations
-    sub_gens = []
-    if degree >= 1:
-        dcols = _admissible_columns(cfg, degree - 1)
-        full_down = coboundary_matrix(cfg, degree - 1)
-        down = [[full_down[r][c] for c in dcols] for r in cols]
-        sub_gens = [[down[i][j] for i in range(d)] for j in range(len(dcols))]
-    sub_gens += [[N if i == j else 0 for i in range(d)] for j in range(d)]
-    return quotient_invariant_factors(sub_gens, lat_gens, d)
+    down = (_admissible_block(cfg, degree - 1) if degree
+            else [[] for _ in range(cfg.rep.dim)])
+    return ker_mod_im(_admissible_block(cfg, degree), down, cfg.rep.modulus)

@@ -39,14 +39,6 @@ def lp_add(a: Laurent, b: Laurent) -> Laurent:
     return out
 
 
-def lp_neg(a: Laurent) -> Laurent:
-    return {e: -c for e, c in a.items()}
-
-
-def lp_sub(a: Laurent, b: Laurent) -> Laurent:
-    return lp_add(a, lp_neg(b))
-
-
 def lp_mul(a: Laurent, b: Laurent) -> Laurent:
     out: Laurent = {}
     for e1, c1 in a.items():
@@ -71,14 +63,6 @@ def lp_eval(a: Laurent, t0, mod: int | None = None):
         p = pow(t0 % mod, e, mod) if e >= 0 else pow(tinv, -e, mod)
         total = (total + c * p) % mod
     return total
-
-
-def lp_degree(a: Laurent):
-    return max(a) if a else None
-
-
-def lp_valuation(a: Laurent):
-    return min(a) if a else None
 
 
 def lp_normalize(a: Laurent) -> Laurent:

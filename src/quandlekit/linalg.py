@@ -3,8 +3,11 @@
 Matrices are plain lists of lists of Python ints (arbitrary precision);
 there is deliberately no floating point anywhere in this package.
 
-Inverses mod N and kernels over F_p share one modular Gauss-Jordan; only
-the lattice route of `cohomology` still uses `Fraction`.
+Inverses mod N and kernels over F_p share one modular Gauss-Jordan;
+cokernels and cohomology share one elimination over each Z/p^e in N, split
+by CRT (`ker_mod_im`).  The lattice route over Z and Q (`int_kernel` to
+`quotient_invariant_factors`) has no caller in the package: it is kept as a
+test reference until the benchmark's tracer stops naming it.
 """
 
 from __future__ import annotations
@@ -343,58 +346,79 @@ def _prime_powers(n: int) -> dict[int, int]:
     return out
 
 
-def _local_cokernel(mat: Matrix, p: int, e: int) -> list[int]:
-    """Exponents v >= 1 of the cyclic factors Z/p^v of the cokernel of mat
-    over Z/p^e.  The pivot of least p-valuation divides every other entry of
-    the remaining submatrix, so clearing its column takes one multiple per
-    row and entries stay below p^e; its row then clears by column operations
-    that touch nothing else.  Each pivot gives p^v, each row left without
-    one gives p^e."""
+def _local_homology(a: Matrix, b: Matrix, p: int, e: int) -> list[int]:
+    """Exponents v >= 1 of the factors Z/p^v of ker(a)/im(b) over Z/p^e,
+    where b has one row per column of a and a.b = 0.  Pivots go in order of
+    p-valuation, so a pivot divides every entry left and entries stay below
+    p^e.  The column operations that would clear the pivot row act on b as
+    the inverse row operations.  A pivot p^v leaves the kernel coordinate
+    p^(e-v) Z/p^e = Z/p^v, whose row of b is a multiple of p^(e-v); a column
+    without one leaves Z/p^e.  The quotient is the cokernel of those rows,
+    divided down, beside the relations p^v; over Z/p^e a cokernel of c is
+    ker(c^T)/0, found by the same loop."""
     q = p ** e
-    rows = [[x % q for x in row] for row in mat]
-    exps = []
-    while rows:
-        best = None                 # (valuation, row, column)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                # only an entry that p^(best valuation) does not divide is lower
-                if x and (best is None or x % p ** best[0]):
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        v, i, j = best
-        piv = rows.pop(i)
-        pv = p ** v
-        unit_inv = pow(piv[j] // pv, -1, q)
-        for row in rows:
-            if row[j]:
-                f = row[j] // pv * unit_inv
-                row[:] = [(x - f * y) % q for x, y in zip(row, piv)]
-        for row in rows:
+    a = [[x % q for x in row] for row in a]
+    b = list(b)                     # rows are replaced, never changed in place
+    val = [e] * len(b)              # per column: its pivot's valuation, e if none
+    cols = list(range(len(b)))      # the columns of a not yet pivots
+    for v in range(e):
+        pv, above = p ** v, p ** (v + 1)
+        i = 0
+        while i < len(a):
+            for j, x in enumerate(a[i]):
+                if x % above:
+                    break
+            else:
+                i += 1              # and the row never gains such an entry
+                continue
+            row = a.pop(i)
+            inv = pow(row[j] // pv, -1, q)
+            for other in a:
+                if other[j]:
+                    f = other[j] // pv * inv
+                    other[:] = [(x - f * y) % q for x, y in zip(other, row)]
+                del other[j]
+            c = cols.pop(j)
+            val[c] = v
             del row[j]
-        if v:
-            exps.append(v)
-    return exps + [e] * len(rows)
+            if b[c]:
+                acc = b[c]
+                for k, x in zip(cols, row):
+                    if x:
+                        f = x // pv * inv
+                        acc = [s + f * t for s, t in zip(acc, b[k])]
+                b[c] = [s % q for s in acc]
+    if not any(map(any, b)):
+        return [v for v in val if v]
+    if any(x % (q // p ** v) for row, v in zip(b, val) for x in row):
+        raise InputError("a.b is not zero")
+    ct = [list(col) for col in zip(*(
+        [x // (q // p ** v) for x in row] for row, v in zip(b, val) if v))]
+    exps = [v for v in val if v]
+    ct += [[p ** v if r == t else 0 for t in range(len(exps))]
+           for r, v in enumerate(exps) if v < e]
+    return _local_homology(ct, [[] for _ in exps], p, e)
 
 
-def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
-    """Invariant factors > 1 of (Z_N)^rows / column-span(mat), ascending;
-    the trivial group is the empty list.
+def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
+    """Invariant factors > 1 of ker(a)/im(b) over Z_N, ascending, given
+    a.b = 0 (mod N) with one row of b per column of a.
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
     if modulus <= 0:
         raise InputError("modulus must be positive")
-    local = [sorted((p ** v for v in _local_cokernel(mat, p, e)), reverse=True)
+    local = [sorted((p ** v for v in _local_homology(a, b, p, e)), reverse=True)
              for p, e in _prime_powers(modulus).items()]
     n = max(map(len, local), default=0)
     return [math.prod(f[i] for f in local if i < len(f))
             for i in reversed(range(n))]
+
+
+def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
+    """Invariant factors > 1 of (Z_N)^rows / column-span(mat), ascending;
+    the trivial group is the empty list.  Over Z/p^e it is ker(mat^T)/0."""
+    return ker_mod_im(list(zip(*mat)), [[] for _ in mat], modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,14 @@ def test_homology_command(capsys):
     assert json.loads(out)["invariant_factors"] == [3]
 
 
+def test_homology_rack_degree_3_finishes(capsys):
+    """Once over 100 s, when cohomology lifted its matrices to Z."""
+    code, out = run(capsys, "homology", "3", "--quandle", "dihedral:3",
+                    "--rep", "alexander-rep:5:2", "--variant", "rack")
+    assert code == 0
+    assert json.loads(out)["invariant_factors"] == []
+
+
 def test_extend_command(capsys):
     code, out = run(capsys, "extend", "--quandle", "trivial:2",
                     "--rep", "trivial-action:2")

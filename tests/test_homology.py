@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -24,8 +25,10 @@ from quandlekit.homology import (
     is_cocycle_2,
     is_cocycle_3,
     vector_to_cochain,
+    _admissible_block,
 )
-from quandlekit.linalg import mat_mul, mat_vec
+from quandlekit.linalg import (cokernel_mod, identity, int_kernel, mat_mul,
+                               mat_vec, quotient_invariant_factors)
 from quandlekit.quandles import make_core, make_dihedral, make_trivial
 
 random.seed(12)
@@ -224,17 +227,91 @@ def _delta_rank(cfg, degree):
 @pytest.mark.parametrize("quandle", [make_trivial(1), make_dihedral(3)],
                          ids=["trivial1", "dihedral3"])
 def test_cohomology_matches_kernel_and_image_counts(quandle, variant):
-    """Over F_3, |H^n| = 3^(dim ker delta^n - rank delta^(n-1)), counted from
+    """Over F_p, |H^n| = p^(dim ker delta^n - rank delta^(n-1)), counted from
     coboundary() of every basis cochain.  On trivial:1 the quandle variant
     has no admissible 2-tuples, so delta^1 = 0 and ker delta^1 is all of
-    C^1; from degree 2 on there are no admissible cochains at all."""
-    rep = make_alexander_rep(quandle, 3, 2)
-    cfg = ComplexConfig(rep=rep, variant=variant)
-    prev_rank = 0
-    for degree in range(4):
-        d, rank = _delta_rank(cfg, degree)
-        assert cohomology(cfg, degree) == [3] * (d - rank - prev_rank), degree
-        prev_rank = rank
+    C^1; from degree 2 on there are no admissible cochains at all.  The
+    rack degree-3 cases with p = 5 and 7 on dihedral:3 once ran for over
+    100 s."""
+    for p, t in ((3, 2), (5, 2), (7, 3)):
+        cfg = ComplexConfig(rep=make_alexander_rep(quandle, p, t), variant=variant)
+        prev_rank = 0
+        for degree in range(4):
+            d, rank = _delta_rank(cfg, degree)
+            assert cohomology(cfg, degree) == [p] * (d - rank - prev_rank), \
+                (p, degree)
+            prev_rank = rank
+
+
+def _deltas(cfg, degree):
+    """delta^degree and delta^(degree-1) on the admissible cochains."""
+    down = (_admissible_block(cfg, degree - 1) if degree
+            else [[] for _ in range(cfg.rep.dim)])
+    return _admissible_block(cfg, degree), down
+
+
+def _lattice_cohomology(cfg, degree):
+    """H^degree by the integer lattice route: ker(delta mod N) lifted to Z as
+    the kernel of [delta | N*I], over im(delta^(degree-1)) + N*Z^d."""
+    n = cfg.rep.modulus
+    up, down = _deltas(cfg, degree)
+    d = len(down)
+    aug = [row + [n * (i == j) for j in range(len(up))] for i, row in enumerate(up)]
+    lat = [vec[:d] for vec in int_kernel(aug)] if up else identity(d)
+    rel = [[n * (i == j) for i in range(d)] for j in range(d)]
+    return quotient_invariant_factors([list(c) for c in zip(*down)] + rel,
+                                      lat + rel, d)
+
+
+def _composite_cases():
+    r3, r4 = make_dihedral(3), make_dihedral(4)
+    yield make_alexander_rep(r4, 4, 3), "quandle", 2
+    for n, t, degree in ((4, 3, 2), (4, 3, 3), (9, 2, 2), (25, 2, 2), (27, 2, 2)):
+        yield make_alexander_rep(r3, n, t), "quandle", degree
+    for t in ([[0, 1], [1, 1]], [[1, 1], [0, 1]]):
+        for n in (4, 6, 9, 12):
+            rep = make_alexander_rep(r3, n, t)
+            for variant in ("quandle", "rack"):
+                for degree in range(3):
+                    yield rep, variant, degree
+    for n in (6, 9):
+        rep = make_conj_rep(permutation_rep_r3(n))
+        for variant in ("quandle", "rack"):
+            for degree in range(2):
+                yield rep, variant, degree
+
+
+def test_cohomology_agrees_with_lattice_route_on_composite_moduli():
+    """Over Z/p^e and merged by CRT, as the integer lattice route over Z
+    gives, on the composite-modulus cases that route finishes quickly."""
+    for rep, variant, degree in _composite_cases():
+        cfg = ComplexConfig(rep=rep, variant=variant)
+        assert cohomology(cfg, degree) == _lattice_cohomology(cfg, degree), \
+            (rep.label, variant, degree)
+
+
+@pytest.mark.parametrize("variant", ["quandle", "rack"])
+def test_cohomology_order_identity(variant):
+    """|H^n| = |coker delta^n| |coker delta^(n-1)| / N^(rows of delta^n), with
+    the cokernels from cokernel_mod; this reaches rack cases the lattice
+    route does not finish, such as alexander-rep:6:5 in degree 2."""
+    r3 = make_dihedral(3)
+    reps = [make_alexander_rep(r3, n, t) for n, t in ((6, 5), (10, 3), (12, 5), (8, 3))]
+    reps += [make_alexander_rep(r3, 6, [[1, 1], [0, 1]]),
+             make_alexander_rep(r3, 10, [[2, 1], [1, 1]]),
+             make_conj_rep(permutation_rep_r3(6))]
+    for rep in reps:
+        cfg = ComplexConfig(rep=rep, variant=variant)
+        n = rep.modulus
+        for degree in range(4):
+            up, down = _deltas(cfg, degree)
+            order = (math.prod(cokernel_mod(up, n)) * math.prod(cokernel_mod(down, n))
+                     // n ** len(up))
+            assert math.prod(cohomology(cfg, degree)) == order, \
+                (rep.label, degree)
+    if variant == "rack":
+        cfg = ComplexConfig(rep=make_alexander_rep(r3, 6, 5), variant="rack")
+        assert cohomology(cfg, 2) == [3, 6]
 
 
 def test_cohomology_guards():

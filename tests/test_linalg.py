@@ -11,6 +11,7 @@ from quandlekit.linalg import (
     int_det,
     int_kernel,
     is_invertible_mod,
+    ker_mod_im,
     kernel_mod_p,
     lattice_basis,
     mat_frac_inverse,
@@ -74,6 +75,39 @@ def test_cokernel_mod():
             aug = [row + [n if i == j else 0 for j in range(rows)]
                    for i, row in enumerate(m)]
             assert cokernel_mod(m, n) == _factors_by_minors(aug)
+
+
+def _subquotient_by_counting(a, b, n):
+    """{d: |{x in ker a : d x in im b}| / |im b|} for every d | n, the sizes
+    of the d-torsion of ker(a)/im(b), by listing all of (Z_n)^len(b)."""
+    vecs = list(itertools.product(range(n), repeat=len(b)))
+    ker = [x for x in vecs if not any(mat_vec(a, list(x), n))]
+    im = {tuple(mat_vec(b, list(y), n))
+          for y in itertools.product(range(n), repeat=len(b[0]) if b else 0)}
+    return {d: sum(tuple(d * v % n for v in x) in im for x in ker) // len(im)
+            for d in range(1, n + 1) if n % d == 0}
+
+
+def test_ker_mod_im_matches_counting():
+    """The d-torsion of ker(a)/im(b), for every d | N, fixes the group; it is
+    counted by listing vectors, with a built from the vectors that b kills
+    on the left.  A product a.b that is not zero is rejected."""
+    rng = random.Random(9)
+    for n in (4, 6, 8, 9, 12):
+        divisors = [d for d in range(2, n) if n % d == 0]
+        for _ in range(12):
+            k, cols = rng.randint(1, 3), rng.randint(0, 2)
+            b = [[rng.choice(divisors) * rng.randrange(n) % n for _ in range(cols)]
+                 for _ in range(k)]
+            left = [y for y in itertools.product(range(n), repeat=k)
+                    if not any(mat_vec([list(c) for c in zip(*b)], list(y), n))]
+            a = [list(rng.choice(left)) for _ in range(rng.randint(0, 2))]
+            factors = ker_mod_im(a, b, n)
+            want = _subquotient_by_counting(a, b, n)
+            assert {d: math.prod(math.gcd(d, f) for f in factors)
+                    for d in want} == want, (n, a, b)
+    with pytest.raises(InputError):
+        ker_mod_im([[1, 0]], [[1], [0]], 6)
 
 
 def _det(a):
