@@ -10,7 +10,9 @@ cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
 any rep, within --guard boundary tuples; other degrees exit 2, as does a
 negative `homology` degree.  `invariant` bounds its candidate colorings and
-the size^3 tuples of its 2-cocycle check by --guard.
+the size^3 tuples of its 2-cocycle check by --guard, `invariant alexander`
+its n^4 Laurent products on n arcs, and `search` and `homology` the cells
+of the coboundary matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -113,7 +115,7 @@ def cmd_search(args) -> int:
         raise InputError(
             f"rep modulus {rep.modulus} disagrees with search prime {args.prime}")
     cfg = ComplexConfig(rep=rep, variant=args.variant)
-    basis = cocycle_space(cfg, args.degree)
+    basis = cocycle_space(cfg, args.degree, guard=args.guard)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
            "prime": args.prime, "variant": args.variant,
            "dimension": len(basis),
@@ -124,7 +126,7 @@ def cmd_search(args) -> int:
 def cmd_invariant(args) -> int:
     w = _load_word(args)
     if args.kind == "alexander":
-        poly = alexander_polynomial(w)
+        poly = alexander_polynomial(w, guard=args.guard)
         _emit({"invariant": "alexander", "braid": list(w.letters),
                "strands": w.strands,
                "polynomial": {str(e): c for e, c in sorted(poly.items())},
@@ -157,7 +159,7 @@ def cmd_invariant(args) -> int:
 def cmd_homology(args) -> int:
     rep = _rep_on_quandle(args, args.rep)
     cfg = ComplexConfig(rep=rep, variant=args.variant, basepoint=args.basepoint)
-    factors = cohomology(cfg, args.degree)
+    factors = cohomology(cfg, args.degree, guard=args.guard)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
            "variant": args.variant, "invariant_factors": factors}, args.out)
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braids import BraidWord, closure_arcs
-from .errors import InputError
+from .errors import GUARD, GuardExceeded, InputError
 from .laurent import Laurent, laurent_gcd_of_minors, lp_const, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
@@ -152,12 +152,18 @@ def trivial_rho(pres: WirtingerPresentation):
     return [[[1]] for _ in range(pres.generators)]
 
 
-def alexander_polynomial(w: BraidWord) -> Laurent:
+def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     """Classical Alexander polynomial of a knot given as a closed braid,
-    normalized to integer coefficients, lowest exponent 0, positive lead."""
+    normalized to integer coefficients, lowest exponent 0, positive lead.
+    On n arcs it eliminates n minors of size n - 1 by Bareiss, about n^4
+    Laurent products, which must not exceed `guard`."""
     if w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")
     pres = wirtinger_from_braid(w)
+    if pres.generators ** 4 > guard:
+        raise GuardExceeded(f"{pres.generators ** 4} Laurent products of the "
+                            f"{pres.generators}-arc Alexander minors exceed the "
+                            f"guard of {guard}")
     if not pres.relators:
         return lp_const(1)
     mat = twisted_matrix(pres, trivial_rho(pres))

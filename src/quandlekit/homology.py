@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import GuardExceeded, InputError
+from .errors import GUARD, GuardExceeded, InputError
 from .linalg import Matrix, identity, ker_mod_im, kernel_mod_p, zeros
 
 SIZE_GUARD = 6
@@ -214,15 +214,16 @@ def _admissible_columns(cfg: ComplexConfig, degree: int) -> list[int]:
     return cols
 
 
-def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
-    """Echelon basis of the space of degree-2 or degree-3 cocycles over Z_p."""
+def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
+    """Echelon basis of the space of degree-2 or degree-3 cocycles over Z_p:
+    the kernel of the admissible block of delta.  The size^(2 degree + 1) m^2
+    cells of delta must not exceed `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
-    p = cfg.rep.modulus
-    delta = coboundary_matrix(cfg, degree)
+    _require_cells(cfg, degree, guard)
+    # kernel_mod_p raises unless the modulus is prime
+    basis = kernel_mod_p(_admissible_block(cfg, degree), cfg.rep.modulus)
     cols = _admissible_columns(cfg, degree)
-    restricted = [[row[c] for c in cols] for row in delta]
-    basis = kernel_mod_p(restricted, p)  # raises unless p is prime
     out = []
     full_len = (cfg.rep.quandle.size ** degree) * cfg.rep.dim
     for vec in basis:
@@ -233,6 +234,14 @@ def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
     return out
 
 
+def _require_cells(cfg: ComplexConfig, degree: int, guard: int) -> None:
+    """Refuse to build delta^degree when its size^(2 degree + 1) m^2 cells
+    exceed `guard`."""
+    cells = cfg.rep.quandle.size ** (2 * degree + 1) * cfg.rep.dim ** 2
+    if cells > guard:
+        raise GuardExceeded(f"{cells} coboundary cells exceed the guard of {guard}")
+
+
 def _admissible_block(cfg: ComplexConfig, n: int) -> Matrix:
     """delta^n from the admissible n-cochains to the admissible (n+1)-cochains."""
     full = coboundary_matrix(cfg, n)
@@ -240,16 +249,18 @@ def _admissible_block(cfg: ComplexConfig, n: int) -> Matrix:
     return [[full[r][c] for c in cols] for r in _admissible_columns(cfg, n + 1)]
 
 
-def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
+def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) on the
     admissible cochains, computed by `ker_mod_im` over Z/p^e for each prime
-    power p^e of N and merged by Chinese remaindering."""
+    power p^e of N and merged by Chinese remaindering.  The cells of
+    delta^degree must not exceed `guard`."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:
         raise GuardExceeded(f"cohomology degree capped at {DEGREE_GUARD}")
     if cfg.rep.quandle.size > SIZE_GUARD:
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
+    _require_cells(cfg, degree, guard)
     down = (_admissible_block(cfg, degree - 1) if degree
             else [[] for _ in range(cfg.rep.dim)])
     return ker_mod_im(_admissible_block(cfg, degree), down, cfg.rep.modulus)

@@ -1,7 +1,8 @@
 """Laurent polynomials as exponent -> coefficient dictionaries.
 
 Coefficients are exact (int or Fraction). Zero coefficients are never
-stored, so the zero polynomial is the empty dict.
+stored, so the zero polynomial is the empty dict.  `lp_det` takes integer
+coefficients and is Bareiss elimination, with no permutation expansion.
 """
 
 from __future__ import annotations
@@ -122,26 +123,37 @@ def lp_gcd(a: Laurent, b: Laurent) -> Laurent:
     return lp_normalize({e: c for e, c in enumerate(g) if c})
 
 
+def _lp_div(a: Laurent, b: Laurent) -> Laurent:
+    """a / b by long division from the top term.  An exact quotient has no
+    term below min(a) - min(b); ArithmeticError when b does not divide a."""
+    top, floor, q = max(b), min(a, default=0) - min(b), {}
+    while a:
+        d = max(a) - top
+        c, r = divmod(a[max(a)], b[top])
+        if r or d < floor:
+            raise ArithmeticError("Laurent division is not exact")
+        q[d], a = c, lp_add(a, lp_mul({d: -c}, b))
+    return q
+
+
 def lp_det(mat: list[list[Laurent]]) -> Laurent:
-    """Determinant of a square matrix of Laurent polynomials (permanent-style
-    expansion; fine at the sizes this package needs)."""
-    n = len(mat)
-    if n == 0:
-        return lp_const(1)
-    total: Laurent = {}
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the permutation sign
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        term = lp_const(sign)
-        for i in range(n):
-            term = lp_mul(term, mat[i][perm[i]])
-            if not term:
-                break
-        total = lp_add(total, term)
-    return total
+    """Determinant of a square matrix of integer Laurent polynomials by Bareiss
+    elimination: row i becomes (x p - m[i][k] y) / prev, an exact division."""
+    m = list(mat)  # rows are replaced, never changed in place
+    sign, prev = 1, lp_const(1)
+    for k in range(len(m)):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if piv is None:
+            return {}
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p, minus_y = m[k][k], [lp_mul(y, lp_const(-1)) for y in m[k][k + 1:]]
+        for i in range(k + 1, len(m)):
+            m[i] = m[i][:k + 1] + [_lp_div(lp_add(lp_mul(x, p), lp_mul(m[i][k], y)), prev)
+                                   for x, y in zip(m[i][k + 1:], minus_y)]
+        prev = p
+    return lp_mul(prev, lp_const(sign))
 
 
 def laurent_gcd_of_minors(mat: list[list[Laurent]], k: int) -> Laurent:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
+from .laurent import lp_det
 
 Matrix = list[list[int]]
 
@@ -97,21 +98,8 @@ def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:
 
 
 def int_det(a: Matrix) -> int:
-    """Exact determinant by Bareiss' fraction-free elimination."""
-    m = list(a)         # rows are replaced, never changed in place
-    sign, prev = 1, 1
-    for k in range(len(m)):
-        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            m[i] = m[i][:k + 1] + [(x * m[k][k] - m[i][k] * y) // prev
-                                   for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
-        prev = m[k][k]
-    return sign * prev
+    """Exact determinant: `laurent.lp_det` on constant polynomials."""
+    return lp_det([[{0: x} if x else {} for x in row] for row in a]).get(0, 0)
 
 
 def _gauss_jordan(rows: Matrix, n: int) -> list[int]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import quandlekit.homology as homology
 from quandlekit.cli import main
 
 
@@ -61,6 +62,38 @@ def test_invariant_guard_exit_code(capsys):
         assert main(argv + ["--guard", "243"]) == 0
     assert main(argv + ["--guard", "26"]) == 3
     assert "27 boundary tuples" in capsys.readouterr().err
+
+
+def test_coboundary_guard_comes_before_the_matrix(capsys, monkeypatch):
+    """`search` and `homology` compare the size^(2d+1) m^2 cells of delta^d
+    with --guard before building it.  R20 with degree 3 is 20^7 = 1.28e9
+    cells, which passes every other guard of `search`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta was built")
+    monkeypatch.setattr(homology, "_assemble", refuse)
+    assert main(["search", "3", "dihedral:20", "alexander-rep:5:2", "5"]) == 3
+    assert "1280000000 coboundary cells" in capsys.readouterr().err
+    argv = ["homology", "2", "--quandle", "dihedral:5", "--rep", "alexander-rep:5:2"]
+    assert main(argv + ["--guard", str(5 ** 5 - 1)]) == 3
+    monkeypatch.undo()
+    # conj-rep:perm3 has dim 3: delta^2 on R3 has 3^5 * 3^2 = 2187 cells
+    argv = ["search", "2", "dihedral:3", "conj-rep:perm3", "3", "--guard"]
+    assert main(argv + ["2186"]) == 3
+    assert main(argv + ["2187"]) == 0
+    assert main(["homology", "2", "--quandle", "dihedral:3", "--rep",
+                 "conj-rep:perm3", "--guard", "2187"]) == 0
+
+
+def test_alexander_guard_exit_code(capsys):
+    """T(2, 11) has 11 arcs, 11^4 = 14641 Laurent products: it passes the
+    default guard and a guard of 14641, and exits 3 below that."""
+    argv = ["invariant", "alexander", "--braid", "k=2; " + " ".join(["1"] * 11)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["display"].startswith("t^10 - t^9")
+    assert main(argv + ["--guard", "14641"]) == 0
+    for guard in ("14640", "100"):
+        assert main(argv + ["--guard", guard]) == 3
+        assert "14641 Laurent products" in capsys.readouterr().err
 
 
 def test_check_rep(capsys):

@@ -97,6 +97,39 @@ def test_alexander_polynomials():
         alexander_polynomial(parse_braid("k=2; 1 1"))   # Hopf link
 
 
+def _random_knots(seed, count):
+    """Seeded random knots: 2-4 strands, at most 12 letters, one component."""
+    rng = random.Random(seed)
+    knots = []
+    while len(knots) < count:
+        k = rng.randint(2, 4)
+        w = BraidWord(k, tuple(rng.choice((1, -1)) * rng.randint(1, k - 1)
+                               for _ in range(rng.randint(1, 12))))
+        if w.closure_components() == 1:
+            knots.append(w)
+    return knots
+
+
+def test_alexander_markov_invariant_and_symmetric():
+    """On random knots Delta is the same for every Markov variant, has
+    Delta(1) = +-1 and is symmetric up to units: Delta(t) = +-t^j Delta(1/t)."""
+    for w in _random_knots(20261018, 40):
+        delta = alexander_polynomial(w)
+        for v in markov_moves(w):
+            assert alexander_polynomial(v) == delta, (w, v)
+        assert abs(lp_eval(delta, 1)) == 1
+        coefficients = [delta.get(e, 0) for e in range(max(delta) + 1)]
+        assert coefficients[::-1] in (coefficients, [-c for c in coefficients])
+
+
+@pytest.mark.parametrize("m", [5, 10])
+def test_alexander_torus_knots(m):
+    """T(2, 2m + 1) has Delta = sum_{i <= 2m} (-t)^i; the n! expansion took
+    over 100 s at m = 5."""
+    w = BraidWord(2, (1,) * (2 * m + 1))
+    assert alexander_polynomial(w) == {i: (-1) ** i for i in range(2 * m + 1)}
+
+
 def test_determinant_vs_colorings():
     """|Delta(-1)| = p  iff  the closure has nontrivial R_p colorings
     (coloring count p^2 vs p for the bundled knots, all of prime determinant)."""
