@@ -15,6 +15,7 @@ checked exhaustively by verify_relations. The coefficient module is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import CheckFailed, InputError
@@ -39,6 +40,11 @@ class AlgebraRep:
     @property
     def is_conj_type(self) -> bool:
         return self.rho is not None
+
+    @cached_property
+    def _bars(self) -> dict:
+        # (x, y) -> bar(self, x, y), filled as crossings ask for it
+        return {}
 
 
 def _freeze(m: Matrix):
@@ -138,7 +144,8 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     for x in range(q.size):
         for y in range(q.size):
             if not is_invertible_mod(rep.eta[x][y], n):
-                raise CheckFailed(f"eta[{x}][{y}] is not invertible mod {n}")
+                failures.append(f"eta[{x}][{y}] is not invertible mod {n}")
+                return ValidationReport(False, failures)
     found = [False] * 4
     size = q.size
     for x in range(size):
@@ -269,11 +276,13 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
     return rep
 
 
-def bar(rep: AlgebraRep, x: int, y: int) -> tuple[Matrix, Matrix]:
-    """The negative-crossing coefficients:
+def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:
+    """The negative-crossing coefficients, as frozen matrices cached on rep:
     eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y]."""
-    q, n = rep.quandle, rep.modulus
-    z = q.inv_op(x, y)
-    eta_bar = mat_inv_mod(rep.eta[z][y], n)
-    tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
-    return eta_bar, tau_bar
+    if (x, y) not in rep._bars:
+        q, n = rep.quandle, rep.modulus
+        z = q.inv_op(x, y)
+        eta_bar = mat_inv_mod(rep.eta[z][y], n)
+        tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
+        rep._bars[x, y] = _freeze(eta_bar), _freeze(tau_bar)
+    return rep._bars[x, y]

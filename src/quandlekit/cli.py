@@ -9,10 +9,12 @@ and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
 any rep, within --guard boundary tuples; other degrees exit 2, as does a
-negative `homology` degree.  `invariant` bounds its candidate colorings and
-the size^3 tuples of its 2-cocycle check by --guard, `invariant alexander`
-its n^4 Laurent products on n arcs, and `search` and `homology` the cells
-of the coboundary matrix.
+negative `homology` degree.  `search` takes any modulus N and lists
+generators of the cocycles over Z_N, with N under the key "prime" and
+their number under "dimension"; for prime N they are a basis.  `invariant`
+bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
+by --guard, `invariant alexander` its n^4 Laurent products on n arcs, and
+`search` and `homology` the cells of the coboundary matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -113,7 +115,7 @@ def cmd_search(args) -> int:
     rep = _rep_on_quandle(args, args.rep, modulus=args.prime)
     if rep.modulus != args.prime:
         raise InputError(
-            f"rep modulus {rep.modulus} disagrees with search prime {args.prime}")
+            f"rep modulus {rep.modulus} disagrees with search modulus {args.prime}")
     cfg = ComplexConfig(rep=rep, variant=args.variant)
     basis = cocycle_space(cfg, args.degree, guard=args.guard)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
@@ -240,11 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_colorings)
 
-    p = sub.add_parser("search", help="basis of the cocycle space over Z_p")
+    p = sub.add_parser("search", help="generators of the cocycles over Z_N")
     p.add_argument("degree", type=int, choices=[2, 3])
     p.add_argument("quandle")
     p.add_argument("rep")
-    p.add_argument("prime", type=int)
+    p.add_argument("prime", type=int, metavar="modulus",
+                   help="N, any positive modulus; the JSON key is 'prime'")
     p.add_argument("--variant", choices=["rack", "quandle"], default="quandle")
     common(p)
     p.set_defaults(func=cmd_search)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .errors import GUARD, GuardExceeded, InputError
-from .linalg import Matrix, identity, ker_mod_im, kernel_mod_p, zeros
+from .linalg import Matrix, identity, ker_mod_im, kernel_mod, zeros
 
 SIZE_GUARD = 6
 DEGREE_GUARD = 3
@@ -215,14 +215,14 @@ def _admissible_columns(cfg: ComplexConfig, degree: int) -> list[int]:
 
 
 def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
-    """Echelon basis of the space of degree-2 or degree-3 cocycles over Z_p:
-    the kernel of the admissible block of delta.  The size^(2 degree + 1) m^2
-    cells of delta must not exceed `guard`."""
+    """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
+    the kernel of the admissible block of delta, an echelon basis when N is
+    prime.  The size^(2 degree + 1) m^2 cells of delta must not exceed
+    `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     _require_cells(cfg, degree, guard)
-    # kernel_mod_p raises unless the modulus is prime
-    basis = kernel_mod_p(_admissible_block(cfg, degree), cfg.rep.modulus)
+    basis = kernel_mod(_admissible_block(cfg, degree), cfg.rep.modulus)
     cols = _admissible_columns(cfg, degree)
     out = []
     full_len = (cfg.rep.quandle.size ** degree) * cfg.rep.dim

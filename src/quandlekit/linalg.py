@@ -3,9 +3,9 @@
 Matrices are plain lists of lists of Python ints (arbitrary precision);
 there is deliberately no floating point anywhere in this package.
 
-Inverses mod N and kernels over F_p share one modular Gauss-Jordan;
-cokernels and cohomology share one elimination over each Z/p^e in N, split
-by CRT (`ker_mod_im`).  The lattice route over Z and Q (`int_kernel` to
+Kernels, inverses and invertibility mod N, cokernels and cohomology share
+one elimination over each Z/p^e in N (`_local_homology`), merged by CRT.
+The lattice route over Z and Q (`int_kernel` to
 `quotient_invariant_factors`) has no caller in the package: it is kept as a
 test reference until the benchmark's tracer stops naming it.
 """
@@ -102,54 +102,20 @@ def int_det(a: Matrix) -> int:
     return lp_det([[{0: x} if x else {} for x in row] for row in a]).get(0, 0)
 
 
-def _gauss_jordan(rows: Matrix, n: int) -> list[int]:
-    """Row-reduce `rows` (entries in [0, n)) mod n in place and return the
-    pivot columns.  A column's pivot is a unit entry below the earlier
-    pivots; failing one, Euclid's algorithm on those rows leaves the gcd of
-    the column in one row.  A unit pivot is scaled to 1 and clears its whole
-    column; the first pivot that is not a unit ends the reduction.  Mod a
-    prime that never happens, and `rows` ends in reduced row echelon form."""
-    pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        below = range(len(pivots), len(rows))
-        while True:
-            piv = next((i for i in below if math.gcd(rows[i][c], n) == 1), None)
-            live = [i for i in below if rows[i][c]]
-            if piv is not None or len(live) < 2:
-                break
-            low = min(live, key=lambda i: rows[i][c])
-            for i in live:
-                if i != low:
-                    f = rows[i][c] // rows[low][c]
-                    rows[i] = [(x - f * y) % n for x, y in zip(rows[i], rows[low])]
-        if piv is None:
-            if live:
-                break
-            continue
-        r = len(pivots)
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, n)
-        top = rows[r] = [x * inv % n for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [(x - row[c] * y) % n for x, y in zip(row, top)]
-        pivots.append(c)
-    return pivots
-
-
 def mat_inv_mod(a: Matrix, n: int) -> Matrix:
-    """Inverse mod n, read off the reduction of [A | I]."""
+    """Inverse mod n: column i is the a-part of the kernel vector of
+    [a | -I] at column k + i, once every column of a is a unit pivot."""
     k = len(a)
-    work = [[x % n for x in row] + [int(i == j) % n for j in range(k)]
-            for i, row in enumerate(a)]
-    if _gauss_jordan(work, n)[:k] != list(range(k)):
+    gens = _kernel_by_column([list(row) + [-int(i == j) for j in range(k)]
+                              for i, row in enumerate(a)], n)
+    if any(map(any, gens[:k])):
         raise InputError(f"matrix is not invertible mod {n}")
-    return [row[k:] for row in work]
+    return [list(row) for row in zip(*(g[:k] for g in gens[k:]))]
 
 
 def is_invertible_mod(a: Matrix, n: int) -> bool:
-    reduced = [[x % n for x in row] for row in a]
-    return _gauss_jordan(reduced, n) == list(range(len(a)))
+    """A square matrix over Z_n is invertible exactly when it is onto."""
+    return not cokernel_mod(a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +276,11 @@ def _probable_prime(n: int) -> bool:
 
 
 def _prime_powers(n: int) -> dict[int, int]:
-    """{p: e} with n the product of the p^e; {} if n < 2.  A composite part
+    """{p: e} with n the product of the p^e; {} if n = 1.  A composite part
     gives up a small prime factor or is split by Pollard's rho, so moduli of
     any size factor quickly."""
+    if n <= 0:
+        raise InputError("modulus must be positive")
     out: dict[int, int] = {}
     todo = [n] if n > 1 else []
     while todo:
@@ -334,21 +302,25 @@ def _prime_powers(n: int) -> dict[int, int]:
     return out
 
 
-def _local_homology(a: Matrix, b: Matrix, p: int, e: int) -> list[int]:
+def _local_homology(a: Matrix, b: Matrix, p: int,
+                    e: int) -> tuple[list[int], Matrix]:
     """Exponents v >= 1 of the factors Z/p^v of ker(a)/im(b) over Z/p^e,
-    where b has one row per column of a and a.b = 0.  Pivots go in order of
+    where b has one row per column of a and a.b = 0, and one vector of ker(a)
+    per column of a.  Each row pivots at its first entry of least
     p-valuation, so a pivot divides every entry left and entries stay below
-    p^e.  The column operations that would clear the pivot row act on b as
-    the inverse row operations.  A pivot p^v leaves the kernel coordinate
-    p^(e-v) Z/p^e = Z/p^v, whose row of b is a multiple of p^(e-v); a column
-    without one leaves Z/p^e.  The quotient is the cokernel of those rows,
-    divided down, beside the relations p^v; over Z/p^e a cokernel of c is
-    ker(c^T)/0, found by the same loop."""
+    p^e.  The column operations that clear the pivot row are recorded, one
+    vector per column, and act on b as the inverse row operations.  A pivot
+    p^v leaves the kernel coordinate p^(e-v) Z/p^e = Z/p^v, whose vector is
+    the column's times p^(e-v) and whose row of b is a multiple of p^(e-v);
+    a column without one leaves Z/p^e.  The quotient is the cokernel of
+    those rows, divided down, beside the relations p^v; over Z/p^e a
+    cokernel of c is ker(c^T)/0, found by the same loop."""
     q = p ** e
     a = [[x % q for x in row] for row in a]
     b = list(b)                     # rows are replaced, never changed in place
     val = [e] * len(b)              # per column: its pivot's valuation, e if none
     cols = list(range(len(b)))      # the columns of a not yet pivots
+    basis = identity(len(b))        # per column: its column-transform vector
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
         i = 0
@@ -369,15 +341,18 @@ def _local_homology(a: Matrix, b: Matrix, p: int, e: int) -> list[int]:
             c = cols.pop(j)
             val[c] = v
             del row[j]
-            if b[c]:
-                acc = b[c]
-                for k, x in zip(cols, row):
-                    if x:
-                        f = x // pv * inv
+            acc = b[c]
+            for k, x in zip(cols, row):
+                if x:
+                    f = x // pv * inv
+                    basis[k] = [(s - f * t) % q for s, t in zip(basis[k], basis[c])]
+                    if acc:
                         acc = [s + f * t for s, t in zip(acc, b[k])]
-                b[c] = [s % q for s in acc]
+            b[c] = [s % q for s in acc]
+    gens = [vec if v == e else [x * p ** (e - v) % q for x in vec]
+            for vec, v in zip(basis, val)]
     if not any(map(any, b)):
-        return [v for v in val if v]
+        return [v for v in val if v], gens
     if any(x % (q // p ** v) for row, v in zip(b, val) for x in row):
         raise InputError("a.b is not zero")
     ct = [list(col) for col in zip(*(
@@ -385,7 +360,7 @@ def _local_homology(a: Matrix, b: Matrix, p: int, e: int) -> list[int]:
     exps = [v for v in val if v]
     ct += [[p ** v if r == t else 0 for t in range(len(exps))]
            for r, v in enumerate(exps) if v < e]
-    return _local_homology(ct, [[] for _ in exps], p, e)
+    return _local_homology(ct, [[] for _ in exps], p, e)[0], gens
 
 
 def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
@@ -394,9 +369,7 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
-    if modulus <= 0:
-        raise InputError("modulus must be positive")
-    local = [sorted((p ** v for v in _local_homology(a, b, p, e)), reverse=True)
+    local = [sorted((p ** v for v in _local_homology(a, b, p, e)[0]), reverse=True)
              for p, e in _prime_powers(modulus).items()]
     n = max(map(len, local), default=0)
     return [math.prod(f[i] for f in local if i < len(f))
@@ -409,19 +382,33 @@ def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
     return ker_mod_im(list(zip(*mat)), [[] for _ in mat], modulus)
 
 
-# ---------------------------------------------------------------------------
-# Prime-field kernels
+def _kernel_by_column(mat: Matrix, n: int) -> Matrix:
+    """One vector of ker(mat) over Z_N per column of mat: the local vectors
+    at each prime power p^e of N, added up with the idempotent that is 1 mod
+    p^e and 0 mod N/p^e.  They generate the kernel, and a column's vector is
+    zero exactly when the column is a unit pivot at every prime."""
+    cols = len(mat[0]) if mat else 0
+    out = zeros(cols, cols)
+    for p, e in _prime_powers(n).items():
+        idem = n // p ** e * pow(n // p ** e, -1, p ** e)
+        local = _local_homology(mat, [[] for _ in range(cols)], p, e)[1]
+        out = [[(s + idem * t) % n for s, t in zip(g, h)] for g, h in zip(out, local)]
+    return out
+
+
+def kernel_mod(mat: Matrix, n: int) -> Matrix:
+    """Generators of the null space of mat over Z_N, one for each column
+    that is not a unit pivot at every prime of N; none mod 1."""
+    return [g for g in _kernel_by_column(mat, n) if any(g)]
 
 
 def kernel_mod_p(mat: Matrix, p: int) -> list[list[int]]:
-    """Echelonized basis of the null space of mat over Z_p, read off its RREF."""
+    """Echelonized basis of the null space of mat over Z_p: the pivots of
+    `kernel_mod` are those of the RREF, and a free column's vector is 1
+    there and 0 at the other free columns."""
     if not _probable_prime(p):
         raise InputError(f"{p} is not prime")
-    cols = len(mat[0]) if mat else 0
-    work = [[x % p for x in row] for row in mat]
-    at = dict(zip(_gauss_jordan(work, p), work))   # pivot column -> its row
-    return [[-at[j][c] % p if j in at else int(j == c) for j in range(cols)]
-            for c in range(cols) if c not in at]
+    return kernel_mod(mat, p)
 
 
 def solve_exact(b: Matrix, m: Matrix) -> Matrix:

@@ -14,7 +14,7 @@ from quandlekit.algebra import (
 )
 from quandlekit.errors import CheckFailed, InputError
 from quandlekit.groups import small_groups
-from quandlekit.linalg import identity, mat_add, mat_mul, mat_vec
+from quandlekit.linalg import identity, mat_add, mat_inv_mod, mat_mul, mat_scale, mat_vec
 from quandlekit.quandles import (
     make_alexander,
     make_conj,
@@ -124,10 +124,15 @@ def test_make_rep_rejects_broken_tables():
 
 
 def test_verify_relations_rejects_noninvertible_eta():
+    """A singular eta is a failed report, not an exception; make_rep still
+    refuses the tables."""
     q = make_trivial(1)
     rep = make_rep(q, 4, [[[[2]]]], [[[[0]]]], check=False)
+    report = verify_relations(rep)
+    assert not report.passed
+    assert report.failures == ["eta[0][0] is not invertible mod 4"]
     with pytest.raises(CheckFailed):
-        verify_relations(rep)
+        make_rep(q, 4, [[[[2]]]], [[[[0]]]])
 
 
 def test_bar_elements_undo_crossing():
@@ -143,6 +148,25 @@ def test_bar_elements_undo_crossing():
             assert mat_mul(eta_bar, rep.eta[z][y], n) == identity(rep.dim)
             s = mat_add(mat_mul(eta_bar, rep.tau[z][y], n), tau_bar, n)
             assert all(all(v == 0 for v in row) for row in s)
+
+
+def test_bar_cache_matches_fresh_computation():
+    """bar is filled once per (x, y) and per rep, as frozen matrices equal to
+    the inverse computed afresh, on R3 with perm3 and on R5 mod 5."""
+    for rep in (make_conj_rep(permutation_rep_r3(3)),
+                make_alexander_rep(make_dihedral(5), 5, 2)):
+        q, n = rep.quandle, rep.modulus
+        for x in range(q.size):
+            for y in range(q.size):
+                z = q.inv_op(x, y)
+                eta_bar = mat_inv_mod(rep.eta[z][y], n)
+                tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
+                first = bar(rep, x, y)
+                assert first is bar(rep, x, y)
+                assert all(isinstance(m, tuple) and all(isinstance(r, tuple) for r in m)
+                           for m in first)
+                assert [list(map(list, m)) for m in first] == [eta_bar, tau_bar]
+        assert len(rep._bars) == q.size ** 2
 
 
 def test_relation_four_meaning():

@@ -130,6 +130,20 @@ def test_check_json_rep_verifies_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_check_rep_with_singular_eta_prints_report(capsys, tmp_path):
+    """A mod-6 rep with eta = 3 fails `check rep` with its JSON document."""
+    from quandlekit.algebra import make_rep
+    from quandlekit.io import rep_to_doc
+    from quandlekit.quandles import make_trivial
+    rep = make_rep(make_trivial(1), 6, [[[[3]]]], [[[[4]]]], check=False)
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(rep_to_doc(rep)))
+    code, out = run(capsys, "check", "rep", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["failures"] == ["eta[0][0] is not invertible mod 6"]
+
+
 def test_colorings_document(capsys):
     code, out = run(capsys, "colorings", "dihedral:3", "3_1")
     assert code == 0
@@ -163,6 +177,33 @@ def test_search_and_check_cocycle(capsys, tmp_path):
                       "--rep", "conj-rep:perm3")
     assert code2 == 0
     assert json.loads(out2)["passed"] is True
+
+
+def test_search_over_composite_modulus(capsys, tmp_path):
+    """Over Z_9 `search` gives generators, each a cocycle by `check cocycle`,
+    that span a group of the order of ker(delta) from ker_mod_im."""
+    import math
+    from quandlekit.homology import ComplexConfig, _admissible_block
+    from quandlekit.io import load_quandle, load_rep
+    from quandlekit.linalg import cokernel_mod, ker_mod_im
+    args = ["dihedral:3", "alexander-rep:9:2", "9"]
+    code, out = run(capsys, "search", "2", *args)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["prime"] == 9 and doc["dimension"] == len(doc["basis"]) > 0
+    for i, kappa in enumerate(doc["basis"]):
+        path = tmp_path / f"kappa{i}.json"
+        path.write_text(json.dumps(kappa))
+        code, out = run(capsys, "check", "cocycle", str(path),
+                        "--quandle", args[0], "--rep", args[1])
+        assert code == 0 and json.loads(out)["passed"] is True
+    keys = [f"{x},{y}" for x in range(3) for y in range(3)]
+    cols = [[k["values"].get(key, [0])[0] for k in doc["basis"]] for key in keys]
+    span = 9 ** len(keys) // math.prod(cokernel_mod(cols, 9))
+    rep = load_rep(args[1], quandle=load_quandle(args[0]))
+    block = _admissible_block(ComplexConfig(rep=rep), 2)
+    # |Z^2| = |H^2| |B^2| = 9 * 9^3 / |ker delta^1| = 9 * 27
+    assert span == math.prod(ker_mod_im(block, [[] for _ in block[0]], 9)) == 243
 
 
 def test_invariant_alexander(capsys):

@@ -27,9 +27,9 @@ from quandlekit.homology import (
     vector_to_cochain,
     _admissible_block,
 )
-from quandlekit.linalg import (cokernel_mod, identity, int_kernel, mat_mul,
-                               mat_vec, quotient_invariant_factors)
-from quandlekit.quandles import make_core, make_dihedral, make_trivial
+from quandlekit.linalg import (cokernel_mod, identity, int_kernel, ker_mod_im,
+                               mat_mul, mat_vec, quotient_invariant_factors)
+from quandlekit.quandles import make_alexander, make_core, make_dihedral, make_trivial
 
 random.seed(12)
 
@@ -312,6 +312,31 @@ def test_cohomology_order_identity(variant):
     if variant == "rack":
         cfg = ComplexConfig(rep=make_alexander_rep(r3, 6, 5), variant="rack")
         assert cohomology(cfg, 2) == [3, 6]
+
+
+@pytest.mark.parametrize("variant", ["quandle", "rack"])
+def test_cocycle_space_generates_the_cocycles_over_composite_moduli(variant):
+    """Over Z_N with N composite every generator is a cocycle, and the group
+    they span, of order N^len / |coker| as columns, has the order of
+    ker(delta) from ker_mod_im."""
+    r3 = make_dihedral(3)
+    reps = [make_alexander_rep(r3, n, t) for n, t in ((9, 2), (4, 3), (6, 5), (12, 5))]
+    reps += [make_conj_rep(permutation_rep_r3(4)), make_conj_rep(permutation_rep_r3(9)),
+             make_alexander_rep(make_dihedral(4), 8, 3),
+             make_alexander_rep(make_alexander(5, 2), 25, 2)]
+    for rep in reps:
+        for degree in (2, 3):
+            cfg = ComplexConfig(rep=rep, variant=variant)
+            gens = cocycle_space(cfg, degree)
+            is_cocycle = is_cocycle_2 if degree == 2 else is_cocycle_3
+            assert all(is_cocycle(cfg, k) for k in gens), (rep.label, degree)
+            n, length = rep.modulus, rep.quandle.size ** degree * rep.dim
+            cols = [cochain_to_vector(cfg, k) for k in gens]
+            span = n ** length // math.prod(cokernel_mod(
+                [list(r) for r in zip(*cols)] if cols else [[]] * length, n))
+            block = _admissible_block(cfg, degree)
+            kernel = math.prod(ker_mod_im(block, [[] for _ in block[0]], n))
+            assert span == kernel > 1, (rep.label, degree)
 
 
 def test_cohomology_guards():

@@ -9,8 +9,9 @@ from quandlekit.algebra import (
     permutation_rep_r3,
     regular_group_rep,
 )
-from quandlekit.braids import (braid_or_knot, colored_matrix, colorings_of_closure,
-                               crossing_data, diagram_two_chain, markov_moves)
+from quandlekit.braids import (BraidWord, braid_or_knot, colored_matrix,
+                               colorings_of_closure, crossing_data,
+                               diagram_two_chain, markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError
 from quandlekit.homology import (
     Cochain,
@@ -116,6 +117,30 @@ def chain_pairings_match(rep, kappa, w, entries) -> bool:
             return False
         sums.append(per_crossing)
     return tuple(sorted(sums)) == entries
+
+
+def test_composite_modulus_cocycle_invariants_are_markov_invariant():
+    """The Z_9 2-cocycles of R3 permuting (Z_9)^3, some with unit values,
+    give cocycle invariants that every Markov variant of a seeded random knot
+    (k <= 4) shares; on the trefoil some of them split the colorings."""
+    rep = make_conj_rep(permutation_rep_r3(9))
+    kappas = cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2)
+    assert any(x % 3 for k in kappas for v in k.values.values() for x in v)
+    rng = random.Random(20261018)
+    knots = [braid_or_knot("3_1")]
+    while len(knots) < 12:
+        k = rng.randint(2, 4)
+        w = BraidWord(k, tuple(rng.choice((1, -1)) * rng.randint(1, k - 1)
+                               for _ in range(rng.randint(1, 12))))
+        if w.closure_components() == 1:
+            knots.append(w)
+    for w in knots:
+        for kappa in kappas:
+            base = cocycle_invariant(rep, kappa, w).entries
+            for v in markov_moves(w):
+                assert cocycle_invariant(rep, kappa, v).entries == base, (w, v)
+    trefoil = knots[0]
+    assert any(len(set(cocycle_invariant(rep, k, trefoil).entries)) > 1 for k in kappas)
 
 
 def test_cocycle_invariant_markov_and_coboundary():

@@ -12,6 +12,7 @@ from quandlekit.linalg import (
     int_kernel,
     is_invertible_mod,
     ker_mod_im,
+    kernel_mod,
     kernel_mod_p,
     lattice_basis,
     mat_frac_inverse,
@@ -149,6 +150,80 @@ def test_kernel_mod_p():
     with pytest.raises(InputError):
         kernel_mod_p([[1]], (10 ** 9 + 7) * (10 ** 9 + 9))
     assert kernel_mod_p([[1, -1]], 2 ** 61 - 1) == [[1, 1]]
+
+
+def _span(gens, n, cols):
+    """The subgroup of (Z_n)^cols that gens generate, closed by brute force."""
+    zero = (0,) * cols
+    span, todo = {zero}, [zero]
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = tuple((x + y) % n for x, y in zip(v, g))
+            if w not in span:
+                span.add(w)
+                todo.append(w)
+    return span
+
+
+def test_kernel_mod_matches_enumeration():
+    """For N <= 12 and at most 4 columns, every generator lies in the kernel
+    and together they span all of it, as listed vector by vector."""
+    rng = random.Random(20261018)
+    for n in range(1, 13):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(6):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = [[rng.choice(divisors) * rng.randrange(-n, n) for _ in range(cols)]
+                 for _ in range(rows)]
+            ker = {v for v in itertools.product(range(n), repeat=cols)
+                   if not any(mat_vec(m, list(v), n))}
+            gens = kernel_mod(m, n)
+            assert all(len(g) == cols and tuple(g) in ker for g in gens), (n, m)
+            assert _span(gens, n, cols) == ker, (n, m)
+    # mod 1 the kernel is the zero module: no generator is needed
+    assert kernel_mod([[1, 2], [3, 4]], 1) == []
+    assert _span([], 1, 2) == {v for v in itertools.product(range(1), repeat=2)}
+
+
+def test_mat_inv_mod_mixed_local_blocks():
+    """Mod 12 a matrix is invertible exactly when it is at 2 and at 3.  Blocks
+    that are units at one prime only are hidden by integer unimodular mixing,
+    so no entry need be a unit mod 12."""
+    units = [[[5]], [[7]], [[3, 4], [4, 3]], [[2, 3], [3, 2]]]
+    only_at_2 = [[[3]], [[1, 2], [1, 5]]]           # odd dets divisible by 3
+    only_at_3 = [[[2]], [[4]], [[2, 1], [0, 1]]]    # even dets prime to 3
+    rng = random.Random(1998)
+    seen = set()
+    for _ in range(150):
+        kinds = [rng.choice(("unit", "unit", "2", "3")) for _ in range(rng.randint(1, 3))]
+        pool = {"unit": units, "2": only_at_2, "3": only_at_3}
+        blocks = [rng.choice(pool[kind]) for kind in kinds]
+        k = sum(map(len, blocks))
+        d, at = [[0] * k for _ in range(k)], 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                d[at + i][at:at + len(row)] = row
+            at += len(blk)
+        mix = [identity(k), identity(k)]
+        for u in mix:
+            for _ in range(2 * k):
+                i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+                if i != j:
+                    f = rng.randint(-3, 3)
+                    for row in u:
+                        row[j] += f * row[i]
+        a = mat_mul(mat_mul(mix[0], d), mix[1])
+        unit = all(kind == "unit" for kind in kinds)
+        seen.add(unit)
+        assert is_invertible_mod(a, 12) == unit, (kinds, a)
+        if unit:
+            inv = mat_inv_mod(a, 12)
+            assert mat_mul(a, inv, 12) == mat_mul(inv, a, 12) == identity(k)
+        else:
+            with pytest.raises(InputError):
+                mat_inv_mod(a, 12)
+    assert seen == {True, False}
 
 
 def test_mat_inv_mod_euclid_pivot():
