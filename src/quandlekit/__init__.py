@@ -21,8 +21,6 @@ from .invariants import (InvariantMultiset, ModuleInvariant, boltzmann_weight,
                          module_invariant, multiset_contained)
 from .fox import (WirtingerPresentation, alexander_polynomial, fox_derivative,
                   twisted_matrix, wirtinger_from_braid)
-from .linalg import (SnfResult, cokernel_mod, kernel_mod, kernel_mod_p,
-                     smith_normal_form)
-from .laurent import laurent_gcd_of_minors
+from .linalg import cokernel_mod, kernel_mod, kernel_mod_p
 
 __version__ = "0.1.0"

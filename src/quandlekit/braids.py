@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep, bar
-from .errors import GUARD, GuardExceeded, InputError
+from .errors import GUARD, GuardExceeded, InputError, power_text
 from .linalg import Matrix, identity, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
@@ -86,7 +86,11 @@ def parse_braid(text: str) -> BraidWord:
     m = re.match(r"\s*k\s*=\s*(\d+)\s*;(.*)$", text, re.S)
     if not m:
         raise InputError(f"cannot parse braid text {text!r}: expected 'k=<n>; ...'")
-    strands = int(m.group(1))
+    try:
+        strands = int(m.group(1))
+    except ValueError:              # over the int-string digit limit
+        raise InputError(f"strand count of {len(m.group(1))} digits is too "
+                         "long") from None
     letters = []
     for pos, tok in enumerate(m.group(2).split()):
         try:
@@ -231,11 +235,12 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
 
     A depth-first search colors the at most k branch arcs of `_search_plan`
     with every value in turn and propagates each choice, pruning on a clash;
-    it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work."""
-    total = q.size ** w.strands
-    if total > guard:
-        raise GuardExceeded(
-            f"{total} candidate colorings exceed the guard of {guard}")
+    it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work.
+    Past k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
+    comparison never builds a larger power."""
+    if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
+        raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
+                            f"colorings exceed the guard of {guard}")
     at, bottom, branch = _search_plan(w)
     table, inv = q.table, q._inv_table
     col = [-1] * len(at)

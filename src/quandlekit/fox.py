@@ -8,7 +8,8 @@ elements map free words to integer coefficients.  The derivative rules are
 For a Wirtinger relator r = x_o x_s x_o^-1 x_t^-1 these are 1 - x_t, x_o and
 -1 at o, s and t once r = 1.  twisted_matrix writes its rows in this closed
 form, so rho must respect every relator and be invertible on every over and
-target arc; it checks both.
+target arc; it checks both.  With trivial rho the matrix is the Alexander
+matrix, and `alexander_polynomial` is the determinant of one first minor.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .braids import BraidWord, closure_arcs
 from .errors import GUARD, GuardExceeded, InputError
-from .laurent import Laurent, laurent_gcd_of_minors, lp_const, lp_normalize
+from .laurent import Laurent, lp_det, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
 FreeWord = tuple  # of (generator index, +1 | -1)
@@ -155,8 +156,12 @@ def trivial_rho(pres: WirtingerPresentation):
 def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     """Classical Alexander polynomial of a knot given as a closed braid,
     normalized to integer coefficients, lowest exponent 0, positive lead.
-    On n arcs it eliminates n minors of size n - 1 by Bareiss, about n^4
-    Laurent products, which must not exceed `guard`."""
+
+    One Wirtinger relator follows from the others, so every first minor of
+    the Alexander matrix of a knot is +-t^j Delta (Crowell and Fox, ch. VIII).
+    This one drops the last relator and the last arc.  Bareiss eliminates it
+    with entries of degree up to n on n arcs, about n^4 Laurent products,
+    which must not exceed `guard`."""
     if w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")
     pres = wirtinger_from_braid(w)
@@ -164,14 +169,6 @@ def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
         raise GuardExceeded(f"{pres.generators ** 4} Laurent products of the "
                             f"{pres.generators}-arc Alexander minors exceed the "
                             f"guard of {guard}")
-    if not pres.relators:
-        return lp_const(1)
     mat = twisted_matrix(pres, trivial_rho(pres))
-    flat = [[cell[0][0] for cell in row] for row in mat]
-    # drop the last generator's column; any choice gives the same gcd up to units
-    cut = [row[:-1] for row in flat]
-    size = pres.generators - 1
-    if size == 0:
-        return lp_const(1)
-    g = laurent_gcd_of_minors(cut, size)
-    return lp_normalize(g) if g else {}
+    minor = [[cell[0][0] for cell in row[:-1]] for row in mat[:-1]]
+    return lp_normalize(lp_det(minor))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
                      crossing_data)
-from .errors import GUARD, CheckFailed, GuardExceeded, InputError
+from .errors import (GUARD, CheckFailed, GuardExceeded, InputError,
+                     power_text)
 from .homology import Cochain, ComplexConfig, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
@@ -111,8 +112,9 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     q, N, m = rep.quandle, rep.modulus, rep.dim
     total = N ** m * q.size
     if total ** 3 > guard:
-        raise GuardExceeded(f"extension of size {total} needs {total ** 3} "
-                            f"axiom checks, over the guard of {guard}")
+        raise GuardExceeded(f"extension of size {power_text(total)} needs "
+                            f"{power_text(total, 3)} axiom checks, over the "
+                            f"guard of {guard}")
     vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
     vindex = {tuple(v): i for i, v in enumerate(vectors)}
 

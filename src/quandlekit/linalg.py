@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError
+from .errors import GuardExceeded, InputError
 from .laurent import lp_det
 
 Matrix = list[list[int]]
@@ -251,6 +251,11 @@ def int_kernel(mat: Matrix) -> list[list[int]]:
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# Pollard's rho steps allowed in factoring one modulus, over all its
+# composite parts: a prime factor p takes about sqrt(p) steps, so every
+# modulus with at most one prime factor over about 10^10 factors in time
+RHO_STEPS = 2 * 10 ** 5
+
 
 def _probable_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases; exact for n < 3.3 * 10^24."""
@@ -277,12 +282,13 @@ def _probable_prime(n: int) -> bool:
 
 def _prime_powers(n: int) -> dict[int, int]:
     """{p: e} with n the product of the p^e; {} if n = 1.  A composite part
-    gives up a small prime factor or is split by Pollard's rho, so moduli of
-    any size factor quickly."""
+    gives up a small prime factor or is split by Pollard's rho, within
+    RHO_STEPS steps in all (GuardExceeded past them)."""
     if n <= 0:
         raise InputError("modulus must be positive")
     out: dict[int, int] = {}
     todo = [n] if n > 1 else []
+    steps = 0
     while todo:
         m = todo.pop()
         if _probable_prime(m):
@@ -293,6 +299,11 @@ def _prime_powers(n: int) -> dict[int, int]:
             x = y = 2
             d = 1
             while d == 1:
+                steps += 1
+                if steps > RHO_STEPS:
+                    raise GuardExceeded(
+                        f"factoring a {m.bit_length()}-bit part of the modulus "
+                        f"took over {RHO_STEPS} steps of Pollard's rho")
                 x = (x * x + c) % m
                 y = (y * y + c) % m
                 y = (y * y + c) % m

@@ -389,3 +389,96 @@ def test_rep_on_matching_quandle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["colorings"] == len(doc["multiset"]) == 9
+
+
+REFERENCE_ONLY = {"laurent": ("laurent_gcd_of_minors", "lp_gcd"),
+                  "linalg": ("smith_normal_form", "int_kernel", "lattice_basis",
+                             "solve_exact", "quotient_invariant_factors",
+                             "mat_frac_inverse")}
+
+
+def test_no_command_reaches_the_reference_only_code(capsys, tmp_path, monkeypatch):
+    """The gcd of minors and the lattice route are test references only: with
+    each replaced by a raising stub, wherever a quandlekit module binds it,
+    one command of every kind still exits 0."""
+    import importlib
+    import sys
+
+    for layer, names in REFERENCE_ONLY.items():
+        home = importlib.import_module(f"quandlekit.{layer}")
+        for name in names:
+            orig = getattr(home, name)
+
+            def stub(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} was called")
+
+            for mod in [m for n, m in sys.modules.items()
+                        if n == "quandlekit" or n.startswith("quandlekit.")]:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, stub)
+    code, basis = run(capsys, "search", "2", "dihedral:3", "conj-rep:perm3", "3")
+    assert code == 0
+    kappa = tmp_path / "kappa.json"
+    kappa.write_text(json.dumps(json.loads(basis)["basis"][1]))
+    a = str(tmp_path / "a.json")
+    for argv in (
+            ["check", "quandle", "dihedral:5"],
+            ["check", "rep", "alexander-rep:9:2", "--quandle", "dihedral:3"],
+            ["check", "cocycle", str(kappa), "--rep", "conj-rep:perm3"],
+            ["colorings", "dihedral:5", "4_1"],
+            ["search", "2", "dihedral:3", "alexander-rep:9:2", "9"],
+            ["invariant", "cocycle", "--quandle", "dihedral:3", "--rep",
+             "conj-rep:perm3", "--cocycle", str(kappa), "--knot", "3_1", "--out", a],
+            ["invariant", "module", "--quandle", "dihedral:3", "--rep",
+             "alexander-rep:4:3", "--knot", "4_1"],
+            ["invariant", "alexander", "--braid", "k=4; 1 -2 3 -2 1 -2 3"],
+            ["homology", "2", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3"],
+            ["homology", "2", "--quandle", "dihedral:3", "--rep", "alexander-rep:9:2"],
+            ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+             "--cocycle", str(kappa)],
+            ["compare", a, a]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["colorings", "dihedral:3", "k=10000; 1"],
+    ["invariant", "module", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2",
+     "--braid", "k=10000; 1"],
+    ["extend", "--quandle", "trivial:1", "--rep", f"trivial-action:{10 ** 1500}"],
+], ids=["colorings", "module", "extend"])
+def test_refused_counts_are_written_as_powers(capsys, argv):
+    """A count too long to read is written as a power, never in full: one
+    line on stderr, and no int-to-string ValueError (4300 digits at most)."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard exceeded:") and err.count("\n") == 1
+    assert len(err) < 120 and "^" in err
+
+
+def test_colorings_guard_does_not_build_the_power(capsys):
+    """3^(10^7) takes seconds to build; the guard compares 3^25 instead."""
+    import time
+    start = time.perf_counter()
+    assert main(["colorings", "dihedral:3", "k=10000000; 1"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "3^10000000 candidate colorings" in capsys.readouterr().err
+
+
+def test_factoring_a_modulus_is_bounded(capsys):
+    """N is the product of two 20-digit primes, about 10^9.5 steps of
+    Pollard's rho; factoring gives up after RHO_STEPS and exits 3."""
+    import time
+    n = 100000000000000001380000000000000004437
+    start = time.perf_counter()
+    assert main(["check", "rep", f"trivial-action:{n}", "--quandle", "trivial:1"]) == 3
+    assert time.perf_counter() - start < 10
+    assert "Pollard's rho" in capsys.readouterr().err
+
+
+def test_strand_count_over_the_digit_limit_exits_2(capsys):
+    """int() refuses strings of over 4300 digits with a plain ValueError."""
+    assert main(["colorings", "dihedral:3", "k=1" + "0" * 5000 + "; 1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: strand count of 5001 digits is too long\n"

@@ -300,3 +300,18 @@ def test_quotient_invariant_factors():
 
 def test_mat_vec_mod():
     assert mat_vec([[1, 2], [3, 4]], [1, 1], 5) == [3, 2]
+
+
+def test_prime_powers_within_the_rho_cap():
+    """The moduli of the tests factor within RHO_STEPS, the rho-split
+    (10^9 + 7)(10^9 + 9) among them; two 20-digit prime factors do not."""
+    from quandlekit.errors import GuardExceeded
+    from quandlekit.linalg import _prime_powers
+    m61 = 2 ** 61 - 1
+    for n, powers in ((1, {}), (360, {2: 3, 3: 2, 5: 1}), (m61, {m61: 1}),
+                      (3 * m61, {3: 1, m61: 1}), (3 ** 40, {3: 40}),
+                      ((10 ** 9 + 7) * (10 ** 9 + 9), {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}),
+                      ((10 ** 9 + 7) ** 2 * 43 * 47, {10 ** 9 + 7: 2, 43: 1, 47: 1})):
+        assert _prime_powers(n) == powers
+    with pytest.raises(GuardExceeded):
+        _prime_powers(100000000000000001380000000000000004437)
