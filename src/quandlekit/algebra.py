@@ -55,6 +55,32 @@ def _freeze_table(t):
     return tuple(tuple(_freeze(m) for m in row) for row in t)
 
 
+class _Products:
+    """Products mod n of frozen matrices, each distinct pair multiplied once
+    per instance.  Matrices are numbered by value, so equal matrices share a
+    number and the cache is keyed by pairs of small ints."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.numbers = {}     # frozen matrix -> number
+        self.matrices = []    # number -> frozen matrix
+        self.products = {}    # (i, j) -> frozen matrices[i] matrices[j] mod n
+
+    def number(self, m) -> int:
+        i = self.numbers.get(m)
+        if i is None:
+            i = self.numbers[m] = len(self.matrices)
+            self.matrices.append(m)
+        return i
+
+    def mul(self, i: int, j: int):
+        p = self.products.get((i, j))
+        if p is None:
+            p = self.products[i, j] = _freeze(
+                mat_mul(self.matrices[i], self.matrices[j], self.n))
+        return p
+
+
 @dataclass(frozen=True)
 class GroupRep:
     """An x -> invertible matrix assignment on a quandle, standing in for a
@@ -69,20 +95,26 @@ class GroupRep:
 def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
     """Conjugation consistency: rho(x*y) == rho(y)^m rho(x) rho(y)^-m mod N,
     tested as rho(x*y) rho(y)^m == rho(y)^m rho(x) once every rho(x) is
-    invertible."""
+    invertible.  Each rho(y)^m is raised once, and each distinct product of
+    the |X|^2 comparisons is formed once."""
     q, n = g.quandle, g.modulus
     failures = []
     for x in range(q.size):
         if not is_invertible_mod(g.rho[x], n):
             failures.append(f"rho({x}) is not invertible mod {n}")
             return ValidationReport(False, failures)
+    products = _Products(n)
+    rho = [products.number(m) for m in g.rho]
+    one = products.number(_freeze(identity(g.dim)))
+    ym = []
+    for y in range(q.size):
+        acc = one
+        for _ in range(power):
+            acc = products.number(products.mul(acc, rho[y]))
+        ym.append(acc)
     for x in range(q.size):
         for y in range(q.size):
-            ym = identity(g.dim)
-            for _ in range(power):
-                ym = mat_mul(ym, g.rho[y], n)
-            lhs = mat_mul(g.rho[q.op(x, y)], ym, n)
-            if lhs != mat_mul(ym, g.rho[x], n):
+            if products.mul(rho[q.op(x, y)], ym[y]) != products.mul(ym[y], rho[x]):
                 failures.append(
                     f"rho({x}*{y}) != rho({y})^{power} rho({x}) rho({y})^-{power}")
                 return ValidationReport(False, failures)
@@ -138,36 +170,50 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
 
 
 def verify_relations(rep: AlgebraRep) -> ValidationReport:
-    """Exhaustive check of identities (1)-(4); reports first failure of each."""
+    """Exhaustive check of identities (1)-(4); reports first failure of each.
+
+    Every (x, y, z) is compared, in that scan order, but each distinct
+    matrix product and each distinct sum of relation (3) is formed once,
+    and invertibility is tested once per distinct eta: a conjugation rep
+    has only |X| distinct eta and |X| distinct tau matrices."""
     q, n = rep.quandle, rep.modulus
+    size, table = q.size, q.table
+    products = _Products(n)
+    eta = [[products.number(m) for m in row] for row in rep.eta]
+    tau = [[products.number(m) for m in row] for row in rep.tau]
     failures = []
-    for x in range(q.size):
-        for y in range(q.size):
-            if not is_invertible_mod(rep.eta[x][y], n):
-                failures.append(f"eta[{x}][{y}] is not invertible mod {n}")
-                return ValidationReport(False, failures)
-    found = [False] * 4
-    size = q.size
+    invertible = {}
     for x in range(size):
         for y in range(size):
+            i = eta[x][y]
+            if i not in invertible:
+                invertible[i] = is_invertible_mod(products.matrices[i], n)
+            if not invertible[i]:
+                failures.append(f"eta[{x}][{y}] is not invertible mod {n}")
+                return ValidationReport(False, failures)
+    mul = products.mul
+    sums = {}   # relation (3) right-hand sides, by their four factors
+    found = [False] * 4
+    for x in range(size):
+        for y in range(size):
+            xy = table[x][y]
             for z in range(size):
-                xy, xz, yz = q.op(x, y), q.op(x, z), q.op(y, z)
+                xz, yz = table[x][z], table[y][z]
                 if not found[0]:
-                    lhs = mat_mul(rep.eta[xy][z], rep.eta[x][y], n)
-                    rhs = mat_mul(rep.eta[xz][yz], rep.eta[x][z], n)
-                    if lhs != rhs:
+                    if mul(eta[xy][z], eta[x][y]) != mul(eta[xz][yz], eta[x][z]):
                         found[0] = True
                         failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
                 if not found[1]:
-                    lhs = mat_mul(rep.eta[xy][z], rep.tau[x][y], n)
-                    rhs = mat_mul(rep.tau[xz][yz], rep.eta[y][z], n)
-                    if lhs != rhs:
+                    if mul(eta[xy][z], tau[x][y]) != mul(tau[xz][yz], eta[y][z]):
                         found[1] = True
                         failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
                 if not found[2]:
-                    rhs = mat_add(mat_mul(rep.eta[xz][yz], rep.tau[x][z], n),
-                                  mat_mul(rep.tau[xz][yz], rep.tau[y][z], n), n)
-                    if rep.tau[xy][z] != _freeze(rhs):
+                    key = (eta[xz][yz], tau[x][z], tau[xz][yz], tau[y][z])
+                    rhs = sums.get(key)
+                    if rhs is None:
+                        rhs = sums[key] = _freeze(mat_add(
+                            mul(key[0], key[1]), mul(key[2], key[3]), n))
+                    if rep.tau[xy][z] != rhs:
                         found[2] = True
                         failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
         if not found[3]:

@@ -161,8 +161,10 @@ def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     the Alexander matrix of a knot is +-t^j Delta (Crowell and Fox, ch. VIII).
     This one drops the last relator and the last arc.  Bareiss eliminates it
     with entries of degree up to n on n arcs, about n^4 Laurent products,
-    which must not exceed `guard`."""
-    if w.closure_components() != 1:
+    which must not exceed `guard`.  Each letter joins at most two strands,
+    so more than letters + 1 strands close to a link; that is refused before
+    the strand permutation is built."""
+    if w.strands > len(w.letters) + 1 or w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")
     pres = wirtinger_from_braid(w)
     if pres.generators ** 4 > guard:

@@ -106,8 +106,11 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     """Quandle structure on G x X, X = rep.quandle:
     (a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y).
 
-    Returns (table, report, quandle-or-None); the quandle is built only when
-    the axioms pass.  The size^3 axiom checks must not exceed `guard`.
+    For each (x, y) the products eta[x][y] a and tau[x][y] b + kappa(x, y)
+    are formed once per module vector, and each cell adds two of them by a
+    table of vector sums.  Returns (table, report, quandle-or-None); the
+    quandle is built only when the axioms pass.  The size^3 axiom checks
+    must not exceed `guard`.
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
     total = N ** m * q.size
@@ -115,26 +118,26 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
         raise GuardExceeded(f"extension of size {power_text(total)} needs "
                             f"{power_text(total, 3)} axiom checks, over the "
                             f"guard of {guard}")
-    vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
-    vindex = {tuple(v): i for i, v in enumerate(vectors)}
-
-    def pair_index(a_idx: int, x: int) -> int:
-        return a_idx * q.size + x
-
+    vectors = list(itertools.product(range(N), repeat=m))
+    vindex = {v: i for i, v in enumerate(vectors)}
+    # sums[i][j] is the index of vectors[i] + vectors[j]
+    sums = [[vindex[tuple((s + t) % N for s, t in zip(u, v))] for v in vectors]
+            for u in vectors]
+    size = q.size
     table = [[0] * total for _ in range(total)]
-    for ai, a in enumerate(vectors):
-        for x in range(q.size):
-            row = table[pair_index(ai, x)]
-            for bi, b in enumerate(vectors):
-                for y in range(q.size):
-                    val = mat_vec(rep.eta[x][y], a, N)
-                    tb = mat_vec(rep.tau[x][y], b, N)
-                    val = [(s + t) % N for s, t in zip(val, tb)]
-                    if kappa is not None:
-                        val = [(s + t) % N
-                               for s, t in zip(val, kappa.value((x, y)))]
-                    row[pair_index(bi, y)] = pair_index(vindex[tuple(val)],
-                                                        q.op(x, y))
+    for x in range(size):
+        for y in range(size):
+            shift = [0] * m if kappa is None else kappa.value((x, y))
+            # eta a and tau b + kappa(x, y), once per module vector
+            eta_a = [vindex[tuple(mat_vec(rep.eta[x][y], a, N))] for a in vectors]
+            tau_b = [vindex[tuple((s + t) % N for s, t in
+                                  zip(mat_vec(rep.tau[x][y], b, N), shift))]
+                     for b in vectors]
+            xy = q.op(x, y)
+            for ai, ea in enumerate(eta_a):
+                # the cells (b, y) of row (a, x) sit at b * size + y
+                table[ai * size + x][y::size] = [sums[ea][tb] * size + xy
+                                                 for tb in tau_b]
     report = verify_axioms(table)
     quandle = None
     if report:

@@ -1,0 +1,252 @@
+"""The exhaustive checks and the extension table against their plain loops.
+
+`verify_axioms`, `verify_relations` and `dynamical_extension` do each
+distinct piece of work once.  The loops below are the direct forms they
+replaced, kept as references: the reports must be identical, failures and
+their order included, and so must the extension tables.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from quandlekit import io as qio
+from quandlekit.algebra import (
+    make_alexander_rep,
+    make_conj_rep,
+    make_rep,
+    make_wada_rep,
+    regular_group_rep,
+    verify_relations,
+)
+from quandlekit.groups import small_groups
+from quandlekit.homology import Cochain, ComplexConfig, cocycle_space
+from quandlekit.invariants import dynamical_extension
+from quandlekit.linalg import identity, is_invertible_mod, mat_add, mat_mul, mat_vec
+from quandlekit.quandles import (
+    make_alexander,
+    make_conj,
+    make_core,
+    make_dihedral,
+    make_trivial,
+    verify_axioms,
+)
+
+
+def _reference_axioms(table):
+    """Axioms I-III by the a, b, c scan; first violation of each."""
+    n = len(table)
+    failures = []
+    for a in range(n):
+        if table[a][a] != a:
+            failures.append(f"axiom I fails at a={a}: {a}*{a}={table[a][a]}")
+            break
+    for b in range(n):
+        col = [table[a][b] for a in range(n)]
+        if len(set(col)) != n:
+            failures.append(f"axiom II fails at b={b}: column {col} is not a permutation")
+            break
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
+            failures.append(
+                f"axiom III fails at (a,b,c)=({a},{b},{c}): "
+                f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})")
+            break
+    return not failures, failures
+
+
+def _reference_relations(rep):
+    """Identities (1)-(4) with six products per (x, y, z); first failure of
+    each."""
+    q, n = rep.quandle, rep.modulus
+    failures = []
+    for x in range(q.size):
+        for y in range(q.size):
+            if not is_invertible_mod(rep.eta[x][y], n):
+                failures.append(f"eta[{x}][{y}] is not invertible mod {n}")
+                return False, failures
+    found = [False] * 4
+    for x in range(q.size):
+        for y in range(q.size):
+            for z in range(q.size):
+                xy, xz, yz = q.op(x, y), q.op(x, z), q.op(y, z)
+                if not found[0]:
+                    lhs = mat_mul(rep.eta[xy][z], rep.eta[x][y], n)
+                    rhs = mat_mul(rep.eta[xz][yz], rep.eta[x][z], n)
+                    if lhs != rhs:
+                        found[0] = True
+                        failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
+                if not found[1]:
+                    lhs = mat_mul(rep.eta[xy][z], rep.tau[x][y], n)
+                    rhs = mat_mul(rep.tau[xz][yz], rep.eta[y][z], n)
+                    if lhs != rhs:
+                        found[1] = True
+                        failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
+                if not found[2]:
+                    rhs = mat_add(mat_mul(rep.eta[xz][yz], rep.tau[x][z], n),
+                                  mat_mul(rep.tau[xz][yz], rep.tau[y][z], n), n)
+                    if [list(r) for r in rep.tau[xy][z]] != rhs:
+                        found[2] = True
+                        failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
+        if not found[3]:
+            if mat_add(rep.tau[x][x], rep.eta[x][x], n) != identity(rep.dim):
+                found[3] = True
+                failures.append(f"relation (4) fails at x={x}")
+    return not failures, failures
+
+
+def _reference_extension(rep, kappa):
+    """The extension table with two products per cell."""
+    q, N, m = rep.quandle, rep.modulus, rep.dim
+    total = N ** m * q.size
+    vectors = [list(v) for v in itertools.product(range(N), repeat=m)]
+    vindex = {tuple(v): i for i, v in enumerate(vectors)}
+    table = [[0] * total for _ in range(total)]
+    for ai, a in enumerate(vectors):
+        for x in range(q.size):
+            row = table[ai * q.size + x]
+            for bi, b in enumerate(vectors):
+                for y in range(q.size):
+                    val = mat_vec(rep.eta[x][y], a, N)
+                    tb = mat_vec(rep.tau[x][y], b, N)
+                    val = [(s + t) % N for s, t in zip(val, tb)]
+                    if kappa is not None:
+                        val = [(s + t) % N for s, t in zip(val, kappa.value((x, y)))]
+                    row[bi * q.size + y] = vindex[tuple(val)] * q.size + q.op(x, y)
+    return table
+
+
+def _same_relations(rep):
+    report = verify_relations(rep)
+    assert (report.passed, report.failures) == _reference_relations(rep)
+    return report
+
+
+def _same_axioms(table):
+    report = verify_axioms(table)
+    assert (report.passed, report.failures) == _reference_axioms(table)
+    return report
+
+
+def _shorthand_rep(quandle, rep):
+    return qio.load_rep(rep, quandle=qio.load_quandle(quandle))
+
+
+def test_regular_conjugation_reps_match_reference():
+    """The 12 reps the benchmark checks.  From Z2 on, a cache that kept
+    products and relation (3) sums under one operand-pair key reports a
+    false relation (3) failure."""
+    for g in small_groups(8):
+        grep = regular_group_rep(g, make_conj(g), list(range(g.size)), modulus=7)
+        assert _same_relations(make_conj_rep(grep)).passed
+
+
+def test_wada_and_alexander_reps_match_reference():
+    for g in small_groups(6):
+        for m in (1, 2):
+            grep = regular_group_rep(g, make_conj(g, power=m), list(range(g.size)),
+                                     modulus=5, power=m)
+            assert _same_relations(make_wada_rep(grep, m)).passed
+        grep = regular_group_rep(g, make_core(g), list(range(g.size)), modulus=5,
+                                 check=False)
+        assert _same_relations(make_wada_rep(grep, "core")).passed
+    for q in (make_dihedral(3), make_dihedral(4), make_trivial(2), make_alexander(5, 3)):
+        for n, t in ((3, 2), (5, 4), (9, 2), (4, 3)):
+            assert _same_relations(make_alexander_rep(q, n, t)).passed
+    assert _same_relations(make_alexander_rep(make_trivial(2), 5, [[0, 1], [1, 1]])).passed
+
+
+def test_mutated_reps_match_reference():
+    """One entry of eta or tau changed per rep: every relation, and the
+    invertibility test, is the first failure somewhere."""
+    base = [_shorthand_rep("dihedral:3", "conj-rep:perm3"),
+            _shorthand_rep("dihedral:5", "alexander-rep:5:2"),
+            _shorthand_rep("trivial:2", "trivial-action:3"),
+            _shorthand_rep("alexander:5:2", "alexander-rep:7:3")]
+    rng = random.Random(5)
+    first = set()
+    for _ in range(200):
+        rep = rng.choice(base)
+        n, size, dim = rep.modulus, rep.quandle.size, rep.dim
+        tables = {"eta": [[[list(r) for r in m] for m in row] for row in rep.eta],
+                  "tau": [[[list(r) for r in m] for m in row] for row in rep.tau]}
+        name = rng.choice(["eta", "tau"])
+        x, y = rng.randrange(size), rng.randrange(size)
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        tables[name][x][y][i][j] = (tables[name][x][y][i][j] + rng.randrange(1, n)) % n
+        mutant = make_rep(rep.quandle, n, tables["eta"], tables["tau"], rho=rep.rho,
+                          check=False)
+        failures = _same_relations(mutant).failures
+        if failures:
+            first.add("eta" if failures[0].startswith("eta") else failures[0][:12])
+    assert first == {"eta", "relation (1)", "relation (2)", "relation (3)",
+                     "relation (4)"}
+
+
+def _quandle_tables():
+    for n in range(3, 7):
+        yield [list(r) for r in make_dihedral(n).table]
+    for n in (2, 5):
+        yield [list(r) for r in make_trivial(n).table]
+    yield [list(r) for r in make_alexander(5, 2).table]
+    for g in small_groups(6):
+        yield [list(r) for r in make_conj(g).table]
+        yield [list(r) for r in make_core(g).table]
+
+
+def test_tables_match_reference():
+    """Quandles pass; mutants of them (one entry changed, or two entries of
+    a column swapped off the diagonal) and random tables of size <= 6 break
+    each axiom somewhere, and axiom III alone; sizes 0 and 1 pass."""
+    assert _same_axioms([]).passed
+    assert _same_axioms([[0]]).passed
+    rng = random.Random(7)
+    seen = set()
+    only_three = False
+    for table in _quandle_tables():
+        assert _same_axioms(table).passed
+        n = len(table)
+        for _ in range(12 if n > 1 else 0):
+            mutant = [row[:] for row in table]
+            a, a2, b = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.5:
+                mutant[a][b] = (mutant[a][b] + rng.randrange(1, n)) % n
+            elif b not in (a, a2):   # a column stays a permutation
+                mutant[a][b], mutant[a2][b] = mutant[a2][b], mutant[a][b]
+            failures = _same_axioms(mutant).failures
+            seen.update(f.split(" fails")[0] for f in failures)
+            only_three |= [f.split(" fails")[0] for f in failures] == ["axiom III"]
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        _same_axioms([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    assert seen == {"axiom I", "axiom II", "axiom III"}
+    assert only_three
+
+
+EXTENSIONS = [  # the benchmark's extend configurations
+    ("trivial:2", "trivial-action:2"), ("dihedral:3", "alexander-rep:3:2"),
+    ("dihedral:4", "alexander-rep:3:2"), ("dihedral:5", "alexander-rep:5:2")]
+
+
+@pytest.mark.parametrize("quandle,rep", EXTENSIONS)
+def test_extension_matches_reference(quandle, rep):
+    rep = _shorthand_rep(quandle, rep)
+    table, report, ext = dynamical_extension(rep)
+    assert table == _reference_extension(rep, None)
+    assert (report.passed, report.failures) == _reference_axioms(table)
+    assert report.passed and ext.size == len(table)
+
+
+def test_cocycle_extension_matches_reference():
+    """The 81-element extension of R3 by perm3 mod 3 with the first cocycle
+    of the searched basis, and with a cochain that is no cocycle."""
+    rep = _shorthand_rep("dihedral:3", "conj-rep:perm3")
+    kappa = cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2)[0]
+    broken = Cochain(2, 3, 3, {(0, 1): [1, 0, 0]})
+    for k, passes in ((kappa, True), (broken, False)):
+        table, report, ext = dynamical_extension(rep, k)
+        assert len(table) == 81
+        assert table == _reference_extension(rep, k)
+        assert (report.passed, report.failures) == _reference_axioms(table)
+        assert report.passed is passes and (ext is not None) is passes

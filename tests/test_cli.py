@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,18 @@ def test_alexander_guard_exit_code(capsys):
     for guard in ("14640", "100"):
         assert main(argv + ["--guard", guard]) == 3
         assert "14641 Laurent products" in capsys.readouterr().err
+
+
+def test_alexander_refuses_many_strands_before_building(capsys):
+    """A knot on k strands needs at least k - 1 letters, so k = 10^9 with one
+    letter is a link, refused without a list of k entries."""
+    t0 = time.monotonic()
+    assert main(["invariant", "alexander", "--braid", "k=1000000000; 1"]) == 2
+    assert time.monotonic() - t0 < 1
+    assert "closure is a link" in capsys.readouterr().err
+    # k = letters + 1 still reaches the component count
+    assert main(["invariant", "alexander", "--braid", "k=3; 1 2"]) == 0
+    assert main(["invariant", "alexander", "--braid", "k=3; 1 1"]) == 2
 
 
 def test_check_rep(capsys):
