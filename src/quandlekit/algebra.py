@@ -91,6 +91,22 @@ class GroupRep:
     rho: tuple[tuple[tuple[int, ...], ...], ...]
     label: str = ""
 
+    @cached_property
+    def _passed(self) -> set:
+        # the powers m for which check_group_rep(self, m) has passed
+        return set()
+
+
+def _require_group_rep(g: GroupRep, power: int = 1) -> None:
+    """Raise CheckFailed unless check_group_rep(g, power) passes; a pass is
+    remembered on g, so each power is checked once."""
+    if power in g._passed:
+        return
+    report = check_group_rep(g, power=power)
+    if not report:
+        raise CheckFailed("; ".join(report.failures))
+    g._passed.add(power)
+
 
 def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
     """Conjugation consistency: rho(x*y) == rho(y)^m rho(x) rho(y)^-m mod N,
@@ -128,9 +144,7 @@ def make_group_rep(quandle: FiniteQuandle, modulus: int, rho, label: str = "",
     g = GroupRep(quandle=quandle, modulus=modulus, dim=len(rho[0]),
                  rho=tuple(_freeze(m) for m in rho), label=label)
     if check:
-        report = check_group_rep(g, power=power)
-        if not report:
-            raise CheckFailed("; ".join(report.failures))
+        _require_group_rep(g, power)
     return g
 
 
@@ -260,9 +274,7 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t,
 
 def make_conj_rep(g: GroupRep) -> AlgebraRep:
     """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y)."""
-    report = check_group_rep(g)
-    if not report:
-        raise CheckFailed("; ".join(report.failures))
+    _require_group_rep(g)
     q, n, dim = g.quandle, g.modulus, g.dim
     eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
     tau = [[mat_sub(identity(dim), g.rho[q.op(x, y)], n)

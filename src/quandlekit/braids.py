@@ -207,25 +207,49 @@ def _search_plan(w: BraidWord):
     """(at, bottom, branch): the crossings on each arc, the arc at each bottom
     position, and the arcs to branch on, chosen greedily among those that
     would force a bottom arc not yet known: the one forcing the most arcs
-    first, ties to the lowest arc id.  Each forces a new bottom arc, and the
-    bottom arcs force all arcs, so there are at most k branch arcs."""
+    first, ties to the lowest arc id.  Each forces a new bottom arc, so there
+    are at most k branch arcs.
+
+    A trial colors its arc in place and is undone along its trail.  An arc in
+    no crossing is a whole strand, so a bottom arc that forces nothing else:
+    it is never tried, and picking it changes no trial, so the last scan is
+    reused.  So the plan makes at most k picks and k + 1 scans, each of at
+    most 3 * letters trials that visit at most 3 * letters crossing slots:
+    O(k * (letters + 1)^2) steps in all."""
     count, crossings, bottom = closure_arcs(w)
     at: list[list] = [[] for _ in range(count)]
     for c in crossings:
         for a in set(c):
             at[a].append(c)
+    is_bottom = [False] * count
+    for b in bottom:
+        is_bottom[b] = True
+    crossed = [a for a in range(count) if at[a]]
+    lone = [a for a in range(count) if not at[a]]   # whole strands, at the bottom
     known, branch = [-1] * count, []
-    while min(known[b] for b in bottom) < 0:
-        best = None
-        for a in (a for a in range(count) if known[a] < 0):
-            got, trail = list(known), [a]
-            got[a] = 0
-            _propagate(at, _ONE, _ONE, got, a, trail)
-            if any(known[b] < got[b] for b in bottom) and (
-                    best is None or len(trail) > len(best[1])):
-                best = got, trail
-        known = best[0]
-        branch.append(best[1][0])
+    missing, next_lone, scan = sum(is_bottom), 0, None
+    while missing:
+        if scan is None:
+            scan = []       # the first longest qualifying trail of a crossed arc
+            for a in crossed:
+                if known[a] >= 0:
+                    continue
+                known[a], trail = 0, [a]
+                _propagate(at, _ONE, _ONE, known, a, trail)
+                for t in trail:
+                    known[t] = -1
+                if len(trail) > len(scan) and any(is_bottom[t] for t in trail):
+                    scan = trail
+        if next_lone < len(lone) and (
+                not scan or len(scan) == 1 and lone[next_lone] < scan[0]):
+            pick = [lone[next_lone]]
+            next_lone += 1
+        else:
+            pick, scan = scan, None
+        for t in pick:
+            known[t] = 0
+            missing -= is_bottom[t]
+        branch.append(pick[0])
     return at, bottom, branch
 
 
@@ -237,29 +261,43 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     with every value in turn and propagates each choice, pruning on a clash;
     it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work.
     Past k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
-    comparison never builds a larger power."""
+    comparison never builds a larger power.  The guard also bounds the
+    plan's k * (letters + 1)^2 steps, which |X|^k does not when |X| = 1."""
     if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
                             f"colorings exceed the guard of {guard}")
+    steps = w.strands * (len(w.letters) + 1) ** 2
+    if steps > guard:
+        raise GuardExceeded(
+            f"the search plan on {power_text(w.strands)} strands and "
+            f"{len(w.letters)} letters takes up to {power_text(steps)} steps, "
+            f"over the guard of {guard}")
     at, bottom, branch = _search_plan(w)
     table, inv = q.table, q._inv_table
     col = [-1] * len(at)
     out = []
-
-    def search(depth):
-        if depth == len(branch):
-            out.append(tuple(col[a] for a in bottom))
-            return
-        a = branch[depth]
-        for v in range(q.size):
-            col[a] = v
-            trail = [a]
-            if _propagate(at, table, inv, col, a, trail):
-                search(depth + 1)
-            for b in trail:
+    # depth-first with explicit stacks, since |X| = 1 allows thousands of
+    # branch arcs (never none, as k >= 1): the values left for each depth's
+    # arc, and what its current value colored
+    values, trails = [iter(range(q.size))], []
+    while values:
+        depth = len(values) - 1
+        if len(trails) > depth:
+            for b in trails.pop():
                 col[b] = -1
-
-    search(0)
+        v = next(values[-1], -1)
+        if v < 0:
+            values.pop()
+            continue
+        a = branch[depth]
+        col[a] = v
+        trail = [a]
+        trails.append(trail)
+        if _propagate(at, table, inv, col, a, trail):
+            if depth + 1 < len(branch):
+                values.append(iter(range(q.size)))
+            else:
+                out.append(tuple(col[a] for a in bottom))
     out.sort()
     return out
 

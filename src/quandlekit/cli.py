@@ -13,16 +13,23 @@ negative `homology` degree.  `search` takes any modulus N and lists
 generators of the cocycles over Z_N, with N under the key "prime" and
 their number under "dimension"; for prime N they are a basis.  `invariant`
 bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
-by --guard, `invariant alexander` its n^4 Laurent products on n arcs, and
-`search` and `homology` the cells of the coboundary matrix.
+by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
+of the coloring search's plan; `invariant alexander` bounds its n^4 Laurent
+products on n arcs, and `search` and `homology` the cells of the coboundary
+matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
+
+`main(argv)` may be called many times in one process: the argparse parser
+is built on the first call and reused, so a call costs its command and the
+parse of its argv.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as qio
@@ -215,7 +222,12 @@ def _poly_str(poly) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The quandlekit parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged (every argv gets a fresh Namespace),
+    and the subcommands' `func` defaults are the module's cmd_* functions."""
     parser = argparse.ArgumentParser(
         prog="quandlekit",
         description="quandle cocycle and module invariants of closed braids")
@@ -287,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailed as exc:

@@ -70,6 +70,29 @@ def test_perm3_conj_rep_checks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_regular_conj_rep_checks_once(monkeypatch):
+    """make_conj_rep does not redo the check that regular_group_rep passed,
+    and still checks a rho built with check=False."""
+    from quandlekit import algebra
+    check, calls = algebra.check_group_rep, []
+
+    def counted(g, power=1):
+        calls.append(g)
+        return check(g, power)
+
+    monkeypatch.setattr(algebra, "check_group_rep", counted)
+    q8 = next(g for g in small_groups(8) if g.label == "Q8")
+    rep = make_conj_rep(regular_group_rep(q8, make_conj(q8), list(range(8)),
+                                          modulus=7))
+    assert len(calls) == 1 and verify_relations(rep).passed
+    bad = make_group_rep(make_dihedral(3), 5, [[[2]], [[2]], [[1]]], check=False)
+    with pytest.raises(CheckFailed):
+        make_conj_rep(bad)
+    with pytest.raises(CheckFailed):
+        make_conj_rep(bad)
+    assert len(calls) == 3
+
+
 def test_conj_rep_rejects_bad_group_rep():
     q = make_dihedral(3)
     # constant rho = diag(2) is not conjugation-consistent on R3

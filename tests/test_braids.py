@@ -159,6 +159,38 @@ def test_propagation_matches_brute_force(q, w):
         assert len(braids._search_plan(v)[2]) <= v.strands
 
 
+def _plan_by_copies(w):
+    """The reference search plan: each pick copies the known arcs for a
+    trial on every unknown arc, and rescans the bottom arcs."""
+    count, crossings, bottom = braids.closure_arcs(w)
+    at = [[] for _ in range(count)]
+    for c in crossings:
+        for a in set(c):
+            at[a].append(c)
+    known, branch = [-1] * count, []
+    while min(known[b] for b in bottom) < 0:
+        best = None
+        for a in (a for a in range(count) if known[a] < 0):
+            got, trail = list(known), [a]
+            got[a] = 0
+            braids._propagate(at, braids._ONE, braids._ONE, got, a, trail)
+            if any(known[b] < got[b] for b in bottom) and (
+                    best is None or len(trail) > len(best[1])):
+                best = got, trail
+        known = best[0]
+        branch.append(best[1][0])
+    return at, bottom, branch
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(w=_braid_words())
+def test_search_plan_matches_the_copying_greedy(w):
+    """Trials in place, untried whole strands and a reused scan pick the same
+    branch arcs as copying the known arcs for every trial."""
+    for v in [w, *markov_moves(w)]:
+        assert braids._search_plan(v) == _plan_by_copies(v)
+
+
 def test_coloring_counts():
     r3, r5 = make_dihedral(3), make_dihedral(5)
     assert len(colorings_of_closure(r3, braid_or_knot("3_1"))) == 9

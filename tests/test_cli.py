@@ -1,8 +1,10 @@
+import argparse
 import json
 import time
 
 import pytest
 
+import quandlekit.cli as cli
 import quandlekit.homology as homology
 from quandlekit.cli import main
 
@@ -477,6 +479,74 @@ def test_colorings_guard_does_not_build_the_power(capsys):
     assert main(["colorings", "dihedral:3", "k=10000000; 1"]) == 3
     assert time.perf_counter() - start < 1
     assert "3^10000000 candidate colorings" in capsys.readouterr().err
+
+
+def test_colorings_guard_bounds_the_search_plan(capsys):
+    """Over a one-element quandle |X|^k = 1 passes any guard.  The plan's
+    k * (letters + 1)^2 steps are bounded too: 2000 * 2^2 passes the default
+    guard and finishes within a second, and 20 * 31^2 = 19220 needs a guard
+    of 19220."""
+    start = time.perf_counter()
+    assert main(["colorings", "trivial:1", "k=2000; 1"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["colorings"] == [[0] * 2000]
+    argv = ["colorings", "trivial:1", "k=20; " + " ".join(["1 -2"] * 15)]
+    assert main(argv + ["--guard", "19219"]) == 3
+    assert "search plan" in capsys.readouterr().err
+    assert main(argv + ["--guard", "19220"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
+def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
+                                                            monkeypatch):
+    """main reuses one parser: an interleaved sequence gives the outputs and
+    exit codes of runs with a freshly built parser, and an option given to
+    one call (--quandle, --guard) does not reach the next."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    module = ["invariant", "module", "--rep", "alexander-rep:5:2", "--knot", "3_1"]
+    sequence = [
+        ["check", "quandle", "dihedral:3"],
+        module + ["--quandle", "dihedral:3", "--guard", "40", "--out", str(a)],
+        ["invariant", "alexander", "--braid", "k=2; 1 1 1 1 1 1 1"],
+        module,
+        module + ["--quandle", "trivial:1", "--out", str(b)],
+        ["colorings", "dihedral:3", "3_1"],
+        ["colorings"],
+        ["compare", str(a), str(b)],
+        ["search", "2", "dihedral:3", "conj-rep:perm3", "3", "--quandle"],
+        ["search", "2", "dihedral:3", "alexander-rep:3:2", "3"],
+        ["homology", "2", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
+        ["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
+        ["invariant", "alexander", "--knot", "5_1"],
+        ["colorings", "--help"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    reused = outcomes()
+    assert built.count("quandlekit") == 1 and len(built) == 8  # 7 subparsers
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0,
+                                               0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == reused
+    assert len(built) == 8 * (1 + len(sequence))
 
 
 def test_factoring_a_modulus_is_bounded(capsys):
