@@ -74,14 +74,7 @@ def cmd_check(args) -> int:
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
         # input error
-        if args.target.split(":")[0] in qio.QUANDLE_SHORTHANDS:
-            table = [list(r) for r in qio.load_quandle(args.target).table]
-        else:
-            doc = qio._load_json(args.target)
-            if "table" not in doc:
-                raise InputError("quandle document is missing 'table'")
-            table = doc["table"]
-        report = verify_axioms(table)
+        report = verify_axioms(qio.load_table(args.target))
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
         report = verify_relations(_rep_on_quandle(args, args.target, check=False))
@@ -92,11 +85,8 @@ def cmd_check(args) -> int:
         if is_cocycle is None:
             raise InputError(f"cocycle checks support degrees 2 and 3, "
                              f"got degree {kappa.degree}")
-        work = rep.quandle.size ** (kappa.degree + 1)
-        if work > args.guard:
-            raise GuardExceeded(
-                f"{work} boundary tuples exceed the guard of {args.guard}")
-        ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa)
+        ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa,
+                        guard=args.guard)
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
     else:
@@ -184,8 +174,8 @@ def cmd_compare(args) -> int:
         entries = doc["multiset"]
         modulus, dim = doc.get("modulus", 0), doc.get("dim", 0)
         rows_ok = isinstance(entries, list) and all(
-            isinstance(e, list) and all(isinstance(x, int) for x in e) for e in entries)
-        if not (rows_ok and isinstance(modulus, int) and isinstance(dim, int)):
+            isinstance(e, list) and all(type(x) is int for x in e) for e in entries)
+        if not (rows_ok and type(modulus) is int and type(dim) is int):
             raise InputError(f"{path}: 'multiset' must be a list of integer lists "
                              "and 'modulus' and 'dim' integers")
         docs.append(InvariantMultiset(tuple(tuple(e) for e in entries), modulus, dim))

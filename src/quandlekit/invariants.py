@@ -42,10 +42,7 @@ def _require_cocycle(rep: AlgebraRep, kappa: Cochain, guard: int = GUARD) -> Non
     # diagram chains need rho: say so before the size^3 cocycle check
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
-    work = rep.quandle.size ** 3
-    if work > guard:
-        raise GuardExceeded(f"{work} boundary tuples exceed the guard of {guard}")
-    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
+    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa, guard):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
 

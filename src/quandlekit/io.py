@@ -41,13 +41,23 @@ def quandle_to_doc(q: FiniteQuandle) -> dict:
             "label": q.label}
 
 
-def quandle_from_doc(doc: dict, label: str = "") -> FiniteQuandle:
-    if "table" not in doc:
+def table_from_doc(doc: dict) -> list:
+    """The operation table of a quandle document, a list of rows whose
+    axioms are not yet checked; its 'size', if given, must count the rows."""
+    if not isinstance(doc, dict) or "table" not in doc:
         raise InputError("quandle document is missing 'table'")
     table = doc["table"]
-    if "size" in doc and doc["size"] != len(table):
+    if not (isinstance(table, (list, tuple))
+            and all(isinstance(r, (list, tuple)) for r in table)):
+        raise InputError("quandle 'table' must be a list of rows")
+    # type(...) is int: a JSON true is an int to isinstance
+    if "size" in doc and (type(doc["size"]) is not int or doc["size"] != len(table)):
         raise InputError("quandle document 'size' disagrees with the table")
-    return quandle_from_table(table, label=doc.get("label", label))
+    return table
+
+
+def quandle_from_doc(doc: dict, label: str = "") -> FiniteQuandle:
+    return quandle_from_table(table_from_doc(doc), label=doc.get("label", label))
 
 
 # shorthand name -> (constructor, number of integer arguments)
@@ -68,6 +78,14 @@ def load_quandle(spec: str) -> FiniteQuandle:
     return make(*_ints(spec, args))
 
 
+def load_table(spec: str) -> list:
+    """The operation table of a quandle shorthand or JSON file, before its
+    axioms are checked, so that a table failing them can be reported."""
+    if spec.split(":")[0] in QUANDLE_SHORTHANDS:
+        return [list(r) for r in load_quandle(spec).table]
+    return table_from_doc(_load_json(spec))
+
+
 def rep_to_doc(rep: AlgebraRep) -> dict:
     return {
         "quandle": quandle_to_doc(rep.quandle),
@@ -80,11 +98,12 @@ def rep_to_doc(rep: AlgebraRep) -> dict:
 
 
 def _has_shape(v, shape) -> bool:
-    """v is nested lists of the lengths in `shape`, with integer leaves."""
+    """v is nested lists of the lengths in `shape`, with integer leaves (not
+    JSON true or false, which are ints to isinstance)."""
     if not (isinstance(v, list) and len(v) == shape[0]):
         return False
     if len(shape) == 1:
-        return all(isinstance(e, int) for e in v)
+        return all(type(e) is int for e in v)
     return all(_has_shape(x, shape[1:]) for x in v)
 
 
@@ -107,7 +126,7 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
     elif quandle is None:
         raise InputError("rep document has no quandle and none was supplied")
     modulus, dim, size = doc["modulus"], doc["dim"], quandle.size
-    if not all(isinstance(v, int) and v >= 1 for v in (modulus, dim)):
+    if not all(type(v) is int and v >= 1 for v in (modulus, dim)):
         raise InputError("rep 'modulus' and 'dim' must be positive integers")
     if not all(_has_shape(doc[k], (size, size, dim, dim)) for k in ("eta", "tau")):
         raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
@@ -165,7 +184,7 @@ def cochain_from_doc(doc: dict) -> Cochain:
         if key not in doc:
             raise InputError(f"cochain document is missing {key!r}")
     degree, modulus, dim = doc["degree"], doc["modulus"], doc["dim"]
-    if not all(isinstance(v, int) and v >= 1 for v in (degree, modulus, dim)):
+    if not all(type(v) is int and v >= 1 for v in (degree, modulus, dim)):
         raise InputError("cochain 'degree', 'modulus' and 'dim' must be "
                          "positive integers")
     if not isinstance(doc.get("values", {}), dict):

@@ -41,8 +41,9 @@ def verify_axioms(table) -> ValidationReport:
         if len(row) != n:
             raise InputError("table is not square")
         for e in row:
-            if not isinstance(e, int) or not (0 <= e < n):
-                raise InputError(f"table entry {e!r} out of range 0..{n - 1}")
+            # type(e) is int: True and False are ints to isinstance
+            if type(e) is not int or not (0 <= e < n):
+                raise InputError(f"table entry {e!r} is not an integer in 0..{n - 1}")
     failures = []
     for a in range(n):
         if table[a][a] != a:

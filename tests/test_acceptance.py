@@ -39,11 +39,11 @@ from quandlekit.fox import (
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
+    _basis,
     boundary_matrix,
     coboundary,
     cocycle_space,
     is_cocycle_2,
-    tuple_index,
 )
 from quandlekit.invariants import (
     cocycle_invariant,
@@ -197,15 +197,16 @@ def test_criterion_06_two_chains_are_cycles():
     rep = make_conj_rep(permutation_rep_r3(3))
     cfg = ComplexConfig(rep=rep, variant="rack")
     b1 = boundary_matrix(cfg, 1)
+    basis = _basis(cfg, 2)
     m, N = rep.dim, rep.modulus
     for name in ("3_1", "4_1"):
         w = braid_or_knot(name)
         for coloring in colorings_of_closure(q, w):
             chain = diagram_two_chain(rep, w, coloring)
             for j in range(m):
-                vec = [0] * (q.size ** 2 * m)
+                vec = [0] * (len(basis) * m)
                 for key, coef in chain.items():
-                    base = tuple_index(q.size, key) * m
+                    base = basis[key] * m
                     for i in range(m):
                         vec[base + i] = coef[i][j]
                 ok &= not any(mat_vec(b1, vec, N))

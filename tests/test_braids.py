@@ -25,7 +25,7 @@ from quandlekit.braids import (
     parse_braid,
 )
 from quandlekit.errors import GuardExceeded, InputError
-from quandlekit.homology import ComplexConfig, boundary_matrix, tuple_index
+from quandlekit.homology import ComplexConfig, _basis, boundary_matrix
 from quandlekit.linalg import mat_mul, mat_vec
 from quandlekit.groups import symmetric_group
 from quandlekit.quandles import make_alexander, make_conj, make_dihedral, make_trivial
@@ -287,15 +287,16 @@ def test_two_chains_are_cycles():
     rep = make_conj_rep(permutation_rep_r3(3))
     cfg = ComplexConfig(rep=rep, variant="rack")
     b1 = boundary_matrix(cfg, 1)
+    basis = _basis(cfg, 2)
     m, N = rep.dim, rep.modulus
     for name in ("3_1", "4_1"):
         w = braid_or_knot(name)
         for coloring in colorings_of_closure(q, w):
             chain = diagram_two_chain(rep, w, coloring)
             for j in range(m):
-                vec = [0] * (q.size ** 2 * m)
+                vec = [0] * (len(basis) * m)
                 for key, coef in chain.items():
-                    base = tuple_index(q.size, key) * m
+                    base = basis[key] * m
                     for i in range(m):
                         vec[base + i] = coef[i][j]
                 assert not any(mat_vec(b1, vec, N))

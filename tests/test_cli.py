@@ -198,7 +198,7 @@ def test_search_over_composite_modulus(capsys, tmp_path):
     """Over Z_9 `search` gives generators, each a cocycle by `check cocycle`,
     that span a group of the order of ker(delta) from ker_mod_im."""
     import math
-    from quandlekit.homology import ComplexConfig, _admissible_block
+    from quandlekit.homology import ComplexConfig, coboundary_matrix
     from quandlekit.io import load_quandle, load_rep
     from quandlekit.linalg import cokernel_mod, ker_mod_im
     args = ["dihedral:3", "alexander-rep:9:2", "9"]
@@ -216,7 +216,7 @@ def test_search_over_composite_modulus(capsys, tmp_path):
     cols = [[k["values"].get(key, [0])[0] for k in doc["basis"]] for key in keys]
     span = 9 ** len(keys) // math.prod(cokernel_mod(cols, 9))
     rep = load_rep(args[1], quandle=load_quandle(args[0]))
-    block = _admissible_block(ComplexConfig(rep=rep), 2)
+    block = coboundary_matrix(ComplexConfig(rep=rep), 2)
     # |Z^2| = |H^2| |B^2| = 9 * 9^3 / |ker delta^1| = 9 * 27
     assert span == math.prod(ker_mod_im(block, [[] for _ in block[0]], 9)) == 243
 
@@ -306,7 +306,10 @@ def _write_inputs(tmp_path):
     integers, a value that is not a list, a value entry that is not an
     integer, modulus 0 and 'values' that is not an object, JSON reps of
     conj-rep:perm3 without a 'quandle' key and with a broken 'eta', a file
-    holding the number 5 and an invariant document whose 'multiset' is 5."""
+    holding the number 5 and an invariant document whose 'multiset' is 5.
+    Then documents of each kind holding JSON true where an integer belongs,
+    a quandle whose 'size' disagrees with its valid R3 table and one whose
+    'table' is not a list of rows."""
     from quandlekit.io import load_rep, rep_to_doc
     doc = rep_to_doc(load_rep("conj-rep:perm3"))
     del doc["quandle"]
@@ -325,7 +328,20 @@ def _write_inputs(tmp_path):
                             "values": {"0,1": [1, 0, 0]}},
              "kappa_list": {"degree": 2, "modulus": 3, "dim": 3,
                             "values": [[1, 0, 0]]},
-             "num": 5, "ms5": {"multiset": 5}}
+             "num": 5, "ms5": {"multiset": 5},
+             "q_bool": {"table": [[0, 0], [True, 1]]},
+             "q_size_bool": {"size": True, "table": [[0]]},
+             "q_size": {"size": 5, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]},
+             "q_rows": {"table": [1, 2]},
+             "rep_bool_mod": {**doc, "modulus": True},
+             "rep_bool_eta": {**doc, "eta": json.loads(
+                 json.dumps(doc["eta"]).replace("1", "true"))},
+             "kappa_bool": {"degree": 2, "modulus": 3, "dim": 3,
+                            "values": {"0,1": [True, 0, 0]}},
+             "kappa_bool_dim": {"degree": 2, "modulus": 5, "dim": True,
+                                "values": {"0,1": [0]}},
+             "ms_bool": {"multiset": [[True]], "modulus": 3, "dim": 1},
+             "ms_bool_mod": {"multiset": [[1]], "modulus": True, "dim": 1}}
     for name, content in paths.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
         paths[name] = str(tmp_path / f"{name}.json")
@@ -366,6 +382,20 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
     ["check", "rep", "{num}", "--quandle", "dihedral:3"],
     ["compare", "{ms5}", "{ms5}"],
     ["homology", "-1", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
+    ["check", "quandle", "{q_bool}"],
+    ["colorings", "{q_bool}", "3_1"],
+    ["check", "quandle", "{q_size_bool}"],
+    ["check", "quandle", "{q_size}"],
+    ["colorings", "{q_size}", "3_1"],
+    ["check", "quandle", "{q_rows}"],
+    ["colorings", "{q_rows}", "3_1"],
+    ["check", "rep", "{rep_bool_mod}", "--quandle", "dihedral:3"],
+    ["check", "rep", "{rep_bool_eta}", "--quandle", "dihedral:3"],
+    ["check", "cocycle", "{kappa_bool}", "--rep", "conj-rep:perm3"],
+    ["check", "cocycle", "{kappa_bool_dim}", "--quandle", "dihedral:3",
+     "--rep", "alexander-rep:5:2"],
+    ["compare", "{ms_bool}", "{ms_bool}"],
+    ["compare", "{ms_bool_mod}", "{ms_bool_mod}"],
 ], ids=lambda argv: " ".join(argv))
 def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     paths = _write_inputs(tmp_path)

@@ -16,6 +16,7 @@ from quandlekit.groups import cyclic_group
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
+    _basis,
     boundary_matrix,
     coboundary,
     coboundary_matrix,
@@ -25,7 +26,6 @@ from quandlekit.homology import (
     is_cocycle_2,
     is_cocycle_3,
     vector_to_cochain,
-    _admissible_block,
 )
 from quandlekit.linalg import (cokernel_mod, identity, int_kernel, ker_mod_im,
                                mat_mul, mat_vec, quotient_invariant_factors)
@@ -94,6 +94,9 @@ def test_quandle_variant_requires_diagonal_zero():
     kappa = Cochain(2, 2, 1, {(0, 0): [1]})
     assert is_cocycle_2(ComplexConfig(rep=rep, variant="rack"), kappa)
     assert not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa)
+    # a value that is zero mod N is no value
+    kappa.values[(0, 0)] = [2]
+    assert is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa)
 
 
 def test_cocycle_space_matches_exhaustive_count():
@@ -178,6 +181,63 @@ def test_vector_round_trip():
     assert back.values == values
 
 
+def test_cochain_to_vector_refuses_values_outside_the_complex():
+    """A quandle-complex cochain that is nonzero on a degenerate tuple has no
+    vector; a value that is zero mod N there is no value at all."""
+    rep = make_conj_rep(permutation_rep_r3(3))
+    cfg = ComplexConfig(rep=rep)
+    kappa = Cochain(2, 3, 3, {(0, 1): [1, 2, 0], (1, 1): [0, 2, 0]})
+    with pytest.raises(InputError, match=r"\(1, 1\)"):
+        cochain_to_vector(cfg, kappa)
+    rack = ComplexConfig(rep=rep, variant="rack")
+    assert vector_to_cochain(rack, 2, cochain_to_vector(rack, kappa)).values \
+        == kappa.values
+    kappa.values[(1, 1)] = [0, 3, 0]
+    assert cochain_to_vector(cfg, kappa) == [1, 2, 0] + [0] * 15
+
+
+def _sliced_reference(full, size, m, row_degree, col_degree):
+    """The rows and columns of a rack-complex matrix at the tuples with no
+    two equal neighbours, found by their lex index among all tuples: the
+    slicing the quandle complex's matrices were once cut out by."""
+    def coords(n):
+        keys = itertools.product(range(size), repeat=n)
+        return [idx * m + i for idx, key in enumerate(keys)
+                if all(a != b for a, b in zip(key, key[1:])) for i in range(m)]
+    return [[full[r][c] for c in coords(col_degree)] for r in coords(row_degree)]
+
+
+def test_quandle_matrices_are_the_rack_matrices_without_degenerate_tuples():
+    reps = [rep for q in (make_dihedral(3), make_dihedral(4), make_trivial(2))
+            for rep in reps_for(q)]
+    for rep in reps + [core_z3_wada_rep()]:
+        size, m = rep.quandle.size, rep.dim
+        for basepoint in (0, 1):
+            rack = ComplexConfig(rep=rep, variant="rack", basepoint=basepoint)
+            cfg = ComplexConfig(rep=rep, variant="quandle", basepoint=basepoint)
+            for n in range(4):
+                where = (rep.quandle.label, rep.label, basepoint, n)
+                delta = coboundary_matrix(cfg, n)
+                assert delta and delta == _sliced_reference(
+                    coboundary_matrix(rack, n), size, m, n + 1, n), where
+                assert boundary_matrix(cfg, n) == _sliced_reference(
+                    boundary_matrix(rack, n), size, m, n, n + 1), where
+
+
+def test_cocycle_checks_guard_their_boundary_tuples():
+    """is_cocycle_2 and is_cocycle_3 refuse more than `guard` of the
+    size^(degree + 1) boundary tuples, after the degree check."""
+    cfg = ComplexConfig(rep=make_conj_rep(permutation_rep_r3(3)))
+    zero2, zero3 = Cochain(2, 3, 3, {}), Cochain(3, 3, 3, {})
+    assert is_cocycle_2(cfg, zero2, guard=27) and is_cocycle_3(cfg, zero3, guard=81)
+    with pytest.raises(GuardExceeded, match="27 boundary tuples exceed the guard of 26"):
+        is_cocycle_2(cfg, zero2, guard=26)
+    with pytest.raises(GuardExceeded, match="81 boundary tuples"):
+        is_cocycle_3(cfg, zero3, guard=80)
+    with pytest.raises(InputError, match="degree-3"):
+        is_cocycle_3(cfg, zero2, guard=0)
+
+
 def test_cohomology_values():
     rep = make_conj_rep(permutation_rep_r3(3))
     assert cohomology(ComplexConfig(rep=rep, variant="quandle"), 2) == [3]
@@ -245,9 +305,9 @@ def test_cohomology_matches_kernel_and_image_counts(quandle, variant):
 
 def _deltas(cfg, degree):
     """delta^degree and delta^(degree-1) on the admissible cochains."""
-    down = (_admissible_block(cfg, degree - 1) if degree
+    down = (coboundary_matrix(cfg, degree - 1) if degree
             else [[] for _ in range(cfg.rep.dim)])
-    return _admissible_block(cfg, degree), down
+    return coboundary_matrix(cfg, degree), down
 
 
 def _lattice_cohomology(cfg, degree):
@@ -330,11 +390,11 @@ def test_cocycle_space_generates_the_cocycles_over_composite_moduli(variant):
             gens = cocycle_space(cfg, degree)
             is_cocycle = is_cocycle_2 if degree == 2 else is_cocycle_3
             assert all(is_cocycle(cfg, k) for k in gens), (rep.label, degree)
-            n, length = rep.modulus, rep.quandle.size ** degree * rep.dim
+            n, length = rep.modulus, len(_basis(cfg, degree)) * rep.dim
             cols = [cochain_to_vector(cfg, k) for k in gens]
             span = n ** length // math.prod(cokernel_mod(
                 [list(r) for r in zip(*cols)] if cols else [[]] * length, n))
-            block = _admissible_block(cfg, degree)
+            block = coboundary_matrix(cfg, degree)
             kernel = math.prod(ker_mod_im(block, [[] for _ in block[0]], n))
             assert span == kernel > 1, (rep.label, degree)
 
