@@ -46,6 +46,17 @@ class AlgebraRep:
         # (x, y) -> bar(self, x, y), filled as crossings ask for it
         return {}
 
+    @cached_property
+    def _bar_blocks(self) -> dict:
+        # (eta[z][y], tau[z][y]) -> its bar pair: one inverse per distinct block
+        return {}
+
+    @cached_property
+    def _crossing_blocks(self) -> tuple[dict, dict, list]:
+        # braids.crossing_blocks' numbering: (positive?, u, v) -> number,
+        # block pair -> number, and number -> block pair
+        return {}, {}, []
+
 
 def _freeze(m: Matrix):
     return tuple(tuple(row) for row in m)
@@ -336,11 +347,18 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
 
 def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:
     """The negative-crossing coefficients, as frozen matrices cached on rep:
-    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y]."""
-    if (x, y) not in rep._bars:
-        q, n = rep.quandle, rep.modulus
-        z = q.inv_op(x, y)
-        eta_bar = mat_inv_mod(rep.eta[z][y], n)
-        tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
-        rep._bars[x, y] = _freeze(eta_bar), _freeze(tau_bar)
-    return rep._bars[x, y]
+    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y].
+    Pairs (x, y) with equal blocks (eta, tau)[x bar* y][y] share one inverse,
+    so a constant table inverts once."""
+    pair = rep._bars.get((x, y))
+    if pair is None:
+        z = rep.quandle.inv_op(x, y)
+        block = rep.eta[z][y], rep.tau[z][y]
+        pair = rep._bar_blocks.get(block)
+        if pair is None:
+            n = rep.modulus
+            eta_bar = mat_inv_mod(block[0], n)
+            tau_bar = mat_scale(-1, mat_mul(eta_bar, block[1], n), n)
+            pair = rep._bar_blocks[block] = _freeze(eta_bar), _freeze(tau_bar)
+        rep._bars[x, y] = pair
+    return pair

@@ -7,8 +7,10 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
 the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
-this crossing rule to colors; `act`, `colored_matrix` and `crossing_data`
-loop over it.
+this crossing rule to colors; `act`, `crossing_blocks` and `crossing_data`
+loop over it.  `crossing_blocks` numbers the (eta, tau) block pair that
+each letter applies, and `colored_matrix` is the one block update, a
+product over that sequence.
 
 `closure_arcs` walks the word once more for the arcs of the closed diagram:
 one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
@@ -302,48 +304,84 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     return out
 
 
-def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom) -> Matrix:
-    """The km x km matrix over Z_N of the module-color action determined by
-    the quandle colors propagated from `bottom`."""
-    N, m, k = rep.modulus, rep.dim, w.strands
-    # row blocks of the running matrix, updated in place per letter
-    blocks = [[[1 if (i == j and bi == bj) else 0
-                for bj in range(k) for j in range(m)]
-               for i in range(m)] for bi in range(k)]
+def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
+    """The coefficient sequence of the colored word, from one walk: for each
+    letter, the number of the block pair it applies, (eta, tau)[u][v] at a
+    positive crossing and bar(v, u) at a negative one.  Pairs are numbered
+    by value per rep, so colorings with the same sequence have the same
+    colored matrix; for an Alexander-type rep every coloring has the same."""
+    cells, numbers, pairs = rep._crossing_blocks
     cur = list(bottom)
+    out = []
     for e, p in _walk(rep.quandle, w, cur):
         u, v = cur[p], cur[p + 1]
+        cell = (e > 0, u, v)
+        n = cells.get(cell)
+        if n is None:
+            pair = (rep.eta[u][v], rep.tau[u][v]) if e > 0 else bar(rep, v, u)
+            n = numbers.get(pair)
+            if n is None:
+                n = numbers[pair] = len(pairs)
+                pairs.append(pair)
+            cells[cell] = n
+        out.append(n)
+    return tuple(out)
+
+
+def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix:
+    """The km x km matrix over Z_N of the module-color action determined by
+    the quandle colors propagated from `bottom`: the product of the block
+    updates of its coefficient sequence `blocks`, which is
+    crossing_blocks(rep, w, bottom) unless the caller has walked already."""
+    N, m, k = rep.modulus, rep.dim, w.strands
+    if blocks is None:
+        blocks = crossing_blocks(rep, w, bottom)
+    pairs = rep._crossing_blocks[2]
+    # row blocks of the running matrix, updated in place per letter
+    rows = [[[1 if (i == j and bi == bj) else 0
+              for bj in range(k) for j in range(m)]
+             for i in range(m)] for bi in range(k)]
+    for e, n in zip(w.letters, blocks):
+        p = abs(e) - 1
+        eta, tau = pairs[n]
         if e > 0:
-            new_p1 = mat_add(mat_mul(rep.eta[u][v], blocks[p], N),
-                             mat_mul(rep.tau[u][v], blocks[p + 1], N), N)
-            blocks[p], blocks[p + 1] = blocks[p + 1], new_p1
+            new_p1 = mat_add(mat_mul(eta, rows[p], N),
+                             mat_mul(tau, rows[p + 1], N), N)
+            rows[p], rows[p + 1] = rows[p + 1], new_p1
         else:
-            eta_bar, tau_bar = bar(rep, v, u)
-            new_p = mat_add(mat_mul(eta_bar, blocks[p + 1], N),
-                            mat_mul(tau_bar, blocks[p], N), N)
-            blocks[p], blocks[p + 1] = new_p, blocks[p]
+            new_p = mat_add(mat_mul(eta, rows[p + 1], N),
+                            mat_mul(tau, rows[p], N), N)
+            rows[p], rows[p + 1] = new_p, rows[p]
     out = []
-    for blk in blocks:
+    for blk in rows:
         out.extend(blk)
     return out
 
 
-def crossing_data(rep: AlgebraRep, w: BraidWord, coloring):
+def crossing_data(rep: AlgebraRep, w: BraidWord, coloring, paths=None):
     """Per-crossing data (sign, path action, source color pair) for a closure
     coloring, in letter order.
 
     The path action is the ordered product of rho over the strand colors to
     the right of the crossing, outermost strand first; needs a conj-type rep.
+    `paths`, a dict the caller may share between colorings of one rep,
+    remembers each path action by that tuple of colors.
     """
     q, N = rep.quandle, rep.modulus
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
+    if paths is None:
+        paths = {}
     cur = list(coloring)
     out = []
     for e, p in _walk(q, w, cur):
-        path = identity(rep.dim)
-        for s in range(w.strands - 1, p + 1, -1):
-            path = mat_mul(path, rep.rho[cur[s]], N)
+        right = tuple(cur[p + 2:])
+        path = paths.get(right)
+        if path is None:
+            path = identity(rep.dim)
+            for c in reversed(right):
+                path = mat_mul(path, rep.rho[c], N)
+            paths[right] = path
         u, v = cur[p], cur[p + 1]
         out.append((1, path, u, v) if e > 0 else (-1, path, q.inv_op(v, u), u))
     if tuple(cur) != tuple(coloring):

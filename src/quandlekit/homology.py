@@ -218,9 +218,8 @@ def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool
 
 def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
     """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
-    the kernel of delta, an echelon basis when N is prime.  The
-    size^(2 degree + 1) m^2 cells of the rack complex's delta must not
-    exceed `guard`."""
+    the kernel of delta, an echelon basis when N is prime.  The cells of
+    the chosen complex's delta must not exceed `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     _require_cells(cfg, degree, guard)
@@ -228,10 +227,21 @@ def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[C
             for vec in kernel_mod(coboundary_matrix(cfg, degree), cfg.rep.modulus)]
 
 
+def _basis_size(cfg: ComplexConfig, n: int) -> int:
+    """len(_basis(cfg, n)) without listing it: s^n n-tuples for the rack
+    complex, s (s - 1)^(n - 1) with no two equal neighbours for the quandle
+    complex, and the one empty tuple for n = 0."""
+    s = cfg.rep.quandle.size
+    if cfg.variant == "rack" or n == 0:
+        return s ** n
+    return s * (s - 1) ** (n - 1)
+
+
 def _require_cells(cfg: ComplexConfig, degree: int, guard: int) -> None:
-    """Refuse to build delta^degree when the size^(2 degree + 1) m^2 cells of
-    the rack complex's delta exceed `guard`."""
-    cells = cfg.rep.quandle.size ** (2 * degree + 1) * cfg.rep.dim ** 2
+    """Refuse to build delta^degree when its |basis(degree + 1)| x
+    |basis(degree)| blocks of m^2 cells exceed `guard`."""
+    cells = (_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
+             * cfg.rep.dim ** 2)
     if cells > guard:
         raise GuardExceeded(f"{cells} coboundary cells exceed the guard of {guard}")
 
@@ -240,7 +250,7 @@ def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
     complex that cfg.variant selects, computed by `ker_mod_im` over Z/p^e
     for each prime power p^e of N and merged by Chinese remaindering.  The
-    cells of the rack complex's delta^degree must not exceed `guard`."""
+    cells of the chosen complex's delta^degree must not exceed `guard`."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:

@@ -6,6 +6,14 @@ crossings, and the module invariant collects the cokernels of the colored
 matrices minus the identity.  Multisets are kept sorted so that equality
 and serialization are canonical.  Both run in one process, over the
 colorings of the serial search `braids.colorings_of_closure`.
+
+The colored matrix depends on a coloring only through its coefficient
+sequence, the (eta, tau) block pair met at each crossing
+(`braids.crossing_blocks`), so `module_invariant` builds one matrix and one
+cokernel per distinct sequence: one in all for an Alexander-type rep,
+whose blocks are constant.  `algebra.bar` inverts each distinct block once,
+and `cocycle_invariant` forms each path action once per call, keyed by the
+colors to the right of the crossing.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
-                     crossing_data)
+                     crossing_blocks, crossing_data)
 from .errors import (GUARD, CheckFailed, GuardExceeded, InputError,
                      power_text)
 from .homology import Cochain, ComplexConfig, is_cocycle_2
@@ -76,8 +84,9 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
     if check:
         _require_cocycle(rep, kappa, guard)
     entries = []
+    paths: dict = {}
     for coloring in colorings_of_closure(rep.quandle, w, guard=guard):
-        data = crossing_data(rep, w, coloring)
+        data = crossing_data(rep, w, coloring, paths)
         entries.append(_pairing(rep, kappa,
                                 ((e, path, (x, y)) for e, path, x, y in data)))
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
@@ -87,14 +96,21 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
 def module_invariant(rep: AlgebraRep, w: BraidWord,
                      guard: int = GUARD) -> ModuleInvariant:
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
-    rep.quandle; the |X|^k candidate colorings must not exceed `guard`."""
+    rep.quandle; the |X|^k candidate colorings must not exceed `guard`.
+    Colorings with the same coefficient sequence share one matrix and one
+    cokernel."""
     q, N = rep.quandle, rep.modulus
     entries = []
+    cokernels: dict = {}        # coefficient sequence -> invariant factors
     for coloring in colorings_of_closure(q, w, guard=guard):
-        m = colored_matrix(rep, w, coloring)
-        for i in range(len(m)):
-            m[i][i] = (m[i][i] - 1) % N
-        entries.append(tuple(cokernel_mod(m, N)))
+        blocks = crossing_blocks(rep, w, coloring)
+        entry = cokernels.get(blocks)
+        if entry is None:
+            m = colored_matrix(rep, w, coloring, blocks)
+            for i in range(len(m)):
+                m[i][i] = (m[i][i] - 1) % N
+            entry = cokernels[blocks] = tuple(cokernel_mod(m, N))
+        entries.append(entry)
     return ModuleInvariant(entries=tuple(sorted(entries)))
 
 

@@ -313,8 +313,8 @@ def _prime_powers(n: int) -> dict[int, int]:
     return out
 
 
-def _local_homology(a: Matrix, b: Matrix, p: int,
-                    e: int) -> tuple[list[int], Matrix]:
+def _local_homology(a: Matrix, b: Matrix, p: int, e: int,
+                    kernel: bool = True) -> tuple[list[int], Matrix]:
     """Exponents v >= 1 of the factors Z/p^v of ker(a)/im(b) over Z/p^e,
     where b has one row per column of a and a.b = 0, and one vector of ker(a)
     per column of a.  Each row pivots at its first entry of least
@@ -325,13 +325,16 @@ def _local_homology(a: Matrix, b: Matrix, p: int,
     the column's times p^(e-v) and whose row of b is a multiple of p^(e-v);
     a column without one leaves Z/p^e.  The quotient is the cokernel of
     those rows, divided down, beside the relations p^v; over Z/p^e a
-    cokernel of c is ker(c^T)/0, found by the same loop."""
+    cokernel of c is ker(c^T)/0, found by the same loop.  With kernel=False
+    the column-transform vectors are not kept and no kernel vectors are
+    returned."""
     q = p ** e
     a = [[x % q for x in row] for row in a]
     b = list(b)                     # rows are replaced, never changed in place
     val = [e] * len(b)              # per column: its pivot's valuation, e if none
     cols = list(range(len(b)))      # the columns of a not yet pivots
-    basis = identity(len(b))        # per column: its column-transform vector
+    # per column: its column-transform vector, when the kernel is wanted
+    basis = identity(len(b)) if kernel else None
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
         i = 0
@@ -353,15 +356,18 @@ def _local_homology(a: Matrix, b: Matrix, p: int,
             val[c] = v
             del row[j]
             acc = b[c]
-            for k, x in zip(cols, row):
-                if x:
-                    f = x // pv * inv
-                    basis[k] = [(s - f * t) % q for s, t in zip(basis[k], basis[c])]
-                    if acc:
-                        acc = [s + f * t for s, t in zip(acc, b[k])]
-            b[c] = [s % q for s in acc]
+            if basis or acc:
+                for k, x in zip(cols, row):
+                    if x:
+                        f = x // pv * inv
+                        if basis:
+                            basis[k] = [(s - f * t) % q
+                                        for s, t in zip(basis[k], basis[c])]
+                        if acc:
+                            acc = [s + f * t for s, t in zip(acc, b[k])]
+                b[c] = [s % q for s in acc]
     gens = [vec if v == e else [x * p ** (e - v) % q for x in vec]
-            for vec, v in zip(basis, val)]
+            for vec, v in zip(basis or [], val)]
     if not any(map(any, b)):
         return [v for v in val if v], gens
     if any(x % (q // p ** v) for row, v in zip(b, val) for x in row):
@@ -371,7 +377,7 @@ def _local_homology(a: Matrix, b: Matrix, p: int,
     exps = [v for v in val if v]
     ct += [[p ** v if r == t else 0 for t in range(len(exps))]
            for r, v in enumerate(exps) if v < e]
-    return _local_homology(ct, [[] for _ in exps], p, e)[0], gens
+    return _local_homology(ct, [[] for _ in exps], p, e, False)[0], gens
 
 
 def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
@@ -380,7 +386,8 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
-    local = [sorted((p ** v for v in _local_homology(a, b, p, e)[0]), reverse=True)
+    local = [sorted((p ** v for v in _local_homology(a, b, p, e, False)[0]),
+                    reverse=True)
              for p, e in _prime_powers(modulus).items()]
     n = max(map(len, local), default=0)
     return [math.prod(f[i] for f in local if i < len(f))

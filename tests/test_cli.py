@@ -68,23 +68,32 @@ def test_invariant_guard_exit_code(capsys):
 
 
 def test_coboundary_guard_comes_before_the_matrix(capsys, monkeypatch):
-    """`search` and `homology` compare the size^(2d+1) m^2 cells of delta^d
-    with --guard before building it.  R20 with degree 3 is 20^7 = 1.28e9
-    cells, which passes every other guard of `search`."""
+    """`search` and `homology` compare the |basis(d+1)| |basis(d)| m^2 cells
+    of delta^d in the chosen complex with --guard before building it: in
+    the quandle complex, s (s-1)^(n-1) n-tuples.  R20 with degree 3 is
+    137,180 x 7,220 = 990,439,600 cells, which passes every other guard of
+    `search`."""
     def refuse(*args, **kwargs):
         raise AssertionError("delta was built")
     monkeypatch.setattr(homology, "_assemble", refuse)
     assert main(["search", "3", "dihedral:20", "alexander-rep:5:2", "5"]) == 3
-    assert "1280000000 coboundary cells" in capsys.readouterr().err
+    assert "990439600 coboundary cells" in capsys.readouterr().err
+    # delta^2 on R5 with m = 1 is 80 x 20 = 1600 cells
     argv = ["homology", "2", "--quandle", "dihedral:5", "--rep", "alexander-rep:5:2"]
-    assert main(argv + ["--guard", str(5 ** 5 - 1)]) == 3
+    assert main(argv + ["--guard", "1599"]) == 3
+    assert "1600 coboundary cells" in capsys.readouterr().err
     monkeypatch.undo()
-    # conj-rep:perm3 has dim 3: delta^2 on R3 has 3^5 * 3^2 = 2187 cells
+    assert main(argv + ["--guard", "1600"]) == 0
+    # conj-rep:perm3 has dim 3: delta^2 on R3 has 12 x 6 x 3^2 = 648 cells,
+    # and 3^5 x 3^2 = 2187 in the rack complex
     argv = ["search", "2", "dihedral:3", "conj-rep:perm3", "3", "--guard"]
-    assert main(argv + ["2186"]) == 3
-    assert main(argv + ["2187"]) == 0
-    assert main(["homology", "2", "--quandle", "dihedral:3", "--rep",
-                 "conj-rep:perm3", "--guard", "2187"]) == 0
+    assert main(argv + ["647"]) == 3
+    assert main(argv + ["648"]) == 0
+    argv = ["homology", "2", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+            "--guard"]
+    assert main(argv + ["648"]) == 0
+    assert main(argv + ["2186", "--variant", "rack"]) == 3
+    assert main(argv + ["2187", "--variant", "rack"]) == 0
 
 
 def test_alexander_guard_exit_code(capsys):

@@ -17,6 +17,7 @@ from quandlekit.homology import (
     Cochain,
     ComplexConfig,
     _basis,
+    _basis_size,
     boundary_matrix,
     coboundary,
     coboundary_matrix,
@@ -236,6 +237,18 @@ def test_cocycle_checks_guard_their_boundary_tuples():
         is_cocycle_3(cfg, zero3, guard=80)
     with pytest.raises(InputError, match="degree-3"):
         is_cocycle_3(cfg, zero2, guard=0)
+
+
+def test_basis_size_counts_the_basis():
+    """The closed form that the coboundary-cells guard uses, s^n for the
+    rack complex and s (s-1)^(n-1) for the quandle complex, is the number
+    of tuples that _basis lists, for degrees 0-4 and sizes 1-5."""
+    for q in (make_trivial(1), make_trivial(2), make_dihedral(3),
+              make_alexander(4, 3), make_dihedral(5)):
+        for variant in ("rack", "quandle"):
+            cfg = ComplexConfig(rep=make_alexander_rep(q, 5, 2), variant=variant)
+            for n in range(5):
+                assert _basis_size(cfg, n) == len(_basis(cfg, n)), (q.label, variant, n)
 
 
 def test_cohomology_values():

@@ -6,6 +6,7 @@ import pytest
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
 )
@@ -28,9 +29,11 @@ from quandlekit.invariants import (
     module_invariant,
     multiset_contained,
 )
-from quandlekit.groups import dihedral_group
-from quandlekit.linalg import cokernel_mod, mat_vec
-from quandlekit.quandles import is_isomorphic, make_conj, make_dihedral, make_trivial
+from quandlekit.groups import cyclic_group, dihedral_group
+from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
+                               mat_mul, mat_scale, mat_vec)
+from quandlekit.quandles import (is_isomorphic, make_alexander, make_conj,
+                                 make_core, make_dihedral, make_trivial)
 
 random.seed(31)
 
@@ -94,6 +97,159 @@ def test_module_invariant_distinguishes():
     a = module_invariant(rep, braid_or_knot("3_1")).entries
     b = module_invariant(rep, braid_or_knot("4_1")).entries
     assert a != b
+
+
+def _reference_walk(rep, w, coloring):
+    """(sign, p, u, v, colors right of p + 1) per letter, the crossing rule
+    written out afresh: sigma_i sends (u, v) to (v, u*v), its inverse sends
+    (u, v) to (v bar* u, u)."""
+    q = rep.quandle
+    cur = list(coloring)
+    for e in w.letters:
+        p = abs(e) - 1
+        u, v = cur[p], cur[p + 1]
+        yield e, p, u, v, tuple(cur[p + 2:])
+        cur[p], cur[p + 1] = (v, q.op(u, v)) if e > 0 else (q.inv_op(v, u), u)
+
+
+def _freeze(m):
+    return tuple(map(tuple, m))
+
+
+def _reference_matrices(rep, w):
+    """M(w, C) - I for every closure coloring C, with no sharing: the
+    colored matrix from the rep's tables and the bar inverse computed
+    afresh (it must equal colored_matrix), as sorted frozen matrices."""
+    q, N, m = rep.quandle, rep.modulus, rep.dim
+    out = []
+    for coloring in colorings_of_closure(q, w):
+        mat = identity(w.strands * m)
+        for e, p, u, v, _ in _reference_walk(rep, w, coloring):
+            low, high = mat[p * m:(p + 1) * m], mat[(p + 1) * m:(p + 2) * m]
+            if e > 0:
+                new = mat_add(mat_mul(rep.eta[u][v], low, N),
+                              mat_mul(rep.tau[u][v], high, N), N)
+                mat[p * m:(p + 2) * m] = high + new
+            else:
+                z = q.inv_op(v, u)
+                eta_bar = mat_inv_mod(rep.eta[z][u], N)
+                tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][u], N), N)
+                new = mat_add(mat_mul(eta_bar, high, N), mat_mul(tau_bar, low, N), N)
+                mat[p * m:(p + 2) * m] = new + low
+        assert colored_matrix(rep, w, coloring) == mat, (w, coloring)
+        for i in range(len(mat)):
+            mat[i][i] = (mat[i][i] - 1) % N
+        out.append(_freeze(mat))
+    return sorted(out)
+
+
+def _reference_cocycle(rep, kappa, w):
+    """cocycle_invariant's entries with every path action
+    rho(c_(k-1)) ... rho(c_(p+2)) multiplied afresh."""
+    q, N = rep.quandle, rep.modulus
+    entries = []
+    for coloring in colorings_of_closure(q, w):
+        total = [0] * rep.dim
+        for e, p, u, v, right in _reference_walk(rep, w, coloring):
+            path = identity(rep.dim)
+            for c in reversed(right):
+                path = mat_mul(path, rep.rho[c], N)
+            key = (u, v) if e > 0 else (q.inv_op(v, u), u)
+            vec = mat_vec(path, kappa.value(key), N)
+            total = [(t + (1 if e > 0 else -1) * x) % N for t, x in zip(total, vec)]
+        entries.append(tuple(total))
+    return tuple(sorted(entries))
+
+
+def _random_braids(rng, count, max_strands):
+    return [BraidWord(k, tuple(rng.choice((1, -1)) * rng.randint(1, k - 1)
+                               for _ in range(rng.randint(1, 12))))
+            for k in (rng.randint(2, max_strands) for _ in range(count))]
+
+
+def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
+    """module_invariant, which builds one matrix and cokernel per distinct
+    coefficient sequence, and cocycle_invariant, which shares path actions
+    between colorings, equal the per-coloring references on random braids
+    (k <= 5, at most 12 letters; k <= 3 for the 8-dimensional D4 rep).  With
+    the cokernel swapped for the matrix itself, module_invariant must list
+    each coloring's own M - I, so a sequence that two different matrices
+    share cannot hide behind equal cokernels.  The references hold for any
+    2-cochain, so kappa is random and unchecked; the perm3 rep also runs
+    the checked cocycle of nontrivial_kappa.  The regular D4 rep mod 7 and
+    the core-Z3 Wada rep have non-constant tables, so their colorings share
+    few sequences."""
+    from quandlekit import invariants
+    rng = random.Random(16)
+    d4 = dihedral_group(4)
+    z3 = cyclic_group(3)
+    wada = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), modulus=5,
+                                           check=False), "core")
+    perm3 = make_conj_rep(permutation_rep_r3(3))
+    cases = [(make_alexander_rep(make_dihedral(3), 3, 2), 5, 12),
+             (make_alexander_rep(make_dihedral(5), 5, 2), 5, 8),
+             (make_alexander_rep(make_alexander(5, 2), 5, 2), 5, 8),
+             (perm3, 5, 12), (wada, 5, 12),
+             (make_conj_rep(regular_group_rep(d4, make_conj(d4), range(8),
+                                              modulus=7)), 3, 6)]
+    for rep, max_strands, count in cases:
+        n, size = rep.modulus, rep.quandle.size
+        for w in _random_braids(rng, count, max_strands):
+            mats = _reference_matrices(rep, w)
+            want = tuple(sorted(tuple(cokernel_mod(m, n)) for m in mats))
+            assert module_invariant(rep, w).entries == want, w
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "cokernel_mod", lambda m, _: [_freeze(m)])
+                assert module_invariant(rep, w).entries == tuple((m,) for m in mats)
+            if not rep.is_conj_type:
+                continue
+            kappa = Cochain(2, n, rep.dim, {
+                (x, y): [rng.randrange(n) for _ in range(rep.dim)]
+                for x in range(size) for y in range(size)})
+            assert (cocycle_invariant(rep, kappa, w, check=False).entries
+                    == _reference_cocycle(rep, kappa, w)), w
+    rep, kappa = nontrivial_kappa()
+    assert perm3 == rep
+    for w in _random_braids(rng, 8, 4):
+        assert cocycle_invariant(rep, kappa, w).entries == _reference_cocycle(rep, kappa, w)
+
+
+def test_alexander_type_module_is_the_burau_cokernel():
+    """For make_alexander_rep(q, N, t) the blocks are constant, so every
+    coloring's entry is the one entry of the Burau module, the invariant
+    over the one-element quandle."""
+    rng = random.Random(1618)
+    for q, n, t in ((make_dihedral(3), 3, 2), (make_dihedral(5), 5, 2),
+                    (make_dihedral(7), 7, 2), (make_alexander(5, 2), 5, 3),
+                    (make_dihedral(5), 5, [[2, 1], [0, 3]])):
+        for w in _random_braids(rng, 6, 4):
+            burau = module_invariant(make_alexander_rep(make_trivial(1), n, t), w)
+            assert len(burau.entries) == 1
+            inv = module_invariant(make_alexander_rep(q, n, t), w)
+            assert inv.entries == burau.entries * len(colorings_of_closure(q, w)), w
+
+
+def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch):
+    """5_2 # 5_2 has 7^3 colorings by R7; over alexander-rep:7:2 they all
+    have one coefficient sequence, so one colored matrix and one cokernel
+    are built, and every entry is the Burau cokernel."""
+    from quandlekit import invariants
+    calls = {"colored_matrix": 0, "cokernel_mod": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
+    w = braid_or_knot("k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4")
+    inv = module_invariant(make_alexander_rep(make_dihedral(7), 7, 2), w)
+    assert len(inv.entries) == 7 ** 3
+    assert calls == {"colored_matrix": 1, "cokernel_mod": 1}
+    assert set(inv.entries) == set(
+        module_invariant(make_alexander_rep(make_trivial(1), 7, 2), w).entries)
 
 
 def chain_pairings_match(rep, kappa, w, entries) -> bool:

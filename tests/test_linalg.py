@@ -6,6 +6,7 @@ import pytest
 
 from quandlekit.errors import InputError
 from quandlekit.linalg import (
+    _local_homology,
     cokernel_mod,
     identity,
     int_det,
@@ -184,6 +185,23 @@ def test_kernel_mod_matches_enumeration():
     # mod 1 the kernel is the zero module: no generator is needed
     assert kernel_mod([[1, 2], [3, 4]], 1) == []
     assert _span([], 1, 2) == {v for v in itertools.product(range(1), repeat=2)}
+
+
+def test_local_homology_skips_the_kernel_on_request():
+    """Without kernel vectors the elimination gives the same exponents and
+    no vectors; kernel_mod's generators come from the default run."""
+    rng = random.Random(316)
+    for p, e in ((2, 3), (3, 2), (5, 1), (7, 2)):
+        q = p ** e
+        for _ in range(10):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.choice((1, p, p * p)) * rng.randrange(q) for _ in range(cols)]
+                 for _ in range(rows)]
+            b = [[] for _ in range(cols)]
+            full = _local_homology(a, b, p, e)
+            assert len(full[1]) == cols
+            assert _local_homology(a, b, p, e, False) == (full[0], [])
+            assert kernel_mod(a, q) == [g for g in full[1] if any(g)]
 
 
 def test_mat_inv_mod_mixed_local_blocks():
