@@ -42,19 +42,10 @@ class AlgebraRep:
         return self.rho is not None
 
     @cached_property
-    def _bars(self) -> dict:
-        # (x, y) -> bar(self, x, y), filled as crossings ask for it
-        return {}
-
-    @cached_property
-    def _bar_blocks(self) -> dict:
-        # (eta[z][y], tau[z][y]) -> its bar pair: one inverse per distinct block
-        return {}
-
-    @cached_property
     def _crossing_blocks(self) -> tuple[dict, dict, list]:
-        # braids.crossing_blocks' numbering: (positive?, u, v) -> number,
-        # block pair -> number, and number -> block pair
+        # braids.crossing_blocks' numbering: (positive?, x, y) -> number,
+        # (positive?, eta[x][y], tau[x][y]) -> number, and number -> the
+        # block pair the crossing applies
         return {}, {}, []
 
 
@@ -345,20 +336,15 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
     return rep
 
 
+def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:
+    """The frozen pair (eta^-1, -eta^-1 tau) mod n: the coefficients with
+    which the inverse crossing undoes the block (eta, tau)."""
+    eta_bar = mat_inv_mod(eta, n)
+    return _freeze(eta_bar), _freeze(mat_scale(-1, mat_mul(eta_bar, tau, n), n))
+
+
 def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:
-    """The negative-crossing coefficients, as frozen matrices cached on rep:
-    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y].
-    Pairs (x, y) with equal blocks (eta, tau)[x bar* y][y] share one inverse,
-    so a constant table inverts once."""
-    pair = rep._bars.get((x, y))
-    if pair is None:
-        z = rep.quandle.inv_op(x, y)
-        block = rep.eta[z][y], rep.tau[z][y]
-        pair = rep._bar_blocks.get(block)
-        if pair is None:
-            n = rep.modulus
-            eta_bar = mat_inv_mod(block[0], n)
-            tau_bar = mat_scale(-1, mat_mul(eta_bar, block[1], n), n)
-            pair = rep._bar_blocks[block] = _freeze(eta_bar), _freeze(tau_bar)
-        rep._bars[x, y] = pair
-    return pair
+    """The negative-crossing coefficients, as frozen matrices:
+    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y]."""
+    z = rep.quandle.inv_op(x, y)
+    return _bar_block(rep.eta[z][y], rep.tau[z][y], rep.modulus)

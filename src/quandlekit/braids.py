@@ -7,10 +7,13 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
 the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
-this crossing rule to colors; `act`, `crossing_blocks` and `crossing_data`
-loop over it.  `crossing_blocks` numbers the (eta, tau) block pair that
-each letter applies, and `colored_matrix` is the one block update, a
-product over that sequence.
+this crossing rule to colors, and it hands out each crossing once, as the
+record (letter, p, x, y): p the left position and (x, y) the source pair,
+(u, v) at sigma_i and (v bar* u, u) at its inverse.  `act`, `crossing_data`
+and `crossing_blocks` read it; the last numbers the block pair that each
+crossing applies, (eta, tau)[x][y] or its inverse pair, and
+`colored_matrix` is the one block update over that sequence: the under
+strand leaves as eta * under + tau * over.
 
 `closure_arcs` walks the word once more for the arcs of the closed diagram:
 one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
@@ -26,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import AlgebraRep, bar
+from .algebra import AlgebraRep, _bar_block
 from .errors import GUARD, GuardExceeded, InputError, power_text
 from .linalg import Matrix, identity, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
@@ -109,21 +112,24 @@ def braid_or_knot(text: str) -> BraidWord:
 
 
 def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
-    """Yield (letter, p) before each crossing of the word, p the 0-based left
-    position, then apply the crossing to `colors` in place: sigma_i sends
-    (u, v) to (v, u*v), its inverse sends (u, v) to (v bar* u, u)."""
+    """Apply each crossing of the word to `colors` in place, then yield its
+    record (letter, p, x, y): p the 0-based left position and (x, y) the
+    source pair.  sigma_i sends (u, v) to (v, u*v), with (x, y) = (u, v);
+    its inverse sends (u, v) to (v bar* u, u), with (x, y) = (v bar* u, u)."""
     if len(colors) != w.strands:
         raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
     if not all(0 <= c < q.size for c in colors):
         raise InputError(f"bottom colors {colors} outside 0..{q.size - 1}")
     for e in w.letters:
         p = abs(e) - 1
-        yield e, p
         u, v = colors[p], colors[p + 1]
         if e > 0:
+            x, y = u, v
             colors[p], colors[p + 1] = v, q.op(u, v)
         else:
-            colors[p], colors[p + 1] = q.inv_op(v, u), u
+            x, y = q.inv_op(v, u), u
+            colors[p], colors[p + 1] = x, y
+        yield e, p, x, y
 
 
 def act(q: FiniteQuandle, w: BraidWord, bottom) -> tuple[int, ...]:
@@ -306,23 +312,24 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
 
 def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
     """The coefficient sequence of the colored word, from one walk: for each
-    letter, the number of the block pair it applies, (eta, tau)[u][v] at a
-    positive crossing and bar(v, u) at a negative one.  Pairs are numbered
-    by value per rep, so colorings with the same sequence have the same
-    colored matrix; for an Alexander-type rep every coloring has the same."""
+    crossing with source pair (x, y), the number of the block pair it
+    applies, (eta, tau)[x][y] at a positive crossing and their inverse pair
+    (algebra.bar of (x*y, y)) at a negative one.  Pairs are numbered per rep
+    by (sign, eta[x][y], tau[x][y]), so each distinct negative block is
+    inverted once and colorings with the same sequence have the same colored
+    matrix; for an Alexander-type rep every coloring has the same."""
     cells, numbers, pairs = rep._crossing_blocks
-    cur = list(bottom)
     out = []
-    for e, p in _walk(rep.quandle, w, cur):
-        u, v = cur[p], cur[p + 1]
-        cell = (e > 0, u, v)
+    for e, _, x, y in _walk(rep.quandle, w, list(bottom)):
+        cell = (e > 0, x, y)
         n = cells.get(cell)
         if n is None:
-            pair = (rep.eta[u][v], rep.tau[u][v]) if e > 0 else bar(rep, v, u)
-            n = numbers.get(pair)
+            eta, tau = rep.eta[x][y], rep.tau[x][y]
+            key = (e > 0, eta, tau)
+            n = numbers.get(key)
             if n is None:
-                n = numbers[pair] = len(pairs)
-                pairs.append(pair)
+                n = numbers[key] = len(pairs)
+                pairs.append((eta, tau) if e > 0 else _bar_block(eta, tau, rep.modulus))
             cells[cell] = n
         out.append(n)
     return tuple(out)
@@ -336,7 +343,7 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     N, m, k = rep.modulus, rep.dim, w.strands
     if blocks is None:
         blocks = crossing_blocks(rep, w, bottom)
-    pairs = rep._crossing_blocks[2]
+    _, _, pairs = rep._crossing_blocks
     # row blocks of the running matrix, updated in place per letter
     rows = [[[1 if (i == j and bi == bj) else 0
               for bj in range(k) for j in range(m)]
@@ -344,14 +351,11 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     for e, n in zip(w.letters, blocks):
         p = abs(e) - 1
         eta, tau = pairs[n]
-        if e > 0:
-            new_p1 = mat_add(mat_mul(eta, rows[p], N),
-                             mat_mul(tau, rows[p + 1], N), N)
-            rows[p], rows[p + 1] = rows[p + 1], new_p1
-        else:
-            new_p = mat_add(mat_mul(eta, rows[p + 1], N),
-                            mat_mul(tau, rows[p], N), N)
-            rows[p], rows[p + 1] = new_p, rows[p]
+        # the under strand leaves as eta * under + tau * over; the two swap
+        under, over = (p, p + 1) if e > 0 else (p + 1, p)
+        rows[under] = mat_add(mat_mul(eta, rows[under], N),
+                              mat_mul(tau, rows[over], N), N)
+        rows[p], rows[p + 1] = rows[p + 1], rows[p]
     out = []
     for blk in rows:
         out.extend(blk)
@@ -367,14 +371,14 @@ def crossing_data(rep: AlgebraRep, w: BraidWord, coloring, paths=None):
     `paths`, a dict the caller may share between colorings of one rep,
     remembers each path action by that tuple of colors.
     """
-    q, N = rep.quandle, rep.modulus
+    N = rep.modulus
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
     if paths is None:
         paths = {}
     cur = list(coloring)
     out = []
-    for e, p in _walk(q, w, cur):
+    for e, p, x, y in _walk(rep.quandle, w, cur):
         right = tuple(cur[p + 2:])
         path = paths.get(right)
         if path is None:
@@ -382,8 +386,7 @@ def crossing_data(rep: AlgebraRep, w: BraidWord, coloring, paths=None):
             for c in reversed(right):
                 path = mat_mul(path, rep.rho[c], N)
             paths[right] = path
-        u, v = cur[p], cur[p + 1]
-        out.append((1, path, u, v) if e > 0 else (-1, path, q.inv_op(v, u), u))
+        out.append((1 if e > 0 else -1, path, x, y))
     if tuple(cur) != tuple(coloring):
         raise InputError("coloring is not fixed by the braid word")
     return out

@@ -14,9 +14,10 @@ generators of the cocycles over Z_N, with N under the key "prime" and
 their number under "dimension"; for prime N they are a basis.  `invariant`
 bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
 by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
-of the coloring search's plan; `invariant alexander` bounds its n^4 Laurent
-products on n arcs, and `search` and `homology` the cells of the coboundary
-matrix.
+of the coloring search's plan; `invariant module` bounds the (k m)^2 cells
+of its colored matrix on k strands with an m-dimensional rep, `invariant
+alexander` its n^4 Laurent products on n arcs, and `search` and `homology`
+the cells of the coboundary matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.

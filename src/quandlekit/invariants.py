@@ -11,9 +11,8 @@ The colored matrix depends on a coloring only through its coefficient
 sequence, the (eta, tau) block pair met at each crossing
 (`braids.crossing_blocks`), so `module_invariant` builds one matrix and one
 cokernel per distinct sequence: one in all for an Alexander-type rep,
-whose blocks are constant.  `algebra.bar` inverts each distinct block once,
-and `cocycle_invariant` forms each path action once per call, keyed by the
-colors to the right of the crossing.
+whose blocks are constant.  `cocycle_invariant` forms each path action once
+per call, keyed by the colors to the right of the crossing.
 """
 
 from __future__ import annotations
@@ -96,13 +95,18 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
 def module_invariant(rep: AlgebraRep, w: BraidWord,
                      guard: int = GUARD) -> ModuleInvariant:
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
-    rep.quandle; the |X|^k candidate colorings must not exceed `guard`.
-    Colorings with the same coefficient sequence share one matrix and one
-    cokernel."""
+    rep.quandle; the |X|^k candidate colorings and the (k m)^2 cells of the
+    colored matrix must not exceed `guard`.  Colorings with the same
+    coefficient sequence share one matrix and one cokernel."""
     q, N = rep.quandle, rep.modulus
+    colorings = colorings_of_closure(q, w, guard=guard)
+    cells = (w.strands * rep.dim) ** 2
+    if cells > guard:
+        raise GuardExceeded(f"{power_text(cells)} colored-matrix cells exceed "
+                            f"the guard of {guard}")
     entries = []
     cokernels: dict = {}        # coefficient sequence -> invariant factors
-    for coloring in colorings_of_closure(q, w, guard=guard):
+    for coloring in colorings:
         blocks = crossing_blocks(rep, w, coloring)
         entry = cokernels.get(blocks)
         if entry is None:

@@ -536,6 +536,23 @@ def test_colorings_guard_bounds_the_search_plan(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 1
 
 
+def test_module_guard_bounds_the_colored_matrix(capsys):
+    """The module invariant's km x km colored matrix is refused when its
+    (k m)^2 cells exceed the guard, after the colorings guard: k = 20 strands
+    with m = 1 make 400 cells, and k = 10^5 over the one-element quandle,
+    which passes the colorings guard, is refused within seconds."""
+    argv = ["invariant", "module", "--quandle", "trivial:1", "--rep",
+            "alexander-rep:5:2", "--braid"]
+    assert main(argv + ["k=20; 1", "--guard", "399"]) == 3
+    assert "400 colored-matrix cells" in capsys.readouterr().err
+    assert main(argv + ["k=20; 1", "--guard", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["multiset"] == [[5] * 19]
+    start = time.perf_counter()
+    assert main(argv + ["k=100000; 1"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "10000000000 colored-matrix cells" in capsys.readouterr().err
+
+
 def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
                                                             monkeypatch):
     """main reuses one parser: an interleaved sequence gives the outputs and

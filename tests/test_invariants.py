@@ -11,8 +11,7 @@ from quandlekit.algebra import (
     regular_group_rep,
 )
 from quandlekit.braids import (BraidWord, braid_or_knot, colored_matrix,
-                               colorings_of_closure, crossing_data,
-                               diagram_two_chain, markov_moves)
+                               colorings_of_closure, markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError
 from quandlekit.homology import (
     Cochain,
@@ -34,6 +33,7 @@ from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
                                mat_mul, mat_scale, mat_vec)
 from quandlekit.quandles import (is_isomorphic, make_alexander, make_conj,
                                  make_core, make_dihedral, make_trivial)
+from test_acceptance import chain_pairings_match
 
 random.seed(31)
 
@@ -252,27 +252,34 @@ def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch
         module_invariant(make_alexander_rep(make_trivial(1), 7, 2), w).entries)
 
 
-def chain_pairings_match(rep, kappa, w, entries) -> bool:
-    """On every coloring the per-crossing sum equals the pairing of kappa
-    with the diagram 2-chain, and those sums are the invariant's entries."""
-    N = rep.modulus
+def test_each_distinct_negative_block_is_inverted_once(monkeypatch):
+    """module_invariant inverts the block (eta, tau)[x][y] of a negative
+    crossing with source pair (x, y) once per rep, however many crossings
+    and colorings meet it: once in all for the constant blocks of
+    alexander-rep:5:2 over the 25 R5 colorings of 4_1, and once per distinct
+    negative block, found by the reference walk, for conj-rep:perm3."""
+    from quandlekit import algebra
+    inverted = []
 
-    def pairing(terms):
-        total = [0] * rep.dim
-        for sign, coef, key in terms:
-            vec = mat_vec(coef, kappa.value(key), N)
-            total = [(t + sign * c) % N for t, c in zip(total, vec)]
-        return tuple(total)
+    def counted(m, n):
+        inverted.append(_freeze(m))
+        return mat_inv_mod(m, n)
 
-    sums = []
-    for coloring in colorings_of_closure(rep.quandle, w):
-        data = crossing_data(rep, w, coloring)
-        per_crossing = pairing((e, path, (x, y)) for e, path, x, y in data)
-        chain = diagram_two_chain(rep, w, coloring).items()
-        if per_crossing != pairing((1, coef, key) for key, coef in chain):
-            return False
-        sums.append(per_crossing)
-    return tuple(sorted(sums)) == entries
+    monkeypatch.setattr(algebra, "mat_inv_mod", counted)
+    w = braid_or_knot("4_1")
+    inv = module_invariant(make_alexander_rep(make_dihedral(5), 5, 2), w)
+    assert inv.entries == ((5,),) * 25
+    assert inverted == [((2,),)]
+    inverted.clear()
+    rep = make_conj_rep(permutation_rep_r3(3))
+    module_invariant(rep, w)
+    q = rep.quandle
+    negative = {(rep.eta[x][y], rep.tau[x][y])
+                for coloring in colorings_of_closure(q, w)
+                for e, _, u, v, _ in _reference_walk(rep, w, coloring) if e < 0
+                for x, y in [(q.inv_op(v, u), u)]}
+    assert len(negative) > 1
+    assert sorted(inverted) == sorted(eta for eta, _ in negative)
 
 
 def test_composite_modulus_cocycle_invariants_are_markov_invariant():
