@@ -2,9 +2,9 @@
 braids, with the supporting quandle algebra, (co)homology, exact linear
 algebra, and Fox-calculus Alexander machinery."""
 
-from .quandles import (FiniteQuandle, ValidationReport, is_isomorphic,
-                       make_alexander, make_conj, make_core, make_dihedral,
-                       make_trivial, quandle_from_table, verify_axioms)
+from .quandles import (FiniteQuandle, ValidationReport, make_alexander,
+                       make_conj, make_core, make_dihedral, make_trivial,
+                       quandle_from_table, verify_axioms)
 from .groups import (FiniteGroup, cyclic_group, dihedral_group,
                      group_from_table, quaternion_group, symmetric_group)
 from .algebra import (AlgebraRep, GroupRep, bar, make_alexander_rep,

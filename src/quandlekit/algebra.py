@@ -86,73 +86,45 @@ class _Products:
 @dataclass(frozen=True)
 class GroupRep:
     """An x -> invertible matrix assignment on a quandle, standing in for a
-    module over the enveloping group."""
+    module over the enveloping group: plain data, checked by the rep built
+    from it."""
     quandle: FiniteQuandle
     modulus: int
     dim: int
     rho: tuple[tuple[tuple[int, ...], ...], ...]
     label: str = ""
 
-    @cached_property
-    def _passed(self) -> set:
-        # the powers m for which check_group_rep(self, m) has passed
-        return set()
 
-
-def _require_group_rep(g: GroupRep, power: int = 1) -> None:
-    """Raise CheckFailed unless check_group_rep(g, power) passes; a pass is
-    remembered on g, so each power is checked once."""
-    if power in g._passed:
-        return
-    report = check_group_rep(g, power=power)
-    if not report:
-        raise CheckFailed("; ".join(report.failures))
-    g._passed.add(power)
-
-
-def check_group_rep(g: GroupRep, power: int = 1) -> ValidationReport:
-    """Conjugation consistency: rho(x*y) == rho(y)^m rho(x) rho(y)^-m mod N,
-    tested as rho(x*y) rho(y)^m == rho(y)^m rho(x) once every rho(x) is
-    invertible.  Each rho(y)^m is raised once, and each distinct product of
-    the |X|^2 comparisons is formed once."""
+def check_group_rep(g: GroupRep) -> ValidationReport:
+    """Conjugation consistency: rho(x*y) == rho(y) rho(x) rho(y)^-1 mod N,
+    tested as rho(x*y) rho(y) == rho(y) rho(x) once every rho(x) is
+    invertible.  Each distinct product of the |X|^2 comparisons is formed
+    once."""
     q, n = g.quandle, g.modulus
-    failures = []
     for x in range(q.size):
         if not is_invertible_mod(g.rho[x], n):
-            failures.append(f"rho({x}) is not invertible mod {n}")
-            return ValidationReport(False, failures)
+            return ValidationReport(False, [f"rho({x}) is not invertible mod {n}"])
     products = _Products(n)
     rho = [products.number(m) for m in g.rho]
-    one = products.number(_freeze(identity(g.dim)))
-    ym = []
-    for y in range(q.size):
-        acc = one
-        for _ in range(power):
-            acc = products.number(products.mul(acc, rho[y]))
-        ym.append(acc)
     for x in range(q.size):
         for y in range(q.size):
-            if products.mul(rho[q.op(x, y)], ym[y]) != products.mul(ym[y], rho[x]):
-                failures.append(
-                    f"rho({x}*{y}) != rho({y})^{power} rho({x}) rho({y})^-{power}")
-                return ValidationReport(False, failures)
+            if products.mul(rho[q.op(x, y)], rho[y]) != products.mul(rho[y], rho[x]):
+                return ValidationReport(
+                    False, [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"])
     return ValidationReport(True)
 
 
-def make_group_rep(quandle: FiniteQuandle, modulus: int, rho, label: str = "",
-                   power: int = 1, check: bool = True) -> GroupRep:
+def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
+                   label: str = "") -> GroupRep:
+    """Freeze rho into a GroupRep, unchecked."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
-    g = GroupRep(quandle=quandle, modulus=modulus, dim=len(rho[0]),
-                 rho=tuple(_freeze(m) for m in rho), label=label)
-    if check:
-        _require_group_rep(g, power)
-    return g
+    return GroupRep(quandle=quandle, modulus=modulus, dim=len(rho[0]),
+                    rho=tuple(_freeze(m) for m in rho), label=label)
 
 
 def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
-                      elements, modulus: int, power: int = 1,
-                      check: bool = True) -> GroupRep:
+                      elements, modulus: int) -> GroupRep:
     """GroupRep via the left-regular permutation representation of `group`,
     restricted to the group elements carried by the quandle."""
     n = group.size
@@ -163,8 +135,7 @@ def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
             m[group.mul[e][h]][h] = 1
         rho.append(m)
     return make_group_rep(quandle, modulus, rho,
-                          label=f"regular({group.label or n})",
-                          power=power, check=check)
+                          label=f"regular({group.label or n})")
 
 
 def permutation_rep_r3(modulus: int = 3) -> GroupRep:
@@ -180,9 +151,7 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
         for src, dst in perm.items():
             m[dst][src] = 1
         rho.append(m)
-    # these transpositions satisfy the conjugation relation over Z, hence mod
-    # every N; make_conj_rep still checks them
-    return make_group_rep(q, modulus, rho, label="perm3", check=False)
+    return make_group_rep(q, modulus, rho, label="perm3")
 
 
 def verify_relations(rep: AlgebraRep) -> ValidationReport:
@@ -254,16 +223,14 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
     return rep
 
 
-def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t,
-                       dim: int = 1) -> AlgebraRep:
-    """Constant tables eta = t*I, tau = (1-t)*I; t a unit scalar or matrix."""
+def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
+    """Constant tables eta = t, tau = I - t, which satisfy (1)-(4) on every
+    quandle, so only t is checked: a unit mod N, either an integer (a 1x1
+    rep) or a square matrix, which sets the dimension."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
-    if isinstance(t, int):
-        tmat = mat_scale(t % modulus, identity(dim), modulus)
-    else:
-        tmat = [list(r) for r in t]
-        dim = len(tmat)
+    tmat = [[t % modulus]] if isinstance(t, int) else [list(r) for r in t]
+    dim = len(tmat)
     if not is_invertible_mod(tmat, modulus):
         raise InputError(f"t is not invertible mod {modulus}")
     one_minus = mat_sub(identity(dim), tmat, modulus)
@@ -275,8 +242,14 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t,
 
 
 def make_conj_rep(g: GroupRep) -> AlgebraRep:
-    """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y)."""
-    _require_group_rep(g)
+    """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y).
+
+    CheckFailed unless check_group_rep passes, which on these tables is
+    equivalent to relations (1)-(4): (1) is the conjugation relation, and
+    (2)-(4) follow from it and axiom III."""
+    report = check_group_rep(g)
+    if not report:
+        raise CheckFailed("; ".join(report.failures))
     q, n, dim = g.quandle, g.modulus, g.dim
     eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
     tau = [[mat_sub(identity(dim), g.rho[q.op(x, y)], n)
@@ -290,7 +263,8 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
 
     variant: an integer m for w(x,y) = y^m x y^-m over a conjugation-power
     quandle, or the string "core" for w(x,y) = y x^-1 y over a core quandle.
-    The output is accepted only if it passes verify_relations.
+    rho itself is not checked: the tables are accepted only if they pass
+    verify_relations, and CheckFailed is raised otherwise.
     """
     q, n, dim = g.quandle, g.modulus, g.dim
     size = q.size
@@ -326,14 +300,8 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
                     geo, mat_mul(mat_mul(powers[m], g.rho[x], n), inv_geo, n), n)
     else:
         raise InputError(f"unknown wada variant {variant!r}")
-    rep = make_rep(q, n, eta, tau, rho=g.rho,
-                   label=f"wada-rep({variant},{g.label})", check=False)
-    report = verify_relations(rep)
-    if not report:
-        raise CheckFailed(
-            "wada tables do not satisfy the algebra relations: "
-            + "; ".join(report.failures))
-    return rep
+    return make_rep(q, n, eta, tau, rho=g.rho,
+                    label=f"wada-rep({variant},{g.label})")
 
 
 def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:

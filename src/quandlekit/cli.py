@@ -6,7 +6,8 @@ are byte-for-byte reproducible.  --jobs is accepted and selects nothing.
 
 A rep lives on --quandle: alexander-rep and trivial-action are built on it,
 and conj-rep and JSON reps must carry an equal quandle table.  A rep or
-cochain that disagrees, or a missing --quandle, --rep or --cocycle, exits 2.
+cochain that disagrees, a missing --quandle, --rep or --cocycle, an `extend`
+cochain not of degree 2, or an --out path that cannot be written exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
 any rep, within --guard boundary tuples; other degrees exit 2, as does a
 negative `homology` degree.  `search` takes any modulus N and lists
@@ -48,8 +49,12 @@ from .quandles import ValidationReport, verify_axioms
 def _emit(doc: dict, out_path: str | None) -> None:
     text = qio.dumps_document(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out_path!r}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -127,9 +127,14 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     are formed once per module vector, and each cell adds two of them by a
     table of vector sums.  Returns (table, report, quandle-or-None); the
     quandle is built only when the axioms pass.  The size^3 axiom checks
-    must not exceed `guard`.
+    must not exceed `guard`.  kappa must be a 2-cochain with values in the
+    rep's module (Z_N)^m.
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
+    if kappa is not None and (kappa.degree, kappa.modulus, kappa.dim) != (2, N, m):
+        raise InputError(f"the extension needs a degree-2 cochain in (Z_{N})^{m}, "
+                         f"got degree {kappa.degree} in "
+                         f"(Z_{kappa.modulus})^{kappa.dim}")
     total = N ** m * q.size
     if total ** 3 > guard:
         raise GuardExceeded(f"extension of size {power_text(total)} needs "

@@ -12,12 +12,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
-from .errors import GuardExceeded, InputError
+from .errors import InputError
 from .groups import FiniteGroup
-
-ISO_SIZE_CAP = 12
 
 
 @dataclass
@@ -149,58 +146,3 @@ def make_core(g: FiniteGroup) -> FiniteQuandle:
         tuple(g.mul[g.mul[b][g.inv[a]]][b] for b in range(n)) for a in range(n))
     return FiniteQuandle(table, label=f"Core({g.label or n})")
 
-
-def _profile(q: FiniteQuandle, a: int):
-    # crude isomorphism invariant of one element: sorted fixed-point and
-    # orbit-size data of the column permutation plus row multiset
-    n = q.size
-    col = tuple(q.table[x][a] for x in range(n))
-    fixed = sum(1 for x in range(n) if col[x] == x)
-    row_counts = tuple(sorted(
-        len([b for b in range(n) if q.table[a][b] == c]) for c in set(q.table[a])))
-    return (fixed, row_counts)
-
-
-def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int, ...]]:
-    """Search for a table-preserving bijection q1 -> q2 (None if there is none)."""
-    if q1.size != q2.size:
-        return None
-    n = q1.size
-    if n > ISO_SIZE_CAP:
-        raise GuardExceeded(f"isomorphism search capped at size {ISO_SIZE_CAP}, got {n}")
-    p1 = [_profile(q1, a) for a in range(n)]
-    p2 = [_profile(q2, a) for a in range(n)]
-    if sorted(p1) != sorted(p2):
-        return None
-    phi = [-1] * n
-    used = [False] * n
-
-    def consistent(a: int) -> bool:
-        for b in range(n):
-            if phi[b] < 0:
-                continue
-            ab = q1.table[a][b]
-            ba = q1.table[b][a]
-            if phi[ab] >= 0 and q2.table[phi[a]][phi[b]] != phi[ab]:
-                return False
-            if phi[ba] >= 0 and q2.table[phi[b]][phi[a]] != phi[ba]:
-                return False
-        return True
-
-    def search(a: int) -> bool:
-        if a == n:
-            return True
-        for img in range(n):
-            if used[img] or p1[a] != p2[img]:
-                continue
-            phi[a] = img
-            used[img] = True
-            if consistent(a) and search(a + 1):
-                return True
-            phi[a] = -1
-            used[img] = False
-        return False
-
-    if search(0):
-        return tuple(phi)
-    return None

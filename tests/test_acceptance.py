@@ -53,7 +53,6 @@ from quandlekit.invariants import (
 from quandlekit.laurent import lp_eval
 from quandlekit.linalg import mat_mul, mat_vec
 from quandlekit.quandles import (
-    is_isomorphic,
     make_alexander,
     make_conj,
     make_core,
@@ -113,7 +112,7 @@ def test_criterion_01_quandle_constructors():
         ok &= verify_axioms(
             [list(r) for r in make_core(cyclic_group(n)).table]).passed
     for n in range(2, 13):
-        ok &= is_isomorphic(make_dihedral(n), make_alexander(n, n - 1)) is not None
+        ok &= make_dihedral(n).table == make_alexander(n, n - 1).table
     report(1, "constructors and axioms", ok, t0, 5)
 
 
@@ -130,12 +129,10 @@ def test_criterion_02_representation_relations():
     for g in small_groups(8):
         for m in (1, 2):
             gq = make_conj(g, power=m)
-            grep = regular_group_rep(g, gq, list(range(g.size)), modulus=5,
-                                     power=m)
+            grep = regular_group_rep(g, gq, list(range(g.size)), modulus=5)
             ok &= verify_relations(make_wada_rep(grep, m)).passed
         gc = make_core(g)
-        grep = regular_group_rep(g, gc, list(range(g.size)), modulus=5,
-                                 check=False)
+        grep = regular_group_rep(g, gc, list(range(g.size)), modulus=5)
         ok &= verify_relations(make_wada_rep(grep, "core")).passed
     report(2, "algebra relations incl. Wada variants", ok, t0, 5)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from quandlekit.algebra import (
@@ -61,9 +64,9 @@ def test_perm3_conj_rep_checks_once(monkeypatch):
     from quandlekit.io import load_rep
     check, calls = algebra.check_group_rep, []
 
-    def counted(g, power=1):
+    def counted(g):
         calls.append(g)
-        return check(g, power)
+        return check(g)
 
     monkeypatch.setattr(algebra, "check_group_rep", counted)
     load_rep("conj-rep:perm3")
@@ -71,21 +74,21 @@ def test_perm3_conj_rep_checks_once(monkeypatch):
 
 
 def test_regular_conj_rep_checks_once(monkeypatch):
-    """make_conj_rep does not redo the check that regular_group_rep passed,
-    and still checks a rho built with check=False."""
+    """make_conj_rep checks its rho exactly once; the GroupRep it is given
+    is plain data and was never checked before."""
     from quandlekit import algebra
     check, calls = algebra.check_group_rep, []
 
-    def counted(g, power=1):
+    def counted(g):
         calls.append(g)
-        return check(g, power)
+        return check(g)
 
     monkeypatch.setattr(algebra, "check_group_rep", counted)
     q8 = next(g for g in small_groups(8) if g.label == "Q8")
     rep = make_conj_rep(regular_group_rep(q8, make_conj(q8), list(range(8)),
                                           modulus=7))
     assert len(calls) == 1 and verify_relations(rep).passed
-    bad = make_group_rep(make_dihedral(3), 5, [[[2]], [[2]], [[1]]], check=False)
+    bad = make_group_rep(make_dihedral(3), 5, [[[2]], [[2]], [[1]]])
     with pytest.raises(CheckFailed):
         make_conj_rep(bad)
     with pytest.raises(CheckFailed):
@@ -97,8 +100,50 @@ def test_conj_rep_rejects_bad_group_rep():
     q = make_dihedral(3)
     # constant rho = diag(2) is not conjugation-consistent on R3
     rho = [[[2]], [[2]], [[1]]]
+    g = make_group_rep(q, 5, rho)
+    assert not check_group_rep(g).passed
     with pytest.raises(CheckFailed):
-        make_group_rep(q, 5, rho)
+        make_conj_rep(g)
+
+
+def _conj_tables(g):
+    """make_conj_rep's tables for g, built without its check."""
+    q, n = g.quandle, g.modulus
+    eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
+    tau = [[mat_add(identity(g.dim), mat_scale(-1, g.rho[q.op(x, y)], n), n)
+            for y in range(q.size)] for x in range(q.size)]
+    return make_rep(q, n, eta, tau, rho=g.rho, check=False)
+
+
+def test_group_rep_check_is_equivalent_to_the_conj_relations():
+    """make_conj_rep checks only rho: on its tables check_group_rep passes
+    exactly when relations (1)-(4) hold."""
+    cases = []
+    for q in (make_dihedral(3), make_dihedral(4), make_trivial(2),
+              make_alexander(5, 2)):
+        for n in (4, 5):
+            for values in itertools.product(range(n), repeat=q.size):
+                cases.append(make_group_rep(q, n, [[[v]] for v in values]))
+    rng = random.Random(18)
+    s3 = next(g for g in small_groups(6) if g.label == "S3")
+    for q in (make_dihedral(3), make_conj(s3)):
+        for _ in range(150):
+            cases.append(make_group_rep(q, 6, [
+                [[rng.randrange(6) for _ in range(2)] for _ in range(2)]
+                for _ in range(q.size)]))
+    outcomes = set()
+    for g in cases:
+        passed = check_group_rep(g).passed
+        assert passed == verify_relations(_conj_tables(g)).passed, g
+        outcomes.add(passed)
+    assert outcomes == {True, False}
+
+
+def test_wada_rep_rejects_inconsistent_rho():
+    g = make_group_rep(make_dihedral(3), 5, [[[2]], [[2]], [[1]]])
+    for variant in (1, 2, "core"):
+        with pytest.raises(CheckFailed):
+            make_wada_rep(g, variant)
 
 
 def test_regular_rep_over_small_groups():
@@ -114,8 +159,7 @@ def test_wada_conj_variants():
     for g in small_groups(8):
         for m in (1, 2):
             q = make_conj(g, power=m)
-            grep = regular_group_rep(g, q, list(range(g.size)), modulus=5,
-                                     power=m)
+            grep = regular_group_rep(g, q, list(range(g.size)), modulus=5)
             rep = make_wada_rep(grep, m)
             assert verify_relations(rep).passed
 
@@ -123,8 +167,7 @@ def test_wada_conj_variants():
 def test_wada_core_variant():
     for g in small_groups(8):
         q = make_core(g)
-        grep = regular_group_rep(g, q, list(range(g.size)), modulus=5,
-                                 check=False)
+        grep = regular_group_rep(g, q, list(range(g.size)), modulus=5)
         rep = make_wada_rep(grep, "core")
         assert verify_relations(rep).passed
 

@@ -146,10 +146,9 @@ def test_wada_and_alexander_reps_match_reference():
     for g in small_groups(6):
         for m in (1, 2):
             grep = regular_group_rep(g, make_conj(g, power=m), list(range(g.size)),
-                                     modulus=5, power=m)
+                                     modulus=5)
             assert _same_relations(make_wada_rep(grep, m)).passed
-        grep = regular_group_rep(g, make_core(g), list(range(g.size)), modulus=5,
-                                 check=False)
+        grep = regular_group_rep(g, make_core(g), list(range(g.size)), modulus=5)
         assert _same_relations(make_wada_rep(grep, "core")).passed
     for q in (make_dihedral(3), make_dihedral(4), make_trivial(2), make_alexander(5, 3)):
         for n, t in ((3, 2), (5, 4), (9, 2), (4, 3)):

@@ -302,6 +302,16 @@ def test_extend_command(capsys):
     assert doc["size"] == 4
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_out_to_unwritable_path_is_input_error(capsys, tmp_path, where):
+    """A missing directory or a directory itself exits 2, naming the path."""
+    path = tmp_path / where
+    code = main(["colorings", "dihedral:3", "3_1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert repr(str(path)) in captured.err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out = run(capsys, "colorings", "dihedral:3", "3_1", "--out", str(path))
@@ -325,6 +335,10 @@ def _write_inputs(tmp_path):
     paths = {"rep_noq": doc, "rep_bad_eta": {**doc, "eta": doc["eta"][:2]},
              "kappa3": {"degree": 2, "modulus": 3, "dim": 3,
                         "values": {"0,1": [1, 0, 0]}},
+             "kappa_deg1": {"degree": 1, "modulus": 3, "dim": 3,
+                            "values": {"0": [1, 0, 0]}},
+             "kappa_deg3": {"degree": 3, "modulus": 3, "dim": 3,
+                            "values": {"0,1,2": [1, 0, 0]}},
              "kappa_key": {"degree": 2, "modulus": 3, "dim": 3,
                            "values": {"0,5": [1, 0, 0]}},
              "kappa_text_key": {"degree": 2, "modulus": 3, "dim": 3,
@@ -405,6 +419,11 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
      "--rep", "alexander-rep:5:2"],
     ["compare", "{ms_bool}", "{ms_bool}"],
     ["compare", "{ms_bool_mod}", "{ms_bool_mod}"],
+    # kappa(x, y) of another degree would read as zero: the untwisted table
+    ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+     "--cocycle", "{kappa_deg1}"],
+    ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+     "--cocycle", "{kappa_deg3}"],
 ], ids=lambda argv: " ".join(argv))
 def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     paths = _write_inputs(tmp_path)

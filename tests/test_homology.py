@@ -45,8 +45,7 @@ def reps_for(q, modulus=3):
 def core_z3_wada_rep():
     """A rep whose eta and tau are not rho(y) and I - rho(x*y)."""
     z3 = cyclic_group(3)
-    grep = regular_group_rep(z3, make_core(z3), list(range(3)), modulus=5,
-                             check=False)
+    grep = regular_group_rep(z3, make_core(z3), list(range(3)), modulus=5)
     return make_wada_rep(grep, "core")
 
 

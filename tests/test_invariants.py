@@ -31,8 +31,8 @@ from quandlekit.invariants import (
 from quandlekit.groups import cyclic_group, dihedral_group
 from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
                                mat_mul, mat_scale, mat_vec)
-from quandlekit.quandles import (is_isomorphic, make_alexander, make_conj,
-                                 make_core, make_dihedral, make_trivial)
+from quandlekit.quandles import (make_alexander, make_conj, make_core,
+                                 make_dihedral, make_trivial)
 from test_acceptance import chain_pairings_match
 
 random.seed(31)
@@ -183,8 +183,8 @@ def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
     rng = random.Random(16)
     d4 = dihedral_group(4)
     z3 = cyclic_group(3)
-    wada = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), modulus=5,
-                                           check=False), "core")
+    wada = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), modulus=5),
+                         "core")
     perm3 = make_conj_rep(permutation_rep_r3(3))
     cases = [(make_alexander_rep(make_dihedral(3), 3, 2), 5, 12),
              (make_alexander_rep(make_dihedral(5), 5, 2), 5, 8),
@@ -403,12 +403,28 @@ def test_dynamical_extension_of_zero_cocycle():
     rep = make_alexander_rep(t2, 2, 1)
     _, report, quandle = dynamical_extension(rep)
     assert report.passed
-    assert is_isomorphic(quandle, make_trivial(4))
+    assert quandle.size == 4
+    for a, row in enumerate(quandle.table):
+        assert row == (a,) * 4
+
+
+def test_dynamical_extension_needs_a_2_cochain_on_the_rep():
+    """A cochain of another degree, modulus or dimension is refused, not
+    read as zero."""
+    rep = make_conj_rep(permutation_rep_r3(3))
+    for degree, modulus, dim, key in ((1, 3, 3, (0,)), (3, 3, 3, (0, 1, 2)),
+                                      (2, 9, 3, (0, 1)), (2, 3, 1, (0, 1))):
+        kappa = Cochain(degree=degree, modulus=modulus, dim=dim,
+                        values={key: [1] + [0] * (dim - 1)})
+        with pytest.raises(InputError):
+            dynamical_extension(rep, kappa)
+    zero = Cochain(degree=2, modulus=3, dim=3, values={})
+    assert dynamical_extension(rep, zero)[1].passed
 
 
 def test_dynamical_extension_guard():
     q = make_dihedral(3)
-    rep = make_alexander_rep(q, 5, 2, dim=3)
+    rep = make_alexander_rep(q, 5, mat_scale(2, identity(3), 5))
     with pytest.raises(GuardExceeded):
         dynamical_extension(rep, guard=100)
 
@@ -428,7 +444,7 @@ def test_dynamical_extension_guard_before_enumeration(monkeypatch):
     def enumerate_module(*args, **kwargs):
         raise AssertionError("module vectors enumerated before the guard")
 
-    rep = make_alexander_rep(make_trivial(1), 10 ** 6, 1, dim=3)
+    rep = make_alexander_rep(make_trivial(1), 10 ** 6, identity(3))
     monkeypatch.setattr(itertools, "product", enumerate_module)
     with pytest.raises(GuardExceeded):
         dynamical_extension(rep)

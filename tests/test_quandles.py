@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 
-from quandlekit.errors import GuardExceeded, InputError
+from quandlekit.errors import InputError
 from quandlekit.groups import cyclic_group, dihedral_group, small_groups, symmetric_group
 from quandlekit.quandles import (
     FiniteQuandle,
-    is_isomorphic,
     make_alexander,
     make_conj,
     make_core,
@@ -86,19 +87,22 @@ def test_inv_op_is_inverse():
             assert q.inv_op(q.op(a, b), b) == a
 
 
+def isomorphisms(q1, q2):
+    """Every bijection phi with phi(a*b) == phi(a)*phi(b), by brute force."""
+    n = q1.size
+    return [phi for phi in itertools.permutations(range(n))
+            if all(phi[q1.op(a, b)] == q2.op(phi[a], phi[b])
+                   for a in range(n) for b in range(n))]
+
+
 def test_dihedral_is_alexander_with_t_minus_one():
+    # i*j = 2j - i is -i + 2j, so the tables agree element for element
     for n in range(2, 13):
-        assert is_isomorphic(make_dihedral(n), make_alexander(n, n - 1))
+        assert make_dihedral(n).table == make_alexander(n, n - 1).table
 
 
 def test_non_isomorphic_same_size():
-    assert not is_isomorphic(make_trivial(3), make_dihedral(3))
-
-
-def test_isomorphism_guard():
-    t = make_trivial(13)
-    with pytest.raises(GuardExceeded):
-        is_isomorphic(t, t)
+    assert isomorphisms(make_trivial(3), make_dihedral(3)) == []
 
 
 def test_conj_subset_closure_check():
@@ -108,7 +112,7 @@ def test_conj_subset_closure_check():
     q = make_conj(s3, subset=transpositions)
     assert q.size == 3
     # conjugation of S3 transpositions behaves like R3
-    assert is_isomorphic(q, make_dihedral(3))
+    assert isomorphisms(q, make_dihedral(3))
     three_cycle = next(i for i in range(s3.size)
                        if i != s3.identity and i not in transpositions)
     with pytest.raises(InputError):
@@ -117,7 +121,7 @@ def test_conj_subset_closure_check():
 
 def test_core_of_cyclic_is_dihedral():
     for n in (3, 5, 7):
-        assert is_isomorphic(make_core(cyclic_group(n)), make_dihedral(n))
+        assert make_core(cyclic_group(n)).table == make_dihedral(n).table
 
 
 def test_quandle_from_table_rejects_bad():
