@@ -114,12 +114,22 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
     return ValidationReport(True)
 
 
+def _is_square(m, dim: int) -> bool:
+    return len(m) == dim and all(len(row) == dim for row in m)
+
+
 def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
                    label: str = "") -> GroupRep:
-    """Freeze rho into a GroupRep, unchecked."""
+    """Freeze rho into a GroupRep; only its shape is checked: one square
+    dim x dim matrix per quandle element, dim >= 1."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
-    return GroupRep(quandle=quandle, modulus=modulus, dim=len(rho[0]),
+    dim = len(rho[0]) if rho else 0
+    if len(rho) != quandle.size or dim < 1 or not all(
+            _is_square(m, dim) for m in rho):
+        raise InputError(f"rho needs one matrix per element of the quandle of "
+                         f"size {quandle.size}, all square of one size >= 1")
+    return GroupRep(quandle=quandle, modulus=modulus, dim=dim,
                     rho=tuple(_freeze(m) for m in rho), label=label)
 
 
@@ -231,6 +241,9 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
         raise InputError(f"modulus {modulus} is not positive")
     tmat = [[t % modulus]] if isinstance(t, int) else [list(r) for r in t]
     dim = len(tmat)
+    if not dim or not _is_square(tmat, dim):
+        raise InputError("t is neither an integer nor a square matrix "
+                         "with at least one row")
     if not is_invertible_mod(tmat, modulus):
         raise InputError(f"t is not invertible mod {modulus}")
     one_minus = mat_sub(identity(dim), tmat, modulus)

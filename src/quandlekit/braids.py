@@ -22,6 +22,8 @@ and `colorings_of_closure` searches them in one process: it branches on at
 most k arcs, picked beforehand as those that force the most others, and
 propagates each color through the triples, so it reaches at most |X|^k
 leaves and finds the closure colorings without testing every candidate.
+Over a one-element quandle the one coloring, all zeros, is returned
+without a search.
 """
 
 from __future__ import annotations
@@ -218,12 +220,10 @@ def _search_plan(w: BraidWord):
     first, ties to the lowest arc id.  Each forces a new bottom arc, so there
     are at most k branch arcs.
 
-    A trial colors its arc in place and is undone along its trail.  An arc in
-    no crossing is a whole strand, so a bottom arc that forces nothing else:
-    it is never tried, and picking it changes no trial, so the last scan is
-    reused.  So the plan makes at most k picks and k + 1 scans, each of at
-    most 3 * letters trials that visit at most 3 * letters crossing slots:
-    O(k * (letters + 1)^2) steps in all."""
+    Each pick trials every unknown arc: the trial colors its arc in place and
+    is undone along its trail.  A trial visits at most 3 * letters crossing
+    slots, and an arc in no crossing (a whole strand) visits none, so the
+    plan's at most k scans take O(k * (k + letters^2)) steps."""
     count, crossings, bottom = closure_arcs(w)
     at: list[list] = [[] for _ in range(count)]
     for c in crossings:
@@ -232,28 +232,19 @@ def _search_plan(w: BraidWord):
     is_bottom = [False] * count
     for b in bottom:
         is_bottom[b] = True
-    crossed = [a for a in range(count) if at[a]]
-    lone = [a for a in range(count) if not at[a]]   # whole strands, at the bottom
     known, branch = [-1] * count, []
-    missing, next_lone, scan = sum(is_bottom), 0, None
+    missing = sum(is_bottom)
     while missing:
-        if scan is None:
-            scan = []       # the first longest qualifying trail of a crossed arc
-            for a in crossed:
-                if known[a] >= 0:
-                    continue
-                known[a], trail = 0, [a]
-                _propagate(at, _ONE, _ONE, known, a, trail)
-                for t in trail:
-                    known[t] = -1
-                if len(trail) > len(scan) and any(is_bottom[t] for t in trail):
-                    scan = trail
-        if next_lone < len(lone) and (
-                not scan or len(scan) == 1 and lone[next_lone] < scan[0]):
-            pick = [lone[next_lone]]
-            next_lone += 1
-        else:
-            pick, scan = scan, None
+        pick = []           # the first longest trail reaching a new bottom arc
+        for a in range(count):
+            if known[a] >= 0:
+                continue
+            known[a], trail = 0, [a]
+            _propagate(at, _ONE, _ONE, known, a, trail)
+            for t in trail:
+                known[t] = -1
+            if len(trail) > len(pick) and any(is_bottom[t] for t in trail):
+                pick = trail
         for t in pick:
             known[t] = 0
             missing -= is_bottom[t]
@@ -269,8 +260,11 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     with every value in turn and propagates each choice, pruning on a clash;
     it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work.
     Past k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
-    comparison never builds a larger power.  The guard also bounds the
-    plan's k * (letters + 1)^2 steps, which |X|^k does not when |X| = 1."""
+    comparison never builds a larger power, and k <= guard.bit_length()
+    keeps the plan's k^2 term small.  The guard also bounds the plan's
+    k * (letters + 1)^2 steps, which |X|^k does not when |X| = 1; there,
+    once past both guards, the one coloring is the all-zero vector, so
+    neither plan nor search is made."""
     if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
                             f"colorings exceed the guard of {guard}")
@@ -280,13 +274,15 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
             f"the search plan on {power_text(w.strands)} strands and "
             f"{len(w.letters)} letters takes up to {power_text(steps)} steps, "
             f"over the guard of {guard}")
+    if q.size == 1:
+        return [(0,) * w.strands]
     at, bottom, branch = _search_plan(w)
     table, inv = q.table, q._inv_table
     col = [-1] * len(at)
     out = []
-    # depth-first with explicit stacks, since |X| = 1 allows thousands of
-    # branch arcs (never none, as k >= 1): the values left for each depth's
-    # arc, and what its current value colored
+    # depth-first with explicit stacks, since a large --guard allows deep
+    # searches (never of depth 0, as k >= 1): the values left for each
+    # depth's arc, and what its current value colored
     values, trails = [iter(range(q.size))], []
     while values:
         depth = len(values) - 1

@@ -9,10 +9,11 @@ and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, a missing --quandle, --rep or --cocycle, an `extend`
 cochain not of degree 2, or an --out path that cannot be written exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
-any rep, within --guard boundary tuples; other degrees exit 2, as does a
-negative `homology` degree.  `search` takes any modulus N and lists
-generators of the cocycles over Z_N, with N under the key "prime" and
-their number under "dimension"; for prime N they are a basis.  `invariant`
+any rep, within --guard boundary tuples; other degrees exit 2, as do a
+--degree that disagrees with the cochain file and a negative `homology`
+degree.  `search` takes any modulus N and lists generators of the
+cocycles over Z_N, with N under the key "prime" and their number under
+"dimension"; for prime N they are a basis.  `invariant`
 bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
 by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
 of the coloring search's plan; `invariant module` bounds the (k m)^2 cells
@@ -86,7 +87,12 @@ def cmd_check(args) -> int:
         report = verify_relations(_rep_on_quandle(args, args.target, check=False))
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
-        kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
+        # 'zero' takes --degree (2 without it); a file has its own degree
+        kappa = qio.load_cochain(args.target, rep=rep,
+                                 degree=2 if args.degree is None else args.degree)
+        if args.degree not in (None, kappa.degree):
+            raise InputError(f"--degree {args.degree} disagrees with the "
+                             f"degree-{kappa.degree} cochain {args.target!r}")
         is_cocycle = {2: is_cocycle_2, 3: is_cocycle_3}.get(kappa.degree)
         if is_cocycle is None:
             raise InputError(f"cocycle checks support degrees 2 and 3, "
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--quandle", default=None)
     p.add_argument("--rep", default=None)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=int, default=None)
     p.add_argument("--variant", choices=["rack", "quandle"], default="quandle")
     common(p)
     p.set_defaults(func=cmd_check)

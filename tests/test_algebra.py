@@ -49,6 +49,20 @@ def test_alexander_rep_matrix_t():
     assert verify_relations(rep).passed
 
 
+def test_alexander_rep_needs_square_t():
+    """A 1 x 2 t has a trivial cokernel, yet is no rep's eta."""
+    for t in ([[1, 0]], []):
+        with pytest.raises(InputError, match="square matrix"):
+            make_alexander_rep(make_dihedral(3), 5, t)
+
+
+@pytest.mark.parametrize("rho", [[[[1]]], [[[1, 0]]] * 3],
+                         ids=["one matrix for three elements", "1x2 matrices"])
+def test_group_rep_needs_one_square_matrix_per_element(rho):
+    with pytest.raises(InputError, match="one matrix per element"):
+        make_group_rep(make_dihedral(3), 5, rho)
+
+
 def test_perm3_rep():
     g = permutation_rep_r3(3)
     assert check_group_rep(g).passed

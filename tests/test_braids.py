@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlekit import braids
@@ -137,7 +137,11 @@ def _transpositions_quandle():
 
 
 _PROPERTY_QUANDLES = [make_dihedral(3), make_dihedral(5), make_dihedral(7),
-                      make_alexander(5, 2), _transpositions_quandle()]
+                      make_alexander(5, 2), _transpositions_quandle(),
+                      make_trivial(1), make_trivial(2)]
+
+# braids with strands in no crossing: the last two of four, and all three
+_LONE_STRANDS = [BraidWord(4, (1, 1, 1)), BraidWord(3, ())]
 
 
 @st.composite
@@ -151,6 +155,9 @@ def _braid_words(draw):
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(q=st.sampled_from(_PROPERTY_QUANDLES), w=_braid_words())
+@example(q=make_dihedral(3), w=_LONE_STRANDS[0])
+@example(q=make_dihedral(3), w=_LONE_STRANDS[1])
+@example(q=make_trivial(1), w=_LONE_STRANDS[0])
 def test_propagation_matches_brute_force(q, w):
     """On every Markov variant of the braid, the propagated colorings are the
     brute-force list, found by branching on at most one arc per strand."""
@@ -184,9 +191,12 @@ def _plan_by_copies(w):
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(w=_braid_words())
+@example(w=_LONE_STRANDS[0])
+@example(w=_LONE_STRANDS[1])
 def test_search_plan_matches_the_copying_greedy(w):
-    """Trials in place, untried whole strands and a reused scan pick the same
-    branch arcs as copying the known arcs for every trial."""
+    """Trials in place, each undone along its trail, pick the same branch
+    arcs as copying the known arcs for every trial, also where whole strands
+    are in no crossing."""
     for v in [w, *markov_moves(w)]:
         assert braids._search_plan(v) == _plan_by_copies(v)
 
@@ -197,6 +207,19 @@ def test_coloring_counts():
     assert len(colorings_of_closure(r3, braid_or_knot("4_1"))) == 3
     assert len(colorings_of_closure(r5, braid_or_knot("4_1"))) == 25
     assert len(colorings_of_closure(r5, braid_or_knot("5_1"))) == 25
+    # the trefoil's 9 colorings, and any color on the two strands it misses
+    assert len(colorings_of_closure(r3, _LONE_STRANDS[0])) == 9 * 3 ** 2
+
+
+def test_one_element_quandle_needs_no_search(monkeypatch):
+    """Over a one-element quandle the one coloring is all zeros, found
+    without a search plan, however many strands."""
+    def no_plan(w):
+        raise AssertionError("search plan made")
+
+    monkeypatch.setattr(braids, "_search_plan", no_plan)
+    got = colorings_of_closure(make_trivial(1), parse_braid("k=1000000; 1"))
+    assert got == [(0,) * 10**6]
 
 
 def test_coloring_guard_and_jobs():

@@ -424,6 +424,9 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
      "--cocycle", "{kappa_deg1}"],
     ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
      "--cocycle", "{kappa_deg3}"],
+    # --degree names the degree to check, so it must be the file's
+    ["check", "cocycle", "{kappa3}", "--quandle", "dihedral:3",
+     "--rep", "conj-rep:perm3", "--degree", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     paths = _write_inputs(tmp_path)
@@ -540,10 +543,11 @@ def test_colorings_guard_does_not_build_the_power(capsys):
 
 
 def test_colorings_guard_bounds_the_search_plan(capsys):
-    """Over a one-element quandle |X|^k = 1 passes any guard.  The plan's
-    k * (letters + 1)^2 steps are bounded too: 2000 * 2^2 passes the default
-    guard and finishes within a second, and 20 * 31^2 = 19220 needs a guard
-    of 19220."""
+    """Over a one-element quandle |X|^k = 1 passes any guard, so the guard
+    also bounds the plan's k * (letters + 1)^2 steps, even though the one
+    coloring, all zeros, is then returned without a plan: 2000 * 2^2 passes
+    the default guard and finishes within a second, and 20 * 31^2 = 19220
+    needs a guard of 19220."""
     start = time.perf_counter()
     assert main(["colorings", "trivial:1", "k=2000; 1"]) == 0
     assert time.perf_counter() - start < 1
