@@ -13,7 +13,9 @@ any rep, within --guard boundary tuples; other degrees exit 2, as do a
 --degree that disagrees with the cochain file and a negative `homology`
 degree.  `search` takes any modulus N and lists generators of the
 cocycles over Z_N, with N under the key "prime" and their number under
-"dimension"; for prime N they are a basis.  `invariant`
+"dimension"; for prime N they are a basis.  The elimination picks its
+pivots by sparsity, so for composite N the generators may differ from
+those of earlier versions, with the same number and span.  `invariant`
 bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
 by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
 of the coloring search's plan; `invariant module` bounds the (k m)^2 cells

@@ -12,7 +12,8 @@ sequence, the (eta, tau) block pair met at each crossing
 (`braids.crossing_blocks`), so `module_invariant` builds one matrix and one
 cokernel per distinct sequence: one in all for an Alexander-type rep,
 whose blocks are constant.  `cocycle_invariant` forms each path action once
-per call, keyed by the colors to the right of the crossing.
+per call, keyed by the colors to the right of the crossing, and each weight
+path * kappa(x, y) once per path and source pair (x, y).
 """
 
 from __future__ import annotations
@@ -61,16 +62,22 @@ def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
     data = crossing_data(rep, w, coloring)
     if not (0 <= crossing < len(data)):
         raise InputError(f"crossing index {crossing} out of range")
-    eps, path, x, y = data[crossing]
-    return list(_pairing(rep, kappa, [(eps, path, (x, y))]))
+    return list(_pairing(rep, kappa, data[crossing:crossing + 1], {}))
 
 
-def _pairing(rep: AlgebraRep, kappa: Cochain, terms) -> tuple[int, ...]:
-    """Sum of sign * coef * kappa(key) over (sign, coef, key) terms."""
+def _pairing(rep: AlgebraRep, kappa: Cochain, data,
+             weights: dict) -> tuple[int, ...]:
+    """Sum of sign * path * kappa(x, y) over the (sign, path, x, y) records
+    of `crossing_data`.  `weights` remembers each path * kappa(x, y) by the
+    path's identity and (x, y): `crossing_data` gives one path object per
+    tuple of colors to the right of a crossing, kept in its `paths` dict."""
     N = rep.modulus
     total = [0] * rep.dim
-    for sign, coef, key in terms:
-        vec = mat_vec(coef, kappa.value(key), N)
+    for sign, path, x, y in data:
+        key = (id(path), x, y)
+        vec = weights.get(key)
+        if vec is None:
+            vec = weights[key] = mat_vec(path, kappa.value((x, y)), N)
         total = [(t + sign * c) % N for t, c in zip(total, vec)]
     return tuple(total)
 
@@ -83,11 +90,11 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
     if check:
         _require_cocycle(rep, kappa, guard)
     entries = []
-    paths: dict = {}
+    paths: dict = {}            # colors right of a crossing -> path action
+    weights: dict = {}          # (id(path), x, y) -> path * kappa(x, y)
     for coloring in colorings_of_closure(rep.quandle, w, guard=guard):
         data = crossing_data(rep, w, coloring, paths)
-        entries.append(_pairing(rep, kappa,
-                                ((e, path, (x, y)) for e, path, x, y in data)))
+        entries.append(_pairing(rep, kappa, data, weights))
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
                              dim=rep.dim)
 

@@ -5,6 +5,10 @@ there is deliberately no floating point anywhere in this package.
 
 Kernels, inverses and invertibility mod N, cokernels and cohomology share
 one elimination over each Z/p^e in N (`_local_homology`), merged by CRT.
+Its rows are sparse {column: residue} dicts.  It takes the p-valuations in
+turn, least first, and at valuation v the row with the fewest entries that
+has an entry of valuation v pivots, the first in row order on a tie, at its
+lowest column of valuation v; over a prime the pivot columns are the RREF's.
 The lattice route over Z and Q (`int_kernel` to
 `quotient_invariant_factors`) has no caller in the package: it is kept as a
 test reference until the benchmark's tracer stops naming it.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .errors import GuardExceeded, InputError
@@ -313,71 +318,112 @@ def _prime_powers(n: int) -> dict[int, int]:
     return out
 
 
+def _subtract(dst: dict, f: int, src: dict, q: int) -> None:
+    """dst -= f * src over Z/q, in place, on {index: residue} rows that
+    keep only nonzero residues."""
+    for k, y in src.items():
+        z = (dst.get(k, 0) - f * y) % q
+        if z:
+            dst[k] = z
+        else:
+            dst.pop(k, None)
+
+
+def _eliminate(rows: list, b: list, p: int, e: int, basis) -> list[int]:
+    """Reduce the rows of a, {column: residue mod p^e} dicts, in place, and
+    give each column's pivot valuation, e for a column without a pivot.
+    Valuations are taken in turn, least first: among the rows with an entry
+    of the current valuation v the one with the fewest entries pivots, the
+    first in row order on a tie, at its lowest column of valuation v.  So
+    p^v divides every entry left and entries stay below p^e; over a prime
+    each row pivots at its leading entry, and the pivot columns are those
+    of the RREF whatever the order of the pivots.  The pivot's column is
+    cleared by row operations, which never give a row an entry of valuation
+    v that it lacked, and a row that empties is dropped.  The column
+    operations that clear the pivot row are recorded in `basis`, one vector
+    per column when it is given, and act on the rows of b, one per column of
+    a, as the inverse row operations."""
+    q = p ** e
+    val = [e] * len(b)
+    track = any(b)                  # b rows stay zero once all are
+    for v in range(e):
+        pv = p ** v
+        above = pv * p              # leaves a remainder at valuation v
+        last = v == e - 1           # every entry left is of valuation e - 1
+        cand, later = list(filter(None, rows)), []
+        while cand:
+            row = cand[0]
+            if len(row) > 1:        # else no row is sparser
+                row = min(cand, key=len)
+            cand.remove(row)        # the first row equal to it is itself
+            if not last and math.gcd(q, *row.values()) != pv:
+                later.append(row)   # it has no entry of valuation v left
+                continue
+            c = min(row)
+            if not (last or row[c] % above):
+                c = min(compress(row, map(above.__rmod__, row.values())))
+            inv = pow(row.pop(c) // pv, -1, q)
+            val[c] = v
+            emptied = False
+            for other in cand + later if later else cand:
+                x = other.pop(c, 0)
+                if x:
+                    _subtract(other, x // pv * inv, row, q)
+                    if not other:
+                        emptied = True
+            if emptied:
+                cand = list(filter(None, cand))
+            if basis or track:
+                for k, x in row.items():
+                    f = x // pv * inv % q
+                    if basis:
+                        _subtract(basis[k], f, basis[c], q)
+                    if track:
+                        _subtract(b[c], -f, b[k], q)
+            row.clear()
+    return val
+
+
 def _local_homology(a: Matrix, b: Matrix, p: int, e: int,
                     kernel: bool = True) -> tuple[list[int], Matrix]:
     """Exponents v >= 1 of the factors Z/p^v of ker(a)/im(b) over Z/p^e,
     where b has one row per column of a and a.b = 0, and one vector of ker(a)
-    per column of a.  Each row pivots at its first entry of least
-    p-valuation, so a pivot divides every entry left and entries stay below
-    p^e.  The column operations that clear the pivot row are recorded, one
-    vector per column, and act on b as the inverse row operations.  A pivot
-    p^v leaves the kernel coordinate p^(e-v) Z/p^e = Z/p^v, whose vector is
-    the column's times p^(e-v) and whose row of b is a multiple of p^(e-v);
-    a column without one leaves Z/p^e.  The quotient is the cokernel of
-    those rows, divided down, beside the relations p^v; over Z/p^e a
-    cokernel of c is ker(c^T)/0, found by the same loop.  With kernel=False
-    the column-transform vectors are not kept and no kernel vectors are
-    returned."""
+    per column of a.  The rows of a and b and the column-transform vectors
+    are {column: residue} dicts, reduced by `_eliminate`: at each valuation
+    v, least first, the row with the fewest entries among those with an
+    entry of valuation v pivots, at its lowest column of valuation v.  Each
+    pivot p^v leaves the kernel coordinate p^(e-v) Z/p^e = Z/p^v, whose
+    vector is the column's times p^(e-v) and whose row of b is a multiple of
+    p^(e-v); a column without one leaves Z/p^e.  The quotient is the
+    cokernel of those rows, divided down, beside the relations p^v; over
+    Z/p^e a cokernel of c is ker(c^T)/0, found by the same loop.  With
+    kernel=False the column-transform vectors are not kept and no kernel
+    vectors are returned."""
     q = p ** e
-    a = [[x % q for x in row] for row in a]
-    b = list(b)                     # rows are replaced, never changed in place
-    val = [e] * len(b)              # per column: its pivot's valuation, e if none
-    cols = list(range(len(b)))      # the columns of a not yet pivots
-    # per column: its column-transform vector, when the kernel is wanted
-    basis = identity(len(b)) if kernel else None
-    for v in range(e):
-        pv, above = p ** v, p ** (v + 1)
-        i = 0
-        while i < len(a):
-            for j, x in enumerate(a[i]):
-                if x % above:
-                    break
-            else:
-                i += 1              # and the row never gains such an entry
-                continue
-            row = a.pop(i)
-            inv = pow(row[j] // pv, -1, q)
-            for other in a:
-                if other[j]:
-                    f = other[j] // pv * inv
-                    other[:] = [(x - f * y) % q for x, y in zip(other, row)]
-                del other[j]
-            c = cols.pop(j)
-            val[c] = v
-            del row[j]
-            acc = b[c]
-            if basis or acc:
-                for k, x in zip(cols, row):
-                    if x:
-                        f = x // pv * inv
-                        if basis:
-                            basis[k] = [(s - f * t) % q
-                                        for s, t in zip(basis[k], basis[c])]
-                        if acc:
-                            acc = [s + f * t for s, t in zip(acc, b[k])]
-                b[c] = [s % q for s in acc]
-    gens = [vec if v == e else [x * p ** (e - v) % q for x in vec]
-            for vec, v in zip(basis or [], val)]
-    if not any(map(any, b)):
+    rows = [{j: y for j, x in enumerate(row) if x and (y := x % q)} for row in a]
+    width = len(b[0]) if b else 0   # the columns of b
+    # with no columns the rows of b are zero, and `_eliminate` never writes them
+    b = ([{j: y for j, x in enumerate(row) if x and (y := x % q)} for row in b]
+         if width else [{}] * len(b))
+    basis = [{k: 1} for k in range(len(b))] if kernel else None
+    val = _eliminate(rows, b, p, e, basis)
+    gens = []
+    for vec, v in zip(basis or [], val):
+        dense, scale = [0] * len(val), p ** (e - v)
+        for k, x in vec.items():
+            dense[k] = x * scale % q
+        gens.append(dense)
+    if not any(b):
         return [v for v in val if v], gens
-    if any(x % (q // p ** v) for row, v in zip(b, val) for x in row):
+    if any(x % (q // p ** v) for row, v in zip(b, val) for x in row.values()):
         raise InputError("a.b is not zero")
-    ct = [list(col) for col in zip(*(
-        [x // (q // p ** v) for x in row] for row, v in zip(b, val) if v))]
     exps = [v for v in val if v]
-    ct += [[p ** v if r == t else 0 for t in range(len(exps))]
-           for r, v in enumerate(exps) if v < e]
-    return _local_homology(ct, [[] for _ in exps], p, e, False)[0], gens
+    ct = [{} for _ in range(width)]
+    for r, (row, v) in enumerate((row, v) for row, v in zip(b, val) if v):
+        for t, x in row.items():
+            ct[t][r] = x // (q // p ** v)
+    ct += [{r: p ** v} for r, v in enumerate(exps) if v < e]
+    return [v for v in _eliminate(ct, [{}] * len(exps), p, e, None) if v], gens
 
 
 def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
@@ -386,12 +432,13 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
-    local = [sorted((p ** v for v in _local_homology(a, b, p, e, False)[0]),
-                    reverse=True)
-             for p, e in _prime_powers(modulus).items()]
-    n = max(map(len, local), default=0)
-    return [math.prod(f[i] for f in local if i < len(f))
-            for i in reversed(range(n))]
+    factors: list[int] = []         # descending
+    for p, e in _prime_powers(modulus).items():
+        exps = sorted(_local_homology(a, b, p, e, False)[0], reverse=True)
+        factors += [1] * (len(exps) - len(factors))
+        for i, v in enumerate(exps):
+            factors[i] *= p ** v
+    return factors[::-1]
 
 
 def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:

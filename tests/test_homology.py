@@ -424,3 +424,55 @@ def test_bad_variant_rejected():
     rep = make_alexander_rep(make_dihedral(3), 3, 2)
     with pytest.raises(InputError):
         ComplexConfig(rep=rep, variant="birack")
+
+
+def _orbits(q) -> int:
+    """Orbits of X under its inner automorphisms x -> x * y, by union-find."""
+    parent = list(range(q.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in range(q.size):
+        for y in range(q.size):
+            parent[find(q.op(x, y))] = find(x)
+    return len({find(x) for x in range(q.size)})
+
+
+def _inner_order(q) -> int:
+    """|Inn(X)|: the group that the right translations x -> x * y generate."""
+    gens = [tuple(q.op(x, y) for x in range(q.size)) for y in range(q.size)]
+    group, todo = {tuple(range(q.size))}, [tuple(range(q.size))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return len(group)
+
+
+@pytest.mark.parametrize("quandle, n", [
+    (make_dihedral(3), 5), (make_dihedral(3), 7), (make_dihedral(5), 3),
+    (make_alexander(5, 2), 3), (make_trivial(2), 5), (make_dihedral(4), 3)])
+def test_rack_cohomology_with_trivial_coefficients_etingof_grana(quandle, n):
+    """Etingof and Grana (On rack cohomology, J. Pure Appl. Algebra 177,
+    2003): when |Inn(X)| is a unit mod N, rack cohomology with trivial
+    coefficients Z_N in degree d is (Z_N)^(|orbits|^d)."""
+    assert math.gcd(_inner_order(quandle), n) == 1
+    cfg = ComplexConfig(rep=make_alexander_rep(quandle, n, 1), variant="rack")
+    orbits = _orbits(quandle)
+    for d in range(4):
+        assert cohomology(cfg, d) == [n] * orbits ** d, (quandle.label, n, d)
+
+
+def test_rack_cohomology_of_r3_mod_3_exceeds_the_orbit_count():
+    """|Inn(R3)| = 6 is not a unit mod 3, and H^3 of R3 with trivial Z_3
+    coefficients has two factors where one orbit alone would give one."""
+    q = make_dihedral(3)
+    assert (_inner_order(q), _orbits(q)) == (6, 1)
+    cfg = ComplexConfig(rep=make_alexander_rep(q, 3, 1), variant="rack")
+    assert [cohomology(cfg, d) for d in range(4)] == [[3], [3], [3], [3, 3]]

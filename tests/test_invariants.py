@@ -252,6 +252,33 @@ def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch
         module_invariant(make_alexander_rep(make_trivial(1), 7, 2), w).entries)
 
 
+def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
+    """cocycle_invariant forms path * kappa(x, y) once per distinct path
+    (the colors to the right of a crossing) and source pair (x, y), found by
+    the reference walk over every coloring, not once per crossing; the
+    entries equal the per-coloring reference."""
+    from quandlekit import invariants
+    calls = []
+
+    def counted(m, v, mod=None):
+        calls.append(1)
+        return mat_vec(m, v, mod)
+
+    monkeypatch.setattr(invariants, "mat_vec", counted)
+    rep, kappa = nontrivial_kappa()
+    q = rep.quandle
+    w = braid_or_knot("k=3; 1 1 1 -2 -2 -2")     # 3_1 # 3_1*: 27 colorings
+    inv = cocycle_invariant(rep, kappa, w, check=False)
+    crossings = 0
+    distinct = set()
+    for coloring in colorings_of_closure(q, w):
+        for e, _, u, v, right in _reference_walk(rep, w, coloring):
+            crossings += 1
+            distinct.add((right, (u, v) if e > 0 else (q.inv_op(v, u), u)))
+    assert len(calls) == len(distinct) < crossings
+    assert inv.entries == _reference_cocycle(rep, kappa, w)
+
+
 def test_each_distinct_negative_block_is_inverted_once(monkeypatch):
     """module_invariant inverts the block (eta, tau)[x][y] of a negative
     crossing with source pair (x, y) once per rep, however many crossings
