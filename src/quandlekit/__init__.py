@@ -19,8 +19,8 @@ from .braids import (BraidWord, KNOT_TABLE, act, braid_or_knot,
 from .invariants import (InvariantMultiset, ModuleInvariant, boltzmann_weight,
                          cocycle_invariant, dynamical_extension,
                          module_invariant, multiset_contained)
-from .fox import (WirtingerPresentation, alexander_polynomial, fox_derivative,
-                  twisted_matrix, wirtinger_from_braid)
+from .fox import (WirtingerPresentation, alexander_polynomial, twisted_matrix,
+                  wirtinger_from_braid)
 from .linalg import cokernel_mod, kernel_mod, kernel_mod_p
 
 __version__ = "0.1.0"

@@ -17,13 +17,13 @@ strand leaves as eta * under + tau * over.
 
 `closure_arcs` walks the word once more for the arcs of the closed diagram:
 one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
-the closure.  `fox.wirtinger_from_braid` turns the triples into relators,
-and `colorings_of_closure` searches them in one process: it branches on at
-most k arcs, picked beforehand as those that force the most others, and
-propagates each color through the triples, so it reaches at most |X|^k
-leaves and finds the closure colorings without testing every candidate.
-Over a one-element quandle the one coloring, all zeros, is returned
-without a search.
+the closure.  Each triple stands for the Wirtinger relator of its crossing,
+and `fox.twisted_matrix` reads the triples directly.  `colorings_of_closure`
+searches them in one process: it branches on at most k arcs, picked
+beforehand as those that force the most others, and propagates each color
+through the triples, so it reaches at most |X|^k leaves and finds the
+closure colorings without testing every candidate.  Over a one-element
+quandle the one coloring, all zeros, is returned without a search.
 """
 
 from __future__ import annotations
@@ -262,20 +262,28 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     Past k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
     comparison never builds a larger power, and k <= guard.bit_length()
     keeps the plan's k^2 term small.  The guard also bounds the plan's
-    k * (letters + 1)^2 steps, which |X|^k does not when |X| = 1; there,
-    once past both guards, the one coloring is the all-zero vector, so
-    neither plan nor search is made."""
+    k * (letters + 1)^2 steps.  When |X| = 1 the one coloring is the
+    all-zero vector, so neither plan nor search is made; the guard then
+    bounds its k entries at each of the letters + 1 heights of the word,
+    which is what `crossing_data` and `colored_matrix` touch when they walk
+    it through the word."""
     if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
                             f"colorings exceed the guard of {guard}")
+    if q.size == 1:
+        entries = w.strands * (len(w.letters) + 1)
+        if entries > guard:
+            raise GuardExceeded(
+                f"{power_text(entries)} entries of the one coloring on "
+                f"{power_text(w.strands)} strands through {len(w.letters)} "
+                f"letters exceed the guard of {guard}")
+        return [(0,) * w.strands]
     steps = w.strands * (len(w.letters) + 1) ** 2
     if steps > guard:
         raise GuardExceeded(
             f"the search plan on {power_text(w.strands)} strands and "
             f"{len(w.letters)} letters takes up to {power_text(steps)} steps, "
             f"over the guard of {guard}")
-    if q.size == 1:
-        return [(0,) * w.strands]
     at, bottom, branch = _search_plan(w)
     table, inv = q.table, q._inv_table
     col = [-1] * len(at)

@@ -18,10 +18,12 @@ pivots by sparsity, so for composite N the generators may differ from
 those of earlier versions, with the same number and span.  `invariant`
 bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
 by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
-of the coloring search's plan; `invariant module` bounds the (k m)^2 cells
-of its colored matrix on k strands with an m-dimensional rep, `invariant
-alexander` its n^4 Laurent products on n arcs, and `search` and `homology`
-the cells of the coboundary matrix.
+of the coloring search's plan (over a one-element quandle, the
+k * (letters + 1) entries of its one coloring), and every command the N^2
+cells of a shorthand quandle's table; `invariant module` bounds the
+(k m)^2 cells of its colored matrix on k strands with an m-dimensional rep,
+`invariant alexander` its n^4 Laurent products on n arcs, and `search` and
+`homology` the cells of the coboundary matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -74,7 +76,7 @@ def _rep_on_quandle(args, spec: str | None, **options):
     """The rep `spec` on --quandle, if one is given; `options` go to load_rep."""
     if spec is None:
         raise InputError("no --rep given")
-    quandle = qio.load_quandle(args.quandle) if args.quandle else None
+    quandle = qio.load_quandle(args.quandle, args.guard) if args.quandle else None
     return qio.load_rep(spec, quandle=quandle, **options)
 
 
@@ -83,7 +85,7 @@ def cmd_check(args) -> int:
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
         # input error
-        report = verify_axioms(qio.load_table(args.target))
+        report = verify_axioms(qio.load_table(args.target, args.guard))
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
         report = verify_relations(_rep_on_quandle(args, args.target, check=False))
@@ -113,7 +115,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    q = qio.load_quandle(args.quandle)
+    q = qio.load_quandle(args.quandle, args.guard)
     w = _load_word(args)
     cols = colorings_of_closure(q, w, guard=args.guard)
     _emit({"quandle": args.quandle, "braid": list(w.letters),

@@ -12,7 +12,7 @@ import os
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3)
-from .errors import InputError
+from .errors import GUARD, GuardExceeded, InputError, power_text
 from .homology import Cochain
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
@@ -66,23 +66,28 @@ QUANDLE_SHORTHANDS = {"dihedral": (make_dihedral, 1),
                       "trivial": (make_trivial, 1)}
 
 
-def load_quandle(spec: str) -> FiniteQuandle:
+def load_quandle(spec: str, guard: int = GUARD) -> FiniteQuandle:
     """A quandle by shorthand (dihedral:3, alexander:5:2, trivial:4) or by
-    JSON file path."""
+    JSON file path.  A shorthand's N x N table is refused, before it is
+    built, when its N^2 cells exceed `guard`."""
     kind, *args = spec.split(":")
     if kind not in QUANDLE_SHORTHANDS:
         return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
     make, arity = QUANDLE_SHORTHANDS[kind]
     if len(args) != arity:
         raise InputError(f"bad quandle shorthand {spec!r}")
-    return make(*_ints(spec, args))
+    ints = _ints(spec, args)
+    if ints[0] > 0 and ints[0] ** 2 > guard:
+        raise GuardExceeded(f"{spec!r} has {power_text(ints[0], 2)} table "
+                            f"cells, over the guard of {guard}")
+    return make(*ints)
 
 
-def load_table(spec: str) -> list:
+def load_table(spec: str, guard: int = GUARD) -> list:
     """The operation table of a quandle shorthand or JSON file, before its
     axioms are checked, so that a table failing them can be reported."""
     if spec.split(":")[0] in QUANDLE_SHORTHANDS:
-        return [list(r) for r in load_quandle(spec).table]
+        return [list(r) for r in load_quandle(spec, guard).table]
     return table_from_doc(_load_json(spec))
 
 

@@ -32,10 +32,7 @@ from quandlekit.braids import (
     parse_braid,
 )
 from quandlekit.cli import main as cli_main
-from quandlekit.fox import (
-    alexander_polynomial,
-    fox_derivative,
-)
+from quandlekit.fox import alexander_polynomial
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
@@ -61,6 +58,8 @@ from quandlekit.quandles import (
     verify_axioms,
 )
 from quandlekit.groups import cyclic_group, small_groups
+
+from fox_calculus import fox_derivative
 
 random.seed(2026)
 

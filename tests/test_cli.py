@@ -6,7 +6,9 @@ import pytest
 
 import quandlekit.cli as cli
 import quandlekit.homology as homology
+from quandlekit import io as qio
 from quandlekit.cli import main
+from quandlekit.errors import GuardExceeded
 
 
 def run(capsys, *argv):
@@ -543,20 +545,57 @@ def test_colorings_guard_does_not_build_the_power(capsys):
 
 
 def test_colorings_guard_bounds_the_search_plan(capsys):
-    """Over a one-element quandle |X|^k = 1 passes any guard, so the guard
-    also bounds the plan's k * (letters + 1)^2 steps, even though the one
-    coloring, all zeros, is then returned without a plan: 2000 * 2^2 passes
-    the default guard and finishes within a second, and 20 * 31^2 = 19220
-    needs a guard of 19220."""
+    """The guard bounds the plan's k * (letters + 1)^2 steps, which |X|^k
+    does not: over trivial:2 on 3 strands and 16 letters |X|^k = 8, and the
+    plan's 3 * 17^2 = 867 steps need a guard of 867.  Over a one-element
+    quandle no plan is made, and the guard bounds the one coloring's
+    k * (letters + 1) entries instead: 2000 * 2 passes the default guard and
+    finishes within a second, 20 * 31 = 620 passes a guard of 19219 below
+    the 20 * 31^2 = 19220 steps a plan would take, and k = 10^9 strands are
+    refused before the coloring is built."""
+    argv = ["colorings", "trivial:2", "k=3; " + " ".join(["1 -2"] * 8)]
+    assert main(argv + ["--guard", "866"]) == 3
+    assert "search plan" in capsys.readouterr().err
+    assert main(argv + ["--guard", "867"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
     start = time.perf_counter()
     assert main(["colorings", "trivial:1", "k=2000; 1"]) == 0
     assert time.perf_counter() - start < 1
     assert json.loads(capsys.readouterr().out)["colorings"] == [[0] * 2000]
     argv = ["colorings", "trivial:1", "k=20; " + " ".join(["1 -2"] * 15)]
-    assert main(argv + ["--guard", "19219"]) == 3
-    assert "search plan" in capsys.readouterr().err
-    assert main(argv + ["--guard", "19220"]) == 0
+    assert main(argv + ["--guard", "19219"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 1
+    assert main(argv + ["--guard", "619"]) == 3
+    assert "620 entries of the one coloring" in capsys.readouterr().err
+    assert main(argv + ["--guard", "620"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+    start = time.perf_counter()
+    assert main(["colorings", "trivial:1", "k=1000000000; "]) == 3
+    assert time.perf_counter() - start < 1
+    assert "1000000000 entries" in capsys.readouterr().err
+
+
+def test_shorthand_tables_are_bounded_by_the_guard(capsys):
+    """A shorthand quandle's N x N table is refused before it is built when
+    its N^2 cells exceed --guard, in every command that loads one, so a huge
+    N exits 3 at once.  Library callers get the default guard."""
+    start = time.perf_counter()
+    assert main(["colorings", f"dihedral:{10 ** 22}", "3_1"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "table cells" in capsys.readouterr().err
+    for argv in (["check", "quandle", "alexander:100000:3"],
+                 ["invariant", "module", "--quandle", "trivial:100000",
+                  "--rep", "alexander-rep:5:2", "--knot", "3_1"],
+                 ["check", "quandle", "dihedral:4", "--guard", "15"]):
+        assert main(argv) == 3, argv
+        assert "table cells" in capsys.readouterr().err
+    assert main(["check", "quandle", "dihedral:4", "--guard", "16"]) == 0
+    capsys.readouterr()
+    with pytest.raises(GuardExceeded):
+        qio.load_quandle("trivial:3163")
+    with pytest.raises(GuardExceeded):
+        qio.load_table("dihedral:5", guard=24)
+    assert len(qio.load_table("dihedral:5", guard=25)) == 5
 
 
 def test_module_guard_bounds_the_colored_matrix(capsys):

@@ -6,21 +6,17 @@ from quandlekit.braids import (BraidWord, braid_or_knot, colorings_of_closure,
                                markov_moves, parse_braid)
 from quandlekit.errors import InputError
 from quandlekit.fox import (
-    WirtingerPresentation,
     alexander_polynomial,
-    fox_derivative,
-    reduce_word,
-    ring_mul,
     trivial_rho,
     twisted_matrix,
     wirtinger_from_braid,
-    word_inv,
-    word_mul,
 )
 from quandlekit import fox
 from quandlekit.laurent import laurent_gcd_of_minors, lp_det, lp_eval, lp_normalize
 from quandlekit.linalg import kernel_mod_p
 from quandlekit.quandles import make_alexander, make_dihedral
+
+from fox_calculus import fox_derivative, reduce_word, ring_mul, word_inv, word_mul
 
 X = ((0, 1),)
 Y = ((1, 1),)
@@ -72,20 +68,15 @@ def test_fox_product_rule():
 def test_wirtinger_trefoil():
     pres = wirtinger_from_braid(braid_or_knot("3_1"))
     assert pres.generators == 3
-    assert len(pres.relators) == 3
-    for r in pres.relators:
-        assert [e for _, e in r] == [1, 1, -1, -1]
+    assert len(pres.crossings) == 3
+    for triple in pres.crossings:
+        assert len(triple) == 3 and all(0 <= a < 3 for a in triple)
 
 
 def test_wirtinger_counts_figure_eight():
     pres = wirtinger_from_braid(braid_or_knot("4_1"))
     assert pres.generators == 4
-    assert len(pres.relators) == 4
-
-
-def test_wirtinger_shape_check():
-    with pytest.raises(InputError):
-        WirtingerPresentation(2, (((0, 1), (1, 1), (1, -1), (1, -1)),))
+    assert len(pres.crossings) == 4
 
 
 def test_alexander_polynomials():
@@ -183,7 +174,7 @@ def test_determinant_vs_colorings():
 def _fox_nullity(w, t0, p):
     """Nullity over Z_p of the trivial-rho Fox matrix evaluated at t = t0."""
     pres = wirtinger_from_braid(w)
-    if not pres.relators:
+    if not pres.crossings:
         return pres.generators
     mat = [[lp_eval(cell[0][0], t0, p) for cell in row]
            for row in twisted_matrix(pres, trivial_rho(pres))]
@@ -222,10 +213,15 @@ def test_twisted_matrix_trivial_rho_row_sums():
 
 
 def test_twisted_matrix_rejects_bad_rho():
+    """rho must respect every relator and be one square dim x dim matrix
+    per generator, dim >= 1."""
     pres = wirtinger_from_braid(braid_or_knot("3_1"))
     rho = [[[1]], [[1]], [[2]]]   # not constant on conjugacy classes
     with pytest.raises(InputError):
         twisted_matrix(pres, rho)
+    for rho in ([[[1]], [[1]]], [[[1, 0]]] * 3, [[]] * 3, []):
+        with pytest.raises(InputError, match="one matrix per generator"):
+            twisted_matrix(pres, rho)
 
 
 def test_twisted_matrix_mod():
@@ -256,6 +252,7 @@ def test_twisted_matrix_trivial_rho_is_abelianized_fox_derivative():
         w = braid_or_knot(name)
         for v in [w, *markov_moves(w)]:
             pres = wirtinger_from_braid(v)
+            relators = [((o, 1), (s, 1), (o, -1), (t, -1)) for o, s, t in pres.crossings]
             expected = [[[[_abelianized(fox_derivative(r, j))]]
-                         for j in range(pres.generators)] for r in pres.relators]
+                         for j in range(pres.generators)] for r in relators]
             assert twisted_matrix(pres, trivial_rho(pres)) == expected
