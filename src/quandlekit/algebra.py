@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .errors import CheckFailed, InputError
+from .errors import GUARD, CheckFailed, GuardExceeded, InputError
 from .groups import FiniteGroup
 from .linalg import (Matrix, identity, is_invertible_mod, mat_add, mat_inv_mod,
                      mat_mul, mat_scale, mat_sub)
@@ -164,15 +164,19 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
     return make_group_rep(q, modulus, rho, label="perm3")
 
 
-def verify_relations(rep: AlgebraRep) -> ValidationReport:
+def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     """Exhaustive check of identities (1)-(4); reports first failure of each.
 
     Every (x, y, z) is compared, in that scan order, but each distinct
     matrix product and each distinct sum of relation (3) is formed once,
     and invertibility is tested once per distinct eta: a conjugation rep
-    has only |X| distinct eta and |X| distinct tau matrices."""
+    has only |X| distinct eta and |X| distinct tau matrices.  The |X|^3
+    triples must not exceed `guard`."""
     q, n = rep.quandle, rep.modulus
     size, table = q.size, q.table
+    if size ** 3 > guard:
+        raise GuardExceeded(f"{size ** 3} relation triples exceed the guard "
+                            f"of {guard}")
     products = _Products(n)
     eta = [[products.number(m) for m in row] for row in rep.eta]
     tau = [[products.number(m) for m in row] for row in rep.tau]
@@ -220,14 +224,14 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
 
 
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
-             label: str = "", check: bool = True) -> AlgebraRep:
+             label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
     dim = len(eta[0][0])
     rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
                      eta=_freeze_table(eta), tau=_freeze_table(tau),
                      rho=None if rho is None else tuple(_freeze(m) for m in rho),
                      label=label)
     if check:
-        report = verify_relations(rep)
+        report = verify_relations(rep, guard)
         if not report:
             raise CheckFailed("; ".join(report.failures))
     return rep

@@ -20,7 +20,10 @@ bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
 by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
 of the coloring search's plan (over a one-element quandle, the
 k * (letters + 1) entries of its one coloring), and every command the N^2
-cells of a shorthand quandle's table; `invariant module` bounds the
+cells of a shorthand quandle's table, the axiom check of a JSON quandle
+(its n^2 cells, the |S| n^2 steps of axiom III on a generating set S, and
+the n^3 steps of the scan of a failing table) and the |X|^3 relation
+triples of a JSON rep, in `check rep` too; `invariant module` bounds the
 (k m)^2 cells of its colored matrix on k strands with an m-dimensional rep,
 `invariant alexander` its n^4 Laurent products on n arcs, and `search` and
 `homology` the cells of the coboundary matrix.
@@ -73,22 +76,27 @@ def _load_word(args):
 
 
 def _rep_on_quandle(args, spec: str | None, **options):
-    """The rep `spec` on --quandle, if one is given; `options` go to load_rep."""
+    """The rep `spec` on --quandle, if one is given; `options` and --guard go
+    to load_rep."""
     if spec is None:
         raise InputError("no --rep given")
     quandle = qio.load_quandle(args.quandle, args.guard) if args.quandle else None
-    return qio.load_rep(spec, quandle=quandle, **options)
+    return qio.load_rep(spec, quandle=quandle, guard=args.guard, **options)
 
 
 def cmd_check(args) -> int:
     kind = args.kind
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
-        # input error
-        report = verify_axioms(qio.load_table(args.target, args.guard))
+        # input error.  A JSON table's check is bounded by --guard; a
+        # shorthand's by its N^2 cells, which load_table bounds
+        table = qio.load_table(args.target, args.guard)
+        shorthand = args.target.split(":")[0] in qio.QUANDLE_SHORTHANDS
+        report = verify_axioms(table, len(table) ** 3 if shorthand else args.guard)
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
-        report = verify_relations(_rep_on_quandle(args, args.target, check=False))
+        report = verify_relations(_rep_on_quandle(args, args.target, check=False),
+                                  args.guard)
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
         # 'zero' takes --degree (2 without it); a file has its own degree

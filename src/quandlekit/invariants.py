@@ -134,8 +134,9 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     are formed once per module vector, and each cell adds two of them by a
     table of vector sums.  Returns (table, report, quandle-or-None); the
     quandle is built only when the axioms pass.  The size^3 axiom checks
-    must not exceed `guard`.  kappa must be a 2-cochain with values in the
-    rep's module (Z_N)^m.
+    must not exceed `guard`: checked before the table is built, this bound
+    also covers verify_axioms' full scan of a failing table.  kappa must be
+    a 2-cochain with values in the rep's module (Z_N)^m.
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
     if kappa is not None and (kappa.degree, kappa.modulus, kappa.dim) != (2, N, m):
@@ -167,7 +168,7 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
                 # the cells (b, y) of row (a, x) sit at b * size + y
                 table[ai * size + x][y::size] = [sums[ea][tb] * size + xy
                                                  for tb in tau_b]
-    report = verify_axioms(table)
+    report = verify_axioms(table, guard)
     quandle = None
     if report:
         quandle = FiniteQuandle(tuple(tuple(r) for r in table),

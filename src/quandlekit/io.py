@@ -56,8 +56,10 @@ def table_from_doc(doc: dict) -> list:
     return table
 
 
-def quandle_from_doc(doc: dict, label: str = "") -> FiniteQuandle:
-    return quandle_from_table(table_from_doc(doc), label=doc.get("label", label))
+def quandle_from_doc(doc: dict, label: str = "", guard: int = GUARD) -> FiniteQuandle:
+    """The quandle of a document; `guard` bounds the work of its axiom check."""
+    return quandle_from_table(table_from_doc(doc), label=doc.get("label", label),
+                              guard=guard)
 
 
 # shorthand name -> (constructor, number of integer arguments)
@@ -69,10 +71,12 @@ QUANDLE_SHORTHANDS = {"dihedral": (make_dihedral, 1),
 def load_quandle(spec: str, guard: int = GUARD) -> FiniteQuandle:
     """A quandle by shorthand (dihedral:3, alexander:5:2, trivial:4) or by
     JSON file path.  A shorthand's N x N table is refused, before it is
-    built, when its N^2 cells exceed `guard`."""
+    built, when its N^2 cells exceed `guard`; a JSON table's axiom check
+    is bounded by `guard` (see verify_axioms)."""
     kind, *args = spec.split(":")
     if kind not in QUANDLE_SHORTHANDS:
-        return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
+        return quandle_from_doc(_load_json(spec), label=os.path.basename(spec),
+                                guard=guard)
     make, arity = QUANDLE_SHORTHANDS[kind]
     if len(args) != arity:
         raise InputError(f"bad quandle shorthand {spec!r}")
@@ -118,14 +122,15 @@ def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
 
 
 def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
-                 check: bool = True) -> AlgebraRep:
+                 check: bool = True, guard: int = GUARD) -> AlgebraRep:
     """A rep document on its 'quandle' or on `quandle`; both must agree if given.
-    With `check`, a rep that fails the relations raises CheckFailed."""
+    With `check`, a rep that fails the relations raises CheckFailed.  `guard`
+    bounds the checks of the document's own quandle and of the relations."""
     for key in ("modulus", "dim", "eta", "tau"):
         if key not in doc:
             raise InputError(f"rep document is missing {key!r}")
     if "quandle" in doc:
-        own = quandle_from_doc(doc["quandle"])
+        own = quandle_from_doc(doc["quandle"], guard=guard)
         _check_quandle(own, quandle, "rep document")
         quandle = quandle or own
     elif quandle is None:
@@ -137,7 +142,7 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
         raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
                          f"of {dim} x {dim} integer matrices")
     return make_rep(quandle, modulus, doc["eta"], doc["tau"],
-                    label=doc.get("label", ""), check=check)
+                    label=doc.get("label", ""), check=check, guard=guard)
 
 
 def _ints(spec: str, texts) -> list[int]:
@@ -148,18 +153,20 @@ def _ints(spec: str, texts) -> list[int]:
 
 
 def load_rep(spec: str, quandle: FiniteQuandle | None = None,
-             modulus: int | None = None, check: bool = True) -> AlgebraRep:
+             modulus: int | None = None, check: bool = True,
+             guard: int = GUARD) -> AlgebraRep:
     """A rep by shorthand or JSON file path: the one place a rep meets a quandle.
 
     alexander-rep:N:t and trivial-action[:N] (eta = I, tau = 0; N defaults to
     `modulus`) are built on `quandle`; conj-rep:perm3[:N] (R3 permuting
     coordinates, mod 3 by default) and JSON reps must live on it if it is given.
-    `check` is passed to rep_from_doc for JSON reps.
+    `check` and `guard` are passed to rep_from_doc for JSON reps.
     """
     parts = spec.split(":")
     kind = parts[0]
     if kind not in ("alexander-rep", "conj-rep", "trivial-action"):
-        return rep_from_doc(_load_json(spec), quandle=quandle, check=check)
+        return rep_from_doc(_load_json(spec), quandle=quandle, check=check,
+                            guard=guard)
     if kind != "conj-rep" and quandle is None:
         raise InputError(f"{kind} shorthand needs a quandle")
     if kind == "alexander-rep" and len(parts) == 3:

@@ -1,7 +1,8 @@
 """The exhaustive checks and the extension table against their plain loops.
 
 `verify_axioms`, `verify_relations` and `dynamical_extension` do each
-distinct piece of work once.  The loops below are the direct forms they
+distinct piece of work once, and `verify_axioms` checks axiom III only on a
+generating set when axiom II holds.  The loops below are the direct forms they
 replaced, kept as references: the reports must be identical, failures and
 their order included, and so must the extension tables.
 """
@@ -10,6 +11,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import io as qio
 from quandlekit.algebra import (
@@ -29,6 +32,7 @@ from quandlekit.quandles import (
     make_conj,
     make_core,
     make_dihedral,
+    generating_set,
     make_trivial,
     verify_axioms,
 )
@@ -223,6 +227,40 @@ def test_tables_match_reference():
     assert only_three
 
 
+# quandles whose greedy generating sets have 2 to 8 elements
+_PROPERTY_TABLES = [*_quandle_tables(),
+                    *([list(r) for r in make_dihedral(n).table] for n in (7, 8, 9)),
+                    [list(r) for r in make_alexander(8, 3).table],
+                    [list(r) for r in make_trivial(4).table]]
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """A quandle table with 0-2 swaps within a column, which keep axiom II
+    and so take the generating-set route, and sometimes one arbitrary entry."""
+    table = [row[:] for row in draw(st.sampled_from(_PROPERTY_TABLES))]
+    index = st.integers(0, len(table) - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        a, a2, b = draw(index), draw(index), draw(index)
+        table[a][b], table[a2][b] = table[a2][b], table[a][b]
+    if draw(st.booleans()):
+        table[draw(index)][draw(index)] = draw(index)
+    return table
+
+
+_arbitrary_tables = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(table=st.one_of(_perturbed_tables(), _arbitrary_tables))
+def test_generating_set_check_matches_reference(table):
+    """Axiom III on a greedy generating set gives the a, b, c scan's report,
+    failures and their order included, on perturbed quandles and on
+    arbitrary tables."""
+    _same_axioms(table)
+
+
 EXTENSIONS = [  # the benchmark's extend configurations
     ("trivial:2", "trivial-action:2"), ("dihedral:3", "alexander-rep:3:2"),
     ("dihedral:4", "alexander-rep:3:2"), ("dihedral:5", "alexander-rep:5:2")]
@@ -249,3 +287,12 @@ def test_cocycle_extension_matches_reference():
         assert table == _reference_extension(rep, k)
         assert (report.passed, report.failures) == _reference_axioms(table)
         assert report.passed is passes and (ext is not None) is passes
+
+
+def test_extension_has_ten_greedy_generators():
+    """The 81-element extension of R3 by perm3 with a cocycle passes its
+    axiom III check on 10 generators, not on all 81 columns."""
+    rep = _shorthand_rep("dihedral:3", "conj-rep:perm3")
+    kappa = cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2)[0]
+    table, report, _ = dynamical_extension(rep, kappa)
+    assert report.passed and len(generating_set(table)) == 10

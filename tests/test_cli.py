@@ -135,9 +135,9 @@ def test_check_json_rep_verifies_once(capsys, tmp_path, monkeypatch):
     from quandlekit.io import load_rep, rep_to_doc
     verify, calls = algebra.verify_relations, []
 
-    def counted(rep):
+    def counted(rep, *args):
         calls.append(rep)
-        return verify(rep)
+        return verify(rep, *args)
 
     monkeypatch.setattr(algebra, "verify_relations", counted)
     monkeypatch.setattr(cli, "verify_relations", counted)
@@ -613,6 +613,60 @@ def test_module_guard_bounds_the_colored_matrix(capsys):
     assert main(argv + ["k=100000; 1"]) == 3
     assert time.perf_counter() - start < 5
     assert "10000000000 colored-matrix cells" in capsys.readouterr().err
+
+
+def _write_table(path, n, op):
+    path.write_text(json.dumps({"size": n, "table": [[op(i, j) for j in range(n)]
+                                                     for i in range(n)]}))
+    return str(path)
+
+
+def test_json_quandles_are_bounded_by_the_guard(capsys, tmp_path):
+    """A JSON quandle's axiom check is bounded by --guard in every command
+    that loads one.  R1000 passes on its 2 generators (2 * 10^6 steps,
+    where composing all 10^6 column pairs would take 10^9), T300 is
+    its own generating set and its 300^3 steps exceed the default guard,
+    and a failing R9 needs 9^3 = 729 steps for the scan that finds its
+    first failing triple."""
+    r1000 = _write_table(tmp_path / "r1000.json", 1000, lambda i, j: (2 * j - i) % 1000)
+    start = time.perf_counter()
+    assert qio.load_quandle(r1000).size == 1000
+    assert time.perf_counter() - start < 10
+    t300 = _write_table(tmp_path / "t300.json", 300, lambda i, j: i)
+    with pytest.raises(GuardExceeded):
+        qio.load_quandle(t300)
+    for argv in (["check", "quandle", t300],
+                 ["colorings", t300, "3_1"]):
+        assert main(argv) == 3, argv
+        assert "300 generators" in capsys.readouterr().err
+    bad = [[(2 * j - i) % 9 for j in range(9)] for i in range(9)]
+    bad[1][0], bad[2][0] = bad[2][0], bad[1][0]
+    path = tmp_path / "bad9.json"
+    path.write_text(json.dumps({"size": 9, "table": bad}))
+    assert main(["check", "quandle", str(path), "--guard", "728"]) == 3
+    assert "729 steps" in capsys.readouterr().err
+    code, out = run(capsys, "check", "quandle", str(path), "--guard", "729")
+    assert code == 1 and json.loads(out)["failures"][0].startswith("axiom III")
+
+
+def test_json_rep_relations_are_bounded_by_the_guard(capsys, tmp_path):
+    """`check rep` and every command that loads a JSON rep refuse its |X|^3
+    relation triples over --guard, and hold the rep's own quandle to it:
+    on R9, 9^3 = 729 triples exceed a guard of 500, while the quandle's
+    2 * 81 generator steps do not."""
+    from quandlekit.algebra import make_alexander_rep
+    from quandlekit.quandles import make_dihedral
+    path = tmp_path / "r9rep.json"
+    path.write_text(json.dumps(qio.rep_to_doc(make_alexander_rep(make_dihedral(9), 9, 2))))
+    assert main(["check", "rep", str(path), "--guard", "500"]) == 3
+    assert "729 relation triples" in capsys.readouterr().err
+    assert main(["invariant", "module", "--quandle", "dihedral:9", "--rep", str(path),
+                 "--knot", "3_1", "--guard", "500"]) == 3
+    assert "729 relation triples" in capsys.readouterr().err
+    assert main(["check", "rep", str(path), "--guard", "161"]) == 3
+    assert "2 generators" in capsys.readouterr().err
+    code, out = run(capsys, "check", "rep", str(path), "--guard", "729")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,

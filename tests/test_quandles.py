@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from quandlekit.errors import InputError
+from quandlekit.errors import GuardExceeded, InputError
 from quandlekit.groups import cyclic_group, dihedral_group, small_groups, symmetric_group
 from quandlekit.quandles import (
     FiniteQuandle,
+    generating_set,
     make_alexander,
     make_conj,
     make_core,
@@ -77,6 +78,37 @@ def test_verify_axioms_rejects_malformed():
         verify_axioms([[0, 1], [1]])
     with pytest.raises(InputError):
         verify_axioms([[0, 5], [1, 0]])
+
+
+def test_greedy_generating_sets():
+    """0 and 1 generate R_n for every n >= 2 (0*1 = 2, 1*0 = n - 1, and so
+    on), and each element of a trivial quandle generates only itself."""
+    for n in (*range(2, 14), 300, 600):
+        assert generating_set(make_dihedral(n).table) == [0, 1]
+    for n in (1, 2, 5, 40):
+        assert generating_set(make_trivial(n).table) == list(range(n))
+    assert generating_set([]) == [] and generating_set([[0]]) == [0]
+
+
+def test_verify_axioms_guard_bounds_its_work():
+    """The guard refuses the n^2 cells, then the |S| n^2 steps of axiom III
+    on the generating set S, then, for a failing table, the n^3 steps of
+    the full scan.  R9 has 81 cells and 2 generators; swapping two entries
+    of a column keeps axiom II and breaks axiom III."""
+    r9 = [list(r) for r in make_dihedral(9).table]
+    with pytest.raises(GuardExceeded, match="81 table cells"):
+        verify_axioms(r9, guard=80)
+    with pytest.raises(GuardExceeded, match="2 generators .* 162 steps"):
+        verify_axioms(r9, guard=161)
+    assert verify_axioms(r9, guard=162).passed
+    r9[1][0], r9[2][0] = r9[2][0], r9[1][0]
+    with pytest.raises(GuardExceeded, match="729 steps"):
+        verify_axioms(r9, guard=728)
+    assert verify_axioms(r9, guard=729).failures == [
+        "axiom III fails at (a,b,c)=(0,1,0): (0*1)*0 != (0*0)*(1*0)"]
+    t4 = [list(r) for r in make_trivial(4).table]
+    with pytest.raises(GuardExceeded, match="4 generators .* 64 steps"):
+        verify_axioms(t4, guard=63)
 
 
 def test_inv_op_is_inverse():
