@@ -18,12 +18,18 @@ strand leaves as eta * under + tau * over.
 `closure_arcs` walks the word once more for the arcs of the closed diagram:
 one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
 the closure.  Each triple stands for the Wirtinger relator of its crossing,
-and `fox.twisted_matrix` reads the triples directly.  `colorings_of_closure`
-searches them in one process: it branches on at most k arcs, picked
-beforehand as those that force the most others, and propagates each color
-through the triples, so it reaches at most |X|^k leaves and finds the
-closure colorings without testing every candidate.  Over a one-element
-quandle the one coloring, all zeros, is returned without a search.
+and `fox.twisted_matrix` reads the triples directly.
+
+`colorings_of_closure` finds the closure colorings in one process, without
+testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
+(R_n, the Alexander quandles, T_n), the word acts on bottom vectors by the
+Burau matrix M at t, so the colorings are ker(M - I) over Z_n: M is read
+from `act` on the unit vectors, the kernel comes from `linalg.kernel_mod`,
+and its span is listed without repeats.  Over any other quandle the search
+branches on at most k arcs, picked beforehand as those that force the most
+others, and propagates each color through the triples, so it reaches at
+most |X|^k leaves.  Over a one-element quandle the one coloring, all zeros,
+is returned without either.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep, _bar_block
 from .errors import GUARD, GuardExceeded, InputError, power_text
-from .linalg import Matrix, identity, mat_add, mat_mul, zeros
+from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -256,14 +262,15 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
                          guard: int = GUARD) -> list[tuple[int, ...]]:
     """All bottom vectors fixed by the word, in lexicographic order.
 
-    A depth-first search colors the at most k branch arcs of `_search_plan`
-    with every value in turn and propagates each choice, pruning on a clash;
-    it reaches at most |X|^k leaves, so the guard on |X|^k bounds the work.
-    Past k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
+    Over an affine quandle they are a kernel, found by `_affine_colorings`;
+    over any other, `_search_colorings` branches on at most k arcs and
+    reaches at most |X|^k leaves.  The guard on |X|^k bounds either: past
+    k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
     comparison never builds a larger power, and k <= guard.bit_length()
-    keeps the plan's k^2 term small.  The guard also bounds the plan's
-    k * (letters + 1)^2 steps.  When |X| = 1 the one coloring is the
-    all-zero vector, so neither plan nor search is made; the guard then
+    keeps the k^2 and k^3 terms small.  The guard also bounds the
+    k * (letters + 1)^2 steps of the search's plan, which cover the k walks
+    of the word that the kernel route makes.  When |X| = 1 the one coloring
+    is the all-zero vector, so neither route is taken; the guard then
     bounds its k entries at each of the letters + 1 heights of the word,
     which is what `crossing_data` and `colored_matrix` touch when they walk
     it through the word."""
@@ -284,6 +291,42 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
             f"the search plan on {power_text(w.strands)} strands and "
             f"{len(w.letters)} letters takes up to {power_text(steps)} steps, "
             f"over the guard of {guard}")
+    if q._affine_t is not None:
+        return _affine_colorings(q, w)
+    return _search_colorings(q, w)
+
+
+def _affine_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
+    """The colorings by an affine quandle Z_n, a*b = t a + (1 - t) b: the
+    crossing rule is linear, so the word acts on bottom vectors by a k x k
+    matrix M over Z_n (the Burau matrix at t), whose column j is the top of
+    the unit vector e_j, and the colorings are ker(M - I).  The span of the
+    `kernel_mod` generators is listed one coset of the span so far per
+    multiple of the next generator that is not yet in it, so no vector is
+    made twice and the work is k entries per coloring."""
+    n, k = q.size, w.strands
+    cols = [act(q, w, [int(i == j) for i in range(k)]) for j in range(k)]
+    a = [[(cols[j][i] - (i == j)) % n for j in range(k)] for i in range(k)]
+    span = [(0,) * k]
+    members = set(span)
+    for g in map(tuple, kernel_mod(a, n)):
+        shifts, m = [], g
+        while m not in members:
+            shifts.append(m)
+            m = tuple([(x + y) % n for x, y in zip(m, g)])
+        new = [tuple([(x + y) % n for x, y in zip(s, c)])
+               for c in shifts for s in span]
+        span += new
+        members.update(new)
+    span.sort()
+    return span
+
+
+def _search_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
+    """The colorings by any quandle, by a depth-first search: it colors the
+    at most k branch arcs of `_search_plan` with every value in turn and
+    propagates each choice, pruning on a clash, so it reaches at most
+    |X|^k leaves."""
     at, bottom, branch = _search_plan(w)
     table, inv = q.table, q._inv_table
     col = [-1] * len(at)

@@ -5,7 +5,8 @@ cocycle state sum collects signed, path-twisted cocycle values at the
 crossings, and the module invariant collects the cokernels of the colored
 matrices minus the identity.  Multisets are kept sorted so that equality
 and serialization are canonical.  Both run in one process, over the
-colorings of the serial search `braids.colorings_of_closure`.
+colorings of `braids.colorings_of_closure`: a kernel over an affine quandle,
+a search over any other.
 
 The colored matrix depends on a coloring only through its coefficient
 sequence, the (eta, tau) block pair met at each crossing

@@ -153,6 +153,21 @@ class FiniteQuandle:
         """a op-bar b: the unique c with c*b = a."""
         return self._inv_table[a][b]
 
+    @cached_property
+    def _affine_t(self) -> int | None:
+        """The t with a*b = t a + (1 - t) b mod n for all a, b, if the table
+        is that affine one, else None: t = 1*0 is read off and every row
+        checked, O(n^2) once.  Covers R_n (t = n - 1), the Alexander
+        quandles and T_n (t = 1); a one-element table is read as t = 0."""
+        n = self.size
+        t = self.table[1][0] if n > 1 else 0
+        first = tuple((1 - t) * b % n for b in range(n))
+        for a, row in enumerate(self.table):
+            ta = t * a
+            if row != tuple([(ta + x) % n for x in first]):
+                return None
+        return t
+
 
 def quandle_from_table(table, label: str = "", guard: int = GUARD) -> FiniteQuandle:
     report = verify_axioms(table, guard)

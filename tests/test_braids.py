@@ -28,7 +28,8 @@ from quandlekit.errors import GuardExceeded, InputError
 from quandlekit.homology import ComplexConfig, _basis, boundary_matrix
 from quandlekit.linalg import mat_mul, mat_vec
 from quandlekit.groups import symmetric_group
-from quandlekit.quandles import make_alexander, make_conj, make_dihedral, make_trivial
+from quandlekit.quandles import (make_alexander, make_conj, make_core, make_dihedral,
+                                 make_trivial)
 
 
 def test_parse_braid():
@@ -145,11 +146,11 @@ _LONE_STRANDS = [BraidWord(4, (1, 1, 1)), BraidWord(3, ())]
 
 
 @st.composite
-def _braid_words(draw):
-    k = draw(st.integers(1, 5))
+def _braid_words(draw, max_strands=5, max_letters=14):
+    k = draw(st.integers(1, max_strands))
     letter = st.integers(1, max(k - 1, 1)).flatmap(
         lambda i: st.sampled_from([i, -i]))
-    letters = draw(st.lists(letter, max_size=14)) if k > 1 else []
+    letters = draw(st.lists(letter, max_size=max_letters)) if k > 1 else []
     return BraidWord(k, tuple(letters))
 
 
@@ -334,3 +335,125 @@ def test_markov_moves_are_closure_preserving():
         base = len(colorings_of_closure(r3, w))
         for v in variants:
             assert len(colorings_of_closure(r3, v)) == base
+
+
+# affine quandles Z_n, a*b = t a + (1 - t) b, composite n included
+_AFFINE_QUANDLES = [*(make_dihedral(n) for n in (3, 4, 5, 6, 8, 9, 12)),
+                    make_alexander(5, 2), make_alexander(7, 3),
+                    make_alexander(8, 3), make_alexander(9, 2),
+                    make_trivial(2), make_trivial(3)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from(_AFFINE_QUANDLES), w=_braid_words(4, 10))
+@example(q=make_dihedral(12), w=_LONE_STRANDS[0])
+@example(q=make_alexander(8, 3), w=_LONE_STRANDS[1])
+@example(q=make_trivial(3), w=_LONE_STRANDS[0])
+def test_affine_route_matches_the_search(q, w):
+    """Over an affine quandle the colorings are the kernel of the Burau
+    matrix at t minus I; listed from its generators, they are the search's
+    list on every Markov variant, for composite n too and with strands in
+    no crossing."""
+    for v in [w, *markov_moves(w)]:
+        assert colorings_of_closure(q, v) == braids._search_colorings(q, v), v
+
+
+_NON_AFFINE_QUANDLES = [make_conj(symmetric_group(3)), make_core(symmetric_group(3))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from(_PROPERTY_QUANDLES[:5] + _NON_AFFINE_QUANDLES),
+       w=_braid_words(4, 10))
+@example(q=_NON_AFFINE_QUANDLES[0], w=_LONE_STRANDS[0])
+def test_search_matches_brute_force(q, w):
+    """The search, which every quandle but an affine one takes, gives the
+    brute-force list on every Markov variant, over R_n as well."""
+    for v in [w, *markov_moves(w)]:
+        assert braids._search_colorings(q, v) == brute_force_colorings(q, v), v
+
+
+def test_affine_recogniser():
+    """The table itself is recognised: the three shorthands give their t,
+    and Conj(S3) and Core(S3) are not affine."""
+    from quandlekit import io as qio
+    assert qio.load_quandle("dihedral:6")._affine_t == 5
+    assert qio.load_quandle("alexander:8:3")._affine_t == 3
+    assert qio.load_quandle("trivial:4")._affine_t == 1
+    s3 = symmetric_group(3)
+    assert make_conj(s3)._affine_t is None
+    assert make_core(s3)._affine_t is None
+
+
+def test_affine_quandles_need_no_search_plan(monkeypatch):
+    """An affine quandle's colorings come from a kernel, with no search
+    plan; any other quandle is still searched."""
+    def no_plan(w):
+        raise AssertionError("search plan made")
+
+    w = braid_or_knot("4_1")
+    conj = make_conj(symmetric_group(3))
+    searched = colorings_of_closure(conj, w)
+    monkeypatch.setattr(braids, "_search_plan", no_plan)
+    for q in (make_dihedral(5), make_alexander(8, 3), make_trivial(2)):
+        assert len(colorings_of_closure(q, w)) == len(brute_force_colorings(q, w))
+    with pytest.raises(AssertionError, match="search plan made"):
+        colorings_of_closure(conj, w)
+    assert searched == brute_force_colorings(conj, w)
+
+
+def test_affine_listing_removes_repeats(monkeypatch):
+    """The span is listed without repeats whatever generators the kernel
+    gives: with the first one doubled and the sum of all of them added, the
+    lists are unchanged (and a listing that kept repeats would grow by at
+    most n^2, to stay small)."""
+    cases = [(make_alexander(8, 3), parse_braid("k=3; 1 -2 1 -2 1 -2")),
+             (make_dihedral(6), _LONE_STRANDS[0]),
+             (make_dihedral(9), braid_or_knot("3_1"))]
+    want = [colorings_of_closure(q, w) for q, w in cases]
+    kernel = braids.kernel_mod
+
+    def redundant(a, n):
+        gens = kernel(a, n)
+        return gens + [[2 * x % n for x in gens[0]], [sum(c) % n for c in zip(*gens)]]
+
+    monkeypatch.setattr(braids, "kernel_mod", redundant)
+    assert [colorings_of_closure(q, w) for q, w in cases] == want
+
+
+def test_found_braids_by_both_routes():
+    """Two R7 braids on which the search does far more work than its output
+    (a deferred crossing check, and a cycle of crossings that propagation
+    cannot see) give the search's lists by the kernel route."""
+    r7 = make_dihedral(7)
+    for text, count in (
+            ("k=7; 3 5 -5 -4 -4 4 2 4 -2 -5 5 -5 1 5 1 -2 -6 4 3 3", 49),
+            ("k=7; -4 6 5 -6 -6 6 5 -2 2 5 2 6 4 -2 -6", 7 ** 5)):
+        w = parse_braid(text)
+        found = colorings_of_closure(r7, w)
+        assert len(found) == count
+        assert found == braids._search_colorings(r7, w)
+
+
+def test_search_on_its_own_stays_bounded(monkeypatch):
+    """`test_search_propagations_bounded` now reaches the kernel route, which
+    propagates nothing; the search on its own keeps that test's bound, a
+    tenth of the 19,607 and 960,799 calls of position order on these R7
+    braids (plan trials included)."""
+    calls = 0
+    propagate = braids._propagate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return propagate(*args)
+
+    monkeypatch.setattr(braids, "_propagate", counted)
+    r7 = make_dihedral(7)
+    for text, stalled in (("k=5; 1 4 3 3 2 -3 2 3 3 -4 -4 -1 3 -3 3", 19_607),
+                          ("k=7; -4 6 5 -6 -6 6 5 -2 2 5 2 6 4 -2 -6", 960_799)):
+        w = parse_braid(text)
+        calls = 0
+        colorings_of_closure(r7, w)
+        assert calls == 0
+        braids._search_colorings(r7, w)
+        assert 0 < calls < stalled / 10

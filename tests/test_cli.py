@@ -575,6 +575,28 @@ def test_colorings_guard_bounds_the_search_plan(capsys):
     assert "1000000000 entries" in capsys.readouterr().err
 
 
+def test_search_guards_over_a_non_affine_quandle(capsys, tmp_path):
+    """Over an affine quandle the colorings are a kernel, found with no
+    search; Conj(S3), not affine, is searched, and both guards keep their
+    boundaries there.  4_1 has 6^3 = 216 candidates and its plan 3 * 5^2 =
+    75 steps; k=2 with 8 letters has 36 candidates and 2 * 9^2 = 162 plan
+    steps.  The file's axiom check takes 4 * 6^2 = 144 steps."""
+    from quandlekit.groups import symmetric_group
+    from quandlekit.quandles import make_conj
+    path = tmp_path / "conj_s3.json"
+    path.write_text(json.dumps(qio.quandle_to_doc(make_conj(symmetric_group(3)))))
+    argv = ["colorings", str(path), "4_1", "--guard"]
+    assert main(argv + ["215"]) == 3
+    assert "216 candidate colorings" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "216")
+    assert code == 0 and json.loads(out)["count"] == 6
+    argv = ["colorings", str(path), "k=2; " + "1 " * 8, "--guard"]
+    assert main(argv + ["161"]) == 3
+    assert "162 steps" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "162")
+    assert code == 0 and json.loads(out)["count"] == 30
+
+
 def test_shorthand_tables_are_bounded_by_the_guard(capsys):
     """A shorthand quandle's N x N table is refused before it is built when
     its N^2 cells exceed --guard, in every command that loads one, so a huge

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from quandlekit.braids import (BraidWord, braid_or_knot, colorings_of_closure,
-                               markov_moves, parse_braid)
+from quandlekit.braids import (KNOT_TABLE, BraidWord, braid_or_knot,
+                               colorings_of_closure, markov_moves, parse_braid)
 from quandlekit.errors import InputError
 from quandlekit.fox import (
     alexander_polynomial,
@@ -198,6 +198,23 @@ def test_alexander_colorings_are_fox_kernel():
     for w, q, t0 in cases:
         p = q.size
         assert len(colorings_of_closure(q, w)) == p ** _fox_nullity(w, t0, p)
+
+
+def test_alexander_quandle_colorings_detect_roots_of_delta():
+    """A knot has more than p colorings by Alex(p, t0) exactly when
+    Delta(t0) = 0 mod p, for p <= 11 and every unit t0 (t0 = 1 is the
+    trivial quandle, with p colorings and Delta(1) = +-1)."""
+    knots = [braid_or_knot(name) for name in KNOT_TABLE] + _random_knots(2001, 40)
+    roots = 0
+    for w in knots:
+        delta = alexander_polynomial(w)
+        for p in (2, 3, 5, 7, 11):
+            for t0 in range(1, p):
+                count = len(colorings_of_closure(make_alexander(p, t0), w))
+                root = lp_eval(delta, t0, p) == 0
+                assert (count > p) == root, (w, p, t0)
+                roots += root
+    assert roots >= 50
 
 
 def test_twisted_matrix_trivial_rho_row_sums():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -227,6 +228,20 @@ def test_alexander_type_module_is_the_burau_cokernel():
             assert len(burau.entries) == 1
             inv = module_invariant(make_alexander_rep(q, n, t), w)
             assert inv.entries == burau.entries * len(colorings_of_closure(q, w)), w
+
+
+def test_alexander_coloring_count_is_the_burau_module_order():
+    """The colorings by Alex(n, t) are the kernel of the Burau matrix at t
+    minus I, and over Z_n a square matrix has a kernel and a cokernel of one
+    order: the count is the product of the factors of the module invariant
+    over the one-element quandle, composite n included."""
+    rng = random.Random(2001)
+    for n, t in ((3, 2), (4, 3), (5, 2), (6, 5), (7, 3), (8, 3), (9, 2), (12, 5)):
+        q = make_alexander(n, t)
+        for w in _random_braids(rng, 12, 4) + [BraidWord(4, (1, 1, 1))]:
+            (factors,) = module_invariant(
+                make_alexander_rep(make_trivial(1), n, t), w).entries
+            assert len(colorings_of_closure(q, w)) == math.prod(factors), w
 
 
 def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch):
