@@ -42,6 +42,14 @@ class AlgebraRep:
         return self.rho is not None
 
     @cached_property
+    def _one_pair(self) -> bool:
+        # every cell holds the (eta, tau) pair of cell (0, 0), compared by
+        # value: true for an Alexander-type rep however its tables were made
+        eta, tau = self.eta[0][0], self.tau[0][0]
+        return (all(m == eta for row in self.eta for m in row)
+                and all(m == tau for row in self.tau for m in row))
+
+    @cached_property
     def _crossing_blocks(self) -> tuple[dict, dict, list]:
         # braids.crossing_blocks' numbering: (positive?, x, y) -> number,
         # (positive?, eta[x][y], tau[x][y]) -> number, and number -> the
@@ -53,8 +61,22 @@ def _freeze(m: Matrix):
     return tuple(tuple(row) for row in m)
 
 
-def _freeze_table(t):
-    return tuple(tuple(_freeze(m) for m in row) for row in t)
+def _freeze_row(ms, frozen: dict) -> tuple:
+    """The matrices `ms` as a tuple of frozen matrices, each distinct input
+    object frozen once: `frozen` maps id(input) -> (input, its frozen copy),
+    holding the input so that its id is not reused, and is shared by every
+    table of one rep, so cells that share an input share one tuple."""
+    out = []
+    for m in ms:
+        seen = frozen.get(id(m))
+        if seen is None:
+            seen = frozen[id(m)] = (m, _freeze(m))
+        out.append(seen[1])
+    return tuple(out)
+
+
+def _freeze_table(t, frozen: dict):
+    return tuple(_freeze_row(row, frozen) for row in t)
 
 
 class _Products:
@@ -225,10 +247,15 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
 
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
              label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
+    """The rep with tables eta and tau, frozen to tuples; cells that share an
+    input matrix object share its one frozen copy.  With `check`, a rep that
+    fails verify_relations raises CheckFailed."""
     dim = len(eta[0][0])
+    frozen: dict = {}           # id(input) -> (input, frozen copy)
     rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
-                     eta=_freeze_table(eta), tau=_freeze_table(tau),
-                     rho=None if rho is None else tuple(_freeze(m) for m in rho),
+                     eta=_freeze_table(eta, frozen),
+                     tau=_freeze_table(tau, frozen),
+                     rho=None if rho is None else _freeze_row(rho, frozen),
                      label=label)
     if check:
         report = verify_relations(rep, guard)
@@ -240,7 +267,8 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
 def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     """Constant tables eta = t, tau = I - t, which satisfy (1)-(4) on every
     quandle, so only t is checked: a unit mod N, either an integer (a 1x1
-    rep) or a square matrix, which sets the dimension."""
+    rep) or a square matrix, which sets the dimension.  Every cell holds the
+    one frozen t and the one frozen I - t."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
     tmat = [[t % modulus]] if isinstance(t, int) else [list(r) for r in t]
@@ -261,16 +289,17 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
 def make_conj_rep(g: GroupRep) -> AlgebraRep:
     """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y).
 
-    CheckFailed unless check_group_rep passes, which on these tables is
-    equivalent to relations (1)-(4): (1) is the conjugation relation, and
-    (2)-(4) follow from it and axiom III."""
+    I - rho(z) is formed once per element z, so the tables hold |X| distinct
+    eta and |X| distinct tau objects.  CheckFailed unless check_group_rep
+    passes, which on these tables is equivalent to relations (1)-(4): (1) is
+    the conjugation relation, and (2)-(4) follow from it and axiom III."""
     report = check_group_rep(g)
     if not report:
         raise CheckFailed("; ".join(report.failures))
     q, n, dim = g.quandle, g.modulus, g.dim
-    eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
-    tau = [[mat_sub(identity(dim), g.rho[q.op(x, y)], n)
-            for y in range(q.size)] for x in range(q.size)]
+    one_minus = [mat_sub(identity(dim), r, n) for r in g.rho]
+    eta = [list(g.rho) for _ in range(q.size)]
+    tau = [[one_minus[z] for z in row] for row in q.table]
     return make_rep(q, n, eta, tau, rho=g.rho,
                     label=f"conj-rep({g.label})", check=False)
 

@@ -364,7 +364,10 @@ def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
     (algebra.bar of (x*y, y)) at a negative one.  Pairs are numbered per rep
     by (sign, eta[x][y], tau[x][y]), so each distinct negative block is
     inverted once and colorings with the same sequence have the same colored
-    matrix; for an Alexander-type rep every coloring has the same."""
+    matrix.  When the rep's whole table is one pair (`AlgebraRep._one_pair`,
+    as for an Alexander-type rep) the sequence depends only on the signs of
+    the letters, so every coloring has the same one and
+    `invariants.module_invariant` walks only the first."""
     cells, numbers, pairs = rep._crossing_blocks
     out = []
     for e, _, x, y in _walk(rep.quandle, w, list(bottom)):

@@ -158,9 +158,16 @@ def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:
 
 
 def vector_to_cochain(cfg: ComplexConfig, degree: int, vec) -> Cochain:
+    """The degree-n cochain whose vector in the basis of _basis is `vec`."""
+    return _vector_to_cochain(cfg, degree, _basis(cfg, degree), vec)
+
+
+def _vector_to_cochain(cfg: ComplexConfig, degree: int, basis: dict,
+                       vec) -> Cochain:
+    # vector_to_cochain with the basis listed by the caller, once for many vectors
     m, N = cfg.rep.dim, cfg.rep.modulus
     values = {}
-    for key, pos in _basis(cfg, degree).items():
+    for key, pos in basis.items():
         v = [x % N for x in vec[pos * m:(pos + 1) * m]]
         if any(v):
             values[key] = v
@@ -218,13 +225,15 @@ def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool
 
 def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
     """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
-    the kernel of delta, an echelon basis when N is prime.  The cells of
-    the chosen complex's delta must not exceed `guard`."""
+    the kernel of delta, an echelon basis when N is prime, read back as
+    cochains through one listing of the basis.  The cells of the chosen
+    complex's delta must not exceed `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     _require_cells(cfg, degree, guard)
-    return [vector_to_cochain(cfg, degree, vec)
-            for vec in kernel_mod(coboundary_matrix(cfg, degree), cfg.rep.modulus)]
+    kernel = kernel_mod(coboundary_matrix(cfg, degree), cfg.rep.modulus)
+    basis = _basis(cfg, degree)
+    return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel]
 
 
 def _basis_size(cfg: ComplexConfig, n: int) -> int:

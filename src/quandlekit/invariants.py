@@ -11,10 +11,13 @@ a search over any other.
 The colored matrix depends on a coloring only through its coefficient
 sequence, the (eta, tau) block pair met at each crossing
 (`braids.crossing_blocks`), so `module_invariant` builds one matrix and one
-cokernel per distinct sequence: one in all for an Alexander-type rep,
-whose blocks are constant.  `cocycle_invariant` forms each path action once
-per call, keyed by the colors to the right of the crossing, and each weight
-path * kappa(x, y) once per path and source pair (x, y).
+cokernel per distinct sequence.  When the rep's whole table is one pair, as
+for an Alexander-type rep, every coloring has the sequence that the signs of
+the letters fix: the word is walked once, not once per coloring, and one
+matrix and one cokernel serve every coloring.  `cocycle_invariant` forms
+each path action once per call, keyed by the colors to the right of the
+crossing, and each weight path * kappa(x, y) once per path and source pair
+(x, y).
 """
 
 from __future__ import annotations
@@ -105,17 +108,24 @@ def module_invariant(rep: AlgebraRep, w: BraidWord,
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
     rep.quandle; the |X|^k candidate colorings and the (k m)^2 cells of the
     colored matrix must not exceed `guard`.  Colorings with the same
-    coefficient sequence share one matrix and one cokernel."""
+    coefficient sequence share one matrix and one cokernel.  When the rep's
+    whole (eta, tau) table is one pair, as for an Alexander-type rep, the
+    sequence depends only on the signs of the letters, so one walk of the
+    word gives it for every coloring."""
     q, N = rep.quandle, rep.modulus
     colorings = colorings_of_closure(q, w, guard=guard)
     cells = (w.strands * rep.dim) ** 2
     if cells > guard:
         raise GuardExceeded(f"{power_text(cells)} colored-matrix cells exceed "
                             f"the guard of {guard}")
+    shared = None               # the one sequence of a one-pair table
+    if rep._one_pair:           # colorings holds the constant ones at least
+        shared = crossing_blocks(rep, w, colorings[0])
     entries = []
     cokernels: dict = {}        # coefficient sequence -> invariant factors
     for coloring in colorings:
-        blocks = crossing_blocks(rep, w, coloring)
+        blocks = (crossing_blocks(rep, w, coloring) if shared is None
+                  else shared)
         entry = cokernels.get(blocks)
         if entry is None:
             m = colored_matrix(rep, w, coloring, blocks)

@@ -17,6 +17,7 @@ from quandlekit.algebra import (
 )
 from quandlekit.errors import CheckFailed, InputError
 from quandlekit.groups import small_groups
+from quandlekit.io import load_rep
 from quandlekit.linalg import identity, mat_add, mat_inv_mod, mat_mul, mat_scale, mat_vec
 from quandlekit.quandles import (
     make_alexander,
@@ -167,6 +168,54 @@ def test_regular_rep_over_small_groups():
         assert check_group_rep(grep).passed
         rep = make_conj_rep(grep)
         assert verify_relations(rep).passed
+
+
+def _unshared(table):
+    """The table with a fresh list for every cell: equal by value, sharing
+    no matrix object."""
+    return [[[list(r) for r in m] for m in row] for row in table]
+
+
+def test_alexander_rep_freezes_one_eta_and_one_tau():
+    """Every cell of make_alexander_rep holds the one frozen t and the one
+    frozen I - t."""
+    rep = make_alexander_rep(make_dihedral(7), 7, 2)
+    assert all(m is rep.eta[0][0] for row in rep.eta for m in row)
+    assert all(m is rep.tau[0][0] for row in rep.tau for m in row)
+    assert (rep.eta[0][0], rep.tau[0][0]) == (((2,),), ((6,),))
+
+
+def test_conj_rep_shares_one_block_per_element():
+    """make_conj_rep gives eta[x][y] = rho(y) and tau[x][y] = I - rho(x*y)
+    mod N in every cell, for the regular conjugation reps of small_groups(8)
+    and for conj-rep:perm3, with at most |X| distinct objects per table.
+    The same tables from unshared lists give an equal rep and the same
+    verify_relations report, passing or, with tau[0][0] = I, failing."""
+    reps = [make_conj_rep(regular_group_rep(g, make_conj(g), range(g.size), 7))
+            for g in small_groups(8)]
+    reps.append(load_rep("conj-rep:perm3"))
+    for rep in reps:
+        q, n, dim = rep.quandle, rep.modulus, rep.dim
+        for x in range(q.size):
+            for y in range(q.size):
+                rho = rep.rho[q.op(x, y)]
+                assert rep.tau[x][y] == tuple(
+                    tuple((int(i == j) - rho[i][j]) % n for j in range(dim))
+                    for i in range(dim))
+                assert rep.eta[x][y] is rep.rho[y]
+        for table in (rep.eta, rep.tau):
+            assert len({id(m) for row in table for m in row}) <= q.size
+        broken = _unshared(rep.tau)
+        broken[0][0] = identity(dim)    # relation (4) fails at x = 0
+        for tau, passed in ((rep.tau, True), (broken, False)):
+            shared = make_rep(q, n, rep.eta, tau, rho=rep.rho, check=False)
+            fresh = make_rep(q, n, _unshared(rep.eta), _unshared(tau),
+                             rho=[list(map(list, m)) for m in rep.rho],
+                             check=False)
+            assert fresh == shared
+            report = verify_relations(fresh)
+            assert report.passed is passed
+            assert verify_relations(shared) == report
 
 
 def test_wada_conj_variants():

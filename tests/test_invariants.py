@@ -7,12 +7,14 @@ import pytest
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_rep,
     make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
 )
 from quandlekit.braids import (BraidWord, braid_or_knot, colored_matrix,
-                               colorings_of_closure, markov_moves)
+                               colorings_of_closure, crossing_blocks,
+                               markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError
 from quandlekit.homology import (
     Cochain,
@@ -30,6 +32,7 @@ from quandlekit.invariants import (
     multiset_contained,
 )
 from quandlekit.groups import cyclic_group, dihedral_group
+from quandlekit.io import load_rep
 from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
                                mat_mul, mat_scale, mat_vec)
 from quandlekit.quandles import (make_alexander, make_conj, make_core,
@@ -265,6 +268,39 @@ def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch
     assert calls == {"colored_matrix": 1, "cokernel_mod": 1}
     assert set(inv.entries) == set(
         module_invariant(make_alexander_rep(make_trivial(1), 7, 2), w).entries)
+
+
+def test_one_pair_rep_walks_the_word_once(monkeypatch):
+    """A rep whose whole (eta, tau) table is one pair walks the word once
+    for all colorings: alexander-rep:7:2 over the 7^3 R7 colorings of
+    5_2 # 5_2, and the same constant table built by make_rep from a fresh
+    list per cell, which is one pair by value and gives the same entries.
+    conj-rep:perm3 on R3 walks each coloring."""
+    from quandlekit import invariants
+    calls = []
+
+    def counted(rep, w, bottom):
+        calls.append(tuple(bottom))
+        return crossing_blocks(rep, w, bottom)
+
+    monkeypatch.setattr(invariants, "crossing_blocks", counted)
+    w = braid_or_knot("k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4")
+    r7 = make_dihedral(7)
+    alexander = load_rep("alexander-rep:7:2", r7)
+    inv = module_invariant(alexander, w)
+    assert len(inv.entries) == 7 ** 3 and len(calls) == 1
+    fresh = make_rep(r7, 7, [[[[2]] for _ in range(7)] for _ in range(7)],
+                     [[[[6]] for _ in range(7)] for _ in range(7)])
+    assert fresh.eta[0][0] is not fresh.eta[0][1] and fresh._one_pair
+    calls.clear()
+    assert module_invariant(fresh, w) == inv
+    assert len(calls) == 1
+    calls.clear()
+    perm3 = load_rep("conj-rep:perm3")
+    assert not perm3._one_pair
+    module_invariant(perm3, w)
+    assert sorted(calls) == colorings_of_closure(perm3.quandle, w)
+    assert len(calls) > 1
 
 
 def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
