@@ -7,7 +7,8 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
 the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
-this crossing rule to colors, and it hands out each crossing once, as the
+this crossing rule to colors, by its letter loop `_crossings`, which takes
+the operation and its inverse, and it hands out each crossing once, as the
 record (letter, p, x, y): p the left position and (x, y) the source pair,
 (u, v) at sigma_i and (v bar* u, u) at its inverse.  `act`, `crossing_data`
 and `crossing_blocks` read it; the last numbers the block pair that each
@@ -24,12 +25,12 @@ and `fox.twisted_matrix` reads the triples directly.
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
 (R_n, the Alexander quandles, T_n), the word acts on bottom vectors by the
 Burau matrix M at t, so the colorings are ker(M - I) over Z_n: M is read
-from `act` on the unit vectors, the kernel comes from `linalg.kernel_mod`,
-and its span is listed without repeats.  Over any other quandle the search
-branches on at most k arcs, picked beforehand as those that force the most
-others, and propagates each color through the triples, so it reaches at
-most |X|^k leaves.  Over a one-element quandle the one coloring, all zeros,
-is returned without either.
+in one pass of `_crossings` over linear forms, the kernel comes from
+`linalg.kernel_mod`, and its span is listed without repeats.  Over any
+other quandle the search branches on at most k arcs, picked beforehand as
+those that force the most others, and propagates each color through the
+triples, so it reaches at most |X|^k leaves.  Over a one-element quandle
+the one coloring, all zeros, is returned without either.
 """
 
 from __future__ import annotations
@@ -120,22 +121,29 @@ def braid_or_knot(text: str) -> BraidWord:
 
 
 def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
-    """Apply each crossing of the word to `colors` in place, then yield its
-    record (letter, p, x, y): p the 0-based left position and (x, y) the
-    source pair.  sigma_i sends (u, v) to (v, u*v), with (x, y) = (u, v);
-    its inverse sends (u, v) to (v bar* u, u), with (x, y) = (v bar* u, u)."""
+    """Check that `colors` are w.strands colors of q, then return the
+    `_crossings` of the word over q's operation and its inverse."""
     if len(colors) != w.strands:
         raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
     if not all(0 <= c < q.size for c in colors):
         raise InputError(f"bottom colors {colors} outside 0..{q.size - 1}")
+    return _crossings(w, colors, q.op, q.inv_op)
+
+
+def _crossings(w: BraidWord, colors: list, op, inv_op):
+    """Apply each crossing of the word to `colors` in place, then yield its
+    record (letter, p, x, y): p the 0-based left position and (x, y) the
+    source pair.  sigma_i sends (u, v) to (v, u*v), with (x, y) = (u, v);
+    its inverse sends (u, v) to (v bar* u, u), with (x, y) = (v bar* u, u).
+    Here u*v is op(u, v) and a bar* b is inv_op(a, b), the c with c*b = a."""
     for e in w.letters:
         p = abs(e) - 1
         u, v = colors[p], colors[p + 1]
         if e > 0:
             x, y = u, v
-            colors[p], colors[p + 1] = v, q.op(u, v)
+            colors[p], colors[p + 1] = v, op(u, v)
         else:
-            x, y = q.inv_op(v, u), u
+            x, y = inv_op(v, u), u
             colors[p], colors[p + 1] = x, y
         yield e, p, x, y
 
@@ -268,12 +276,12 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
     comparison never builds a larger power, and k <= guard.bit_length()
     keeps the k^2 and k^3 terms small.  The guard also bounds the
-    k * (letters + 1)^2 steps of the search's plan, which cover the k walks
-    of the word that the kernel route makes.  When |X| = 1 the one coloring
-    is the all-zero vector, so neither route is taken; the guard then
-    bounds its k entries at each of the letters + 1 heights of the word,
-    which is what `crossing_data` and `colored_matrix` touch when they walk
-    it through the word."""
+    k * (letters + 1)^2 steps of the search's plan, which cover the kernel
+    route's walk of k-entry linear forms through the word.  When |X| = 1
+    the one coloring is the all-zero vector, so neither route is taken; the
+    guard then bounds its k entries at each of the letters + 1 heights of
+    the word, which is what `crossing_data` and `colored_matrix` touch when
+    they walk it through the word."""
     if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
                             f"colorings exceed the guard of {guard}")
@@ -296,17 +304,41 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     return _search_colorings(q, w)
 
 
+def _burau_rows(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
+    """The k x k matrix M over Z_n by which the word acts on the bottom
+    vectors of an affine quandle Z_n, a*b = t a + (1 - t) b: the Burau
+    matrix at t, with top colors M * bottom.  One walk of `_crossings`
+    carries each strand's color as a linear form over the bottom colors,
+    starting from the unit vectors, so row i of M is the form that ends at
+    top position i.  The inverse a bar* b = t^-1 (a - (1 - t) b) needs t to
+    be a unit mod n, which it is for every affine table that passes axiom
+    II: a -> t a + (1 - t) b is a bijection of Z_n only when t is."""
+    n, k, t = q.size, w.strands, q._affine_t
+    s, t_inv = 1 - t, pow(t, -1, n)
+
+    def op(u, v):
+        return tuple([(t * a + s * b) % n for a, b in zip(u, v)])
+
+    def inv_op(u, v):
+        return tuple([t_inv * (a - s * b) % n for a, b in zip(u, v)])
+
+    colors = [tuple([int(i == j) for j in range(k)]) for i in range(k)]
+    for _ in _crossings(w, colors, op, inv_op):
+        pass
+    return colors
+
+
 def _affine_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     """The colorings by an affine quandle Z_n, a*b = t a + (1 - t) b: the
-    crossing rule is linear, so the word acts on bottom vectors by a k x k
-    matrix M over Z_n (the Burau matrix at t), whose column j is the top of
-    the unit vector e_j, and the colorings are ker(M - I).  The span of the
-    `kernel_mod` generators is listed one coset of the span so far per
-    multiple of the next generator that is not yet in it, so no vector is
-    made twice and the work is k entries per coloring."""
+    crossing rule is linear, so the word acts on bottom vectors by the Burau
+    matrix M at t, read by `_burau_rows` in one walk of the word, and the
+    colorings are ker(M - I).  The span of the `kernel_mod` generators is
+    listed one coset of the span so far per multiple of the next generator
+    that is not yet in it, so no vector is made twice and the work is k
+    entries per coloring."""
     n, k = q.size, w.strands
-    cols = [act(q, w, [int(i == j) for i in range(k)]) for j in range(k)]
-    a = [[(cols[j][i] - (i == j)) % n for j in range(k)] for i in range(k)]
+    a = [[(x - (i == j)) % n for j, x in enumerate(row)]
+         for i, row in enumerate(_burau_rows(q, w))]
     span = [(0,) * k]
     members = set(span)
     for g in map(tuple, kernel_mod(a, n)):

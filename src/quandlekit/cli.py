@@ -126,9 +126,9 @@ def cmd_colorings(args) -> int:
     q = qio.load_quandle(args.quandle, args.guard)
     w = _load_word(args)
     cols = colorings_of_closure(q, w, guard=args.guard)
-    _emit({"quandle": args.quandle, "braid": list(w.letters),
+    _emit({"quandle": args.quandle, "braid": w.letters,
            "strands": w.strands, "count": len(cols),
-           "colorings": [list(c) for c in cols]}, args.out)
+           "colorings": cols}, args.out)
     return 0
 
 
@@ -150,7 +150,7 @@ def cmd_invariant(args) -> int:
     w = _load_word(args)
     if args.kind == "alexander":
         poly = alexander_polynomial(w, guard=args.guard)
-        _emit({"invariant": "alexander", "braid": list(w.letters),
+        _emit({"invariant": "alexander", "braid": w.letters,
                "strands": w.strands,
                "polynomial": {str(e): c for e, c in sorted(poly.items())},
                "display": _poly_str(poly)}, args.out)
@@ -159,12 +159,12 @@ def cmd_invariant(args) -> int:
         raise InputError("no --quandle given")
     rep = _rep_on_quandle(args, args.rep)
     meta = {"quandle": args.quandle, "rep": args.rep,
-            "braid": list(w.letters), "strands": w.strands}
+            "braid": w.letters, "strands": w.strands}
     if args.kind == "module":
         inv = module_invariant(rep, w, guard=args.guard)
         _emit({"invariant": "module", **meta,
                "colorings": len(inv.entries),
-               "multiset": [list(e) for e in inv.entries]}, args.out)
+               "multiset": inv.entries}, args.out)
         return 0
     if args.kind == "cocycle":
         if args.cocycle is None:
@@ -174,7 +174,7 @@ def cmd_invariant(args) -> int:
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
                "colorings": len(inv.entries),
-               "multiset": [list(e) for e in inv.entries]}, args.out)
+               "multiset": inv.entries}, args.out)
         return 0
     raise InputError(f"unknown invariant kind {args.kind!r}")
 
@@ -215,7 +215,7 @@ def cmd_extend(args) -> int:
     _emit({"quandle": args.quandle, "rep": args.rep,
            "size": len(table), "passed": report.passed,
            "failures": list(report.failures),
-           "table": [list(r) for r in table]}, args.out)
+           "table": table}, args.out)
     if not report.passed:
         raise CheckFailed("extension does not satisfy the quandle axioms")
     return 0

@@ -2,13 +2,17 @@
 
 Everything is JSON with sorted keys: quandles ({"size", "table"}), reps
 ({"quandle", "modulus", "dim", "eta", "tau"}), cochains ({"degree",
-"modulus", "dim", "values"}) with tuple keys spelled "x,y[,z]".
+"modulus", "dim", "values"}) with tuple keys spelled "x,y[,z]".  Every
+document is written by `dumps_document`, whose bytes are those of the
+standard `json` module with sorted keys and an indent of one space.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3)
@@ -17,9 +21,61 @@ from .homology import Cochain
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
 
+_INT = {int}
+_ROW = {list, tuple}
+
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """`doc` as the bytes of json.dumps(doc, sort_keys=True,
+    separators=(",", ": "), indent=1) + "\\n": every non-empty list and
+    dict opens a line per item, indented one space per level.
+
+    With an indent, `json` leaves its C encoder for a Python generator per
+    value, which was the largest single cost of a round of colorings and
+    module invariants.  So the document is written here: strings by the C
+    escaper that `json` uses, and a list of plain ints (`type(x) is int`,
+    so JSON true stays true), or a list of non-empty rows of them, by one
+    join per level, with the types checked by C-level passes.  Those lists are the colorings, multisets,
+    braids and tables that make up most documents.  Dicts take string keys;
+    values are dicts, lists, tuples, strings, ints, booleans and None, and
+    anything else, a float or a non-string key included, raises TypeError."""
+    return _encode(doc, "") + "\n"
+
+
+def _encode(o, indent: str) -> str:
+    """o as `dumps_document` writes it at a nesting of `indent`."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = indent + " "
+    sep = ",\n" + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                         for k, v in sorted(o.items())])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "[]"
+    types = set(map(type, o))
+    if types == _INT:
+        body = sep.join(map(int.__repr__, o))
+    elif types <= _ROW and all(o) and set(map(type, chain.from_iterable(o))) == _INT:
+        row_sep, close = sep + " ", "\n" + inner + "]"
+        body = sep.join(["[\n " + inner + row_sep.join(map(int.__repr__, r)) + close
+                         for r in o])
+    else:
+        body = sep.join([_encode(x, inner) for x in o])
+    return "[\n" + inner + body + "\n" + indent + "]"
 
 
 def _load_json(path: str) -> dict:
@@ -42,14 +98,18 @@ def quandle_to_doc(q: FiniteQuandle) -> dict:
 
 
 def table_from_doc(doc: dict) -> list:
-    """The operation table of a quandle document, a list of rows whose
-    axioms are not yet checked; its 'size', if given, must count the rows."""
+    """The operation table of a quandle document, a non-empty list of rows
+    whose axioms are not yet checked; its 'size', if given, must count the
+    rows."""
     if not isinstance(doc, dict) or "table" not in doc:
         raise InputError("quandle document is missing 'table'")
     table = doc["table"]
     if not (isinstance(table, (list, tuple))
             and all(isinstance(r, (list, tuple)) for r in table)):
         raise InputError("quandle 'table' must be a list of rows")
+    if not table:
+        raise InputError("quandle 'table' is empty: a quandle has at least "
+                         "one element")
     # type(...) is int: a JSON true is an int to isinstance
     if "size" in doc and (type(doc["size"]) is not int or doc["size"] != len(table)):
         raise InputError("quandle document 'size' disagrees with the table")

@@ -170,6 +170,10 @@ class FiniteQuandle:
 
 
 def quandle_from_table(table, label: str = "", guard: int = GUARD) -> FiniteQuandle:
+    """The quandle of a non-empty table that passes `verify_axioms`."""
+    if not table:
+        raise InputError("quandle table is empty: a quandle has at least one "
+                         "element")
     report = verify_axioms(table, guard)
     if not report:
         raise InputError("not a quandle: " + "; ".join(report.failures))

@@ -344,6 +344,13 @@ _AFFINE_QUANDLES = [*(make_dihedral(n) for n in (3, 4, 5, 6, 8, 9, 12)),
                     make_trivial(2), make_trivial(3)]
 
 
+def _burau_by_act(q, w):
+    """The reference Burau matrix: column j is the top of the unit vector e_j."""
+    k = w.strands
+    cols = [act(q, w, [int(i == j) for i in range(k)]) for j in range(k)]
+    return [tuple(col[i] for col in cols) for i in range(k)]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(q=st.sampled_from(_AFFINE_QUANDLES), w=_braid_words(4, 10))
 @example(q=make_dihedral(12), w=_LONE_STRANDS[0])
@@ -353,9 +360,34 @@ def test_affine_route_matches_the_search(q, w):
     """Over an affine quandle the colorings are the kernel of the Burau
     matrix at t minus I; listed from its generators, they are the search's
     list on every Markov variant, for composite n too and with strands in
-    no crossing."""
+    no crossing.  The matrix, read in one walk of linear forms, is the one
+    of k walks of `act` over the unit vectors."""
     for v in [w, *markov_moves(w)]:
         assert colorings_of_closure(q, v) == braids._search_colorings(q, v), v
+        assert braids._burau_rows(q, v) == _burau_by_act(q, v), v
+
+
+def test_burau_rows_by_other_routes():
+    """Over T_n the one-walk matrix is the braid's permutation matrix, and
+    over R_n and the Alexander quandles it is the colored matrix of
+    alexander-rep:n:t on the one-element quandle; both agree with `act`."""
+    words = [parse_braid(text) for text in (
+        "k=1;", "k=4; 1 2 -3 1", "k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4",
+        "k=7; 3 5 -5 -4 -4 4 2 4 -2 -5 5 -5 1 5 1 -2 -6 4 3 3")]
+    words += [braid_or_knot(name) for name in KNOT_TABLE]
+    for w in words:
+        k, perm = w.strands, w.permutation()
+        for n in (2, 3, 5):
+            rows = braids._burau_rows(make_trivial(n), w)
+            assert rows == [tuple(int(perm[i] == j) for j in range(k))
+                            for i in range(k)]
+            assert rows == _burau_by_act(make_trivial(n), w)
+        for n, t in ((3, 2), (7, 6), (5, 2), (8, 3), (9, 2)):
+            q = make_alexander(n, t)
+            rep = make_alexander_rep(make_trivial(1), n, t)
+            rows = braids._burau_rows(q, w)
+            assert [list(r) for r in rows] == colored_matrix(rep, w, (0,) * k)
+            assert rows == _burau_by_act(q, w)
 
 
 _NON_AFFINE_QUANDLES = [make_conj(symmetric_group(3)), make_core(symmetric_group(3))]

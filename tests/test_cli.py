@@ -304,6 +304,65 @@ def test_extend_command(capsys):
     assert doc["size"] == 4
 
 
+def test_every_document_is_the_stdlib_encoding(capsys, tmp_path):
+    """Each subcommand writes the bytes that json.dumps gives for its parsed
+    document with sorted keys and an indent of one space, passing and
+    failing checks, empty multiset entries and JSON input included."""
+    _, out = run(capsys, "search", "2", "dihedral:3", "conj-rep:perm3", "3")
+    kappa = tmp_path / "kappa.json"
+    kappa.write_text(json.dumps(json.loads(out)["basis"][1]))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"size": 2, "table": [[1, 1], [0, 0]]}')
+    cocycle = ["invariant", "cocycle", "--quandle", "dihedral:3", "--rep",
+               "conj-rep:perm3", "--cocycle", str(kappa), "--knot", "3_1"]
+    a = tmp_path / "a.json"
+    assert main(cocycle + ["--out", str(a)]) == 0
+    commands = [
+        (0, ["check", "quandle", "dihedral:5"]),
+        (1, ["check", "quandle", str(bad)]),
+        (0, ["check", "rep", "conj-rep:perm3"]),
+        (0, ["check", "cocycle", str(kappa), "--rep", "conj-rep:perm3"]),
+        (0, ["colorings", "dihedral:5", "4_1"]),
+        (0, ["colorings", "trivial:1", "k=3; 1 -2"]),
+        (0, ["search", "3", "dihedral:3", "alexander-rep:3:2", "3"]),
+        (0, ["invariant", "alexander", "--knot", "4_1"]),
+        (0, ["invariant", "module", "--quandle", "dihedral:3", "--rep",
+             "alexander-rep:5:2", "--knot", "3_1"]),
+        (0, ["invariant", "module", "--quandle", "dihedral:3", "--rep",
+             "alexander-rep:1:2", "--knot", "3_1"]),
+        (0, cocycle),
+        (0, ["homology", "2", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3"]),
+        (0, ["compare", str(a), str(a)]),
+        (0, ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+             "--cocycle", str(kappa)]),
+    ]
+    for want, argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == want, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 separators=(",", ": "), indent=1) + "\n", argv
+    assert a.read_text() == run(capsys, *cocycle)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "quandle", "{empty}"],
+    ["colorings", "{empty}", "k=2; 1"],
+    ["invariant", "module", "--quandle", "{empty}", "--rep", "alexander-rep:5:2",
+     "--braid", "k=2; 1"],
+], ids=lambda argv: argv[0])
+def test_empty_quandle_table_exits_2(capsys, tmp_path, argv):
+    """A quandle has at least one element: an empty table is refused where
+    it is read, with a message that names it."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"size": 0, "table": []}')
+    code = main([a.format(empty=path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "input error: quandle 'table' is empty: a quandle has at " \
+                  "least one element\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
 def test_out_to_unwritable_path_is_input_error(capsys, tmp_path, where):
     """A missing directory or a directory itself exits 2, naming the path."""

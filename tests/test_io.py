@@ -1,10 +1,14 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import io as qio
 from quandlekit.algebra import make_alexander_rep, make_conj_rep, permutation_rep_r3
 from quandlekit.errors import InputError
 from quandlekit.homology import Cochain
-from quandlekit.quandles import make_dihedral, make_trivial
+from quandlekit.quandles import make_dihedral, make_trivial, quandle_from_table
 
 
 def test_quandle_round_trip(tmp_path):
@@ -31,6 +35,12 @@ def test_quandle_doc_validation():
         qio.quandle_from_doc({"size": 2})
     with pytest.raises(InputError):
         qio.quandle_from_doc({"size": 3, "table": [[0, 0], [1, 1]]})
+    for table in ([], ()):
+        for refuse in (lambda: qio.quandle_from_doc({"size": 0, "table": table}),
+                       lambda: qio.table_from_doc({"table": table}),
+                       lambda: quandle_from_table(table)):
+            with pytest.raises(InputError, match="table'? is empty"):
+                refuse()
 
 
 def test_rep_round_trip(tmp_path):
@@ -95,3 +105,42 @@ def test_invalid_json_reports_location(tmp_path):
 def test_dumps_document_is_stable():
     doc = {"b": 1, "a": [3, 2], "nested": {"z": 0, "y": 1}}
     assert qio.dumps_document(doc) == qio.dumps_document(dict(reversed(doc.items())))
+
+
+def _stdlib(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+# strings and keys with non-ASCII, quote, backslash and control characters
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600')
+                | st.characters(), max_size=6)
+_INTS = st.sampled_from([0, -1, 2 ** 64, 2 ** 64 + 1, -2 ** 70]) | st.integers()
+_SCALARS = _INTS | st.booleans() | st.none() | _TEXT
+
+
+def _seq(items, **kwargs):
+    return st.lists(items, **kwargs) | st.lists(items, **kwargs).map(tuple)
+
+
+# flat int lists and int rows (empty, of unequal length, or holding true,
+# false or null among the ints) as the documents' payloads are, in any tree
+_PAYLOADS = (_seq(_INTS) | _seq(_seq(_INTS, max_size=4), max_size=4)
+             | _seq(_seq(_INTS | st.booleans() | st.none(), max_size=3), max_size=3))
+_TREES = st.recursive(_SCALARS | _PAYLOADS,
+                      lambda kids: _seq(kids, max_size=4)
+                      | st.dictionaries(_TEXT, kids, max_size=4),
+                      max_leaves=10)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=st.dictionaries(_TEXT, _TREES, max_size=4))
+def test_dumps_document_is_the_stdlib_encoding(doc):
+    assert qio.dumps_document(doc) == _stdlib(doc)
+
+
+def test_dumps_document_refuses_what_json_refuses():
+    for doc in ({"a": {1, 2}}, {"a": [[1], object()]}):
+        with pytest.raises(TypeError):
+            _stdlib(doc)
+        with pytest.raises(TypeError):
+            qio.dumps_document(doc)
