@@ -6,20 +6,18 @@ generator sigma_i sends the color pair (u, v) at positions (i, i+1) to
 (v, u*v); its inverse sends (u, v) to (v bar* u, u).  The closure arcs are
 drawn on the left of the braid, so the region at infinity is to the right
 and the path from it to a crossing at positions (i, i+1) crosses exactly
-the strands k, k-1, ..., i+2.  `_walk` is the one function that applies
-this crossing rule to colors, by its letter loop `_crossings`, which takes
-the operation and its inverse, and it hands out each crossing once, as the
-record (letter, p, x, y): p the left position and (x, y) the source pair,
-(u, v) at sigma_i and (v bar* u, u) at its inverse.  `act`, `crossing_data`
-and `crossing_blocks` read it; the last numbers the block pair that each
-crossing applies, (eta, tau)[x][y] or its inverse pair, and
-`colored_matrix` is the one block update over that sequence: the under
-strand leaves as eta * under + tau * over.
+the strands k, k-1, ..., i+2.
 
-`closure_arcs` walks the word once more for the arcs of the closed diagram:
-one (over, src, tgt) triple per crossing, with top and bottom arcs merged by
-the closure.  Each triple stands for the Wirtinger relator of its crossing,
-and `fox.twisted_matrix` reads the triples directly.
+`_crossings` is the one crossing rule, the only code that reads a letter's
+sign to tell which strand passes under: given an operation and its inverse,
+it walks per-position values down the word and hands out each crossing once,
+as (letter, p, x, y), p the left position and (x, y) the source pair, (u, v)
+at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
+(`_walk`, for `act`, `crossing_data` and `crossing_blocks`, which numbers
+each crossing's block pair, (eta, tau)[x][y] or its inverse pair), linear
+forms over Z_n (`_burau_rows`), row blocks (`colored_matrix`) and arc ids
+(`closure_arcs`, whose (over, src, tgt) triples stand for the Wirtinger
+relators that `fox.twisted_matrix` reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
@@ -159,26 +157,28 @@ def act(q: FiniteQuandle, w: BraidWord, bottom) -> tuple[int, ...]:
 def closure_arcs(w: BraidWord):
     """The arcs of the closed-braid diagram, as (arc count, crossings, bottom).
 
-    Walking down the word, a crossing ends the under strand's arc and starts
-    a new one; `crossings` lists (over, src, tgt) in letter order, with
-    tgt = src * over in a coloring.  The closure merges the top arc on each
-    position with the bottom arc there (union-find), and the merged arcs are
-    numbered in order of their first raw arc.  `bottom[pos]` is the arc at
-    bottom position pos."""
+    `_crossings` carries raw arc ids down the word: a crossing ends the under
+    strand's arc and starts a new one, so crossing i starts raw arc k + i,
+    as tgt = src * over at sigma_i and as src = tgt bar* over at its inverse.
+    `crossings` lists (over, src, tgt) in letter order.  The closure merges
+    the top arc on each position with the bottom arc there (union-find), and
+    the merged arcs are numbered in order of their first raw arc.
+    `bottom[pos]` is the arc at bottom position pos."""
     k = w.strands
-    arcs = list(range(k))           # raw arc id currently on each position
-    next_arc = k
     raw = []                        # (over, src, tgt) raw arc ids
-    for e in w.letters:
-        p = abs(e) - 1
-        if e > 0:
-            over, src, tgt = arcs[p + 1], arcs[p], next_arc
-            arcs[p], arcs[p + 1] = over, tgt
-        else:
-            over, src, tgt = arcs[p], next_arc, arcs[p + 1]
-            arcs[p], arcs[p + 1] = src, over
-        next_arc += 1
-        raw.append((over, src, tgt))
+
+    def start(src, over):           # sigma_i starts tgt = src * over
+        raw.append((over, src, k + len(raw)))
+        return raw[-1][2]
+
+    def start_bar(tgt, over):       # its inverse starts src = tgt bar* over
+        raw.append((over, k + len(raw), tgt))
+        return raw[-1][1]
+
+    arcs = list(range(k))           # raw arc id on each position
+    for _ in _crossings(w, arcs, start, start_bar):
+        pass
+    next_arc = k + len(raw)
     parent = list(range(next_arc))
 
     def find(a):
@@ -421,23 +421,25 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     """The km x km matrix over Z_N of the module-color action determined by
     the quandle colors propagated from `bottom`: the product of the block
     updates of its coefficient sequence `blocks`, which is
-    crossing_blocks(rep, w, bottom) unless the caller has walked already."""
+    crossing_blocks(rep, w, bottom) unless the caller has walked already.
+    `_crossings` carries a row block per position; at either sign the under
+    strand leaves as eta * under + tau * over, by the crossing's pair."""
     N, m, k = rep.modulus, rep.dim, w.strands
     if blocks is None:
         blocks = crossing_blocks(rep, w, bottom)
     _, _, pairs = rep._crossing_blocks
-    # row blocks of the running matrix, updated in place per letter
+    steps = map(pairs.__getitem__, blocks)
+
+    def leave(under, over):         # both crossing signs: the next block pair
+        eta, tau = next(steps)
+        return mat_add(mat_mul(eta, under, N), mat_mul(tau, over, N), N)
+
+    # row blocks of the running matrix, one per position
     rows = [[[1 if (i == j and bi == bj) else 0
               for bj in range(k) for j in range(m)]
              for i in range(m)] for bi in range(k)]
-    for e, n in zip(w.letters, blocks):
-        p = abs(e) - 1
-        eta, tau = pairs[n]
-        # the under strand leaves as eta * under + tau * over; the two swap
-        under, over = (p, p + 1) if e > 0 else (p + 1, p)
-        rows[under] = mat_add(mat_mul(eta, rows[under], N),
-                              mat_mul(tau, rows[over], N), N)
-        rows[p], rows[p + 1] = rows[p + 1], rows[p]
+    for _ in _crossings(w, rows, leave, leave):
+        pass
     out = []
     for blk in rows:
         out.extend(blk)

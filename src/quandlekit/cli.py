@@ -23,8 +23,10 @@ k * (letters + 1) entries of its one coloring), and every command the N^2
 cells of a shorthand quandle's table, the axiom check of a JSON quandle
 (its n^2 cells, the |S| n^2 steps of axiom III on a generating set S, and
 the n^3 steps of the scan of a failing table) and the |X|^3 relation
-triples of a JSON rep, in `check rep` too; `invariant module` bounds the
-(k m)^2 cells of its colored matrix on k strands with an m-dimensional rep,
+triples of a JSON rep, in `check rep` too.  `check quandle` holds every
+table, shorthand or JSON, to that axiom-check bound.  `invariant module`
+bounds the (k m)^2 cells of its colored matrix on k strands with an
+m-dimensional rep and the letters * k * m^3 steps of its block walk,
 `invariant alexander` its n^4 Laurent products on n arcs, and `search` and
 `homology` the cells of the coboundary matrix.
 
@@ -88,11 +90,9 @@ def cmd_check(args) -> int:
     kind = args.kind
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
-        # input error.  A JSON table's check is bounded by --guard; a
-        # shorthand's by its N^2 cells, which load_table bounds
+        # input error; every table's check is bounded by --guard
         table = qio.load_table(args.target, args.guard)
-        shorthand = args.target.split(":")[0] in qio.QUANDLE_SHORTHANDS
-        report = verify_axioms(table, len(table) ** 3 if shorthand else args.guard)
+        report = verify_axioms(table, args.guard)
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
         report = verify_relations(_rep_on_quandle(args, args.target, check=False),

@@ -106,18 +106,25 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
 def module_invariant(rep: AlgebraRep, w: BraidWord,
                      guard: int = GUARD) -> ModuleInvariant:
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
-    rep.quandle; the |X|^k candidate colorings and the (k m)^2 cells of the
-    colored matrix must not exceed `guard`.  Colorings with the same
-    coefficient sequence share one matrix and one cokernel.  When the rep's
-    whole (eta, tau) table is one pair, as for an Alexander-type rep, the
-    sequence depends only on the signs of the letters, so one walk of the
-    word gives it for every coloring."""
+    rep.quandle; the |X|^k candidate colorings, the (k m)^2 cells of the
+    colored matrix and the letters * k * m^3 steps of its block walk must
+    not exceed `guard`.  Colorings with the same coefficient sequence share
+    one matrix and one cokernel.  When the rep's whole (eta, tau) table is
+    one pair, as for an Alexander-type rep, the sequence depends only on the
+    signs of the letters, so one walk of the word gives it for every
+    coloring."""
     q, N = rep.quandle, rep.modulus
     colorings = colorings_of_closure(q, w, guard=guard)
     cells = (w.strands * rep.dim) ** 2
     if cells > guard:
         raise GuardExceeded(f"{power_text(cells)} colored-matrix cells exceed "
                             f"the guard of {guard}")
+    steps = len(w.letters) * w.strands * rep.dim ** 3
+    if steps > guard:
+        raise GuardExceeded(
+            f"the colored matrix's block walk takes {power_text(steps)} steps "
+            f"(letters * k * m^3, with {len(w.letters)} letters, k = "
+            f"{w.strands} and m = {rep.dim}), over the guard of {guard}")
     shared = None               # the one sequence of a one-pair table
     if rep._one_pair:           # colorings holds the constant ones at least
         shared = crossing_blocks(rep, w, colorings[0])

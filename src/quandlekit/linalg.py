@@ -55,32 +55,20 @@ def mat_mul(a: Matrix, b: Matrix, mod: Optional[int] = None) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix, mod: Optional[int] = None) -> Matrix:
-    out = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    if mod is not None:
-        out = [[x % mod for x in row] for row in out]
-    return out
+def mat_add(a: Matrix, b: Matrix, mod: int) -> Matrix:
+    return [[(x + y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix, mod: Optional[int] = None) -> Matrix:
-    out = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    if mod is not None:
-        out = [[x % mod for x in row] for row in out]
-    return out
+def mat_sub(a: Matrix, b: Matrix, mod: int) -> Matrix:
+    return [[(x - y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: int, a: Matrix, mod: Optional[int] = None) -> Matrix:
-    out = [[c * x for x in row] for row in a]
-    if mod is not None:
-        out = [[x % mod for x in row] for row in out]
-    return out
+def mat_scale(c: int, a: Matrix, mod: int) -> Matrix:
+    return [[c * x % mod for x in row] for row in a]
 
 
-def mat_vec(a: Matrix, v: list[int], mod: Optional[int] = None) -> list[int]:
-    out = [sum(x * y for x, y in zip(row, v)) for row in a]
-    if mod is not None:
-        out = [x % mod for x in out]
-    return out
+def mat_vec(a: Matrix, v: list[int], mod: int) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v)) % mod for row in a]
 
 
 def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:

@@ -202,6 +202,57 @@ def test_search_plan_matches_the_copying_greedy(w):
         assert braids._search_plan(v) == _plan_by_copies(v)
 
 
+def _arcs_by_position(w):
+    """closure_arcs with the crossing rule written out by position: sigma_i
+    ends the left strand's arc and starts tgt on the right, its inverse ends
+    the right strand's arc and starts src on the left; crossing i starts raw
+    arc k + i.  The closure merges the top and bottom arcs at each position,
+    and the merged arcs are numbered in order of their first raw arc."""
+    k = w.strands
+    arcs = list(range(k))
+    raw = []
+    for e in w.letters:
+        p = abs(e) - 1
+        new = k + len(raw)
+        if e > 0:
+            over, src, tgt = arcs[p + 1], arcs[p], new
+            arcs[p], arcs[p + 1] = over, tgt
+        else:
+            over, src, tgt = arcs[p], new, arcs[p + 1]
+            arcs[p], arcs[p + 1] = src, over
+        raw.append((over, src, tgt))
+    parent = list(range(k + len(raw)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for pos in range(k):
+        ra, rb = find(pos), find(arcs[pos])
+        if ra != rb:
+            parent[rb] = ra
+    classes = {}
+    for a in range(len(parent)):
+        classes.setdefault(find(a), len(classes))
+    number = [classes[find(a)] for a in range(len(parent))]
+    return (len(classes), [tuple(number[a] for a in c) for c in raw],
+            number[:k])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(w=_braid_words())
+@example(w=_LONE_STRANDS[0])
+@example(w=_LONE_STRANDS[1])
+def test_closure_arcs_match_the_positional_walk(w):
+    """closure_arcs, walked by `_crossings`, numbers the arcs and lists the
+    (over, src, tgt) triples as the positional rule does, on every Markov
+    variant: the search plan's branch order and the Wirtinger minor both
+    read that numbering."""
+    for v in [w, *markov_moves(w)]:
+        assert braids.closure_arcs(v) == _arcs_by_position(v)
+
+
 def test_coloring_counts():
     r3, r5 = make_dihedral(3), make_dihedral(5)
     assert len(colorings_of_closure(r3, braid_or_knot("3_1"))) == 9

@@ -57,14 +57,19 @@ def test_guard_exit_code(capsys):
 
 def test_invariant_guard_exit_code(capsys):
     """`invariant` bounds its colorings and its size^3 cocycle check by
-    --guard: 3^5 = 243 candidate colorings and 3^3 = 27 boundary tuples."""
+    --guard: 3^5 = 243 candidate colorings and 3^3 = 27 boundary tuples.
+    `invariant module` also bounds the block walk of its colored matrix:
+    4 letters * 5 strands * 3^3 = 540 steps with the 3-dimensional rep."""
     argv = ["invariant", "module", "--quandle", "dihedral:3", "--rep",
             "conj-rep:perm3", "--braid", "k=5; 1 2 3 4", "--cocycle", "zero"]
-    for kind in ("module", "cocycle"):
+    for kind, passes in (("module", 540), ("cocycle", 243)):
         argv[1] = kind
         assert main(argv + ["--guard", "100"]) == 3
         assert "243 candidate colorings" in capsys.readouterr().err
-        assert main(argv + ["--guard", "243"]) == 0
+        if kind == "module":
+            assert main(argv + ["--guard", "539"]) == 3
+            assert "540 steps" in capsys.readouterr().err
+        assert main(argv + ["--guard", str(passes)]) == 0
     assert main(argv + ["--guard", "26"]) == 3
     assert "27 boundary tuples" in capsys.readouterr().err
 
@@ -325,16 +330,20 @@ def test_every_document_is_the_stdlib_encoding(capsys, tmp_path):
         (0, ["colorings", "dihedral:5", "4_1"]),
         (0, ["colorings", "trivial:1", "k=3; 1 -2"]),
         (0, ["search", "3", "dihedral:3", "alexander-rep:3:2", "3"]),
+        (0, ["search", "3", "dihedral:7", "alexander-rep:7:3", "7"]),
         (0, ["invariant", "alexander", "--knot", "4_1"]),
         (0, ["invariant", "module", "--quandle", "dihedral:3", "--rep",
              "alexander-rep:5:2", "--knot", "3_1"]),
         (0, ["invariant", "module", "--quandle", "dihedral:3", "--rep",
              "alexander-rep:1:2", "--knot", "3_1"]),
+        (0, ["invariant", "module", "--quandle", "dihedral:7", "--rep",
+             "alexander-rep:7:2", "--braid", "k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4"]),
         (0, cocycle),
         (0, ["homology", "2", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3"]),
         (0, ["compare", str(a), str(a)]),
         (0, ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
              "--cocycle", str(kappa)]),
+        (0, ["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"]),
     ]
     for want, argv in commands:
         code, out = run(capsys, *argv)
@@ -670,8 +679,17 @@ def test_shorthand_tables_are_bounded_by_the_guard(capsys):
                  ["check", "quandle", "dihedral:4", "--guard", "15"]):
         assert main(argv) == 3, argv
         assert "table cells" in capsys.readouterr().err
-    assert main(["check", "quandle", "dihedral:4", "--guard", "16"]) == 0
+    # `check quandle` holds a shorthand's axiom check to --guard too: R4's
+    # axiom III on its 2 generators takes 2 * 4^2 = 32 steps, and T1000 is
+    # its own generating set, 1000^3 steps
+    assert main(["check", "quandle", "dihedral:4", "--guard", "31"]) == 3
+    assert "2 generators" in capsys.readouterr().err
+    assert main(["check", "quandle", "dihedral:4", "--guard", "32"]) == 0
     capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["check", "quandle", "trivial:1000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "1000 generators" in capsys.readouterr().err
     with pytest.raises(GuardExceeded):
         qio.load_quandle("trivial:3163")
     with pytest.raises(GuardExceeded):
@@ -818,3 +836,81 @@ def test_strand_count_over_the_digit_limit_exits_2(capsys):
     assert main(["colorings", "dihedral:3", "k=1" + "0" * 5000 + "; 1"]) == 2
     err = capsys.readouterr().err
     assert err == "input error: strand count of 5001 digits is too long\n"
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """Input files for `test_command_results`: a quandle document whose
+    'size' disagrees with its R3 table, a degree-1 cochain, R600 as a JSON
+    table, the regular rep of Conj(S3) mod 7 as written by rep_to_doc, and
+    the first cocycle that `search 2 dihedral:3 conj-rep:perm3 3` lists."""
+    import contextlib
+    import io
+    from quandlekit import (make_conj, make_conj_rep, regular_group_rep,
+                            symmetric_group)
+    tmp = tmp_path_factory.mktemp("inputs")
+    s3 = symmetric_group(3)
+    n = 600
+    docs = {
+        "mismatch": {"size": 5, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]},
+        "k1": {"degree": 1, "modulus": 3, "dim": 3, "values": {"0": [1, 0, 0]}},
+        "r600": {"size": n, "table": [[(2 * j - i) % n for j in range(n)]
+                                      for i in range(n)]},
+        "s3rep": qio.rep_to_doc(make_conj_rep(
+            regular_group_rep(s3, make_conj(s3), range(6), 7)))}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["search", "2", "dihedral:3", "conj-rep:perm3", "3"]) == 0
+    docs["kappa"] = json.loads(out.getvalue())["basis"][0]
+    paths = {"missing": str(tmp / "missing" / "x.json")}
+    for name, doc in docs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+        paths[name] = str(tmp / f"{name}.json")
+    return paths
+
+
+TREFOIL = ["invariant", "cocycle", "--quandle", "dihedral:3", "--rep",
+           "conj-rep:perm3", "--cocycle", "{kappa}"]
+
+
+COMMAND_RESULTS = [
+    (2, ["check", "quandle", "{mismatch}"],
+     lambda doc, err: "'size' disagrees with the table" in err),
+    (0, ["check", "quandle", "{r600}"], lambda doc, err: doc["passed"] is True),
+    (0, ["check", "rep", "{s3rep}"], lambda doc, err: doc["passed"]),
+    (3, ["colorings", "dihedral:100000000000", "3_1"],
+     lambda doc, err: "table cells" in err),
+    (0, ["colorings", "trivial:1", "k=200000; 1"],
+     lambda doc, err: doc["count"] == 1 and doc["colorings"] == [[0] * 200000]),
+    # strands in no crossing take every color
+    (0, ["colorings", "dihedral:3", "k=4; 1 1 1"], lambda doc, err: doc["count"] == 81),
+    # the kernel's Z_8-span is listed without repeats
+    (0, ["colorings", "alexander:8:3", "k=3; 1 -2 1 -2 1 -2"],
+     lambda doc, err: doc["count"] == 128 == len(set(map(tuple, doc["colorings"])))),
+    (2, ["colorings", "dihedral:3", "3_1", "--out", "{missing}"],
+     lambda doc, err: "cannot write --out" in err),
+    (0, ["invariant", "alexander", "--knot", "5_1"],
+     lambda doc, err: doc["polynomial"] == {"0": 1, "1": -1, "2": 1, "3": -1, "4": 1}),
+    # negative crossings: 4_1 and the mirror trefoil
+    (0, ["invariant", "module", "--quandle", "dihedral:5", "--rep",
+         "alexander-rep:5:2", "--knot", "4_1"],
+     lambda doc, err: doc["colorings"] == 25 and doc["multiset"] == [[5]] * 25),
+    (0, TREFOIL + ["--knot", "3_1"],
+     lambda doc, err: doc["multiset"] == [[0, 0, 0]] * 3 + [[1, 1, 1]] * 6),
+    (0, TREFOIL + ["--braid", "k=2; -1 -1 -1"],
+     lambda doc, err: doc["multiset"] == [[0, 0, 0]] * 3 + [[2, 2, 2]] * 6),
+    # extend refuses a cochain that is not of degree 2
+    (2, ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+         "--cocycle", "{k1}"], lambda doc, err: "needs a degree-2 cochain" in err),
+]
+
+
+@pytest.mark.parametrize("want, argv, holds", COMMAND_RESULTS,
+                         ids=[" ".join(argv) for _, argv, _ in COMMAND_RESULTS])
+def test_command_results(capsys, command_inputs, want, argv, holds):
+    """Each command exits as documented, and its document or its message
+    says what it found."""
+    code = main([a.format(**command_inputs) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == want
+    assert holds(json.loads(out) if out else None, err)

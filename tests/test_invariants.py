@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.algebra import (
     make_alexander_rep,
@@ -38,6 +40,7 @@ from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
 from quandlekit.quandles import (make_alexander, make_conj, make_core,
                                  make_dihedral, make_trivial)
 from test_acceptance import chain_pairings_match
+from test_braids import _braid_words
 
 random.seed(31)
 
@@ -145,6 +148,21 @@ def _reference_matrices(rep, w):
             mat[i][i] = (mat[i][i] - 1) % N
         out.append(_freeze(mat))
     return sorted(out)
+
+
+_ORACLE_REPS = [make_conj_rep(permutation_rep_r3(3)),
+                make_alexander_rep(make_dihedral(5), 5, 2)]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(rep=st.sampled_from(_ORACLE_REPS), w=_braid_words(4, 10))
+def test_colored_matrix_matches_the_reference(rep, w):
+    """colored_matrix, which walks its row blocks by `_crossings` with one
+    step for both signs, equals the crossing rule written out afresh at
+    every closure coloring of every Markov variant, for conj-rep:perm3 and
+    an Alexander-type rep on R5."""
+    for v in [w, *markov_moves(w)]:
+        _reference_matrices(rep, v)     # asserts colored_matrix per coloring
 
 
 def _reference_cocycle(rep, kappa, w):
@@ -311,7 +329,7 @@ def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
     from quandlekit import invariants
     calls = []
 
-    def counted(m, v, mod=None):
+    def counted(m, v, mod):
         calls.append(1)
         return mat_vec(m, v, mod)
 
