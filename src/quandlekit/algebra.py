@@ -61,24 +61,6 @@ def _freeze(m: Matrix):
     return tuple(tuple(row) for row in m)
 
 
-def _freeze_row(ms, frozen: dict) -> tuple:
-    """The matrices `ms` as a tuple of frozen matrices, each distinct input
-    object frozen once: `frozen` maps id(input) -> (input, its frozen copy),
-    holding the input so that its id is not reused, and is shared by every
-    table of one rep, so cells that share an input share one tuple."""
-    out = []
-    for m in ms:
-        seen = frozen.get(id(m))
-        if seen is None:
-            seen = frozen[id(m)] = (m, _freeze(m))
-        out.append(seen[1])
-    return tuple(out)
-
-
-def _freeze_table(t, frozen: dict):
-    return tuple(_freeze_row(row, frozen) for row in t)
-
-
 class _Products:
     """Products mod n of frozen matrices, each distinct pair multiplied once
     per instance.  Matrices are numbered by value, so equal matrices share a
@@ -247,15 +229,13 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
 
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
              label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
-    """The rep with tables eta and tau, frozen to tuples; cells that share an
-    input matrix object share its one frozen copy.  With `check`, a rep that
-    fails verify_relations raises CheckFailed."""
-    dim = len(eta[0][0])
-    frozen: dict = {}           # id(input) -> (input, frozen copy)
-    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
-                     eta=_freeze_table(eta, frozen),
-                     tau=_freeze_table(tau, frozen),
-                     rho=None if rho is None else _freeze_row(rho, frozen),
+    """The rep with tables eta and tau given from outside (a JSON document,
+    make_wada_rep or a test), every cell frozen to a tuple of its own.  With
+    `check`, a rep that fails verify_relations raises CheckFailed."""
+    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=len(eta[0][0]),
+                     eta=tuple(tuple(_freeze(m) for m in row) for row in eta),
+                     tau=tuple(tuple(_freeze(m) for m in row) for row in tau),
+                     rho=None if rho is None else tuple(_freeze(m) for m in rho),
                      label=label)
     if check:
         report = verify_relations(rep, guard)
@@ -267,8 +247,9 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
 def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     """Constant tables eta = t, tau = I - t, which satisfy (1)-(4) on every
     quandle, so only t is checked: a unit mod N, either an integer (a 1x1
-    rep) or a square matrix, which sets the dimension.  Every cell holds the
-    one frozen t and the one frozen I - t."""
+    rep) or a square matrix, which sets the dimension.  t and I - t are
+    frozen once, and each table is one row of |X| references to its matrix,
+    repeated |X| times."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
     tmat = [[t % modulus]] if isinstance(t, int) else [list(r) for r in t]
@@ -278,18 +259,19 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
                          "with at least one row")
     if not is_invertible_mod(tmat, modulus):
         raise InputError(f"t is not invertible mod {modulus}")
-    one_minus = mat_sub(identity(dim), tmat, modulus)
     size = quandle.size
-    eta = [[tmat for _ in range(size)] for _ in range(size)]
-    tau = [[one_minus for _ in range(size)] for _ in range(size)]
-    return make_rep(quandle, modulus, eta, tau,
-                    label=f"alexander-rep(N={modulus},t={t})", check=False)
+    eta_row = (_freeze(tmat),) * size
+    tau_row = (_freeze(mat_sub(identity(dim), tmat, modulus)),) * size
+    return AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
+                      eta=(eta_row,) * size, tau=(tau_row,) * size,
+                      label=f"alexander-rep(N={modulus},t={t})")
 
 
 def make_conj_rep(g: GroupRep) -> AlgebraRep:
     """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y).
 
-    I - rho(z) is formed once per element z, so the tables hold |X| distinct
+    Every row of eta is the GroupRep's own frozen rho, and I - rho(z) is
+    formed and frozen once per element z, so the tables hold |X| distinct
     eta and |X| distinct tau objects.  CheckFailed unless check_group_rep
     passes, which on these tables is equivalent to relations (1)-(4): (1) is
     the conjugation relation, and (2)-(4) follow from it and axiom III."""
@@ -297,11 +279,10 @@ def make_conj_rep(g: GroupRep) -> AlgebraRep:
     if not report:
         raise CheckFailed("; ".join(report.failures))
     q, n, dim = g.quandle, g.modulus, g.dim
-    one_minus = [mat_sub(identity(dim), r, n) for r in g.rho]
-    eta = [list(g.rho) for _ in range(q.size)]
-    tau = [[one_minus[z] for z in row] for row in q.table]
-    return make_rep(q, n, eta, tau, rho=g.rho,
-                    label=f"conj-rep({g.label})", check=False)
+    one_minus = [_freeze(mat_sub(identity(dim), r, n)) for r in g.rho]
+    return AlgebraRep(quandle=q, modulus=n, dim=dim, eta=(g.rho,) * q.size,
+                      tau=tuple(tuple(one_minus[z] for z in row) for row in q.table),
+                      rho=g.rho, label=f"conj-rep({g.label})")
 
 
 def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:

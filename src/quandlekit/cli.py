@@ -34,8 +34,9 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
 
 `main(argv)` may be called many times in one process: the argparse parser
-is built on the first call and reused, so a call costs its command and the
-parse of its argv.
+is built on the first call and reused, and a call parses its argv once, an
+argv that starts with a subcommand's name by that subcommand's parser alone,
+so a call costs its command and one parse.
 """
 
 from __future__ import annotations
@@ -241,11 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The quandlekit parser, built on the first call and shared after it.
 
     Parsing leaves the parser unchanged (every argv gets a fresh Namespace),
-    and the subcommands' `func` defaults are the module's cmd_* functions."""
+    the subcommands' `func` defaults are the module's cmd_* functions, and
+    its `commands` default maps each subcommand's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="quandlekit",
         description="quandle cocycle and module invariants of closed braids")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)
 
     def common(p):
         p.add_argument("--out", default=None, help="write the output document here")
@@ -313,7 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    commands = parser.get_default("commands")
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CheckFailed as exc:

@@ -175,11 +175,14 @@ def _vector_to_cochain(cfg: ComplexConfig, degree: int, basis: dict,
 
 
 def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
-    """delta kappa, evaluated tuple by tuple from the signed boundary terms:
-    (delta kappa)(t) = sum sign * block kappa(target); no matrix is built."""
+    """delta kappa as a cochain of the complex that cfg.variant selects,
+    evaluated on each (degree + 1)-tuple of _basis from the signed boundary
+    terms: (delta kappa)(t) = sum sign * block kappa(target); no matrix is
+    built.  The degenerate tuples form a subcomplex, so delta of a
+    degenerate-free kappa vanishes on the tuples the quandle complex skips."""
     m, N = cfg.rep.dim, cfg.rep.modulus
     values = {}
-    for t in tuples(cfg.rep.quandle.size, kappa.degree + 1):
+    for t in _basis(cfg, kappa.degree + 1):
         acc = [0] * m
         for sign, block, key in _boundary_terms(cfg, t):
             v = kappa.values.get(key)
@@ -196,8 +199,9 @@ def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
 
 def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int,
                 guard: int) -> bool:
-    """delta kappa = 0, checked over the size^(degree + 1) boundary tuples,
-    which must not exceed `guard`."""
+    """delta kappa = 0, checked on the (degree + 1)-tuples of the complex;
+    the size^(degree + 1) tuples of the rack complex must not exceed
+    `guard`."""
     if kappa.degree != degree:
         raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
     work = cfg.rep.quandle.size ** (degree + 1)

@@ -176,21 +176,49 @@ def _unshared(table):
     return [[[list(r) for r in m] for m in row] for row in table]
 
 
+def _assert_make_rep_agrees(rep):
+    """make_rep on rep's own tables and on the same tables as fresh lists
+    gives rep itself and the same verify_relations report, passing or, with
+    tau[0][0] = I, failing."""
+    broken = _unshared(rep.tau)
+    broken[0][0] = identity(rep.dim)    # relation (4) fails at x = 0
+    rho = None if rep.rho is None else [list(map(list, m)) for m in rep.rho]
+    for tau, passed in ((rep.tau, True), (broken, False)):
+        shared = make_rep(rep.quandle, rep.modulus, rep.eta, tau, rho=rep.rho,
+                          label=rep.label, check=False)
+        fresh = make_rep(rep.quandle, rep.modulus, _unshared(rep.eta),
+                         _unshared(tau), rho=rho, label=rep.label, check=False)
+        assert fresh == shared
+        if passed:
+            assert fresh == rep
+        report = verify_relations(fresh)
+        assert report.passed is passed
+        assert verify_relations(shared) == report
+
+
 def test_alexander_rep_freezes_one_eta_and_one_tau():
     """Every cell of make_alexander_rep holds the one frozen t and the one
-    frozen I - t."""
-    rep = make_alexander_rep(make_dihedral(7), 7, 2)
-    assert all(m is rep.eta[0][0] for row in rep.eta for m in row)
-    assert all(m is rep.tau[0][0] for row in rep.tau for m in row)
-    assert (rep.eta[0][0], rep.tau[0][0]) == (((2,),), ((6,),))
+    frozen I - t, and every row of a table is one tuple object, over R2000
+    too; make_rep agrees on the same tables as fresh lists."""
+    big = make_alexander_rep(make_dihedral(2000), 7, 2)
+    for table in (big.eta, big.tau):
+        assert len(table) == 2000 and all(row is table[0] for row in table)
+        assert len(table[0]) == 2000 and all(m is table[0][0] for m in table[0])
+    assert (big.eta[0][0], big.tau[0][0]) == (((2,),), ((6,),))
+    for rep in (make_alexander_rep(make_dihedral(7), 7, 2),
+                make_alexander_rep(make_dihedral(3), 6, [[1, 1], [0, 1]]),
+                make_alexander_rep(make_trivial(2), 5, 1)):
+        assert all(m is rep.eta[0][0] for row in rep.eta for m in row)
+        assert all(m is rep.tau[0][0] for row in rep.tau for m in row)
+        _assert_make_rep_agrees(rep)
 
 
 def test_conj_rep_shares_one_block_per_element():
     """make_conj_rep gives eta[x][y] = rho(y) and tau[x][y] = I - rho(x*y)
     mod N in every cell, for the regular conjugation reps of small_groups(8)
-    and for conj-rep:perm3, with at most |X| distinct objects per table.
-    The same tables from unshared lists give an equal rep and the same
-    verify_relations report, passing or, with tau[0][0] = I, failing."""
+    and for conj-rep:perm3, with at most |X| distinct objects per table;
+    every row of eta is the rep's own rho tuple.  make_rep agrees on the
+    same tables as fresh lists."""
     reps = [make_conj_rep(regular_group_rep(g, make_conj(g), range(g.size), 7))
             for g in small_groups(8)]
     reps.append(load_rep("conj-rep:perm3"))
@@ -203,19 +231,10 @@ def test_conj_rep_shares_one_block_per_element():
                     tuple((int(i == j) - rho[i][j]) % n for j in range(dim))
                     for i in range(dim))
                 assert rep.eta[x][y] is rep.rho[y]
+        assert all(row is rep.rho for row in rep.eta)
         for table in (rep.eta, rep.tau):
             assert len({id(m) for row in table for m in row}) <= q.size
-        broken = _unshared(rep.tau)
-        broken[0][0] = identity(dim)    # relation (4) fails at x = 0
-        for tau, passed in ((rep.tau, True), (broken, False)):
-            shared = make_rep(q, n, rep.eta, tau, rho=rep.rho, check=False)
-            fresh = make_rep(q, n, _unshared(rep.eta), _unshared(tau),
-                             rho=[list(map(list, m)) for m in rep.rho],
-                             check=False)
-            assert fresh == shared
-            report = verify_relations(fresh)
-            assert report.passed is passed
-            assert verify_relations(shared) == report
+        _assert_make_rep_agrees(rep)
 
 
 def test_wada_conj_variants():

@@ -772,7 +772,9 @@ def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
                                                             monkeypatch):
     """main reuses one parser: an interleaved sequence gives the outputs and
     exit codes of runs with a freshly built parser, and an option given to
-    one call (--quandle, --guard) does not reach the next."""
+    one call (--quandle, --guard) does not reach the next.  Each call parses
+    its argv once, and an unrecognized argument is reported with the
+    subcommand's usage line."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     module = ["invariant", "module", "--rep", "alexander-rep:5:2", "--knot", "3_1"]
     sequence = [
@@ -790,6 +792,7 @@ def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
         ["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
         ["invariant", "alexander", "--knot", "5_1"],
         ["colorings", "--help"],
+        ["colorings", "dihedral:3", "3_1", "--frobnicate"],
     ]
 
     def outcomes():
@@ -809,12 +812,23 @@ def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
     cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
     reused = outcomes()
     assert built.count("quandlekit") == 1 and len(built) == 8  # 7 subparsers
+    assert parses == [f"quandlekit {argv[0]}" for argv in sequence]
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0,
-                                               0, 0, 0]
+                                               0, 0, 0, 2]
+    assert reused[-1][2].startswith("usage: quandlekit colorings ")
+    assert "unrecognized arguments: --frobnicate" in reused[-1][2]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert outcomes() == reused
     assert len(built) == 8 * (1 + len(sequence))

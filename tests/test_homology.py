@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.algebra import (
     make_alexander_rep,
@@ -17,6 +19,7 @@ from quandlekit.homology import (
     Cochain,
     ComplexConfig,
     _basis,
+    _degenerate,
     _basis_size,
     boundary_matrix,
     coboundary,
@@ -169,6 +172,35 @@ def test_is_cocycle_3_accepts_coboundaries_of_wada_rep():
         dphi = coboundary(cfg, phi)
         assert dphi.values
         assert is_cocycle_3(cfg, dphi)
+
+
+_DELTA_REPS = [make_alexander_rep(make_dihedral(3), 3, 2),
+               make_alexander_rep(make_dihedral(4), 8, 3),
+               make_alexander_rep(make_dihedral(3), 6, [[1, 1], [0, 1]]),
+               make_conj_rep(permutation_rep_r3(3)),
+               make_conj_rep(permutation_rep_r3(4)),
+               core_z3_wada_rep()]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_DELTA_REPS), st.integers(1, 3), st.data())
+def test_quandle_coboundary_is_the_rack_one_on_degenerate_free_cochains(
+        rep, degree, data):
+    """The degenerate tuples form a subcomplex, so the quandle complex's
+    delta, which walks only its own tuples, equals the rack complex's delta
+    on a degenerate-free cochain, and the rack one has no value on a
+    degenerate tuple."""
+    m, n = rep.dim, rep.modulus
+    keys = [k for k in itertools.product(range(rep.quandle.size), repeat=degree)
+            if not _degenerate(k)]
+    vec = data.draw(st.lists(st.integers(0, n - 1), min_size=len(keys) * m,
+                             max_size=len(keys) * m))
+    kappa = Cochain(degree, n, m, {k: vec[i * m:(i + 1) * m]
+                                   for i, k in enumerate(keys)
+                                   if any(vec[i * m:(i + 1) * m])})
+    rack = coboundary(ComplexConfig(rep=rep, variant="rack"), kappa)
+    assert coboundary(ComplexConfig(rep=rep, variant="quandle"), kappa) == rack
+    assert not any(_degenerate(k) for k in rack.values)
 
 
 def test_vector_round_trip():
