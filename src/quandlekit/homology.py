@@ -10,12 +10,13 @@ coefficients in G = (Z_N)^m; the boundary of an (n+1)-tuple is
                   + (-1)^{n+1} tau[[x_1,x_3..],[x_2,x_3..]] (x_2,..,x_{n+1})
 
 with [y_1..y_k] = ((y_1*y_2)*y_3)*...*y_k, and d(x) = -tau[x bar* x0][x0]
-on 1-tuples, listed once by _boundary_terms for the matrices, coboundary()
-and the cocycle checks.  The quandle complex divides the rack complex by
-the degenerate tuples, those with two equal neighbours; the matrices and
+on 1-tuples, listed once by _boundary_terms for delta, coboundary() and
+the cocycle checks.  The quandle complex divides the rack complex by the
+degenerate tuples, those with two equal neighbours; the matrices and
 cochain vectors are written in the basis of the chosen complex, _basis.
 Cochains are dualized by pulling the operator coefficients out on the left;
-a cocycle is a cochain with delta kappa = 0.
+a cocycle is a cochain with delta kappa = 0.  delta is built once, as the
+sparse rows that linalg's elimination reads; the dense matrices are views.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .errors import GUARD, GuardExceeded, InputError
-from .linalg import Matrix, identity, ker_mod_im, kernel_mod, zeros
+from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
 
 SIZE_GUARD = 6
 DEGREE_GUARD = 3
@@ -70,15 +71,11 @@ def _bracket(q, xs) -> int:
     return acc
 
 
-def tuples(size: int, n: int):
-    return itertools.product(range(size), repeat=n)
-
-
 def _basis(cfg: ComplexConfig, n: int) -> dict:
     """The n-tuples of the complex that cfg.variant selects, in lex order,
     mapped to their positions: all of them for the rack complex, those with
     no two equal neighbours for the quandle complex."""
-    keys = tuples(cfg.rep.quandle.size, n)
+    keys = itertools.product(range(cfg.rep.quandle.size), repeat=n)
     if cfg.variant == "quandle":
         keys = (k for k in keys if not _degenerate(k))
     return {k: i for i, k in enumerate(keys)}
@@ -105,40 +102,38 @@ def _boundary_terms(cfg: ComplexConfig, t: tuple) -> list:
     return terms
 
 
-def _assemble(cfg: ComplexConfig, n: int, cochains: bool) -> Matrix:
-    """The boundary from degree n+1 to degree n in the bases of _basis, or
-    its block transpose, the coboundary on n-cochains; terms on tuples
-    outside the basis are dropped.  Blocks are never transposed themselves:
-    operators act on values from the left."""
+def _assemble(cfg: ComplexConfig, n: int) -> list[dict]:
+    """delta^n: C^n -> C^{n+1} in the bases of _basis, as m rows per
+    (n+1)-tuple, each a {column: residue mod N} dict without zeros.  Terms
+    on tuples outside the basis are dropped, and blocks are never
+    transposed: operators act on values from the left."""
     m, N = cfg.rep.dim, cfg.rep.modulus
-    small, big = _basis(cfg, n), _basis(cfg, n + 1)
-    shape = (len(big) * m, len(small) * m)
-    out = zeros(*shape) if cochains else zeros(*reversed(shape))
-    ident = identity(m)
-    for t, src in big.items():
-        for sign, block, key in _boundary_terms(cfg, t):
-            tgt = small.get(key)
-            if tgt is None:
-                continue
-            r0, c0 = (src * m, tgt * m) if cochains else (tgt * m, src * m)
-            for i, brow in enumerate(block or ident):
-                row = out[r0 + i]
-                for j, e in enumerate(brow):
+    small, ident, out = _basis(cfg, n), identity(m), []
+    for t in _basis(cfg, n + 1):
+        terms = [(sign, block or ident, small[key] * m)
+                 for sign, block, key in _boundary_terms(cfg, t) if key in small]
+        for i in range(m):
+            row = {}
+            for sign, block, c0 in terms:
+                for j, e in enumerate(block[i], c0):
                     if e:
-                        row[c0 + j] = (row[c0 + j] + sign * e) % N
+                        row[j] = row.get(j, 0) + sign * e
+            out.append({j: y for j, x in row.items() if (y := x % N)})
     return out
 
 
 def boundary_matrix(cfg: ComplexConfig, n: int) -> Matrix:
     """Matrix of the boundary C_{n+1} (x) G -> C_n (x) G of the complex that
-    cfg.variant selects, the signed boundary terms summed mod N."""
-    return _assemble(cfg, n, cochains=False)
+    cfg.variant selects: the block transpose of delta^n, written densely."""
+    m, d = cfg.rep.dim, _assemble(cfg, n)
+    return [[d[s + i].get(c + j, 0) for s in range(0, len(d), m) for j in range(m)]
+            for c in range(0, _basis_size(cfg, n) * m, m) for i in range(m)]
 
 
 def coboundary_matrix(cfg: ComplexConfig, degree: int) -> Matrix:
-    """Matrix of delta: C^degree -> C^{degree+1}, the block transpose of the
-    boundary on the (degree+1)-tuples of the complex."""
-    return _assemble(cfg, degree, cochains=True)
+    """Matrix of delta: C^degree -> C^{degree+1}, _assemble's rows written out."""
+    cols = range(_basis_size(cfg, degree) * cfg.rep.dim)
+    return [[row.get(j, 0) for j in cols] for row in _assemble(cfg, degree)]
 
 
 def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:
@@ -235,9 +230,9 @@ def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[C
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     _require_cells(cfg, degree, guard)
-    kernel = kernel_mod(coboundary_matrix(cfg, degree), cfg.rep.modulus)
-    basis = _basis(cfg, degree)
-    return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel]
+    basis, m = _basis(cfg, degree), cfg.rep.dim
+    kernel = _kernel_by_column(_assemble(cfg, degree), len(basis) * m, cfg.rep.modulus)
+    return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel if any(vec)]
 
 
 def _basis_size(cfg: ComplexConfig, n: int) -> int:
@@ -261,8 +256,8 @@ def _require_cells(cfg: ComplexConfig, degree: int, guard: int) -> None:
 
 def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
-    complex that cfg.variant selects, computed by `ker_mod_im` over Z/p^e
-    for each prime power p^e of N and merged by Chinese remaindering.  The
+    complex that cfg.variant selects, by `ker_mod_im`'s elimination on the
+    rows of both coboundaries over each Z/p^e in N, merged by CRT.  The
     cells of the chosen complex's delta^degree must not exceed `guard`."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
@@ -271,6 +266,5 @@ def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]
     if cfg.rep.quandle.size > SIZE_GUARD:
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
     _require_cells(cfg, degree, guard)
-    down = (coboundary_matrix(cfg, degree - 1) if degree
-            else [[] for _ in range(cfg.rep.dim)])
-    return ker_mod_im(coboundary_matrix(cfg, degree), down, cfg.rep.modulus)
+    down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim
+    return _ker_mod_im(_assemble(cfg, degree), down, cfg.rep.modulus)

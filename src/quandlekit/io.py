@@ -4,13 +4,16 @@ Everything is JSON with sorted keys: quandles ({"size", "table"}), reps
 ({"quandle", "modulus", "dim", "eta", "tau"}), cochains ({"degree",
 "modulus", "dim", "values"}) with tuple keys spelled "x,y[,z]".  Every
 document is written by `dumps_document`, whose bytes are those of the
-standard `json` module with sorted keys and an indent of one space.
+standard `json` module with sorted keys and an indent of one space.  On
+reading, an object that gives a key twice is refused, and so is a cochain
+key spelled other than as `cochain_to_doc` writes it, such as " 0,1".
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -79,11 +82,20 @@ def _encode(o, indent: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at `path`; an object that gives one key
+    twice is refused, where `json` would keep the last value silently."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise InputError(f"{path}: key {key!r} appears twice in one object")
+        return obj
+
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
@@ -266,8 +278,13 @@ def cochain_from_doc(doc: dict) -> Cochain:
         try:
             parts = tuple(int(x) for x in key.split(","))
         except ValueError:
+            parts = None
+        # int() also takes " 0", "+1", "1_0" and other digits, so that two
+        # spellings of one tuple could both load: only the one that
+        # cochain_to_doc writes is accepted
+        if parts is None or key != ",".join(map(str, parts)):
             raise InputError(f"cochain key {key!r} is not 'x,y[,z]' with "
-                             "integer parts") from None
+                             "integer parts")
         if len(parts) != degree:
             raise InputError(f"cochain key {key!r} has wrong arity")
         if not _has_shape(vec, (dim,)):

@@ -5,9 +5,10 @@ there is deliberately no floating point anywhere in this package.
 
 Kernels, inverses and invertibility mod N, cokernels and cohomology share
 one elimination over each Z/p^e in N (`_local_homology`), merged by CRT.
-Its rows are sparse {column: residue} dicts.  It takes the p-valuations in
-turn, least first, and at valuation v the row with the fewest entries that
-has an entry of valuation v pivots, the first in row order on a tie, at its
+Its rows are sparse {column: residue} dicts, as `homology` builds delta;
+dense input is converted once.  It takes the p-valuations in turn, least
+first, and at valuation v the row with the fewest entries that has an
+entry of valuation v pivots, the first in row order on a tie, at its
 lowest column of valuation v; over a prime the pivot columns are the RREF's.
 The lattice route over Z and Q (`int_kernel` to
 `quotient_invariant_factors`) has no caller in the package: it is kept as a
@@ -99,8 +100,8 @@ def mat_inv_mod(a: Matrix, n: int) -> Matrix:
     """Inverse mod n: column i is the a-part of the kernel vector of
     [a | -I] at column k + i, once every column of a is a unit pivot."""
     k = len(a)
-    gens = _kernel_by_column([list(row) + [-int(i == j) for j in range(k)]
-                              for i, row in enumerate(a)], n)
+    aug = [{**row, k + i: n - 1} for i, row in enumerate(_sparse(a, n))]  # [a | -I]
+    gens = _kernel_by_column(aug, 2 * k, n)
     if any(map(any, gens[:k])):
         raise InputError(f"matrix is not invertible mod {n}")
     return [list(row) for row in zip(*(g[:k] for g in gens[k:]))]
@@ -372,45 +373,44 @@ def _eliminate(rows: list, b: list, p: int, e: int, basis) -> list[int]:
     return val
 
 
-def _local_homology(a: Matrix, b: Matrix, p: int, e: int,
-                    kernel: bool = True) -> tuple[list[int], Matrix]:
+def _sparse(mat, n: int) -> list[dict]:
+    """Dense rows as {column: residue mod n} dicts without zeros."""
+    return [{j: y for j, x in enumerate(row) if x and (y := x % n)} for row in mat]
+
+
+def _local_homology(a: list, b: list, p: int, e: int, n: int,
+                    kernel: bool = True) -> tuple[list[int], list[dict]]:
     """Exponents v >= 1 of the factors Z/p^v of ker(a)/im(b) over Z/p^e,
-    where b has one row per column of a and a.b = 0, and one vector of ker(a)
-    per column of a.  The rows of a and b and the column-transform vectors
-    are {column: residue} dicts, reduced by `_eliminate`: at each valuation
-    v, least first, the row with the fewest entries among those with an
-    entry of valuation v pivots, at its lowest column of valuation v.  Each
-    pivot p^v leaves the kernel coordinate p^(e-v) Z/p^e = Z/p^v, whose
-    vector is the column's times p^(e-v) and whose row of b is a multiple of
-    p^(e-v); a column without one leaves Z/p^e.  The quotient is the
-    cokernel of those rows, divided down, beside the relations p^v; over
-    Z/p^e a cokernel of c is ker(c^T)/0, found by the same loop.  With
-    kernel=False the column-transform vectors are not kept and no kernel
-    vectors are returned."""
+    where b has one row per column of a and a.b = 0, and one sparse vector
+    of ker(a) per column of a.  Rows are {column: residue mod n} dicts, p^e
+    dividing n, used up when n = p^e and else copied mod p^e.  `_eliminate`
+    reduces them and the column-transform vectors: at each valuation v,
+    least first, the row with the fewest entries among those with an entry
+    of valuation v pivots, at its lowest column of valuation v.  Each pivot
+    p^v leaves the kernel coordinate p^(e-v) Z/p^e = Z/p^v, whose vector is
+    the column's times p^(e-v) and whose row of b is a multiple of p^(e-v);
+    a column without one leaves Z/p^e.  The quotient is the cokernel of
+    those rows, divided down, beside the relations p^v; over Z/p^e a
+    cokernel of c is ker(c^T)/0, found by the same loop.  With kernel=False
+    no column-transform or kernel vectors are kept."""
     q = p ** e
-    rows = [{j: y for j, x in enumerate(row) if x and (y := x % q)} for row in a]
-    width = len(b[0]) if b else 0   # the columns of b
-    # with no columns the rows of b are zero, and `_eliminate` never writes them
-    b = ([{j: y for j, x in enumerate(row) if x and (y := x % q)} for row in b]
-         if width else [{}] * len(b))
+    if q != n:                      # the other prime powers of n reuse the rows
+        a, b = ([{j: y for j, x in row.items() if (y := x % q)} for row in m]
+                for m in (a, b))
     basis = [{k: 1} for k in range(len(b))] if kernel else None
-    val = _eliminate(rows, b, p, e, basis)
-    gens = []
-    for vec, v in zip(basis or [], val):
-        dense, scale = [0] * len(val), p ** (e - v)
-        for k, x in vec.items():
-            dense[k] = x * scale % q
-        gens.append(dense)
+    val = _eliminate(a, b, p, e, basis)
+    gens = [{k: y for k, x in vec.items() if (y := x * p ** (e - v) % q)}
+            for vec, v in zip(basis or [], val)]
     if not any(b):
         return [v for v in val if v], gens
     if any(x % (q // p ** v) for row, v in zip(b, val) for x in row.values()):
         raise InputError("a.b is not zero")
     exps = [v for v in val if v]
-    ct = [{} for _ in range(width)]
+    by_col: dict = {}               # the rows of b with a pivot, transposed
     for r, (row, v) in enumerate((row, v) for row, v in zip(b, val) if v):
         for t, x in row.items():
-            ct[t][r] = x // (q // p ** v)
-    ct += [{r: p ** v} for r, v in enumerate(exps) if v < e]
+            by_col.setdefault(t, {})[r] = x // (q // p ** v)
+    ct = [*by_col.values()] + [{r: p ** v} for r, v in enumerate(exps) if v < e]
     return [v for v in _eliminate(ct, [{}] * len(exps), p, e, None) if v], gens
 
 
@@ -420,9 +420,13 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
+    return _ker_mod_im(_sparse(a, modulus), _sparse(b, modulus), modulus)
+
+
+def _ker_mod_im(a: list, b: list, modulus: int) -> list[int]:
     factors: list[int] = []         # descending
     for p, e in _prime_powers(modulus).items():
-        exps = sorted(_local_homology(a, b, p, e, False)[0], reverse=True)
+        exps = sorted(_local_homology(a, b, p, e, modulus, False)[0], reverse=True)
         factors += [1] * (len(exps) - len(factors))
         for i, v in enumerate(exps):
             factors[i] *= p ** v
@@ -432,27 +436,29 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
     """Invariant factors > 1 of (Z_N)^rows / column-span(mat), ascending;
     the trivial group is the empty list.  Over Z/p^e it is ker(mat^T)/0."""
-    return ker_mod_im(list(zip(*mat)), [[] for _ in mat], modulus)
+    return _ker_mod_im(_sparse(zip(*mat), modulus), [{}] * len(mat), modulus)
 
 
-def _kernel_by_column(mat: Matrix, n: int) -> Matrix:
-    """One vector of ker(mat) over Z_N per column of mat: the local vectors
-    at each prime power p^e of N, added up with the idempotent that is 1 mod
-    p^e and 0 mod N/p^e.  They generate the kernel, and a column's vector is
-    zero exactly when the column is a unit pivot at every prime."""
-    cols = len(mat[0]) if mat else 0
+def _kernel_by_column(rows: list, cols: int, n: int) -> Matrix:
+    """One vector of ker over Z_N for each of the `cols` columns of rows
+    that `_local_homology` reads: its local vectors at each prime power p^e
+    of N, added up with the idempotent that is 1 mod p^e and 0 mod N/p^e.
+    They generate the kernel, and a column's vector is zero exactly when the
+    column is a unit pivot at every prime."""
     out = zeros(cols, cols)
     for p, e in _prime_powers(n).items():
         idem = n // p ** e * pow(n // p ** e, -1, p ** e)
-        local = _local_homology(mat, [[] for _ in range(cols)], p, e)[1]
-        out = [[(s + idem * t) % n for s, t in zip(g, h)] for g, h in zip(out, local)]
+        for g, h in zip(out, _local_homology(rows, [{}] * cols, p, e, n)[1]):
+            for k, x in h.items():
+                g[k] = (g[k] + idem * x) % n
     return out
 
 
 def kernel_mod(mat: Matrix, n: int) -> Matrix:
     """Generators of the null space of mat over Z_N, one for each column
     that is not a unit pivot at every prime of N; none mod 1."""
-    return [g for g in _kernel_by_column(mat, n) if any(g)]
+    cols = len(mat[0]) if mat else 0
+    return [g for g in _kernel_by_column(_sparse(mat, n), cols, n) if any(g)]
 
 
 def kernel_mod_p(mat: Matrix, p: int) -> list[list[int]]:

@@ -74,6 +74,27 @@ def test_invariant_guard_exit_code(capsys):
     assert "27 boundary tuples" in capsys.readouterr().err
 
 
+def test_search_and_homology_build_no_dense_matrix(capsys, monkeypatch):
+    """delta reaches the elimination as sparse rows: with the dense
+    coboundary_matrix and boundary_matrix refused, `search` and `homology`
+    print what they print with them, over prime and composite moduli."""
+    argvs = [["search", "3", "dihedral:3", "conj-rep:perm3", "3"],
+             ["search", "2", "dihedral:4", "alexander-rep:8:3", "8"],
+             ["homology", "3", "--quandle", "dihedral:5", "--rep", "trivial-action:5"],
+             ["homology", "2", "--quandle", "dihedral:3", "--rep", "alexander-rep:9:2"],
+             ["homology", "1", "--quandle", "dihedral:3", "--rep", "alexander-rep:6:5",
+              "--variant", "rack"]]
+    want = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+    monkeypatch.setattr(homology, "coboundary_matrix", refuse)
+    monkeypatch.setattr(homology, "boundary_matrix", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == want
+    assert all(code == 0 for code, _ in want)
+    assert json.loads(want[2][1])["invariant_factors"] == [5]
+
+
 def test_coboundary_guard_comes_before_the_matrix(capsys, monkeypatch):
     """`search` and `homology` compare the |basis(d+1)| |basis(d)| m^2 cells
     of delta^d in the chosen complex with --guard before building it: in

@@ -32,7 +32,7 @@ from quandlekit.homology import (
     vector_to_cochain,
 )
 from quandlekit.linalg import (cokernel_mod, identity, int_kernel, ker_mod_im,
-                               mat_mul, mat_vec, quotient_invariant_factors)
+                               kernel_mod, mat_mul, mat_vec, quotient_invariant_factors)
 from quandlekit.quandles import make_alexander, make_core, make_dihedral, make_trivial
 
 random.seed(12)
@@ -201,6 +201,32 @@ def test_quandle_coboundary_is_the_rack_one_on_degenerate_free_cochains(
     rack = coboundary(ComplexConfig(rep=rep, variant="rack"), kappa)
     assert coboundary(ComplexConfig(rep=rep, variant="quandle"), kappa) == rack
     assert not any(_degenerate(k) for k in rack.values)
+
+
+@pytest.mark.parametrize("variant", ["quandle", "rack"])
+def test_sparse_delta_gives_what_the_dense_matrices_give(variant):
+    """cohomology and cocycle_space hand delta's sparse rows to the
+    elimination; the dense coboundary_matrix through the public ker_mod_im
+    and kernel_mod gives the same, for degrees 0-3 over prime and composite
+    moduli.  On trivial:1 the quandle complex has no tuples from degree 2
+    on, and trivial-action (eta = I, tau = 0) has delta^0 = 0."""
+    trivial1 = make_alexander_rep(make_trivial(1), 5, 2)
+    action = make_alexander_rep(make_dihedral(3), 5, 1)
+    reps = _DELTA_REPS + [trivial1, make_alexander_rep(make_trivial(1), 6, 1),
+                          action, make_alexander_rep(make_dihedral(4), 12, 1)]
+    for rep in reps:
+        cfg, n = ComplexConfig(rep=rep, variant=variant), rep.modulus
+        for degree in range(4):
+            where = (rep.quandle.label, rep.label, degree)
+            up, down = _deltas(cfg, degree)
+            assert cohomology(cfg, degree) == ker_mod_im(up, down, n), where
+            if degree >= 2:
+                assert [cochain_to_vector(cfg, k) for k in cocycle_space(cfg, degree)] \
+                    == kernel_mod(up, n), where
+    empty = coboundary_matrix(ComplexConfig(rep=trivial1, variant=variant), 2)
+    assert (empty == []) == (variant == "quandle")
+    zero = coboundary_matrix(ComplexConfig(rep=action, variant=variant), 0)
+    assert len(zero) == 3 and not any(map(any, zero))
 
 
 def test_vector_round_trip():

@@ -86,6 +86,54 @@ def test_cochain_doc_validation():
                               "values": {"0,1": [1]}})
 
 
+def test_json_objects_with_a_repeated_key_are_refused(tmp_path, capsys):
+    """json keeps the last of two equal keys; a document that gives one
+    twice, at the top or further in, is ambiguous and exits 2."""
+    from quandlekit.cli import main
+    files = {
+        "cochain": '{"degree": 2, "modulus": 3, "dim": 1, "modulus": 5, "values": {}}',
+        "values": '{"degree": 2, "modulus": 3, "dim": 1,'
+                  ' "values": {"0,1": [1], "0,1": [2]}}',
+        "quandle": '{"size": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]],'
+                   ' "table": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]}'}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        load = qio.load_quandle if name == "quandle" else qio.load_cochain
+        with pytest.raises(InputError, match=r"key '(modulus|0,1|table)' appears twice"):
+            load(str(path))
+        argv = (["check", "quandle", str(path)] if name == "quandle" else
+                ["check", "cocycle", str(path), "--quandle", "dihedral:3",
+                 "--rep", "alexander-rep:3:2"])
+        assert main(argv) == 2, name
+        assert "appears twice" in capsys.readouterr().err
+    # one key per object, the same key in two objects, loads
+    path = tmp_path / "ok.json"
+    path.write_text('{"degree": 2, "modulus": 3, "dim": 1, "values": {"0,1": [1]},'
+                    ' "label": {"modulus": 1}}')
+    assert qio.load_cochain(str(path)).values == {(0, 1): [1]}
+
+
+def test_cochain_keys_must_be_spelled_as_written(tmp_path):
+    """int() takes " 0", "+1", "1_0" and other digits, so two spellings of
+    one tuple once loaded as one key, the last silently; only the canonical
+    spelling ",".join(map(str, parts)) is accepted."""
+    for key in (" 0,1", "0, 1", "+0,1", "00,1", "1_0,1", "-0,1", "\u0660,1",
+                "0,1,", ",0,1", "0,,1", "0;1", ""):
+        doc = {"degree": 2, "modulus": 3, "dim": 1, "values": {key: [1]}}
+        with pytest.raises(InputError, match="is not 'x,y"):
+            qio.cochain_from_doc(doc)
+    both = tmp_path / "both.json"
+    both.write_text('{"degree": 2, "modulus": 3, "dim": 1,'
+                    ' "values": {"0,1": [1], " 0,1": [2]}}')
+    with pytest.raises(InputError, match="' 0,1' is not"):
+        qio.load_cochain(str(both))
+    canonical = {"degree": 2, "modulus": 3, "dim": 1,
+                 "values": {"0,1": [1], "2,0": [2], "-1,10": [1]}}
+    assert qio.cochain_from_doc(canonical).values == {(0, 1): [1], (2, 0): [2],
+                                                      (-1, 10): [1]}
+
+
 def test_zero_cochain_shorthand():
     rep = make_alexander_rep(make_trivial(2), 2, 1)
     kappa = qio.load_cochain("zero", rep=rep)

@@ -7,6 +7,7 @@ import pytest
 from quandlekit.errors import InputError
 from quandlekit.linalg import (
     _local_homology,
+    _sparse,
     cokernel_mod,
     identity,
     int_det,
@@ -197,11 +198,12 @@ def test_local_homology_skips_the_kernel_on_request():
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             a = [[rng.choice((1, p, p * p)) * rng.randrange(q) for _ in range(cols)]
                  for _ in range(rows)]
-            b = [[] for _ in range(cols)]
-            full = _local_homology(a, b, p, e)
+            b = [{}] * cols
+            full = _local_homology(_sparse(a, q), b, p, e, q)
             assert len(full[1]) == cols
-            assert _local_homology(a, b, p, e, False) == (full[0], [])
-            assert kernel_mod(a, q) == [g for g in full[1] if any(g)]
+            assert _local_homology(_sparse(a, q), b, p, e, q, False) == (full[0], [])
+            assert kernel_mod(a, q) == [[g.get(k, 0) for k in range(cols)]
+                                        for g in full[1] if g]
 
 
 def test_mat_inv_mod_mixed_local_blocks():
