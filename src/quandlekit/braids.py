@@ -15,7 +15,8 @@ as (letter, p, x, y), p the left position and (x, y) the source pair, (u, v)
 at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
 (`_walk`, for `act`, `crossing_data` and `crossing_blocks`, which numbers
 each crossing's block pair, (eta, tau)[x][y] or its inverse pair), linear
-forms over Z_n (`_burau_rows`), row blocks (`colored_matrix`) and arc ids
+forms (`_burau_rows`, over Z_n for the colorings and over Z[t^+-1] for
+`fox.alexander_polynomial`), row blocks (`colored_matrix`) and arc ids
 (`closure_arcs`, whose (over, src, tgt) triples stand for the Wirtinger
 relators that `fox.twisted_matrix` reads).
 
@@ -304,15 +305,26 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
     return _search_colorings(q, w)
 
 
-def _burau_rows(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
-    """The k x k matrix M over Z_n by which the word acts on the bottom
-    vectors of an affine quandle Z_n, a*b = t a + (1 - t) b: the Burau
-    matrix at t, with top colors M * bottom.  One walk of `_crossings`
-    carries each strand's color as a linear form over the bottom colors,
-    starting from the unit vectors, so row i of M is the form that ends at
-    top position i.  The inverse a bar* b = t^-1 (a - (1 - t) b) needs t to
-    be a unit mod n, which it is for every affine table that passes axiom
-    II: a -> t a + (1 - t) b is a bijection of Z_n only when t is."""
+def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
+    """The k x k Burau matrix M of the word over a ring, read in one walk of
+    `_crossings`.  Each strand's color is a linear form over the bottom
+    colors, a k-tuple of ring elements starting from `units`, the unit
+    vectors; `op` applies a*b = t a + (1 - t) b entrywise and `inv_op` its
+    inverse a bar* b = t^-1 (a - (1 - t) b).  Row i of M is the form that
+    ends at top position i, so top colors are M * bottom.  Over Z_n it is
+    the colorings' matrix at t (`_affine_burau`), over Z[t^+-1] the
+    unreduced Burau matrix of `fox.alexander_polynomial`."""
+    rows = list(units)
+    for _ in _crossings(w, rows, op, inv_op):
+        pass
+    return rows
+
+
+def _affine_burau(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
+    """`_burau_rows` over Z_n at the t of an affine quandle Z_n, a*b = t a +
+    (1 - t) b.  The inverse needs t to be a unit mod n, which it is for
+    every affine table that passes axiom II: a -> t a + (1 - t) b is a
+    bijection of Z_n only when t is."""
     n, k, t = q.size, w.strands, q._affine_t
     s, t_inv = 1 - t, pow(t, -1, n)
 
@@ -322,23 +334,21 @@ def _burau_rows(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     def inv_op(u, v):
         return tuple([t_inv * (a - s * b) % n for a, b in zip(u, v)])
 
-    colors = [tuple([int(i == j) for j in range(k)]) for i in range(k)]
-    for _ in _crossings(w, colors, op, inv_op):
-        pass
-    return colors
+    return _burau_rows(w, op, inv_op,
+                       [tuple([int(i == j) for j in range(k)]) for i in range(k)])
 
 
 def _affine_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     """The colorings by an affine quandle Z_n, a*b = t a + (1 - t) b: the
     crossing rule is linear, so the word acts on bottom vectors by the Burau
-    matrix M at t, read by `_burau_rows` in one walk of the word, and the
+    matrix M at t, read by `_affine_burau` in one walk of the word, and the
     colorings are ker(M - I).  The span of the `kernel_mod` generators is
     listed one coset of the span so far per multiple of the next generator
     that is not yet in it, so no vector is made twice and the work is k
     entries per coloring."""
     n, k = q.size, w.strands
     a = [[(x - (i == j)) % n for j, x in enumerate(row)]
-         for i, row in enumerate(_burau_rows(q, w))]
+         for i, row in enumerate(_affine_burau(q, w))]
     span = [(0,) * k]
     members = set(span)
     for g in map(tuple, kernel_mod(a, n)):

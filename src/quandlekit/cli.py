@@ -27,8 +27,9 @@ triples of a JSON rep, in `check rep` too.  `check quandle` holds every
 table, shorthand or JSON, to that axiom-check bound.  `invariant module`
 bounds the (k m)^2 cells of its colored matrix on k strands with an
 m-dimensional rep and the letters * k * m^3 steps of its block walk,
-`invariant alexander` its n^4 Laurent products on n arcs, and `search` and
-`homology` the cells of the coboundary matrix.
+`invariant alexander` the n k (n + 1) + (k - 1)^3 (n + 1)^2 Laurent
+coefficient steps of its Burau walk and minor on k strands and n letters,
+and `search` and `homology` the cells of the coboundary matrix.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.

@@ -6,8 +6,13 @@ one relator x_o x_s x_o^-1 x_t^-1 per crossing, kept as the crossing's
 the Fox derivatives of that relator are 1 - x_t, x_o and -1 at o, s and t.
 twisted_matrix writes its rows in this closed form, so rho must respect
 every relator and be invertible on every over and target arc; it checks
-both.  With trivial rho the matrix is the Alexander matrix, and
-`alexander_polynomial` is the determinant of one first minor.
+both.  With trivial rho the matrix is the Alexander matrix, one row per
+crossing and one column per arc, and its first minors give Delta; the
+tests keep that route as the oracle.  `alexander_polynomial` takes a
+smaller matrix: the k x k Burau matrix of the braid over Z[t^+-1], read in
+one walk of `braids._burau_rows`, minus I presents the same module on the
+k bottom arcs, so it eliminates a (k - 1)-minor instead of an arcs-sized
+one.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _is_square
-from .braids import BraidWord, closure_arcs
+from .braids import BraidWord, _burau_rows, closure_arcs
 from .errors import GUARD, GuardExceeded, InputError
-from .laurent import Laurent, lp_det, lp_normalize
+from .laurent import Laurent, lp_add, lp_det, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
 
@@ -87,24 +92,53 @@ def trivial_rho(pres: WirtingerPresentation):
     return [[[1]] for _ in range(pres.generators)]
 
 
+def _slide(d: int):
+    """The map u, v -> v + t^d (u - v) on Laurent linear forms, entrywise:
+    the Burau walk's t u + (1 - t) v at d = 1, and at d = -1 its inverse
+    u bar* v = t^-1 (u - (1 - t) v)."""
+    def step(u, v):
+        out = []
+        for a, b in zip(u, v):
+            c = dict(b)
+            for e, x in a.items():
+                c[e + d] = c.get(e + d, 0) + x
+            for e, x in b.items():
+                c[e + d] = c.get(e + d, 0) - x
+            out.append({e: x for e, x in c.items() if x})
+        return tuple(out)
+    return step
+
+
 def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     """Classical Alexander polynomial of a knot given as a closed braid,
     normalized to integer coefficients, lowest exponent 0, positive lead.
 
-    One Wirtinger relator follows from the others, so every first minor of
-    the Alexander matrix of a knot is +-t^j Delta (Crowell and Fox, ch. VIII).
-    This one drops the last relator and the last arc.  Bareiss eliminates it
-    with entries of degree up to n on n arcs, about n^4 Laurent products,
-    which must not exceed `guard`.  Each letter joins at most two strands,
-    so more than letters + 1 strands close to a link; that is refused before
-    the strand permutation is built."""
-    if w.strands > len(w.letters) + 1 or w.closure_components() != 1:
+    The closed braid on k strands has a presentation with one generator per
+    bottom arc and the relators x_i = beta(x_i), one of which follows from
+    the others; its Alexander matrix is M - I, M the unreduced Burau matrix
+    over Z[t^+-1], so for a knot every first minor is +-t^j Delta (Burau;
+    Birman, "Braids, Links, and Mapping Class Groups", ch. 3).  M comes
+    from one walk of `braids._burau_rows` over Laurent linear forms, and
+    Bareiss eliminates its leading (k - 1) x (k - 1) minor.  Each letter
+    widens an entry by one exponent, so the walk takes at most
+    letters * k * (letters + 1) coefficient steps; every Bareiss entry is a
+    minor of M - I, whose exponents span at most letters + 1 (Cauchy-Binet
+    over the letters' matrices), so the (k - 1)^3 products take at most
+    (letters + 1)^2 steps each.  Their sum must not exceed `guard`.  Each
+    letter joins at most two strands, so more than letters + 1 strands
+    close to a link; that is refused before the strand permutation is
+    built.  The Wirtinger minor (`twisted_matrix` with `trivial_rho`) gives
+    the same polynomial, from a matrix as large as the diagram's arcs."""
+    k, n = w.strands, len(w.letters)
+    if k > n + 1 or w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")
-    pres = wirtinger_from_braid(w)
-    if pres.generators ** 4 > guard:
-        raise GuardExceeded(f"{pres.generators ** 4} Laurent products of the "
-                            f"{pres.generators}-arc Alexander minors exceed the "
-                            f"guard of {guard}")
-    mat = twisted_matrix(pres, trivial_rho(pres))
-    minor = [[cell[0][0] for cell in row[:-1]] for row in mat[:-1]]
+    steps = n * k * (n + 1) + (k - 1) ** 3 * (n + 1) ** 2
+    if steps > guard:
+        raise GuardExceeded(f"{steps} Laurent coefficient steps of the {k}-strand "
+                            f"Burau matrix and its first minor exceed the guard "
+                            f"of {guard}")
+    units = [tuple([{0: 1} if i == j else {} for j in range(k)]) for i in range(k)]
+    rows = _burau_rows(w, _slide(1), _slide(-1), units)
+    minor = [[lp_add(x, {0: -1}) if i == j else x for j, x in enumerate(row[:-1])]
+             for i, row in enumerate(rows[:-1])]
     return lp_normalize(lp_det(minor))

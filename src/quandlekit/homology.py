@@ -124,16 +124,28 @@ def _assemble(cfg: ComplexConfig, n: int) -> list[dict]:
 
 def boundary_matrix(cfg: ComplexConfig, n: int) -> Matrix:
     """Matrix of the boundary C_{n+1} (x) G -> C_n (x) G of the complex that
-    cfg.variant selects: the block transpose of delta^n, written densely."""
+    cfg.variant selects: the block transpose of delta^n, written densely by
+    scattering each of delta's rows into its blocks."""
     m, d = cfg.rep.dim, _assemble(cfg, n)
-    return [[d[s + i].get(c + j, 0) for s in range(0, len(d), m) for j in range(m)]
-            for c in range(0, _basis_size(cfg, n) * m, m) for i in range(m)]
+    out = [[0] * len(d) for _ in range(_basis_size(cfg, n) * m)]
+    for r, row in enumerate(d):
+        s, i = divmod(r, m)
+        for c, x in row.items():
+            b, j = divmod(c, m)
+            out[b * m + i][s * m + j] = x
+    return out
 
 
 def coboundary_matrix(cfg: ComplexConfig, degree: int) -> Matrix:
     """Matrix of delta: C^degree -> C^{degree+1}, _assemble's rows written out."""
-    cols = range(_basis_size(cfg, degree) * cfg.rep.dim)
-    return [[row.get(j, 0) for j in cols] for row in _assemble(cfg, degree)]
+    cols = _basis_size(cfg, degree) * cfg.rep.dim
+    out = []
+    for row in _assemble(cfg, degree):
+        dense = [0] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:

@@ -6,8 +6,8 @@ coefficients and is Bareiss elimination, with no permutation expansion.
 
 The rational gcd of all k x k minors (`laurent_gcd_of_minors`, `lp_gcd`)
 has no caller in the package, since `fox.alexander_polynomial` takes one
-first minor: it is kept as a test reference until the benchmark's tracer
-stops naming it.
+first minor, of the Burau matrix minus I: it is kept as a test reference
+until the benchmark's tracer stops naming it.
 """
 
 from __future__ import annotations

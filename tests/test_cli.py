@@ -125,15 +125,33 @@ def test_coboundary_guard_comes_before_the_matrix(capsys, monkeypatch):
 
 
 def test_alexander_guard_exit_code(capsys):
-    """T(2, 11) has 11 arcs, 11^4 = 14641 Laurent products: it passes the
-    default guard and a guard of 14641, and exits 3 below that."""
+    """T(2, 11): 11 letters on 2 strands make 11 * 2 * 12 = 264 coefficient
+    steps of the Burau walk and 1^3 * 12^2 = 144 of its 1 x 1 minor, 408 in
+    all: it passes the default guard and a guard of 408, and exits 3 below
+    that."""
     argv = ["invariant", "alexander", "--braid", "k=2; " + " ".join(["1"] * 11)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["display"].startswith("t^10 - t^9")
-    assert main(argv + ["--guard", "14641"]) == 0
-    for guard in ("14640", "100"):
+    assert main(argv + ["--guard", "408"]) == 0
+    for guard in ("407", "100"):
         assert main(argv + ["--guard", guard]) == 3
-        assert "14641 Laurent products" in capsys.readouterr().err
+        assert "408 Laurent coefficient steps" in capsys.readouterr().err
+
+
+def test_alexander_of_a_105_crossing_knot(capsys):
+    """T(8, 15), 105 crossings on 8 strands, passes the default guard, which
+    the arcs^4 estimate of the Wirtinger minor refused, and exits 3 one step
+    below its bound of 105 * 8 * 106 + 7^3 * 106^2 = 3,942,988."""
+    torus = "k=8; " + " ".join(["1 2 3 4 5 6 7"] * 15)
+    assert main(["invariant", "alexander", "--braid", torus]) == 0
+    poly = json.loads(capsys.readouterr().out)["polynomial"]
+    assert max(map(int, poly)) == 98 and poly["0"] == poly["98"] == 1
+    assert main(["invariant", "alexander", "--braid", torus,
+                 "--guard", "3942988"]) == 0
+    capsys.readouterr()
+    assert main(["invariant", "alexander", "--braid", torus,
+                 "--guard", "3942987"]) == 3
+    assert "3942988 Laurent coefficient steps" in capsys.readouterr().err
 
 
 def test_alexander_refuses_many_strands_before_building(capsys):

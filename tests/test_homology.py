@@ -282,6 +282,21 @@ def test_quandle_matrices_are_the_rack_matrices_without_degenerate_tuples():
                     boundary_matrix(rack, n), size, m, n, n + 1), where
 
 
+def test_boundary_matrix_is_the_block_transpose_of_delta():
+    """Each m x m block of delta moves to the transposed place and keeps its
+    own orientation: the conjugation and Wada reps have blocks that are
+    not symmetric, and boundary squares to zero with them transposed too."""
+    for rep in (make_conj_rep(permutation_rep_r3(3)), core_z3_wada_rep()):
+        m = rep.dim
+        for variant in ("quandle", "rack"):
+            cfg = ComplexConfig(rep=rep, variant=variant)
+            for n in range(3):
+                d = coboundary_matrix(cfg, n)
+                assert boundary_matrix(cfg, n) == [
+                    [d[s + i][c + j] for s in range(0, len(d), m) for j in range(m)]
+                    for c in range(0, len(d[0]), m) for i in range(m)], (variant, n)
+
+
 def test_cocycle_checks_guard_their_boundary_tuples():
     """is_cocycle_2 and is_cocycle_3 refuse more than `guard` of the
     size^(degree + 1) boundary tuples, after the degree check."""
