@@ -9,9 +9,11 @@ and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, a missing --quandle, --rep or --cocycle, an `extend`
 cochain not of degree 2, or an --out path that cannot be written exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
-any rep, within --guard boundary tuples; other degrees exit 2, as do a
---degree that disagrees with the cochain file and a negative `homology`
-degree.  `search` takes any modulus N and lists generators of the
+any rep at the boundary tuples whose last entry is in the quandle's
+generating set, which is enough (the generator rule of `homology`), and
+--guard still bounds all size^(degree+1) boundary tuples.  Other degrees
+exit 2, as do a --degree that disagrees with the cochain file and a
+negative `homology` degree.  `search` takes any modulus N and lists generators of the
 cocycles over Z_N, with N under the key "prime" and their number under
 "dimension"; for prime N they are a basis.  The elimination picks its
 pivots by sparsity, so for composite N the generators may differ from

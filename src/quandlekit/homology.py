@@ -17,16 +17,34 @@ cochain vectors are written in the basis of the chosen complex, _basis.
 Cochains are dualized by pulling the operator coefficients out on the left;
 a cocycle is a cochain with delta kappa = 0.  delta is built once, as the
 sparse rows that linalg's elimination reads; the dense matrices are views.
+
+The generator rule.  Over a rep that satisfies the relations, in either
+complex, over any Z_N and in every degree n >= 0, delta kappa = 0 exactly
+when delta kappa vanishes at the (n+1)-tuples whose last entry lies in the
+greedy generating set S of quandles.generating_set.  Write
+W = {w : (delta kappa)(y, w) = 0 for every n-tuple y} and expand
+delta(delta kappa)(x, a, b) = 0 for an n-tuple x and a, b in W: every term
+is a block times delta kappa at a tuple that ends in a or b, but for
+-(delta kappa)(x*b, a*b), so that one vanishes too.  As x -> x*b is a
+bijection of the n-tuples, a*b is in W: W is closed under *, holds S, and
+so holds the subquandle S generates, which is X.  In the quandle complex
+delta kappa of a degenerate-free kappa is the rack one, which vanishes on
+the degenerate tuples, and x -> x*b keeps them apart.  So the kernel of
+delta^n is the kernel of its rows at the tuples ending in S, an |S|/|X|
+slice of them: `cohomology`, `cocycle_space` over a prime and the cocycle
+checks build or walk only those, which `_tuples` lists given last = S.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .errors import GUARD, GuardExceeded, InputError
-from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
+from .linalg import (Matrix, _ker_mod_im, _kernel_by_column, _probable_prime,
+                     identity)
+from .quandles import generating_set
 
 SIZE_GUARD = 6
 DEGREE_GUARD = 3
@@ -71,14 +89,25 @@ def _bracket(q, xs) -> int:
     return acc
 
 
+def _tuples(cfg: ComplexConfig, n: int, last=None) -> Iterable[tuple]:
+    """The n-tuples of the complex that cfg.variant selects, in lex order:
+    all of them for the rack complex, those with no two equal neighbours for
+    the quandle complex; with `last`, an ascending list of elements, only
+    those whose last entry is in it.  Each tuple is made once, from a list
+    of the tuples one shorter, so none is made only to be filtered out, and
+    the n-tuples themselves are yielded one at a time."""
+    s, rack = cfg.rep.quandle.size, cfg.variant == "rack"
+    keys = [()]
+    for i in range(n):
+        ends = range(s) if last is None or i < n - 1 else last
+        step = (k + (x,) for k in keys for x in ends if rack or not k or k[-1] != x)
+        keys = step if i == n - 1 else list(step)
+    return keys
+
+
 def _basis(cfg: ComplexConfig, n: int) -> dict:
-    """The n-tuples of the complex that cfg.variant selects, in lex order,
-    mapped to their positions: all of them for the rack complex, those with
-    no two equal neighbours for the quandle complex."""
-    keys = itertools.product(range(cfg.rep.quandle.size), repeat=n)
-    if cfg.variant == "quandle":
-        keys = (k for k in keys if not _degenerate(k))
-    return {k: i for i, k in enumerate(keys)}
+    """The n-tuples of the complex, `_tuples`, mapped to their positions."""
+    return {k: i for i, k in enumerate(_tuples(cfg, n))}
 
 
 def _boundary_terms(cfg: ComplexConfig, t: tuple) -> list:
@@ -102,14 +131,17 @@ def _boundary_terms(cfg: ComplexConfig, t: tuple) -> list:
     return terms
 
 
-def _assemble(cfg: ComplexConfig, n: int) -> list[dict]:
+def _assemble(cfg: ComplexConfig, n: int, last=None) -> list[dict]:
     """delta^n: C^n -> C^{n+1} in the bases of _basis, as m rows per
     (n+1)-tuple, each a {column: residue mod N} dict without zeros.  Terms
     on tuples outside the basis are dropped, and blocks are never
-    transposed: operators act on values from the left."""
+    transposed: operators act on values from the left.  With `last`, only
+    the rows of the (n+1)-tuples that end in it are built; for last = S
+    they have the kernel of the whole delta^n (the generator rule in the
+    module docstring)."""
     m, N = cfg.rep.dim, cfg.rep.modulus
     small, ident, out = _basis(cfg, n), identity(m), []
-    for t in _basis(cfg, n + 1):
+    for t in _tuples(cfg, n + 1, last):
         terms = [(sign, block or ident, small[key] * m)
                  for sign, block, key in _boundary_terms(cfg, t) if key in small]
         for i in range(m):
@@ -187,9 +219,16 @@ def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
     terms: (delta kappa)(t) = sum sign * block kappa(target); no matrix is
     built.  The degenerate tuples form a subcomplex, so delta of a
     degenerate-free kappa vanishes on the tuples the quandle complex skips."""
+    values = _coboundary_values(cfg, kappa, _tuples(cfg, kappa.degree + 1))
+    return Cochain(degree=kappa.degree + 1, modulus=cfg.rep.modulus,
+                   dim=cfg.rep.dim, values=dict(values))
+
+
+def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
+    """(t, (delta kappa)(t) mod N) for each t of `tuples` where it is not
+    zero, one tuple at a time."""
     m, N = cfg.rep.dim, cfg.rep.modulus
-    values = {}
-    for t in _basis(cfg, kappa.degree + 1):
+    for t in tuples:
         acc = [0] * m
         for sign, block, key in _boundary_terms(cfg, t):
             v = kappa.values.get(key)
@@ -200,15 +239,15 @@ def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
                                   sum(e * x for e, x in zip(block[i], v)))
         acc = [a % N for a in acc]
         if any(acc):
-            values[t] = acc
-    return Cochain(degree=kappa.degree + 1, modulus=N, dim=m, values=values)
+            yield t, acc
 
 
 def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int,
                 guard: int) -> bool:
-    """delta kappa = 0, checked on the (degree + 1)-tuples of the complex;
-    the size^(degree + 1) tuples of the rack complex must not exceed
-    `guard`."""
+    """delta kappa = 0, checked on the (degree + 1)-tuples of the complex
+    that end in the generating set S (the generator rule in the module
+    docstring) and stopped at the first that fails; the size^(degree + 1)
+    tuples of the rack complex must not exceed `guard`."""
     if kappa.degree != degree:
         raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
     work = cfg.rep.quandle.size ** (degree + 1)
@@ -216,7 +255,8 @@ def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int,
         raise GuardExceeded(f"{work} boundary tuples exceed the guard of {guard}")
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
-    return not coboundary(cfg, kappa).values
+    tuples = _tuples(cfg, degree + 1, generating_set(cfg.rep.quandle.table))
+    return next(_coboundary_values(cfg, kappa, tuples), None) is None
 
 
 def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool:
@@ -237,13 +277,18 @@ def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool
 def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
     """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
     the kernel of delta, an echelon basis when N is prime, read back as
-    cochains through one listing of the basis.  The cells of the chosen
+    cochains through one listing of the basis.  Over a prime, delta's rows
+    at the tuples ending in the generating set S have the same kernel (the
+    generator rule in the module docstring) and so the same echelon basis,
+    and only they are built; over a composite N the generators depend on
+    the rows eliminated, and every row is built.  The cells of the chosen
     complex's delta must not exceed `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     _require_cells(cfg, degree, guard)
-    basis, m = _basis(cfg, degree), cfg.rep.dim
-    kernel = _kernel_by_column(_assemble(cfg, degree), len(basis) * m, cfg.rep.modulus)
+    basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
+    last = generating_set(cfg.rep.quandle.table) if _probable_prime(N) else None
+    kernel = _kernel_by_column(_assemble(cfg, degree, last), len(basis) * m, N)
     return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel if any(vec)]
 
 
@@ -268,9 +313,11 @@ def _require_cells(cfg: ComplexConfig, degree: int, guard: int) -> None:
 
 def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
-    complex that cfg.variant selects, by `ker_mod_im`'s elimination on the
-    rows of both coboundaries over each Z/p^e in N, merged by CRT.  The
-    cells of the chosen complex's delta^degree must not exceed `guard`."""
+    complex that cfg.variant selects, by `ker_mod_im`'s elimination over
+    each Z/p^e in N, merged by CRT: on the whole of delta^{degree-1}, and on
+    the rows of delta^degree at the tuples ending in the generating set S,
+    which have its kernel (the generator rule in the module docstring).
+    The cells of the chosen complex's delta^degree must not exceed `guard`."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:
@@ -279,4 +326,5 @@ def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
     _require_cells(cfg, degree, guard)
     down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim
-    return _ker_mod_im(_assemble(cfg, degree), down, cfg.rep.modulus)
+    up = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
+    return _ker_mod_im(up, down, cfg.rep.modulus)

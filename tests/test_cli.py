@@ -9,6 +9,7 @@ import quandlekit.homology as homology
 from quandlekit import io as qio
 from quandlekit.cli import main
 from quandlekit.errors import GuardExceeded
+from quandlekit.quandles import generating_set
 
 
 def run(capsys, *argv):
@@ -53,6 +54,37 @@ def test_guard_exit_code(capsys):
     code = main(["check", "cocycle", "zero", "--quandle", "dihedral:20",
                  "--rep", "alexander-rep:5:2", "--degree", "3", "--guard", "1000"])
     assert code == 3
+
+
+def test_degree_3_cocycle_check_on_dihedral_20(capsys, tmp_path):
+    """`check cocycle` walks the 4-tuples that end in R20's generating set
+    {0, 1}: the zero cochain passes, and the indicator of (3, 4, 5) fails,
+    although its coboundary is nonzero at tuples that end elsewhere too.
+    The guard still counts all 20^4 boundary tuples."""
+    base = ["--quandle", "dihedral:20", "--rep", "trivial-action:9", "--degree", "3"]
+    q = qio.load_quandle("dihedral:20")
+    assert generating_set(q.table) == [0, 1]
+    kappa = {(3, 4, 5): 1}
+
+    def delta_at(t):
+        # trivial coefficients, eta = I and tau = 0: each entry after the
+        # first is removed, or acts on the entries before it
+        terms = ((t[:i] + t[i + 1:], tuple(q.op(x, t[i]) for x in t[:i]) + t[i + 1:])
+                 for i in range(1, len(t)))
+        return sum((-1) ** i * (kappa.get(a, 0) - kappa.get(b, 0))
+                   for i, (a, b) in enumerate(terms)) % 9
+
+    assert [y for y in range(20) if delta_at((3, 4, 5, y))] == [
+        y for y in range(20) if y != 5]
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps({"degree": 3, "modulus": 9, "dim": 1,
+                                "values": {"3,4,5": [1]}}))
+    code, out = run(capsys, "check", "cocycle", str(path), *base)
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, out = run(capsys, "check", "cocycle", "zero", *base, "--guard", "160000")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert main(["check", "cocycle", "zero", *base, "--guard", "159999"]) == 3
+    assert "160000 boundary tuples exceed the guard of 159999" in capsys.readouterr().err
 
 
 def test_invariant_guard_exit_code(capsys):

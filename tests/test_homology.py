@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from quandlekit.algebra import (
 )
 from quandlekit.errors import GuardExceeded, InputError
 from quandlekit.groups import cyclic_group
+from quandlekit import homology
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
+    _assemble,
     _basis,
     _degenerate,
     _basis_size,
@@ -31,7 +34,8 @@ from quandlekit.homology import (
     is_cocycle_3,
     vector_to_cochain,
 )
-from quandlekit.linalg import (cokernel_mod, identity, int_kernel, ker_mod_im,
+from quandlekit.linalg import (_ker_mod_im, _kernel_by_column, _probable_prime,
+                               cokernel_mod, identity, int_kernel, ker_mod_im,
                                kernel_mod, mat_mul, mat_vec, quotient_invariant_factors)
 from quandlekit.quandles import make_alexander, make_core, make_dihedral, make_trivial
 
@@ -227,6 +231,80 @@ def test_sparse_delta_gives_what_the_dense_matrices_give(variant):
     assert (empty == []) == (variant == "quandle")
     zero = coboundary_matrix(ComplexConfig(rep=action, variant=variant), 0)
     assert len(zero) == 3 and not any(map(any, zero))
+
+
+# R3-R7 (R4 and R6 disconnected), a non-latin Alexander quandle, and trivial:3,
+# whose generating set is all of it
+_RULE_QUANDLES = [make_dihedral(n) for n in range(3, 8)] + [make_alexander(8, 3),
+                                                            make_trivial(3)]
+# twisted reps of dimension 3 on R3, over prime and composite moduli
+_RULE_TWISTED = [make_conj_rep(permutation_rep_r3(n)) for n in (3, 4, 6)] + [
+    core_z3_wada_rep()]
+# (config, degree) -> its cocycle_space, once the config's elimination checks
+# pass: the property draws some configs many times, with other cochains
+_RULE_COCYCLES: dict = {}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_delta_has_its_kernel_at_the_tuples_ending_in_a_generating_set(data):
+    """The generator rule of the homology module: delta^n has the kernel of
+    its rows at the (n+1)-tuples whose last entry is in the greedy
+    generating set.  So `cohomology` on those rows is ker_mod_im on all of
+    them; over a prime, `cocycle_space` is the echelon basis of the whole
+    delta; and the cocycle checks, which walk only those tuples, say what
+    the whole coboundary says, on random cochains and on cocycles changed
+    at one tuple.  Alexander-type reps of dimension 1 and 2 on every
+    quandle (dimension 1 only on R7 and alexander:8:3), and the conj-rep
+    perm3 and Core(Z3) Wada reps of dimension 3; both variants, every
+    basepoint, degrees 0-3 and degree 4 on at most 4 elements."""
+    if data.draw(st.integers(0, 3)):
+        q = data.draw(st.sampled_from(_RULE_QUANDLES))
+        n = data.draw(st.sampled_from((2, 3, 5, 7, 4, 6, 9, 12)))
+        units = [1, n - 1] + [2] * (n % 2)
+        if q.size <= 6:     # a 2x2 t on 7 or 8 elements takes seconds in degree 3
+            units += [[[1, 1], [0, 1]], [[0, 1], [1, 1]]]
+        rep = make_alexander_rep(q, n, data.draw(st.sampled_from(units)))
+    else:
+        rep = data.draw(st.sampled_from(_RULE_TWISTED))
+    q, m, n = rep.quandle, rep.dim, rep.modulus
+    cfg = ComplexConfig(rep=rep, variant=data.draw(st.sampled_from(("quandle", "rack"))),
+                        basepoint=data.draw(st.integers(0, q.size - 1)))
+    degree = data.draw(st.integers(0, 4 if q.size <= 4 else 3))
+    where = (q.label, rep.label, n, cfg.variant, cfg.basepoint, degree)
+
+    if (cfg, degree) not in _RULE_COCYCLES:
+        down = _assemble(cfg, degree - 1) if degree else [{}] * m
+        with mock.patch.multiple(homology, SIZE_GUARD=q.size, DEGREE_GUARD=degree):
+            assert cohomology(cfg, degree) == _ker_mod_im(
+                _assemble(cfg, degree), down, n), where
+        cocycles = cocycle_space(cfg, degree) if degree in (2, 3) else []
+        if degree in (2, 3) and _probable_prime(n):
+            cols = len(_basis(cfg, degree)) * m
+            assert cocycles == [vector_to_cochain(cfg, degree, v) for v in
+                                _kernel_by_column(_assemble(cfg, degree), cols, n)
+                                if any(v)], where
+        _RULE_COCYCLES[cfg, degree] = cocycles
+    if degree not in (2, 3):
+        return
+    cocycles = _RULE_COCYCLES[cfg, degree]
+
+    is_cocycle = is_cocycle_2 if degree == 2 else is_cocycle_3
+    keys = list(_basis(cfg, degree))
+    vectors = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    kappa = Cochain(degree, n, m, data.draw(st.dictionaries(
+        st.sampled_from(keys), vectors, max_size=4)))
+    assert is_cocycle(cfg, kappa) == (not coboundary(cfg, kappa).values), where
+    vec = [0] * (len(keys) * m)
+    for gen in cocycles:
+        c = data.draw(st.integers(0, n - 1))
+        vec = [(x + c * y) % n for x, y in zip(vec, cochain_to_vector(cfg, gen))]
+    kappa = vector_to_cochain(cfg, degree, vec)
+    assert is_cocycle(cfg, kappa) and not coboundary(cfg, kappa).values, where
+    key = data.draw(st.sampled_from(keys))
+    change = data.draw(vectors.filter(any))
+    kappa.values[key] = [(x + y) % n for x, y in zip(kappa.value(key), change)]
+    assert is_cocycle(cfg, kappa) == (not coboundary(cfg, kappa).values), where
 
 
 def test_vector_round_trip():
