@@ -8,21 +8,41 @@ and a matrix tau[x][y] over Z_N, subject to the four defining identities
   (3) tau[x*y][z]            == eta[x*z][y*z] tau[x][z] + tau[x*z][y*z] tau[y][z]
   (4) tau[x][x] + eta[x][x]  == I
 
-checked exhaustively by verify_relations. The coefficient module is
-(Z_N)^m acted on by these matrices from the left.
+checked by verify_relations. The coefficient module is (Z_N)^m acted on by
+these matrices from the left.
+
+The generator rule.  Once every eta is invertible, (1)-(3) hold for all
+(x, y, z) exactly when they hold for every z in the greedy generating set S
+of quandles.generating_set.  On E = X x (Z_N)^m let
+(x, a)*(y, b) = (x*y, eta[x][y] a + tau[x][y] b), and R_u(v) = v*u.
+Comparing the coefficients of a, b and c in R_(z,c)((x, a)*(y, b)) and
+R_(z,c)(x, a) * R_(z,c)(y, b) gives (1)-(3) at (x, y, z), and the first
+entries agree by axiom III of X; so (1)-(3) hold at z for all x and y
+exactly when every R_(z,c) is a homomorphism of E.  Every R_u is a
+bijection, since the columns of X are permutations and every eta is
+invertible.  If R_u and R_w are automorphisms, R_w R_u = R_(u*w) R_w, so
+R_(u*w) = R_w R_u R_w^-1 is one too: the u whose R_u is an automorphism are
+closed under *.  They hold S x (Z_N)^m, which generates E: the fibre over
+u*w holds eta[u][w] a + tau[u][w] b for every a and b, all of (Z_N)^m when
+the fibres over u and w are, and the x whose fibre is whole are closed
+under * and hold S, so they are all of X.  Relation (4), which says that
+E satisfies axiom I, is checked for every x.  verify_relations therefore
+scans (1)-(3) only for z in S and, if anything fails, scans every z again
+to report the first failure of each relation in (x, y, z) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .errors import GUARD, CheckFailed, GuardExceeded, InputError
 from .groups import FiniteGroup
 from .linalg import (Matrix, identity, is_invertible_mod, mat_add, mat_inv_mod,
                      mat_mul, mat_scale, mat_sub)
-from .quandles import FiniteQuandle, ValidationReport
+from .quandles import FiniteQuandle, ValidationReport, generating_set
 
 
 @dataclass(frozen=True)
@@ -58,33 +78,97 @@ class AlgebraRep:
 
 
 def _freeze(m: Matrix):
-    return tuple(tuple(row) for row in m)
+    return tuple(map(tuple, m))
+
+
+class _Filled(dict):
+    """A dict whose missing key (i, j) is filled with fill(i, j), so a hit
+    is one C-level lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(*key)
+        return value
+
+
+def _unit_picks(rows):
+    """The k with row == e_k for each row, if every row is a unit vector."""
+    picks = []
+    for r in rows:
+        if r.count(0) != len(r) - 1 or 1 not in r:
+            return None
+        picks.append(r.index(1))
+    return tuple(picks)
 
 
 class _Products:
-    """Products mod n of frozen matrices, each distinct pair multiplied once
-    per instance.  Matrices are numbered by value, so equal matrices share a
-    number and the cache is keyed by pairs of small ints."""
+    """Products and sums mod n of frozen square matrices, each distinct pair
+    formed once per instance.  Matrices are numbered by value, products and
+    sums included, so `mul[i, j]` and `add[i, j]` are the numbers of
+    matrix i times (plus) matrix j, and equal results compare as equal ints.
+    A matrix with entries outside 0..n-1 keeps its own number but is
+    multiplied in reduced form.  A product row is formed from the nonzero
+    entries of the left factor's row, and is the right factor's own row
+    tuple when the left row is a unit vector; when every column of the
+    right factor is a unit vector (a permutation matrix), each product row
+    is one C-level pick of entries from a row of the left factor."""
 
     def __init__(self, n: int):
         self.n = n
         self.numbers = {}     # frozen matrix -> number
-        self.matrices = []    # number -> frozen matrix
-        self.products = {}    # (i, j) -> frozen matrices[i] matrices[j] mod n
+        self.rows = []        # number -> its rows reduced mod n, as tuples
+        self._plans = {}      # number -> (column picks, rows' nonzero terms)
+        self.mul = _Filled(self._mul)
+        self.add = _Filled(self._add)
 
-    def number(self, m) -> int:
+    def number(self, m, reduced: bool = False) -> int:
+        """The number of m; `reduced` says its entries are in 0..n-1."""
         i = self.numbers.get(m)
         if i is None:
-            i = self.numbers[m] = len(self.matrices)
-            self.matrices.append(m)
+            i = self.numbers[m] = len(self.rows)
+            n = self.n
+            if not (reduced or 0 <= min(map(min, m)) and max(map(max, m)) < n):
+                m = tuple(tuple([e % n for e in r]) for r in m)
+            self.rows.append(m)
         return i
 
-    def mul(self, i: int, j: int):
-        p = self.products.get((i, j))
-        if p is None:
-            p = self.products[i, j] = _freeze(
-                mat_mul(self.matrices[i], self.matrices[j], self.n))
-        return p
+    def _plan(self, i: int) -> tuple:
+        plan = self._plans.get(i)
+        if plan is None:
+            m = self.rows[i]
+            picks = _unit_picks(list(zip(*m)))
+            plan = self._plans[i] = (
+                itemgetter(*picks) if picks and len(picks) > 1 else None,
+                [[(k, e) for k, e in enumerate(r) if e] for r in m])
+        return plan
+
+    def _mul(self, i: int, j: int) -> int:
+        n, b = self.n, self.rows[j]
+        pick = self._plan(j)[0]
+        if pick is not None:
+            return self.number(tuple(map(pick, self.rows[i])), True)
+        out = []
+        for t in self._plan(i)[1]:
+            if len(t) == 1:
+                (k, e), = t
+                out.append(b[k] if e == 1 else tuple([e * v % n for v in b[k]]))
+            elif len(t) == 2:
+                (k, e), (l, f) = t
+                out.append(tuple([(e * u + f * v) % n for u, v in zip(b[k], b[l])]))
+            else:
+                acc = [0] * len(b[0])
+                for k, e in t:
+                    acc = [s + e * v for s, v in zip(acc, b[k])]
+                out.append(tuple([s % n for s in acc]))
+        return self.number(tuple(out), True)
+
+    def _add(self, i: int, j: int) -> int:
+        n = self.n
+        return self.number(tuple(tuple([(u + v) % n for u, v in zip(r, s)])
+                                 for r, s in zip(self.rows[i], self.rows[j])), True)
 
 
 @dataclass(frozen=True)
@@ -110,9 +194,10 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
             return ValidationReport(False, [f"rho({x}) is not invertible mod {n}"])
     products = _Products(n)
     rho = [products.number(m) for m in g.rho]
+    mul = products.mul
     for x in range(q.size):
         for y in range(q.size):
-            if products.mul(rho[q.op(x, y)], rho[y]) != products.mul(rho[y], rho[x]):
+            if mul[rho[q.op(x, y)], rho[y]] != mul[rho[y], rho[x]]:
                 return ValidationReport(
                     False, [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"])
     return ValidationReport(True)
@@ -169,62 +254,92 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
 
 
 def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
-    """Exhaustive check of identities (1)-(4); reports first failure of each.
+    """Identities (1)-(4); reports the first failure of each, in the order
+    of the (x, y, z) scan.
 
-    Every (x, y, z) is compared, in that scan order, but each distinct
-    matrix product and each distinct sum of relation (3) is formed once,
-    and invertibility is tested once per distinct eta: a conjugation rep
-    has only |X| distinct eta and |X| distinct tau matrices.  The |X|^3
-    triples must not exceed `guard`."""
-    q, n = rep.quandle, rep.modulus
+    Invertibility is tested once per distinct eta, then (1)-(3) are checked
+    for z in the greedy generating set S only, which is enough (the
+    generator rule above), and (4) for every x; if anything fails, the same
+    scan runs over every z, so the report is the exhaustive scan's.  Each
+    distinct matrix product and each distinct sum of relation (3) is formed
+    once: a conjugation rep has only |X| distinct eta and |X| distinct tau.
+
+    `guard` bounds the |X|^3 triples, then, before any product is formed,
+    (e + min(d^2, 6 |S| |X|^2)) m^3 steps: the inversions of the e distinct
+    eta and the products of the d distinct m x m matrices, six per triple
+    at most.  A failing rep is held to the same count with 6 |X|^3 before
+    its full scan starts."""
+    q, n, m = rep.quandle, rep.modulus, rep.dim
     size, table = q.size, q.table
     if size ** 3 > guard:
         raise GuardExceeded(f"{size ** 3} relation triples exceed the guard "
                             f"of {guard}")
     products = _Products(n)
-    eta = [[products.number(m) for m in row] for row in rep.eta]
-    tau = [[products.number(m) for m in row] for row in rep.tau]
-    failures = []
+    eta = [[products.number(e) for e in row] for row in rep.eta]
+    distinct_eta = len(products.rows)
+    tau = [[products.number(t) for t in row] for row in rep.tau]
+    distinct = len(products.rows)
+
+    def bound(zs: int) -> None:
+        steps = (distinct_eta + min(distinct ** 2, 6 * zs * size ** 2)) * m ** 3
+        if steps > guard:
+            raise GuardExceeded(
+                f"the relations at {zs} of {size} elements z, with "
+                f"{distinct_eta} distinct eta among {distinct} distinct "
+                f"{m} x {m} matrices, take {steps} steps, over the guard "
+                f"of {guard}")
+
+    gens = generating_set(table)
+    bound(len(gens))
     invertible = {}
     for x in range(size):
         for y in range(size):
             i = eta[x][y]
             if i not in invertible:
-                invertible[i] = is_invertible_mod(products.matrices[i], n)
+                invertible[i] = is_invertible_mod(products.rows[i], n)
             if not invertible[i]:
-                failures.append(f"eta[{x}][{y}] is not invertible mod {n}")
-                return ValidationReport(False, failures)
-    mul = products.mul
-    sums = {}   # relation (3) right-hand sides, by their four factors
+                return ValidationReport(
+                    False, [f"eta[{x}][{y}] is not invertible mod {n}"])
+    one = products.number(_freeze(identity(m)))
+    failures = _relation_failures(table, eta, tau, one, products, gens)
+    if failures:
+        bound(size)
+        failures = _relation_failures(table, eta, tau, one, products, range(size))
+    return ValidationReport(passed=not failures, failures=failures)
+
+
+def _relation_failures(table, eta, tau, one: int, products: _Products,
+                       zs) -> list[str]:
+    """The first failure of each relation over the (x, y, z) with z in zs, in
+    scan order, and of (4) over every x; eta and tau hold the numbers of
+    their matrices in `products`, and `one` is the identity's."""
+    mul, add = products.mul, products.add
+    size = len(table)
+    failures = []
     found = [False] * 4
     for x in range(size):
+        eta_x, tau_x, row_x = eta[x], tau[x], table[x]
         for y in range(size):
-            xy = table[x][y]
-            for z in range(size):
-                xz, yz = table[x][z], table[y][z]
-                if not found[0]:
-                    if mul(eta[xy][z], eta[x][y]) != mul(eta[xz][yz], eta[x][z]):
-                        found[0] = True
-                        failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
-                if not found[1]:
-                    if mul(eta[xy][z], tau[x][y]) != mul(tau[xz][yz], eta[y][z]):
-                        found[1] = True
-                        failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
-                if not found[2]:
-                    key = (eta[xz][yz], tau[x][z], tau[xz][yz], tau[y][z])
-                    rhs = sums.get(key)
-                    if rhs is None:
-                        rhs = sums[key] = _freeze(mat_add(
-                            mul(key[0], key[1]), mul(key[2], key[3]), n))
-                    if rep.tau[xy][z] != rhs:
-                        found[2] = True
-                        failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
-        if not found[3]:
-            s = mat_add(rep.tau[x][x], rep.eta[x][x], n)
-            if s != identity(rep.dim):
-                found[3] = True
-                failures.append(f"relation (4) fails at x={x}")
-    return ValidationReport(passed=not failures, failures=failures)
+            xy, eta_xy, tau_xy = row_x[y], eta_x[y], tau_x[y]
+            eta_y, tau_y, row_y = eta[y], tau[y], table[y]
+            eta_above, tau_above = eta[xy], tau[xy]
+            for z in zs:
+                xz, yz = row_x[z], row_y[z]
+                e, t = eta[xz][yz], tau[xz][yz]
+                if not found[0] and mul[eta_above[z], eta_xy] != mul[e, eta_x[z]]:
+                    found[0] = True
+                    failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
+                if not found[1] and mul[eta_above[z], tau_xy] != mul[t, eta_y[z]]:
+                    found[1] = True
+                    failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
+                if not found[2] and tau_above[z] != add[mul[e, tau_x[z]],
+                                                        mul[t, tau_y[z]]]:
+                    found[2] = True
+                    failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
+        if not found[3] and add[tau_x[x], eta_x[x]] != one:
+            found[3] = True
+            failures.append(f"relation (4) fails at x={x}")
+    return failures
 
 
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,

@@ -24,9 +24,13 @@ of the coloring search's plan (over a one-element quandle, the
 k * (letters + 1) entries of its one coloring), and every command the N^2
 cells of a shorthand quandle's table, the axiom check of a JSON quandle
 (its n^2 cells, the |S| n^2 steps of axiom III on a generating set S, and
-the n^3 steps of the scan of a failing table) and the |X|^3 relation
-triples of a JSON rep, in `check rep` too.  `check quandle` holds every
-table, shorthand or JSON, to that axiom-check bound.  `invariant module`
+the n^3 steps of the scan of a failing table) and the relation check of
+a JSON rep, in `check rep` too: its |X|^3 triples, then, before any
+product, the (e + min(d^2, 6 |S| |X|^2)) m^3 steps of inverting its e
+distinct eta and multiplying its d distinct m x m matrices on the
+generating set S (with 6 |X|^3 before the full scan of a failing rep).
+`check quandle` holds every table, shorthand or JSON, to that axiom-check
+bound.  `invariant module`
 bounds the (k m)^2 cells of its colored matrix on k strands with an
 m-dimensional rep and the letters * k * m^3 steps of its block walk,
 `invariant alexander` the n k (n + 1) + (k - 1)^3 (n + 1)^2 Laurent

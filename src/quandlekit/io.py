@@ -26,6 +26,7 @@ from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
 
 _INT = {int}
 _ROW = {list, tuple}
+_LIST = {list}
 
 
 def dumps_document(doc: dict) -> str:
@@ -180,12 +181,14 @@ def rep_to_doc(rep: AlgebraRep) -> dict:
 
 def _has_shape(v, shape) -> bool:
     """v is nested lists of the lengths in `shape`, with integer leaves (not
-    JSON true or false, which are ints to isinstance)."""
-    if not (isinstance(v, list) and len(v) == shape[0]):
-        return False
-    if len(shape) == 1:
-        return all(type(e) is int for e in v)
-    return all(_has_shape(x, shape[1:]) for x in v)
+    JSON true or false, which are ints to isinstance): one C-level pass over
+    the types and one over the lengths per level of nesting."""
+    level = [v]
+    for length in shape:
+        if not (set(map(type, level)) <= _LIST and set(map(len, level)) <= {length}):
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= _INT
 
 
 def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):

@@ -1,10 +1,11 @@
 """The exhaustive checks and the extension table against their plain loops.
 
 `verify_axioms`, `verify_relations` and `dynamical_extension` do each
-distinct piece of work once, and `verify_axioms` checks axiom III only on a
-generating set when axiom II holds.  The loops below are the direct forms they
-replaced, kept as references: the reports must be identical, failures and
-their order included, and so must the extension tables.
+distinct piece of work once; `verify_axioms` checks axiom III, and
+`verify_relations` relations (1)-(3), only on a generating set.  The loops
+below are the direct forms they replaced, kept as references: the reports
+must be identical, failures and their order included, and so must the
+extension tables.
 """
 
 import itertools
@@ -14,16 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import algebra
 from quandlekit import io as qio
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_group_rep,
     make_rep,
     make_wada_rep,
     regular_group_rep,
     verify_relations,
 )
-from quandlekit.groups import small_groups
+from quandlekit.groups import small_groups, symmetric_group
 from quandlekit.homology import Cochain, ComplexConfig, cocycle_space
 from quandlekit.invariants import dynamical_extension
 from quandlekit.linalg import identity, is_invertible_mod, mat_add, mat_mul, mat_vec
@@ -160,6 +163,18 @@ def test_wada_and_alexander_reps_match_reference():
     assert _same_relations(make_alexander_rep(make_trivial(2), 5, [[0, 1], [1, 1]])).passed
 
 
+def _mutant(rep, changes):
+    """rep with entry (i, j) of table[x][y] raised by delta mod N, for each
+    (table, x, y, i, j, delta) in changes."""
+    tables = {"eta": [[[list(r) for r in m] for m in row] for row in rep.eta],
+              "tau": [[[list(r) for r in m] for m in row] for row in rep.tau]}
+    for name, x, y, i, j, delta in changes:
+        cell = tables[name][x][y]
+        cell[i][j] = (cell[i][j] + delta) % rep.modulus
+    return make_rep(rep.quandle, rep.modulus, tables["eta"], tables["tau"],
+                    rho=rep.rho, check=False)
+
+
 def test_mutated_reps_match_reference():
     """One entry of eta or tau changed per rep: every relation, and the
     invertibility test, is the first failure somewhere."""
@@ -172,19 +187,107 @@ def test_mutated_reps_match_reference():
     for _ in range(200):
         rep = rng.choice(base)
         n, size, dim = rep.modulus, rep.quandle.size, rep.dim
-        tables = {"eta": [[[list(r) for r in m] for m in row] for row in rep.eta],
-                  "tau": [[[list(r) for r in m] for m in row] for row in rep.tau]}
         name = rng.choice(["eta", "tau"])
         x, y = rng.randrange(size), rng.randrange(size)
         i, j = rng.randrange(dim), rng.randrange(dim)
-        tables[name][x][y][i][j] = (tables[name][x][y][i][j] + rng.randrange(1, n)) % n
-        mutant = make_rep(rep.quandle, n, tables["eta"], tables["tau"], rho=rep.rho,
-                          check=False)
-        failures = _same_relations(mutant).failures
+        failures = _same_relations(
+            _mutant(rep, [(name, x, y, i, j, rng.randrange(1, n))])).failures
         if failures:
             first.add("eta" if failures[0].startswith("eta") else failures[0][:12])
     assert first == {"eta", "relation (1)", "relation (2)", "relation (3)",
                      "relation (4)"}
+
+
+def _affine_group_rep(q, n, t):
+    """On Aff(Z_n, t), where a*b = t a + (1 - t) b, x -> the matrix of
+    v -> t v + (1 - t) x acting on (v, 1) mod n: a*b is b's conjugate of a."""
+    return make_group_rep(q, n, [[[t % n, (1 - t) * x % n], [0, 1]]
+                                 for x in range(q.size)], label=f"aff({t})")
+
+
+def _generator_rule_reps():
+    """Alexander, conjugation and Wada reps over quandles whose greedy
+    generating set S is smaller than X: R5-R9 and alexander:8:3 (|S| = 2)
+    and Conj(S3) (|S| = 4)."""
+    reps = []
+    for n in range(5, 10):
+        q = make_dihedral(n)
+        reflections = _affine_group_rep(q, n, -1)
+        translations = make_group_rep(q, n, [[[1, x], [0, 1]] for x in range(n)])
+        reps += [make_alexander_rep(q, n, [[0, 1], [1, 1]]), make_conj_rep(reflections),
+                 make_wada_rep(reflections, 1), make_wada_rep(translations, "core")]
+    q = make_alexander(8, 3)
+    reps += [make_alexander_rep(q, 8, 3), make_conj_rep(_affine_group_rep(q, 8, 3)),
+             make_wada_rep(_affine_group_rep(q, 8, 3), 1)]
+    s3 = symmetric_group(3)
+    regular = regular_group_rep(s3, make_conj(s3), list(range(6)), modulus=5)
+    reps += [make_alexander_rep(make_conj(s3), 5, 2), make_conj_rep(regular),
+             make_wada_rep(regular, 1)]
+    return reps
+
+
+_GENERATOR_RULE_REPS = _generator_rule_reps()
+
+
+@st.composite
+def _generator_rule_mutants(draw):
+    """One to three entries of a rep changed; half the time in a cell (x, y)
+    with y outside S, where the scan can meet a failure at a z outside S
+    before any at a z in S."""
+    rep = draw(st.sampled_from(_GENERATOR_RULE_REPS))
+    size, n, dim = rep.quandle.size, rep.modulus, rep.dim
+    outside = [y for y in range(size) if y not in generating_set(rep.quandle.table)]
+    changes = []
+    for _ in range(draw(st.integers(1, 3))):
+        y = draw(st.sampled_from(outside) if draw(st.booleans())
+                 else st.integers(0, size - 1))
+        changes.append((draw(st.sampled_from(["eta", "tau"])),
+                        draw(st.integers(0, size - 1)), y,
+                        draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)),
+                        draw(st.integers(1, n - 1))))
+    return _mutant(rep, changes)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(rep=_generator_rule_mutants())
+def test_generator_rule_matches_reference(rep):
+    """Relations (1)-(3) on the generating set, with the full scan after a
+    failure, give the (x, y, z) scan's report, failures and their order
+    included."""
+    _same_relations(rep)
+
+
+def _failing_z(failure):
+    # "relation (k) fails at (x,y,z)=(x,y,z)" -> z
+    return int(failure.rsplit(",", 1)[1].rstrip(")"))
+
+
+def test_full_scan_runs_only_after_a_failure(monkeypatch):
+    """A passing rep is scanned on S alone; a failing one on S, then on all
+    of X.  Each rep, mutated at tau[x][y] for a y outside S, fails, and
+    some of its relations first fail at a z outside S, which only the full
+    scan reports."""
+    calls = []
+    scan = algebra._relation_failures
+
+    def recorded(*args):
+        calls.append(list(args[-1]))
+        return scan(*args)
+
+    monkeypatch.setattr(algebra, "_relation_failures", recorded)
+    outside_first = 0
+    for rep in _GENERATOR_RULE_REPS:
+        size = rep.quandle.size
+        gens = generating_set(rep.quandle.table)
+        calls.clear()
+        assert verify_relations(rep).passed and calls == [gens]
+        y = next(y for y in range(size) if y not in gens)
+        calls.clear()
+        failures = _same_relations(_mutant(rep, [("tau", 1, y, 0, 0, 1)])).failures
+        assert failures and calls == [gens, list(range(size))]
+        outside_first += sum(_failing_z(f) not in gens for f in failures
+                             if f.startswith("relation (") and "(x,y,z)" in f)
+    assert outside_first
 
 
 def _quandle_tables():

@@ -839,6 +839,52 @@ def test_json_rep_relations_are_bounded_by_the_guard(capsys, tmp_path):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def _one_element_rep(path, m):
+    """A dense m x m rep mod 7 on the one-element quandle: eta = I + J, with
+    J the matrix of ones, which is invertible mod 7 for m < 6 and for
+    m = 126, and tau = I - eta, so the relations hold."""
+    eta = [[int(i == j) + 1 for j in range(m)] for i in range(m)]
+    tau = [[(int(i == j) - e) % 7 for j, e in enumerate(row)] for i, row in enumerate(eta)]
+    path.write_text(json.dumps({"quandle": {"table": [[0]]}, "modulus": 7, "dim": m,
+                                "eta": [[eta]], "tau": [[tau]]}))
+    return str(path)
+
+
+def test_json_rep_relations_are_bounded_by_their_matrix_size(capsys, tmp_path):
+    """The relation check is refused before any product or inversion when
+    (e + min(d^2, 6 |S| |X|^2)) m^3 exceeds --guard, e distinct eta among d
+    distinct m x m matrices: on the one-element quandle with m = 5,
+    (1 + min(4, 6)) 125 = 625 steps, and at the default guard m = 126 is
+    refused, (1 + 4) 126^3 = 10,001,880 steps, however few the triples."""
+    small = _one_element_rep(tmp_path / "m5.json", 5)
+    code, out = run(capsys, "check", "rep", small, "--guard", "625")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert main(["check", "rep", small, "--guard", "624"]) == 3
+    assert "take 625 steps, over the guard of 624" in capsys.readouterr().err
+    big = _one_element_rep(tmp_path / "m126.json", 126)
+    start = time.perf_counter()
+    assert main(["check", "rep", big]) == 3
+    assert time.perf_counter() - start < 10
+    assert "take 10001880 steps" in capsys.readouterr().err
+
+
+def test_a_failing_rep_is_bounded_before_its_full_scan(capsys, tmp_path):
+    """On R3 (S = {0, 1}) a 1 x 1 rep mod 101 with 18 distinct matrices, 9
+    of them eta, takes 9 + min(18^2, 6 * 2 * 9) = 117 steps on S; it fails,
+    and the scan of all 27 triples is held to 9 + min(18^2, 6 * 27) = 171."""
+    eta = [[[[2 + 3 * x + y]] for y in range(3)] for x in range(3)]
+    tau = [[[[50 + 3 * x + y]] for y in range(3)] for x in range(3)]
+    path = tmp_path / "r3.json"
+    path.write_text(json.dumps({"quandle": qio.quandle_to_doc(qio.load_quandle("dihedral:3")),
+                                "modulus": 101, "dim": 1, "eta": eta, "tau": tau}))
+    assert main(["check", "rep", str(path), "--guard", "116"]) == 3
+    assert "relations at 2 of 3 elements z" in capsys.readouterr().err
+    assert main(["check", "rep", str(path), "--guard", "170"]) == 3
+    assert "relations at 3 of 3 elements z" in capsys.readouterr().err
+    code, out = run(capsys, "check", "rep", str(path), "--guard", "171")
+    assert code == 1 and "relation (3) fails at (x,y,z)=(0,0,0)" in json.loads(out)["failures"]
+
+
 def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
                                                             monkeypatch):
     """main reuses one parser: an interleaved sequence gives the outputs and

@@ -66,6 +66,47 @@ def test_rep_shorthands():
         qio.load_rep("alexander-rep:5:2")   # needs a quandle
 
 
+def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
+    """The shape check refuses, with exit 2, a JSON true or false where an
+    integer belongs, a ragged row at any level and a table of the wrong
+    depth, in a rep's eta or tau and in a cochain's values."""
+    from quandlekit.cli import main
+    doc = qio.rep_to_doc(make_conj_rep(permutation_rep_r3(3)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    assert main(["check", "rep", str(good)]) == 0
+    capsys.readouterr()
+
+    def edited(name, edit):
+        table = json.loads(json.dumps(doc[name]))
+        edit(table)
+        return {**doc, name: table}
+
+    def put(value):
+        def edit(table):
+            table[2][1][0][2] = value
+        return edit
+
+    reps = [edited("eta", put(True)), edited("tau", put(False)),
+            edited("eta", put([0])),                          # one level too deep
+            edited("tau", lambda t: t[1][2][2].pop()),        # a ragged matrix row
+            edited("eta", lambda t: t[1][2].pop()),           # a matrix one row short
+            edited("tau", lambda t: t[2].append(t[2][0])),    # a table row too long
+            edited("eta", lambda t: t[0].__setitem__(1, 1)),  # a matrix that is an int
+            {**doc, "tau": doc["tau"][0]}]                    # one level too shallow
+    for i, rep in enumerate(reps):
+        path = tmp_path / f"rep{i}.json"
+        path.write_text(json.dumps(rep))
+        assert main(["check", "rep", str(path)]) == 2, i
+        assert "must be 3 x 3 tables of 3 x 3 integer matrices" in capsys.readouterr().err
+    for i, value in enumerate([[1, True, 0], [False, 0, 0], [1, 0], [[1], 0, 0], 1]):
+        path = tmp_path / f"kappa{i}.json"
+        path.write_text(json.dumps({"degree": 2, "modulus": 3, "dim": 3,
+                                    "values": {"0,1": value}}))
+        assert main(["check", "cocycle", str(path), "--rep", "conj-rep:perm3"]) == 2, i
+        assert "is not a list of 3 integers" in capsys.readouterr().err
+
+
 def test_cochain_round_trip(tmp_path):
     kappa = Cochain(2, 3, 3, {(0, 1): [1, 0, 2], (2, 0): [0, 1, 0]})
     path = tmp_path / "kappa.json"
