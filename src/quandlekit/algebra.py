@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 from .errors import GUARD, CheckFailed, GuardExceeded, InputError
@@ -81,48 +80,26 @@ def _freeze(m: Matrix):
     return tuple(map(tuple, m))
 
 
-class _Filled(dict):
-    """A dict whose missing key (i, j) is filled with fill(i, j), so a hit
-    is one C-level lookup."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(*key)
-        return value
-
-
-def _unit_picks(rows):
-    """The k with row == e_k for each row, if every row is a unit vector."""
-    picks = []
-    for r in rows:
-        if r.count(0) != len(r) - 1 or 1 not in r:
-            return None
-        picks.append(r.index(1))
-    return tuple(picks)
-
-
 class _Products:
     """Products and sums mod n of frozen square matrices, each distinct pair
     formed once per instance.  Matrices are numbered by value, products and
-    sums included, so `mul[i, j]` and `add[i, j]` are the numbers of
+    sums included, so `mul(i, j)` and `add(i, j)` return the numbers of
     matrix i times (plus) matrix j, and equal results compare as equal ints.
-    A matrix with entries outside 0..n-1 keeps its own number but is
-    multiplied in reduced form.  A product row is formed from the nonzero
-    entries of the left factor's row, and is the right factor's own row
-    tuple when the left row is a unit vector; when every column of the
-    right factor is a unit vector (a permutation matrix), each product row
-    is one C-level pick of entries from a row of the left factor."""
+    A matrix with entries outside 0..n-1 keeps its own number, listed in
+    `unreduced`, but is multiplied in reduced form.  A product row is formed
+    from the nonzero entries of the left factor's row: it is the right
+    factor's own row tuple when the left row is a unit vector, and one pass
+    over two of its rows when the left row has two nonzeros, as the rows of
+    I - P do for a permutation matrix P."""
 
     def __init__(self, n: int):
         self.n = n
         self.numbers = {}     # frozen matrix -> number
         self.rows = []        # number -> its rows reduced mod n, as tuples
-        self._plans = {}      # number -> (column picks, rows' nonzero terms)
-        self.mul = _Filled(self._mul)
-        self.add = _Filled(self._add)
+        self.unreduced = set()  # numbers of matrices given unreduced
+        self.terms = {}       # number -> each row's nonzero (column, entry)
+        self.products = {}    # (i, j) -> number of rows[i] rows[j] mod n
+        self.sums = {}        # (i, j) -> number of rows[i] + rows[j] mod n
 
     def number(self, m, reduced: bool = False) -> int:
         """The number of m; `reduced` says its entries are in 0..n-1."""
@@ -132,43 +109,44 @@ class _Products:
             n = self.n
             if not (reduced or 0 <= min(map(min, m)) and max(map(max, m)) < n):
                 m = tuple(tuple([e % n for e in r]) for r in m)
+                self.unreduced.add(i)
             self.rows.append(m)
         return i
 
-    def _plan(self, i: int) -> tuple:
-        plan = self._plans.get(i)
-        if plan is None:
-            m = self.rows[i]
-            picks = _unit_picks(list(zip(*m)))
-            plan = self._plans[i] = (
-                itemgetter(*picks) if picks and len(picks) > 1 else None,
-                [[(k, e) for k, e in enumerate(r) if e] for r in m])
-        return plan
+    def mul(self, i: int, j: int) -> int:
+        p = self.products.get((i, j))
+        if p is None:
+            p = self.products[i, j] = self._mul(i, j)
+        return p
 
     def _mul(self, i: int, j: int) -> int:
         n, b = self.n, self.rows[j]
-        pick = self._plan(j)[0]
-        if pick is not None:
-            return self.number(tuple(map(pick, self.rows[i])), True)
+        terms = self.terms.get(i)
+        if terms is None:
+            terms = self.terms[i] = [[(k, e) for k, e in enumerate(r) if e]
+                                     for r in self.rows[i]]
         out = []
-        for t in self._plan(i)[1]:
-            if len(t) == 1:
-                (k, e), = t
-                out.append(b[k] if e == 1 else tuple([e * v % n for v in b[k]]))
+        for t in terms:
+            if len(t) == 1 and t[0][1] == 1:
+                out.append(b[t[0][0]])
             elif len(t) == 2:
                 (k, e), (l, f) = t
                 out.append(tuple([(e * u + f * v) % n for u, v in zip(b[k], b[l])]))
             else:
-                acc = [0] * len(b[0])
+                acc = [0] * len(b)
                 for k, e in t:
                     acc = [s + e * v for s, v in zip(acc, b[k])]
                 out.append(tuple([s % n for s in acc]))
         return self.number(tuple(out), True)
 
-    def _add(self, i: int, j: int) -> int:
-        n = self.n
-        return self.number(tuple(tuple([(u + v) % n for u, v in zip(r, s)])
-                                 for r, s in zip(self.rows[i], self.rows[j])), True)
+    def add(self, i: int, j: int) -> int:
+        s = self.sums.get((i, j))
+        if s is None:
+            n = self.n
+            s = self.sums[i, j] = self.number(
+                tuple(tuple([(u + v) % n for u, v in zip(r, q)])
+                      for r, q in zip(self.rows[i], self.rows[j])), True)
+        return s
 
 
 @dataclass(frozen=True)
@@ -194,10 +172,9 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
             return ValidationReport(False, [f"rho({x}) is not invertible mod {n}"])
     products = _Products(n)
     rho = [products.number(m) for m in g.rho]
-    mul = products.mul
     for x in range(q.size):
         for y in range(q.size):
-            if mul[rho[q.op(x, y)], rho[y]] != mul[rho[y], rho[x]]:
+            if products.mul(rho[q.op(x, y)], rho[y]) != products.mul(rho[y], rho[x]):
                 return ValidationReport(
                     False, [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"])
     return ValidationReport(True)
@@ -260,15 +237,17 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     Invertibility is tested once per distinct eta, then (1)-(3) are checked
     for z in the greedy generating set S only, which is enough (the
     generator rule above), and (4) for every x; if anything fails, the same
-    scan runs over every z, so the report is the exhaustive scan's.  Each
-    distinct matrix product and each distinct sum of relation (3) is formed
-    once: a conjugation rep has only |X| distinct eta and |X| distinct tau.
+    scan runs over every z, so the report is the exhaustive scan's.  The
+    rule holds mod N, so a rep whose tau has an entry outside 0..N-1 is
+    scanned over every z at once.  Each distinct matrix product and each
+    distinct sum of relation (3) is formed once: a conjugation rep has only
+    |X| distinct eta and |X| distinct tau.
 
     `guard` bounds the |X|^3 triples, then, before any product is formed,
     (e + min(d^2, 6 |S| |X|^2)) m^3 steps: the inversions of the e distinct
     eta and the products of the d distinct m x m matrices, six per triple
-    at most.  A failing rep is held to the same count with 6 |X|^3 before
-    its full scan starts."""
+    at most.  A scan over every z is held to the same count with 6 |X|^3
+    before it starts."""
     q, n, m = rep.quandle, rep.modulus, rep.dim
     size, table = q.size, q.table
     if size ** 3 > guard:
@@ -290,6 +269,11 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
                 f"of {guard}")
 
     gens = generating_set(table)
+    # The generator rule holds mod N, but (3) compares the raw tau[x*y][z]:
+    # a tau[w][z] with an entry outside 0..n-1 fails (3) at (w, w, z) at the
+    # latest, and maybe first at a z outside S, so all of X is scanned.
+    if products.unreduced.intersection(i for row in tau for i in row):
+        gens = list(range(size))
     bound(len(gens))
     invertible = {}
     for x in range(size):
@@ -302,7 +286,7 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
                     False, [f"eta[{x}][{y}] is not invertible mod {n}"])
     one = products.number(_freeze(identity(m)))
     failures = _relation_failures(table, eta, tau, one, products, gens)
-    if failures:
+    if failures and len(gens) < size:
         bound(size)
         failures = _relation_failures(table, eta, tau, one, products, range(size))
     return ValidationReport(passed=not failures, failures=failures)
@@ -326,17 +310,17 @@ def _relation_failures(table, eta, tau, one: int, products: _Products,
             for z in zs:
                 xz, yz = row_x[z], row_y[z]
                 e, t = eta[xz][yz], tau[xz][yz]
-                if not found[0] and mul[eta_above[z], eta_xy] != mul[e, eta_x[z]]:
+                if not found[0] and mul(eta_above[z], eta_xy) != mul(e, eta_x[z]):
                     found[0] = True
                     failures.append(f"relation (1) fails at (x,y,z)=({x},{y},{z})")
-                if not found[1] and mul[eta_above[z], tau_xy] != mul[t, eta_y[z]]:
+                if not found[1] and mul(eta_above[z], tau_xy) != mul(t, eta_y[z]):
                     found[1] = True
                     failures.append(f"relation (2) fails at (x,y,z)=({x},{y},{z})")
-                if not found[2] and tau_above[z] != add[mul[e, tau_x[z]],
-                                                        mul[t, tau_y[z]]]:
+                if not found[2] and tau_above[z] != add(mul(e, tau_x[z]),
+                                                       mul(t, tau_y[z])):
                     found[2] = True
                     failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
-        if not found[3] and add[tau_x[x], eta_x[x]] != one:
+        if not found[3] and add(tau_x[x], eta_x[x]) != one:
             found[3] = True
             failures.append(f"relation (4) fails at x={x}")
     return failures

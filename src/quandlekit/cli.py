@@ -28,7 +28,8 @@ the n^3 steps of the scan of a failing table) and the relation check of
 a JSON rep, in `check rep` too: its |X|^3 triples, then, before any
 product, the (e + min(d^2, 6 |S| |X|^2)) m^3 steps of inverting its e
 distinct eta and multiplying its d distinct m x m matrices on the
-generating set S (with 6 |X|^3 before the full scan of a failing rep).
+generating set S (with 6 |X|^3 before a scan over every z: that of a
+failing rep, or of one whose tau has an entry outside 0..N-1).
 `check quandle` holds every table, shorthand or JSON, to that axiom-check
 bound.  `invariant module`
 bounds the (k m)^2 cells of its colored matrix on k strands with an

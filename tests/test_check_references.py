@@ -163,16 +163,30 @@ def test_wada_and_alexander_reps_match_reference():
     assert _same_relations(make_alexander_rep(make_trivial(2), 5, [[0, 1], [1, 1]])).passed
 
 
-def _mutant(rep, changes):
+def _mutant(rep, changes, unreduced=()):
     """rep with entry (i, j) of table[x][y] raised by delta mod N, for each
-    (table, x, y, i, j, delta) in changes."""
+    (table, x, y, i, j, delta) in changes, and then written as its residue
+    minus N, outside 0..N-1, for each (table, x, y, i, j) in unreduced."""
     tables = {"eta": [[[list(r) for r in m] for m in row] for row in rep.eta],
               "tau": [[[list(r) for r in m] for m in row] for row in rep.tau]}
     for name, x, y, i, j, delta in changes:
         cell = tables[name][x][y]
         cell[i][j] = (cell[i][j] + delta) % rep.modulus
+    for name, x, y, i, j in unreduced:
+        cell = tables[name][x][y]
+        cell[i][j] = cell[i][j] % rep.modulus - rep.modulus
     return make_rep(rep.quandle, rep.modulus, tables["eta"], tables["tau"],
                     rho=rep.rho, check=False)
+
+
+def test_unreduced_tau_outside_generators_matches_reference():
+    """The Alexander rep t = 2 mod 5 on R3 (S = {0, 1}) with tau[0][2]
+    written as -1: congruent to a passing rep, but relation (3) compares
+    the raw tau[x*y][z], and first fails at a z outside S."""
+    rep = _mutant(make_alexander_rep(make_dihedral(3), 5, 2), [],
+                  [("tau", 0, 2, 0, 0)])
+    assert rep.tau[0][2] == ((-1,),)
+    assert _same_relations(rep).failures == ["relation (3) fails at (x,y,z)=(0,0,2)"]
 
 
 def test_mutated_reps_match_reference():
@@ -233,19 +247,23 @@ _GENERATOR_RULE_REPS = _generator_rule_reps()
 def _generator_rule_mutants(draw):
     """One to three entries of a rep changed; half the time in a cell (x, y)
     with y outside S, where the scan can meet a failure at a z outside S
-    before any at a z in S."""
+    before any at a z in S.  A quarter of the entries are not raised but
+    written outside 0..N-1, which changes no residue."""
     rep = draw(st.sampled_from(_GENERATOR_RULE_REPS))
     size, n, dim = rep.quandle.size, rep.modulus, rep.dim
     outside = [y for y in range(size) if y not in generating_set(rep.quandle.table)]
-    changes = []
+    changes, unreduced = [], []
     for _ in range(draw(st.integers(1, 3))):
         y = draw(st.sampled_from(outside) if draw(st.booleans())
                  else st.integers(0, size - 1))
-        changes.append((draw(st.sampled_from(["eta", "tau"])),
-                        draw(st.integers(0, size - 1)), y,
-                        draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)),
-                        draw(st.integers(1, n - 1))))
-    return _mutant(rep, changes)
+        entry = (draw(st.sampled_from(["eta", "tau"])),
+                 draw(st.integers(0, size - 1)), y,
+                 draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+        if draw(st.integers(0, 3)):
+            changes.append((*entry, draw(st.integers(1, n - 1))))
+        else:
+            unreduced.append(entry)
+    return _mutant(rep, changes, unreduced)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
