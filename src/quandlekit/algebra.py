@@ -34,7 +34,7 @@ to report the first failure of each relation in (x, y, z) order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .errors import GUARD, CheckFailed, GuardExceeded, InputError
@@ -76,8 +76,19 @@ class AlgebraRep:
         return {}, {}, []
 
 
-def _freeze(m: Matrix):
-    return tuple(map(tuple, m))
+def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
+    """m as row tuples with entries in 0..n-1: every matrix of an AlgebraRep
+    or GroupRep is frozen, and reduced only if an entry is outside, here.
+    `frozen` maps each matrix given to its frozen form, so that each
+    distinct one is tested once and each residue matrix is one object."""
+    key = tuple(map(tuple, m))
+    frozen = {} if frozen is None else frozen
+    if key not in frozen:
+        out = key
+        if not (0 <= min(map(min, key)) and max(map(max, key)) < n):
+            out = tuple(tuple([e % n for e in r]) for r in key)
+        frozen[key] = frozen.setdefault(out, out)
+    return frozen[key]
 
 
 class _Products:
@@ -85,31 +96,23 @@ class _Products:
     formed once per instance.  Matrices are numbered by value, products and
     sums included, so `mul(i, j)` and `add(i, j)` return the numbers of
     matrix i times (plus) matrix j, and equal results compare as equal ints.
-    A matrix with entries outside 0..n-1 keeps its own number, listed in
-    `unreduced`, but is multiplied in reduced form.  A product row is formed
-    from the nonzero entries of the left factor's row: it is the right
-    factor's own row tuple when the left row is a unit vector, and one pass
-    over two of its rows when the left row has two nonzeros, as the rows of
-    I - P do for a permutation matrix P."""
+    A product row is formed from the nonzero entries of the left factor's
+    row: it is the right factor's own row tuple when the left row is a unit
+    vector, and one pass over two of its rows when the left row has two
+    nonzeros, as the rows of I - P do for a permutation matrix P."""
 
     def __init__(self, n: int):
         self.n = n
         self.numbers = {}     # frozen matrix -> number
-        self.rows = []        # number -> its rows reduced mod n, as tuples
-        self.unreduced = set()  # numbers of matrices given unreduced
+        self.rows = []        # number -> its rows, as tuples
         self.terms = {}       # number -> each row's nonzero (column, entry)
         self.products = {}    # (i, j) -> number of rows[i] rows[j] mod n
         self.sums = {}        # (i, j) -> number of rows[i] + rows[j] mod n
 
-    def number(self, m, reduced: bool = False) -> int:
-        """The number of m; `reduced` says its entries are in 0..n-1."""
+    def number(self, m) -> int:
         i = self.numbers.get(m)
         if i is None:
             i = self.numbers[m] = len(self.rows)
-            n = self.n
-            if not (reduced or 0 <= min(map(min, m)) and max(map(max, m)) < n):
-                m = tuple(tuple([e % n for e in r]) for r in m)
-                self.unreduced.add(i)
             self.rows.append(m)
         return i
 
@@ -137,7 +140,7 @@ class _Products:
                 for k, e in t:
                     acc = [s + e * v for s, v in zip(acc, b[k])]
                 out.append(tuple([s % n for s in acc]))
-        return self.number(tuple(out), True)
+        return self.number(tuple(out))
 
     def add(self, i: int, j: int) -> int:
         s = self.sums.get((i, j))
@@ -145,7 +148,7 @@ class _Products:
             n = self.n
             s = self.sums[i, j] = self.number(
                 tuple(tuple([(u + v) % n for u, v in zip(r, q)])
-                      for r, q in zip(self.rows[i], self.rows[j])), True)
+                      for r, q in zip(self.rows[i], self.rows[j])))
         return s
 
 
@@ -195,8 +198,8 @@ def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
             _is_square(m, dim) for m in rho):
         raise InputError(f"rho needs one matrix per element of the quandle of "
                          f"size {quandle.size}, all square of one size >= 1")
-    return GroupRep(quandle=quandle, modulus=modulus, dim=dim,
-                    rho=tuple(_freeze(m) for m in rho), label=label)
+    return GroupRep(quandle=quandle, modulus=modulus, dim=dim, label=label,
+                    rho=tuple(map(partial(_freeze, n=modulus, frozen={}), rho)))
 
 
 def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
@@ -237,11 +240,9 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     Invertibility is tested once per distinct eta, then (1)-(3) are checked
     for z in the greedy generating set S only, which is enough (the
     generator rule above), and (4) for every x; if anything fails, the same
-    scan runs over every z, so the report is the exhaustive scan's.  The
-    rule holds mod N, so a rep whose tau has an entry outside 0..N-1 is
-    scanned over every z at once.  Each distinct matrix product and each
-    distinct sum of relation (3) is formed once: a conjugation rep has only
-    |X| distinct eta and |X| distinct tau.
+    scan runs over every z, so the report is the exhaustive scan's.  Each
+    distinct matrix product and each distinct sum of relation (3) is formed
+    once: a conjugation rep has only |X| distinct eta and |X| distinct tau.
 
     `guard` bounds the |X|^3 triples, then, before any product is formed,
     (e + min(d^2, 6 |S| |X|^2)) m^3 steps: the inversions of the e distinct
@@ -269,11 +270,6 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
                 f"of {guard}")
 
     gens = generating_set(table)
-    # The generator rule holds mod N, but (3) compares the raw tau[x*y][z]:
-    # a tau[w][z] with an entry outside 0..n-1 fails (3) at (w, w, z) at the
-    # latest, and maybe first at a z outside S, so all of X is scanned.
-    if products.unreduced.intersection(i for row in tau for i in row):
-        gens = list(range(size))
     bound(len(gens))
     invertible = {}
     for x in range(size):
@@ -284,7 +280,7 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
             if not invertible[i]:
                 return ValidationReport(
                     False, [f"eta[{x}][{y}] is not invertible mod {n}"])
-    one = products.number(_freeze(identity(m)))
+    one = products.number(_freeze(identity(m), n))
     failures = _relation_failures(table, eta, tau, one, products, gens)
     if failures and len(gens) < size:
         bound(size)
@@ -329,12 +325,16 @@ def _relation_failures(table, eta, tau, one: int, products: _Products,
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
              label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
     """The rep with tables eta and tau given from outside (a JSON document,
-    make_wada_rep or a test), every cell frozen to a tuple of its own.  With
-    `check`, a rep that fails verify_relations raises CheckFailed."""
+    make_wada_rep or a test), frozen with one object per distinct residue
+    matrix.  InputError unless the modulus is positive; with `check`, a rep
+    that fails verify_relations raises CheckFailed."""
+    if modulus < 1:
+        raise InputError(f"modulus {modulus} is not positive")
+    freeze = partial(_freeze, n=modulus, frozen={})
     rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=len(eta[0][0]),
-                     eta=tuple(tuple(_freeze(m) for m in row) for row in eta),
-                     tau=tuple(tuple(_freeze(m) for m in row) for row in tau),
-                     rho=None if rho is None else tuple(_freeze(m) for m in rho),
+                     eta=tuple(tuple(map(freeze, row)) for row in eta),
+                     tau=tuple(tuple(map(freeze, row)) for row in tau),
+                     rho=None if rho is None else tuple(map(freeze, rho)),
                      label=label)
     if check:
         report = verify_relations(rep, guard)
@@ -351,18 +351,17 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     repeated |X| times."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
-    tmat = [[t % modulus]] if isinstance(t, int) else [list(r) for r in t]
+    tmat = [[t]] if isinstance(t, int) else t
     dim = len(tmat)
     if not dim or not _is_square(tmat, dim):
         raise InputError("t is neither an integer nor a square matrix "
                          "with at least one row")
-    if not is_invertible_mod(tmat, modulus):
+    eta = _freeze(tmat, modulus)
+    if not is_invertible_mod(eta, modulus):
         raise InputError(f"t is not invertible mod {modulus}")
-    size = quandle.size
-    eta_row = (_freeze(tmat),) * size
-    tau_row = (_freeze(mat_sub(identity(dim), tmat, modulus)),) * size
+    size, tau = quandle.size, _freeze(mat_sub(identity(dim), eta, modulus), modulus)
     return AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
-                      eta=(eta_row,) * size, tau=(tau_row,) * size,
+                      eta=((eta,) * size,) * size, tau=((tau,) * size,) * size,
                       label=f"alexander-rep(N={modulus},t={t})")
 
 
@@ -378,7 +377,7 @@ def make_conj_rep(g: GroupRep) -> AlgebraRep:
     if not report:
         raise CheckFailed("; ".join(report.failures))
     q, n, dim = g.quandle, g.modulus, g.dim
-    one_minus = [_freeze(mat_sub(identity(dim), r, n)) for r in g.rho]
+    one_minus = [_freeze(mat_sub(identity(dim), r, n), n) for r in g.rho]
     return AlgebraRep(quandle=q, modulus=n, dim=dim, eta=(g.rho,) * q.size,
                       tau=tuple(tuple(one_minus[z] for z in row) for row in q.table),
                       rho=g.rho, label=f"conj-rep({g.label})")
@@ -434,7 +433,7 @@ def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:
     """The frozen pair (eta^-1, -eta^-1 tau) mod n: the coefficients with
     which the inverse crossing undoes the block (eta, tau)."""
     eta_bar = mat_inv_mod(eta, n)
-    return _freeze(eta_bar), _freeze(mat_scale(-1, mat_mul(eta_bar, tau, n), n))
+    return _freeze(eta_bar, n), _freeze(mat_scale(-1, mat_mul(eta_bar, tau, n), n), n)
 
 
 def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:

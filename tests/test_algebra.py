@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.algebra import (
+    AlgebraRep,
     bar,
     check_group_rep,
     make_alexander_rep,
@@ -269,6 +273,68 @@ def test_make_rep_rejects_broken_tables():
     tau = [[[[1]], [[0]]], [[[0]], [[0]]]]   # tau[0][0] breaks relation (4)
     with pytest.raises(CheckFailed):
         make_rep(q, 3, eta, tau)
+
+
+def test_make_rep_refuses_modulus_below_one():
+    """make_rep refuses a modulus below 1 with InputError, checked or not,
+    as make_group_rep and make_alexander_rep do."""
+    q = make_dihedral(3)
+    eta = [[identity(1)] * 3] * 3
+    tau = [[[[0]]] * 3] * 3
+    for modulus in (0, -5):
+        for build in (lambda: make_rep(q, modulus, eta, tau),
+                      lambda: make_rep(q, modulus, eta, tau, check=False),
+                      lambda: make_group_rep(q, modulus, eta[0]),
+                      lambda: make_alexander_rep(q, modulus, 1)):
+            with pytest.raises(InputError, match="not positive"):
+                build()
+
+
+def _reduced(rep) -> bool:
+    """Every matrix of the rep, GroupRep or AlgebraRep, is a tuple of row
+    tuples with entries in 0..N-1."""
+    tables = (rep.eta, rep.tau) if isinstance(rep, AlgebraRep) else ()
+    matrices = [m for table in tables for row in table for m in row]
+    return all(type(m) is tuple and all(type(r) is tuple and all(
+        0 <= e < rep.modulus for e in r) for r in m)
+        for m in matrices + list(rep.rho or ()))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(3, 9), seed=st.integers(0, 2 ** 16))
+def test_every_constructor_reduces_mod_n(n, seed):
+    """Every constructor gives entries in 0..N-1, with one object per
+    distinct residue matrix from make_rep, and a rep built from matrices
+    shifted by multiples of N, some entries negative, equals the rep built
+    from their residues."""
+    rng = random.Random(seed)
+
+    def shifted(m):
+        return [[e + n * rng.randint(-3, 3) for e in r] for r in m]
+
+    q = make_dihedral(n)
+    tables = [[[[rng.randrange(-3 * n, 3 * n) for _ in range(2)] for _ in range(2)]
+               for _ in range(n)] for _ in range(2 * n)]
+    rep = make_rep(q, n, tables[:n], tables[n:], rho=tables[0], check=False)
+    cells = [m for table in (rep.eta, rep.tau) for row in table for m in row]
+    assert _reduced(rep) and len({id(m) for m in cells}) == len(set(cells))
+    assert _reduced(make_group_rep(q, n, tables[0]))
+    t = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+    matrix_t = [[t, 1], [0, 1]]
+    for given_t, residue in ((t + n * rng.randint(-3, 3), t),
+                             (shifted(matrix_t), matrix_t)):
+        alexander, expected = (make_alexander_rep(q, n, t) for t in (given_t, residue))
+        assert _reduced(alexander)
+        assert (alexander.eta, alexander.tau) == (expected.eta, expected.tau)
+    reflections = [[[n - 1, 2 * x % n], [0, 1]] for x in range(n)]
+    translations = [[[1, x], [0, 1]] for x in range(n)]
+    for rho, build in ((reflections, make_conj_rep),
+                       (reflections, lambda g: make_wada_rep(g, 1)),
+                       (translations, lambda g: make_wada_rep(g, "core"))):
+        g = make_group_rep(q, n, [shifted(m) for m in rho])
+        assert _reduced(g)
+        built = build(g)
+        assert _reduced(built) and built == build(make_group_rep(q, n, rho))
 
 
 def test_verify_relations_rejects_noninvertible_eta():

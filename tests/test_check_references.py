@@ -97,7 +97,8 @@ def _reference_relations(rep):
                         found[2] = True
                         failures.append(f"relation (3) fails at (x,y,z)=({x},{y},{z})")
         if not found[3]:
-            if mat_add(rep.tau[x][x], rep.eta[x][x], n) != identity(rep.dim):
+            one = [[v % n for v in r] for r in identity(rep.dim)]
+            if mat_add(rep.tau[x][x], rep.eta[x][x], n) != one:
                 found[3] = True
                 failures.append(f"relation (4) fails at x={x}")
     return not failures, failures
@@ -181,12 +182,16 @@ def _mutant(rep, changes, unreduced=()):
 
 def test_unreduced_tau_outside_generators_matches_reference():
     """The Alexander rep t = 2 mod 5 on R3 (S = {0, 1}) with tau[0][2]
-    written as -1: congruent to a passing rep, but relation (3) compares
-    the raw tau[x*y][z], and first fails at a z outside S."""
-    rep = _mutant(make_alexander_rep(make_dihedral(3), 5, 2), [],
-                  [("tau", 0, 2, 0, 0)])
-    assert rep.tau[0][2] == ((-1,),)
-    assert _same_relations(rep).failures == ["relation (3) fails at (x,y,z)=(0,0,2)"]
+    written as -1, at a y outside S: make_rep reduces it, so the tables are
+    the Alexander rep's and the relations pass, as the reference scan says.
+    Mod 1, where the identity is the zero matrix, relation (4) passes too."""
+    alexander = make_alexander_rep(make_dihedral(3), 5, 2)
+    rep = _mutant(alexander, [], [("tau", 0, 2, 0, 0)])
+    assert (rep.eta, rep.tau) == (alexander.eta, alexander.tau)
+    assert rep.tau[0][2] == ((4,),)
+    assert _same_relations(rep).passed
+    for q in (make_trivial(1), make_dihedral(3)):
+        assert _same_relations(make_alexander_rep(q, 1, 1)).passed
 
 
 def test_mutated_reps_match_reference():

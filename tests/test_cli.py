@@ -1,12 +1,16 @@
 import argparse
 import json
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandlekit.cli as cli
 import quandlekit.homology as homology
 from quandlekit import io as qio
+from quandlekit.algebra import make_alexander_rep
 from quandlekit.cli import main
 from quandlekit.errors import GuardExceeded
 from quandlekit.quandles import generating_set
@@ -244,6 +248,68 @@ def test_check_rep_with_singular_eta_prints_report(capsys, tmp_path):
     report = json.loads(out)
     assert code == 1 and report["passed"] is False
     assert report["failures"] == ["eta[0][0] is not invertible mod 6"]
+
+
+def test_json_rep_with_tau_minus_one_is_the_alexander_rep(capsys, tmp_path):
+    """R3 with eta = 2 and tau = -1 mod 5, as JSON, is alexander-rep:5:2
+    with 1 - t written unreduced: `check rep` passes, and `homology` and
+    `search` give the shorthand's factors and basis."""
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"modulus": 5, "dim": 1, "eta": [[[[2]]] * 3] * 3,
+                                "tau": [[[[-1]]] * 3] * 3}))
+    code, out = run(capsys, "check", "rep", str(path), "--quandle", "dihedral:3")
+    assert code == 0 and json.loads(out)["passed"] is True
+    for key, argv in (("invariant_factors", ["homology", "2", "--quandle",
+                                             "dihedral:3", "--rep", "{}"]),
+                      ("basis", ["search", "2", "dihedral:3", "{}", "5"])):
+        docs = []
+        for rep in (str(path), "alexander-rep:5:2"):
+            code, out = run(capsys, *(a.format(rep) for a in argv))
+            assert code == 0
+            docs.append(json.loads(out)[key])
+        assert docs[0] == docs[1]
+    assert docs[0]
+
+
+@pytest.mark.parametrize("quandle", ["trivial:1", "dihedral:3"])
+def test_check_rep_mod_1_passes(capsys, quandle):
+    """Mod 1 the identity is the zero matrix, so relation (4) holds."""
+    code, out = run(capsys, "check", "rep", "trivial-action:1", "--quandle", quandle)
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+_SHIFTED_BASES = [("dihedral:3", "alexander-rep:5:2"), ("dihedral:3", "conj-rep:perm3"),
+                  ("trivial:2", [[0, 1], [1, 1]])]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(base=st.sampled_from(_SHIFTED_BASES), seed=st.integers(0, 2 ** 16))
+def test_shifted_json_rep_gives_the_same_documents(tmp_path_factory, base, seed):
+    """A JSON rep whose entries are shifted by random multiples of N, some
+    negative, gives byte for byte the documents of the reduced rep from
+    `check rep`, `homology`, `invariant module` and `extend`."""
+    quandle, spec = base
+    q = qio.load_quandle(quandle)
+    rep = (qio.load_rep(spec, q) if isinstance(spec, str)
+           else make_alexander_rep(q, 3, spec))
+    doc, n, rng = qio.rep_to_doc(rep), rep.modulus, random.Random(seed)
+    shifted = {**doc, **{k: [[[[e + n * rng.randint(-3, 3) for e in r] for r in m]
+                              for m in row] for row in doc[k]] for k in ("eta", "tau")}}
+    tmp = tmp_path_factory.mktemp("shifted")
+    path, out = tmp / "rep.json", tmp / "out.json"
+    argvs = [["check", "rep", str(path)],
+             ["homology", "2", "--rep", str(path)],
+             ["invariant", "module", "--rep", str(path), "--knot", "3_1"],
+             ["extend", "--rep", str(path)]]
+    documents = []
+    for tables in (doc, shifted):
+        path.write_text(json.dumps(tables))
+        for argv in argvs:
+            code = main([*argv, "--quandle", quandle, "--out", str(out)])
+            documents.append((code, out.read_bytes()))
+    assert shifted != doc
+    assert documents[:4] == documents[4:]
+    assert [code for code, _ in documents] == [0] * 8
 
 
 def test_colorings_document(capsys):

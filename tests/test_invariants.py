@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit.algebra import (
+    AlgebraRep,
     make_alexander_rep,
     make_conj_rep,
-    make_rep,
     make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
@@ -291,9 +291,9 @@ def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch
 def test_one_pair_rep_walks_the_word_once(monkeypatch):
     """A rep whose whole (eta, tau) table is one pair walks the word once
     for all colorings: alexander-rep:7:2 over the 7^3 R7 colorings of
-    5_2 # 5_2, and the same constant table built by make_rep from a fresh
-    list per cell, which is one pair by value and gives the same entries.
-    conj-rep:perm3 on R3 walks each coloring."""
+    5_2 # 5_2, and the same constant table built as an AlgebraRep with a
+    tuple of its own per cell, which is one pair by value and gives the same
+    entries.  conj-rep:perm3 on R3 walks each coloring."""
     from quandlekit import invariants
     calls = []
 
@@ -307,8 +307,12 @@ def test_one_pair_rep_walks_the_word_once(monkeypatch):
     alexander = load_rep("alexander-rep:7:2", r7)
     inv = module_invariant(alexander, w)
     assert len(inv.entries) == 7 ** 3 and len(calls) == 1
-    fresh = make_rep(r7, 7, [[[[2]] for _ in range(7)] for _ in range(7)],
-                     [[[[6]] for _ in range(7)] for _ in range(7)])
+
+    def cells(v):
+        return tuple(tuple(tuple(map(tuple, [[v]])) for _ in range(7))
+                     for _ in range(7))
+
+    fresh = AlgebraRep(quandle=r7, modulus=7, dim=1, eta=cells(2), tau=cells(6))
     assert fresh.eta[0][0] is not fresh.eta[0][1] and fresh._one_pair
     calls.clear()
     assert module_invariant(fresh, w) == inv
