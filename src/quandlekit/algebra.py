@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .errors import GUARD, CheckFailed, GuardExceeded, InputError
+from .errors import GUARD, CheckFailed, InputError, charge
 from .groups import FiniteGroup
 from .linalg import (Matrix, identity, is_invertible_mod, mat_add, mat_inv_mod,
                      mat_mul, mat_scale, mat_sub)
@@ -251,26 +251,18 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     before it starts."""
     q, n, m = rep.quandle, rep.modulus, rep.dim
     size, table = q.size, q.table
-    if size ** 3 > guard:
-        raise GuardExceeded(f"{size ** 3} relation triples exceed the guard "
-                            f"of {guard}")
+    charge(size, "relation triples", guard, 3)
     products = _Products(n)
     eta = [[products.number(e) for e in row] for row in rep.eta]
     distinct_eta = len(products.rows)
     tau = [[products.number(t) for t in row] for row in rep.tau]
     distinct = len(products.rows)
-
-    def bound(zs: int) -> None:
-        steps = (distinct_eta + min(distinct ** 2, 6 * zs * size ** 2)) * m ** 3
-        if steps > guard:
-            raise GuardExceeded(
-                f"the relations at {zs} of {size} elements z, with "
-                f"{distinct_eta} distinct eta among {distinct} distinct "
-                f"{m} x {m} matrices, take {steps} steps, over the guard "
-                f"of {guard}")
-
+    matrices = (f"({distinct_eta} distinct eta among {distinct} distinct "
+                f"{m} x {m} matrices)")
     gens = generating_set(table)
-    bound(len(gens))
+    charge((distinct_eta + min(distinct ** 2, 6 * len(gens) * size ** 2)) * m ** 3,
+           f"steps of the relations at {len(gens)} of {size} elements z "
+           f"{matrices}", guard)
     invertible = {}
     for x in range(size):
         for y in range(size):
@@ -283,7 +275,9 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     one = products.number(_freeze(identity(m), n))
     failures = _relation_failures(table, eta, tau, one, products, gens)
     if failures and len(gens) < size:
-        bound(size)
+        charge((distinct_eta + min(distinct ** 2, 6 * size ** 3)) * m ** 3,
+               f"steps of the relations at {size} of {size} elements z "
+               f"{matrices}", guard)
         failures = _relation_failures(table, eta, tau, one, products, range(size))
     return ValidationReport(passed=not failures, failures=failures)
 
@@ -326,12 +320,24 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
              label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
     """The rep with tables eta and tau given from outside (a JSON document,
     make_wada_rep or a test), frozen with one object per distinct residue
-    matrix.  InputError unless the modulus is positive; with `check`, a rep
-    that fails verify_relations raises CheckFailed."""
+    matrix.  InputError unless the modulus is positive, eta and tau are
+    |X| x |X| tables of square matrices of one size dim >= 1 and rho, when
+    given, is |X| such matrices; with `check`, a rep that fails
+    verify_relations raises CheckFailed."""
     if modulus < 1:
         raise InputError(f"modulus {modulus} is not positive")
+    size = quandle.size
+    dim = len(eta[0][0]) if len(eta) and len(eta[0]) else 0
+
+    def fits(row) -> bool:      # |X| square matrices of size dim
+        return len(row) == size and all(_is_square(m, dim) for m in row)
+
+    if dim < 1 or not all(len(table) == size and all(map(fits, table))
+                          for table in (eta, tau)) or not (rho is None or fits(rho)):
+        raise InputError(f"eta and tau need {size} x {size} tables, and rho "
+                         f"{size} matrices, all square of one size >= 1")
     freeze = partial(_freeze, n=modulus, frozen={})
-    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=len(eta[0][0]),
+    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
                      eta=tuple(tuple(map(freeze, row)) for row in eta),
                      tau=tuple(tuple(map(freeze, row)) for row in tau),
                      rho=None if rho is None else tuple(map(freeze, rho)),

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep, _bar_block
-from .errors import GUARD, GuardExceeded, InputError, power_text
+from .errors import GUARD, InputError, charge, power_text
 from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
@@ -273,33 +273,23 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
 
     Over an affine quandle they are a kernel, found by `_affine_colorings`;
     over any other, `_search_colorings` branches on at most k arcs and
-    reaches at most |X|^k leaves.  The guard on |X|^k bounds either: past
-    k = guard.bit_length() + 1 every |X| >= 2 has |X|^k > guard, so the
-    comparison never builds a larger power, and k <= guard.bit_length()
-    keeps the k^2 and k^3 terms small.  The guard also bounds the
-    k * (letters + 1)^2 steps of the search's plan, which cover the kernel
-    route's walk of k-entry linear forms through the word.  When |X| = 1
-    the one coloring is the all-zero vector, so neither route is taken; the
-    guard then bounds its k entries at each of the letters + 1 heights of
-    the word, which is what `crossing_data` and `colored_matrix` touch when
-    they walk it through the word."""
-    if q.size ** min(w.strands, guard.bit_length() + 1) > guard:
-        raise GuardExceeded(f"{power_text(q.size, w.strands)} candidate "
-                            f"colorings exceed the guard of {guard}")
+    reaches at most |X|^k leaves.  The guard on |X|^k bounds either, and
+    for |X| >= 2 it keeps k <= guard.bit_length(), so the k^2 and k^3 terms
+    stay small.  The guard also bounds the k * (letters + 1)^2 steps of the
+    search's plan, which cover the kernel route's walk of k-entry linear
+    forms through the word.  When |X| = 1 the one coloring is the all-zero
+    vector, so neither route is taken; the guard then bounds its k entries
+    at each of the letters + 1 heights of the word, which is what
+    `crossing_data` and `colored_matrix` touch when they walk it through
+    the word."""
+    strands, letters = power_text(w.strands), len(w.letters)
+    charge(q.size, "candidate colorings", guard, w.strands)
     if q.size == 1:
-        entries = w.strands * (len(w.letters) + 1)
-        if entries > guard:
-            raise GuardExceeded(
-                f"{power_text(entries)} entries of the one coloring on "
-                f"{power_text(w.strands)} strands through {len(w.letters)} "
-                f"letters exceed the guard of {guard}")
+        charge(w.strands * (letters + 1), f"entries of the one coloring on "
+               f"{strands} strands through {letters} letters", guard)
         return [(0,) * w.strands]
-    steps = w.strands * (len(w.letters) + 1) ** 2
-    if steps > guard:
-        raise GuardExceeded(
-            f"the search plan on {power_text(w.strands)} strands and "
-            f"{len(w.letters)} letters takes up to {power_text(steps)} steps, "
-            f"over the guard of {guard}")
+    charge(w.strands * (letters + 1) ** 2, f"steps of the search plan on "
+           f"{strands} strands and {letters} letters", guard)
     if q._affine_t is not None:
         return _affine_colorings(q, w)
     return _search_colorings(q, w)

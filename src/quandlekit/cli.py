@@ -10,32 +10,25 @@ cochain that disagrees, a missing --quandle, --rep or --cocycle, an `extend`
 cochain not of degree 2, or an --out path that cannot be written exits 2.
 `check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
 any rep at the boundary tuples whose last entry is in the quandle's
-generating set, which is enough (the generator rule of `homology`), and
---guard still bounds all size^(degree+1) boundary tuples.  Other degrees
-exit 2, as do a --degree that disagrees with the cochain file and a
-negative `homology` degree.  `search` takes any modulus N and lists generators of the
-cocycles over Z_N, with N under the key "prime" and their number under
-"dimension"; for prime N they are a basis.  The elimination picks its
-pivots by sparsity, so for composite N the generators may differ from
-those of earlier versions, with the same number and span.  `invariant`
-bounds its candidate colorings and the size^3 tuples of its 2-cocycle check
-by --guard, as do `colorings` and `invariant` the k * (letters + 1)^2 steps
-of the coloring search's plan (over a one-element quandle, the
-k * (letters + 1) entries of its one coloring), and every command the N^2
-cells of a shorthand quandle's table, the axiom check of a JSON quandle
-(its n^2 cells, the |S| n^2 steps of axiom III on a generating set S, and
-the n^3 steps of the scan of a failing table) and the relation check of
-a JSON rep, in `check rep` too: its |X|^3 triples, then, before any
-product, the (e + min(d^2, 6 |S| |X|^2)) m^3 steps of inverting its e
-distinct eta and multiplying its d distinct m x m matrices on the
-generating set S (with 6 |X|^3 before the scan over every z of a failing
-rep).  `check quandle` holds every table, shorthand or JSON, to that axiom-check
-bound.  `invariant module`
-bounds the (k m)^2 cells of its colored matrix on k strands with an
-m-dimensional rep and the letters * k * m^3 steps of its block walk,
-`invariant alexander` the n k (n + 1) + (k - 1)^3 (n + 1)^2 Laurent
-coefficient steps of its Burau walk and minor on k strands and n letters,
-and `search` and `homology` the cells of the coboundary matrix.
+generating set, which is enough (the generator rule of `homology`).  Other
+degrees exit 2, as do a --degree that disagrees with the cochain file and a
+negative `homology` degree.  `search` takes any modulus N and lists
+generators of the cocycles over Z_N, with N under the key "prime" and their
+number under "dimension"; for prime N they are a basis.  The elimination
+picks its pivots by sparsity, so for composite N the generators may differ
+from those of earlier versions, with the same number and span.
+
+--guard bounds the work of each command, stage by stage, through
+`errors.charge` (README.md's `--guard` table gives each count): every
+command the cells of a shorthand quandle's table, the axiom check of a JSON
+quandle and the relation check of a JSON rep; `check quandle` the axiom
+check of any table; `check rep` the relation check; `colorings`,
+`invariant cocycle` and `invariant module` the candidate colorings and the
+search plan; `invariant module` also the cells and block walk of its
+colored matrix; `check cocycle` and `invariant cocycle` the boundary tuples
+of the cocycle check; `invariant alexander` the Laurent coefficient steps;
+`search` and `homology` the coboundary cells; `extend` the axiom checks of
+the extension.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.

@@ -21,9 +21,18 @@ class GuardExceeded(QuandleKitError, RuntimeError):
     """An enumeration or table-size guard was exceeded."""
 
 
-# default bound on the work of an enumeration: candidate colorings, or the
-# size^3 axiom checks of an extension table
+# default --guard: the bound that `charge` holds every counted stage to
 GUARD = 10 ** 7
+
+
+def charge(count: int, what: str, guard: int, exp: int = 1) -> None:
+    """Refuse count^exp units of work past `guard` with GuardExceeded,
+    "<count^exp> <what> exceed the guard of <guard>".  Past exp =
+    guard.bit_length() + 1 every count >= 2 has count^exp > guard, so no
+    larger power is formed."""
+    if count ** min(exp, guard.bit_length() + 1) > guard:
+        raise GuardExceeded(f"{power_text(count, exp)} {what} exceed the "
+                            f"guard of {guard}")
 
 
 def power_text(base: int, exp: int = 1) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import _is_square
 from .braids import BraidWord, _burau_rows, closure_arcs
-from .errors import GUARD, GuardExceeded, InputError
+from .errors import GUARD, InputError, charge
 from .laurent import Laurent, lp_add, lp_det, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
@@ -132,11 +132,9 @@ def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     k, n = w.strands, len(w.letters)
     if k > n + 1 or w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")
-    steps = n * k * (n + 1) + (k - 1) ** 3 * (n + 1) ** 2
-    if steps > guard:
-        raise GuardExceeded(f"{steps} Laurent coefficient steps of the {k}-strand "
-                            f"Burau matrix and its first minor exceed the guard "
-                            f"of {guard}")
+    charge(n * k * (n + 1) + (k - 1) ** 3 * (n + 1) ** 2,
+           f"Laurent coefficient steps of the {k}-strand Burau matrix and its "
+           "first minor", guard)
     units = [tuple([{0: 1} if i == j else {} for j in range(k)]) for i in range(k)]
     rows = _burau_rows(w, _slide(1), _slide(-1), units)
     minor = [[lp_add(x, {0: -1}) if i == j else x for j, x in enumerate(row[:-1])]

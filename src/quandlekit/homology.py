@@ -41,7 +41,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import GUARD, GuardExceeded, InputError
+from .errors import GUARD, GuardExceeded, InputError, charge
 from .linalg import (Matrix, _ker_mod_im, _kernel_by_column, _probable_prime,
                      identity)
 from .quandles import generating_set
@@ -250,9 +250,7 @@ def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int,
     tuples of the rack complex must not exceed `guard`."""
     if kappa.degree != degree:
         raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
-    work = cfg.rep.quandle.size ** (degree + 1)
-    if work > guard:
-        raise GuardExceeded(f"{work} boundary tuples exceed the guard of {guard}")
+    charge(cfg.rep.quandle.size, "boundary tuples", guard, degree + 1)
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
     tuples = _tuples(cfg, degree + 1, generating_set(cfg.rep.quandle.table))
@@ -285,7 +283,8 @@ def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[C
     complex's delta must not exceed `guard`."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
-    _require_cells(cfg, degree, guard)
+    charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
+           * cfg.rep.dim ** 2, "coboundary cells", guard)
     basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
     last = generating_set(cfg.rep.quandle.table) if _probable_prime(N) else None
     kernel = _kernel_by_column(_assemble(cfg, degree, last), len(basis) * m, N)
@@ -302,15 +301,6 @@ def _basis_size(cfg: ComplexConfig, n: int) -> int:
     return s * (s - 1) ** (n - 1)
 
 
-def _require_cells(cfg: ComplexConfig, degree: int, guard: int) -> None:
-    """Refuse to build delta^degree when its |basis(degree + 1)| x
-    |basis(degree)| blocks of m^2 cells exceed `guard`."""
-    cells = (_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
-             * cfg.rep.dim ** 2)
-    if cells > guard:
-        raise GuardExceeded(f"{cells} coboundary cells exceed the guard of {guard}")
-
-
 def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
     complex that cfg.variant selects, by `ker_mod_im`'s elimination over
@@ -324,7 +314,8 @@ def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]
         raise GuardExceeded(f"cohomology degree capped at {DEGREE_GUARD}")
     if cfg.rep.quandle.size > SIZE_GUARD:
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
-    _require_cells(cfg, degree, guard)
+    charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
+           * cfg.rep.dim ** 2, "coboundary cells", guard)
     down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim
     up = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
     return _ker_mod_im(up, down, cfg.rep.modulus)

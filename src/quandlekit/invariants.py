@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
                      crossing_blocks, crossing_data)
-from .errors import (GUARD, CheckFailed, GuardExceeded, InputError,
-                     power_text)
+from .errors import GUARD, CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
@@ -115,16 +114,10 @@ def module_invariant(rep: AlgebraRep, w: BraidWord,
     coloring."""
     q, N = rep.quandle, rep.modulus
     colorings = colorings_of_closure(q, w, guard=guard)
-    cells = (w.strands * rep.dim) ** 2
-    if cells > guard:
-        raise GuardExceeded(f"{power_text(cells)} colored-matrix cells exceed "
-                            f"the guard of {guard}")
-    steps = len(w.letters) * w.strands * rep.dim ** 3
-    if steps > guard:
-        raise GuardExceeded(
-            f"the colored matrix's block walk takes {power_text(steps)} steps "
-            f"(letters * k * m^3, with {len(w.letters)} letters, k = "
-            f"{w.strands} and m = {rep.dim}), over the guard of {guard}")
+    charge(w.strands * rep.dim, "colored-matrix cells", guard, 2)
+    charge(len(w.letters) * w.strands * rep.dim ** 3, f"steps of the colored "
+           f"matrix's block walk (letters * k * m^3, with {len(w.letters)} "
+           f"letters, k = {w.strands} and m = {rep.dim})", guard)
     shared = None               # the one sequence of a one-pair table
     if rep._one_pair:           # colorings holds the constant ones at least
         shared = crossing_blocks(rep, w, colorings[0])
@@ -162,10 +155,8 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
                          f"got degree {kappa.degree} in "
                          f"(Z_{kappa.modulus})^{kappa.dim}")
     total = N ** m * q.size
-    if total ** 3 > guard:
-        raise GuardExceeded(f"extension of size {power_text(total)} needs "
-                            f"{power_text(total, 3)} axiom checks, over the "
-                            f"guard of {guard}")
+    charge(total, f"axiom checks of an extension of size {power_text(total)}",
+           guard, 3)
     vectors = list(itertools.product(range(N), repeat=m))
     vindex = {v: i for i, v in enumerate(vectors)}
     # sums[i][j] is the index of vectors[i] + vectors[j]

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3)
-from .errors import GUARD, GuardExceeded, InputError, power_text
+from .errors import GUARD, InputError, charge
 from .homology import Cochain
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
@@ -154,9 +154,8 @@ def load_quandle(spec: str, guard: int = GUARD) -> FiniteQuandle:
     if len(args) != arity:
         raise InputError(f"bad quandle shorthand {spec!r}")
     ints = _ints(spec, args)
-    if ints[0] > 0 and ints[0] ** 2 > guard:
-        raise GuardExceeded(f"{spec!r} has {power_text(ints[0], 2)} table "
-                            f"cells, over the guard of {guard}")
+    if ints[0] > 0:
+        charge(ints[0], f"table cells of {spec!r}", guard, 2)
     return make(*ints)
 
 

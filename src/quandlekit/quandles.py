@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GUARD, GuardExceeded, InputError
+from .errors import GUARD, InputError, charge
 from .groups import FiniteGroup
 
 
@@ -84,9 +84,7 @@ def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
                         and max(row) < n):
             e = next(e for e in row if type(e) is not int or not 0 <= e < n)
             raise InputError(f"table entry {e!r} is not an integer in 0..{n - 1}")
-    if n * n > guard:
-        raise GuardExceeded(f"a quandle table of size {n} has {n * n} table "
-                            f"cells, over the guard of {guard}")
+    charge(n, f"table cells of a quandle of size {n}", guard, 2)
     failures = []
     for a in range(n):
         if table[a][a] != a:
@@ -108,15 +106,11 @@ def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
 
     if bijective:
         gens = generating_set(table)
-        if len(gens) * n * n > guard:
-            raise GuardExceeded(
-                f"axiom III on {len(gens)} generators of a quandle of size {n} "
-                f"takes {len(gens) * n * n} steps, over the guard of {guard}")
+        charge(len(gens) * n * n, f"steps of axiom III on {len(gens)} "
+               f"generators of a quandle of size {n}", guard)
         if all(homomorphism(b, c) for c in gens for b in range(n)):
             return ValidationReport(passed=not failures, failures=failures)
-    if n ** 3 > guard:
-        raise GuardExceeded(f"scanning axiom III on a table of size {n} takes "
-                            f"{n ** 3} steps, over the guard of {guard}")
+    charge(n, f"steps of the axiom III scan of a table of size {n}", guard, 3)
     bad = [(b, c) for b in range(n) for c in range(n) if not homomorphism(b, c)]
     if bad:
         a, b, c = next((a, b, c) for a in range(n) for b, c in bad

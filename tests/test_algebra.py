@@ -349,6 +349,29 @@ def test_verify_relations_rejects_noninvertible_eta():
         make_rep(q, 4, [[[[2]]]], [[[[0]]]])
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_make_rep_checks_the_shape_of_its_tables(check):
+    """make_rep refuses, with or without `check`, tables that are not
+    |X| x |X| tables of dim x dim matrices with dim >= 1, and a rho that is
+    not |X| such matrices."""
+    one, r3 = make_trivial(1), make_dihedral(3)
+    unit = [[[[1]]] * 3] * 3
+    for q, eta, tau, rho in (
+            (one, [[[]]], [[[]]], None),           # matrices with no rows
+            (one, [[]], [[]], None),               # a row with no matrices
+            (one, [[[[1]]]], [[[[0, 0]]]], None),  # a 1 x 2 tau beside a 1 x 1 eta
+            (one, [[[[1]]]], [[[[0]], [[0]]]], None),
+            (r3, unit[:2], unit[:2], None),        # two rows on a 3-element quandle
+            (r3, unit, unit[:2], None),
+            (r3, unit, unit, [[[1]]] * 2),         # rho with two matrices
+            (r3, unit, unit, [[[1]], [[1]], [[1, 0]]])):
+        with pytest.raises(InputError, match="all square of one size >= 1"):
+            make_rep(q, 5, eta, tau, rho=rho, check=check)
+    rep = make_rep(r3, 5, unit, [[[[0]]] * 3] * 3, rho=[[[1]]] * 3,
+                   check=check)
+    assert rep.dim == 1 and rep.rho == (((1,),),) * 3
+
+
 def test_bar_elements_undo_crossing():
     """bar is exactly what makes the inverse crossing the inverse map:
     if c = eta a + tau b then a = eta_bar c + tau_bar b."""

@@ -926,12 +926,14 @@ def test_json_rep_relations_are_bounded_by_their_matrix_size(capsys, tmp_path):
     code, out = run(capsys, "check", "rep", small, "--guard", "625")
     assert code == 0 and json.loads(out)["passed"] is True
     assert main(["check", "rep", small, "--guard", "624"]) == 3
-    assert "take 625 steps, over the guard of 624" in capsys.readouterr().err
+    assert ("625 steps of the relations at 1 of 1 elements z (1 distinct eta "
+            "among 2 distinct 5 x 5 matrices) exceed the guard of 624"
+            in capsys.readouterr().err)
     big = _one_element_rep(tmp_path / "m126.json", 126)
     start = time.perf_counter()
     assert main(["check", "rep", big]) == 3
     assert time.perf_counter() - start < 10
-    assert "take 10001880 steps" in capsys.readouterr().err
+    assert "10001880 steps of the relations" in capsys.readouterr().err
 
 
 def test_a_failing_rep_is_bounded_before_its_full_scan(capsys, tmp_path):
@@ -1111,3 +1113,87 @@ def test_command_results(capsys, command_inputs, want, argv, holds):
     out, err = capsys.readouterr()
     assert code == want
     assert holds(json.loads(out) if out else None, err)
+
+
+@pytest.fixture(scope="module")
+def guard_inputs(tmp_path_factory):
+    """Input files for `test_every_guard_has_one_message_form`: R9 as a JSON
+    table, R9 with two entries of a column swapped (axiom II holds, axiom
+    III fails), the Alexander rep alexander-rep:9:2 on R9, the dense m = 5
+    rep of `_one_element_rep`, and the failing 1 x 1 rep on R3 of
+    `test_a_failing_rep_is_bounded_before_its_full_scan`."""
+    from quandlekit.quandles import make_dihedral
+    tmp = tmp_path_factory.mktemp("guards")
+    bad = [[(2 * j - i) % 9 for j in range(9)] for i in range(9)]
+    bad[1][0], bad[2][0] = bad[2][0], bad[1][0]
+    docs = {
+        "r9": {"size": 9, "table": [[(2 * j - i) % 9 for j in range(9)]
+                                    for i in range(9)]},
+        "bad9": {"size": 9, "table": bad},
+        "rep9": qio.rep_to_doc(make_alexander_rep(make_dihedral(9), 9, 2)),
+        "rep3": {"quandle": qio.quandle_to_doc(make_dihedral(3)), "modulus": 101,
+                 "dim": 1,
+                 "eta": [[[[2 + 3 * x + y]] for y in range(3)] for x in range(3)],
+                 "tau": [[[[50 + 3 * x + y]] for y in range(3)] for x in range(3)]}}
+    paths = {"m5": _one_element_rep(tmp / "m5.json", 5)}
+    for name, doc in docs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+        paths[name] = str(tmp / f"{name}.json")
+    return paths
+
+
+# one case per errors.charge call: its command one unit below the count,
+# and the one stderr line "guard exceeded: <count> <what> exceed the guard
+# of <guard>"
+GUARD_CASES = [
+    (["check", "quandle", "dihedral:9", "--guard", "80"],
+     "81 table cells of 'dihedral:9'"),
+    (["check", "quandle", "{r9}", "--guard", "80"],
+     "81 table cells of a quandle of size 9"),
+    (["check", "quandle", "dihedral:9", "--guard", "161"],
+     "162 steps of axiom III on 2 generators of a quandle of size 9"),
+    (["check", "quandle", "{bad9}", "--guard", "728"],
+     "729 steps of the axiom III scan of a table of size 9"),
+    (["check", "rep", "{rep9}", "--guard", "500"], "729 relation triples"),
+    (["check", "rep", "{m5}", "--guard", "624"],
+     "625 steps of the relations at 1 of 1 elements z (1 distinct eta among 2 "
+     "distinct 5 x 5 matrices)"),
+    (["check", "rep", "{rep3}", "--guard", "170"],
+     "171 steps of the relations at 3 of 3 elements z (9 distinct eta among 18 "
+     "distinct 1 x 1 matrices)"),
+    (["colorings", "dihedral:3", "k=5; 1 2 3 4", "--guard", "242"],
+     "243 candidate colorings"),
+    (["colorings", "trivial:1", "k=20; " + " ".join(["1 -2"] * 15), "--guard",
+      "619"], "620 entries of the one coloring on 20 strands through 30 letters"),
+    (["colorings", "trivial:2", "k=3; " + " ".join(["1 -2"] * 8), "--guard",
+      "866"], "867 steps of the search plan on 3 strands and 16 letters"),
+    (["invariant", "module", "--quandle", "trivial:1", "--rep", "alexander-rep:5:2",
+      "--braid", "k=20; 1", "--guard", "399"], "400 colored-matrix cells"),
+    (["invariant", "module", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+      "--braid", "k=5; 1 2 3 4", "--guard", "539"],
+     "540 steps of the colored matrix's block walk (letters * k * m^3, with 4 "
+     "letters, k = 5 and m = 3)"),
+    (["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2",
+      "--guard", "728"], "729 axiom checks of an extension of size 9"),
+    (["check", "cocycle", "zero", "--quandle", "dihedral:3", "--rep",
+      "trivial-action:3", "--degree", "2", "--guard", "26"], "27 boundary tuples"),
+    (["search", "2", "dihedral:3", "conj-rep:perm3", "3", "--guard", "647"],
+     "648 coboundary cells"),
+    (["homology", "2", "--quandle", "dihedral:5", "--rep", "alexander-rep:5:2",
+      "--guard", "1599"], "1600 coboundary cells"),
+    (["invariant", "alexander", "--braid", "k=2; " + " ".join(["1"] * 11),
+      "--guard", "407"],
+     "408 Laurent coefficient steps of the 2-strand Burau matrix and its first "
+     "minor"),
+]
+
+
+@pytest.mark.parametrize("argv, what", GUARD_CASES,
+                         ids=[what.split(" (")[0] for _, what in GUARD_CASES])
+def test_every_guard_has_one_message_form(capsys, guard_inputs, argv, what):
+    """Every guarded stage refuses through errors.charge: exit 3, nothing on
+    stdout, and one stderr line naming the count, the stage and the guard."""
+    code = main([a.format(**guard_inputs) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"guard exceeded: {what} exceed the guard of {argv[-1]}\n"
