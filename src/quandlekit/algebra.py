@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .errors import GUARD, CheckFailed, InputError, charge
+from .errors import CheckFailed, InputError, charge
 from .groups import FiniteGroup
 from .linalg import (Matrix, identity, is_invertible_mod, mat_add, mat_inv_mod,
                      mat_mul, mat_scale, mat_sub)
@@ -233,7 +233,7 @@ def permutation_rep_r3(modulus: int = 3) -> GroupRep:
     return make_group_rep(q, modulus, rho, label="perm3")
 
 
-def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
+def verify_relations(rep: AlgebraRep) -> ValidationReport:
     """Identities (1)-(4); reports the first failure of each, in the order
     of the (x, y, z) scan.
 
@@ -244,14 +244,14 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     distinct matrix product and each distinct sum of relation (3) is formed
     once: a conjugation rep has only |X| distinct eta and |X| distinct tau.
 
-    `guard` bounds the |X|^3 triples, then, before any product is formed,
+    The guard bounds the |X|^3 triples, then, before any product is formed,
     (e + min(d^2, 6 |S| |X|^2)) m^3 steps: the inversions of the e distinct
     eta and the products of the d distinct m x m matrices, six per triple
     at most.  A scan over every z is held to the same count with 6 |X|^3
     before it starts."""
     q, n, m = rep.quandle, rep.modulus, rep.dim
     size, table = q.size, q.table
-    charge(size, "relation triples", guard, 3)
+    charge(size, "relation triples", 3)
     products = _Products(n)
     eta = [[products.number(e) for e in row] for row in rep.eta]
     distinct_eta = len(products.rows)
@@ -262,7 +262,7 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     gens = generating_set(table)
     charge((distinct_eta + min(distinct ** 2, 6 * len(gens) * size ** 2)) * m ** 3,
            f"steps of the relations at {len(gens)} of {size} elements z "
-           f"{matrices}", guard)
+           f"{matrices}")
     invertible = {}
     for x in range(size):
         for y in range(size):
@@ -277,7 +277,7 @@ def verify_relations(rep: AlgebraRep, guard: int = GUARD) -> ValidationReport:
     if failures and len(gens) < size:
         charge((distinct_eta + min(distinct ** 2, 6 * size ** 3)) * m ** 3,
                f"steps of the relations at {size} of {size} elements z "
-               f"{matrices}", guard)
+               f"{matrices}")
         failures = _relation_failures(table, eta, tau, one, products, range(size))
     return ValidationReport(passed=not failures, failures=failures)
 
@@ -317,7 +317,7 @@ def _relation_failures(table, eta, tau, one: int, products: _Products,
 
 
 def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
-             label: str = "", check: bool = True, guard: int = GUARD) -> AlgebraRep:
+             label: str = "", check: bool = True) -> AlgebraRep:
     """The rep with tables eta and tau given from outside (a JSON document,
     make_wada_rep or a test), frozen with one object per distinct residue
     matrix.  InputError unless the modulus is positive, eta and tau are
@@ -343,7 +343,7 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
                      rho=None if rho is None else tuple(map(freeze, rho)),
                      label=label)
     if check:
-        report = verify_relations(rep, guard)
+        report = verify_relations(rep)
         if not report:
             raise CheckFailed("; ".join(report.failures))
     return rep

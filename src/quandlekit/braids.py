@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep, _bar_block
-from .errors import GUARD, InputError, charge, power_text
+from .errors import InputError, charge, power_text
 from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
@@ -267,29 +267,28 @@ def _search_plan(w: BraidWord):
     return at, bottom, branch
 
 
-def colorings_of_closure(q: FiniteQuandle, w: BraidWord,
-                         guard: int = GUARD) -> list[tuple[int, ...]]:
+def colorings_of_closure(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     """All bottom vectors fixed by the word, in lexicographic order.
 
     Over an affine quandle they are a kernel, found by `_affine_colorings`;
     over any other, `_search_colorings` branches on at most k arcs and
-    reaches at most |X|^k leaves.  The guard on |X|^k bounds either, and
-    for |X| >= 2 it keeps k <= guard.bit_length(), so the k^2 and k^3 terms
-    stay small.  The guard also bounds the k * (letters + 1)^2 steps of the
-    search's plan, which cover the kernel route's walk of k-entry linear
+    reaches at most |X|^k leaves.  The guard on |X|^k bounds either, and for
+    |X| >= 2 it keeps k at most the guard's bit length, so the k^2 and k^3
+    terms stay small.  The guard also bounds the k * (letters + 1)^2 steps of
+    the search's plan, which cover the kernel route's walk of k-entry linear
     forms through the word.  When |X| = 1 the one coloring is the all-zero
     vector, so neither route is taken; the guard then bounds its k entries
     at each of the letters + 1 heights of the word, which is what
-    `crossing_data` and `colored_matrix` touch when they walk it through
-    the word."""
+    `crossing_data` and `colored_matrix` touch when they walk it through the
+    word."""
     strands, letters = power_text(w.strands), len(w.letters)
-    charge(q.size, "candidate colorings", guard, w.strands)
+    charge(q.size, "candidate colorings", w.strands)
     if q.size == 1:
         charge(w.strands * (letters + 1), f"entries of the one coloring on "
-               f"{strands} strands through {letters} letters", guard)
+               f"{strands} strands through {letters} letters")
         return [(0,) * w.strands]
     charge(w.strands * (letters + 1) ** 2, f"steps of the search plan on "
-           f"{strands} strands and {letters} letters", guard)
+           f"{strands} strands and {letters} letters")
     if q._affine_t is not None:
         return _affine_colorings(q, w)
     return _search_colorings(q, w)

@@ -19,7 +19,9 @@ picks its pivots by sparsity, so for composite N the generators may differ
 from those of earlier versions, with the same number and span.
 
 --guard bounds the work of each command, stage by stage, through
-`errors.charge` (README.md's `--guard` table gives each count): every
+`errors.charge` (README.md's `--guard` table gives each count).  `main`
+sets the bound once per command, with `errors.guarded`, and the outer bound
+is back in force when the command returns or raises.  It charges: every
 command the cells of a shorthand quandle's table, the axiom check of a JSON
 quandle and the relation check of a JSON rep; `check quandle` the axiom
 check of any table; `check rep` the relation check; `colorings`,
@@ -48,7 +50,7 @@ import sys
 from . import io as qio
 from .algebra import verify_relations
 from .braids import braid_or_knot, colorings_of_closure
-from .errors import GUARD, CheckFailed, GuardExceeded, InputError
+from .errors import GUARD, CheckFailed, GuardExceeded, InputError, guarded
 from .fox import alexander_polynomial
 from .homology import (ComplexConfig, cocycle_space, cohomology, is_cocycle_2,
                        is_cocycle_3)
@@ -71,20 +73,20 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _load_word(args):
-    if getattr(args, "knot", None):
-        return braid_or_knot(args.knot)
-    if getattr(args, "braid", None):
-        return braid_or_knot(args.braid)
-    raise InputError("no braid word or knot name given")
+    knot, braid = getattr(args, "knot", None), getattr(args, "braid", None)
+    if knot and braid:
+        raise InputError("give --knot or --braid, not both")
+    if not (knot or braid):
+        raise InputError("no braid word or knot name given")
+    return braid_or_knot(knot or braid)
 
 
 def _rep_on_quandle(args, spec: str | None, **options):
-    """The rep `spec` on --quandle, if one is given; `options` and --guard go
-    to load_rep."""
+    """The rep `spec` on --quandle, if one is given; `options` go to load_rep."""
     if spec is None:
         raise InputError("no --rep given")
-    quandle = qio.load_quandle(args.quandle, args.guard) if args.quandle else None
-    return qio.load_rep(spec, quandle=quandle, guard=args.guard, **options)
+    quandle = qio.load_quandle(args.quandle) if args.quandle else None
+    return qio.load_rep(spec, quandle=quandle, **options)
 
 
 def cmd_check(args) -> int:
@@ -92,12 +94,11 @@ def cmd_check(args) -> int:
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
         # input error; every table's check is bounded by --guard
-        table = qio.load_table(args.target, args.guard)
-        report = verify_axioms(table, args.guard)
+        table = qio.load_table(args.target)
+        report = verify_axioms(table)
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
-        report = verify_relations(_rep_on_quandle(args, args.target, check=False),
-                                  args.guard)
+        report = verify_relations(_rep_on_quandle(args, args.target, check=False))
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
         # 'zero' takes --degree (2 without it); a file has its own degree
@@ -110,8 +111,7 @@ def cmd_check(args) -> int:
         if is_cocycle is None:
             raise InputError(f"cocycle checks support degrees 2 and 3, "
                              f"got degree {kappa.degree}")
-        ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa,
-                        guard=args.guard)
+        ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa)
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
     else:
@@ -124,9 +124,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    q = qio.load_quandle(args.quandle, args.guard)
+    q = qio.load_quandle(args.quandle)
     w = _load_word(args)
-    cols = colorings_of_closure(q, w, guard=args.guard)
+    cols = colorings_of_closure(q, w)
     _emit({"quandle": args.quandle, "braid": w.letters,
            "strands": w.strands, "count": len(cols),
            "colorings": cols}, args.out)
@@ -139,7 +139,7 @@ def cmd_search(args) -> int:
         raise InputError(
             f"rep modulus {rep.modulus} disagrees with search modulus {args.prime}")
     cfg = ComplexConfig(rep=rep, variant=args.variant)
-    basis = cocycle_space(cfg, args.degree, guard=args.guard)
+    basis = cocycle_space(cfg, args.degree)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
            "prime": args.prime, "variant": args.variant,
            "dimension": len(basis),
@@ -150,7 +150,7 @@ def cmd_search(args) -> int:
 def cmd_invariant(args) -> int:
     w = _load_word(args)
     if args.kind == "alexander":
-        poly = alexander_polynomial(w, guard=args.guard)
+        poly = alexander_polynomial(w)
         _emit({"invariant": "alexander", "braid": w.letters,
                "strands": w.strands,
                "polynomial": {str(e): c for e, c in sorted(poly.items())},
@@ -162,7 +162,7 @@ def cmd_invariant(args) -> int:
     meta = {"quandle": args.quandle, "rep": args.rep,
             "braid": w.letters, "strands": w.strands}
     if args.kind == "module":
-        inv = module_invariant(rep, w, guard=args.guard)
+        inv = module_invariant(rep, w)
         _emit({"invariant": "module", **meta,
                "colorings": len(inv.entries),
                "multiset": inv.entries}, args.out)
@@ -171,7 +171,7 @@ def cmd_invariant(args) -> int:
         if args.cocycle is None:
             raise InputError("no --cocycle given")
         kappa = qio.load_cochain(args.cocycle, rep=rep)
-        inv = cocycle_invariant(rep, kappa, w, guard=args.guard)
+        inv = cocycle_invariant(rep, kappa, w)
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
                "colorings": len(inv.entries),
@@ -183,7 +183,7 @@ def cmd_invariant(args) -> int:
 def cmd_homology(args) -> int:
     rep = _rep_on_quandle(args, args.rep)
     cfg = ComplexConfig(rep=rep, variant=args.variant, basepoint=args.basepoint)
-    factors = cohomology(cfg, args.degree, guard=args.guard)
+    factors = cohomology(cfg, args.degree)
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
            "variant": args.variant, "invariant_factors": factors}, args.out)
     return 0
@@ -212,7 +212,7 @@ def cmd_compare(args) -> int:
 def cmd_extend(args) -> int:
     rep = _rep_on_quandle(args, args.rep)
     kappa = qio.load_cochain(args.cocycle, rep=rep) if args.cocycle else None
-    table, report, _ = dynamical_extension(rep, kappa, guard=args.guard)
+    table, report, _ = dynamical_extension(rep, kappa)
     _emit({"quandle": args.quandle, "rep": args.rep,
            "size": len(table), "passed": report.passed,
            "failures": list(report.failures),
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
         parser, argv = commands[argv[0]], argv[1:]
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with guarded(args.guard):
+            return args.func(args)
     except CheckFailed as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1

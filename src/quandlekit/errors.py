@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: InputError -> 2, CheckFailed -> 1,
 GuardExceeded -> 3.
 """
 
+import contextlib
+import contextvars
+
 
 class QuandleKitError(Exception):
     pass
@@ -22,14 +25,29 @@ class GuardExceeded(QuandleKitError, RuntimeError):
 
 
 # default --guard: the bound that `charge` holds every counted stage to
+# outside any `guarded` block
 GUARD = 10 ** 7
 
+_guard = contextvars.ContextVar("guard", default=GUARD)
 
-def charge(count: int, what: str, guard: int, exp: int = 1) -> None:
-    """Refuse count^exp units of work past `guard` with GuardExceeded,
+
+@contextlib.contextmanager
+def guarded(guard: int):
+    """Hold every `charge` inside the block to `guard`; the outer bound is
+    restored on exit, also when the block raises."""
+    token = _guard.set(guard)
+    try:
+        yield
+    finally:
+        _guard.reset(token)
+
+
+def charge(count: int, what: str, exp: int = 1) -> None:
+    """Refuse count^exp units of work past the guard with GuardExceeded,
     "<count^exp> <what> exceed the guard of <guard>".  Past exp =
     guard.bit_length() + 1 every count >= 2 has count^exp > guard, so no
     larger power is formed."""
+    guard = _guard.get()
     if count ** min(exp, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(count, exp)} {what} exceed the "
                             f"guard of {guard}")

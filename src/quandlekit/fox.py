@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import _is_square
 from .braids import BraidWord, _burau_rows, closure_arcs
-from .errors import GUARD, InputError, charge
+from .errors import InputError, charge
 from .laurent import Laurent, lp_add, lp_det, lp_normalize
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
 
@@ -109,7 +109,7 @@ def _slide(d: int):
     return step
 
 
-def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
+def alexander_polynomial(w: BraidWord) -> Laurent:
     """Classical Alexander polynomial of a knot given as a closed braid,
     normalized to integer coefficients, lowest exponent 0, positive lead.
 
@@ -124,7 +124,7 @@ def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
     letters * k * (letters + 1) coefficient steps; every Bareiss entry is a
     minor of M - I, whose exponents span at most letters + 1 (Cauchy-Binet
     over the letters' matrices), so the (k - 1)^3 products take at most
-    (letters + 1)^2 steps each.  Their sum must not exceed `guard`.  Each
+    (letters + 1)^2 steps each.  Their sum must not exceed the guard.  Each
     letter joins at most two strands, so more than letters + 1 strands
     close to a link; that is refused before the strand permutation is
     built.  The Wirtinger minor (`twisted_matrix` with `trivial_rho`) gives
@@ -134,7 +134,7 @@ def alexander_polynomial(w: BraidWord, guard: int = GUARD) -> Laurent:
         raise InputError("closure is a link with more than one component")
     charge(n * k * (n + 1) + (k - 1) ** 3 * (n + 1) ** 2,
            f"Laurent coefficient steps of the {k}-strand Burau matrix and its "
-           "first minor", guard)
+           "first minor")
     units = [tuple([{0: 1} if i == j else {} for j in range(k)]) for i in range(k)]
     rows = _burau_rows(w, _slide(1), _slide(-1), units)
     minor = [[lp_add(x, {0: -1}) if i == j else x for j, x in enumerate(row[:-1])]

@@ -41,7 +41,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import GUARD, GuardExceeded, InputError, charge
+from .errors import GuardExceeded, InputError, charge
 from .linalg import (Matrix, _ker_mod_im, _kernel_by_column, _probable_prime,
                      identity)
 from .quandles import generating_set
@@ -242,37 +242,36 @@ def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
             yield t, acc
 
 
-def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int,
-                guard: int) -> bool:
+def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int) -> bool:
     """delta kappa = 0, checked on the (degree + 1)-tuples of the complex
     that end in the generating set S (the generator rule in the module
     docstring) and stopped at the first that fails; the size^(degree + 1)
-    tuples of the rack complex must not exceed `guard`."""
+    tuples of the rack complex must not exceed the guard."""
     if kappa.degree != degree:
         raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
-    charge(cfg.rep.quandle.size, "boundary tuples", guard, degree + 1)
+    charge(cfg.rep.quandle.size, "boundary tuples", degree + 1)
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
     tuples = _tuples(cfg, degree + 1, generating_set(cfg.rep.quandle.table))
     return next(_coboundary_values(cfg, kappa, tuples), None) is None
 
 
-def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool:
+def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain) -> bool:
     """delta kappa = 0 for a 2-cochain, that is
     eta[x*y][z] k(x,y) + k(x*y,z) == eta[x*z][y*z] k(x,z)
                                    + tau[x*z][y*z] k(y,z) + k(x*z,y*z);
     the quandle variant additionally requires k(x,x) = 0."""
-    return _is_cocycle(cfg, kappa, 2, guard)
+    return _is_cocycle(cfg, kappa, 2)
 
 
-def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain, guard: int = GUARD) -> bool:
+def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain) -> bool:
     """delta kappa = 0 for a 3-cochain, read from the rep's eta and tau
     tables, so it works for every rep; the quandle variant additionally
     requires kappa to vanish on tuples with two equal neighbours."""
-    return _is_cocycle(cfg, kappa, 3, guard)
+    return _is_cocycle(cfg, kappa, 3)
 
 
-def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[Cochain]:
+def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
     """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
     the kernel of delta, an echelon basis when N is prime, read back as
     cochains through one listing of the basis.  Over a prime, delta's rows
@@ -280,11 +279,11 @@ def cocycle_space(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[C
     generator rule in the module docstring) and so the same echelon basis,
     and only they are built; over a composite N the generators depend on
     the rows eliminated, and every row is built.  The cells of the chosen
-    complex's delta must not exceed `guard`."""
+    complex's delta must not exceed the guard."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
-           * cfg.rep.dim ** 2, "coboundary cells", guard)
+           * cfg.rep.dim ** 2, "coboundary cells")
     basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
     last = generating_set(cfg.rep.quandle.table) if _probable_prime(N) else None
     kernel = _kernel_by_column(_assemble(cfg, degree, last), len(basis) * m, N)
@@ -301,13 +300,13 @@ def _basis_size(cfg: ComplexConfig, n: int) -> int:
     return s * (s - 1) ** (n - 1)
 
 
-def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]:
+def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
     complex that cfg.variant selects, by `ker_mod_im`'s elimination over
     each Z/p^e in N, merged by CRT: on the whole of delta^{degree-1}, and on
     the rows of delta^degree at the tuples ending in the generating set S,
     which have its kernel (the generator rule in the module docstring).
-    The cells of the chosen complex's delta^degree must not exceed `guard`."""
+    The cells of the chosen complex's delta^degree must not exceed the guard."""
     if degree < 0:
         raise InputError(f"cohomology degree {degree} is negative")
     if degree > DEGREE_GUARD:
@@ -315,7 +314,7 @@ def cohomology(cfg: ComplexConfig, degree: int, guard: int = GUARD) -> list[int]
     if cfg.rep.quandle.size > SIZE_GUARD:
         raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
     charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
-           * cfg.rep.dim ** 2, "coboundary cells", guard)
+           * cfg.rep.dim ** 2, "coboundary cells")
     down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim
     up = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
     return _ker_mod_im(up, down, cfg.rep.modulus)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
                      crossing_blocks, crossing_data)
-from .errors import GUARD, CheckFailed, InputError, charge, power_text
+from .errors import CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
@@ -49,11 +49,11 @@ class ModuleInvariant:
     entries: tuple            # sorted invariant-factor tuples, one per coloring
 
 
-def _require_cocycle(rep: AlgebraRep, kappa: Cochain, guard: int = GUARD) -> None:
+def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
     # diagram chains need rho: say so before the size^3 cocycle check
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
-    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa, guard):
+    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
 
@@ -86,38 +86,37 @@ def _pairing(rep: AlgebraRep, kappa: Cochain, data,
 
 
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
-                      check: bool = True, guard: int = GUARD) -> InvariantMultiset:
+                      check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle.
     The size^3 cocycle check and the |X|^k candidate colorings must not
-    exceed `guard`."""
+    exceed the guard."""
     if check:
-        _require_cocycle(rep, kappa, guard)
+        _require_cocycle(rep, kappa)
     entries = []
     paths: dict = {}            # colors right of a crossing -> path action
     weights: dict = {}          # (id(path), x, y) -> path * kappa(x, y)
-    for coloring in colorings_of_closure(rep.quandle, w, guard=guard):
+    for coloring in colorings_of_closure(rep.quandle, w):
         data = crossing_data(rep, w, coloring, paths)
         entries.append(_pairing(rep, kappa, data, weights))
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
                              dim=rep.dim)
 
 
-def module_invariant(rep: AlgebraRep, w: BraidWord,
-                     guard: int = GUARD) -> ModuleInvariant:
+def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
     """Invariant factors of G^k / Im(M(w, x) - I), one per coloring x by
     rep.quandle; the |X|^k candidate colorings, the (k m)^2 cells of the
     colored matrix and the letters * k * m^3 steps of its block walk must
-    not exceed `guard`.  Colorings with the same coefficient sequence share
+    not exceed the guard.  Colorings with the same coefficient sequence share
     one matrix and one cokernel.  When the rep's whole (eta, tau) table is
     one pair, as for an Alexander-type rep, the sequence depends only on the
     signs of the letters, so one walk of the word gives it for every
     coloring."""
     q, N = rep.quandle, rep.modulus
-    colorings = colorings_of_closure(q, w, guard=guard)
-    charge(w.strands * rep.dim, "colored-matrix cells", guard, 2)
+    colorings = colorings_of_closure(q, w)
+    charge(w.strands * rep.dim, "colored-matrix cells", 2)
     charge(len(w.letters) * w.strands * rep.dim ** 3, f"steps of the colored "
            f"matrix's block walk (letters * k * m^3, with {len(w.letters)} "
-           f"letters, k = {w.strands} and m = {rep.dim})", guard)
+           f"letters, k = {w.strands} and m = {rep.dim})")
     shared = None               # the one sequence of a one-pair table
     if rep._one_pair:           # colorings holds the constant ones at least
         shared = crossing_blocks(rep, w, colorings[0])
@@ -136,8 +135,7 @@ def module_invariant(rep: AlgebraRep, w: BraidWord,
     return ModuleInvariant(entries=tuple(sorted(entries)))
 
 
-def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
-                        guard: int = GUARD):
+def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None):
     """Quandle structure on G x X, X = rep.quandle:
     (a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y).
 
@@ -145,7 +143,7 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
     are formed once per module vector, and each cell adds two of them by a
     table of vector sums.  Returns (table, report, quandle-or-None); the
     quandle is built only when the axioms pass.  The size^3 axiom checks
-    must not exceed `guard`: checked before the table is built, this bound
+    must not exceed the guard: checked before the table is built, this bound
     also covers verify_axioms' full scan of a failing table.  kappa must be
     a 2-cochain with values in the rep's module (Z_N)^m.
     """
@@ -156,7 +154,7 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
                          f"(Z_{kappa.modulus})^{kappa.dim}")
     total = N ** m * q.size
     charge(total, f"axiom checks of an extension of size {power_text(total)}",
-           guard, 3)
+           3)
     vectors = list(itertools.product(range(N), repeat=m))
     vindex = {v: i for i, v in enumerate(vectors)}
     # sums[i][j] is the index of vectors[i] + vectors[j]
@@ -177,7 +175,7 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None,
                 # the cells (b, y) of row (a, x) sit at b * size + y
                 table[ai * size + x][y::size] = [sums[ea][tb] * size + xy
                                                  for tb in tau_b]
-    report = verify_axioms(table, guard)
+    report = verify_axioms(table)
     quandle = None
     if report:
         quandle = FiniteQuandle(tuple(tuple(r) for r in table),

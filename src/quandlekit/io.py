@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3)
-from .errors import GUARD, InputError, charge
+from .errors import InputError, charge
 from .homology import Cochain
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
@@ -129,10 +129,9 @@ def table_from_doc(doc: dict) -> list:
     return table
 
 
-def quandle_from_doc(doc: dict, label: str = "", guard: int = GUARD) -> FiniteQuandle:
-    """The quandle of a document; `guard` bounds the work of its axiom check."""
-    return quandle_from_table(table_from_doc(doc), label=doc.get("label", label),
-                              guard=guard)
+def quandle_from_doc(doc: dict, label: str = "") -> FiniteQuandle:
+    """The quandle of a document; the guard bounds the work of its axiom check."""
+    return quandle_from_table(table_from_doc(doc), label=doc.get("label", label))
 
 
 # shorthand name -> (constructor, number of integer arguments)
@@ -141,29 +140,28 @@ QUANDLE_SHORTHANDS = {"dihedral": (make_dihedral, 1),
                       "trivial": (make_trivial, 1)}
 
 
-def load_quandle(spec: str, guard: int = GUARD) -> FiniteQuandle:
+def load_quandle(spec: str) -> FiniteQuandle:
     """A quandle by shorthand (dihedral:3, alexander:5:2, trivial:4) or by
     JSON file path.  A shorthand's N x N table is refused, before it is
-    built, when its N^2 cells exceed `guard`; a JSON table's axiom check
-    is bounded by `guard` (see verify_axioms)."""
+    built, when its N^2 cells exceed the guard; a JSON table's axiom check
+    is bounded by the guard (see verify_axioms)."""
     kind, *args = spec.split(":")
     if kind not in QUANDLE_SHORTHANDS:
-        return quandle_from_doc(_load_json(spec), label=os.path.basename(spec),
-                                guard=guard)
+        return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
     make, arity = QUANDLE_SHORTHANDS[kind]
     if len(args) != arity:
         raise InputError(f"bad quandle shorthand {spec!r}")
     ints = _ints(spec, args)
     if ints[0] > 0:
-        charge(ints[0], f"table cells of {spec!r}", guard, 2)
+        charge(ints[0], f"table cells of {spec!r}", 2)
     return make(*ints)
 
 
-def load_table(spec: str, guard: int = GUARD) -> list:
+def load_table(spec: str) -> list:
     """The operation table of a quandle shorthand or JSON file, before its
     axioms are checked, so that a table failing them can be reported."""
     if spec.split(":")[0] in QUANDLE_SHORTHANDS:
-        return [list(r) for r in load_quandle(spec, guard).table]
+        return [list(r) for r in load_quandle(spec).table]
     return table_from_doc(_load_json(spec))
 
 
@@ -196,15 +194,16 @@ def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
 
 
 def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
-                 check: bool = True, guard: int = GUARD) -> AlgebraRep:
+                 check: bool = True) -> AlgebraRep:
     """A rep document on its 'quandle' or on `quandle`; both must agree if given.
-    With `check`, a rep that fails the relations raises CheckFailed.  `guard`
-    bounds the checks of the document's own quandle and of the relations."""
+    With `check`, a rep that fails the relations raises CheckFailed.  The
+    guard bounds the checks of the document's own quandle and of the
+    relations."""
     for key in ("modulus", "dim", "eta", "tau"):
         if key not in doc:
             raise InputError(f"rep document is missing {key!r}")
     if "quandle" in doc:
-        own = quandle_from_doc(doc["quandle"], guard=guard)
+        own = quandle_from_doc(doc["quandle"])
         _check_quandle(own, quandle, "rep document")
         quandle = quandle or own
     elif quandle is None:
@@ -216,7 +215,7 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
         raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
                          f"of {dim} x {dim} integer matrices")
     return make_rep(quandle, modulus, doc["eta"], doc["tau"],
-                    label=doc.get("label", ""), check=check, guard=guard)
+                    label=doc.get("label", ""), check=check)
 
 
 def _ints(spec: str, texts) -> list[int]:
@@ -227,20 +226,18 @@ def _ints(spec: str, texts) -> list[int]:
 
 
 def load_rep(spec: str, quandle: FiniteQuandle | None = None,
-             modulus: int | None = None, check: bool = True,
-             guard: int = GUARD) -> AlgebraRep:
+             modulus: int | None = None, check: bool = True) -> AlgebraRep:
     """A rep by shorthand or JSON file path: the one place a rep meets a quandle.
 
     alexander-rep:N:t and trivial-action[:N] (eta = I, tau = 0; N defaults to
     `modulus`) are built on `quandle`; conj-rep:perm3[:N] (R3 permuting
     coordinates, mod 3 by default) and JSON reps must live on it if it is given.
-    `check` and `guard` are passed to rep_from_doc for JSON reps.
+    `check` is passed to rep_from_doc for JSON reps.
     """
     parts = spec.split(":")
     kind = parts[0]
     if kind not in ("alexander-rep", "conj-rep", "trivial-action"):
-        return rep_from_doc(_load_json(spec), quandle=quandle, check=check,
-                            guard=guard)
+        return rep_from_doc(_load_json(spec), quandle=quandle, check=check)
     if kind != "conj-rep" and quandle is None:
         raise InputError(f"{kind} shorthand needs a quandle")
     if kind == "alexander-rep" and len(parts) == 3:

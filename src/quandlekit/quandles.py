@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GUARD, InputError, charge
+from .errors import InputError, charge
 from .groups import FiniteGroup
 
 
@@ -59,7 +59,7 @@ def generating_set(table) -> list[int]:
     return picks
 
 
-def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
+def verify_axioms(table) -> ValidationReport:
     """Check quandle axioms I-III; report the first violation of each.
 
     Axioms I and II are checked entry by entry.  Axiom III says that each
@@ -72,7 +72,7 @@ def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
     axiom II or some c in S fails, every pair (b, c) is composed and the
     failing pairs are scanned by a to report the first failing (a, b, c).
 
-    `guard` bounds the work: the n^2 cells before the generating set is
+    The guard bounds the work: the n^2 cells before the generating set is
     found, the |S| n^2 steps of its check, and the n^3 steps of the full
     scan before it starts; each refusal raises GuardExceeded."""
     n = len(table)
@@ -84,7 +84,7 @@ def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
                         and max(row) < n):
             e = next(e for e in row if type(e) is not int or not 0 <= e < n)
             raise InputError(f"table entry {e!r} is not an integer in 0..{n - 1}")
-    charge(n, f"table cells of a quandle of size {n}", guard, 2)
+    charge(n, f"table cells of a quandle of size {n}", 2)
     failures = []
     for a in range(n):
         if table[a][a] != a:
@@ -107,10 +107,10 @@ def verify_axioms(table, guard: int = GUARD) -> ValidationReport:
     if bijective:
         gens = generating_set(table)
         charge(len(gens) * n * n, f"steps of axiom III on {len(gens)} "
-               f"generators of a quandle of size {n}", guard)
+               f"generators of a quandle of size {n}")
         if all(homomorphism(b, c) for c in gens for b in range(n)):
             return ValidationReport(passed=not failures, failures=failures)
-    charge(n, f"steps of the axiom III scan of a table of size {n}", guard, 3)
+    charge(n, f"steps of the axiom III scan of a table of size {n}", 3)
     bad = [(b, c) for b in range(n) for c in range(n) if not homomorphism(b, c)]
     if bad:
         a, b, c = next((a, b, c) for a in range(n) for b, c in bad
@@ -163,12 +163,12 @@ class FiniteQuandle:
         return t
 
 
-def quandle_from_table(table, label: str = "", guard: int = GUARD) -> FiniteQuandle:
+def quandle_from_table(table, label: str = "") -> FiniteQuandle:
     """The quandle of a non-empty table that passes `verify_axioms`."""
     if not table:
         raise InputError("quandle table is empty: a quandle has at least one "
                          "element")
-    report = verify_axioms(table, guard)
+    report = verify_axioms(table)
     if not report:
         raise InputError("not a quandle: " + "; ".join(report.failures))
     return FiniteQuandle(table=tuple(tuple(row) for row in table), label=label)

@@ -24,7 +24,7 @@ from quandlekit.braids import (
     markov_moves,
     parse_braid,
 )
-from quandlekit.errors import GuardExceeded, InputError
+from quandlekit.errors import GuardExceeded, InputError, guarded
 from quandlekit.homology import ComplexConfig, _basis, boundary_matrix
 from quandlekit.linalg import mat_mul, mat_vec
 from quandlekit.groups import symmetric_group
@@ -277,8 +277,8 @@ def test_one_element_quandle_needs_no_search(monkeypatch):
 def test_coloring_guard_and_jobs():
     r3 = make_dihedral(3)
     w = braid_or_knot("3_1")
-    with pytest.raises(GuardExceeded):
-        colorings_of_closure(r3, w, guard=5)
+    with guarded(5), pytest.raises(GuardExceeded):
+        colorings_of_closure(r3, w)
 
 
 def test_search_propagations_bounded():

@@ -12,7 +12,7 @@ import quandlekit.homology as homology
 from quandlekit import io as qio
 from quandlekit.algebra import make_alexander_rep
 from quandlekit.cli import main
-from quandlekit.errors import GuardExceeded
+from quandlekit.errors import GuardExceeded, guarded
 from quandlekit.quandles import generating_set
 
 
@@ -829,9 +829,10 @@ def test_shorthand_tables_are_bounded_by_the_guard(capsys):
     assert "1000 generators" in capsys.readouterr().err
     with pytest.raises(GuardExceeded):
         qio.load_quandle("trivial:3163")
-    with pytest.raises(GuardExceeded):
-        qio.load_table("dihedral:5", guard=24)
-    assert len(qio.load_table("dihedral:5", guard=25)) == 5
+    with guarded(24), pytest.raises(GuardExceeded):
+        qio.load_table("dihedral:5")
+    with guarded(25):
+        assert len(qio.load_table("dihedral:5")) == 5
 
 
 def test_module_guard_bounds_the_colored_matrix(capsys):
@@ -1197,3 +1198,33 @@ def test_every_guard_has_one_message_form(capsys, guard_inputs, argv, what):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == f"guard exceeded: {what} exceed the guard of {argv[-1]}\n"
+
+
+def test_a_guard_holds_for_its_own_command_only(capsys):
+    """main sets --guard for one command: in-process calls, as the bench
+    worker makes them, find the default bound again after a refusal."""
+    assert main(["check", "quandle", "dihedral:9", "--guard", "161"]) == 3
+    assert capsys.readouterr().err == (
+        "guard exceeded: 162 steps of axiom III on 2 generators of a quandle "
+        "of size 9 exceed the guard of 161\n")
+    assert main(["check", "quandle", "dihedral:9"]) == 0
+    assert main(["check", "quandle", "dihedral:9", "--guard", "162"]) == 0
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("alexander", []),
+    ("module", ["--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"]),
+    ("cocycle", ["--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
+                 "--cocycle", "zero"]),
+])
+def test_knot_and_braid_together_exit_2(capsys, kind, options):
+    """--knot and --braid each take a knot name or braid text, so one alone
+    runs, and both together are refused rather than one silently dropped."""
+    for flag in ("--knot", "--braid"):
+        for word in ("3_1", "k=3; 1 -2 1 -2"):
+            assert main(["invariant", kind, *options, flag, word]) == 0
+    capsys.readouterr()
+    assert main(["invariant", kind, *options, "--knot", "3_1",
+                 "--braid", "k=3; 1 -2 1 -2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: give --knot or --braid, not both\n"

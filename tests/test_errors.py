@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.errors import GuardExceeded, charge, power_text
+from quandlekit.errors import GUARD, GuardExceeded, charge, guarded, power_text
 
 GUARDS = sorted({-1, 0, 1, 10 ** 7} | {2 ** j + d for j in range(1, 65)
                                       for d in (-1, 0, 1)})
@@ -15,10 +15,36 @@ def test_charge_refuses_exactly_past_the_guard(base, exp, guard):
     it forms no power past exp = guard.bit_length() + 1, and says so in one
     form."""
     if base ** exp > guard:
-        with pytest.raises(GuardExceeded) as refused:
-            charge(base, "widgets", guard, exp)
+        with guarded(guard), pytest.raises(GuardExceeded) as refused:
+            charge(base, "widgets", exp)
         assert str(refused.value) == (f"{power_text(base, exp)} widgets exceed "
                                       f"the guard of {guard}")
     else:
-        charge(base, "widgets", guard, exp)
+        with guarded(guard):
+            charge(base, "widgets", exp)
 
+
+def test_outside_any_block_charge_is_held_to_GUARD():
+    charge(GUARD, "widgets")
+    with pytest.raises(GuardExceeded, match=f"^{GUARD + 1} widgets exceed the "
+                                            f"guard of {GUARD}$"):
+        charge(GUARD + 1, "widgets")
+
+
+def test_nested_blocks_restore_the_outer_bound():
+    with guarded(10):
+        with guarded(100):
+            charge(100, "widgets")
+        with pytest.raises(GuardExceeded, match="11 widgets exceed the guard of 10$"):
+            charge(11, "widgets")
+        charge(10, "widgets")
+    charge(GUARD, "widgets")
+
+
+def test_a_refusal_inside_a_block_restores_the_bound():
+    with pytest.raises(GuardExceeded, match="2 widgets exceed the guard of 1$"):
+        with guarded(1):
+            charge(2, "widgets")
+    charge(GUARD, "widgets")
+    with pytest.raises(GuardExceeded, match=f"guard of {GUARD}$"):
+        charge(GUARD + 1, "widgets")

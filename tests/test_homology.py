@@ -14,7 +14,7 @@ from quandlekit.algebra import (
     permutation_rep_r3,
     regular_group_rep,
 )
-from quandlekit.errors import GuardExceeded, InputError
+from quandlekit.errors import GuardExceeded, InputError, guarded
 from quandlekit.groups import cyclic_group
 from quandlekit import homology
 from quandlekit.homology import (
@@ -376,17 +376,21 @@ def test_boundary_matrix_is_the_block_transpose_of_delta():
 
 
 def test_cocycle_checks_guard_their_boundary_tuples():
-    """is_cocycle_2 and is_cocycle_3 refuse more than `guard` of the
+    """is_cocycle_2 and is_cocycle_3 refuse more than the guard of the
     size^(degree + 1) boundary tuples, after the degree check."""
     cfg = ComplexConfig(rep=make_conj_rep(permutation_rep_r3(3)))
     zero2, zero3 = Cochain(2, 3, 3, {}), Cochain(3, 3, 3, {})
-    assert is_cocycle_2(cfg, zero2, guard=27) and is_cocycle_3(cfg, zero3, guard=81)
-    with pytest.raises(GuardExceeded, match="27 boundary tuples exceed the guard of 26"):
-        is_cocycle_2(cfg, zero2, guard=26)
-    with pytest.raises(GuardExceeded, match="81 boundary tuples"):
-        is_cocycle_3(cfg, zero3, guard=80)
-    with pytest.raises(InputError, match="degree-3"):
-        is_cocycle_3(cfg, zero2, guard=0)
+    with guarded(27):
+        assert is_cocycle_2(cfg, zero2)
+    with guarded(81):
+        assert is_cocycle_3(cfg, zero3)
+    with guarded(26), pytest.raises(GuardExceeded,
+                                    match="27 boundary tuples exceed the guard of 26"):
+        is_cocycle_2(cfg, zero2)
+    with guarded(80), pytest.raises(GuardExceeded, match="81 boundary tuples"):
+        is_cocycle_3(cfg, zero3)
+    with guarded(0), pytest.raises(InputError, match="degree-3"):
+        is_cocycle_3(cfg, zero2)
 
 
 def test_basis_size_counts_the_basis():
@@ -627,3 +631,18 @@ def test_rack_cohomology_of_r3_mod_3_exceeds_the_orbit_count():
     assert (_inner_order(q), _orbits(q)) == (6, 1)
     cfg = ComplexConfig(rep=make_alexander_rep(q, 3, 1), variant="rack")
     assert [cohomology(cfg, d) for d in range(4)] == [[3], [3], [3], [3, 3]]
+
+
+def test_wada_rep_relation_check_is_held_to_the_guard():
+    """make_wada_rep checks its tables within the guard: Core(Z3)'s 27
+    relation triples, then 1053 steps of the relations on its 2 generators."""
+    with guarded(26), pytest.raises(GuardExceeded,
+                                    match="^27 relation triples exceed the guard of 26$"):
+        core_z3_wada_rep()
+    with guarded(1052), pytest.raises(
+            GuardExceeded, match=r"^1053 steps of the relations at 2 of 3 elements z "
+                                 r"\(3 distinct eta among 6 distinct 3 x 3 matrices\) "
+                                 r"exceed the guard of 1052$"):
+        core_z3_wada_rep()
+    with guarded(1053):
+        assert core_z3_wada_rep().dim == 3

@@ -17,7 +17,7 @@ from quandlekit.algebra import (
 from quandlekit.braids import (BraidWord, braid_or_knot, colored_matrix,
                                colorings_of_closure, crossing_blocks,
                                markov_moves)
-from quandlekit.errors import CheckFailed, GuardExceeded, InputError
+from quandlekit.errors import CheckFailed, GuardExceeded, InputError, guarded
 from quandlekit.homology import (
     Cochain,
     ComplexConfig,
@@ -525,17 +525,18 @@ def test_dynamical_extension_needs_a_2_cochain_on_the_rep():
 def test_dynamical_extension_guard():
     q = make_dihedral(3)
     rep = make_alexander_rep(q, 5, mat_scale(2, identity(3), 5))
-    with pytest.raises(GuardExceeded):
-        dynamical_extension(rep, guard=100)
+    with guarded(100), pytest.raises(GuardExceeded):
+        dynamical_extension(rep)
 
 
 def test_dynamical_extension_guard_bounds_axiom_checks():
     """The guard bounds the size^3 axiom checks, not the size: a 15-element
     extension needs 3375 checks."""
     rep = make_alexander_rep(make_dihedral(5), 3, 2)
-    with pytest.raises(GuardExceeded):
-        dynamical_extension(rep, guard=1000)
-    table, _, _ = dynamical_extension(rep, guard=15 ** 3)
+    with guarded(1000), pytest.raises(GuardExceeded):
+        dynamical_extension(rep)
+    with guarded(15 ** 3):
+        table, _, _ = dynamical_extension(rep)
     assert len(table) == 15
 
 
@@ -558,3 +559,14 @@ def test_multiset_containment():
     c = InvariantMultiset(entries=((0, 0),), modulus=5, dim=2)
     with pytest.raises(InputError):
         multiset_contained(a, c)
+
+
+def test_boltzmann_weight_cocycle_check_is_held_to_the_guard():
+    """boltzmann_weight's cocycle check counts the 27 boundary tuples of R3."""
+    rep, w = load_rep("conj-rep:perm3"), braid_or_knot("3_1")
+    zero = Cochain(2, 3, 3, {})
+    with guarded(26), pytest.raises(GuardExceeded,
+                                    match="^27 boundary tuples exceed the guard of 26$"):
+        boltzmann_weight(rep, zero, w, (0, 0), 0)
+    with guarded(27):
+        assert boltzmann_weight(rep, zero, w, (0, 0), 0) == [0, 0, 0]

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from quandlekit.errors import GuardExceeded, InputError
+from quandlekit.errors import GuardExceeded, InputError, guarded
 from quandlekit.groups import cyclic_group, dihedral_group, small_groups, symmetric_group
 from quandlekit.quandles import (
     FiniteQuandle,
@@ -96,19 +96,23 @@ def test_verify_axioms_guard_bounds_its_work():
     the full scan.  R9 has 81 cells and 2 generators; swapping two entries
     of a column keeps axiom II and breaks axiom III."""
     r9 = [list(r) for r in make_dihedral(9).table]
-    with pytest.raises(GuardExceeded, match="81 table cells"):
-        verify_axioms(r9, guard=80)
-    with pytest.raises(GuardExceeded, match="162 steps of axiom III on 2 generators"):
-        verify_axioms(r9, guard=161)
-    assert verify_axioms(r9, guard=162).passed
+    with guarded(80), pytest.raises(GuardExceeded, match="81 table cells"):
+        verify_axioms(r9)
+    with guarded(161), pytest.raises(GuardExceeded,
+                                     match="162 steps of axiom III on 2 generators"):
+        verify_axioms(r9)
+    with guarded(162):
+        assert verify_axioms(r9).passed
     r9[1][0], r9[2][0] = r9[2][0], r9[1][0]
-    with pytest.raises(GuardExceeded, match="729 steps"):
-        verify_axioms(r9, guard=728)
-    assert verify_axioms(r9, guard=729).failures == [
-        "axiom III fails at (a,b,c)=(0,1,0): (0*1)*0 != (0*0)*(1*0)"]
+    with guarded(728), pytest.raises(GuardExceeded, match="729 steps"):
+        verify_axioms(r9)
+    with guarded(729):
+        assert verify_axioms(r9).failures == [
+            "axiom III fails at (a,b,c)=(0,1,0): (0*1)*0 != (0*0)*(1*0)"]
     t4 = [list(r) for r in make_trivial(4).table]
-    with pytest.raises(GuardExceeded, match="64 steps of axiom III on 4 generators"):
-        verify_axioms(t4, guard=63)
+    with guarded(63), pytest.raises(GuardExceeded,
+                                    match="64 steps of axiom III on 4 generators"):
+        verify_axioms(t4)
 
 
 def test_inv_op_is_inverse():

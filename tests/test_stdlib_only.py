@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every module under
-src/quandlekit imports only the standard library and quandlekit itself."""
+src/quandlekit imports only the standard library and quandlekit itself.
+No linter is a dependency either, so the unused-import check is here too."""
 
 import ast
 import sys
@@ -22,3 +23,23 @@ def test_package_imports_only_stdlib():
                         if name.split(".")[0] not in sys.stdlib_module_names
                         and name.split(".")[0] != "quandlekit"]
     assert not foreign
+
+
+def test_every_imported_name_is_read():
+    """Each name a package module imports, outside __init__.py (which
+    re-exports) and __future__, is read somewhere in that module."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unread
