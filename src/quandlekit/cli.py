@@ -12,11 +12,12 @@ cochain not of degree 2, or an --out path that cannot be written exits 2.
 any rep at the boundary tuples whose last entry is in the quandle's
 generating set, which is enough (the generator rule of `homology`).  Other
 degrees exit 2, as do a --degree that disagrees with the cochain file and a
-negative `homology` degree.  `search` takes any modulus N and lists
+`homology` degree outside 0-3.  `search` takes any modulus N and lists
 generators of the cocycles over Z_N, with N under the key "prime" and their
-number under "dimension"; for prime N they are a basis.  The elimination
-picks its pivots by sparsity, so for composite N the generators may differ
-from those of earlier versions, with the same number and span.
+number under "dimension"; for prime N they are a basis.  For every N the
+elimination takes delta's rows at the tuples ending in the generating set
+and picks its pivots by sparsity, so for composite N the generators may
+differ from those of earlier versions, with the same number and span.
 
 --guard bounds the work of each command, stage by stage, through
 `errors.charge` (README.md's `--guard` table gives each count).  `main`

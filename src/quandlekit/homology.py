@@ -31,8 +31,8 @@ so holds the subquandle S generates, which is X.  In the quandle complex
 delta kappa of a degenerate-free kappa is the rack one, which vanishes on
 the degenerate tuples, and x -> x*b keeps them apart.  So the kernel of
 delta^n is the kernel of its rows at the tuples ending in S, an |S|/|X|
-slice of them: `cohomology`, `cocycle_space` over a prime and the cocycle
-checks build or walk only those, which `_tuples` lists given last = S.
+slice of them: `cohomology`, `cocycle_space` and the cocycle checks build
+or walk only those, which `_tuples` lists given last = S.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import GuardExceeded, InputError, charge
-from .linalg import (Matrix, _ker_mod_im, _kernel_by_column, _probable_prime,
-                     identity)
+from .errors import InputError, charge
+from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
 from .quandles import generating_set
 
-SIZE_GUARD = 6
-DEGREE_GUARD = 3
+MAX_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,14 @@ class Cochain:
     def is_degenerate_free(self) -> bool:
         return all(not any(x % self.modulus for x in v)
                    for k, v in self.values.items() if _degenerate(k))
+
+
+def _require_module(rep: AlgebraRep, kappa: Cochain) -> None:
+    """Refuse, with InputError, a cochain whose values do not lie in the
+    rep's module (Z_N)^m."""
+    if (kappa.modulus, kappa.dim) != (rep.modulus, rep.dim):
+        raise InputError(f"the cochain takes values in (Z_{kappa.modulus})^"
+                         f"{kappa.dim}, not in the rep's (Z_{rep.modulus})^{rep.dim}")
 
 
 def _degenerate(key) -> bool:
@@ -218,7 +224,9 @@ def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
     evaluated on each (degree + 1)-tuple of _basis from the signed boundary
     terms: (delta kappa)(t) = sum sign * block kappa(target); no matrix is
     built.  The degenerate tuples form a subcomplex, so delta of a
-    degenerate-free kappa vanishes on the tuples the quandle complex skips."""
+    degenerate-free kappa vanishes on the tuples the quandle complex skips.
+    kappa must take values in the rep's module."""
+    _require_module(cfg.rep, kappa)
     values = _coboundary_values(cfg, kappa, _tuples(cfg, kappa.degree + 1))
     return Cochain(degree=kappa.degree + 1, modulus=cfg.rep.modulus,
                    dim=cfg.rep.dim, values=dict(values))
@@ -245,10 +253,12 @@ def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
 def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int) -> bool:
     """delta kappa = 0, checked on the (degree + 1)-tuples of the complex
     that end in the generating set S (the generator rule in the module
-    docstring) and stopped at the first that fails; the size^(degree + 1)
-    tuples of the rack complex must not exceed the guard."""
+    docstring) and stopped at the first that fails; kappa must take values
+    in the rep's module, and the size^(degree + 1) tuples of the rack
+    complex must not exceed the guard."""
     if kappa.degree != degree:
         raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
+    _require_module(cfg.rep, kappa)
     charge(cfg.rep.quandle.size, "boundary tuples", degree + 1)
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
@@ -272,21 +282,21 @@ def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain) -> bool:
 
 
 def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
-    """Generators of the group of degree-2 or degree-3 cocycles over Z_N:
-    the kernel of delta, an echelon basis when N is prime, read back as
-    cochains through one listing of the basis.  Over a prime, delta's rows
-    at the tuples ending in the generating set S have the same kernel (the
-    generator rule in the module docstring) and so the same echelon basis,
-    and only they are built; over a composite N the generators depend on
-    the rows eliminated, and every row is built.  The cells of the chosen
-    complex's delta must not exceed the guard."""
+    """Generators of the group of degree-2 or degree-3 cocycles over Z_N: the
+    kernel of delta's rows at the tuples ending in the generating set S,
+    the kernel of the whole delta (the generator rule in the module
+    docstring), read back as cochains through one listing of the basis.
+    Over Z/p^e both row sets span one module, with the RREF pivots mod p as
+    unit pivots, so over any N there are as many generators as the whole
+    delta gives, with its span, and its echelon basis when N is prime.  The
+    cells of the chosen complex's delta must not exceed the guard."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
            * cfg.rep.dim ** 2, "coboundary cells")
     basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
-    last = generating_set(cfg.rep.quandle.table) if _probable_prime(N) else None
-    kernel = _kernel_by_column(_assemble(cfg, degree, last), len(basis) * m, N)
+    rows = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
+    kernel = _kernel_by_column(rows, len(basis) * m, N)
     return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel if any(vec)]
 
 
@@ -306,13 +316,11 @@ def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     each Z/p^e in N, merged by CRT: on the whole of delta^{degree-1}, and on
     the rows of delta^degree at the tuples ending in the generating set S,
     which have its kernel (the generator rule in the module docstring).
-    The cells of the chosen complex's delta^degree must not exceed the guard."""
-    if degree < 0:
-        raise InputError(f"cohomology degree {degree} is negative")
-    if degree > DEGREE_GUARD:
-        raise GuardExceeded(f"cohomology degree capped at {DEGREE_GUARD}")
-    if cfg.rep.quandle.size > SIZE_GUARD:
-        raise GuardExceeded(f"cohomology quandle size capped at {SIZE_GUARD}")
+    Degrees 0 to MAX_DEGREE, on a quandle of any size; the cells of the
+    chosen complex's delta^degree must not exceed the guard."""
+    if not 0 <= degree <= MAX_DEGREE:
+        raise InputError(f"cohomology supports degrees 0 to {MAX_DEGREE}, "
+                         f"got {degree}")
     charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
            * cfg.rep.dim ** 2, "coboundary cells")
     down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim

@@ -29,7 +29,7 @@ from .algebra import AlgebraRep
 from .braids import (BraidWord, colored_matrix, colorings_of_closure,
                      crossing_blocks, crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
-from .homology import Cochain, ComplexConfig, is_cocycle_2
+from .homology import Cochain, ComplexConfig, _require_module, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
 
@@ -59,7 +59,9 @@ def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
 
 def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
                      crossing: int, check: bool = True) -> list[int]:
-    """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word."""
+    """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word;
+    kappa must take values in the rep's module."""
+    _require_module(rep, kappa)
     if check:
         _require_cocycle(rep, kappa)
     data = crossing_data(rep, w, coloring)
@@ -88,8 +90,10 @@ def _pairing(rep: AlgebraRep, kappa: Cochain, data,
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                       check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle.
-    The size^3 cocycle check and the |X|^k candidate colorings must not
+    kappa must take values in the rep's module, also when check is False;
+    the size^3 cocycle check and the |X|^k candidate colorings must not
     exceed the guard."""
+    _require_module(rep, kappa)
     if check:
         _require_cocycle(rep, kappa)
     entries = []

@@ -437,6 +437,31 @@ def test_homology_rack_degree_3_finishes(capsys):
     assert json.loads(out)["invariant_factors"] == []
 
 
+def test_homology_is_bounded_by_its_cells_and_its_degrees(capsys):
+    """`homology` takes a quandle of any size within the coboundary-cells
+    guard, as `search` does: H^3_Q(R7; Z7) = Z7, while R12's 23,191,344
+    cells exit 3.  A degree outside 0-3 exits 2."""
+    code, out = run(capsys, "homology", "3", "--quandle", "dihedral:7",
+                    "--rep", "trivial-action:7")
+    assert code == 0 and json.loads(out)["invariant_factors"] == [7]
+    assert main(["homology", "3", "--quandle", "dihedral:12",
+                 "--rep", "alexander-rep:3:2"]) == 3
+    assert capsys.readouterr().err == ("guard exceeded: 23191344 coboundary "
+                                       "cells exceed the guard of 10000000\n")
+    for degree in ("4", "-1"):
+        assert main(["homology", degree, "--quandle", "dihedral:3",
+                     "--rep", "alexander-rep:3:2"]) == 2
+        assert capsys.readouterr().err == (f"input error: cohomology supports "
+                                           f"degrees 0 to 3, got {degree}\n")
+
+
+def test_search_over_a_composite_modulus_keeps_its_dimension(capsys):
+    """Every modulus eliminates the rows at the tuples ending in the
+    generating set; over Z_8 the generators changed, their number did not."""
+    code, out = run(capsys, "search", "2", "dihedral:4", "alexander-rep:8:3", "8")
+    assert code == 0 and json.loads(out)["dimension"] == 6
+
+
 def test_extend_command(capsys):
     code, out = run(capsys, "extend", "--quandle", "trivial:2",
                     "--rep", "trivial-action:2")

@@ -96,6 +96,32 @@ def test_is_cocycle_2_matches_matrix_dual():
         assert is_cocycle_2(cfg, kappa) == matrix_says
 
 
+def test_a_cochain_labelled_with_another_modulus_is_refused():
+    """A cocycle's values labelled mod 5 on a rep mod 3 once passed
+    is_cocycle_2, which read them mod 3; the checks and coboundary refuse a
+    cochain outside the rep's module."""
+    cfg = ComplexConfig(rep=make_conj_rep(permutation_rep_r3(3)))
+    kappa = cocycle_space(cfg, 2)[0]
+    assert is_cocycle_2(cfg, kappa)
+    other = Cochain(2, 5, 3, kappa.values)
+    for call in (is_cocycle_2, coboundary):
+        with pytest.raises(InputError, match=r"^the cochain takes values in "
+                                             r"\(Z_5\)\^3, not in the rep's \(Z_3\)\^3$"):
+            call(cfg, other)
+
+
+def test_a_cochain_of_another_dimension_is_refused():
+    """A dimension-1 cochain on the dimension-3 conj-rep once made
+    is_cocycle_2 die with an IndexError."""
+    cfg = ComplexConfig(rep=make_conj_rep(permutation_rep_r3(3)))
+    narrow = Cochain(2, 3, 1, {(0, 1): [1], (1, 2): [2]})
+    for call in (is_cocycle_2, coboundary):
+        with pytest.raises(InputError, match=r"\(Z_3\)\^1, not in the rep's \(Z_3\)\^3$"):
+            call(cfg, narrow)
+    with pytest.raises(InputError):
+        is_cocycle_3(cfg, Cochain(3, 3, 1, {}))
+
+
 def test_quandle_variant_requires_diagonal_zero():
     rep = make_alexander_rep(make_trivial(2), 2, 1)
     kappa = Cochain(2, 2, 1, {(0, 0): [1]})
@@ -207,13 +233,29 @@ def test_quandle_coboundary_is_the_rack_one_on_degenerate_free_cochains(
     assert not any(_degenerate(k) for k in rack.values)
 
 
+def _span_order(vectors, n, length):
+    """|span| of vectors of `length` entries over Z_n: n^length over the
+    order of the cokernel of the matrix whose columns they are."""
+    cols = [list(r) for r in zip(*vectors)] if vectors else [[]] * length
+    return n ** length // math.prod(cokernel_mod(cols, n))
+
+
+def _same_span(a, b, n):
+    """|span a| = |span b| = |span (a and b)|, so a and b span one group."""
+    length = len(a[0]) if a else len(b[0]) if b else 0
+    return (_span_order(a, n, length) == _span_order(b, n, length)
+            == _span_order(a + b, n, length))
+
+
 @pytest.mark.parametrize("variant", ["quandle", "rack"])
 def test_sparse_delta_gives_what_the_dense_matrices_give(variant):
     """cohomology and cocycle_space hand delta's sparse rows to the
     elimination; the dense coboundary_matrix through the public ker_mod_im
     and kernel_mod gives the same, for degrees 0-3 over prime and composite
-    moduli.  On trivial:1 the quandle complex has no tuples from degree 2
-    on, and trivial-action (eta = I, tau = 0) has delta^0 = 0."""
+    moduli: the same cocycle generators over a prime, and over a composite
+    N as many generators with the same span.  On trivial:1 the quandle
+    complex has no tuples from degree 2 on, and trivial-action (eta = I,
+    tau = 0) has delta^0 = 0."""
     trivial1 = make_alexander_rep(make_trivial(1), 5, 2)
     action = make_alexander_rep(make_dihedral(3), 5, 1)
     reps = _DELTA_REPS + [trivial1, make_alexander_rep(make_trivial(1), 6, 1),
@@ -225,8 +267,13 @@ def test_sparse_delta_gives_what_the_dense_matrices_give(variant):
             up, down = _deltas(cfg, degree)
             assert cohomology(cfg, degree) == ker_mod_im(up, down, n), where
             if degree >= 2:
-                assert [cochain_to_vector(cfg, k) for k in cocycle_space(cfg, degree)] \
-                    == kernel_mod(up, n), where
+                gens = [cochain_to_vector(cfg, k) for k in cocycle_space(cfg, degree)]
+                whole = kernel_mod(up, n)
+                if _probable_prime(n):
+                    assert gens == whole, where
+                else:
+                    assert len(gens) == len(whole), where
+                    assert _same_span(gens, whole, n), where
     empty = coboundary_matrix(ComplexConfig(rep=trivial1, variant=variant), 2)
     assert (empty == []) == (variant == "quandle")
     zero = coboundary_matrix(ComplexConfig(rep=action, variant=variant), 0)
@@ -275,7 +322,7 @@ def test_delta_has_its_kernel_at_the_tuples_ending_in_a_generating_set(data):
 
     if (cfg, degree) not in _RULE_COCYCLES:
         down = _assemble(cfg, degree - 1) if degree else [{}] * m
-        with mock.patch.multiple(homology, SIZE_GUARD=q.size, DEGREE_GUARD=degree):
+        with mock.patch.multiple(homology, MAX_DEGREE=degree):
             assert cohomology(cfg, degree) == _ker_mod_im(
                 _assemble(cfg, degree), down, n), where
         cocycles = cocycle_space(cfg, degree) if degree in (2, 3) else []
@@ -567,12 +614,61 @@ def test_cocycle_space_generates_the_cocycles_over_composite_moduli(variant):
 
 
 def test_cohomology_guards():
+    """The coboundary cells are the one bound, one step either side of the
+    381,024 cells of R7's degree-3 delta; a degree outside 0-3 is an input
+    error."""
     rep = make_alexander_rep(make_dihedral(7), 3, 2)
-    with pytest.raises(GuardExceeded):
-        cohomology(ComplexConfig(rep=rep), 2)
+    with guarded(381023), pytest.raises(
+            GuardExceeded, match="^381024 coboundary cells exceed the guard of 381023$"):
+        cohomology(ComplexConfig(rep=rep), 3)
+    with guarded(381024):
+        assert cohomology(ComplexConfig(rep=rep), 3) == []
     rep2 = make_alexander_rep(make_dihedral(3), 3, 2)
-    with pytest.raises(GuardExceeded):
-        cohomology(ComplexConfig(rep=rep2), 4)
+    for degree in (4, -1):
+        with pytest.raises(InputError, match=f"^cohomology supports degrees 0 to 3, "
+                                             f"got {degree}$"):
+            cohomology(ComplexConfig(rep=rep2), degree)
+
+
+def test_cohomology_of_quandles_past_six_elements():
+    """H^3 with trivial coefficients on quandles of more than 6 elements,
+    bounded by the coboundary cells alone: H^3_Q(R7; Z7) = Z7 (Mochizuki,
+    J. Pure Appl. Algebra 179, 2003), [7, 7] in the rack complex, and
+    H^3_Q(R9; Z3) = Z3."""
+    r7 = make_alexander_rep(make_dihedral(7), 7, 1)
+    assert cohomology(ComplexConfig(rep=r7), 3) == [7]
+    assert cohomology(ComplexConfig(rep=r7, variant="rack"), 3) == [7, 7]
+    r9 = make_alexander_rep(make_dihedral(9), 3, 1)
+    assert cohomology(ComplexConfig(rep=r9), 3) == [3]
+
+
+# quandles of 2 to 5 elements, and composite moduli with two primes or one
+_SPAN_QUANDLES = [make_dihedral(3), make_dihedral(4), make_dihedral(5),
+                  make_alexander(5, 2), make_trivial(2), make_trivial(3)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_SPAN_QUANDLES), st.sampled_from((4, 6, 8, 9, 12, 25)),
+       st.sampled_from(("quandle", "rack")), st.integers(2, 3), st.data())
+def test_cocycle_space_over_a_composite_modulus_has_the_whole_deltas_count_and_span(
+        q, n, variant, degree, data):
+    """Over a composite N, cocycle_space eliminates only delta's rows at the
+    tuples ending in the generating set, and gives as many generators as
+    the whole delta does, with the same span: Alexander-type reps of
+    dimension 1, of dimension 2 on at most 4 elements, and conj-rep perm3
+    on R3."""
+    units = [t for t in range(1, n) if math.gcd(t, n) == 1]
+    if q.size <= 4:
+        units += [[[1, 1], [0, 1]], [[0, 1], [1, 1]]]
+    if q.label == "R3" and data.draw(st.booleans()):
+        rep = make_conj_rep(permutation_rep_r3(n))
+    else:
+        rep = make_alexander_rep(q, n, data.draw(st.sampled_from(units)))
+    cfg = ComplexConfig(rep=rep, variant=variant)
+    gens = [cochain_to_vector(cfg, k) for k in cocycle_space(cfg, degree)]
+    whole = kernel_mod(coboundary_matrix(cfg, degree), n)
+    assert len(gens) == len(whole)
+    assert _same_span(gens, whole, n)
 
 
 def test_bad_variant_rejected():

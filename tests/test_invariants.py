@@ -468,6 +468,20 @@ def test_cocycle_invariant_needs_rho_before_cocycle_check(monkeypatch):
         boltzmann_weight(rep, kappa, w, (0, 0), 0)
 
 
+def test_a_cochain_outside_the_reps_module_is_refused_without_the_check():
+    """cocycle_invariant with check=False once summed a dimension-1 cochain
+    on the dimension-3 conj-rep into entries; it and boltzmann_weight refuse
+    a cochain outside the rep's module, checked or not."""
+    rep = make_conj_rep(permutation_rep_r3(3))
+    narrow = Cochain(2, 3, 1, {(0, 1): [1], (1, 2): [2]})
+    w = braid_or_knot("3_1")
+    for check in (False, True):
+        with pytest.raises(InputError, match=r"\(Z_3\)\^1, not in the rep's \(Z_3\)\^3$"):
+            cocycle_invariant(rep, narrow, w, check=check)
+        with pytest.raises(InputError, match=r"\(Z_3\)\^1, not in the rep's \(Z_3\)\^3$"):
+            boltzmann_weight(rep, narrow, w, (0, 1), 0, check=check)
+
+
 def test_boltzmann_weight_sums_to_invariant_entry():
     rep, kappa = nontrivial_kappa()
     r3 = make_dihedral(3)
