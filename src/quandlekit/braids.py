@@ -13,12 +13,12 @@ sign to tell which strand passes under: given an operation and its inverse,
 it walks per-position values down the word and hands out each crossing once,
 as (letter, p, x, y), p the left position and (x, y) the source pair, (u, v)
 at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
-(`_walk`, for `act`, `crossing_data` and `crossing_blocks`, which numbers
-each crossing's block pair, (eta, tau)[x][y] or its inverse pair), linear
-forms (`_burau_rows`, over Z_n for the colorings and over Z[t^+-1] for
-`fox.alexander_polynomial`), row blocks (`colored_matrix`) and arc ids
-(`closure_arcs`, whose (over, src, tgt) triples stand for the Wirtinger
-relators that `fox.twisted_matrix` reads).
+(`_walk`, for `act`, `crossing_data`, `invariants.cocycle_invariant` and
+`crossing_blocks`, which numbers each crossing's block pair, (eta, tau)[x][y]
+or its inverse pair), linear forms (`_burau_rows`, over Z_n for the
+colorings and over Z[t^+-1] for `fox.alexander_polynomial`), row blocks
+(`colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
+triples stand for the Wirtinger relators that `fox.twisted_matrix` reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
@@ -279,8 +279,8 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]
     forms through the word.  When |X| = 1 the one coloring is the all-zero
     vector, so neither route is taken; the guard then bounds its k entries
     at each of the letters + 1 heights of the word, which is what
-    `crossing_data` and `colored_matrix` touch when they walk it through the
-    word."""
+    `crossing_data`, `invariants.cocycle_invariant` and `colored_matrix`
+    touch when they walk it through the word."""
     strands, letters = power_text(w.strands), len(w.letters)
     charge(q.size, "candidate colorings", w.strands)
     if q.size == 1:
@@ -445,31 +445,50 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     return out
 
 
-def crossing_data(rep: AlgebraRep, w: BraidWord, coloring, paths=None):
-    """Per-crossing data (sign, path action, source color pair) for a closure
-    coloring, in letter order.
-
-    The path action is the ordered product of rho over the strand colors to
-    the right of the crossing, outermost strand first; needs a conj-type rep.
-    `paths`, a dict the caller may share between colorings of one rep,
-    remembers each path action by that tuple of colors.
-    """
-    N = rep.modulus
+def _require_conj_type(rep: AlgebraRep) -> None:
     if not rep.is_conj_type:
         raise InputError("diagram chains need a conjugation-type rep")
-    if paths is None:
-        paths = {}
+
+
+def _path_action(rep: AlgebraRep, right: tuple, paths: dict) -> Matrix:
+    """The path action of a crossing whose right-hand strands carry the
+    colors `right`, c_(p+2) .. c_(k-1): rho(c_(k-1)) ... rho(c_(p+2)) mod N,
+    the outermost strand first, which is the path action of right[1:] times
+    rho(right[0]).  `paths` remembers each action by its tuple and must hold
+    () -> identity.  A new tuple whose one-shorter suffix is remembered costs
+    one product; any other is multiplied up from the identity, one product
+    per color.  Only the tuples asked for are remembered: remembering every
+    suffix as well would cost k^2 / 2 colors for a right of k colors, and
+    over a one-element quandle the guard lets k run into the millions."""
+    path = paths.get(right)
+    if path is None:
+        rest = paths.get(right[1:])
+        if rest is None:
+            path = paths[()]
+            for c in reversed(right):
+                path = mat_mul(path, rep.rho[c], rep.modulus)
+        else:
+            path = mat_mul(rest, rep.rho[right[0]], rep.modulus)
+        paths[right] = path
+    return path
+
+
+def crossing_data(rep: AlgebraRep, w: BraidWord, coloring):
+    """Per-crossing data (sign, path action, source color pair) for a closure
+    coloring, in letter order, from one walk of `_walk`.
+
+    The path action is the ordered product of rho over the strand colors to
+    the right of the crossing, outermost strand first, remembered by that
+    tuple of colors for the walk and built by `_path_action`, as
+    `invariants.cocycle_invariant` builds its own; needs a conj-type rep.
+    """
+    _require_conj_type(rep)
+    paths = {(): identity(rep.dim)}
     cur = list(coloring)
     out = []
     for e, p, x, y in _walk(rep.quandle, w, cur):
-        right = tuple(cur[p + 2:])
-        path = paths.get(right)
-        if path is None:
-            path = identity(rep.dim)
-            for c in reversed(right):
-                path = mat_mul(path, rep.rho[c], N)
-            paths[right] = path
-        out.append((1 if e > 0 else -1, path, x, y))
+        out.append((1 if e > 0 else -1,
+                    _path_action(rep, tuple(cur[p + 2:]), paths), x, y))
     if tuple(cur) != tuple(coloring):
         raise InputError("coloring is not fixed by the braid word")
     return out
@@ -478,7 +497,7 @@ def crossing_data(rep: AlgebraRep, w: BraidWord, coloring, paths=None):
 def diagram_two_chain(rep: AlgebraRep, w: BraidWord, coloring) -> dict:
     """The operator-coefficient 2-chain of the colored closed-braid diagram:
     a map (x, y) -> m x m integer matrix mod N accumulating eps * path_action
-    over the crossings with source color pair (x, y)."""
+    over the crossings with source color pair (x, y), from `crossing_data`."""
     N, m = rep.modulus, rep.dim
     chain: dict = {}
     for eps, path, x, y in crossing_data(rep, w, coloring):

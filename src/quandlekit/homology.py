@@ -37,6 +37,7 @@ or walk only those, which `_tuples` lists given last = S.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -88,13 +89,6 @@ def _degenerate(key) -> bool:
     return any(key[i] == key[i + 1] for i in range(len(key) - 1))
 
 
-def _bracket(q, xs) -> int:
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = q.op(acc, x)
-    return acc
-
-
 def _tuples(cfg: ComplexConfig, n: int, last=None) -> Iterable[tuple]:
     """The n-tuples of the complex that cfg.variant selects, in lex order:
     all of them for the rack complex, those with no two equal neighbours for
@@ -119,20 +113,32 @@ def _basis(cfg: ComplexConfig, n: int) -> dict:
 def _boundary_terms(cfg: ComplexConfig, t: tuple) -> list:
     """The boundary of the tuple t as signed terms [(sign, block, target), ...],
     so that d(t) = sum sign * block (target); block is a matrix of rep.eta or
-    rep.tau, or None for the identity.  Targets may repeat."""
-    rep, q = cfg.rep, cfg.rep.quandle
-    if len(t) == 1:
-        return [(-1, rep.tau[q.inv_op(t[0], cfg.basepoint)][cfg.basepoint], ())]
-    sgn_outer = (-1) ** len(t)
+    rep.tau, or None for the identity.  Targets may repeat.
+
+    Every bracket and shifted entry is read from the quandle's table.  With
+    i the removed entry, [x_1..^x_i..] folds the bracket of the entries
+    before it, kept as the walk goes, through the entries after it, and
+    [x_i..] folds x_i through them.  At i = 2 these are [x_1, x_3..] and
+    [x_2, x_3..], the indices of tau too."""
+    rep, table = cfg.rep, cfg.rep.quandle.table
+    n = len(t)
+    if n == 1:
+        bp = cfg.basepoint
+        return [(-1, rep.tau[rep.quandle.inv_op(t[0], bp)][bp], ())]
+    sgn_outer = -1 if n % 2 else 1
     terms = []
-    for i in range(2, len(t) + 1):  # 1-based position of the removed entry
-        s = sgn_outer * ((-1) ** i)
-        removed = t[:i - 1] + t[i:]
-        eta = rep.eta[_bracket(q, removed)][_bracket(q, t[i - 1:])]
-        terms.append((s, eta, removed))
-        shifted = tuple(q.op(t[j], t[i - 1]) for j in range(i - 1)) + t[i:]
-        terms.append((-s, None, shifted))
-    tau = rep.tau[_bracket(q, (t[0],) + t[2:])][_bracket(q, t[1:])]
+    head = t[0]                     # [x_1 .. x_(i-1)]
+    for i in range(1, n):           # 0-based position of the removed entry
+        xi, rest = t[i], t[i + 1:]
+        a, b = head, xi
+        for x in rest:
+            a, b = table[a][x], table[b][x]
+        if i == 1:
+            tau = rep.tau[a][b]
+        s = sgn_outer if i % 2 else -sgn_outer
+        terms.append((s, rep.eta[a][b], t[:i] + rest))
+        terms.append((-s, None, tuple([table[x][xi] for x in t[:i]]) + rest))
+        head = table[head][xi]
     terms.append((sgn_outer, tau, t[1:]))
     return terms
 
@@ -244,7 +250,7 @@ def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
                 continue
             for i in range(m):
                 acc[i] += sign * (v[i] if block is None else
-                                  sum(e * x for e, x in zip(block[i], v)))
+                                  sum(map(operator.mul, block[i], v)))
         acc = [a % N for a in acc]
         if any(acc):
             yield t, acc

@@ -14,10 +14,16 @@ sequence, the (eta, tau) block pair met at each crossing
 cokernel per distinct sequence.  When the rep's whole table is one pair, as
 for an Alexander-type rep, every coloring has the sequence that the signs of
 the letters fix: the word is walked once, not once per coloring, and one
-matrix and one cokernel serve every coloring.  `cocycle_invariant` forms
-each path action once per call, keyed by the colors to the right of the
-crossing, and each weight path * kappa(x, y) once per path and source pair
-(x, y).
+matrix and one cokernel serve every coloring.
+
+`cocycle_invariant` walks each coloring once through `braids._walk`, the
+one crossing rule, and adds each crossing's weight sign * path * kappa(x, y)
+as it goes; no list of crossings is kept.  The weight path * kappa(x, y) is
+formed once per call for each tuple of colors right of the crossing and
+source pair (x, y), and the path action once per such tuple, with one
+product from the action of its one-shorter suffix when that one is known
+(`braids._path_action`, which `crossing_data`, and through it
+`diagram_two_chain` and `boltzmann_weight`, use too).
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .braids import (BraidWord, colored_matrix, colorings_of_closure,
-                     crossing_blocks, crossing_data)
+from .braids import (BraidWord, _path_action, _require_conj_type, _walk,
+                     colored_matrix, colorings_of_closure, crossing_blocks,
+                     crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, _require_module, is_cocycle_2
-from .linalg import cokernel_mod, mat_vec
+from .linalg import cokernel_mod, identity, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
 
 
@@ -51,57 +58,67 @@ class ModuleInvariant:
 
 def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
     # diagram chains need rho: say so before the size^3 cocycle check
-    if not rep.is_conj_type:
-        raise InputError("diagram chains need a conjugation-type rep")
+    _require_conj_type(rep)
     if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
 
 def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
                      crossing: int, check: bool = True) -> list[int]:
-    """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word;
-    kappa must take values in the rep's module."""
+    """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word,
+    from its `crossing_data` record; kappa must take values in the rep's
+    module."""
     _require_module(rep, kappa)
     if check:
         _require_cocycle(rep, kappa)
     data = crossing_data(rep, w, coloring)
     if not (0 <= crossing < len(data)):
         raise InputError(f"crossing index {crossing} out of range")
-    return list(_pairing(rep, kappa, data[crossing:crossing + 1], {}))
-
-
-def _pairing(rep: AlgebraRep, kappa: Cochain, data,
-             weights: dict) -> tuple[int, ...]:
-    """Sum of sign * path * kappa(x, y) over the (sign, path, x, y) records
-    of `crossing_data`.  `weights` remembers each path * kappa(x, y) by the
-    path's identity and (x, y): `crossing_data` gives one path object per
-    tuple of colors to the right of a crossing, kept in its `paths` dict."""
+    sign, path, x, y = data[crossing]
     N = rep.modulus
-    total = [0] * rep.dim
-    for sign, path, x, y in data:
-        key = (id(path), x, y)
-        vec = weights.get(key)
-        if vec is None:
-            vec = weights[key] = mat_vec(path, kappa.value((x, y)), N)
-        total = [(t + sign * c) % N for t, c in zip(total, vec)]
-    return tuple(total)
+    return [sign * c % N for c in mat_vec(path, kappa.value((x, y)), N)]
 
 
 def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                       check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle.
-    kappa must take values in the rep's module, also when check is False;
-    the size^3 cocycle check and the |X|^k candidate colorings must not
-    exceed the guard."""
+
+    Each coloring is walked once by `braids._walk`, and each crossing adds
+    its weight sign * path * kappa(x, y) as it is met.  A weight is formed
+    once per call for each tuple of colors right of the crossing and source
+    pair (x, y), and each path action once per tuple, with one product from
+    its one-shorter suffix's when that is known (`braids._path_action`).  A
+    coloring that the word does not fix is refused, as by `crossing_data`.
+    kappa must take values in the rep's module and the rep must be of
+    conjugation type, also when check is False; the size^3 cocycle check
+    and the |X|^k candidate colorings must not exceed the guard."""
     _require_module(rep, kappa)
     if check:
         _require_cocycle(rep, kappa)
+    q, N = rep.quandle, rep.modulus
+    colorings = colorings_of_closure(q, w)
+    _require_conj_type(rep)
+    paths = {(): identity(rep.dim)}     # colors right of a crossing -> path
+    weights: dict = {}                  # (colors right, x, y) -> path * kappa(x, y)
+    zero = [0] * rep.dim
     entries = []
-    paths: dict = {}            # colors right of a crossing -> path action
-    weights: dict = {}          # (id(path), x, y) -> path * kappa(x, y)
-    for coloring in colorings_of_closure(rep.quandle, w):
-        data = crossing_data(rep, w, coloring, paths)
-        entries.append(_pairing(rep, kappa, data, weights))
+    for coloring in colorings:
+        cur = list(coloring)
+        # the weights of the positive and of the negative crossings, each
+        # list led by the zero vector so that zip(*list) has rep.dim columns
+        plus, minus = [zero], [zero]
+        for e, p, x, y in _walk(q, w, cur):
+            right = tuple(cur[p + 2:])
+            key = (right, x, y)
+            vec = weights.get(key)
+            if vec is None:
+                vec = weights[key] = mat_vec(_path_action(rep, right, paths),
+                                             kappa.value((x, y)), N)
+            (plus if e > 0 else minus).append(vec)
+        if tuple(cur) != coloring:
+            raise InputError("coloring is not fixed by the braid word")
+        entries.append(tuple([(sum(a) - sum(b)) % N
+                              for a, b in zip(zip(*plus), zip(*minus))]))
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
                              dim=rep.dim)
 

@@ -18,6 +18,7 @@ test reference until the benchmark's tracer stops naming it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -69,7 +70,7 @@ def mat_scale(c: int, a: Matrix, mod: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list[int], mod: int) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) % mod for row in a]
+    return [sum(map(operator.mul, row, v)) % mod for row in a]
 
 
 def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from quandlekit.algebra import (
     make_alexander_rep,
     make_conj_rep,
+    make_rep,
     make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
 )
 from quandlekit.errors import GuardExceeded, InputError, guarded
-from quandlekit.groups import cyclic_group
+from quandlekit.groups import cyclic_group, symmetric_group
 from quandlekit import homology
 from quandlekit.homology import (
     Cochain,
@@ -37,7 +38,8 @@ from quandlekit.homology import (
 from quandlekit.linalg import (_ker_mod_im, _kernel_by_column, _probable_prime,
                                cokernel_mod, identity, int_kernel, ker_mod_im,
                                kernel_mod, mat_mul, mat_vec, quotient_invariant_factors)
-from quandlekit.quandles import make_alexander, make_core, make_dihedral, make_trivial
+from quandlekit.quandles import (make_alexander, make_conj, make_core, make_dihedral,
+                                 make_trivial)
 
 random.seed(12)
 
@@ -54,6 +56,66 @@ def core_z3_wada_rep():
     z3 = cyclic_group(3)
     grep = regular_group_rep(z3, make_core(z3), list(range(3)), modulus=5)
     return make_wada_rep(grep, "core")
+
+
+def _reference_bracket(q, xs):
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = q.op(acc, x)
+    return acc
+
+
+def _reference_boundary_terms(cfg, t):
+    """_boundary_terms as the formula in the module docstring reads, each
+    bracket folded afresh by q.op."""
+    rep, q = cfg.rep, cfg.rep.quandle
+    if len(t) == 1:
+        return [(-1, rep.tau[q.inv_op(t[0], cfg.basepoint)][cfg.basepoint], ())]
+    sgn_outer = (-1) ** len(t)
+    terms = []
+    for i in range(2, len(t) + 1):  # 1-based position of the removed entry
+        s = sgn_outer * ((-1) ** i)
+        removed = t[:i - 1] + t[i:]
+        eta = rep.eta[_reference_bracket(q, removed)][_reference_bracket(q, t[i - 1:])]
+        terms.append((s, eta, removed))
+        shifted = tuple(q.op(t[j], t[i - 1]) for j in range(i - 1)) + t[i:]
+        terms.append((-s, None, shifted))
+    tau = rep.tau[_reference_bracket(q, (t[0],) + t[2:])][_reference_bracket(q, t[1:])]
+    terms.append((sgn_outer, tau, t[1:]))
+    return terms
+
+
+def _transpositions_of_s3():
+    s3 = symmetric_group(3)
+    return make_conj(s3, [e for e in range(s3.size)
+                          if e != s3.identity and s3.mul[e][e] == s3.identity])
+
+
+@pytest.mark.parametrize("quandle", [
+    make_dihedral(3), make_dihedral(4), make_dihedral(5), make_trivial(3),
+    make_alexander(5, 2), _transpositions_of_s3()], ids=lambda q: q.label)
+def test_boundary_terms_match_the_bracket_formula(quandle):
+    """_boundary_terms, which reads its brackets and shifted tuples from the
+    quandle's table, gives the terms of the formula, in the same order, on
+    every tuple of length 1-4, in both complexes and from every basepoint.
+    Each eta and tau cell holds its own 1 x 1 block, so a block read from
+    the wrong cell shows."""
+    s = quandle.size
+    rep = make_rep(quandle, 10 ** 6,
+                   [[[[x * s + y + 1]] for y in range(s)] for x in range(s)],
+                   [[[[s * s + x * s + y + 1]] for y in range(s)] for x in range(s)],
+                   check=False)
+    for variant in ("quandle", "rack"):
+        for bp in range(s):
+            cfg = ComplexConfig(rep=rep, basepoint=bp, variant=variant)
+            for x in range(s):
+                assert (homology._boundary_terms(cfg, (x,))
+                        == _reference_boundary_terms(cfg, (x,)))
+        cfg = ComplexConfig(rep=rep, variant=variant)
+        for n in range(2, 5):
+            for t in itertools.product(range(s), repeat=n):
+                assert (homology._boundary_terms(cfg, t)
+                        == _reference_boundary_terms(cfg, t)), t
 
 
 def test_boundary_squares_to_zero():

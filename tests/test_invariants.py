@@ -10,13 +10,14 @@ from quandlekit.algebra import (
     AlgebraRep,
     make_alexander_rep,
     make_conj_rep,
+    make_group_rep,
     make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
 )
-from quandlekit.braids import (BraidWord, braid_or_knot, colored_matrix,
-                               colorings_of_closure, crossing_blocks,
-                               markov_moves)
+from quandlekit.braids import (BraidWord, _path_action, braid_or_knot,
+                               colored_matrix, colorings_of_closure,
+                               crossing_blocks, crossing_data, markov_moves)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError, guarded
 from quandlekit.homology import (
     Cochain,
@@ -193,14 +194,15 @@ def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
     """module_invariant, which builds one matrix and cokernel per distinct
     coefficient sequence, and cocycle_invariant, which shares path actions
     between colorings, equal the per-coloring references on random braids
-    (k <= 5, at most 12 letters; k <= 3 for the 8-dimensional D4 rep).  With
-    the cokernel swapped for the matrix itself, module_invariant must list
-    each coloring's own M - I, so a sequence that two different matrices
-    share cannot hide behind equal cokernels.  The references hold for any
-    2-cochain, so kappa is random and unchecked; the perm3 rep also runs
-    the checked cocycle of nontrivial_kappa.  The regular D4 rep mod 7 and
-    the core-Z3 Wada rep have non-constant tables, so their colorings share
-    few sequences."""
+    (k <= 5, at most 12 letters; k <= 3 for the 8-dimensional D4 rep and
+    k <= 4 for perm3 mod 9).  With the cokernel swapped for the matrix
+    itself, module_invariant must list each coloring's own M - I, so a
+    sequence that two different matrices share cannot hide behind equal
+    cokernels.  The references hold for any 2-cochain, so kappa is random
+    and unchecked; the perm3 rep also runs the checked cocycle of
+    nontrivial_kappa, and over Z_9, a composite modulus, the signed sums
+    must reduce mod 9.  The regular D4 rep mod 7 and the core-Z3 Wada rep
+    have non-constant tables, so their colorings share few sequences."""
     from quandlekit import invariants
     rng = random.Random(16)
     d4 = dihedral_group(4)
@@ -213,7 +215,8 @@ def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
              (make_alexander_rep(make_alexander(5, 2), 5, 2), 5, 8),
              (perm3, 5, 12), (wada, 5, 12),
              (make_conj_rep(regular_group_rep(d4, make_conj(d4), range(8),
-                                              modulus=7)), 3, 6)]
+                                              modulus=7)), 3, 6),
+             (make_conj_rep(permutation_rep_r3(9)), 4, 8)]
     for rep, max_strands, count in cases:
         n, size = rep.modulus, rep.quandle.size
         for w in _random_braids(rng, count, max_strands):
@@ -350,6 +353,36 @@ def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
             distinct.add((right, (u, v) if e > 0 else (q.inv_op(v, u), u)))
     assert len(calls) == len(distinct) < crossings
     assert inv.entries == _reference_cocycle(rep, kappa, w)
+
+
+def test_a_path_action_takes_one_product_from_a_known_suffix(monkeypatch):
+    """A path action whose one-shorter suffix is remembered costs one
+    product; any other is multiplied up from the identity, one product per
+    color, and only the tuples asked for are remembered.  Over a one-element
+    quandle a right of L colors thus costs L products and one new entry, not
+    a chain of L suffixes holding L^2 / 2 colors."""
+    from quandlekit import braids
+    calls = []
+
+    def counted(a, b, mod=None):
+        calls.append(1)
+        return mat_mul(a, b, mod)
+
+    monkeypatch.setattr(braids, "mat_mul", counted)
+    rep = make_conj_rep(permutation_rep_r3(3))
+    # the constant coloring: letter 2 meets the right (0,), letter 1 (0, 0)
+    for text, products in (("k=4; 2 1", 1 + 1), ("k=4; 1 2", 2 + 1)):
+        calls.clear()
+        data = crossing_data(rep, braid_or_knot(text), (0,) * 4)
+        assert len(calls) == products, text
+        assert [_freeze(path) for _, path, _, _ in data] == [
+            _freeze(mat_mul(rep.rho[0], rep.rho[0], 3)) if abs(e) == 1
+            else rep.rho[0] for e in braid_or_knot(text).letters]
+    one = make_conj_rep(make_group_rep(make_trivial(1), 5, [[[2]]]))
+    paths = {(): identity(1)}
+    calls.clear()
+    assert _path_action(one, (0,) * 3000, paths) == [[pow(2, 3000, 5)]]
+    assert len(calls) == 3000 and len(paths) == 2
 
 
 def test_each_distinct_negative_block_is_inverted_once(monkeypatch):
