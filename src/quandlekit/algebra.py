@@ -9,7 +9,8 @@ and a matrix tau[x][y] over Z_N, subject to the four defining identities
   (4) tau[x][x] + eta[x][x]  == I
 
 checked by verify_relations. The coefficient module is (Z_N)^m acted on by
-these matrices from the left.
+these matrices from the left.  Every table of matrices is shaped by
+`_square_dim` and every matrix frozen mod N, N >= 1, by `_freeze`.
 
 The generator rule.  Once every eta is invertible, (1)-(3) hold for all
 (x, y, z) exactly when they hold for every z in the greedy generating set S
@@ -78,9 +79,12 @@ class AlgebraRep:
 
 def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
     """m as row tuples with entries in 0..n-1: every matrix of an AlgebraRep
-    or GroupRep is frozen, and reduced only if an entry is outside, here.
-    `frozen` maps each matrix given to its frozen form, so that each
-    distinct one is tested once and each residue matrix is one object."""
+    or GroupRep is frozen here, which alone refuses an n below 1, and reduced
+    only if an entry is outside.  `frozen` maps each matrix given to its
+    frozen form, so that each distinct one is tested once and each residue
+    matrix is one object."""
+    if n < 1:
+        raise InputError(f"modulus {n} is not positive")
     key = tuple(map(tuple, m))
     frozen = {} if frozen is None else frozen
     if key not in frozen:
@@ -183,21 +187,23 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _is_square(m, dim: int) -> bool:
-    return len(m) == dim and all(len(row) == dim for row in m)
+def _square_dim(mats, count: int, what: str) -> int:
+    """The size dim of `mats` if they are `count` square dim x dim matrices,
+    dim >= 1; InputError "<what> must be <count> matrices, all square of
+    one size >= 1" otherwise."""
+    dim = len(mats[0]) if len(mats) else 0
+    if not (dim and len(mats) == count and all(
+            len(m) == dim and all(len(row) == dim for row in m) for m in mats)):
+        raise InputError(f"{what} must be {count} matrices, all square of one "
+                         f"size >= 1")
+    return dim
 
 
 def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
                    label: str = "") -> GroupRep:
-    """Freeze rho into a GroupRep; only its shape is checked: one square
-    dim x dim matrix per quandle element, dim >= 1."""
-    if modulus < 1:
-        raise InputError(f"modulus {modulus} is not positive")
-    dim = len(rho[0]) if rho else 0
-    if len(rho) != quandle.size or dim < 1 or not all(
-            _is_square(m, dim) for m in rho):
-        raise InputError(f"rho needs one matrix per element of the quandle of "
-                         f"size {quandle.size}, all square of one size >= 1")
+    """Freeze rho, one matrix per quandle element (`_square_dim`), into a
+    GroupRep."""
+    dim = _square_dim(rho, quandle.size, "rho, one per quandle element,")
     return GroupRep(quandle=quandle, modulus=modulus, dim=dim, label=label,
                     rho=tuple(map(partial(_freeze, n=modulus, frozen={}), rho)))
 
@@ -320,22 +326,16 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
              label: str = "", check: bool = True) -> AlgebraRep:
     """The rep with tables eta and tau given from outside (a JSON document,
     make_wada_rep or a test), frozen with one object per distinct residue
-    matrix.  InputError unless the modulus is positive, eta and tau are
-    |X| x |X| tables of square matrices of one size dim >= 1 and rho, when
-    given, is |X| such matrices; with `check`, a rep that fails
-    verify_relations raises CheckFailed."""
-    if modulus < 1:
-        raise InputError(f"modulus {modulus} is not positive")
+    matrix.  eta and tau are |X| x |X| tables and rho, if given, |X|
+    matrices, all square of one size (`_square_dim`; a row or table of
+    another length is left out of the count); with `check`, a rep that
+    fails verify_relations raises CheckFailed."""
     size = quandle.size
-    dim = len(eta[0][0]) if len(eta) and len(eta[0]) else 0
-
-    def fits(row) -> bool:      # |X| square matrices of size dim
-        return len(row) == size and all(_is_square(m, dim) for m in row)
-
-    if dim < 1 or not all(len(table) == size and all(map(fits, table))
-                          for table in (eta, tau)) or not (rho is None or fits(rho)):
-        raise InputError(f"eta and tau need {size} x {size} tables, and rho "
-                         f"{size} matrices, all square of one size >= 1")
+    mats = [m for table in (eta, tau) if len(table) == size
+            for row in table if len(row) == size for m in row]
+    mats += rho if rho is not None and len(rho) == size else []
+    dim = _square_dim(mats, (2 * size + (rho is not None)) * size,
+                      f"{size} x {size} tables eta and tau, and rho if given,")
     freeze = partial(_freeze, n=modulus, frozen={})
     rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
                      eta=tuple(tuple(map(freeze, row)) for row in eta),
@@ -355,13 +355,8 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     rep) or a square matrix, which sets the dimension.  t and I - t are
     frozen once, and each table is one row of |X| references to its matrix,
     repeated |X| times."""
-    if modulus < 1:
-        raise InputError(f"modulus {modulus} is not positive")
     tmat = [[t]] if isinstance(t, int) else t
-    dim = len(tmat)
-    if not dim or not _is_square(tmat, dim):
-        raise InputError("t is neither an integer nor a square matrix "
-                         "with at least one row")
+    dim = _square_dim([tmat], 1, "t, an integer or a matrix,")
     eta = _freeze(tmat, modulus)
     if not is_invertible_mod(eta, modulus):
         raise InputError(f"t is not invertible mod {modulus}")

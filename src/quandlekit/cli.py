@@ -102,12 +102,8 @@ def cmd_check(args) -> int:
         report = verify_relations(_rep_on_quandle(args, args.target, check=False))
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
-        # 'zero' takes --degree (2 without it); a file has its own degree
-        kappa = qio.load_cochain(args.target, rep=rep,
-                                 degree=2 if args.degree is None else args.degree)
-        if args.degree not in (None, kappa.degree):
-            raise InputError(f"--degree {args.degree} disagrees with the "
-                             f"degree-{kappa.degree} cochain {args.target!r}")
+        # 'zero' takes --degree (2 without it); a file must be of it, if given
+        kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
         is_cocycle = {2: is_cocycle_2, 3: is_cocycle_3}.get(kappa.degree)
         if is_cocycle is None:
             raise InputError(f"cocycle checks support degrees 2 and 3, "

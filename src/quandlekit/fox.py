@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _is_square
+from .algebra import _freeze, _square_dim
 from .braids import BraidWord, _burau_rows, closure_arcs
 from .errors import InputError, charge
 from .laurent import Laurent, lp_add, lp_det, lp_normalize
@@ -47,15 +47,14 @@ def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None):
     x_t^-1 the row is the closed form  I - t rho(t)  at o,  t rho(o)  at s
     and  -I  at t, summed where arcs coincide.  It equals chi of the Fox
     derivatives only when rho(o) rho(s) = rho(t) rho(o) and rho(o), rho(t)
-    are invertible, so both are checked, as is the shape of rho (InputError
-    otherwise).  Entries are dim x dim blocks of Laurent polynomials, with
-    coefficients reduced mod N when one is given.
+    are invertible, so both are checked, as are the shape of rho and a
+    modulus, by `algebra._square_dim` and `_freeze` (InputError otherwise).
+    Entries are dim x dim blocks of Laurent polynomials, with coefficients
+    reduced mod N when one is given.
     """
-    dim = len(rho[0]) if rho else 0
-    if len(rho) != pres.generators or dim < 1 or not all(
-            _is_square(m, dim) for m in rho):
-        raise InputError(f"rho needs one matrix per generator, {pres.generators} "
-                         f"in all, square of one size >= 1")
+    dim = _square_dim(rho, pres.generators, "rho, one per generator,")
+    if modulus is not None:
+        rho = [_freeze(m, modulus) for m in rho]
     for a in sorted({a for o, _, t in pres.crossings for a in (o, t)}):
         unit = (abs(int_det(rho[a])) == 1 if modulus is None
                 else is_invertible_mod(rho[a], modulus))

@@ -124,27 +124,18 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k encoded 0..7
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {s + n: (s, n) for s in ("", "-") for n in ("1", "i", "j", "k")}
+    """Q8: 1, -1, i, -i, j, -j, k, -k, numbered 0..7, as the unit
+    quaternions a + bi + cj + dk = (a, b, c, d) under Hamilton's product."""
+    units = [tuple(s * (i == u) for i in range(4)) for u in range(4) for s in (1, -1)]
 
-    def mul_name(a, b):
-        sa, na = sign[a]
-        sb, nb = sign[b]
-        base = {
-            ("1", "1"): ("", "1"), ("1", "i"): ("", "i"), ("1", "j"): ("", "j"), ("1", "k"): ("", "k"),
-            ("i", "1"): ("", "i"), ("j", "1"): ("", "j"), ("k", "1"): ("", "k"),
-            ("i", "i"): ("-", "1"), ("j", "j"): ("-", "1"), ("k", "k"): ("-", "1"),
-            ("i", "j"): ("", "k"), ("j", "k"): ("", "i"), ("k", "i"): ("", "j"),
-            ("j", "i"): ("-", "k"), ("k", "j"): ("-", "i"), ("i", "k"): ("-", "j"),
-        }
-        s, n = base[(na, nb)]
-        neg = (sa == "-") ^ (sb == "-") ^ (s == "-")
-        return ("-" if neg else "") + n
+    def mul(p, q):
+        (a, b, c, d), (e, f, g, h) = p, q
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    idx = {nm: i for i, nm in enumerate(names)}
-    mul = tuple(tuple(idx[mul_name(a, b)] for b in names) for a in names)
-    return group_from_table(mul, label="Q8")
+    index = {u: i for i, u in enumerate(units)}
+    return group_from_table([[index[mul(p, q)] for q in units] for p in units],
+                            label="Q8")
 
 
 def small_groups(max_order: int = 8) -> list[FiniteGroup]:

@@ -15,8 +15,10 @@ the cocycle checks.  The quandle complex divides the rack complex by the
 degenerate tuples, those with two equal neighbours; the matrices and
 cochain vectors are written in the basis of the chosen complex, _basis.
 Cochains are dualized by pulling the operator coefficients out on the left;
-a cocycle is a cochain with delta kappa = 0.  delta is built once, as the
-sparse rows that linalg's elimination reads; the dense matrices are views.
+a cocycle is a cochain with delta kappa = 0, and `_require_module` is the
+one test of a cochain's fit to its rep, wherever one is used.  delta is
+built once, as the sparse rows that linalg's elimination reads; the dense
+matrices are views.
 
 The generator rule.  Over a rep that satisfies the relations, in either
 complex, over any Z_N and in every degree n >= 0, delta kappa = 0 exactly
@@ -77,12 +79,30 @@ class Cochain:
                    for k, v in self.values.items() if _degenerate(k))
 
 
-def _require_module(rep: AlgebraRep, kappa: Cochain) -> None:
-    """Refuse, with InputError, a cochain whose values do not lie in the
-    rep's module (Z_N)^m."""
-    if (kappa.modulus, kappa.dim) != (rep.modulus, rep.dim):
-        raise InputError(f"the cochain takes values in (Z_{kappa.modulus})^"
-                         f"{kappa.dim}, not in the rep's (Z_{rep.modulus})^{rep.dim}")
+def _require_module(rep: AlgebraRep, kappa: Cochain, degree=None) -> None:
+    """The one rule of a cochain's fit to a rep: InputError "the cochain
+    <what it is>, not <what the rep needs>" unless kappa has `degree`, when
+    one is asked for, takes values in the rep's module (Z_N)^m, is keyed by
+    tuples of kappa.degree elements of 0..|X|-1 and holds m entries at each."""
+    size, m, d = rep.quandle.size, rep.dim, kappa.degree
+    if degree not in (None, d):
+        fault = f"is of degree {d}, not a degree-{degree} cochain"
+    elif (kappa.modulus, kappa.dim) != (rep.modulus, m):
+        fault = (f"takes values in (Z_{kappa.modulus})^{kappa.dim}, not in the "
+                 f"rep's (Z_{rep.modulus})^{m}")
+    else:
+        for k, v in kappa.values.items():
+            if not (type(k) is tuple and len(k) == d
+                    and all(type(x) is int and 0 <= x < size for x in k)):
+                fault = (f"has the key {k!r}, not a tuple of {d} elements of "
+                         f"0..{size - 1}")
+                break
+            if len(v) != m:
+                fault = f"has a value of length {len(v)} at {k}, not {m}"
+                break
+        else:
+            return
+    raise InputError(f"the cochain {fault}")
 
 
 def _degenerate(key) -> bool:
@@ -193,8 +213,9 @@ def coboundary_matrix(cfg: ComplexConfig, degree: int) -> Matrix:
 
 
 def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:
-    """kappa in the basis of _basis; a value on a tuple outside it, such as
-    a degenerate tuple of the quandle complex, must be zero."""
+    """kappa, which must fit the rep, in the basis of _basis; a value on a
+    tuple outside it, a degenerate tuple of the quandle complex, must be 0."""
+    _require_module(cfg.rep, kappa)
     m, N = cfg.rep.dim, kappa.modulus
     basis = _basis(cfg, kappa.degree)
     vec = [0] * (len(basis) * m)
@@ -231,7 +252,7 @@ def coboundary(cfg: ComplexConfig, kappa: Cochain) -> Cochain:
     terms: (delta kappa)(t) = sum sign * block kappa(target); no matrix is
     built.  The degenerate tuples form a subcomplex, so delta of a
     degenerate-free kappa vanishes on the tuples the quandle complex skips.
-    kappa must take values in the rep's module."""
+    kappa must fit the rep (`_require_module`)."""
     _require_module(cfg.rep, kappa)
     values = _coboundary_values(cfg, kappa, _tuples(cfg, kappa.degree + 1))
     return Cochain(degree=kappa.degree + 1, modulus=cfg.rep.modulus,
@@ -259,12 +280,10 @@ def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
 def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int) -> bool:
     """delta kappa = 0, checked on the (degree + 1)-tuples of the complex
     that end in the generating set S (the generator rule in the module
-    docstring) and stopped at the first that fails; kappa must take values
-    in the rep's module, and the size^(degree + 1) tuples of the rack
-    complex must not exceed the guard."""
-    if kappa.degree != degree:
-        raise InputError(f"expected a degree-{degree} cochain, got {kappa.degree}")
-    _require_module(cfg.rep, kappa)
+    docstring) and stopped at the first that fails; kappa must be of
+    `degree` and fit the rep (`_require_module`), and the size^(degree + 1)
+    tuples of the rack complex must not exceed the guard."""
+    _require_module(cfg.rep, kappa, degree)
     charge(cfg.rep.quandle.size, "boundary tuples", degree + 1)
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
@@ -298,12 +317,18 @@ def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
     cells of the chosen complex's delta must not exceed the guard."""
     if degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
-    charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
-           * cfg.rep.dim ** 2, "coboundary cells")
+    rows = _kernel_rows(cfg, degree)
     basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
-    rows = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
     kernel = _kernel_by_column(rows, len(basis) * m, N)
     return [_vector_to_cochain(cfg, degree, basis, vec) for vec in kernel if any(vec)]
+
+
+def _kernel_rows(cfg: ComplexConfig, degree: int) -> list[dict]:
+    """delta^degree's rows at the tuples ending in S, which have its kernel,
+    once the guard has taken the cells of the whole delta^degree."""
+    charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
+           * cfg.rep.dim ** 2, "coboundary cells")
+    return _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
 
 
 def _basis_size(cfg: ComplexConfig, n: int) -> int:
@@ -327,8 +352,6 @@ def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     if not 0 <= degree <= MAX_DEGREE:
         raise InputError(f"cohomology supports degrees 0 to {MAX_DEGREE}, "
                          f"got {degree}")
-    charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
-           * cfg.rep.dim ** 2, "coboundary cells")
+    up = _kernel_rows(cfg, degree)
     down = _assemble(cfg, degree - 1) if degree else [{}] * cfg.rep.dim
-    up = _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
     return _ker_mod_im(up, down, cfg.rep.modulus)

@@ -66,9 +66,9 @@ def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
 def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
                      crossing: int, check: bool = True) -> list[int]:
     """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word,
-    from its `crossing_data` record; kappa must take values in the rep's
-    module."""
-    _require_module(rep, kappa)
+    from its `crossing_data` record; kappa must be a 2-cochain that fits the
+    rep (`homology._require_module`), also when check is False."""
+    _require_module(rep, kappa, 2)
     if check:
         _require_cocycle(rep, kappa)
     data = crossing_data(rep, w, coloring)
@@ -89,10 +89,10 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
     pair (x, y), and each path action once per tuple, with one product from
     its one-shorter suffix's when that is known (`braids._path_action`).  A
     coloring that the word does not fix is refused, as by `crossing_data`.
-    kappa must take values in the rep's module and the rep must be of
-    conjugation type, also when check is False; the size^3 cocycle check
-    and the |X|^k candidate colorings must not exceed the guard."""
-    _require_module(rep, kappa)
+    kappa must be a 2-cochain that fits the rep and the rep of conjugation
+    type, also when check is False; the size^3 cocycle check and the |X|^k
+    candidate colorings must not exceed the guard."""
+    _require_module(rep, kappa, 2)
     if check:
         _require_cocycle(rep, kappa)
     q, N = rep.quandle, rep.modulus
@@ -165,14 +165,12 @@ def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None):
     table of vector sums.  Returns (table, report, quandle-or-None); the
     quandle is built only when the axioms pass.  The size^3 axiom checks
     must not exceed the guard: checked before the table is built, this bound
-    also covers verify_axioms' full scan of a failing table.  kappa must be
-    a 2-cochain with values in the rep's module (Z_N)^m.
+    also covers verify_axioms' full scan of a failing table.  kappa, when
+    given, must be a 2-cochain that fits the rep (`homology._require_module`).
     """
     q, N, m = rep.quandle, rep.modulus, rep.dim
-    if kappa is not None and (kappa.degree, kappa.modulus, kappa.dim) != (2, N, m):
-        raise InputError(f"the extension needs a degree-2 cochain in (Z_{N})^{m}, "
-                         f"got degree {kappa.degree} in "
-                         f"(Z_{kappa.modulus})^{kappa.dim}")
+    if kappa is not None:
+        _require_module(rep, kappa, 2)
     total = N ** m * q.size
     charge(total, f"axiom checks of an extension of size {power_text(total)}",
            3)

@@ -6,7 +6,8 @@ Everything is JSON with sorted keys: quandles ({"size", "table"}), reps
 document is written by `dumps_document`, whose bytes are those of the
 standard `json` module with sorted keys and an indent of one space.  On
 reading, an object that gives a key twice is refused, and so is a cochain
-key spelled other than as `cochain_to_doc` writes it, such as " 0,1".
+key spelled other than as `cochain_to_doc` writes it, such as " 0,1"; a
+cochain's fit to its rep is tested by `homology._require_module` alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3)
 from .errors import InputError, charge
-from .homology import Cochain
+from .homology import Cochain, _require_module
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
 
@@ -285,7 +286,8 @@ def cochain_from_doc(doc: dict) -> Cochain:
             raise InputError(f"cochain key {key!r} is not 'x,y[,z]' with "
                              "integer parts")
         if len(parts) != degree:
-            raise InputError(f"cochain key {key!r} has wrong arity")
+            raise InputError(f"the cochain has the key {parts}, not a tuple of "
+                             f"{degree} elements")
         if not _has_shape(vec, (dim,)):
             raise InputError(f"cochain value for {key!r} is not a list of "
                              f"{dim} integers")
@@ -293,20 +295,13 @@ def cochain_from_doc(doc: dict) -> Cochain:
     return Cochain(degree=degree, modulus=modulus, dim=dim, values=values)
 
 
-def load_cochain(spec: str, rep: AlgebraRep | None = None,
-                 degree: int = 2) -> Cochain:
-    """A cochain from a JSON file, or the shorthand 'zero'; with a rep, the
-    cochain must take values in the rep's module on the rep's quandle."""
+def load_cochain(spec: str, rep: AlgebraRep, degree: int | None = None) -> Cochain:
+    """A cochain from a JSON file, or the shorthand 'zero' (of degree 2 if
+    `degree` is None); it must fit the rep and have `degree`, if one is
+    given (`homology._require_module`)."""
     if spec == "zero":
-        if rep is None:
-            raise InputError("'zero' cochain shorthand needs a rep for its shape")
-        return Cochain(degree=degree, modulus=rep.modulus, dim=rep.dim, values={})
+        return Cochain(degree=2 if degree is None else degree, modulus=rep.modulus,
+                       dim=rep.dim, values={})
     kappa = cochain_from_doc(_load_json(spec))
-    if rep is None:
-        return kappa
-    size = rep.quandle.size
-    if (kappa.modulus, kappa.dim) != (rep.modulus, rep.dim) or any(
-            not 0 <= x < size for key in kappa.values for x in key):
-        raise InputError(f"cochain {spec!r} does not take values in the rep's "
-                         f"(Z_{rep.modulus})^{rep.dim} on its quandle of size {size}")
+    _require_module(rep, kappa, degree)
     return kappa

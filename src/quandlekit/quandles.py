@@ -11,6 +11,7 @@ immutable once validated, so they can be shared freely.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -174,28 +175,29 @@ def quandle_from_table(table, label: str = "") -> FiniteQuandle:
     return FiniteQuandle(table=tuple(tuple(row) for row in table), label=label)
 
 
-def make_trivial(n: int) -> FiniteQuandle:
+def _affine(n: int, t: int, label: str) -> FiniteQuandle:
+    """Z_n with a*b = t a + (1 - t) b mod n, the one table of T_n (t = 1),
+    R_n (t = -1) and Alex(n, t); n must be positive and t a unit mod n."""
     if n < 1:
         raise InputError("quandle size must be positive")
-    return FiniteQuandle(tuple(tuple(a for _ in range(n)) for a in range(n)), label=f"T{n}")
+    if math.gcd(t, n) != 1:
+        raise InputError(f"t={t} is not a unit mod {n}")
+    first = [(1 - t) * b for b in range(n)]
+    return FiniteQuandle(tuple(tuple([(t * a + c) % n for c in first])
+                               for a in range(n)), label=label)
+
+
+def make_trivial(n: int) -> FiniteQuandle:
+    return _affine(n, 1, f"T{n}")
 
 
 def make_dihedral(n: int) -> FiniteQuandle:
-    if n < 1:
-        raise InputError("quandle size must be positive")
-    table = tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n))
-    return FiniteQuandle(table, label=f"R{n}")
+    return _affine(n, -1, f"R{n}")
 
 
 def make_alexander(n: int, t: int) -> FiniteQuandle:
     """Z_n with a*b = t*a + (1-t)*b; t must be a unit mod n."""
-    import math
-    if n < 1:
-        raise InputError("modulus must be positive")
-    if math.gcd(t, n) != 1:
-        raise InputError(f"t={t} is not a unit mod {n}")
-    table = tuple(tuple((t * a + (1 - t) * b) % n for b in range(n)) for a in range(n))
-    return FiniteQuandle(table, label=f"Alex({n},{t})")
+    return _affine(n, t, f"Alex({n},{t})")
 
 
 def make_conj(g: FiniteGroup, subset=None, power: int = 1) -> FiniteQuandle:

@@ -57,14 +57,18 @@ def test_alexander_rep_matrix_t():
 def test_alexander_rep_needs_square_t():
     """A 1 x 2 t has a trivial cokernel, yet is no rep's eta."""
     for t in ([[1, 0]], []):
-        with pytest.raises(InputError, match="square matrix"):
+        with pytest.raises(InputError, match=r"^t, an integer or a matrix, must "
+                                             r"be 1 matrices, all square of one "
+                                             r"size >= 1$"):
             make_alexander_rep(make_dihedral(3), 5, t)
 
 
 @pytest.mark.parametrize("rho", [[[[1]]], [[[1, 0]]] * 3],
                          ids=["one matrix for three elements", "1x2 matrices"])
 def test_group_rep_needs_one_square_matrix_per_element(rho):
-    with pytest.raises(InputError, match="one matrix per element"):
+    with pytest.raises(InputError, match=r"^rho, one per quandle element, must "
+                                         r"be 3 matrices, all square of one "
+                                         r"size >= 1$"):
         make_group_rep(make_dihedral(3), 5, rho)
 
 

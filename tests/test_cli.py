@@ -1126,7 +1126,8 @@ COMMAND_RESULTS = [
      lambda doc, err: doc["multiset"] == [[0, 0, 0]] * 3 + [[2, 2, 2]] * 6),
     # extend refuses a cochain that is not of degree 2
     (2, ["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3",
-         "--cocycle", "{k1}"], lambda doc, err: "needs a degree-2 cochain" in err),
+         "--cocycle", "{k1}"], lambda doc, err: err == "input error: the cochain "
+         "is of degree 1, not a degree-2 cochain\n"),
 ]
 
 

@@ -304,7 +304,9 @@ def test_twisted_matrix_rejects_bad_rho():
     with pytest.raises(InputError):
         twisted_matrix(pres, rho)
     for rho in ([[[1]], [[1]]], [[[1, 0]]] * 3, [[]] * 3, []):
-        with pytest.raises(InputError, match="one matrix per generator"):
+        with pytest.raises(InputError, match=r"^rho, one per generator, must be "
+                                             r"3 matrices, all square of one "
+                                             r"size >= 1$"):
             twisted_matrix(pres, rho)
 
 

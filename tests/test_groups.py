@@ -65,3 +65,14 @@ def test_conjugacy_classes():
     s3 = symmetric_group(3)
     classes = s3.conjugacy_classes()
     assert sorted(len(c) for c in classes) == [1, 2, 3]
+
+
+def test_quaternion_group_table_is_pinned():
+    """Q8 from Hamilton's product on the unit quaternions 1, -1, i, -i, j,
+    -j, k, -k is the table that the string-name products gave."""
+    g = quaternion_group()
+    assert g.mul == ((0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 3, 2, 5, 4, 7, 6),
+                     (2, 3, 1, 0, 6, 7, 5, 4), (3, 2, 0, 1, 7, 6, 4, 5),
+                     (4, 5, 7, 6, 1, 0, 2, 3), (5, 4, 6, 7, 0, 1, 3, 2),
+                     (6, 7, 4, 5, 3, 2, 1, 0), (7, 6, 5, 4, 2, 3, 0, 1))
+    assert (g.inv, g.identity, g.label) == ((0, 1, 3, 2, 5, 4, 7, 6), 0, "Q8")

@@ -111,7 +111,7 @@ def test_cochain_round_trip(tmp_path):
     kappa = Cochain(2, 3, 3, {(0, 1): [1, 0, 2], (2, 0): [0, 1, 0]})
     path = tmp_path / "kappa.json"
     path.write_text(qio.dumps_document(qio.cochain_to_doc(kappa)))
-    back = qio.load_cochain(str(path))
+    back = qio.load_cochain(str(path), make_conj_rep(permutation_rep_r3(3)))
     assert back.values == kappa.values
     assert (back.degree, back.modulus, back.dim) == (2, 3, 3)
 
@@ -131,6 +131,7 @@ def test_json_objects_with_a_repeated_key_are_refused(tmp_path, capsys):
     """json keeps the last of two equal keys; a document that gives one
     twice, at the top or further in, is ambiguous and exits 2."""
     from quandlekit.cli import main
+    rep = make_alexander_rep(make_dihedral(3), 3, 2)
     files = {
         "cochain": '{"degree": 2, "modulus": 3, "dim": 1, "modulus": 5, "values": {}}',
         "values": '{"degree": 2, "modulus": 3, "dim": 1,'
@@ -140,7 +141,8 @@ def test_json_objects_with_a_repeated_key_are_refused(tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
-        load = qio.load_quandle if name == "quandle" else qio.load_cochain
+        load = qio.load_quandle if name == "quandle" else (
+            lambda spec: qio.load_cochain(spec, rep))
         with pytest.raises(InputError, match=r"key '(modulus|0,1|table)' appears twice"):
             load(str(path))
         argv = (["check", "quandle", str(path)] if name == "quandle" else
@@ -152,7 +154,7 @@ def test_json_objects_with_a_repeated_key_are_refused(tmp_path, capsys):
     path = tmp_path / "ok.json"
     path.write_text('{"degree": 2, "modulus": 3, "dim": 1, "values": {"0,1": [1]},'
                     ' "label": {"modulus": 1}}')
-    assert qio.load_cochain(str(path)).values == {(0, 1): [1]}
+    assert qio.load_cochain(str(path), rep).values == {(0, 1): [1]}
 
 
 def test_cochain_keys_must_be_spelled_as_written(tmp_path):
@@ -168,7 +170,7 @@ def test_cochain_keys_must_be_spelled_as_written(tmp_path):
     both.write_text('{"degree": 2, "modulus": 3, "dim": 1,'
                     ' "values": {"0,1": [1], " 0,1": [2]}}')
     with pytest.raises(InputError, match="' 0,1' is not"):
-        qio.load_cochain(str(both))
+        qio.load_cochain(str(both), make_alexander_rep(make_dihedral(3), 3, 2))
     canonical = {"degree": 2, "modulus": 3, "dim": 1,
                  "values": {"0,1": [1], "2,0": [2], "-1,10": [1]}}
     assert qio.cochain_from_doc(canonical).values == {(0, 1): [1], (2, 0): [2],
@@ -179,8 +181,6 @@ def test_zero_cochain_shorthand():
     rep = make_alexander_rep(make_trivial(2), 2, 1)
     kappa = qio.load_cochain("zero", rep=rep)
     assert kappa.values == {}
-    with pytest.raises(InputError):
-        qio.load_cochain("zero")
 
 
 def test_invalid_json_reports_location(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -169,3 +170,38 @@ def test_frozen_table():
     q = make_dihedral(3)
     assert isinstance(q.table, tuple)
     assert isinstance(q.table[0], tuple)
+
+
+def test_affine_gives_the_three_tables_and_labels():
+    """`_affine(n, t, label)` is the one table of T_n, R_n and Alex(n, t):
+    for n <= 30 and every unit t it gives the table and label that the three
+    constructors' own comprehensions gave, kept here as the oracle, and the
+    constructors return it."""
+    from quandlekit.quandles import _affine
+
+    def oracle_trivial(n):
+        return FiniteQuandle(tuple(tuple(a for _ in range(n)) for a in range(n)),
+                             label=f"T{n}")
+
+    def oracle_dihedral(n):
+        return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n))
+                                   for i in range(n)), label=f"R{n}")
+
+    def oracle_alexander(n, t):
+        return FiniteQuandle(tuple(tuple((t * a + (1 - t) * b) % n for b in range(n))
+                                   for a in range(n)), label=f"Alex({n},{t})")
+
+    for n in range(1, 31):
+        assert _affine(n, 1, f"T{n}") == make_trivial(n) == oracle_trivial(n)
+        assert _affine(n, -1, f"R{n}") == make_dihedral(n) == oracle_dihedral(n)
+        units = [t for t in range(-n, 2 * n) if math.gcd(t, n) == 1]
+        assert units
+        for t in units:
+            assert (_affine(n, t, f"Alex({n},{t})") == make_alexander(n, t)
+                    == oracle_alexander(n, t)), (n, t)
+        for t in set(range(n)) - set(units):
+            with pytest.raises(InputError, match=f"^t={t} is not a unit mod {n}$"):
+                make_alexander(n, t)
+    for make in (make_trivial, make_dihedral, lambda n: make_alexander(n, 1)):
+        with pytest.raises(InputError, match="^quandle size must be positive$"):
+            make(0)
