@@ -12,6 +12,15 @@ checked by verify_relations. The coefficient module is (Z_N)^m acted on by
 these matrices from the left.  Every table of matrices is shaped by
 `_square_dim` and every matrix frozen mod N, N >= 1, by `_freeze`.
 
+The conjugation rule.  A rep is of conjugation type, as the paper's modules
+over Conj(G) are, when eta[x][y] = rho(y) and tau[x][y] = I - rho(x*y) for
+an x -> matrix assignment rho; the Alexander reps, eta = t and tau = I - t,
+are the case rho = t.  The diagram chains of braids and the cocycle
+invariant need that rho.  It is read from the tables, never carried beside
+them: `AlgebraRep.rho` is rho(y) = eta[0][y] when eta[x][y] = eta[0][y] and
+tau[x][y] = I - eta[0][x*y] mod N for every x and y, and None otherwise,
+however the rep was built.
+
 The generator rule.  Once every eta is invertible, (1)-(3) hold for all
 (x, y, z) exactly when they hold for every z in the greedy generating set S
 of quandles.generating_set.  On E = X x (Z_N)^m let
@@ -34,7 +43,7 @@ to report the first failure of each relation in (x, y, z) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional
 
@@ -52,9 +61,6 @@ class AlgebraRep:
     dim: int
     eta: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
     tau: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
-    # underlying x -> matrix assignment for conjugation-type reps; needed by
-    # diagram chains
-    rho: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = field(default=None)
     label: str = ""
 
     @property
@@ -62,12 +68,19 @@ class AlgebraRep:
         return self.rho is not None
 
     @cached_property
+    def rho(self) -> Optional[tuple[tuple[tuple[int, ...], ...], ...]]:
+        # the module docstring's conjugation rule; count() tries identity first
+        row, q = self.eta[0], self.quandle
+        if (self.eta.count(row) == q.size
+                and self.tau == _conj_tau(row, q.table, self.modulus)):
+            return row
+        return None
+
+    @cached_property
     def _one_pair(self) -> bool:
-        # every cell holds the (eta, tau) pair of cell (0, 0), compared by
-        # value: true for an Alexander-type rep however its tables were made
-        eta, tau = self.eta[0][0], self.tau[0][0]
-        return (all(m == eta for row in self.eta for m in row)
-                and all(m == tau for row in self.tau for m in row))
+        # every cell holds one (eta, tau) pair: by relation (4), a rep of
+        # conjugation type whose rho is one matrix, as an Alexander rep's is
+        return self.rho is not None and len(set(self.rho)) == 1
 
     @cached_property
     def _crossing_blocks(self) -> tuple[dict, dict, list]:
@@ -78,9 +91,10 @@ class AlgebraRep:
 
 
 def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
-    """m as row tuples with entries in 0..n-1: every matrix of an AlgebraRep
-    or GroupRep is frozen here, which alone refuses an n below 1, and reduced
-    only if an entry is outside.  `frozen` maps each matrix given to its
+    """m as row tuples with entries in 0..n-1: every matrix given to an
+    AlgebraRep or GroupRep is frozen here (the tau of a conjugation rep is
+    formed from its frozen rho by `_conj_tau`), which alone refuses an n
+    below 1, and reduced only if an entry is outside.  `frozen` maps each matrix given to its
     frozen form, so that each distinct one is tested once and each residue
     matrix is one object."""
     if n < 1:
@@ -93,6 +107,14 @@ def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
             out = tuple(tuple([e % n for e in r]) for r in key)
         frozen[key] = frozen.setdefault(out, out)
     return frozen[key]
+
+
+def _conj_tau(rho, table, n: int) -> tuple:
+    """tau[x][y] = I - rho(x*y) mod n, one object per distinct rho(x*y)."""
+    minus = {m: tuple(tuple([(int(i == j) - e) % n for j, e in enumerate(r)])
+                      for i, r in enumerate(m)) for m in set(rho)}
+    one_minus = [minus[m] for m in rho]
+    return tuple(tuple(map(one_minus.__getitem__, row)) for row in table)
 
 
 class _Products:
@@ -191,9 +213,13 @@ def _square_dim(mats, count: int, what: str) -> int:
     """The size dim of `mats` if they are `count` square dim x dim matrices,
     dim >= 1; InputError "<what> must be <count> matrices, all square of
     one size >= 1" otherwise."""
-    dim = len(mats[0]) if len(mats) else 0
-    if not (dim and len(mats) == count and all(
-            len(m) == dim and all(len(row) == dim for row in m) for m in mats)):
+    try:
+        dim = len(mats[0]) if len(mats) else 0
+        fits = dim and len(mats) == count and all(
+            len(m) == dim and all(len(row) == dim for row in m) for m in mats)
+    except TypeError:               # an entry that is not a sequence
+        fits = False
+    if not fits:
         raise InputError(f"{what} must be {count} matrices, all square of one "
                          f"size >= 1")
     return dim
@@ -211,10 +237,14 @@ def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
 def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
                       elements, modulus: int) -> GroupRep:
     """GroupRep via the left-regular permutation representation of `group`,
-    restricted to the group elements carried by the quandle."""
+    restricted to the group elements carried by the quandle, which must lie
+    in 0..|G|-1 (an empty group gives matrices with no rows, refused by
+    `make_group_rep`)."""
     n = group.size
     rho = []
     for e in elements:
+        if n and not (type(e) is int and 0 <= e < n):
+            raise InputError(f"{e!r} is not an element of the group of order {n}")
         m = [[0] * n for _ in range(n)]
         for h in range(n):
             m[group.mul[e][h]][h] = 1
@@ -322,25 +352,26 @@ def _relation_failures(table, eta, tau, one: int, products: _Products,
     return failures
 
 
-def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau, rho=None,
+def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau,
              label: str = "", check: bool = True) -> AlgebraRep:
     """The rep with tables eta and tau given from outside (a JSON document,
     make_wada_rep or a test), frozen with one object per distinct residue
-    matrix.  eta and tau are |X| x |X| tables and rho, if given, |X|
-    matrices, all square of one size (`_square_dim`; a row or table of
-    another length is left out of the count); with `check`, a rep that
-    fails verify_relations raises CheckFailed."""
+    matrix.  eta and tau are |X| x |X| tables of matrices, all square of
+    one size (`_square_dim`; a row or table of another length is left out
+    of the count); with `check`, a rep that fails verify_relations raises
+    CheckFailed.  Whether the rep is of conjugation type, and its rho, are
+    read from the tables (`AlgebraRep.rho`)."""
     size = quandle.size
-    mats = [m for table in (eta, tau) if len(table) == size
-            for row in table if len(row) == size for m in row]
-    mats += rho if rho is not None and len(rho) == size else []
-    dim = _square_dim(mats, (2 * size + (rho is not None)) * size,
-                      f"{size} x {size} tables eta and tau, and rho if given,")
+    try:
+        mats = [m for table in (eta, tau) if len(table) == size
+                for row in table if len(row) == size for m in row]
+    except TypeError:               # a table or row that is not a sequence
+        mats = []
+    dim = _square_dim(mats, 2 * size * size, f"{size} x {size} tables eta and tau")
     freeze = partial(_freeze, n=modulus, frozen={})
     rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
                      eta=tuple(tuple(map(freeze, row)) for row in eta),
                      tau=tuple(tuple(map(freeze, row)) for row in tau),
-                     rho=None if rho is None else tuple(map(freeze, rho)),
                      label=label)
     if check:
         report = verify_relations(rep)
@@ -370,18 +401,16 @@ def make_conj_rep(g: GroupRep) -> AlgebraRep:
     """eta[x][y] = rho(y), tau[x][y] = I - rho(x*y).
 
     Every row of eta is the GroupRep's own frozen rho, and I - rho(z) is
-    formed and frozen once per element z, so the tables hold |X| distinct
+    formed once per element z (`_conj_tau`), so the tables hold |X| distinct
     eta and |X| distinct tau objects.  CheckFailed unless check_group_rep
     passes, which on these tables is equivalent to relations (1)-(4): (1) is
     the conjugation relation, and (2)-(4) follow from it and axiom III."""
     report = check_group_rep(g)
     if not report:
         raise CheckFailed("; ".join(report.failures))
-    q, n, dim = g.quandle, g.modulus, g.dim
-    one_minus = [_freeze(mat_sub(identity(dim), r, n), n) for r in g.rho]
-    return AlgebraRep(quandle=q, modulus=n, dim=dim, eta=(g.rho,) * q.size,
-                      tau=tuple(tuple(one_minus[z] for z in row) for row in q.table),
-                      rho=g.rho, label=f"conj-rep({g.label})")
+    q, n = g.quandle, g.modulus
+    return AlgebraRep(quandle=q, modulus=n, dim=g.dim, eta=(g.rho,) * q.size,
+                      tau=_conj_tau(g.rho, q.table, n), label=f"conj-rep({g.label})")
 
 
 def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
@@ -426,8 +455,7 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
                     geo, mat_mul(mat_mul(powers[m], g.rho[x], n), inv_geo, n), n)
     else:
         raise InputError(f"unknown wada variant {variant!r}")
-    return make_rep(q, n, eta, tau, rho=g.rho,
-                    label=f"wada-rep({variant},{g.label})")
+    return make_rep(q, n, eta, tau, label=f"wada-rep({variant},{g.label})")
 
 
 def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:

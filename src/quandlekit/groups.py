@@ -23,12 +23,6 @@ class FiniteGroup:
     def size(self) -> int:
         return len(self.mul)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def power(self, a: int, n: int) -> int:
         if n < 0:
             return self.power(self.inv[a], -n)

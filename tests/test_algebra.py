@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -20,8 +21,8 @@ from quandlekit.algebra import (
     verify_relations,
 )
 from quandlekit.errors import CheckFailed, InputError
-from quandlekit.groups import small_groups
-from quandlekit.io import load_rep
+from quandlekit.groups import cyclic_group, small_groups
+from quandlekit.io import load_rep, rep_from_doc, rep_to_doc
 from quandlekit.linalg import identity, mat_add, mat_inv_mod, mat_mul, mat_scale, mat_vec
 from quandlekit.quandles import (
     make_alexander,
@@ -135,7 +136,7 @@ def _conj_tables(g):
     eta = [[g.rho[y] for y in range(q.size)] for _ in range(q.size)]
     tau = [[mat_add(identity(g.dim), mat_scale(-1, g.rho[q.op(x, y)], n), n)
             for y in range(q.size)] for x in range(q.size)]
-    return make_rep(q, n, eta, tau, rho=g.rho, check=False)
+    return make_rep(q, n, eta, tau, check=False)
 
 
 def test_group_rep_check_is_equivalent_to_the_conj_relations():
@@ -190,12 +191,11 @@ def _assert_make_rep_agrees(rep):
     tau[0][0] = I, failing."""
     broken = _unshared(rep.tau)
     broken[0][0] = identity(rep.dim)    # relation (4) fails at x = 0
-    rho = None if rep.rho is None else [list(map(list, m)) for m in rep.rho]
     for tau, passed in ((rep.tau, True), (broken, False)):
-        shared = make_rep(rep.quandle, rep.modulus, rep.eta, tau, rho=rep.rho,
+        shared = make_rep(rep.quandle, rep.modulus, rep.eta, tau,
                           label=rep.label, check=False)
         fresh = make_rep(rep.quandle, rep.modulus, _unshared(rep.eta),
-                         _unshared(tau), rho=rho, label=rep.label, check=False)
+                         _unshared(tau), label=rep.label, check=False)
         assert fresh == shared
         if passed:
             assert fresh == rep
@@ -262,6 +262,51 @@ def test_wada_core_variant():
         assert verify_relations(rep).passed
 
 
+def test_conjugation_type_is_read_from_the_tables():
+    """rho is read from eta and tau alone: the regular conjugation rep of
+    every group of order <= 8 mod 3, 5 and 7 gives back its GroupRep's rho,
+    through make_conj_rep and through the m = 1 Wada tables make_rep
+    freezes; the Alexander reps give rho = t and the trivial action I; and
+    one cell of tau, or one row of eta, off the rule leaves no rho."""
+    for g in small_groups(8):
+        for n in (3, 5, 7):
+            grep = regular_group_rep(g, make_conj(g), range(g.size), n)
+            assert make_conj_rep(grep).rho == grep.rho
+            wada = make_wada_rep(grep, 1)
+            assert wada.is_conj_type and wada.rho == grep.rho
+    r3 = make_dihedral(3)
+    for t in (2, [[1, 1], [0, 1]]):
+        rep = make_alexander_rep(r3, 5, t)
+        assert rep.rho == (rep.eta[0][0],) * 3
+    assert load_rep("trivial-action:4", quandle=r3).rho == (((1,),),) * 3
+    perm3 = load_rep("conj-rep:perm3")
+    tau = _unshared(perm3.tau)
+    tau[0][1] = identity(3)
+    eta = _unshared(perm3.eta)
+    eta[2] = eta[2][1:] + eta[2][:1]
+    for rep in (make_rep(r3, 3, perm3.eta, tau, check=False),
+                make_rep(r3, 3, eta, perm3.tau, check=False)):
+        assert not rep.is_conj_type and rep.rho is None
+    assert make_rep(r3, 3, _unshared(perm3.eta), _unshared(perm3.tau)).rho == perm3.rho
+
+
+def test_rep_documents_keep_rho():
+    """A rep read back from its JSON document has the rho, or the None, of
+    the rep written."""
+    z3 = cyclic_group(3)
+    d4 = next(g for g in small_groups(8) if g.label == "D4")
+    reps = [load_rep("conj-rep:perm3"), load_rep("conj-rep:perm3:9"),
+            make_alexander_rep(make_dihedral(5), 7, 3),
+            load_rep("trivial-action:3", quandle=make_trivial(3)),
+            make_conj_rep(regular_group_rep(d4, make_conj(d4), range(8), 7)),
+            make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), 5), "core")]
+    for rep in reps:
+        back = rep_from_doc(json.loads(json.dumps(rep_to_doc(rep))))
+        assert (back.eta, back.tau) == (rep.eta, rep.tau)
+        assert back.rho == rep.rho
+    assert [rep.rho is None for rep in reps] == [False] * 5 + [True]
+
+
 def test_wada_rejects_unknown_variant():
     g = permutation_rep_r3(3)
     with pytest.raises(InputError):
@@ -319,7 +364,7 @@ def test_every_constructor_reduces_mod_n(n, seed):
     q = make_dihedral(n)
     tables = [[[[rng.randrange(-3 * n, 3 * n) for _ in range(2)] for _ in range(2)]
                for _ in range(n)] for _ in range(2 * n)]
-    rep = make_rep(q, n, tables[:n], tables[n:], rho=tables[0], check=False)
+    rep = make_rep(q, n, tables[:n], tables[n:], check=False)
     cells = [m for table in (rep.eta, rep.tau) for row in table for m in row]
     assert _reduced(rep) and len({id(m) for m in cells}) == len(set(cells))
     assert _reduced(make_group_rep(q, n, tables[0]))
@@ -356,23 +401,19 @@ def test_verify_relations_rejects_noninvertible_eta():
 @pytest.mark.parametrize("check", [False, True])
 def test_make_rep_checks_the_shape_of_its_tables(check):
     """make_rep refuses, with or without `check`, tables that are not
-    |X| x |X| tables of dim x dim matrices with dim >= 1, and a rho that is
-    not |X| such matrices."""
+    |X| x |X| tables of dim x dim matrices with dim >= 1."""
     one, r3 = make_trivial(1), make_dihedral(3)
     unit = [[[[1]]] * 3] * 3
-    for q, eta, tau, rho in (
-            (one, [[[]]], [[[]]], None),           # matrices with no rows
-            (one, [[]], [[]], None),               # a row with no matrices
-            (one, [[[[1]]]], [[[[0, 0]]]], None),  # a 1 x 2 tau beside a 1 x 1 eta
-            (one, [[[[1]]]], [[[[0]], [[0]]]], None),
-            (r3, unit[:2], unit[:2], None),        # two rows on a 3-element quandle
-            (r3, unit, unit[:2], None),
-            (r3, unit, unit, [[[1]]] * 2),         # rho with two matrices
-            (r3, unit, unit, [[[1]], [[1]], [[1, 0]]])):
+    for q, eta, tau in (
+            (one, [[[]]], [[[]]]),             # matrices with no rows
+            (one, [[]], [[]]),                 # a row with no matrices
+            (one, [[[[1]]]], [[[[0, 0]]]]),    # a 1 x 2 tau beside a 1 x 1 eta
+            (one, [[[[1]]]], [[[[0]], [[0]]]]),
+            (r3, unit[:2], unit[:2]),          # two rows on a 3-element quandle
+            (r3, unit, unit[:2])):
         with pytest.raises(InputError, match="all square of one size >= 1"):
-            make_rep(q, 5, eta, tau, rho=rho, check=check)
-    rep = make_rep(r3, 5, unit, [[[[0]]] * 3] * 3, rho=[[[1]]] * 3,
-                   check=check)
+            make_rep(q, 5, eta, tau, check=check)
+    rep = make_rep(r3, 5, unit, [[[[0]]] * 3] * 3, check=check)
     assert rep.dim == 1 and rep.rho == (((1,),),) * 3
 
 

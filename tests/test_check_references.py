@@ -177,7 +177,7 @@ def _mutant(rep, changes, unreduced=()):
         cell = tables[name][x][y]
         cell[i][j] = cell[i][j] % rep.modulus - rep.modulus
     return make_rep(rep.quandle, rep.modulus, tables["eta"], tables["tau"],
-                    rho=rep.rho, check=False)
+                    check=False)
 
 
 def test_unreduced_tau_outside_generators_matches_reference():

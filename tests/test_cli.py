@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import quandlekit.cli as cli
 import quandlekit.homology as homology
 from quandlekit import io as qio
-from quandlekit.algebra import make_alexander_rep
+from quandlekit.algebra import make_alexander_rep, make_wada_rep, regular_group_rep
 from quandlekit.cli import main
 from quandlekit.errors import GuardExceeded, guarded
-from quandlekit.quandles import generating_set
+from quandlekit.groups import cyclic_group
+from quandlekit.quandles import generating_set, make_core
 
 
 def run(capsys, *argv):
@@ -669,15 +670,22 @@ def test_inconsistent_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in out + err
 
 
-def test_cocycle_invariant_without_rho_exits_2_unchecked(capsys, monkeypatch):
+def test_cocycle_invariant_without_rho_exits_2_unchecked(capsys, monkeypatch, tmp_path):
+    """A JSON rep whose eta depends on x, the core Wada rep of Z3 on R3, has
+    no rho, and is refused before the cocycle check runs."""
     from quandlekit import invariants
 
     def cocycle_check(*args, **kwargs):
         raise AssertionError("cocycle checked before the rep's rho")
 
+    z3 = cyclic_group(3)
+    wada = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), 5), "core")
+    assert wada.eta[0][0] != wada.eta[1][0]
+    path = tmp_path / "wada.json"
+    path.write_text(json.dumps(qio.rep_to_doc(wada)))
     monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
-    code = main(["invariant", "cocycle", "--quandle", "dihedral:61",
-                 "--rep", "alexander-rep:5:2", "--cocycle", "zero", "--knot", "3_1"])
+    code = main(["invariant", "cocycle", "--quandle", "dihedral:3",
+                 "--rep", str(path), "--cocycle", "zero", "--knot", "3_1"])
     out, err = capsys.readouterr()
     assert code == 2
     assert "conjugation-type" in err and "Traceback" not in out + err

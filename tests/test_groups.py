@@ -32,8 +32,8 @@ def test_small_groups_are_groups():
 
 def test_cyclic():
     z6 = cyclic_group(6)
-    assert z6.op(2, 5) == 1
-    assert z6.inverse(4) == 2
+    assert z6.mul[2][5] == 1
+    assert z6.inv[4] == 2
 
 
 def test_symmetric():

@@ -118,33 +118,38 @@ def _shape(what: str, count: int) -> str:
     return f"{what} must be {count} matrices, all square of one size >= 1"
 
 
-TABLES = _shape("3 x 3 tables eta and tau, and rho if given,", 18)
+TABLES = _shape("3 x 3 tables eta and tau", 18)
 RHO = _shape("rho, one per quandle element,", 3)
 T = _shape("t, an integer or a matrix,", 1)
 GENERATORS = _shape("rho, one per generator,", 3)
 MODULUS = "modulus 0 is not positive"
 # entry point -> (a call on good tables, [(fault, call, message), ...])
 MATRIX_CASES = {
-    "make_rep": (lambda: make_rep(R3, 5, UNIT, [[[[0]]] * 3] * 3, rho=[[[1]]] * 3), [
+    "make_rep": (lambda: make_rep(R3, 5, UNIT, [[[[0]]] * 3] * 3), [
         ("no rows", lambda: make_rep(ONE, 5, [[[]]], [[[]]]),
-         _shape("1 x 1 tables eta and tau, and rho if given,", 2)),
+         _shape("1 x 1 tables eta and tau", 2)),
         ("ragged", lambda: make_rep(R3, 5, [[[[1]]] * 3, [[[1]]] * 2, [[[1]]] * 4],
                                     UNIT), TABLES),
         ("non-square", lambda: make_rep(R3, 5, UNIT, [[[[0, 0]]] * 3] * 3), TABLES),
-        ("wrong count", lambda: make_rep(R3, 5, UNIT, UNIT, rho=[[[1]]] * 4),
-         _shape("3 x 3 tables eta and tau, and rho if given,", 21)),
+        ("wrong count", lambda: make_rep(R3, 5, UNIT, UNIT[:2]), TABLES),
+        ("not matrices", lambda: make_rep(R3, 5, [[1] * 3] * 3, [[0] * 3] * 3),
+         TABLES),
+        ("not tables", lambda: make_rep(R3, 5, [1, 2, 3], 5), TABLES),
         ("modulus 0", lambda: make_rep(R3, 0, UNIT, UNIT, check=False), MODULUS)]),
     "make_group_rep": (lambda: make_group_rep(R3, 5, [[[1]]] * 3), [
         ("no rows", lambda: make_group_rep(R3, 5, [[]] * 3), RHO),
         ("ragged", lambda: make_group_rep(R3, 5, [[[1, 0], [0]]] * 3), RHO),
         ("non-square", lambda: make_group_rep(R3, 5, [[[1, 0]]] * 3), RHO),
         ("wrong count", lambda: make_group_rep(R3, 5, [[[1]]] * 2), RHO),
+        ("not matrices", lambda: make_group_rep(R3, 5, [1, 2, 3]), RHO),
         ("modulus 0", lambda: make_group_rep(R3, 0, [[[1]]] * 3), MODULUS)]),
     # the regular rep's matrices are square by construction
     "regular_group_rep": (lambda: regular_group_rep(cyclic_group(3), R3, [0] * 3, 5), [
         ("no rows", lambda: regular_group_rep(FiniteGroup(mul=()), ONE, [0], 5),
          _shape("rho, one per quandle element,", 1)),
         ("wrong count", lambda: regular_group_rep(cyclic_group(3), R3, [0, 1], 5), RHO),
+        ("not an element", lambda: regular_group_rep(cyclic_group(3), R3, [0, 1, 5], 5),
+         "5 is not an element of the group of order 3"),
         ("modulus 0", lambda: regular_group_rep(cyclic_group(3), R3, [0] * 3, 0),
          MODULUS)]),
     # t is one matrix, so it has no count to get wrong
@@ -152,12 +157,14 @@ MATRIX_CASES = {
         ("no rows", lambda: make_alexander_rep(R3, 5, []), T),
         ("ragged", lambda: make_alexander_rep(R3, 5, [[1, 0], [1]]), T),
         ("non-square", lambda: make_alexander_rep(R3, 5, [[1, 0]]), T),
+        ("not a matrix", lambda: make_alexander_rep(R3, 5, 2.0), T),
         ("modulus 0", lambda: make_alexander_rep(R3, 0, 2), MODULUS)]),
     "twisted_matrix": (lambda: twisted_matrix(PRES, [[[1]]] * 3, modulus=5), [
         ("no rows", lambda: twisted_matrix(PRES, [[]] * 3), GENERATORS),
         ("ragged", lambda: twisted_matrix(PRES, [[[1, 0], [0]]] * 3), GENERATORS),
         ("non-square", lambda: twisted_matrix(PRES, [[[1, 0]]] * 3), GENERATORS),
         ("wrong count", lambda: twisted_matrix(PRES, [[[1]]] * 4), GENERATORS),
+        ("not matrices", lambda: twisted_matrix(PRES, [1, 2, 3]), GENERATORS),
         ("modulus 0", lambda: twisted_matrix(PRES, [[[1]]] * 3, modulus=0),
          MODULUS)]),
 }
@@ -165,9 +172,11 @@ MATRIX_CASES = {
 
 @pytest.mark.parametrize("name", MATRIX_CASES)
 def test_every_matrix_table_entry_point_refuses_a_bad_shape_in_one_form(name):
-    """No rows, a ragged table, non-square matrices, the wrong count and
-    modulus 0: the shapes in `_square_dim`'s one form, the modulus in
-    `_freeze`'s.  The same entry point takes good tables first."""
+    """No rows, a ragged table, non-square matrices, the wrong count, entries
+    that are not matrices and modulus 0: the shapes in `_square_dim`'s one
+    form, the modulus in `_freeze`'s, and a group element outside the group
+    in `regular_group_rep`'s.  The same entry point takes good tables
+    first."""
     good, faults = MATRIX_CASES[name]
     good()
     for fault, call, message in faults:

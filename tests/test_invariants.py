@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,8 @@ from quandlekit.algebra import (
 )
 from quandlekit.braids import (BraidWord, _path_action, braid_or_knot,
                                colored_matrix, colorings_of_closure,
-                               crossing_blocks, crossing_data, markov_moves)
+                               crossing_blocks, crossing_data, markov_moves,
+                               parse_braid)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError, guarded
 from quandlekit.homology import (
     Cochain,
@@ -202,7 +204,10 @@ def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
     and unchecked; the perm3 rep also runs the checked cocycle of
     nontrivial_kappa, and over Z_9, a composite modulus, the signed sums
     must reduce mod 9.  The regular D4 rep mod 7 and the core-Z3 Wada rep
-    have non-constant tables, so their colorings share few sequences."""
+    have non-constant tables, so their colorings share few sequences.  The
+    cocycle part runs on every rep of conjugation type, the Alexander reps
+    (rho = t) included, and skips the core Wada rep, whose eta depends on x,
+    so it has no rho."""
     from quandlekit import invariants
     rng = random.Random(16)
     d4 = dihedral_group(4)
@@ -485,15 +490,18 @@ def test_cocycle_invariant_rejects_non_cocycle():
 
 
 def test_cocycle_invariant_needs_rho_before_cocycle_check(monkeypatch):
-    """A rep without rho is rejected before the size^3 cocycle check runs."""
+    """A rep without rho, the core Wada rep of Z3, is rejected before the
+    size^3 cocycle check runs."""
     from quandlekit import invariants
 
     def cocycle_check(*args, **kwargs):
         raise AssertionError("cocycle checked before the rep's rho")
 
     monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
-    rep = make_alexander_rep(make_dihedral(3), 5, 2)
-    kappa = Cochain(2, 5, 1, {})
+    z3 = cyclic_group(3)
+    rep = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), 5), "core")
+    assert rep.rho is None
+    kappa = Cochain(2, 5, 3, {})
     w = braid_or_knot("3_1")
     with pytest.raises(InputError):
         cocycle_invariant(rep, kappa, w)
@@ -617,3 +625,55 @@ def test_boltzmann_weight_cocycle_check_is_held_to_the_guard():
         boltzmann_weight(rep, zero, w, (0, 0), 0)
     with guarded(27):
         assert boltzmann_weight(rep, zero, w, (0, 0), 0) == [0, 0, 0]
+
+
+def test_a_rep_off_the_conjugation_rule_has_no_cocycle_invariant():
+    """The m = 2 Wada rep of Z2 has eta = I in every cell but a tau that is
+    not I - I, and the core Wada rep of Z3 an eta that depends on x: neither
+    has a rho, however it was built.  The state sum of the first with the
+    rho of its GroupRep, (I, swap), would give {(0,0)^2, (1,0)^2} on
+    k=2; 1 1 and {(0,0)^2, (0,1), (1,0)} on the stabilization k=3; 1 1 2,
+    so it is refused, checked or not."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    wada = make_wada_rep(regular_group_rep(z2, make_conj(z2, power=2), [0, 1], 3), 2)
+    core = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), 5), "core")
+    assert all(m == ((1, 0), (0, 1)) for row in wada.eta for m in row)
+    assert wada.rho is None and core.rho is None
+    kappa = Cochain(2, 3, 2, {(1, 0): [1, 0]})
+    for w in (parse_braid("k=2; 1 1"), parse_braid("k=3; 1 1 2")):
+        for check in (True, False):
+            with pytest.raises(InputError, match="conjugation-type"):
+                cocycle_invariant(wada, kappa, w, check=check)
+
+
+@functools.lru_cache(maxsize=None)
+def _conj_type_case(i: int):
+    """The i-th Alexander-type or trivial-action rep and its cocycle
+    generators over the quandle complex.  Most of their state sums are zero
+    on every coloring; those of alexander-rep:4:3 on R4 and of the trivial
+    action on T2 and T3 are not, on some braids."""
+    r3 = make_dihedral(3)
+    rep = [make_alexander_rep(r3, 3, 2), make_alexander_rep(r3, 9, 2),
+           make_alexander_rep(make_dihedral(5), 5, 2),
+           make_alexander_rep(make_alexander(5, 2), 5, 3),
+           make_alexander_rep(r3, 3, [[2, 1], [0, 2]]),
+           make_alexander_rep(make_dihedral(4), 4, 3),
+           make_alexander_rep(r3, 3, 1), make_alexander_rep(make_dihedral(5), 5, 1),
+           make_alexander_rep(make_trivial(3), 3, 1),
+           make_alexander_rep(make_trivial(2), 2, 1)][i]
+    return rep, tuple(cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(i=st.integers(0, 9), j=st.integers(0, 2 ** 16),
+       w=_braid_words(max_strands=3, max_letters=8))
+def test_alexander_and_trivial_action_invariants_survive_markov_moves(i, j, w):
+    """The state sum of an Alexander-type or trivial-action rep, rho = t,
+    is unchanged under every Markov move of the braid, for a cocycle
+    generator of the rep."""
+    rep, basis = _conj_type_case(i)
+    assert rep.is_conj_type and basis
+    kappa = basis[j % len(basis)]
+    base = cocycle_invariant(rep, kappa, w).entries
+    for v in markov_moves(w):
+        assert cocycle_invariant(rep, kappa, v, check=False).entries == base, v
