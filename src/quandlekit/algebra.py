@@ -45,12 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import Optional
 
 from .errors import CheckFailed, InputError, charge
 from .groups import FiniteGroup
-from .linalg import (Matrix, identity, is_invertible_mod, mat_add, mat_inv_mod,
-                     mat_mul, mat_scale, mat_sub)
+from .linalg import (Matrix, _require_modulus, identity, is_invertible_mod, mat_add,
+                     mat_inv_mod, mat_mul, mat_scale, mat_sub)
 from .quandles import FiniteQuandle, ValidationReport, generating_set
 
 
@@ -93,12 +94,11 @@ class AlgebraRep:
 def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
     """m as row tuples with entries in 0..n-1: every matrix given to an
     AlgebraRep or GroupRep is frozen here (the tau of a conjugation rep is
-    formed from its frozen rho by `_conj_tau`), which alone refuses an n
-    below 1, and reduced only if an entry is outside.  `frozen` maps each matrix given to its
-    frozen form, so that each distinct one is tested once and each residue
-    matrix is one object."""
-    if n < 1:
-        raise InputError(f"modulus {n} is not positive")
+    formed from its frozen rho by `_conj_tau`), after `_require_modulus`,
+    and reduced only if an entry is outside.  `frozen` maps each matrix
+    given to its frozen form, so that each distinct one is tested once and
+    each residue matrix is one object."""
+    _require_modulus(n)
     key = tuple(map(tuple, m))
     frozen = {} if frozen is None else frozen
     if key not in frozen:
@@ -210,18 +210,19 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
 
 
 def _square_dim(mats, count: int, what: str) -> int:
-    """The size dim of `mats` if they are `count` square dim x dim matrices,
-    dim >= 1; InputError "<what> must be <count> matrices, all square of
-    one size >= 1" otherwise."""
+    """The size dim of `mats` if they are `count` square dim x dim matrices
+    of ints (type(x) is int), dim >= 1; InputError "<what> must be <count>
+    integer matrices, all square of one size >= 1" otherwise."""
     try:
         dim = len(mats[0]) if len(mats) else 0
         fits = dim and len(mats) == count and all(
-            len(m) == dim and all(len(row) == dim for row in m) for m in mats)
-    except TypeError:               # an entry that is not a sequence
+            len(m) == dim and all(len(row) == dim for row in m) for m in mats
+        ) and set(map(type, chain.from_iterable(chain.from_iterable(mats)))) == {int}
+    except (TypeError, LookupError):    # an entry that is not a sequence
         fits = False
     if not fits:
-        raise InputError(f"{what} must be {count} matrices, all square of one "
-                         f"size >= 1")
+        raise InputError(f"{what} must be {count} integer matrices, all square "
+                         f"of one size >= 1")
     return dim
 
 
@@ -386,7 +387,7 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     rep) or a square matrix, which sets the dimension.  t and I - t are
     frozen once, and each table is one row of |X| references to its matrix,
     repeated |X| times."""
-    tmat = [[t]] if isinstance(t, int) else t
+    tmat = [[t]] if type(t) is int else t
     dim = _square_dim([tmat], 1, "t, an integer or a matrix,")
     eta = _freeze(tmat, modulus)
     if not is_invertible_mod(eta, modulus):

@@ -8,11 +8,12 @@ A rep lives on --quandle: alexander-rep and trivial-action are built on it,
 and conj-rep and JSON reps must carry an equal quandle table.  A rep or
 cochain that disagrees, a missing --quandle, --rep or --cocycle, an `extend`
 cochain not of degree 2, or an --out path that cannot be written exits 2.
-`check cocycle` tests delta kappa = 0 for degree-2 and degree-3 cochains on
+`check cocycle` tests delta kappa = 0 for a cochain of any degree d >= 0 on
 any rep at the boundary tuples whose last entry is in the quandle's
-generating set, which is enough (the generator rule of `homology`).  Other
-degrees exit 2, as do a --degree that disagrees with the cochain file and a
-`homology` degree outside 0-3.  `search` takes any modulus N and lists
+generating set, which is enough (the generator rule of `homology`).  A
+degree below 0 exits 2, as do a --degree that disagrees with the cochain
+file, a `search` degree other than 2 and 3 and a `homology` degree outside
+0-3, each refused by the library.  `search` takes any modulus N and lists
 generators of the cocycles over Z_N, with N under the key "prime" and their
 number under "dimension"; for prime N they are a basis.  For every N the
 elimination takes delta's rows at the tuples ending in the generating set
@@ -28,10 +29,10 @@ quandle and the relation check of a JSON rep; `check quandle` the axiom
 check of any table; `check rep` the relation check; `colorings`,
 `invariant cocycle` and `invariant module` the candidate colorings and the
 search plan; `invariant module` also the cells and block walk of its
-colored matrix; `check cocycle` and `invariant cocycle` the boundary tuples
-of the cocycle check; `invariant alexander` the Laurent coefficient steps;
-`search` and `homology` the coboundary cells; `extend` the axiom checks of
-the extension.
+colored matrix; `check cocycle` and `invariant cocycle` the boundary-term
+steps of the cocycle check; `invariant alexander` the Laurent coefficient
+steps; `search` and `homology` the coboundary cells; `extend` the axiom
+checks of the extension.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
@@ -53,8 +54,7 @@ from .algebra import verify_relations
 from .braids import braid_or_knot, colorings_of_closure
 from .errors import GUARD, CheckFailed, GuardExceeded, InputError, guarded
 from .fox import alexander_polynomial
-from .homology import (ComplexConfig, cocycle_space, cohomology, is_cocycle_2,
-                       is_cocycle_3)
+from .homology import ComplexConfig, cocycle_space, cohomology, is_cocycle
 from .invariants import (cocycle_invariant, dynamical_extension,
                          module_invariant, multiset_contained)
 from .quandles import ValidationReport, verify_axioms
@@ -104,10 +104,6 @@ def cmd_check(args) -> int:
         rep = _rep_on_quandle(args, args.rep)
         # 'zero' takes --degree (2 without it); a file must be of it, if given
         kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
-        is_cocycle = {2: is_cocycle_2, 3: is_cocycle_3}.get(kappa.degree)
-        if is_cocycle is None:
-            raise InputError(f"cocycle checks support degrees 2 and 3, "
-                             f"got degree {kappa.degree}")
         ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa)
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
@@ -269,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_colorings)
 
     p = sub.add_parser("search", help="generators of the cocycles over Z_N")
-    p.add_argument("degree", type=int, choices=[2, 3])
+    p.add_argument("degree", type=int)
     p.add_argument("quandle")
     p.add_argument("rep")
     p.add_argument("prime", type=int, metavar="modulus",

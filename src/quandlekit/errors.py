@@ -42,24 +42,28 @@ def guarded(guard: int):
         _guard.reset(token)
 
 
-def charge(count: int, what: str, exp: int = 1) -> None:
-    """Refuse count^exp units of work past the guard with GuardExceeded,
-    "<count^exp> <what> exceed the guard of <guard>".  Past exp =
-    guard.bit_length() + 1 every count >= 2 has count^exp > guard, so no
-    larger power is formed."""
+def charge(count: int, what: str, exp: int = 1, times: int = 1) -> None:
+    """Refuse times * count^exp units of work past the guard with
+    GuardExceeded, "<times * count^exp> <what> exceed the guard of <guard>";
+    times is a count >= 0.  Past exp = guard.bit_length() + 1 every count >= 2
+    has count^exp > guard, so no larger power is formed."""
     guard = _guard.get()
-    if count ** min(exp, guard.bit_length() + 1) > guard:
-        raise GuardExceeded(f"{power_text(count, exp)} {what} exceed the "
+    if times * count ** min(exp, guard.bit_length() + 1) > guard:
+        raise GuardExceeded(f"{power_text(count, exp, times)} {what} exceed the "
                             f"guard of {guard}")
 
 
-def power_text(base: int, exp: int = 1) -> str:
-    """base^exp for a guard message: in decimal while it fits in 64 bits,
-    else as the power, such as 3^10000, or as a lower bound 2^b when the
-    base itself is over 64 bits, so a long count is never written in full."""
+def power_text(base: int, exp: int = 1, times: int = 1) -> str:
+    """times * base^exp for a guard message: in decimal while it fits in 64
+    bits, else as the product, such as 3^10000 or 5 * 3^10000, or as a lower
+    bound 2^b when base or times is over 64 bits (2^(2^64) past that), so a
+    long count is never written in full."""
     bits = base.bit_length()
-    if bits * exp <= 64:
-        return str(base ** exp)
-    if bits <= 64:
-        return f"{base}^{exp}"
-    return f"at least 2^{(bits - 1) * exp}"
+    if base < 2 or bits * exp <= 64:
+        total = times * base ** exp
+        if total.bit_length() <= 64:
+            return str(total)
+    if bits <= 64 and times.bit_length() <= 64:
+        return f"{base}^{exp}" if times == 1 else f"{times} * {base}^{exp}"
+    bound = max(bits - 1, 0) * exp + times.bit_length() - 1
+    return f"at least 2^{bound}" if bound.bit_length() <= 64 else "at least 2^(2^64)"

@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import InputError, charge
+from .errors import InputError, charge, power_text
 from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
 from .quandles import generating_set
 
@@ -60,7 +60,8 @@ class ComplexConfig:
     def __post_init__(self):
         if self.variant not in ("quandle", "rack"):
             raise InputError(f"unknown variant {self.variant!r}")
-        if not (0 <= self.basepoint < self.rep.quandle.size):
+        if not (type(self.basepoint) is int
+                and 0 <= self.basepoint < self.rep.quandle.size):
             raise InputError("basepoint out of range")
 
 
@@ -82,14 +83,20 @@ class Cochain:
 def _require_module(rep: AlgebraRep, kappa: Cochain, degree=None) -> None:
     """The one rule of a cochain's fit to a rep: InputError "the cochain
     <what it is>, not <what the rep needs>" unless kappa has `degree`, when
-    one is asked for, takes values in the rep's module (Z_N)^m, is keyed by
-    tuples of kappa.degree elements of 0..|X|-1 and holds m entries at each."""
+    one is asked for, and a degree d >= 0, takes values in the rep's module
+    (Z_N)^m, is keyed by tuples of d elements of 0..|X|-1 and holds a list
+    of m entries at each, every number an int (type(x) is int)."""
     size, m, d = rep.quandle.size, rep.dim, kappa.degree
-    if degree not in (None, d):
-        fault = f"is of degree {d}, not a degree-{degree} cochain"
-    elif (kappa.modulus, kappa.dim) != (rep.modulus, m):
-        fault = (f"takes values in (Z_{kappa.modulus})^{kappa.dim}, not in the "
+    if degree is not None and (type(d) is not int or d != degree):
+        fault = f"is of degree {d!r}, not a degree-{degree} cochain"
+    elif type(d) is not int or d < 0:
+        fault = f"is of degree {d!r}, not of degree >= 0"
+    elif (type(kappa.modulus), type(kappa.dim)) != (int, int) or (
+            kappa.modulus, kappa.dim) != (rep.modulus, m):
+        fault = (f"takes values in (Z_{kappa.modulus!r})^{kappa.dim!r}, not in the "
                  f"rep's (Z_{rep.modulus})^{m}")
+    elif type(kappa.values) is not dict:
+        fault = f"has the values {kappa.values!r}, not a dict of keys to values"
     else:
         for k, v in kappa.values.items():
             if not (type(k) is tuple and len(k) == d
@@ -97,8 +104,9 @@ def _require_module(rep: AlgebraRep, kappa: Cochain, degree=None) -> None:
                 fault = (f"has the key {k!r}, not a tuple of {d} elements of "
                          f"0..{size - 1}")
                 break
-            if len(v) != m:
-                fault = f"has a value of length {len(v)} at {k}, not {m}"
+            if not (type(v) in (list, tuple) and len(v) == m
+                    and set(map(type, v)) == {int}):
+                fault = f"has the value {v!r} at {k}, not a list of {m} integers"
                 break
         else:
             return
@@ -119,6 +127,8 @@ def _tuples(cfg: ComplexConfig, n: int, last=None) -> Iterable[tuple]:
     s, rack = cfg.rep.quandle.size, cfg.variant == "rack"
     keys = [()]
     for i in range(n):
+        if not keys:                # so are the longer tuples
+            return []
         ends = range(s) if last is None or i < n - 1 else last
         step = (k + (x,) for k in keys for x in ends if rack or not k or k[-1] != x)
         keys = step if i == n - 1 else list(step)
@@ -277,17 +287,31 @@ def _coboundary_values(cfg: ComplexConfig, kappa: Cochain, tuples):
             yield t, acc
 
 
-def _is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree: int) -> bool:
-    """delta kappa = 0, checked on the (degree + 1)-tuples of the complex
-    that end in the generating set S (the generator rule in the module
-    docstring) and stopped at the first that fails; kappa must be of
-    `degree` and fit the rep (`_require_module`), and the size^(degree + 1)
-    tuples of the rack complex must not exceed the guard."""
+def is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree=None) -> bool:
+    """delta kappa = 0 for a cochain of any degree d >= 0, checked on the
+    (d + 1)-tuples of the complex that end in the generating set S (the
+    generator rule in the module docstring) and stopped at the first that
+    fails; kappa must fit the rep, and be of `degree` if one is given
+    (`_require_module`).
+
+    The guard bounds the walk before it starts: the |S| (s - 1)^d tuples of
+    the quandle complex (|S| s^d of the rack complex) times their 2d + 1
+    boundary terms times the m^2 entries of a block.  Each term also forms
+    and looks up a tuple of d entries, which costs about as much as the rest
+    of the term at 16 entries, so past 16 entries a term counts once more
+    per 16."""
     _require_module(cfg.rep, kappa, degree)
-    charge(cfg.rep.quandle.size, "boundary tuples", degree + 1)
+    d, m, table = kappa.degree, cfg.rep.dim, cfg.rep.quandle.table
+    gens = generating_set(table)
+    weight = m * m * -(-(d + 1) // 16)
+    charge(len(table) - (cfg.variant == "quandle"),
+           f"boundary-term steps of the cocycle check (degree {d}: "
+           f"{power_text(2 * d + 1)} terms of weight {power_text(weight)} on each "
+           f"tuple ending in {len(gens)} generators)", d,
+           times=len(gens) * (2 * d + 1) * weight)
     if cfg.variant == "quandle" and not kappa.is_degenerate_free():
         return False
-    tuples = _tuples(cfg, degree + 1, generating_set(cfg.rep.quandle.table))
+    tuples = _tuples(cfg, d + 1, gens)
     return next(_coboundary_values(cfg, kappa, tuples), None) is None
 
 
@@ -296,14 +320,14 @@ def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain) -> bool:
     eta[x*y][z] k(x,y) + k(x*y,z) == eta[x*z][y*z] k(x,z)
                                    + tau[x*z][y*z] k(y,z) + k(x*z,y*z);
     the quandle variant additionally requires k(x,x) = 0."""
-    return _is_cocycle(cfg, kappa, 2)
+    return is_cocycle(cfg, kappa, 2)
 
 
 def is_cocycle_3(cfg: ComplexConfig, kappa: Cochain) -> bool:
     """delta kappa = 0 for a 3-cochain, read from the rep's eta and tau
     tables, so it works for every rep; the quandle variant additionally
     requires kappa to vanish on tuples with two equal neighbours."""
-    return _is_cocycle(cfg, kappa, 3)
+    return is_cocycle(cfg, kappa, 3)
 
 
 def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
@@ -315,7 +339,7 @@ def cocycle_space(cfg: ComplexConfig, degree: int) -> list[Cochain]:
     unit pivots, so over any N there are as many generators as the whole
     delta gives, with its span, and its echelon basis when N is prime.  The
     cells of the chosen complex's delta must not exceed the guard."""
-    if degree not in (2, 3):
+    if type(degree) is not int or degree not in (2, 3):
         raise InputError("cocycle_space supports degrees 2 and 3")
     rows = _kernel_rows(cfg, degree)
     basis, m, N = _basis(cfg, degree), cfg.rep.dim, cfg.rep.modulus
@@ -349,7 +373,7 @@ def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     which have its kernel (the generator rule in the module docstring).
     Degrees 0 to MAX_DEGREE, on a quandle of any size; the cells of the
     chosen complex's delta^degree must not exceed the guard."""
-    if not 0 <= degree <= MAX_DEGREE:
+    if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:
         raise InputError(f"cohomology supports degrees 0 to {MAX_DEGREE}, "
                          f"got {degree}")
     up = _kernel_rows(cfg, degree)

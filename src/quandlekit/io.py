@@ -5,9 +5,13 @@ Everything is JSON with sorted keys: quandles ({"size", "table"}), reps
 "modulus", "dim", "values"}) with tuple keys spelled "x,y[,z]".  Every
 document is written by `dumps_document`, whose bytes are those of the
 standard `json` module with sorted keys and an indent of one space.  On
-reading, an object that gives a key twice is refused, and so is a cochain
-key spelled other than as `cochain_to_doc` writes it, such as " 0,1"; a
-cochain's fit to its rep is tested by `homology._require_module` alone.
+reading, this module parses and cross-checks fields only: JSON syntax, a
+key given twice in one object, the required keys, a cochain key spelled
+other than as `cochain_to_doc` writes it (such as " 0,1"), the shorthand
+grammar, and agreement between two fields (a quandle's 'size' and table, a
+rep's 'dim' and matrices, a rep's quandle and the one supplied).  Values
+are refused by the rules of the types they build (`verify_axioms`,
+`_square_dim`, `_freeze`, `_require_module`).
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
-                      permutation_rep_r3)
-from .errors import InputError, charge
+                      permutation_rep_r3, verify_relations)
+from .errors import CheckFailed, InputError, charge
 from .homology import Cochain, _require_module
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
 
 _INT = {int}
 _ROW = {list, tuple}
-_LIST = {list}
 
 
 def dumps_document(doc: dict) -> str:
@@ -101,6 +104,10 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
+    except InputError:              # a key given twice, from `unique`
+        raise
+    except ValueError:              # an integer of more digits than int() reads
+        raise InputError(f"{path}: a number has too many digits") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top-level JSON value is not an object")
     return doc
@@ -112,20 +119,15 @@ def quandle_to_doc(q: FiniteQuandle) -> dict:
 
 
 def table_from_doc(doc: dict) -> list:
-    """The operation table of a quandle document, a non-empty list of rows
-    whose axioms are not yet checked; its 'size', if given, must count the
-    rows."""
+    """The operation table of a quandle document, not yet checked by
+    `quandles.verify_axioms`; its 'size', if given, must count the rows."""
     if not isinstance(doc, dict) or "table" not in doc:
         raise InputError("quandle document is missing 'table'")
     table = doc["table"]
-    if not (isinstance(table, (list, tuple))
-            and all(isinstance(r, (list, tuple)) for r in table)):
-        raise InputError("quandle 'table' must be a list of rows")
-    if not table:
-        raise InputError("quandle 'table' is empty: a quandle has at least "
-                         "one element")
-    # type(...) is int: a JSON true is an int to isinstance
-    if "size" in doc and (type(doc["size"]) is not int or doc["size"] != len(table)):
+    # type(...) is int: a JSON true is an int to isinstance; a table that is
+    # not a list has no rows to count, and verify_axioms refuses it
+    if "size" in doc and (type(doc["size"]) is not int or isinstance(table, list)
+                          and doc["size"] != len(table)):
         raise InputError("quandle document 'size' disagrees with the table")
     return table
 
@@ -177,18 +179,6 @@ def rep_to_doc(rep: AlgebraRep) -> dict:
     }
 
 
-def _has_shape(v, shape) -> bool:
-    """v is nested lists of the lengths in `shape`, with integer leaves (not
-    JSON true or false, which are ints to isinstance): one C-level pass over
-    the types and one over the lengths per level of nesting."""
-    level = [v]
-    for length in shape:
-        if not (set(map(type, level)) <= _LIST and set(map(len, level)) <= {length}):
-            return False
-        level = list(chain.from_iterable(level))
-    return set(map(type, level)) <= _INT
-
-
 def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
     if given is not None and own.table != given.table:
         raise InputError(f"{what} lives on a quandle other than {given.label}")
@@ -196,10 +186,10 @@ def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
 
 def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
                  check: bool = True) -> AlgebraRep:
-    """A rep document on its 'quandle' or on `quandle`; both must agree if given.
-    With `check`, a rep that fails the relations raises CheckFailed.  The
-    guard bounds the checks of the document's own quandle and of the
-    relations."""
+    """A rep document on its 'quandle' or on `quandle`; both must agree if
+    given, and so must 'dim' and the matrices.  With `check`, a rep that
+    fails the relations then raises CheckFailed.  The guard bounds the
+    checks of the document's own quandle and of the relations."""
     for key in ("modulus", "dim", "eta", "tau"):
         if key not in doc:
             raise InputError(f"rep document is missing {key!r}")
@@ -209,14 +199,17 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
         quandle = quandle or own
     elif quandle is None:
         raise InputError("rep document has no quandle and none was supplied")
-    modulus, dim, size = doc["modulus"], doc["dim"], quandle.size
-    if not all(type(v) is int and v >= 1 for v in (modulus, dim)):
-        raise InputError("rep 'modulus' and 'dim' must be positive integers")
-    if not all(_has_shape(doc[k], (size, size, dim, dim)) for k in ("eta", "tau")):
-        raise InputError(f"rep 'eta' and 'tau' must be {size} x {size} tables "
-                         f"of {dim} x {dim} integer matrices")
-    return make_rep(quandle, modulus, doc["eta"], doc["tau"],
-                    label=doc.get("label", ""), check=check)
+    rep = make_rep(quandle, doc["modulus"], doc["eta"], doc["tau"],
+                   label=doc.get("label", ""), check=False)
+    # type(...) is int: a JSON true is an int to isinstance
+    if (type(doc["dim"]), doc["dim"]) != (int, rep.dim):
+        raise InputError(f"rep 'dim' {doc['dim']!r} disagrees with its "
+                         f"{rep.dim} x {rep.dim} matrices")
+    if check:
+        report = verify_relations(rep)
+        if not report:
+            raise CheckFailed("; ".join(report.failures))
+    return rep
 
 
 def _ints(spec: str, texts) -> list[int]:
@@ -264,13 +257,10 @@ def cochain_to_doc(kappa: Cochain) -> dict:
 
 
 def cochain_from_doc(doc: dict) -> Cochain:
+    """The cochain of a document, its keys parsed and its values as given."""
     for key in ("degree", "modulus", "dim"):
         if key not in doc:
             raise InputError(f"cochain document is missing {key!r}")
-    degree, modulus, dim = doc["degree"], doc["modulus"], doc["dim"]
-    if not all(type(v) is int and v >= 1 for v in (degree, modulus, dim)):
-        raise InputError("cochain 'degree', 'modulus' and 'dim' must be "
-                         "positive integers")
     if not isinstance(doc.get("values", {}), dict):
         raise InputError("cochain 'values' must map keys to value lists")
     values = {}
@@ -285,14 +275,9 @@ def cochain_from_doc(doc: dict) -> Cochain:
         if parts is None or key != ",".join(map(str, parts)):
             raise InputError(f"cochain key {key!r} is not 'x,y[,z]' with "
                              "integer parts")
-        if len(parts) != degree:
-            raise InputError(f"the cochain has the key {parts}, not a tuple of "
-                             f"{degree} elements")
-        if not _has_shape(vec, (dim,)):
-            raise InputError(f"cochain value for {key!r} is not a list of "
-                             f"{dim} integers")
-        values[parts] = [x % modulus for x in vec]
-    return Cochain(degree=degree, modulus=modulus, dim=dim, values=values)
+        values[parts] = vec
+    return Cochain(degree=doc["degree"], modulus=doc["modulus"], dim=doc["dim"],
+                   values=values)
 
 
 def load_cochain(spec: str, rep: AlgebraRep, degree: int | None = None) -> Cochain:

@@ -97,9 +97,19 @@ def int_det(a: Matrix) -> int:
     return lp_det([[{0: x} if x else {} for x in row] for row in a]).get(0, 0)
 
 
+def _require_modulus(n) -> None:
+    """The one modulus rule: InputError "modulus <n> is not a positive
+    integer" unless n is an int >= 1 (not True, an int to isinstance).  Every
+    modular entry point here and every matrix frozen by `algebra._freeze`
+    meets it before any entry is reduced."""
+    if type(n) is not int or n < 1:
+        raise InputError(f"modulus {n!r} is not a positive integer")
+
+
 def mat_inv_mod(a: Matrix, n: int) -> Matrix:
     """Inverse mod n: column i is the a-part of the kernel vector of
     [a | -I] at column k + i, once every column of a is a unit pivot."""
+    _require_modulus(n)
     k = len(a)
     aug = [{**row, k + i: n - 1} for i, row in enumerate(_sparse(a, n))]  # [a | -I]
     gens = _kernel_by_column(aug, 2 * k, n)
@@ -279,8 +289,7 @@ def _prime_powers(n: int) -> dict[int, int]:
     """{p: e} with n the product of the p^e; {} if n = 1.  A composite part
     gives up a small prime factor or is split by Pollard's rho, within
     RHO_STEPS steps in all (GuardExceeded past them)."""
-    if n <= 0:
-        raise InputError("modulus must be positive")
+    _require_modulus(n)
     out: dict[int, int] = {}
     todo = [n] if n > 1 else []
     steps = 0
@@ -421,6 +430,7 @@ def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
+    _require_modulus(modulus)
     return _ker_mod_im(_sparse(a, modulus), _sparse(b, modulus), modulus)
 
 
@@ -437,6 +447,7 @@ def _ker_mod_im(a: list, b: list, modulus: int) -> list[int]:
 def cokernel_mod(mat: Matrix, modulus: int) -> list[int]:
     """Invariant factors > 1 of (Z_N)^rows / column-span(mat), ascending;
     the trivial group is the empty list.  Over Z/p^e it is ker(mat^T)/0."""
+    _require_modulus(modulus)
     return _ker_mod_im(_sparse(zip(*mat), modulus), [{}] * len(mat), modulus)
 
 
@@ -458,6 +469,7 @@ def _kernel_by_column(rows: list, cols: int, n: int) -> Matrix:
 def kernel_mod(mat: Matrix, n: int) -> Matrix:
     """Generators of the null space of mat over Z_N, one for each column
     that is not a unit pivot at every prime of N; none mod 1."""
+    _require_modulus(n)
     cols = len(mat[0]) if mat else 0
     return [g for g in _kernel_by_column(_sparse(mat, n), cols, n) if any(g)]
 
@@ -466,6 +478,7 @@ def kernel_mod_p(mat: Matrix, p: int) -> list[list[int]]:
     """Echelonized basis of the null space of mat over Z_p: the pivots of
     `kernel_mod` are those of the RREF, and a free column's vector is 1
     there and 0 at the other free columns."""
+    _require_modulus(p)
     if not _probable_prime(p):
         raise InputError(f"{p} is not prime")
     return kernel_mod(mat, p)

@@ -73,9 +73,14 @@ def verify_axioms(table) -> ValidationReport:
     axiom II or some c in S fails, every pair (b, c) is composed and the
     failing pairs are scanned by a to report the first failing (a, b, c).
 
-    The guard bounds the work: the n^2 cells before the generating set is
-    found, the |S| n^2 steps of its check, and the n^3 steps of the full
-    scan before it starts; each refusal raises GuardExceeded."""
+    A table is a non-empty list of n rows of n ints in 0..n-1 (InputError
+    otherwise).  The guard bounds the work: the n^2 cells before the
+    generating set is found, the |S| n^2 steps of its check, and the n^3
+    steps of the full scan before it starts; each refusal raises
+    GuardExceeded."""
+    if not (table and type(table) in (list, tuple)
+            and set(map(type, table)) <= {list, tuple}):
+        raise InputError("a quandle table must be a non-empty list of rows")
     n = len(table)
     for row in table:
         if len(row) != n:
@@ -165,10 +170,7 @@ class FiniteQuandle:
 
 
 def quandle_from_table(table, label: str = "") -> FiniteQuandle:
-    """The quandle of a non-empty table that passes `verify_axioms`."""
-    if not table:
-        raise InputError("quandle table is empty: a quandle has at least one "
-                         "element")
+    """The quandle of a table that passes `verify_axioms`."""
     report = verify_axioms(table)
     if not report:
         raise InputError("not a quandle: " + "; ".join(report.failures))

@@ -59,7 +59,7 @@ def test_alexander_rep_needs_square_t():
     """A 1 x 2 t has a trivial cokernel, yet is no rep's eta."""
     for t in ([[1, 0]], []):
         with pytest.raises(InputError, match=r"^t, an integer or a matrix, must "
-                                             r"be 1 matrices, all square of one "
+                                             r"be 1 integer matrices, all square of one "
                                              r"size >= 1$"):
             make_alexander_rep(make_dihedral(3), 5, t)
 
@@ -68,7 +68,7 @@ def test_alexander_rep_needs_square_t():
                          ids=["one matrix for three elements", "1x2 matrices"])
 def test_group_rep_needs_one_square_matrix_per_element(rho):
     with pytest.raises(InputError, match=r"^rho, one per quandle element, must "
-                                         r"be 3 matrices, all square of one "
+                                         r"be 3 integer matrices, all square of one "
                                          r"size >= 1$"):
         make_group_rep(make_dihedral(3), 5, rho)
 
@@ -326,7 +326,7 @@ def test_make_rep_rejects_broken_tables():
 
 def test_make_rep_refuses_modulus_below_one():
     """make_rep refuses a modulus below 1 with InputError, checked or not,
-    as make_group_rep and make_alexander_rep do."""
+    as make_group_rep and make_alexander_rep do (`linalg._require_modulus`)."""
     q = make_dihedral(3)
     eta = [[identity(1)] * 3] * 3
     tau = [[[[0]]] * 3] * 3
@@ -335,7 +335,7 @@ def test_make_rep_refuses_modulus_below_one():
                       lambda: make_rep(q, modulus, eta, tau, check=False),
                       lambda: make_group_rep(q, modulus, eta[0]),
                       lambda: make_alexander_rep(q, modulus, 1)):
-            with pytest.raises(InputError, match="not positive"):
+            with pytest.raises(InputError, match="is not a positive integer$"):
                 build()
 
 

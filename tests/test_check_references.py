@@ -26,6 +26,7 @@ from quandlekit.algebra import (
     regular_group_rep,
     verify_relations,
 )
+from quandlekit.errors import InputError
 from quandlekit.groups import small_groups, symmetric_group
 from quandlekit.homology import Cochain, ComplexConfig, cocycle_space
 from quandlekit.invariants import dynamical_extension
@@ -327,8 +328,10 @@ def _quandle_tables():
 def test_tables_match_reference():
     """Quandles pass; mutants of them (one entry changed, or two entries of
     a column swapped off the diagonal) and random tables of size <= 6 break
-    each axiom somewhere, and axiom III alone; sizes 0 and 1 pass."""
-    assert _same_axioms([]).passed
+    each axiom somewhere, and axiom III alone; size 1 passes, and size 0 is
+    refused, since a quandle has at least one element."""
+    with pytest.raises(InputError, match="must be a non-empty list of rows$"):
+        verify_axioms([])
     assert _same_axioms([[0]]).passed
     rng = random.Random(7)
     seen = set()

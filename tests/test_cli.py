@@ -65,7 +65,8 @@ def test_degree_3_cocycle_check_on_dihedral_20(capsys, tmp_path):
     """`check cocycle` walks the 4-tuples that end in R20's generating set
     {0, 1}: the zero cochain passes, and the indicator of (3, 4, 5) fails,
     although its coboundary is nonzero at tuples that end elsewhere too.
-    The guard still counts all 20^4 boundary tuples."""
+    The guard counts what the check walks: 2 * 19^3 tuples of the quandle
+    complex, 7 boundary terms each, 96,026 steps."""
     base = ["--quandle", "dihedral:20", "--rep", "trivial-action:9", "--degree", "3"]
     q = qio.load_quandle("dihedral:20")
     assert generating_set(q.table) == [0, 1]
@@ -86,29 +87,33 @@ def test_degree_3_cocycle_check_on_dihedral_20(capsys, tmp_path):
                                 "values": {"3,4,5": [1]}}))
     code, out = run(capsys, "check", "cocycle", str(path), *base)
     assert code == 1 and json.loads(out)["passed"] is False
-    code, out = run(capsys, "check", "cocycle", "zero", *base, "--guard", "160000")
+    code, out = run(capsys, "check", "cocycle", "zero", *base, "--guard", "96026")
     assert code == 0 and json.loads(out)["passed"] is True
-    assert main(["check", "cocycle", "zero", *base, "--guard", "159999"]) == 3
-    assert "160000 boundary tuples exceed the guard of 159999" in capsys.readouterr().err
+    assert main(["check", "cocycle", "zero", *base, "--guard", "96025"]) == 3
+    assert capsys.readouterr().err == (
+        "guard exceeded: 96026 boundary-term steps of the cocycle check (degree "
+        "3: 7 terms of weight 1 on each tuple ending in 2 generators) exceed the "
+        "guard of 96025\n")
 
 
 def test_invariant_guard_exit_code(capsys):
-    """`invariant` bounds its colorings and its size^3 cocycle check by
-    --guard: 3^5 = 243 candidate colorings and 3^3 = 27 boundary tuples.
-    `invariant module` also bounds the block walk of its colored matrix:
-    4 letters * 5 strands * 3^3 = 540 steps with the 3-dimensional rep."""
+    """`invariant` bounds its colorings and its cocycle check by --guard:
+    3^5 = 243 candidate colorings, and in the degree-2 check of
+    conj-rep:perm3 2 * 2^2 tuples of 5 boundary terms with 3 x 3 blocks,
+    360 steps, checked before the colorings are listed.  `invariant module`
+    also bounds the block walk of its colored matrix: 4 letters * 5 strands
+    * 3^3 = 540 steps with the 3-dimensional rep."""
     argv = ["invariant", "module", "--quandle", "dihedral:3", "--rep",
             "conj-rep:perm3", "--braid", "k=5; 1 2 3 4", "--cocycle", "zero"]
-    for kind, passes in (("module", 540), ("cocycle", 243)):
-        argv[1] = kind
-        assert main(argv + ["--guard", "100"]) == 3
-        assert "243 candidate colorings" in capsys.readouterr().err
-        if kind == "module":
-            assert main(argv + ["--guard", "539"]) == 3
-            assert "540 steps" in capsys.readouterr().err
-        assert main(argv + ["--guard", str(passes)]) == 0
-    assert main(argv + ["--guard", "26"]) == 3
-    assert "27 boundary tuples" in capsys.readouterr().err
+    assert main(argv + ["--guard", "100"]) == 3
+    assert "243 candidate colorings" in capsys.readouterr().err
+    assert main(argv + ["--guard", "539"]) == 3
+    assert "540 steps" in capsys.readouterr().err
+    assert main(argv + ["--guard", "540"]) == 0
+    argv[1] = "cocycle"
+    assert main(argv + ["--guard", "359"]) == 3
+    assert "360 boundary-term steps" in capsys.readouterr().err
+    assert main(argv + ["--guard", "360"]) == 0
 
 
 def test_search_and_homology_build_no_dense_matrix(capsys, monkeypatch):
@@ -523,15 +528,14 @@ def test_every_document_is_the_stdlib_encoding(capsys, tmp_path):
      "--braid", "k=2; 1"],
 ], ids=lambda argv: argv[0])
 def test_empty_quandle_table_exits_2(capsys, tmp_path, argv):
-    """A quandle has at least one element: an empty table is refused where
-    it is read, with a message that names it."""
+    """A quandle has at least one element: an empty table is refused by
+    `verify_axioms`, the one rule of a table's form, wherever it is read."""
     path = tmp_path / "empty.json"
     path.write_text('{"size": 0, "table": []}')
     code = main([a.format(empty=path) for a in argv])
     out, err = capsys.readouterr()
     assert code == 2
-    assert err == "input error: quandle 'table' is empty: a quandle has at " \
-                  "least one element\n"
+    assert err == "input error: a quandle table must be a non-empty list of rows\n"
     assert out == ""
 
 
@@ -638,6 +642,7 @@ MISMATCH = ["--quandle", "trivial:3", "--rep", "conj-rep:perm3"]
     ["check", "rep", "{num}", "--quandle", "dihedral:3"],
     ["compare", "{ms5}", "{ms5}"],
     ["homology", "-1", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2"],
+    ["search", "4", "dihedral:3", "conj-rep:perm3", "3"],
     ["check", "quandle", "{q_bool}"],
     ["colorings", "{q_bool}", "3_1"],
     ["check", "quandle", "{q_size_bool}"],
@@ -692,11 +697,27 @@ def test_cocycle_invariant_without_rho_exits_2_unchecked(capsys, monkeypatch, tm
 
 
 def test_cocycle_check_names_supported_degrees(capsys):
-    for degree in ("1", "4"):
-        code = main(["check", "cocycle", "zero", "--rep", "conj-rep:perm3",
-                     "--degree", degree])
-        assert code == 2
-        assert "degrees 2 and 3" in capsys.readouterr().err
+    """`check cocycle` takes every degree from 0 up, and the fit rule names
+    that floor.  A walk with no tuples, as in the quandle complex of T1,
+    ends at once in any degree; a tuple of d + 1 entries weighs one unit
+    more per 16 entries past 16, so the two tuples of T2 in degree 10^6 are
+    refused, not walked."""
+    for degree in ("0", "1", "4"):
+        code, out = run(capsys, "check", "cocycle", "zero", "--rep", "conj-rep:perm3",
+                        "--degree", degree)
+        assert code == 0 and json.loads(out)["passed"] is True, degree
+    assert main(["check", "cocycle", "zero", "--rep", "conj-rep:perm3",
+                 "--degree", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: the cochain is of degree -1, not of degree >= 0\n")
+    base = ["check", "cocycle", "zero", "--rep", "trivial-action:3", "--quandle"]
+    code, out = run(capsys, *base, "trivial:1", "--degree", str(10 ** 9))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert main(base + ["trivial:2", "--degree", str(10 ** 6)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "guard exceeded: 250004125002 boundary-term steps of the cocycle check "
+        "(degree 1000000: 2000001 terms of weight 62501 on each tuple ending in 2 "
+        "generators)")
 
 
 def test_rep_on_matching_quandle(capsys):
@@ -1211,7 +1232,9 @@ GUARD_CASES = [
     (["extend", "--quandle", "dihedral:3", "--rep", "alexander-rep:3:2",
       "--guard", "728"], "729 axiom checks of an extension of size 9"),
     (["check", "cocycle", "zero", "--quandle", "dihedral:3", "--rep",
-      "trivial-action:3", "--degree", "2", "--guard", "26"], "27 boundary tuples"),
+      "trivial-action:3", "--degree", "2", "--guard", "39"],
+     "40 boundary-term steps of the cocycle check (degree 2: 5 terms of weight 1 "
+     "on each tuple ending in 2 generators)"),
     (["search", "2", "dihedral:3", "conj-rep:perm3", "3", "--guard", "647"],
      "648 coboundary cells"),
     (["homology", "2", "--quandle", "dihedral:5", "--rep", "alexander-rep:5:2",

@@ -9,23 +9,29 @@ GUARDS = sorted({-1, 0, 1, 10 ** 7} | {2 ** j + d for j in range(1, 65)
 
 
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-@given(st.integers(0, 60), st.integers(0, 300), st.sampled_from(GUARDS))
-def test_charge_refuses_exactly_past_the_guard(base, exp, guard):
-    """charge refuses base^exp units exactly when base**exp > guard, though
-    it forms no power past exp = guard.bit_length() + 1, and says so in one
-    form."""
-    if base ** exp > guard:
+@given(st.integers(0, 60), st.integers(0, 300), st.sampled_from(GUARDS),
+       st.sampled_from([1, 0, 2, 7, 2 ** 64, 2 ** 80]))
+def test_charge_refuses_exactly_past_the_guard(base, exp, guard, times):
+    """charge refuses times * base^exp units exactly when that product is
+    over the guard, though it forms no power past exp = guard.bit_length()
+    + 1, and says so in one form, the product in decimal or as a power."""
+    if times * base ** exp > guard:
         with guarded(guard), pytest.raises(GuardExceeded) as refused:
-            charge(base, "widgets", exp)
-        assert str(refused.value) == (f"{power_text(base, exp)} widgets exceed "
-                                      f"the guard of {guard}")
+            charge(base, "widgets", exp, times)
+        text = power_text(base, exp, times)
+        assert str(refused.value) == f"{text} widgets exceed the guard of {guard}"
+        assert text == str(times * base ** exp) or "^" in text
     else:
         with guarded(guard):
-            charge(base, "widgets", exp)
+            charge(base, "widgets", exp, times)
 
 
 def test_outside_any_block_charge_is_held_to_GUARD():
     charge(GUARD, "widgets")
+    # counts past the 4300 digits that int() writes are given as bounds
+    huge = 10 ** 4000
+    with pytest.raises(GuardExceeded, match=r"^at least 2\^\(2\^64\) widgets"):
+        charge(2 ** 70, "widgets", huge, huge)
     with pytest.raises(GuardExceeded, match=f"^{GUARD + 1} widgets exceed the "
                                             f"guard of {GUARD}$"):
         charge(GUARD + 1, "widgets")

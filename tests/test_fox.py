@@ -305,7 +305,7 @@ def test_twisted_matrix_rejects_bad_rho():
         twisted_matrix(pres, rho)
     for rho in ([[[1]], [[1]]], [[[1, 0]]] * 3, [[]] * 3, []):
         with pytest.raises(InputError, match=r"^rho, one per generator, must be "
-                                             r"3 matrices, all square of one "
+                                             r"3 integer matrices, all square of one "
                                              r"size >= 1$"):
             twisted_matrix(pres, rho)
 

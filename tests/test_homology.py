@@ -485,18 +485,23 @@ def test_boundary_matrix_is_the_block_transpose_of_delta():
 
 
 def test_cocycle_checks_guard_their_boundary_tuples():
-    """is_cocycle_2 and is_cocycle_3 refuse more than the guard of the
-    size^(degree + 1) boundary tuples, after the degree check."""
+    """is_cocycle_2 and is_cocycle_3 refuse more than the guard of the steps
+    they walk, after the degree check: on R3, whose generating set is
+    {0, 1}, 2 * 2^d tuples of the quandle complex, 2d + 1 boundary terms
+    each, and 3^2 steps per term for conj-rep:perm3, which is 360 steps in
+    degree 2 and 1008 in degree 3."""
     cfg = ComplexConfig(rep=make_conj_rep(permutation_rep_r3(3)))
     zero2, zero3 = Cochain(2, 3, 3, {}), Cochain(3, 3, 3, {})
-    with guarded(27):
+    with guarded(360):
         assert is_cocycle_2(cfg, zero2)
-    with guarded(81):
+    with guarded(1008):
         assert is_cocycle_3(cfg, zero3)
-    with guarded(26), pytest.raises(GuardExceeded,
-                                    match="27 boundary tuples exceed the guard of 26"):
+    with guarded(359), pytest.raises(
+            GuardExceeded, match=r"^360 boundary-term steps of the cocycle check "
+            r"\(degree 2: 5 terms of weight 9 on each tuple ending in 2 generators\) "
+            "exceed the guard of 359$"):
         is_cocycle_2(cfg, zero2)
-    with guarded(80), pytest.raises(GuardExceeded, match="81 boundary tuples"):
+    with guarded(1007), pytest.raises(GuardExceeded, match="^1008 boundary-term steps"):
         is_cocycle_3(cfg, zero3)
     with guarded(0), pytest.raises(InputError, match="degree-3"):
         is_cocycle_3(cfg, zero2)
@@ -678,7 +683,7 @@ def test_cocycle_space_generates_the_cocycles_over_composite_moduli(variant):
 def test_cohomology_guards():
     """The coboundary cells are the one bound, one step either side of the
     381,024 cells of R7's degree-3 delta; a degree outside 0-3 is an input
-    error."""
+    error, and so are a degree or a basepoint that is not an int."""
     rep = make_alexander_rep(make_dihedral(7), 3, 2)
     with guarded(381023), pytest.raises(
             GuardExceeded, match="^381024 coboundary cells exceed the guard of 381023$"):
@@ -686,10 +691,14 @@ def test_cohomology_guards():
     with guarded(381024):
         assert cohomology(ComplexConfig(rep=rep), 3) == []
     rep2 = make_alexander_rep(make_dihedral(3), 3, 2)
-    for degree in (4, -1):
+    for degree in (4, -1, 2.0):
         with pytest.raises(InputError, match=f"^cohomology supports degrees 0 to 3, "
                                              f"got {degree}$"):
             cohomology(ComplexConfig(rep=rep2), degree)
+    with pytest.raises(InputError, match="^cocycle_space supports degrees 2 and 3$"):
+        cocycle_space(ComplexConfig(rep=rep2), 2.0)
+    with pytest.raises(InputError, match="^basepoint out of range$"):
+        ComplexConfig(rep=rep2, basepoint=1.0)
 
 
 def test_cohomology_of_quandles_past_six_elements():

@@ -1,10 +1,15 @@
 """Each validity rule of the inputs is tested in one function, so every
 entry point refuses a faulty input with InputError in that rule's one
-message form: a cochain's fit to its rep (`homology._require_module`) and
-the shape of a table of matrices (`algebra._square_dim`), with the modulus
-refused where matrices are frozen (`algebra._freeze`)."""
+message form: a cochain's fit to its rep (`homology._require_module`), the
+shape of a table of integer matrices (`algebra._square_dim`) and the
+modulus (`linalg._require_modulus`, met where matrices are frozen by
+`algebra._freeze` and by every modular entry point of `linalg`).  Integers
+are tested by type, so True, 1.5 and 5.0 are refused.  `io` only parses:
+a cochain read from JSON meets the same rule, in the same form, as one
+built in Python."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -14,6 +19,8 @@ from quandlekit.algebra import (make_alexander_rep, make_conj_rep, make_group_re
 from quandlekit.braids import braid_or_knot, colorings_of_closure
 from quandlekit.errors import InputError
 from quandlekit.fox import twisted_matrix, wirtinger_from_braid
+from quandlekit.linalg import (cokernel_mod, is_invertible_mod, ker_mod_im,
+                               kernel_mod, kernel_mod_p, mat_inv_mod)
 from quandlekit.groups import FiniteGroup, cyclic_group
 from quandlekit.homology import (Cochain, ComplexConfig, coboundary,
                                  cochain_to_vector, is_cocycle_2, is_cocycle_3)
@@ -26,8 +33,11 @@ TREFOIL = braid_or_knot("3_1")
 
 
 def _json(kappa: Cochain, tmp_path) -> str:
+    # the fields as they are, where cochain_to_doc would make each value a list
     path = tmp_path / "kappa.json"
-    path.write_text(json.dumps(qio.cochain_to_doc(kappa)))
+    path.write_text(json.dumps({
+        "degree": kappa.degree, "modulus": kappa.modulus, "dim": kappa.dim,
+        "values": {",".join(map(str, k)): v for k, v in kappa.values.items()}}))
     return str(path)
 
 
@@ -50,27 +60,24 @@ CONSUMERS = {
 }
 
 
-def _faults(degree: int, fixed: bool, from_json: bool):
+def _faults(degree: int, fixed: bool):
     """(cochain, message) for each fault of a degree-`degree` cochain on REP.
-    A JSON document whose vectors or keys disagree with its own 'dim' or
-    'degree' is malformed, and io.cochain_from_doc refuses its key of the
-    wrong arity in the same form, but without the range, which it does not
-    know; so from JSON the short and long vectors are those of a document
-    of another 'dim'."""
+    io.cochain_from_doc tests none of them but 'values' that are not an
+    object, so a JSON document meets the rule with the same cochain and the
+    same message."""
     key = (0, 1, 2)[:degree]
-    out = []
-    for length in (1, 4):
-        vec = [1] + [0] * (length - 1)
-        out.append((Cochain(degree, 3, length, {key: vec}),
-                    f"takes values in (Z_3)^{length}, not in the rep's (Z_3)^3")
-                   if from_json else
-                   (Cochain(degree, 3, 3, {key: vec}),
-                    f"has a value of length {length} at {key}, not 3"))
+    out = [(Cochain(degree, 3, 3, {key: vec}),
+            f"has the value {vec!r} at {key}, not a list of 3 integers")
+           for vec in ([1], [1, 0, 0, 0], [1.5, 0, 0], [True, 0, 0], 5)]
     for bad in (key + (1,), key[:-1] + (7,), (-1,) + key[1:]):
-        fault = f"has the key {bad}, not a tuple of {degree} elements"
-        if not (from_json and len(bad) != degree):
-            fault += " of 0..2"
-        out.append((Cochain(degree, 3, 3, {bad: [1, 0, 0]}), fault))
+        out.append((Cochain(degree, 3, 3, {bad: [1, 0, 0]}),
+                    f"has the key {bad}, not a tuple of {degree} elements of 0..2"))
+    out.append((Cochain(degree, 3.0, 3, {}),
+                "takes values in (Z_3.0)^3, not in the rep's (Z_3)^3"))
+    out.append((Cochain(degree, 3, 3, [[1, 0, 0]]),
+                "has the values [[1, 0, 0]], not a dict of keys to values"))
+    out.append((Cochain(-1, 3, 3, {}), f"is of degree -1, not a degree-{degree} "
+                "cochain" if fixed else "is of degree -1, not of degree >= 0"))
     if fixed:
         other = 5 - degree
         out.append((Cochain(other, 3, 3, {(0, 1, 2)[:other]: [1, 0, 0]}),
@@ -80,13 +87,17 @@ def _faults(degree: int, fixed: bool, from_json: bool):
 
 @pytest.mark.parametrize("name", CONSUMERS)
 def test_every_cochain_consumer_refuses_a_misfit_in_one_form(name, tmp_path):
-    """A short or long vector, a key of the wrong arity, outside 0..|X|-1 or
-    negative, and the wrong degree where the consumer fixes one: each was a
+    """A short or long vector, a value that is not a list of ints (1.5, True
+    or the int 5), a key of the wrong arity, outside 0..|X|-1 or negative,
+    a modulus that is not an int, values that are not a dict, a negative
+    degree, and the wrong degree where the consumer fixes one: each was a
     traceback, a silently wrong answer or another message before the rule
     had one home.  A cocycle that fits passes the same call first."""
     degree, fixed, call = CONSUMERS[name]
     call(Cochain(degree, 3, 3, {(0, 1, 2)[:degree]: [0, 0, 0]}), tmp_path)
-    for kappa, fault in _faults(degree, fixed, name == "load_cochain"):
+    for kappa, fault in _faults(degree, fixed):
+        if name == "load_cochain" and type(kappa.values) is not dict:
+            continue    # JSON 'values' that are not an object are io's to refuse
         with pytest.raises(InputError) as err:
             call(kappa, tmp_path)
         assert str(err.value) == f"the cochain {fault}", (name, kappa)
@@ -115,14 +126,26 @@ PRES = wirtinger_from_braid(TREFOIL)    # three generators
 
 
 def _shape(what: str, count: int) -> str:
-    return f"{what} must be {count} matrices, all square of one size >= 1"
+    return f"{what} must be {count} integer matrices, all square of one size >= 1"
+
+
+def _modulus(n) -> str:
+    return f"modulus {n!r} is not a positive integer"
 
 
 TABLES = _shape("3 x 3 tables eta and tau", 18)
 RHO = _shape("rho, one per quandle element,", 3)
 T = _shape("t, an integer or a matrix,", 1)
 GENERATORS = _shape("rho, one per generator,", 3)
-MODULUS = "modulus 0 is not positive"
+MODULUS = _modulus(0)
+
+
+def _modulus_cases(call):
+    """A good call mod 5, and the faults of a modulus of 0, 2.0 and 5.0."""
+    return (partial(call, 5),
+            [(f"modulus {n!r}", partial(call, n), _modulus(n)) for n in (0, 2.0, 5.0)])
+
+
 # entry point -> (a call on good tables, [(fault, call, message), ...])
 MATRIX_CASES = {
     "make_rep": (lambda: make_rep(R3, 5, UNIT, [[[[0]]] * 3] * 3), [
@@ -135,14 +158,21 @@ MATRIX_CASES = {
         ("not matrices", lambda: make_rep(R3, 5, [[1] * 3] * 3, [[0] * 3] * 3),
          TABLES),
         ("not tables", lambda: make_rep(R3, 5, [1, 2, 3], 5), TABLES),
-        ("modulus 0", lambda: make_rep(R3, 0, UNIT, UNIT, check=False), MODULUS)]),
+        ("a 2.0 entry", lambda: make_rep(R3, 5, [[[[2.0]]] * 3] * 3, UNIT), TABLES),
+        ("a True entry", lambda: make_rep(R3, 5, UNIT, [[[[True]]] * 3] * 3), TABLES),
+        ("modulus 0", lambda: make_rep(R3, 0, UNIT, UNIT, check=False), MODULUS),
+        ("modulus 5.0", lambda: make_rep(R3, 5.0, UNIT, UNIT, check=False),
+         _modulus(5.0))]),
     "make_group_rep": (lambda: make_group_rep(R3, 5, [[[1]]] * 3), [
         ("no rows", lambda: make_group_rep(R3, 5, [[]] * 3), RHO),
         ("ragged", lambda: make_group_rep(R3, 5, [[[1, 0], [0]]] * 3), RHO),
         ("non-square", lambda: make_group_rep(R3, 5, [[[1, 0]]] * 3), RHO),
         ("wrong count", lambda: make_group_rep(R3, 5, [[[1]]] * 2), RHO),
         ("not matrices", lambda: make_group_rep(R3, 5, [1, 2, 3]), RHO),
-        ("modulus 0", lambda: make_group_rep(R3, 0, [[[1]]] * 3), MODULUS)]),
+        ("a 2.0 entry", lambda: make_group_rep(R3, 5, [[[2.0]]] * 3), RHO),
+        ("a True entry", lambda: make_group_rep(R3, 5, [[[True]]] * 3), RHO),
+        ("modulus 0", lambda: make_group_rep(R3, 0, [[[1]]] * 3), MODULUS),
+        ("modulus 5.0", lambda: make_group_rep(R3, 5.0, [[[1]]] * 3), _modulus(5.0))]),
     # the regular rep's matrices are square by construction
     "regular_group_rep": (lambda: regular_group_rep(cyclic_group(3), R3, [0] * 3, 5), [
         ("no rows", lambda: regular_group_rep(FiniteGroup(mul=()), ONE, [0], 5),
@@ -151,32 +181,52 @@ MATRIX_CASES = {
         ("not an element", lambda: regular_group_rep(cyclic_group(3), R3, [0, 1, 5], 5),
          "5 is not an element of the group of order 3"),
         ("modulus 0", lambda: regular_group_rep(cyclic_group(3), R3, [0] * 3, 0),
-         MODULUS)]),
+         MODULUS),
+        ("modulus 5.0", lambda: regular_group_rep(cyclic_group(3), R3, [0] * 3, 5.0),
+         _modulus(5.0))]),
     # t is one matrix, so it has no count to get wrong
     "make_alexander_rep": (lambda: make_alexander_rep(R3, 5, [[2, 0], [0, 2]]), [
         ("no rows", lambda: make_alexander_rep(R3, 5, []), T),
         ("ragged", lambda: make_alexander_rep(R3, 5, [[1, 0], [1]]), T),
         ("non-square", lambda: make_alexander_rep(R3, 5, [[1, 0]]), T),
         ("not a matrix", lambda: make_alexander_rep(R3, 5, 2.0), T),
-        ("modulus 0", lambda: make_alexander_rep(R3, 0, 2), MODULUS)]),
+        ("a 2.0 entry", lambda: make_alexander_rep(R3, 5, [[2.0]]), T),
+        ("a True entry", lambda: make_alexander_rep(R3, 5, [[True]]), T),
+        ("t = True", lambda: make_alexander_rep(R3, 5, True), T),
+        ("modulus 0", lambda: make_alexander_rep(R3, 0, 2), MODULUS),
+        ("modulus 5.0", lambda: make_alexander_rep(R3, 5.0, 2), _modulus(5.0))]),
     "twisted_matrix": (lambda: twisted_matrix(PRES, [[[1]]] * 3, modulus=5), [
         ("no rows", lambda: twisted_matrix(PRES, [[]] * 3), GENERATORS),
         ("ragged", lambda: twisted_matrix(PRES, [[[1, 0], [0]]] * 3), GENERATORS),
         ("non-square", lambda: twisted_matrix(PRES, [[[1, 0]]] * 3), GENERATORS),
         ("wrong count", lambda: twisted_matrix(PRES, [[[1]]] * 4), GENERATORS),
         ("not matrices", lambda: twisted_matrix(PRES, [1, 2, 3]), GENERATORS),
+        # over Z as well as mod N
+        ("a 2.0 entry", lambda: twisted_matrix(PRES, [[[2.0]]] * 3), GENERATORS),
+        ("a True entry", lambda: twisted_matrix(PRES, [[[True]]] * 3, modulus=5),
+         GENERATORS),
         ("modulus 0", lambda: twisted_matrix(PRES, [[[1]]] * 3, modulus=0),
-         MODULUS)]),
+         MODULUS),
+        ("modulus 5.0", lambda: twisted_matrix(PRES, [[[1]]] * 3, modulus=5.0),
+         _modulus(5.0))]),
+    # the modular entry points of linalg refuse the modulus before any entry
+    # is reduced
+    "kernel_mod": _modulus_cases(lambda n: kernel_mod([[1, 1]], n)),
+    "kernel_mod_p": _modulus_cases(lambda n: kernel_mod_p([[1, 1]], n)),
+    "cokernel_mod": _modulus_cases(lambda n: cokernel_mod([[2]], n)),
+    "ker_mod_im": _modulus_cases(lambda n: ker_mod_im([[1, 1]], [[1], [-1]], n)),
+    "mat_inv_mod": _modulus_cases(lambda n: mat_inv_mod([[1]], n)),
+    "is_invertible_mod": _modulus_cases(lambda n: is_invertible_mod([[1]], n)),
 }
 
 
 @pytest.mark.parametrize("name", MATRIX_CASES)
 def test_every_matrix_table_entry_point_refuses_a_bad_shape_in_one_form(name):
     """No rows, a ragged table, non-square matrices, the wrong count, entries
-    that are not matrices and modulus 0: the shapes in `_square_dim`'s one
-    form, the modulus in `_freeze`'s, and a group element outside the group
-    in `regular_group_rep`'s.  The same entry point takes good tables
-    first."""
+    that are not matrices, a 2.0 or True entry, a t of True, and modulus 0,
+    2.0 or 5.0: the shapes in `_square_dim`'s one form, the modulus in
+    `_require_modulus`'s, and a group element outside the group in
+    `regular_group_rep`'s.  The same entry point takes good tables first."""
     good, faults = MATRIX_CASES[name]
     good()
     for fault, call, message in faults:

@@ -617,13 +617,16 @@ def test_multiset_containment():
 
 
 def test_boltzmann_weight_cocycle_check_is_held_to_the_guard():
-    """boltzmann_weight's cocycle check counts the 27 boundary tuples of R3."""
+    """boltzmann_weight's cocycle check counts the 360 steps of the degree-2
+    check of conj-rep:perm3 on R3 (2 * 2^2 tuples, 5 terms each, 3^2 steps
+    per term)."""
     rep, w = load_rep("conj-rep:perm3"), braid_or_knot("3_1")
     zero = Cochain(2, 3, 3, {})
-    with guarded(26), pytest.raises(GuardExceeded,
-                                    match="^27 boundary tuples exceed the guard of 26$"):
+    with guarded(359), pytest.raises(GuardExceeded,
+                                     match="^360 boundary-term steps .* exceed the "
+                                           "guard of 359$"):
         boltzmann_weight(rep, zero, w, (0, 0), 0)
-    with guarded(27):
+    with guarded(360):
         assert boltzmann_weight(rep, zero, w, (0, 0), 0) == [0, 0, 0]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from quandlekit import io as qio
 from quandlekit.algebra import make_alexander_rep, make_conj_rep, permutation_rep_r3
 from quandlekit.errors import InputError
-from quandlekit.homology import Cochain
-from quandlekit.quandles import make_dihedral, make_trivial, quandle_from_table
+from quandlekit.homology import Cochain, _require_module
+from quandlekit.quandles import make_dihedral, make_trivial, quandle_from_table, verify_axioms
 
 
 def test_quandle_round_trip(tmp_path):
@@ -37,9 +38,9 @@ def test_quandle_doc_validation():
         qio.quandle_from_doc({"size": 3, "table": [[0, 0], [1, 1]]})
     for table in ([], ()):
         for refuse in (lambda: qio.quandle_from_doc({"size": 0, "table": table}),
-                       lambda: qio.table_from_doc({"table": table}),
+                       lambda: verify_axioms(qio.table_from_doc({"table": table})),
                        lambda: quandle_from_table(table)):
-            with pytest.raises(InputError, match="table'? is empty"):
+            with pytest.raises(InputError, match="must be a non-empty list of rows$"):
                 refuse()
 
 
@@ -67,9 +68,11 @@ def test_rep_shorthands():
 
 
 def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
-    """The shape check refuses, with exit 2, a JSON true or false where an
-    integer belongs, a ragged row at any level and a table of the wrong
-    depth, in a rep's eta or tau and in a cochain's values."""
+    """The library's rules refuse, with exit 2, a JSON true or false where
+    an integer belongs, a ragged row at any level and a table of the wrong
+    depth: in a rep's eta or tau `algebra._square_dim`, and in a cochain's
+    values `homology._require_module`; and a 'dim' that disagrees with the
+    matrices."""
     from quandlekit.cli import main
     doc = qio.rep_to_doc(make_conj_rep(permutation_rep_r3(3)))
     good = tmp_path / "good.json"
@@ -98,13 +101,27 @@ def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
         path = tmp_path / f"rep{i}.json"
         path.write_text(json.dumps(rep))
         assert main(["check", "rep", str(path)]) == 2, i
-        assert "must be 3 x 3 tables of 3 x 3 integer matrices" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "input error: 3 x 3 tables eta and tau must be 18 integer matrices, "
+            "all square of one size >= 1\n"), i
+    # 'dim' must agree with the matrices, and is tested before the relations:
+    # with tau = eta relation (4) fails, an exit 1 once 'dim' agrees
+    failing = {**doc, "tau": doc["eta"]}
+    for dim, code in ((2, 2), (True, 2), (3, 1)):
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps({**failing, "dim": dim}))
+        assert main(["check", "rep", str(path)]) == code, dim
+        err = capsys.readouterr().err
+        assert code == 1 or err == (f"input error: rep 'dim' {dim!r} disagrees "
+                                    "with its 3 x 3 matrices\n"), dim
     for i, value in enumerate([[1, True, 0], [False, 0, 0], [1, 0], [[1], 0, 0], 1]):
         path = tmp_path / f"kappa{i}.json"
         path.write_text(json.dumps({"degree": 2, "modulus": 3, "dim": 3,
                                     "values": {"0,1": value}}))
         assert main(["check", "cocycle", str(path), "--rep", "conj-rep:perm3"]) == 2, i
-        assert "is not a list of 3 integers" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"input error: the cochain has the value {value!r} at (0, 1), not a "
+            "list of 3 integers\n"), i
 
 
 def test_cochain_round_trip(tmp_path):
@@ -117,14 +134,17 @@ def test_cochain_round_trip(tmp_path):
 
 
 def test_cochain_doc_validation():
+    """cochain_from_doc needs the header keys; a key of the wrong arity or a
+    value of the wrong length parses, and the fit rule refuses it."""
     with pytest.raises(InputError):
         qio.cochain_from_doc({"degree": 2, "modulus": 3})
-    with pytest.raises(InputError):
-        qio.cochain_from_doc({"degree": 2, "modulus": 3, "dim": 1,
-                              "values": {"0,1,2": [1]}})
-    with pytest.raises(InputError):
-        qio.cochain_from_doc({"degree": 2, "modulus": 3, "dim": 2,
-                              "values": {"0,1": [1]}})
+    rep = make_alexander_rep(make_dihedral(3), 3, 2)
+    for values, fault in (({"0,1,2": [1]}, "key (0, 1, 2)"),
+                          ({"0,1": [1, 0]}, "value [1, 0]")):
+        kappa = qio.cochain_from_doc({"degree": 2, "modulus": 3, "dim": 1,
+                                      "values": values})
+        with pytest.raises(InputError, match=fr"^the cochain has the {re.escape(fault)}"):
+            _require_module(rep, kappa)
 
 
 def test_json_objects_with_a_repeated_key_are_refused(tmp_path, capsys):
@@ -189,6 +209,10 @@ def test_invalid_json_reports_location(tmp_path):
     with pytest.raises(InputError) as err:
         qio.load_quandle(str(path))
     assert "line" in str(err.value)
+    # json hands a number of over 4300 digits to int(), which refuses it
+    path.write_text('{"table": [[' + "9" * 5000 + "]]}")
+    with pytest.raises(InputError, match="a number has too many digits$"):
+        qio.load_quandle(str(path))
 
 
 def test_dumps_document_is_stable():

@@ -79,6 +79,10 @@ def test_verify_axioms_rejects_malformed():
         verify_axioms([[0, 1], [1]])
     with pytest.raises(InputError):
         verify_axioms([[0, 5], [1, 0]])
+    for table in ([0, 1], 5, "ab", {0: [0]}, []):
+        with pytest.raises(InputError, match="^a quandle table must be a non-empty "
+                                             "list of rows$"):
+            verify_axioms(table)
 
 
 def test_greedy_generating_sets():
@@ -164,6 +168,8 @@ def test_core_of_cyclic_is_dihedral():
 def test_quandle_from_table_rejects_bad():
     with pytest.raises(InputError):
         quandle_from_table([[1, 1], [0, 0]])  # idempotency fails
+    with pytest.raises(InputError, match="non-empty list of rows$"):
+        quandle_from_table([])
 
 
 def test_frozen_table():
