@@ -90,6 +90,15 @@ class AlgebraRep:
         # block pair the crossing applies
         return {}, {}, []
 
+    @cached_property
+    def _path_products(self) -> tuple[_Products, tuple[int, ...], int]:
+        # braids._path_walk's numbering of path actions, for a rep of
+        # conjugation type: the products, the number of each rho(x), and
+        # the number of the identity
+        products = _Products(self.modulus)
+        rho = tuple(map(products.number, self.rho))
+        return products, rho, products.number(_freeze(identity(self.dim), self.modulus))
+
 
 def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
     """m as row tuples with entries in 0..n-1: every matrix given to an
@@ -138,8 +147,10 @@ class _Products:
     def number(self, m) -> int:
         i = self.numbers.get(m)
         if i is None:
-            i = self.numbers[m] = len(self.rows)
+            # the row first: an interrupt between the two statements leaves
+            # an unnumbered row, never a number without its row
             self.rows.append(m)
+            i = self.numbers[m] = len(self.rows) - 1
         return i
 
     def mul(self, i: int, j: int) -> int:

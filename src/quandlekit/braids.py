@@ -13,12 +13,14 @@ sign to tell which strand passes under: given an operation and its inverse,
 it walks per-position values down the word and hands out each crossing once,
 as (letter, p, x, y), p the left position and (x, y) the source pair, (u, v)
 at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
-(`_walk`, for `act`, `crossing_data`, `invariants.cocycle_invariant` and
-`crossing_blocks`, which numbers each crossing's block pair, (eta, tau)[x][y]
-or its inverse pair), linear forms (`_burau_rows`, over Z_n for the
-colorings and over Z[t^+-1] for `fox.alexander_polynomial`), row blocks
-(`colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
-triples stand for the Wirtinger relators that `fox.twisted_matrix` reads).
+(`_walk`, for `act`, `crossing_blocks`, which numbers each crossing's block
+pair, (eta, tau)[x][y] or its inverse pair, and `_path_walk`, the one path
+rule, which adds each crossing's path action, numbered by value per rep, for
+`crossing_data` and `invariants.cocycle_invariant`), linear forms
+(`_burau_rows`, over Z_n for the colorings and over Z[t^+-1] for
+`fox.alexander_polynomial`), row blocks (`colored_matrix`) and arc ids
+(`closure_arcs`, whose (over, src, tgt) triples stand for the Wirtinger
+relators that `fox.twisted_matrix` reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep, _bar_block
 from .errors import InputError, charge, power_text
-from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, zeros
+from .linalg import Matrix, kernel_mod, mat_add, mat_mul, zeros
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -55,9 +57,16 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        # type(...) is int: True is an int to isinstance
+        if type(self.strands) is not int:
+            raise InputError(f"strand count {self.strands!r} is not an integer")
         if self.strands < 1:
             raise InputError("strand count must be >= 1")
+        if type(self.letters) is not tuple:
+            raise InputError("letters must be a tuple of integers")
         for pos, e in enumerate(self.letters):
+            if type(e) is not int:
+                raise InputError(f"letter {pos}: {e!r} is not an integer")
             if e == 0:
                 raise InputError(f"letter {pos}: zero generator index")
             if abs(e) > self.strands - 1:
@@ -409,8 +418,10 @@ def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
             key = (e > 0, eta, tau)
             n = numbers.get(key)
             if n is None:
-                n = numbers[key] = len(pairs)
+                # the pair first, numbered once it is in: an interrupt in
+                # _bar_block leaves the rep's numbering as it was
                 pairs.append((eta, tau) if e > 0 else _bar_block(eta, tau, rep.modulus))
+                n = numbers[key] = len(pairs) - 1
             cells[cell] = n
         out.append(n)
     return tuple(out)
@@ -450,45 +461,44 @@ def _require_conj_type(rep: AlgebraRep) -> None:
         raise InputError("diagram chains need a conjugation-type rep")
 
 
-def _path_action(rep: AlgebraRep, right: tuple, paths: dict) -> Matrix:
-    """The path action of a crossing whose right-hand strands carry the
-    colors `right`, c_(p+2) .. c_(k-1): rho(c_(k-1)) ... rho(c_(p+2)) mod N,
-    the outermost strand first, which is the path action of right[1:] times
-    rho(right[0]).  `paths` remembers each action by its tuple and must hold
-    () -> identity.  A new tuple whose one-shorter suffix is remembered costs
-    one product; any other is multiplied up from the identity, one product
-    per color.  Only the tuples asked for are remembered: remembering every
-    suffix as well would cost k^2 / 2 colors for a right of k colors, and
-    over a one-element quandle the guard lets k run into the millions."""
-    path = paths.get(right)
-    if path is None:
-        rest = paths.get(right[1:])
-        if rest is None:
-            path = paths[()]
-            for c in reversed(right):
-                path = mat_mul(path, rep.rho[c], rep.modulus)
-        else:
-            path = mat_mul(rest, rep.rho[right[0]], rep.modulus)
-        paths[right] = path
-    return path
+def _path_walk(rep: AlgebraRep, w: BraidWord, colors: list):
+    """`_walk` of a conj-type rep's quandle over `colors`, yielding each
+    crossing's record with its path action appended, (letter, p, x, y,
+    path): rho(c_(k-1)) ... rho(c_(p+2)) mod N over the colors right of the
+    crossing, the outermost strand first, as its number in the rep's
+    `_path_products`.  This is the one path rule.
+
+    suf[j], the number of rho(c_(k-1)) ... rho(c_j), is kept for j >= lo.  A
+    crossing at p needs suf[p + 2]; if lo > p + 2 the entries from lo - 1
+    down to p + 2 are formed, one `mul` lookup each, and as the crossing
+    then changes c_p and c_(p+1), lo becomes p + 2.  Products are numbered by
+    value per rep, so each distinct (path, color) product is formed once
+    however many calls meet it, and the walk relies on no relation of the
+    rep: it is exact for unchecked tables too."""
+    products, rho, one = rep._path_products
+    mul, k = products.mul, w.strands
+    suf = [one] * (k + 1)
+    lo = k
+    for e, p, x, y in _walk(rep.quandle, w, colors):
+        j = p + 2
+        while lo > j:
+            lo -= 1
+            suf[lo] = mul(suf[lo + 1], rho[colors[lo]])
+        lo = j
+        yield e, p, x, y, suf[j]
 
 
 def crossing_data(rep: AlgebraRep, w: BraidWord, coloring):
     """Per-crossing data (sign, path action, source color pair) for a closure
-    coloring, in letter order, from one walk of `_walk`.
-
-    The path action is the ordered product of rho over the strand colors to
-    the right of the crossing, outermost strand first, remembered by that
-    tuple of colors for the walk and built by `_path_action`, as
-    `invariants.cocycle_invariant` builds its own; needs a conj-type rep.
-    """
+    coloring, in letter order, from one `_path_walk`: the path action is the
+    ordered product of rho over the strand colors to the right of the
+    crossing, outermost strand first, a frozen matrix mod N; needs a
+    conj-type rep."""
     _require_conj_type(rep)
-    paths = {(): identity(rep.dim)}
+    rows = rep._path_products[0].rows
     cur = list(coloring)
-    out = []
-    for e, p, x, y in _walk(rep.quandle, w, cur):
-        out.append((1 if e > 0 else -1,
-                    _path_action(rep, tuple(cur[p + 2:]), paths), x, y))
+    out = [(1 if e > 0 else -1, rows[path], x, y)
+           for e, _, x, y, path in _path_walk(rep, w, cur)]
     if tuple(cur) != tuple(coloring):
         raise InputError("coloring is not fixed by the braid word")
     return out

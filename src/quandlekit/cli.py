@@ -40,7 +40,11 @@ exceeded.
 `main(argv)` may be called many times in one process: the argparse parser
 is built on the first call and reused, and a call parses its argv once, an
 argv that starts with a subcommand's name by that subcommand's parser alone,
-so a call costs its command and one parse.
+so a call costs its command and one parse.  Shorthand quandles and reps are
+built once per process, within the fixed bound `io.SHORTHANDS_KEPT`, and
+their memos are shared by later calls; a shorthand quandle's table cells
+are charged against --guard on every call all the same.  JSON inputs are
+read and checked on every call.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ for an Alexander-type rep, every coloring has the sequence that the signs of
 the letters fix: the word is walked once, not once per coloring, and one
 matrix and one cokernel serve every coloring.
 
-`cocycle_invariant` walks each coloring once through `braids._walk`, the
-one crossing rule, and adds each crossing's weight sign * path * kappa(x, y)
-as it goes; no list of crossings is kept.  The weight path * kappa(x, y) is
-formed once per call for each tuple of colors right of the crossing and
-source pair (x, y), and the path action once per such tuple, with one
-product from the action of its one-shorter suffix when that one is known
-(`braids._path_action`, which `crossing_data`, and through it
-`diagram_two_chain` and `boltzmann_weight`, use too).
+`cocycle_invariant` walks each coloring once through `braids._path_walk`,
+the one crossing rule with the one path rule on top, and adds each
+crossing's weight sign * path * kappa(x, y) as it goes; no list of
+crossings is kept.  Path actions are numbered by value per rep
+(`AlgebraRep._path_products`), so the weight path * kappa(x, y) is formed
+once per call for each distinct path action and source pair (x, y), and
+each path action once per rep from its one-shorter suffix.
+`crossing_data`, and through it `diagram_two_chain` and `boltzmann_weight`,
+walk by the same rule.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .braids import (BraidWord, _path_action, _require_conj_type, _walk,
-                     colored_matrix, colorings_of_closure, crossing_blocks,
-                     crossing_data)
+from .braids import (BraidWord, _path_walk, _require_conj_type, colored_matrix,
+                     colorings_of_closure, crossing_blocks, crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, _require_module, is_cocycle_2
-from .linalg import cokernel_mod, identity, mat_vec
+from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
 
 
@@ -83,12 +83,11 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                       check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle.
 
-    Each coloring is walked once by `braids._walk`, and each crossing adds
-    its weight sign * path * kappa(x, y) as it is met.  A weight is formed
-    once per call for each tuple of colors right of the crossing and source
-    pair (x, y), and each path action once per tuple, with one product from
-    its one-shorter suffix's when that is known (`braids._path_action`).  A
-    coloring that the word does not fix is refused, as by `crossing_data`.
+    Each coloring is walked once by `braids._path_walk`, and each crossing
+    adds its weight sign * path * kappa(x, y) as it is met.  A weight is
+    formed once per call for each distinct path action, numbered by value,
+    and source pair (x, y).  A coloring that the word does not fix is
+    refused, as by `crossing_data`.
     kappa must be a 2-cochain that fits the rep and the rep of conjugation
     type, also when check is False; the size^3 cocycle check and the |X|^k
     candidate colorings must not exceed the guard."""
@@ -98,8 +97,8 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
     q, N = rep.quandle, rep.modulus
     colorings = colorings_of_closure(q, w)
     _require_conj_type(rep)
-    paths = {(): identity(rep.dim)}     # colors right of a crossing -> path
-    weights: dict = {}                  # (colors right, x, y) -> path * kappa(x, y)
+    rows = rep._path_products[0].rows
+    weights: dict = {}                  # (path number, x, y) -> path * kappa(x, y)
     zero = [0] * rep.dim
     entries = []
     for coloring in colorings:
@@ -107,13 +106,11 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
         # the weights of the positive and of the negative crossings, each
         # list led by the zero vector so that zip(*list) has rep.dim columns
         plus, minus = [zero], [zero]
-        for e, p, x, y in _walk(q, w, cur):
-            right = tuple(cur[p + 2:])
-            key = (right, x, y)
+        for e, _, x, y, path in _path_walk(rep, w, cur):
+            key = (path, x, y)
             vec = weights.get(key)
             if vec is None:
-                vec = weights[key] = mat_vec(_path_action(rep, right, paths),
-                                             kappa.value((x, y)), N)
+                vec = weights[key] = mat_vec(rows[path], kappa.value((x, y)), N)
             (plus if e > 0 else minus).append(vec)
         if tuple(cur) != coloring:
             raise InputError("coloring is not fixed by the braid word")

@@ -12,10 +12,16 @@ grammar, and agreement between two fields (a quandle's 'size' and table, a
 rep's 'dim' and matrices, a rep's quandle and the one supplied).  Values
 are refused by the rules of the types they build (`verify_axioms`,
 `_square_dim`, `_freeze`, `_require_module`).
+
+Shorthand quandles and reps are built once per process (`_built`), within
+a fixed bound of SHORTHANDS_KEPT results, so a process that runs many
+commands, as `cli.main` may, builds and checks conj-rep:perm3 once.  JSON
+quandles, reps and cochains are read and checked on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import Counter
@@ -26,11 +32,34 @@ from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3, verify_relations)
 from .errors import CheckFailed, InputError, charge
 from .homology import Cochain, _require_module
+from .linalg import _require_modulus
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
 
 _INT = {int}
 _ROW = {list, tuple}
+
+# the bound of `_built`: the 29 distinct shorthands of a round of Alexander
+# and Burau jobs fit with room to spare
+SHORTHANDS_KEPT = 32
+
+
+@functools.lru_cache(maxsize=SHORTHANDS_KEPT, typed=True)
+def _built(make, *args):
+    """make(*args), formed on the first call with these arguments (typed:
+    True is not 1) and returned again until SHORTHANDS_KEPT later distinct
+    calls push it out; a call that raises keeps nothing.  Every shorthand
+    quandle and rep is built here.  No shorthand constructor charges the
+    guard, so a hit skips no refusal.
+
+    At most SHORTHANDS_KEPT results are kept.  In the worst case each is a
+    quandle with as many table cells as the guard in force when it was built
+    admitted (10^7 under the default guard), with its inverse table, or a
+    rep on such a quandle: about 40 bytes a cell (dihedral:1000 and its
+    inverse take 40 MB on CPython 3.11), so up to about 13 GB under the
+    default guard.  A kept rep also keeps the memos its invariants fill,
+    which grow only with the work already done on it."""
+    return make(*args)
 
 
 def dumps_document(doc: dict) -> str:
@@ -157,7 +186,7 @@ def load_quandle(spec: str) -> FiniteQuandle:
     ints = _ints(spec, args)
     if ints[0] > 0:
         charge(ints[0], f"table cells of {spec!r}", 2)
-    return make(*ints)
+    return _built(make, *ints)
 
 
 def load_table(spec: str) -> list:
@@ -226,7 +255,8 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
     alexander-rep:N:t and trivial-action[:N] (eta = I, tau = 0; N defaults to
     `modulus`) are built on `quandle`; conj-rep:perm3[:N] (R3 permuting
     coordinates, mod 3 by default) and JSON reps must live on it if it is given.
-    `check` is passed to rep_from_doc for JSON reps.
+    `check` is passed to rep_from_doc for JSON reps.  A shorthand rep is
+    built once per process for each quandle and arguments (`_built`).
     """
     parts = spec.split(":")
     kind = parts[0]
@@ -236,18 +266,24 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
         raise InputError(f"{kind} shorthand needs a quandle")
     if kind == "alexander-rep" and len(parts) == 3:
         n, t = _ints(spec, parts[1:])
-        return make_alexander_rep(quandle, n, t)
+        return _built(make_alexander_rep, quandle, n, t)
     if kind == "conj-rep" and len(parts) in (2, 3) and parts[1] == "perm3":
         (n,) = _ints(spec, parts[2:]) or [3]
-        rep = make_conj_rep(permutation_rep_r3(n))
+        rep = _built(_perm3_rep, n)
         _check_quandle(rep.quandle, quandle, f"rep {spec!r}")
         return rep
     if kind == "trivial-action" and len(parts) <= 2:
         (n,) = _ints(spec, parts[1:]) or [modulus]
         if n is None:
             raise InputError("trivial-action shorthand needs a modulus")
-        return make_alexander_rep(quandle, n, 1)
+        _require_modulus(n)             # a list would fail `_built`'s lookup
+        return _built(make_alexander_rep, quandle, n, 1)
     raise InputError(f"bad rep shorthand {spec!r}")
+
+
+def _perm3_rep(n: int) -> AlgebraRep:
+    """conj-rep:perm3:n, R3 permuting the coordinates of (Z_n)^3."""
+    return make_conj_rep(permutation_rep_r3(n))
 
 
 def cochain_to_doc(kappa: Cochain) -> dict:

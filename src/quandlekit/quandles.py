@@ -203,8 +203,12 @@ def make_alexander(n: int, t: int) -> FiniteQuandle:
 
 
 def make_conj(g: FiniteGroup, subset=None, power: int = 1) -> FiniteQuandle:
-    """Quandle on a conjugation-closed subset with a*b = b^m a b^-m."""
+    """Quandle on a conjugation-closed subset with a*b = b^m a b^-m; the
+    subset's elements must lie in 0..|G|-1."""
     elems = list(range(g.size)) if subset is None else list(subset)
+    for e in elems:
+        if not (type(e) is int and 0 <= e < g.size):
+            raise InputError(f"{e!r} is not an element of the group of order {g.size}")
     index = {e: i for i, e in enumerate(elems)}
     table = []
     for a in elems:

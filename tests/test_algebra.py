@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quandlekit.algebra import (
     AlgebraRep,
+    _Products,
     bar,
     check_group_rep,
     make_alexander_rep,
@@ -84,8 +85,9 @@ def test_perm3_rep():
 
 
 def test_perm3_conj_rep_checks_once(monkeypatch):
-    from quandlekit import algebra
-    from quandlekit.io import load_rep
+    """conj-rep:perm3 is built and checked once per process: a second load
+    returns the rep of the first, and another modulus is another rep."""
+    from quandlekit import algebra, io
     check, calls = algebra.check_group_rep, []
 
     def counted(g):
@@ -93,8 +95,31 @@ def test_perm3_conj_rep_checks_once(monkeypatch):
         return check(g)
 
     monkeypatch.setattr(algebra, "check_group_rep", counted)
-    load_rep("conj-rep:perm3")
+    io._built.cache_clear()
+    assert io.load_rep("conj-rep:perm3") is io.load_rep("conj-rep:perm3")
     assert len(calls) == 1
+    assert io.load_rep("conj-rep:perm3:5").modulus == 5 and len(calls) == 2
+
+
+def test_an_interrupted_numbering_leaves_no_number_without_its_row():
+    """`_Products.number` publishes a number only once its row is in, so a
+    rep's shared products survive an interrupt (SIGALRM, Ctrl-C) between
+    the two: the next matrices are numbered as in a fresh instance."""
+    class Interrupted(list):
+        armed = True
+
+        def append(self, m):
+            if self.armed:
+                self.armed = False
+                raise KeyboardInterrupt
+            super().append(m)
+
+    products = _Products(5)
+    products.rows = Interrupted()
+    with pytest.raises(KeyboardInterrupt):
+        products.number(((1,),))
+    assert products.number(((2,),)) == 0 and products.number(((1,),)) == 1
+    assert products.rows == [((2,),), ((1,),)]
 
 
 def test_regular_conj_rep_checks_once(monkeypatch):

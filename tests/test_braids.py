@@ -46,6 +46,25 @@ def test_parse_braid():
         parse_braid("k=2; 0")
 
 
+@pytest.mark.parametrize("strands, letters, message", [
+    ("2", (1,), "strand count '2' is not an integer"),
+    (True, (), "strand count True is not an integer"),
+    (2.0, (1,), "strand count 2.0 is not an integer"),
+    (0, (), "strand count must be >= 1"),
+    (2, ("1",), "letter 0: '1' is not an integer"),
+    (3, (1, True), "letter 1: True is not an integer"),
+    (3, (1, 2.0), "letter 1: 2.0 is not an integer"),
+    (2, [1], "letters must be a tuple of integers"),
+    (2, "1", "letters must be a tuple of integers"),
+])
+def test_braid_words_are_type_strict(strands, letters, message):
+    """A strand count and letters are ints (type(x) is int), refused with
+    InputError otherwise, from Python as from parse_braid."""
+    with pytest.raises(InputError) as info:
+        BraidWord(strands, letters)
+    assert str(info.value) == message
+
+
 def test_knot_table():
     for name in KNOT_TABLE:
         w = braid_or_knot(name)

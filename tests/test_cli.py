@@ -1285,3 +1285,133 @@ def test_knot_and_braid_together_exit_2(capsys, kind, options):
                  "--braid", "k=3; 1 -2 1 -2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "input error: give --knot or --braid, not both\n"
+
+
+def _call(argv):
+    """main(argv) as (exit code, stdout, stderr), without pytest's capture,
+    so that a hypothesis example may run it."""
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def shared_shorthand_runs(tmp_path_factory):
+    """A mixed list of commands over shared shorthands, and the outcome of
+    each with every shorthand built afresh for it, as in its own process:
+    a 2-cocycle of conj-rep:perm3 and one of trivial-action:3 on R3 are
+    written by `search` first."""
+    tmp = tmp_path_factory.mktemp("shared")
+    kappas = {}
+    for rep in ("conj-rep:perm3", "trivial-action:3"):
+        code, out, _ = _call(["search", "2", "dihedral:3", rep, "3"])
+        assert code == 0
+        kappas[rep] = tmp / f"{rep.split(':')[0]}.json"
+        kappas[rep].write_text(json.dumps(json.loads(out)["basis"][0]))
+    r3 = ["--quandle", "dihedral:3"]
+    perm3 = r3 + ["--rep", "conj-rep:perm3"]
+    argvs = [
+        ["colorings", "dihedral:3", "k=4; 1 1 1 -3 -3 -3"],
+        ["colorings", "dihedral:5", "4_1"],
+        ["colorings", "dihedral:5", "4_1", "--guard", "24"],
+        ["invariant", "module", *perm3, "--knot", "4_1"],
+        ["invariant", "module", *perm3, "--braid", "k=3; -1 2 -1 2 2"],
+        ["invariant", "module", "--quandle", "dihedral:5", "--rep",
+         "alexander-rep:5:2", "--knot", "4_1"],
+        ["invariant", "module", "--quandle", "trivial:1", "--rep",
+         "alexander-rep:7:3", "--knot", "5_1"],
+        ["invariant", "cocycle", *perm3, "--cocycle", str(kappas["conj-rep:perm3"]),
+         "--braid", "k=4; 1 1 1 -3 -3 -3"],
+        ["invariant", "cocycle", *perm3, "--cocycle", str(kappas["conj-rep:perm3"]),
+         "--knot", "4_1"],
+        ["invariant", "cocycle", *r3, "--rep", "trivial-action:3", "--cocycle",
+         str(kappas["trivial-action:3"]), "--knot", "3_1"],
+        ["search", "2", "dihedral:3", "conj-rep:perm3", "3"],
+        ["search", "2", "dihedral:5", "alexander-rep:5:2", "5"],
+        ["homology", "2", *perm3],
+        ["homology", "2", "--quandle", "dihedral:3", "--rep", "trivial-action:3"],
+        ["extend", *perm3, "--cocycle", str(kappas["conj-rep:perm3"])],
+        ["check", "rep", "conj-rep:perm3"],
+        ["check", "rep", "conj-rep:perm3:9"],
+        ["check", "rep", "alexander-rep:5:2", "--quandle", "dihedral:5"],
+    ]
+    fresh = []
+    for argv in argvs:
+        qio._built.cache_clear()
+        fresh.append(_call(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 3] + [0] * (len(argvs) - 3)
+    return argvs, fresh
+
+
+def test_shared_shorthands_give_each_command_its_own_bytes(shared_shorthand_runs):
+    """One process runs the mixed list in order, each shorthand built once
+    and its rep's memos shared from command to command: every exit code,
+    stdout and stderr is that of the command run with fresh shorthands."""
+    argvs, fresh = shared_shorthand_runs
+    qio._built.cache_clear()
+    assert [_call(argv) for argv in argvs] == fresh
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(order=st.permutations(range(18)))
+def test_shared_shorthands_give_the_same_bytes_in_any_order(shared_shorthand_runs,
+                                                             order):
+    """The same list shuffled, on the shorthands and memos left by the
+    commands before it: every outcome is still the fresh one."""
+    argvs, fresh = shared_shorthand_runs
+    assert len(argvs) == len(order)
+    for i in order:
+        assert _call(argvs[i]) == fresh[i], argvs[i]
+
+
+def test_a_kept_shorthand_is_still_charged_its_cells(capsys):
+    """A shorthand quandle built under the default guard is charged its N^2
+    table cells again on every call, before it is looked up: the same
+    dihedral:N exits 3 under a --guard below N^2, with the same message."""
+    for argv in (["colorings", "dihedral:7", "3_1"],
+                 ["invariant", "module", "--quandle", "dihedral:7", "--rep",
+                  "alexander-rep:7:2", "--knot", "3_1"]):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--guard", "48"]) == 3
+        assert capsys.readouterr().err == ("guard exceeded: 49 table cells of "
+                                           "'dihedral:7' exceed the guard of 48\n")
+        assert main(argv + ["--guard", "49"]) == 0
+        capsys.readouterr()
+
+
+def test_an_interrupted_command_leaves_the_kept_rep_sound(capsys, monkeypatch):
+    """An interrupt while a kept rep's negative block is inverted (a SIGALRM
+    or Ctrl-C in `_bar_block`) leaves the rep's numbering as it was: the
+    next call prints the bytes of a fresh process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from quandlekit import braids
+    argv = ["invariant", "module", "--quandle", "dihedral:3", "--rep",
+            "conj-rep:perm3", "--braid", "k=3; 1 -2 1 -2 -2 1 -1 2"]
+    bar_block, calls = braids._bar_block, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return bar_block(*args)
+
+    qio._built.cache_clear()
+    monkeypatch.setattr(braids, "_bar_block", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    capsys.readouterr()
+    assert main(argv) == 0
+    kept = capsys.readouterr().out
+    src = str(Path(qio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "quandlekit.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert kept == proc.stdout

@@ -16,7 +16,7 @@ from quandlekit.algebra import (
     permutation_rep_r3,
     regular_group_rep,
 )
-from quandlekit.braids import (BraidWord, _path_action, braid_or_knot,
+from quandlekit.braids import (BraidWord, braid_or_knot,
                                colored_matrix, colorings_of_closure,
                                crossing_blocks, crossing_data, markov_moves,
                                parse_braid)
@@ -312,8 +312,7 @@ def test_one_pair_rep_walks_the_word_once(monkeypatch):
     monkeypatch.setattr(invariants, "crossing_blocks", counted)
     w = braid_or_knot("k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4")
     r7 = make_dihedral(7)
-    alexander = load_rep("alexander-rep:7:2", r7)
-    inv = module_invariant(alexander, w)
+    inv = module_invariant(make_alexander_rep(r7, 7, 2), w)
     assert len(inv.entries) == 7 ** 3 and len(calls) == 1
 
     def cells(v):
@@ -326,18 +325,28 @@ def test_one_pair_rep_walks_the_word_once(monkeypatch):
     assert module_invariant(fresh, w) == inv
     assert len(calls) == 1
     calls.clear()
-    perm3 = load_rep("conj-rep:perm3")
+    perm3 = make_conj_rep(permutation_rep_r3(3))
     assert not perm3._one_pair
     module_invariant(perm3, w)
     assert sorted(calls) == colorings_of_closure(perm3.quandle, w)
     assert len(calls) > 1
 
 
+def _path_value(rep, right):
+    """rho(c_(k-1)) ... rho(c_(p+2)) mod N for the colors `right`, multiplied
+    afresh and frozen."""
+    path = identity(rep.dim)
+    for c in reversed(right):
+        path = mat_mul(path, rep.rho[c], rep.modulus)
+    return _freeze(path)
+
+
 def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
     """cocycle_invariant forms path * kappa(x, y) once per distinct path
-    (the colors to the right of a crossing) and source pair (x, y), found by
-    the reference walk over every coloring, not once per crossing; the
-    entries equal the per-coloring reference."""
+    action, by value, and source pair (x, y), found by the reference walk
+    over every coloring: fewer than one per tuple of colors right of the
+    crossing, and far fewer than one per crossing.  The entries equal the
+    per-coloring reference."""
     from quandlekit import invariants
     calls = []
 
@@ -348,46 +357,61 @@ def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
     monkeypatch.setattr(invariants, "mat_vec", counted)
     rep, kappa = nontrivial_kappa()
     q = rep.quandle
-    w = braid_or_knot("k=3; 1 1 1 -2 -2 -2")     # 3_1 # 3_1*: 27 colorings
+    w = braid_or_knot("k=4; 1 1 1 -3 -3 -3")     # 3_1 and 3_1* apart: 81 colorings
     inv = cocycle_invariant(rep, kappa, w, check=False)
     crossings = 0
-    distinct = set()
+    by_value, by_tuple = set(), set()
     for coloring in colorings_of_closure(q, w):
         for e, _, u, v, right in _reference_walk(rep, w, coloring):
             crossings += 1
-            distinct.add((right, (u, v) if e > 0 else (q.inv_op(v, u), u)))
-    assert len(calls) == len(distinct) < crossings
+            pair = (u, v) if e > 0 else (q.inv_op(v, u), u)
+            by_value.add((_path_value(rep, right), pair))
+            by_tuple.add((right, pair))
+    assert len(calls) == len(by_value) < len(by_tuple) < crossings
     assert inv.entries == _reference_cocycle(rep, kappa, w)
 
 
-def test_a_path_action_takes_one_product_from_a_known_suffix(monkeypatch):
-    """A path action whose one-shorter suffix is remembered costs one
-    product; any other is multiplied up from the identity, one product per
-    color, and only the tuples asked for are remembered.  Over a one-element
-    quandle a right of L colors thus costs L products and one new entry, not
-    a chain of L suffixes holding L^2 / 2 colors."""
-    from quandlekit import braids
-    calls = []
+def test_each_path_product_is_formed_once_per_rep(monkeypatch):
+    """Path actions are numbered by value per rep: each product of a path
+    and a color's rho is formed once, however many crossings, colorings and
+    calls meet it, and each path equals rho(c_(k-1)) ... rho(c_(p+2))
+    multiplied afresh.  On conj-rep:perm3 that is at most |S3| * |R3| = 18
+    products in all.  Over a one-element quandle whose rho has order 4, a
+    crossing with 3000 strands on its right forms at most 4 products, and
+    the rep keeps O(1) memo entries, not a chain of 3000 suffixes."""
+    from quandlekit import algebra
+    formed = []
+    mul = algebra._Products._mul
 
-    def counted(a, b, mod=None):
-        calls.append(1)
-        return mat_mul(a, b, mod)
+    def counted(self, i, j):
+        formed.append((id(self), i, j))
+        return mul(self, i, j)
 
-    monkeypatch.setattr(braids, "mat_mul", counted)
+    monkeypatch.setattr(algebra._Products, "_mul", counted)
     rep = make_conj_rep(permutation_rep_r3(3))
-    # the constant coloring: letter 2 meets the right (0,), letter 1 (0, 0)
-    for text, products in (("k=4; 2 1", 1 + 1), ("k=4; 1 2", 2 + 1)):
-        calls.clear()
+    # the constant coloring: letter 2 meets the path rho(0), letter 1 rho(0)^2
+    for text, products in (("k=4; 2 1", 2), ("k=4; 1 2", 0)):
+        formed.clear()
         data = crossing_data(rep, braid_or_knot(text), (0,) * 4)
-        assert len(calls) == products, text
-        assert [_freeze(path) for _, path, _, _ in data] == [
-            _freeze(mat_mul(rep.rho[0], rep.rho[0], 3)) if abs(e) == 1
-            else rep.rho[0] for e in braid_or_knot(text).letters]
+        assert len(formed) == products, text
+        assert [path for _, path, _, _ in data] == [
+            _path_value(rep, (0,) * (3 - abs(e))) for e in braid_or_knot(text).letters]
+    formed.clear()
+    rng = random.Random(41)
+    for w in _random_braids(rng, 20, 5):
+        for coloring in colorings_of_closure(rep.quandle, w):
+            data = crossing_data(rep, w, coloring)
+            assert [path for _, path, _, _ in data] == [
+                _path_value(rep, right)
+                for *_, right in _reference_walk(rep, w, coloring)]
+    assert len(formed) == len(set(formed)) <= 18
     one = make_conj_rep(make_group_rep(make_trivial(1), 5, [[[2]]]))
-    paths = {(): identity(1)}
-    calls.clear()
-    assert _path_action(one, (0,) * 3000, paths) == [[pow(2, 3000, 5)]]
-    assert len(calls) == 3000 and len(paths) == 2
+    formed.clear()
+    data = crossing_data(one, BraidWord(3002, (1,)), (0,) * 3002)
+    assert data == [(1, ((pow(2, 3000, 5),),), 0, 0)]
+    products = one._path_products[0]
+    assert len(formed) <= 4
+    assert max(map(len, (products.rows, products.products, products.terms))) <= 4
 
 
 def test_each_distinct_negative_block_is_inverted_once(monkeypatch):

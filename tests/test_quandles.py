@@ -160,6 +160,14 @@ def test_conj_subset_closure_check():
         make_conj(s3, subset=[transpositions[0], three_cycle])
 
 
+@pytest.mark.parametrize("subset", [[0, 99], [-1], [0, True], [1.0]])
+def test_conj_subset_outside_the_group_is_refused(subset):
+    """A subset element outside 0..|G|-1 is an input error, as it is for
+    `regular_group_rep`, not an IndexError."""
+    with pytest.raises(InputError, match=r"is not an element of the group of order 6$"):
+        make_conj(symmetric_group(3), subset)
+
+
 def test_core_of_cyclic_is_dihedral():
     for n in (3, 5, 7):
         assert make_core(cyclic_group(n)).table == make_dihedral(n).table
