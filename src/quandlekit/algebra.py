@@ -39,6 +39,25 @@ under * and hold S, so they are all of X.  Relation (4), which says that
 E satisfies axiom I, is checked for every x.  verify_relations therefore
 scans (1)-(3) only for z in S and, if anything fails, scans every z again
 to report the first failure of each relation in (x, y, z) order.
+
+The conjugation rule.  On tables of conjugation type, (1)-(4) say one
+thing, the conjugation relation rho(y*z) rho(z) == rho(z) rho(y) at (y, z).
+(1) at (x, y, z) is the relation at (y, z).  (2) at (x, y, z) is the
+relation at (x*y, z), as tau[x*z][y*z] = I - rho((x*y)*z) by axiom III.
+(3) reduces to the relation at (x*z, y*z): with w = (x*z)*(y*z) = (x*y)*z,
+its right side is I - rho(w) + rho(w) rho(y*z) - rho(y*z) rho(x*z) and its
+left side I - rho(w).  (4) holds because x*x = x: tau[x][x] + eta[x][x] is
+I - rho(x) + rho(x).  Let Z be the set of z at which the relation holds for
+every y.  Once every rho is invertible, Z is closed under *: for z and w in
+Z, write y*(z*w) = ((y bar* w)*z)*w by axiom III; then rho(y bar* w) is
+rho(w)^-1 rho(y) rho(w), since w is in Z, so rho(y*(z*w)) is
+rho(w) rho(z) rho(w)^-1 rho(y) rho(w) rho(z)^-1 rho(w)^-1, and
+rho(w) rho(z) rho(w)^-1 = rho(z*w).  Z holds S, so Z = X.  On a rep of
+conjugation type with every eta invertible, verify_relations therefore
+checks the relation at the |S| |X| pairs (y, z) with z in S, and only if
+one fails runs the scans of the generator rule, so a failing rep gets the
+same report; check_group_rep checks the same pairs, and every pair only
+if one fails.
 """
 
 from __future__ import annotations
@@ -204,7 +223,9 @@ class GroupRep:
 def check_group_rep(g: GroupRep) -> ValidationReport:
     """Conjugation consistency: rho(x*y) == rho(y) rho(x) rho(y)^-1 mod N,
     tested as rho(x*y) rho(y) == rho(y) rho(x) once every rho(x) is
-    invertible.  Each distinct product of the |X|^2 comparisons is formed
+    invertible, for y in the greedy generating set S only (the conjugation
+    rule above); if a pair fails, every y is scanned, so the failure named
+    is the first of the |X|^2 scan.  Each distinct product is formed
     once."""
     q, n = g.quandle, g.modulus
     for x in range(q.size):
@@ -212,12 +233,27 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
             return ValidationReport(False, [f"rho({x}) is not invertible mod {n}"])
     products = _Products(n)
     rho = [products.number(m) for m in g.rho]
-    for x in range(q.size):
-        for y in range(q.size):
-            if products.mul(rho[q.op(x, y)], rho[y]) != products.mul(rho[y], rho[x]):
-                return ValidationReport(
-                    False, [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"])
+    failure = (_conjugation_failure(q.table, rho, products, generating_set(q.table))
+               and _conjugation_failure(q.table, rho, products, range(q.size)))
+    if failure:
+        x, y = failure
+        return ValidationReport(
+            False, [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"])
     return ValidationReport(True)
+
+
+def _conjugation_failure(table, rho, products: _Products,
+                         zs) -> Optional[tuple[int, int]]:
+    """The first (x, y) in scan order, y in zs, at which
+    rho(x*y) rho(y) != rho(y) rho(x), or None; rho holds the numbers of its
+    matrices in `products`."""
+    mul = products.mul
+    for x, row in enumerate(table):
+        rho_x = rho[x]
+        for y in zs:
+            if mul(rho[row[y]], rho[y]) != mul(rho[y], rho_x):
+                return x, y
+    return None
 
 
 def _square_dim(mats, count: int, what: str) -> int:
@@ -285,18 +321,22 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     """Identities (1)-(4); reports the first failure of each, in the order
     of the (x, y, z) scan.
 
-    Invertibility is tested once per distinct eta, then (1)-(3) are checked
-    for z in the greedy generating set S only, which is enough (the
-    generator rule above), and (4) for every x; if anything fails, the same
-    scan runs over every z, so the report is the exhaustive scan's.  Each
-    distinct matrix product and each distinct sum of relation (3) is formed
-    once: a conjugation rep has only |X| distinct eta and |X| distinct tau.
+    Invertibility is tested once per distinct eta.  A rep of conjugation
+    type then passes if rho(y*z) rho(z) == rho(z) rho(y) for every y and
+    every z in the greedy generating set S, which is enough (the
+    conjugation rule above).  Otherwise (1)-(3) are checked for z in S
+    only, which is enough (the generator rule above), and (4) for every x;
+    if anything fails, the same scan runs over every z, so the report is
+    the exhaustive scan's.  Each distinct matrix product and each distinct
+    sum of relation (3) is formed once: a conjugation rep has only |X|
+    distinct eta and |X| distinct tau.
 
     The guard bounds the |X|^3 triples, then, before any product is formed,
     (e + min(d^2, 6 |S| |X|^2)) m^3 steps: the inversions of the e distinct
     eta and the products of the d distinct m x m matrices, six per triple
-    at most.  A scan over every z is held to the same count with 6 |X|^3
-    before it starts."""
+    at most, which bounds the two per pair of the conjugation rule too.  A
+    scan over every z is held to the same count with 6 |X|^3 before it
+    starts."""
     q, n, m = rep.quandle, rep.modulus, rep.dim
     size, table = q.size, q.table
     charge(size, "relation triples", 3)
@@ -320,6 +360,8 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
             if not invertible[i]:
                 return ValidationReport(
                     False, [f"eta[{x}][{y}] is not invertible mod {n}"])
+    if rep.rho is not None and not _conjugation_failure(table, eta[0], products, gens):
+        return ValidationReport(True)
     one = products.number(_freeze(identity(m), n))
     failures = _relation_failures(table, eta, tau, one, products, gens)
     if failures and len(gens) < size:
@@ -415,8 +457,8 @@ def make_conj_rep(g: GroupRep) -> AlgebraRep:
     Every row of eta is the GroupRep's own frozen rho, and I - rho(z) is
     formed once per element z (`_conj_tau`), so the tables hold |X| distinct
     eta and |X| distinct tau objects.  CheckFailed unless check_group_rep
-    passes, which on these tables is equivalent to relations (1)-(4): (1) is
-    the conjugation relation, and (2)-(4) follow from it and axiom III."""
+    passes, which on these tables is equivalent to relations (1)-(4) (the
+    conjugation rule above)."""
     report = check_group_rep(g)
     if not report:
         raise CheckFailed("; ".join(report.failures))

@@ -24,7 +24,8 @@ from quandlekit.algebra import (
 from quandlekit.errors import CheckFailed, InputError
 from quandlekit.groups import cyclic_group, small_groups
 from quandlekit.io import load_rep, rep_from_doc, rep_to_doc
-from quandlekit.linalg import identity, mat_add, mat_inv_mod, mat_mul, mat_scale, mat_vec
+from quandlekit.linalg import (identity, is_invertible_mod, mat_add, mat_inv_mod, mat_mul,
+                               mat_scale, mat_vec)
 from quandlekit.quandles import (
     make_alexander,
     make_conj,
@@ -164,9 +165,24 @@ def _conj_tables(g):
     return make_rep(q, n, eta, tau, check=False)
 
 
+def _reference_group_rep_failures(g):
+    """check_group_rep's rule with two products per (x, y) of the |X|^2
+    scan; the first failure."""
+    q, n = g.quandle, g.modulus
+    for x in range(q.size):
+        if not is_invertible_mod(g.rho[x], n):
+            return [f"rho({x}) is not invertible mod {n}"]
+    for x in range(q.size):
+        for y in range(q.size):
+            if mat_mul(g.rho[q.op(x, y)], g.rho[y], n) != mat_mul(g.rho[y], g.rho[x], n):
+                return [f"rho({x}*{y}) != rho({y}) rho({x}) rho({y})^-1"]
+    return []
+
+
 def test_group_rep_check_is_equivalent_to_the_conj_relations():
     """make_conj_rep checks only rho: on its tables check_group_rep passes
-    exactly when relations (1)-(4) hold."""
+    exactly when relations (1)-(4) hold, and it names the failure the plain
+    |X|^2 scan names first."""
     cases = []
     for q in (make_dihedral(3), make_dihedral(4), make_trivial(2),
               make_alexander(5, 2)):
@@ -182,9 +198,10 @@ def test_group_rep_check_is_equivalent_to_the_conj_relations():
                 for _ in range(q.size)]))
     outcomes = set()
     for g in cases:
-        passed = check_group_rep(g).passed
-        assert passed == verify_relations(_conj_tables(g)).passed, g
-        outcomes.add(passed)
+        report = check_group_rep(g)
+        assert report.failures == _reference_group_rep_failures(g), g
+        assert report.passed == verify_relations(_conj_tables(g)).passed, g
+        outcomes.add(report.passed)
     assert outcomes == {True, False}
 
 

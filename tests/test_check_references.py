@@ -30,7 +30,8 @@ from quandlekit.errors import InputError
 from quandlekit.groups import small_groups, symmetric_group
 from quandlekit.homology import Cochain, ComplexConfig, cocycle_space
 from quandlekit.invariants import dynamical_extension
-from quandlekit.linalg import identity, is_invertible_mod, mat_add, mat_mul, mat_vec
+from quandlekit.linalg import (identity, is_invertible_mod, mat_add, mat_mul, mat_scale,
+                               mat_vec)
 from quandlekit.quandles import (
     make_alexander,
     make_conj,
@@ -40,6 +41,7 @@ from quandlekit.quandles import (
     make_trivial,
     verify_axioms,
 )
+from test_algebra import _conj_tables
 
 
 def _reference_axioms(table):
@@ -286,10 +288,21 @@ def _failing_z(failure):
     return int(failure.rsplit(",", 1)[1].rstrip(")"))
 
 
+def _negated(rep, y):
+    """The rep of conjugation type whose rho is rep's with rho(y) negated,
+    its tau rebuilt from that rho."""
+    n = rep.modulus
+    return _conj_tables(make_group_rep(rep.quandle, n, [
+        mat_scale(-1, m, n) if x == y else m for x, m in enumerate(rep.rho)]))
+
+
 def test_full_scan_runs_only_after_a_failure(monkeypatch):
-    """A passing rep is scanned on S alone; a failing one on S, then on all
-    of X.  Each rep, mutated at tau[x][y] for a y outside S, fails, and
-    some of its relations first fail at a z outside S, which only the full
+    """A passing rep of conjugation type is passed by the conjugation rule
+    and never scanned, any other passing rep is scanned on S alone, and a
+    failing one on S, then on all of X.  Each rep fails when mutated at
+    tau[x][y] for a y outside S, and each rep of conjugation type also
+    when rho(y) is negated and tau rebuilt, which keeps it of conjugation
+    type; some relations first fail at a z outside S, which only the full
     scan reports."""
     calls = []
     scan = algebra._relation_failures
@@ -299,19 +312,78 @@ def test_full_scan_runs_only_after_a_failure(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(algebra, "_relation_failures", recorded)
-    outside_first = 0
+    outside_first = conj_failing = 0
     for rep in _GENERATOR_RULE_REPS:
         size = rep.quandle.size
         gens = generating_set(rep.quandle.table)
         calls.clear()
-        assert verify_relations(rep).passed and calls == [gens]
+        assert verify_relations(rep).passed
+        assert calls == ([] if rep.rho is not None else [gens])
         y = next(y for y in range(size) if y not in gens)
-        calls.clear()
-        failures = _same_relations(_mutant(rep, [("tau", 1, y, 0, 0, 1)])).failures
-        assert failures and calls == [gens, list(range(size))]
-        outside_first += sum(_failing_z(f) not in gens for f in failures
-                             if f.startswith("relation (") and "(x,y,z)" in f)
-    assert outside_first
+        mutants = [_mutant(rep, [("tau", 1, y, 0, 0, 1)])]
+        if rep.rho is not None:
+            mutants.append(_negated(rep, y))
+            assert mutants[-1].rho is not None
+            conj_failing += 1
+        for mutant in mutants:
+            calls.clear()
+            failures = _same_relations(mutant).failures
+            assert failures and calls == [gens, list(range(size))]
+            outside_first += sum(_failing_z(f) not in gens for f in failures
+                                 if f.startswith("relation (") and "(x,y,z)" in f)
+    assert outside_first and conj_failing
+
+
+def _conjugation_rule_bases():
+    """Group reps whose tables of conjugation type pass: regular reps mod 5
+    and mod 6 on the trivial quandles Conj(Z3), Conj(Z4) and Conj(V4),
+    where S = X, and on Conj(S3) and Conj(D4), and affine reps on R5-R9 and
+    alexander:8:3 (|S| = 2) mod their order."""
+    groups = {g.label: g for g in small_groups(8)}
+    bases = [regular_group_rep(groups[label], make_conj(groups[label]),
+                               list(range(groups[label].size)), modulus=n)
+             for label in ("Z3", "Z4", "V4", "S3", "D4") for n in (5, 6)]
+    bases += [_affine_group_rep(make_dihedral(n), n, -1) for n in range(5, 10)]
+    return bases + [_affine_group_rep(make_alexander(8, 3), 8, 3)]
+
+
+_CONJUGATION_RULE_BASES = _conjugation_rule_bases()
+
+
+@st.composite
+def _conjugation_rule_mutants(draw):
+    """Tables of conjugation type from a base rho with 0-2 of its matrices
+    changed: one entry raised, which can leave the matrix singular, or the
+    matrix replaced by another element's."""
+    g = draw(st.sampled_from(_CONJUGATION_RULE_BASES))
+    size, n, dim = g.quandle.size, g.modulus, g.dim
+    rho = [[list(r) for r in m] for m in g.rho]
+    for _ in range(draw(st.integers(0, 2))):
+        y = draw(st.integers(0, size - 1))
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            rho[y][i][j] = (rho[y][i][j] + draw(st.integers(1, n - 1))) % n
+        else:
+            rho[y] = [list(r) for r in g.rho[draw(st.integers(0, size - 1))]]
+    return _conj_tables(make_group_rep(g.quandle, n, rho))
+
+
+def test_conjugation_rule_matches_reference():
+    """On tables of conjugation type, the conjugation rule on S, with the
+    scans of the generator rule after a failure, gives the (x, y, z) scan's
+    report, failures and their order included.  Some cases pass, some fail
+    a relation and some have a singular eta."""
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(rep=_conjugation_rule_mutants())
+    def check(rep):
+        assert rep.rho is not None
+        failures = _same_relations(rep).failures
+        seen.add(failures[0][:3] if failures else "passed")
+
+    check()
+    assert seen == {"passed", "rel", "eta"}
 
 
 def _quandle_tables():
