@@ -9,8 +9,8 @@ and a matrix tau[x][y] over Z_N, subject to the four defining identities
   (4) tau[x][x] + eta[x][x]  == I
 
 checked by verify_relations. The coefficient module is (Z_N)^m acted on by
-these matrices from the left.  Every table of matrices is shaped by
-`_square_dim` and every matrix frozen mod N, N >= 1, by `_freeze`.
+these matrices from the left.  Every table of matrices is shaped and
+frozen mod N, N >= 1, by `_freeze`, in one pass over all its rows.
 
 The conjugation rule.  A rep is of conjugation type, as the paper's modules
 over Conj(G) are, when eta[x][y] = rho(y) and tau[x][y] = I - rho(x*y) for
@@ -63,13 +63,13 @@ if one fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
 from .errors import CheckFailed, InputError, charge
 from .groups import FiniteGroup
-from .linalg import (Matrix, _require_modulus, identity, is_invertible_mod, mat_add,
+from .linalg import (_require_modulus, identity, is_invertible_mod, mat_add,
                      mat_inv_mod, mat_mul, mat_scale, mat_sub)
 from .quandles import FiniteQuandle, ValidationReport, generating_set
 
@@ -115,33 +115,51 @@ class AlgebraRep:
         # conjugation type: the products, the number of each rho(x), and
         # the number of the identity
         products = _Products(self.modulus)
-        rho = tuple(map(products.number, self.rho))
-        return products, rho, products.number(_freeze(identity(self.dim), self.modulus))
+        one = _freeze([identity(self.dim)], self.modulus)[1][0]
+        return products, tuple(map(products.number, self.rho)), products.number(one)
 
 
-def _freeze(m: Matrix, n: int, frozen: Optional[dict] = None) -> tuple:
-    """m as row tuples with entries in 0..n-1: every matrix given to an
-    AlgebraRep or GroupRep is frozen here (the tau of a conjugation rep is
-    formed from its frozen rho by `_conj_tau`), after `_require_modulus`,
-    and reduced only if an entry is outside.  `frozen` maps each matrix
-    given to its frozen form, so that each distinct one is tested once and
-    each residue matrix is one object."""
-    _require_modulus(n)
-    key = tuple(map(tuple, m))
-    frozen = {} if frozen is None else frozen
-    if key not in frozen:
-        out = key
-        if not (0 <= min(map(min, key)) and max(map(max, key)) < n):
-            out = tuple(tuple([e % n for e in r]) for r in key)
-        frozen[key] = frozen.setdefault(out, out)
-    return frozen[key]
+def _freeze(mats, n: Optional[int], count: int = 1,
+            what: str = "a matrix") -> tuple[int, tuple]:
+    """(dim, `mats` frozen) if they are `count` square dim x dim matrices of
+    ints (type(x) is int), dim >= 1, else InputError "<what> must be <count>
+    integer matrices, all square of one size >= 1"; then `_require_modulus`
+    unless n is None.  Every matrix given to an AlgebraRep or GroupRep is
+    frozen here, as row tuples in 0..n-1, one object per distinct residue
+    matrix, by C-level passes over all the rows: the types of every entry,
+    so True or 1.0 is refused before it can merge with an equal 1, then the
+    range of each distinct row."""
+    try:
+        dim = len(mats[0]) if len(mats) else 0
+        fits = dim and len(mats) == count and set(map(len, mats)) == {dim}
+        rows = list(chain.from_iterable(mats)) if fits else []
+        fits = fits and set(map(len, rows)) == {dim}
+        rows = list(map(tuple, rows)) if fits else []
+        types = list(map(type, chain.from_iterable(rows)))
+        fits = fits and types.count(int) == len(types)
+    except (TypeError, LookupError):    # an entry that is not a sequence
+        fits = False
+    if not fits:
+        raise InputError(f"{what} must be {count} integer matrices, all square "
+                         f"of one size >= 1")
+    if n is not None:
+        _require_modulus(n)
+        distinct = set(rows)
+        if not (0 <= min(map(min, distinct)) and max(map(max, distinct)) < n):
+            residue = {r: tuple([e % n for e in r]) for r in distinct}
+            rows = list(map(residue.__getitem__, rows))
+    mats, frozen = list(zip(*[iter(rows)] * dim)), {}
+    return dim, tuple(map(frozen.setdefault, mats, mats))
 
 
 def _conj_tau(rho, table, n: int) -> tuple:
     """tau[x][y] = I - rho(x*y) mod n, one object per distinct rho(x*y)."""
-    minus = {m: tuple(tuple([(int(i == j) - e) % n for j, e in enumerate(r)])
-                      for i, r in enumerate(m)) for m in set(rho)}
-    one_minus = [minus[m] for m in rho]
+    minus = {m: [[-e % n for e in r] for r in m] for m in set(rho)}
+    for m, rows in minus.items():
+        for i, r in enumerate(rows):
+            r[i] = (1 - m[i][i]) % n
+        minus[m] = tuple(map(tuple, rows))
+    one_minus = list(map(minus.__getitem__, rho))
     return tuple(tuple(map(one_minus.__getitem__, row)) for row in table)
 
 
@@ -171,6 +189,13 @@ class _Products:
             self.rows.append(m)
             i = self.numbers[m] = len(self.rows) - 1
         return i
+
+    def number_table(self, table) -> list[list[int]]:
+        """The numbers of a table's matrices, by value, each distinct
+        object hashed once."""
+        cells = {id(m): m for row in table for m in row}
+        numbers = dict(zip(cells, map(self.number, cells.values())))
+        return [list(map(numbers.__getitem__, map(id, row))) for row in table]
 
     def mul(self, i: int, j: int) -> int:
         p = self.products.get((i, j))
@@ -256,30 +281,12 @@ def _conjugation_failure(table, rho, products: _Products,
     return None
 
 
-def _square_dim(mats, count: int, what: str) -> int:
-    """The size dim of `mats` if they are `count` square dim x dim matrices
-    of ints (type(x) is int), dim >= 1; InputError "<what> must be <count>
-    integer matrices, all square of one size >= 1" otherwise."""
-    try:
-        dim = len(mats[0]) if len(mats) else 0
-        fits = dim and len(mats) == count and all(
-            len(m) == dim and all(len(row) == dim for row in m) for m in mats
-        ) and set(map(type, chain.from_iterable(chain.from_iterable(mats)))) == {int}
-    except (TypeError, LookupError):    # an entry that is not a sequence
-        fits = False
-    if not fits:
-        raise InputError(f"{what} must be {count} integer matrices, all square "
-                         f"of one size >= 1")
-    return dim
-
-
 def make_group_rep(quandle: FiniteQuandle, modulus: int, rho,
                    label: str = "") -> GroupRep:
-    """Freeze rho, one matrix per quandle element (`_square_dim`), into a
+    """Freeze rho, one matrix per quandle element (`_freeze`), into a
     GroupRep."""
-    dim = _square_dim(rho, quandle.size, "rho, one per quandle element,")
-    return GroupRep(quandle=quandle, modulus=modulus, dim=dim, label=label,
-                    rho=tuple(map(partial(_freeze, n=modulus, frozen={}), rho)))
+    dim, rho = _freeze(rho, modulus, quandle.size, "rho, one per quandle element,")
+    return GroupRep(quandle=quandle, modulus=modulus, dim=dim, rho=rho, label=label)
 
 
 def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
@@ -321,10 +328,11 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     """Identities (1)-(4); reports the first failure of each, in the order
     of the (x, y, z) scan.
 
-    Invertibility is tested once per distinct eta.  A rep of conjugation
-    type then passes if rho(y*z) rho(z) == rho(z) rho(y) for every y and
-    every z in the greedy generating set S, which is enough (the
-    conjugation rule above).  Otherwise (1)-(3) are checked for z in S
+    Each distinct matrix object is numbered once, and invertibility tested
+    once per distinct eta.  A rep of conjugation type then passes if
+    rho(y*z) rho(z) == rho(z) rho(y) for every y and every z in the greedy
+    generating set S, which is enough (the conjugation rule above).
+    Otherwise (1)-(3) are checked for z in S
     only, which is enough (the generator rule above), and (4) for every x;
     if anything fails, the same scan runs over every z, so the report is
     the exhaustive scan's.  Each distinct matrix product and each distinct
@@ -341,9 +349,9 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     size, table = q.size, q.table
     charge(size, "relation triples", 3)
     products = _Products(n)
-    eta = [[products.number(e) for e in row] for row in rep.eta]
+    eta = products.number_table(rep.eta)
     distinct_eta = len(products.rows)
-    tau = [[products.number(t) for t in row] for row in rep.tau]
+    tau = products.number_table(rep.tau)
     distinct = len(products.rows)
     matrices = (f"({distinct_eta} distinct eta among {distinct} distinct "
                 f"{m} x {m} matrices)")
@@ -351,18 +359,14 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     charge((distinct_eta + min(distinct ** 2, 6 * len(gens) * size ** 2)) * m ** 3,
            f"steps of the relations at {len(gens)} of {size} elements z "
            f"{matrices}")
-    invertible = {}
-    for x in range(size):
-        for y in range(size):
-            i = eta[x][y]
-            if i not in invertible:
-                invertible[i] = is_invertible_mod(products.rows[i], n)
-            if not invertible[i]:
-                return ValidationReport(
-                    False, [f"eta[{x}][{y}] is not invertible mod {n}"])
+    # eta is numbered 0, 1, ... in (x, y) order: the first singular one fails first
+    for i in range(distinct_eta):
+        if not is_invertible_mod(products.rows[i], n):
+            x, y = divmod(list(chain.from_iterable(eta)).index(i), size)
+            return ValidationReport(False, [f"eta[{x}][{y}] is not invertible mod {n}"])
     if rep.rho is not None and not _conjugation_failure(table, eta[0], products, gens):
         return ValidationReport(True)
-    one = products.number(_freeze(identity(m), n))
+    one = products.number(_freeze([identity(m)], n)[1][0])
     failures = _relation_failures(table, eta, tau, one, products, gens)
     if failures and len(gens) < size:
         charge((distinct_eta + min(distinct ** 2, 6 * size ** 3)) * m ** 3,
@@ -411,22 +415,20 @@ def make_rep(quandle: FiniteQuandle, modulus: int, eta, tau,
     """The rep with tables eta and tau given from outside (a JSON document,
     make_wada_rep or a test), frozen with one object per distinct residue
     matrix.  eta and tau are |X| x |X| tables of matrices, all square of
-    one size (`_square_dim`; a row or table of another length is left out
-    of the count); with `check`, a rep that fails verify_relations raises
-    CheckFailed.  Whether the rep is of conjugation type, and its rho, are
-    read from the tables (`AlgebraRep.rho`)."""
+    one size, shaped and frozen by one `_freeze`; with `check`, a rep that
+    fails verify_relations raises CheckFailed.  Whether the rep is of
+    conjugation type, and its rho, are read from the tables (`AlgebraRep.rho`)."""
     size = quandle.size
     try:
-        mats = [m for table in (eta, tau) if len(table) == size
-                for row in table if len(row) == size for m in row]
+        fits = len(eta) == len(tau) == size and set(map(len, chain(eta, tau))) == {size}
+        mats = list(chain.from_iterable(chain(eta, tau))) if fits else []
     except TypeError:               # a table or row that is not a sequence
         mats = []
-    dim = _square_dim(mats, 2 * size * size, f"{size} x {size} tables eta and tau")
-    freeze = partial(_freeze, n=modulus, frozen={})
-    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
-                     eta=tuple(tuple(map(freeze, row)) for row in eta),
-                     tau=tuple(tuple(map(freeze, row)) for row in tau),
-                     label=label)
+    dim, cells = _freeze(mats, modulus, 2 * size * size,
+                         f"{size} x {size} tables eta and tau")
+    rows = list(zip(*[iter(cells)] * size))
+    rep = AlgebraRep(quandle=quandle, modulus=modulus, dim=dim, eta=tuple(rows[:size]),
+                     tau=tuple(rows[size:]), label=label)
     if check:
         report = verify_relations(rep)
         if not report:
@@ -441,11 +443,11 @@ def make_alexander_rep(quandle: FiniteQuandle, modulus: int, t) -> AlgebraRep:
     frozen once, and each table is one row of |X| references to its matrix,
     repeated |X| times."""
     tmat = [[t]] if type(t) is int else t
-    dim = _square_dim([tmat], 1, "t, an integer or a matrix,")
-    eta = _freeze(tmat, modulus)
+    dim, (eta,) = _freeze([tmat], modulus, 1, "t, an integer or a matrix,")
     if not is_invertible_mod(eta, modulus):
         raise InputError(f"t is not invertible mod {modulus}")
-    size, tau = quandle.size, _freeze(mat_sub(identity(dim), eta, modulus), modulus)
+    tau = _freeze([mat_sub(identity(dim), eta, modulus)], modulus)[1][0]
+    size = quandle.size
     return AlgebraRep(quandle=quandle, modulus=modulus, dim=dim,
                       eta=((eta,) * size,) * size, tau=((tau,) * size,) * size,
                       label=f"alexander-rep(N={modulus},t={t})")
@@ -516,7 +518,7 @@ def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:
     """The frozen pair (eta^-1, -eta^-1 tau) mod n: the coefficients with
     which the inverse crossing undoes the block (eta, tau)."""
     eta_bar = mat_inv_mod(eta, n)
-    return _freeze(eta_bar, n), _freeze(mat_scale(-1, mat_mul(eta_bar, tau, n), n), n)
+    return _freeze([eta_bar, mat_scale(-1, mat_mul(eta_bar, tau, n), n)], n, 2)[1]
 
 
 def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _freeze, _square_dim
+from .algebra import _freeze
 from .braids import BraidWord, _burau_rows, closure_arcs
 from .errors import InputError, charge
 from .laurent import Laurent, lp_add, lp_det, lp_normalize
@@ -48,13 +48,10 @@ def twisted_matrix(pres: WirtingerPresentation, rho, modulus=None):
     and  -I  at t, summed where arcs coincide.  It equals chi of the Fox
     derivatives only when rho(o) rho(s) = rho(t) rho(o) and rho(o), rho(t)
     are invertible, so both are checked, as are the shape of rho and a
-    modulus, by `algebra._square_dim` and `_freeze` (InputError otherwise).
-    Entries are dim x dim blocks of Laurent polynomials, with coefficients
-    reduced mod N when one is given.
+    modulus, by `algebra._freeze` (InputError otherwise).  Entries are dim
+    x dim blocks of Laurent polynomials, reduced mod N when N is given.
     """
-    dim = _square_dim(rho, pres.generators, "rho, one per generator,")
-    if modulus is not None:
-        rho = [_freeze(m, modulus) for m in rho]
+    dim, rho = _freeze(rho, modulus, pres.generators, "rho, one per generator,")
     for a in sorted({a for o, _, t in pres.crossings for a in (o, t)}):
         unit = (abs(int_det(rho[a])) == 1 if modulus is None
                 else is_invertible_mod(rho[a], modulus))

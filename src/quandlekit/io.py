@@ -11,7 +11,7 @@ other than as `cochain_to_doc` writes it (such as " 0,1"), the shorthand
 grammar, and agreement between two fields (a quandle's 'size' and table, a
 rep's 'dim' and matrices, a rep's quandle and the one supplied).  Values
 are refused by the rules of the types they build (`verify_axioms`,
-`_square_dim`, `_freeze`, `_require_module`).
+`algebra._freeze`, `_require_module`).
 
 Shorthand quandles and reps are built once per process (`_built`), within
 a fixed bound of SHORTHANDS_KEPT results, so a process that runs many

@@ -100,8 +100,8 @@ def int_det(a: Matrix) -> int:
 def _require_modulus(n) -> None:
     """The one modulus rule: InputError "modulus <n> is not a positive
     integer" unless n is an int >= 1 (not True, an int to isinstance).  Every
-    modular entry point here and every matrix frozen by `algebra._freeze`
-    meets it before any entry is reduced."""
+    modular entry point here and every table of matrices frozen mod n by
+    `algebra._freeze` meets it before any entry is reduced."""
     if type(n) is not int or n < 1:
         raise InputError(f"modulus {n!r} is not a positive integer")
 

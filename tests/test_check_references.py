@@ -220,6 +220,43 @@ def test_mutated_reps_match_reference():
                      "relation (4)"}
 
 
+def _fresh(table):
+    """The table with a new tuple for every row of every cell: equal by
+    value, sharing no matrix or row object."""
+    return tuple(tuple(tuple([tuple(list(r)) for r in m]) for m in row) for row in table)
+
+
+def test_unshared_equal_matrices_match_reference():
+    """verify_relations numbers each distinct matrix object once; on an
+    AlgebraRep built directly from tables in which no two cells share an
+    object, equal values still get one number, so its report is the
+    reference scan's and the shared rep's: the 12 reps the benchmark
+    checks, failing reps of conjugation type, and reps with a singular eta
+    in two unshared cells, of which the first in scan order is named."""
+    reps = [make_conj_rep(regular_group_rep(g, make_conj(g), list(range(g.size)),
+                                            modulus=7)) for g in small_groups(8)]
+    reps += [_negated(rep, rep.quandle.size - 1) for rep in reps[9:]]   # S3, D4, Q8
+    reps += [_shorthand_rep("dihedral:3", "conj-rep:perm3"),
+             _shorthand_rep("dihedral:5", "alexander-rep:5:2")]
+    zero = ((0,) * 4,) * 4
+    z4 = reps[3]
+    for cells in (((2, 1), (0, 3)), ((1, 1), (3, 0))):
+        eta = [list(row) for row in z4.eta]
+        for x, y in cells:
+            eta[x][y] = tuple(map(tuple, map(list, zero)))
+        reps.append(algebra.AlgebraRep(z4.quandle, 7, 4, tuple(map(tuple, eta)), z4.tau))
+    outcomes = set()
+    for rep in reps:
+        fresh = algebra.AlgebraRep(rep.quandle, rep.modulus, rep.dim,
+                                   _fresh(rep.eta), _fresh(rep.tau))
+        cells = [m for table in (fresh.eta, fresh.tau) for row in table for m in row]
+        assert len({id(m) for m in cells}) == len(cells)
+        report = _same_relations(fresh)
+        assert report == verify_relations(rep)
+        outcomes.add(report.failures[0][:12] if report.failures else "passed")
+    assert outcomes == {"passed", "relation (1)", "eta[0][3] is", "eta[1][1] is"}
+
+
 def _affine_group_rep(q, n, t):
     """On Aff(Z_n, t), where a*b = t a + (1 - t) b, x -> the matrix of
     v -> t v + (1 - t) x acting on (v, 1) mod n: a*b is b's conjugate of a."""

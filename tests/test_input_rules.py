@@ -1,9 +1,9 @@
 """Each validity rule of the inputs is tested in one function, so every
 entry point refuses a faulty input with InputError in that rule's one
 message form: a cochain's fit to its rep (`homology._require_module`), the
-shape of a table of integer matrices (`algebra._square_dim`) and the
-modulus (`linalg._require_modulus`, met where matrices are frozen by
-`algebra._freeze` and by every modular entry point of `linalg`).  Integers
+shape of a table of integer matrices (`algebra._freeze`) and the modulus
+(`linalg._require_modulus`, met by `algebra._freeze` once the shape holds
+and by every modular entry point of `linalg`).  Integers
 are tested by type, so True, 1.5 and 5.0 are refused.  `io` only parses:
 a cochain read from JSON meets the same rule, in the same form, as one
 built in Python."""
@@ -224,7 +224,7 @@ MATRIX_CASES = {
 def test_every_matrix_table_entry_point_refuses_a_bad_shape_in_one_form(name):
     """No rows, a ragged table, non-square matrices, the wrong count, entries
     that are not matrices, a 2.0 or True entry, a t of True, and modulus 0,
-    2.0 or 5.0: the shapes in `_square_dim`'s one form, the modulus in
+    2.0 or 5.0: the shapes in `_freeze`'s one form, the modulus in
     `_require_modulus`'s, and a group element outside the group in
     `regular_group_rep`'s.  The same entry point takes good tables first."""
     good, faults = MATRIX_CASES[name]

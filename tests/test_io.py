@@ -70,7 +70,7 @@ def test_rep_shorthands():
 def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
     """The library's rules refuse, with exit 2, a JSON true or false where
     an integer belongs, a ragged row at any level and a table of the wrong
-    depth: in a rep's eta or tau `algebra._square_dim`, and in a cochain's
+    depth: in a rep's eta or tau `algebra._freeze`, and in a cochain's
     values `homology._require_module`; and a 'dim' that disagrees with the
     matrices."""
     from quandlekit.cli import main
