@@ -12,7 +12,7 @@ checked by verify_relations. The coefficient module is (Z_N)^m acted on by
 these matrices from the left.  Every table of matrices is shaped and
 frozen mod N, N >= 1, by `_freeze`, in one pass over all its rows.
 
-The conjugation rule.  A rep is of conjugation type, as the paper's modules
+Conjugation type.  A rep is of conjugation type, as the paper's modules
 over Conj(G) are, when eta[x][y] = rho(y) and tau[x][y] = I - rho(x*y) for
 an x -> matrix assignment rho; the Alexander reps, eta = t and tau = I - t,
 are the case rho = t.  The diagram chains of braids and the cocycle
@@ -89,7 +89,7 @@ class AlgebraRep:
 
     @cached_property
     def rho(self) -> Optional[tuple[tuple[tuple[int, ...], ...], ...]]:
-        # the module docstring's conjugation rule; count() tries identity first
+        # the module docstring's conjugation type; count() tries identity first
         row, q = self.eta[0], self.quandle
         if (self.eta.count(row) == q.size
                 and self.tau == _conj_tau(row, q.table, self.modulus)):
@@ -170,8 +170,7 @@ class _Products:
     matrix i times (plus) matrix j, and equal results compare as equal ints.
     A product row is formed from the nonzero entries of the left factor's
     row: it is the right factor's own row tuple when the left row is a unit
-    vector, and one pass over two of its rows when the left row has two
-    nonzeros, as the rows of I - P do for a permutation matrix P."""
+    vector."""
 
     def __init__(self, n: int):
         self.n = n
@@ -213,9 +212,6 @@ class _Products:
         for t in terms:
             if len(t) == 1 and t[0][1] == 1:
                 out.append(b[t[0][0]])
-            elif len(t) == 2:
-                (k, e), (l, f) = t
-                out.append(tuple([(e * u + f * v) % n for u, v in zip(b[k], b[l])]))
             else:
                 acc = [0] * len(b)
                 for k, e in t:
@@ -514,15 +510,11 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
     return make_rep(q, n, eta, tau, label=f"wada-rep({variant},{g.label})")
 
 
-def _bar_block(eta, tau, n: int) -> tuple[tuple, tuple]:
-    """The frozen pair (eta^-1, -eta^-1 tau) mod n: the coefficients with
-    which the inverse crossing undoes the block (eta, tau)."""
-    eta_bar = mat_inv_mod(eta, n)
-    return _freeze([eta_bar, mat_scale(-1, mat_mul(eta_bar, tau, n), n)], n, 2)[1]
-
-
 def bar(rep: AlgebraRep, x: int, y: int) -> tuple[tuple, tuple]:
     """The negative-crossing coefficients, as frozen matrices:
-    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y]."""
-    z = rep.quandle.inv_op(x, y)
-    return _bar_block(rep.eta[z][y], rep.tau[z][y], rep.modulus)
+    eta_bar = eta[x bar* y][y]^-1, tau_bar = -eta_bar tau[x bar* y][y], with
+    which the inverse crossing undoes the block of (x bar* y, y)."""
+    z, n = rep.quandle.inv_op(x, y), rep.modulus
+    eta_bar = mat_inv_mod(rep.eta[z][y], n)
+    tau_bar = mat_scale(-1, mat_mul(eta_bar, rep.tau[z][y], n), n)
+    return _freeze([eta_bar, tau_bar], n, 2)[1]

@@ -14,13 +14,13 @@ it walks per-position values down the word and hands out each crossing once,
 as (letter, p, x, y), p the left position and (x, y) the source pair, (u, v)
 at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
 (`_walk`, for `act`, `crossing_blocks`, which numbers each crossing's block
-pair, (eta, tau)[x][y] or its inverse pair, and `_path_walk`, the one path
-rule, which adds each crossing's path action, numbered by value per rep, for
-`crossing_data` and `invariants.cocycle_invariant`), linear forms
-(`_burau_rows`, over Z_n for the colorings and over Z[t^+-1] for
-`fox.alexander_polynomial`), row blocks (`colored_matrix`) and arc ids
-(`closure_arcs`, whose (over, src, tgt) triples stand for the Wirtinger
-relators that `fox.twisted_matrix` reads).
+pair, (eta, tau)[x][y] or its inverse pair `algebra.bar`, and `_path_walk`,
+the one path rule, which adds each crossing's path action, numbered by value
+per rep, for `crossing_data` and `invariants.cocycle_invariant`), linear
+forms (`_burau_rows`, the one linear-form walk: over Z_n for the colorings,
+over Z[t^+-1] for `fox.alexander_polynomial`, and as row blocks for
+`colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
+triples stand for the Wirtinger relators that `fox.twisted_matrix` reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
-from .algebra import AlgebraRep, _bar_block
+from .algebra import AlgebraRep, bar
 from .errors import InputError, charge, power_text
-from .linalg import Matrix, kernel_mod, mat_add, mat_mul, zeros
+from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, mat_scale
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -311,7 +312,9 @@ def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
     inverse a bar* b = t^-1 (a - (1 - t) b).  Row i of M is the form that
     ends at top position i, so top colors are M * bottom.  Over Z_n it is
     the colorings' matrix at t (`_affine_burau`), over Z[t^+-1] the
-    unreduced Burau matrix of `fox.alexander_polynomial`."""
+    unreduced Burau matrix of `fox.alexander_polynomial`, and with a row
+    block of the identity per position and each crossing's block pair as
+    both operations, the colored matrix (`colored_matrix`)."""
     rows = list(units)
     for _ in _crossings(w, rows, op, inv_op):
         pass
@@ -409,8 +412,8 @@ def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
     the letters, so every coloring has the same one and
     `invariants.module_invariant` walks only the first."""
     cells, numbers, pairs = rep._crossing_blocks
-    out = []
-    for e, _, x, y in _walk(rep.quandle, w, list(bottom)):
+    q, out = rep.quandle, []
+    for e, _, x, y in _walk(q, w, list(bottom)):
         cell = (e > 0, x, y)
         n = cells.get(cell)
         if n is None:
@@ -419,8 +422,8 @@ def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
             n = numbers.get(key)
             if n is None:
                 # the pair first, numbered once it is in: an interrupt in
-                # _bar_block leaves the rep's numbering as it was
-                pairs.append((eta, tau) if e > 0 else _bar_block(eta, tau, rep.modulus))
+                # bar leaves the rep's numbering as it was; (x*y) bar* y = x
+                pairs.append((eta, tau) if e > 0 else bar(rep, q.op(x, y), y))
                 n = numbers[key] = len(pairs) - 1
             cells[cell] = n
         out.append(n)
@@ -432,9 +435,9 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     the quandle colors propagated from `bottom`: the product of the block
     updates of its coefficient sequence `blocks`, which is
     crossing_blocks(rep, w, bottom) unless the caller has walked already.
-    `_crossings` carries a row block per position; at either sign the under
+    `_burau_rows` carries a row block per position; at either sign the under
     strand leaves as eta * under + tau * over, by the crossing's pair."""
-    N, m, k = rep.modulus, rep.dim, w.strands
+    N, m = rep.modulus, rep.dim
     if blocks is None:
         blocks = crossing_blocks(rep, w, bottom)
     _, _, pairs = rep._crossing_blocks
@@ -444,16 +447,9 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
         eta, tau = next(steps)
         return mat_add(mat_mul(eta, under, N), mat_mul(tau, over, N), N)
 
-    # row blocks of the running matrix, one per position
-    rows = [[[1 if (i == j and bi == bj) else 0
-              for bj in range(k) for j in range(m)]
-             for i in range(m)] for bi in range(k)]
-    for _ in _crossings(w, rows, leave, leave):
-        pass
-    out = []
-    for blk in rows:
-        out.extend(blk)
-    return out
+    eye = identity(w.strands * m)
+    units = [eye[p:p + m] for p in range(0, len(eye), m)]
+    return list(chain.from_iterable(_burau_rows(w, leave, leave, units)))
 
 
 def _require_conj_type(rep: AlgebraRep) -> None:
@@ -508,17 +504,11 @@ def diagram_two_chain(rep: AlgebraRep, w: BraidWord, coloring) -> dict:
     """The operator-coefficient 2-chain of the colored closed-braid diagram:
     a map (x, y) -> m x m integer matrix mod N accumulating eps * path_action
     over the crossings with source color pair (x, y), from `crossing_data`."""
-    N, m = rep.modulus, rep.dim
-    chain: dict = {}
+    N, out = rep.modulus, {}
     for eps, path, x, y in crossing_data(rep, w, coloring):
-        key = (x, y)
-        if key not in chain:
-            chain[key] = zeros(m, m)
-        acc = chain[key]
-        for i in range(m):
-            for j in range(m):
-                acc[i][j] = (acc[i][j] + eps * path[i][j]) % N
-    return {k: v for k, v in chain.items() if any(any(row) for row in v)}
+        term = mat_scale(eps, path, N)
+        out[x, y] = mat_add(out[x, y], term, N) if (x, y) in out else term
+    return {k: v for k, v in out.items() if any(map(any, v))}
 
 
 def markov_moves(w: BraidWord) -> list[BraidWord]:

@@ -45,12 +45,14 @@ SHORTHANDS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=SHORTHANDS_KEPT, typed=True)
-def _built(make, *args):
-    """make(*args), formed on the first call with these arguments (typed:
-    True is not 1) and returned again until SHORTHANDS_KEPT later distinct
-    calls push it out; a call that raises keeps nothing.  Every shorthand
-    quandle and rep is built here.  No shorthand constructor charges the
-    guard, so a hit skips no refusal.
+def _built(kind: str, *args):
+    """The shorthand quandle or rep `kind` (a key of QUANDLE_SHORTHANDS,
+    "alexander-rep" or "conj-rep") on `args`, formed on the first call with
+    them (typed: True is not 1) and returned again until SHORTHANDS_KEPT
+    later distinct calls push it out; a call that raises keeps nothing.
+    Every shorthand quandle and rep is built here.  The constructor is
+    looked up only to build, so a tracer that rebinds it keeps every entry.
+    No shorthand constructor charges the guard, so a hit skips no refusal.
 
     At most SHORTHANDS_KEPT results are kept.  In the worst case each is a
     quandle with as many table cells as the guard in force when it was built
@@ -59,7 +61,11 @@ def _built(make, *args):
     inverse take 40 MB on CPython 3.11), so up to about 13 GB under the
     default guard.  A kept rep also keeps the memos its invariants fill,
     which grow only with the work already done on it."""
-    return make(*args)
+    if kind == "alexander-rep":         # trivial-action:N too, as t = 1
+        return make_alexander_rep(*args)
+    if kind == "conj-rep":              # perm3, the one conj-rep shorthand
+        return make_conj_rep(permutation_rep_r3(*args))
+    return QUANDLE_SHORTHANDS[kind][0](*args)
 
 
 def dumps_document(doc: dict) -> str:
@@ -180,13 +186,12 @@ def load_quandle(spec: str) -> FiniteQuandle:
     kind, *args = spec.split(":")
     if kind not in QUANDLE_SHORTHANDS:
         return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
-    make, arity = QUANDLE_SHORTHANDS[kind]
-    if len(args) != arity:
+    if len(args) != QUANDLE_SHORTHANDS[kind][1]:
         raise InputError(f"bad quandle shorthand {spec!r}")
     ints = _ints(spec, args)
     if ints[0] > 0:
         charge(ints[0], f"table cells of {spec!r}", 2)
-    return _built(make, *ints)
+    return _built(kind, *ints)
 
 
 def load_table(spec: str) -> list:
@@ -266,10 +271,10 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
         raise InputError(f"{kind} shorthand needs a quandle")
     if kind == "alexander-rep" and len(parts) == 3:
         n, t = _ints(spec, parts[1:])
-        return _built(make_alexander_rep, quandle, n, t)
+        return _built(kind, quandle, n, t)
     if kind == "conj-rep" and len(parts) in (2, 3) and parts[1] == "perm3":
         (n,) = _ints(spec, parts[2:]) or [3]
-        rep = _built(_perm3_rep, n)
+        rep = _built(kind, n)
         _check_quandle(rep.quandle, quandle, f"rep {spec!r}")
         return rep
     if kind == "trivial-action" and len(parts) <= 2:
@@ -277,13 +282,8 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
         if n is None:
             raise InputError("trivial-action shorthand needs a modulus")
         _require_modulus(n)             # a list would fail `_built`'s lookup
-        return _built(make_alexander_rep, quandle, n, 1)
+        return _built("alexander-rep", quandle, n, 1)
     raise InputError(f"bad rep shorthand {spec!r}")
-
-
-def _perm3_rep(n: int) -> AlgebraRep:
-    """conj-rep:perm3:n, R3 permuting the coordinates of (Z_n)^3."""
-    return make_conj_rep(permutation_rep_r3(n))
 
 
 def cochain_to_doc(kappa: Cochain) -> dict:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlekit.algebra import (
@@ -121,6 +121,38 @@ def test_an_interrupted_numbering_leaves_no_number_without_its_row():
         products.number(((1,),))
     assert products.number(((2,),)) == 0 and products.number(((1,),)) == 1
     assert products.rows == [((2,),), ((1,),)]
+
+
+def _mixed_rows(m: int, n: int, seed: int) -> tuple:
+    """An m x m matrix mod n, frozen, whose rows are each a unit row, a row
+    of I - P, a zero row or a row of any entries, for one random
+    permutation matrix P."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(m), m)
+    rows = []
+    for i in range(m):
+        unit = [int(j == perm[i]) for j in range(m)]
+        rows.append(rng.choice([
+            unit, [(int(i == j) - e) % n for j, e in enumerate(unit)], [0] * m,
+            [rng.randrange(n) for _ in range(m)]]))
+    return tuple(tuple(r[j] % n for j in range(m)) for r in rows)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+@example(m=1, n=7, seed=0)
+@example(m=1, n=1, seed=0)
+@example(m=4, n=9, seed=3)
+def test_products_mul_is_mat_mul(m, n, seed):
+    """`_Products.mul` is mat_mul mod n, on left factors mixing unit rows,
+    rows of I - P, zero rows and any rows, and on the same pair again."""
+    a, b = _mixed_rows(m, n, seed), _mixed_rows(m, n, seed + 1)
+    products = _Products(n)
+    i, j = products.number(a), products.number(b)
+    for x, y in ((i, j), (j, i), (i, i), (i, j)):
+        left, right = products.rows[x], products.rows[y]
+        assert products.rows[products.mul(x, y)] == tuple(
+            map(tuple, mat_mul(left, right, n)))
 
 
 def test_regular_conj_rep_checks_once(monkeypatch):

@@ -1385,7 +1385,7 @@ def test_a_kept_shorthand_is_still_charged_its_cells(capsys):
 
 def test_an_interrupted_command_leaves_the_kept_rep_sound(capsys, monkeypatch):
     """An interrupt while a kept rep's negative block is inverted (a SIGALRM
-    or Ctrl-C in `_bar_block`) leaves the rep's numbering as it was: the
+    or Ctrl-C in `bar`) leaves the rep's numbering as it was: the
     next call prints the bytes of a fresh process."""
     import os
     import subprocess
@@ -1395,16 +1395,16 @@ def test_an_interrupted_command_leaves_the_kept_rep_sound(capsys, monkeypatch):
     from quandlekit import braids
     argv = ["invariant", "module", "--quandle", "dihedral:3", "--rep",
             "conj-rep:perm3", "--braid", "k=3; 1 -2 1 -2 -2 1 -1 2"]
-    bar_block, calls = braids._bar_block, []
+    bar, calls = braids.bar, []
 
     def interrupted(*args):
         calls.append(args)
         if len(calls) == 1:
             raise KeyboardInterrupt
-        return bar_block(*args)
+        return bar(*args)
 
     qio._built.cache_clear()
-    monkeypatch.setattr(braids, "_bar_block", interrupted)
+    monkeypatch.setattr(braids, "bar", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(argv)
     capsys.readouterr()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quandlekit.algebra import (
     AlgebraRep,
+    bar,
     make_alexander_rep,
     make_conj_rep,
     make_group_rep,
@@ -18,8 +19,8 @@ from quandlekit.algebra import (
 )
 from quandlekit.braids import (BraidWord, braid_or_knot,
                                colored_matrix, colorings_of_closure,
-                               crossing_blocks, crossing_data, markov_moves,
-                               parse_braid)
+                               crossing_blocks, crossing_data, diagram_two_chain,
+                               markov_moves, parse_braid)
 from quandlekit.errors import CheckFailed, GuardExceeded, InputError, guarded
 from quandlekit.homology import (
     Cochain,
@@ -44,6 +45,7 @@ from quandlekit.quandles import (make_alexander, make_conj, make_core,
                                  make_dihedral, make_trivial)
 from test_acceptance import chain_pairings_match
 from test_braids import _braid_words
+from test_check_references import _GENERATOR_RULE_REPS
 
 random.seed(31)
 
@@ -160,12 +162,60 @@ _ORACLE_REPS = [make_conj_rep(permutation_rep_r3(3)),
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(rep=st.sampled_from(_ORACLE_REPS), w=_braid_words(4, 10))
 def test_colored_matrix_matches_the_reference(rep, w):
-    """colored_matrix, which walks its row blocks by `_crossings` with one
+    """colored_matrix, which walks its row blocks by `_burau_rows` with one
     step for both signs, equals the crossing rule written out afresh at
     every closure coloring of every Markov variant, for conj-rep:perm3 and
     an Alexander-type rep on R5."""
     for v in [w, *markov_moves(w)]:
         _reference_matrices(rep, v)     # asserts colored_matrix per coloring
+
+
+@pytest.mark.parametrize("rep", _ORACLE_REPS + _GENERATOR_RULE_REPS,
+                         ids=lambda rep: rep.label)
+def test_each_negative_pair_is_bar_of_its_crossing(rep):
+    """Every negative pair that crossing_blocks numbers, over every source
+    pair (x, y), is bar(rep, x*y, y): the block pair of (x, y) inverted,
+    as (x*y) bar* y = x.  sigma_1^-1 on (u, v) has the source pair
+    (v bar* u, u), so the words below meet every (x, y)."""
+    q, n = rep.quandle, rep.modulus
+    for u, v in itertools.product(range(q.size), repeat=2):
+        crossing_blocks(rep, BraidWord(2, (-1,)), (u, v))
+    cells, _, pairs = rep._crossing_blocks
+    negative = {(x, y): i for (positive, x, y), i in cells.items() if not positive}
+    assert len(negative) == q.size ** 2
+    for (x, y), i in negative.items():
+        eta_bar, tau_bar = pairs[i]
+        assert pairs[i] == bar(rep, q.op(x, y), y)
+        assert mat_mul(eta_bar, rep.eta[x][y], n) == identity(rep.dim)
+        assert mat_add(mat_mul(eta_bar, rep.tau[x][y], n), tau_bar, n) == [
+            [0] * rep.dim] * rep.dim
+
+
+def _index_loop_two_chain(rep, w, coloring):
+    """diagram_two_chain by an index loop over the entries of each
+    crossing's eps * path action."""
+    N, m = rep.modulus, rep.dim
+    chain: dict = {}
+    for eps, path, x, y in crossing_data(rep, w, coloring):
+        acc = chain.setdefault((x, y), [[0] * m for _ in range(m)])
+        for i in range(m):
+            for j in range(m):
+                acc[i][j] = (acc[i][j] + eps * path[i][j]) % N
+    return {k: v for k, v in chain.items() if any(any(row) for row in v)}
+
+
+_CONJ_TYPE_REPS = [rep for rep in _ORACLE_REPS + _GENERATOR_RULE_REPS
+                   if rep.is_conj_type]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(rep=st.sampled_from(_CONJ_TYPE_REPS), w=_braid_words(4, 8))
+def test_diagram_two_chain_matches_the_index_loop(rep, w):
+    """diagram_two_chain, summed with mat_scale and mat_add, equals the
+    entry-by-entry loop at every closure coloring, zero entries dropped."""
+    for coloring in colorings_of_closure(rep.quandle, w):
+        assert diagram_two_chain(rep, w, coloring) == _index_loop_two_chain(
+            rep, w, coloring), coloring
 
 
 def _reference_cocycle(rep, kappa, w):

@@ -67,6 +67,34 @@ def test_rep_shorthands():
         qio.load_rep("alexander-rep:5:2")   # needs a quandle
 
 
+def test_a_rebound_constructor_keeps_the_built_shorthands(monkeypatch):
+    """`_built` is keyed by the shorthand's kind and arguments, not by the
+    constructor object: with `io.make_alexander_rep` rebound to a counting
+    wrapper, as a tracer wraps it, the kept quandle and reps come back as
+    the same objects with no new miss, and only a shorthand not yet built
+    calls the wrapper."""
+    qio._built.cache_clear()
+    r5 = qio.load_quandle("dihedral:5")
+    kept = qio.load_rep("alexander-rep:5:2", quandle=r5)
+    trivial = qio.load_rep("trivial-action:5", quandle=r5)
+    make, calls = qio.make_alexander_rep, []
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(qio, "make_alexander_rep", counted)
+    misses = qio._built.cache_info().misses
+    assert qio.load_quandle("dihedral:5") is r5
+    assert qio.load_rep("alexander-rep:5:2", quandle=r5) is kept
+    assert qio.load_rep("trivial-action:5", quandle=r5) is trivial
+    assert qio.load_rep("alexander-rep:5:1", quandle=r5) is trivial
+    assert (calls, qio._built.cache_info().misses) == ([], misses)
+    new = qio.load_rep("alexander-rep:5:3", quandle=r5)
+    assert new.label == "alexander-rep(N=5,t=3)" and len(calls) == 1
+    assert qio._built.cache_info().misses == misses + 1
+
+
 def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
     """The library's rules refuse, with exit 2, a JSON true or false where
     an integer belongs, a ragged row at any level and a table of the wrong

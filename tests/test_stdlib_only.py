@@ -1,9 +1,11 @@
 """The package has no runtime dependencies: every module under
 src/quandlekit imports only the standard library and quandlekit itself.
-No linter is a dependency either, so the unused-import check is here too."""
+No linter is a dependency either, so the unused-import and unused-helper
+checks are here too."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quandlekit"
@@ -43,3 +45,24 @@ def test_every_imported_name_is_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert not unread
+
+
+def _references(tree) -> Counter:
+    """How often each identifier is read as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_definition_is_used():
+    """Each private top-level function and class of the package is read, as
+    a name or an attribute, somewhere outside its own definition, so a
+    helper whose last caller went is deleted with it."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    everywhere = sum(map(_references, trees), Counter())
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and everywhere[node.name] == _references(node)[node.name]]
+    assert not unused
