@@ -110,13 +110,23 @@ class AlgebraRep:
         return {}, {}, []
 
     @cached_property
-    def _path_products(self) -> tuple[_Products, tuple[int, ...], int]:
+    def _path_products(self) -> tuple[_Products, tuple[int, ...], int, dict]:
         # braids._path_walk's numbering of path actions, for a rep of
-        # conjugation type: the products, the number of each rho(x), and
-        # the number of the identity
+        # conjugation type: the products, the number of each rho(x), the
+        # number of the identity, and the steps, path * |X| + x -> the
+        # number of path * rho(x), each formed when first met
         products = _Products(self.modulus)
         one = _freeze([identity(self.dim)], self.modulus)[1][0]
-        return products, tuple(map(products.number, self.rho)), products.number(one)
+        return (products, tuple(map(products.number, self.rho)),
+                products.number(one), {})
+
+    @cached_property
+    def _kept_cochain(self) -> list:
+        # the one cochain the rep keeps, homology._kept: [entry or None].
+        # Only the last cochain met is kept, so the rep holds at most one
+        # entry: its key, its cocycle verdicts and its weight table, at
+        # most (distinct path actions) * |X|^2 vectors of m entries
+        return [None]
 
 
 def _freeze(mats, n: Optional[int], count: int = 1,

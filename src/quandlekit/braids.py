@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, getitem, mul
 
 from .algebra import AlgebraRep, bar
 from .errors import InputError, charge, power_text
@@ -129,13 +130,17 @@ def braid_or_knot(text: str) -> BraidWord:
     return parse_braid(text)
 
 
-def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
-    """Check that `colors` are w.strands colors of q, then return the
-    `_crossings` of the word over q's operation and its inverse."""
+def _require_bottom(q: FiniteQuandle, w: BraidWord, colors: list[int]) -> None:
     if len(colors) != w.strands:
         raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
     if not all(0 <= c < q.size for c in colors):
         raise InputError(f"bottom colors {colors} outside 0..{q.size - 1}")
+
+
+def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
+    """Check that `colors` are w.strands colors of q, then return the
+    `_crossings` of the word over q's operation and its inverse."""
+    _require_bottom(q, w, colors)
     return _crossings(w, colors, q.op, q.inv_op)
 
 
@@ -457,45 +462,86 @@ def _require_conj_type(rep: AlgebraRep) -> None:
         raise InputError("diagram chains need a conjugation-type rep")
 
 
-def _path_walk(rep: AlgebraRep, w: BraidWord, colors: list):
-    """`_walk` of a conj-type rep's quandle over `colors`, yielding each
-    crossing's record with its path action appended, (letter, p, x, y,
-    path): rho(c_(k-1)) ... rho(c_(p+2)) mod N over the colors right of the
-    crossing, the outermost strand first, as its number in the rep's
-    `_path_products`.  This is the one path rule.
+def _column_keys(base: int, first, *columns) -> list[int]:
+    """The numbers (..(first * base + c_1) * base + ..) * base + c_r down the
+    columns, entry by entry: one int key per row, formed by C-level maps, so
+    no tuple is made per entry."""
+    keys = first
+    for col in columns:
+        keys = map(add, map(mul, keys, repeat(base)), col)
+    return list(keys)
 
-    suf[j], the number of rho(c_(k-1)) ... rho(c_j), is kept for j >= lo.  A
-    crossing at p needs suf[p + 2]; if lo > p + 2 the entries from lo - 1
-    down to p + 2 are formed, one `mul` lookup each, and as the crossing
-    then changes c_p and c_(p+1), lo becomes p + 2.  Products are numbered by
-    value per rep, so each distinct (path, color) product is formed once
-    however many calls meet it, and the walk relies on no relation of the
-    rep: it is exact for unchecked tables too."""
-    products, rho, one = rep._path_products
-    mul, k = products.mul, w.strands
-    suf = [one] * (k + 1)
+
+def _looked_up(table: dict, keys: list, form) -> list:
+    """[table[key] for key in keys] by one C-level pass, each missing entry
+    first formed once as table[key] = form(key)."""
+    try:
+        return list(map(table.__getitem__, keys))
+    except KeyError:
+        for key in set(keys).difference(table):
+            table[key] = form(key)
+        return list(map(table.__getitem__, keys))
+
+
+def _path_walk(rep: AlgebraRep, w: BraidWord, columns: list):
+    """`_crossings` of a conj-type rep's quandle over `columns`, one column
+    per position holding the colors of every coloring walked at that
+    position, yielding each crossing's record with its path actions
+    appended, (letter, p, xs, ys, paths): xs and ys are the columns of the
+    source pairs, and paths[c] is rho(c_(k-1)) ... rho(c_(p+2)) mod N over
+    the colors of coloring c right of the crossing, the outermost strand
+    first, as its number in the rep's `_path_products`.  This is the one
+    path rule; the columns must hold colors of the rep's quandle.
+
+    suf[j], the column of the numbers of rho(c_(k-1)) ... rho(c_j), is kept
+    for j >= lo.  A crossing at p needs suf[p + 2]; if lo > p + 2 the
+    columns from lo - 1 down to p + 2 are formed, one lookup per coloring in
+    the rep's steps, keyed path * |X| + color, and as the crossing then
+    changes c_p and c_(p+1), lo becomes p + 2.  So the walk holds
+    O(colorings * k) numbers: the k color columns and at most k suffix
+    columns, each replaced, never kept past its use.  Products are numbered
+    by value per rep, so each distinct (path, color) product is formed once
+    however many colorings and calls meet it, and the walk relies on no
+    relation of the rep: it is exact for unchecked tables too."""
+    products, rho, one, steps = rep._path_products
+    k, size = w.strands, rep.quandle.size
+    table, inv = rep.quandle.table, rep.quandle._inv_table
+
+    def step(key):                  # path * |X| + color -> path * rho(color)
+        path, c = divmod(key, size)
+        return products.mul(path, rho[c])
+
+    def op(us, vs):                 # u * v down the columns
+        return list(map(getitem, map(table.__getitem__, us), vs))
+
+    def inv_op(us, vs):             # u bar* v down the columns
+        return list(map(getitem, map(inv.__getitem__, us), vs))
+
+    suf = [[one] * len(columns[0])] * (k + 1)
     lo = k
-    for e, p, x, y in _walk(rep.quandle, w, colors):
+    for e, p, xs, ys in _crossings(w, columns, op, inv_op):
         j = p + 2
         while lo > j:
             lo -= 1
-            suf[lo] = mul(suf[lo + 1], rho[colors[lo]])
+            suf[lo] = _looked_up(steps, _column_keys(size, suf[lo + 1], columns[lo]),
+                                 step)
         lo = j
-        yield e, p, x, y, suf[j]
+        yield e, p, xs, ys, suf[j]
 
 
 def crossing_data(rep: AlgebraRep, w: BraidWord, coloring):
     """Per-crossing data (sign, path action, source color pair) for a closure
-    coloring, in letter order, from one `_path_walk`: the path action is the
-    ordered product of rho over the strand colors to the right of the
-    crossing, outermost strand first, a frozen matrix mod N; needs a
-    conj-type rep."""
+    coloring, in letter order, from one `_path_walk` of a one-coloring
+    column: the path action is the ordered product of rho over the strand
+    colors to the right of the crossing, outermost strand first, a frozen
+    matrix mod N; needs a conj-type rep."""
     _require_conj_type(rep)
+    _require_bottom(rep.quandle, w, list(coloring))
     rows = rep._path_products[0].rows
-    cur = list(coloring)
+    columns = [[c] for c in coloring]
     out = [(1 if e > 0 else -1, rows[path], x, y)
-           for e, _, x, y, path in _path_walk(rep, w, cur)]
-    if tuple(cur) != tuple(coloring):
+           for e, _, (x,), (y,), (path,) in _path_walk(rep, w, columns)]
+    if tuple(c for c, in columns) != tuple(coloring):
         raise InputError("coloring is not fixed by the braid word")
     return out
 

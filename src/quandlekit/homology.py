@@ -113,6 +113,34 @@ def _require_module(rep: AlgebraRep, kappa: Cochain, degree=None) -> None:
     raise InputError(f"the cochain {fault}")
 
 
+class _Kept:
+    """The one cochain a rep keeps (`AlgebraRep._kept_cochain`): its key by
+    value, (degree, modulus, dim, values with each value a tuple), a copy of
+    the cochain; the verdicts of its cocycle check by (variant, basepoint),
+    each recorded only once its check has run to the end; and its weight
+    table, path * kappa(x, y) keyed by (path number * |X| + x) * |X| + y,
+    which `invariants.cocycle_invariant` fills, at most (distinct path
+    actions) * |X|^2 vectors of m entries."""
+
+    __slots__ = ("key", "verdicts", "weights")
+
+    def __init__(self, key):
+        self.key, self.verdicts, self.weights = key, {}, {}
+
+
+def _kept(rep: AlgebraRep, kappa: Cochain) -> _Kept:
+    """The rep's entry for kappa, which must fit the rep (`_require_module`):
+    the kept one if it is equal in value, else a new empty entry that
+    replaces it whole, so an interrupt leaves the old entry or the new."""
+    key = (kappa.degree, kappa.modulus, kappa.dim,
+           {k: tuple(v) for k, v in kappa.values.items()})
+    holder = rep._kept_cochain
+    entry = holder[0]
+    if entry is None or entry.key != key:
+        entry = holder[0] = _Kept(key)
+    return entry
+
+
 def _degenerate(key) -> bool:
     return any(key[i] == key[i + 1] for i in range(len(key) - 1))
 
@@ -299,7 +327,14 @@ def is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree=None) -> bool:
     boundary terms times the m^2 entries of a block.  Each term also forms
     and looks up a tuple of d entries, which costs about as much as the rest
     of the term at 16 entries, so past 16 entries a term counts once more
-    per 16."""
+    per 16.
+
+    The verdict is kept on the rep with the one cochain it keeps, the last
+    it met (`_kept`): a later call on a cochain equal in value is charged
+    the same count, then reads the verdict instead of walking again, and a
+    call on another cochain replaces the kept one, so the rep holds one copy
+    of a cochain and its few verdicts.  A verdict is recorded only once the
+    walk has ended, so an interrupted check leaves none."""
     _require_module(cfg.rep, kappa, degree)
     d, m, table = kappa.degree, cfg.rep.dim, cfg.rep.quandle.table
     gens = generating_set(table)
@@ -309,10 +344,14 @@ def is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree=None) -> bool:
            f"{power_text(2 * d + 1)} terms of weight {power_text(weight)} on each "
            f"tuple ending in {len(gens)} generators)", d,
            times=len(gens) * (2 * d + 1) * weight)
-    if cfg.variant == "quandle" and not kappa.is_degenerate_free():
-        return False
-    tuples = _tuples(cfg, d + 1, gens)
-    return next(_coboundary_values(cfg, kappa, tuples), None) is None
+    verdicts = _kept(cfg.rep, kappa).verdicts
+    verdict = verdicts.get((cfg.variant, cfg.basepoint))
+    if verdict is None:
+        verdict = ((cfg.variant == "rack" or kappa.is_degenerate_free())
+                   and next(_coboundary_values(cfg, kappa, _tuples(cfg, d + 1, gens)),
+                            None) is None)
+        verdicts[cfg.variant, cfg.basepoint] = verdict
+    return verdict
 
 
 def is_cocycle_2(cfg: ComplexConfig, kappa: Cochain) -> bool:

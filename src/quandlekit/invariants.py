@@ -16,27 +16,34 @@ for an Alexander-type rep, every coloring has the sequence that the signs of
 the letters fix: the word is walked once, not once per coloring, and one
 matrix and one cokernel serve every coloring.
 
-`cocycle_invariant` walks each coloring once through `braids._path_walk`,
-the one crossing rule with the one path rule on top, and adds each
-crossing's weight sign * path * kappa(x, y) as it goes; no list of
-crossings is kept.  Path actions are numbered by value per rep
-(`AlgebraRep._path_products`), so the weight path * kappa(x, y) is formed
-once per call for each distinct path action and source pair (x, y), and
-each path action once per rep from its one-shorter suffix.
-`crossing_data`, and through it `diagram_two_chain` and `boltzmann_weight`,
-walk by the same rule.
+`cocycle_invariant` walks all colorings at once through `braids._path_walk`,
+the one crossing rule with the one path rule on top, one column of colors
+per position, and adds each crossing's weights sign * path * kappa(x, y)
+into m accumulator columns as it goes; no list of crossings is kept, so
+the walk holds O(colorings * (k + m)) numbers.  Path actions are numbered
+by value per rep (`AlgebraRep._path_products`), each formed once per rep
+from its one-shorter suffix.  The rep keeps one cochain, the last it met,
+by value (`homology._kept`), with the verdict of its cocycle check and its
+weight table: path * kappa(x, y) is formed once per (rep, cochain) for each
+distinct path action and source pair (x, y), at most (distinct path
+actions) * |X|^2 vectors of m entries, and a call on a cochain equal in
+value forms none and walks no boundary term.  `crossing_data`, and through
+it `diagram_two_chain` and `boltzmann_weight`, walk a one-coloring column
+by the same rule.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .braids import (BraidWord, _path_walk, _require_conj_type, colored_matrix,
-                     colorings_of_closure, crossing_blocks, crossing_data)
+from .braids import (BraidWord, _column_keys, _looked_up, _path_walk,
+                     _require_conj_type, colored_matrix, colorings_of_closure,
+                     crossing_blocks, crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
-from .homology import Cochain, ComplexConfig, _require_module, is_cocycle_2
+from .homology import Cochain, ComplexConfig, _kept, _require_module, is_cocycle_2
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
 
@@ -56,10 +63,14 @@ class ModuleInvariant:
     entries: tuple            # sorted invariant-factor tuples, one per coloring
 
 
-def _require_cocycle(rep: AlgebraRep, kappa: Cochain) -> None:
-    # diagram chains need rho: say so before the size^3 cocycle check
+def _require_cocycle_fit(rep: AlgebraRep, kappa: Cochain, check: bool) -> None:
+    """kappa a 2-cochain that fits the rep and the rep of conjugation type,
+    as diagram chains need its rho, then, with `check`, kappa a cocycle: the
+    input rules before any work, the size^3 cocycle check before the
+    colorings."""
+    _require_module(rep, kappa, 2)
     _require_conj_type(rep)
-    if not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
+    if check and not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
 
@@ -67,10 +78,9 @@ def boltzmann_weight(rep: AlgebraRep, kappa: Cochain, w: BraidWord, coloring,
                      crossing: int, check: bool = True) -> list[int]:
     """eps(r) * A_r * kappa(x, y) at the given crossing of the colored word,
     from its `crossing_data` record; kappa must be a 2-cochain that fits the
-    rep (`homology._require_module`), also when check is False."""
-    _require_module(rep, kappa, 2)
-    if check:
-        _require_cocycle(rep, kappa)
+    rep (`homology._require_module`) and the rep of conjugation type, also
+    when check is False."""
+    _require_cocycle_fit(rep, kappa, check)
     data = crossing_data(rep, w, coloring)
     if not (0 <= crossing < len(data)):
         raise InputError(f"crossing index {crossing} out of range")
@@ -83,39 +93,41 @@ def cocycle_invariant(rep: AlgebraRep, kappa: Cochain, w: BraidWord,
                       check: bool = True) -> InvariantMultiset:
     """State-sum multiset: one weight sum per closure coloring by rep.quandle.
 
-    Each coloring is walked once by `braids._path_walk`, and each crossing
-    adds its weight sign * path * kappa(x, y) as it is met.  A weight is
-    formed once per call for each distinct path action, numbered by value,
-    and source pair (x, y).  A coloring that the word does not fix is
-    refused, as by `crossing_data`.
+    All colorings are walked at once by `braids._path_walk`, one column of
+    colors per position, and each crossing adds its weights
+    sign * path * kappa(x, y) into m accumulator columns, one entry per
+    coloring, so the walk holds O(colorings * (k + m)) numbers.  The
+    weights are read from the table the rep keeps with its one cochain
+    (`homology._kept`): each is formed once per (rep, cochain) for its
+    distinct path action, numbered by value, and source pair (x, y), and a
+    call on a cochain equal in value to the kept one forms none.  A
+    coloring that the word does not fix is refused, as by `crossing_data`.
     kappa must be a 2-cochain that fits the rep and the rep of conjugation
-    type, also when check is False; the size^3 cocycle check and the |X|^k
-    candidate colorings must not exceed the guard."""
-    _require_module(rep, kappa, 2)
-    if check:
-        _require_cocycle(rep, kappa)
-    q, N = rep.quandle, rep.modulus
-    colorings = colorings_of_closure(q, w)
-    _require_conj_type(rep)
+    type, also when check is False, both refused before any colorings are
+    listed; the size^3 cocycle check and the |X|^k candidate colorings must
+    not exceed the guard."""
+    _require_cocycle_fit(rep, kappa, check)
+    N, size = rep.modulus, rep.quandle.size
+    colorings = colorings_of_closure(rep.quandle, w)
     rows = rep._path_products[0].rows
-    weights: dict = {}                  # (path number, x, y) -> path * kappa(x, y)
-    zero = [0] * rep.dim
-    entries = []
-    for coloring in colorings:
-        cur = list(coloring)
-        # the weights of the positive and of the negative crossings, each
-        # list led by the zero vector so that zip(*list) has rep.dim columns
-        plus, minus = [zero], [zero]
-        for e, _, x, y, path in _path_walk(rep, w, cur):
-            key = (path, x, y)
-            vec = weights.get(key)
-            if vec is None:
-                vec = weights[key] = mat_vec(rows[path], kappa.value((x, y)), N)
-            (plus if e > 0 else minus).append(vec)
-        if tuple(cur) != coloring:
-            raise InputError("coloring is not fixed by the braid word")
-        entries.append(tuple([(sum(a) - sum(b)) % N
-                              for a, b in zip(zip(*plus), zip(*minus))]))
+    weights = _kept(rep, kappa).weights
+
+    def weight(key):        # (path * |X| + x) * |X| + y -> path * kappa(x, y)
+        rest, y = divmod(key, size)
+        path, x = divmod(rest, size)
+        return tuple(mat_vec(rows[path], kappa.value((x, y)), N))
+
+    bottom = [list(c) for c in zip(*colorings)]
+    columns = list(bottom)
+    acc = [[0] * len(colorings)] * rep.dim
+    parts = list(map(operator.itemgetter, range(rep.dim)))
+    for e, _, xs, ys, paths in _path_walk(rep, w, columns):
+        vecs = _looked_up(weights, _column_keys(size, paths, xs, ys), weight)
+        step = operator.add if e > 0 else operator.sub
+        acc = [list(map(step, a, map(part, vecs))) for a, part in zip(acc, parts)]
+    if columns != bottom:
+        raise InputError("coloring is not fixed by the braid word")
+    entries = zip(*[[v % N for v in a] for a in acc])
     return InvariantMultiset(entries=tuple(sorted(entries)), modulus=rep.modulus,
                              dim=rep.dim)
 

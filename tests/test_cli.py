@@ -1415,3 +1415,75 @@ def test_an_interrupted_command_leaves_the_kept_rep_sound(capsys, monkeypatch):
     proc = subprocess.run([sys.executable, "-m", "quandlekit.cli", *argv], env=env,
                           capture_output=True, text=True, check=True)
     assert kept == proc.stdout
+
+
+@pytest.fixture
+def perm3_cocycle_argv(tmp_path):
+    """`invariant cocycle` of conj-rep:perm3 on R3 with basis[0] of its
+    `search`, and the same argv with that kappa changed at one value."""
+    code, out, _ = _call(["search", "2", "dihedral:3", "conj-rep:perm3", "3"])
+    assert code == 0
+    kappa = json.loads(out)["basis"][0]
+    good, bad = tmp_path / "kappa.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(kappa))
+    key = next(iter(kappa["values"]))
+    kappa["values"][key] = [(kappa["values"][key][0] + 1) % 3] + kappa["values"][key][1:]
+    bad.write_text(json.dumps(kappa))
+    argv = ["invariant", "cocycle", "--quandle", "dihedral:3", "--rep",
+            "conj-rep:perm3", "--knot", "3_1", "--cocycle"]
+    return argv + [str(good)], argv + [str(bad)]
+
+
+def test_a_kept_cochain_is_still_checked_and_charged(perm3_cocycle_argv):
+    """On the kept perm3 rep, a kappa changed at one value after the good
+    one is refused (exit 1), and the good one again, a hit on the kept
+    verdict, is still charged the 360 boundary-term steps of its check: a
+    --guard of 359 exits 3 with the message of a fresh process."""
+    good, bad = perm3_cocycle_argv
+    qio._built.cache_clear()
+    fresh = _call(good + ["--guard", "359"])
+    assert fresh == (3, "", "guard exceeded: 360 boundary-term steps of the cocycle "
+                     "check (degree 2: 5 terms of weight 9 on each tuple ending in "
+                     "2 generators) exceed the guard of 359\n")
+    assert _call(good)[0] == 0
+    assert _call(bad) == (1, "", "validation failed: cochain is not a generalized "
+                          "quandle 2-cocycle\n")
+    assert _call(good)[0] == 0
+    assert _call(good + ["--guard", "359"]) == fresh
+
+
+@pytest.mark.parametrize("stage", ["invariants.mat_vec",
+                                   "homology._coboundary_values"])
+def test_an_interrupted_state_sum_leaves_the_kept_cochain_sound(
+        perm3_cocycle_argv, monkeypatch, stage):
+    """An interrupt while the kept rep forms its weights, or while its
+    cocycle check walks, leaves the rep sound: the next call prints the
+    bytes of a fresh process."""
+    import importlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    good, _ = perm3_cocycle_argv
+    module, name = stage.split(".")
+    module = importlib.import_module(f"quandlekit.{module}")
+    f, calls = getattr(module, name), []
+
+    def interrupted(*args):         # the second weight, the one check walk
+        calls.append(args)
+        if len(calls) == (2 if name == "mat_vec" else 1):
+            raise KeyboardInterrupt
+        return f(*args)
+
+    qio._built.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _call(good)
+    kept = _call(good)
+    src = str(Path(qio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "quandlekit.cli", *good], env=env,
+                          capture_output=True, text=True, check=True)
+    assert kept == (0, proc.stdout, proc.stderr)

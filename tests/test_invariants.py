@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlekit.algebra import (
@@ -294,6 +294,194 @@ def test_shared_invariants_match_the_per_coloring_reference(monkeypatch):
         assert cocycle_invariant(rep, kappa, w).entries == _reference_cocycle(rep, kappa, w)
 
 
+def _json_conj_rep_s3():
+    """The regular conjugation rep of S3 mod 5, read back from its JSON
+    document, so its tables are those of a file, not of make_conj_rep."""
+    import json
+
+    from quandlekit.groups import small_groups
+    from quandlekit.io import rep_from_doc, rep_to_doc
+    s3 = next(g for g in small_groups(6) if g.label == "S3")
+    rep = make_conj_rep(regular_group_rep(s3, make_conj(s3), range(6), 5))
+    return rep_from_doc(json.loads(json.dumps(rep_to_doc(rep))))
+
+
+# (rep, most strands): conj-rep:perm3 mod 3 and mod 9, Alexander reps, the
+# trivial action, and a JSON conjugation rep of S3
+_STATE_SUM_CASES = [(make_conj_rep(permutation_rep_r3(3)), 4),
+                    (make_conj_rep(permutation_rep_r3(9)), 4),
+                    (make_alexander_rep(make_dihedral(5), 5, 2), 4),
+                    (make_alexander_rep(make_alexander(5, 2), 5, 3), 4),
+                    (make_alexander_rep(make_dihedral(3), 3, [[2, 1], [0, 2]]), 4),
+                    (make_alexander_rep(make_dihedral(3), 3, 1), 4),
+                    (make_alexander_rep(make_trivial(2), 2, 1), 5),
+                    (_json_conj_rep_s3(), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _state_sum_cocycles(i: int):
+    rep = _STATE_SUM_CASES[i][0]
+    return tuple(cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=st.integers(0, len(_STATE_SUM_CASES) - 1).flatmap(
+           lambda i: st.tuples(st.just(i), _braid_words(_STATE_SUM_CASES[i][1], 8))),
+       seed=st.integers(0, 2 ** 16), cocycle=st.booleans())
+@example(case=(0, BraidWord(3, ())), seed=0, cocycle=False)
+@example(case=(0, BraidWord(1, ())), seed=1, cocycle=True)
+@example(case=(1, parse_braid("k=3; 1 1 2 2 -1")), seed=2, cocycle=False)
+@example(case=(7, parse_braid("k=2; 1 1")), seed=3, cocycle=False)
+def test_the_column_walk_is_the_per_coloring_reference(case, seed, cocycle):
+    """cocycle_invariant, which walks every coloring at once in columns,
+    equals the per-coloring reference, and crossing_data, a walk of one
+    coloring's column, equals the reference records at every coloring.  The
+    braids are random words, the empty word, one strand and links; kappa
+    is a random cochain under check=False, a non-cocycle in general, or a
+    seeded sum of cocycle generators under the check.  The reps are shared
+    by the examples, so each keeps the cochain of the example before."""
+    i, w = case
+    rep, _ = _STATE_SUM_CASES[i]
+    q, n, m = rep.quandle, rep.modulus, rep.dim
+    rng = random.Random(seed)
+    if cocycle:
+        values: dict = {}
+        for gen in _state_sum_cocycles(i):
+            c = rng.randrange(n)
+            for key, v in gen.values.items():
+                values[key] = [(a + c * b) % n for a, b in
+                               zip(values.get(key, [0] * m), v)]
+        kappa = Cochain(2, n, m, values)
+    else:
+        kappa = Cochain(2, n, m, {(x, y): [rng.randrange(n) for _ in range(m)]
+                                  for x in range(q.size) for y in range(q.size)
+                                  if rng.random() < 0.7})
+    entries = cocycle_invariant(rep, kappa, w, check=cocycle).entries
+    assert entries == _reference_cocycle(rep, kappa, w)
+    for coloring in colorings_of_closure(q, w):
+        assert crossing_data(rep, w, coloring) == [
+            (1 if e > 0 else -1, _path_value(rep, right),
+             *((u, v) if e > 0 else (q.inv_op(v, u), u)))
+            for e, _, u, v, right in _reference_walk(rep, w, coloring)]
+
+
+def test_a_rep_off_conjugation_type_is_refused_before_its_colorings():
+    """A rep with no rho is refused before the |X|^k candidate colorings are
+    charged, checked or not: on R3 mod 5 with eta = 1 and tau = 2 (not
+    1 - 1) and k = 8, under a guard of 10 below the 6561 candidates, both
+    calls raise the InputError, not GuardExceeded."""
+    from quandlekit.algebra import make_rep
+    rep = make_rep(make_dihedral(3), 5, [[[[1]]] * 3] * 3, [[[[2]]] * 3] * 3,
+                   check=False)
+    assert rep.rho is None
+    w = BraidWord(8, (1, 2, 3, 4, 5, 6, 7))
+    for check in (False, True):
+        with guarded(10), pytest.raises(InputError, match="^diagram chains need "
+                                                          "a conjugation-type rep$"):
+            cocycle_invariant(rep, Cochain(2, 5, 1, {}), w, check=check)
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name so that each call is listed in the returned list."""
+    calls, f = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_an_equal_cochain_reuses_the_kept_weights_and_verdict(monkeypatch):
+    """A fresh Cochain equal in value to the one the rep keeps forms no
+    weight and walks no boundary term, checked or not, and gets the same
+    entries."""
+    from quandlekit import homology, invariants
+    rep, kappa = nontrivial_kappa()
+    w = braid_or_knot("4_1")
+    base = cocycle_invariant(rep, kappa, w).entries
+    weights = _counted(monkeypatch, invariants, "mat_vec")
+    terms = _counted(monkeypatch, homology, "_boundary_terms")
+    for check in (True, False):
+        equal = Cochain(2, 3, 3, {k: tuple(v) for k, v in kappa.values.items()})
+        assert cocycle_invariant(rep, equal, w, check=check).entries == base
+    assert weights == [] and terms == []
+
+
+def test_the_kept_verdict_follows_the_cochain():
+    """On one rep a non-cocycle after a cocycle is refused, and a cocycle
+    after a non-cocycle passes; the kept entry is replaced whole, with the
+    verdict of the last check."""
+    rep, kappa = nontrivial_kappa()
+    bad = Cochain(2, 3, 3, {**kappa.values, (0, 1): [1, 0, 0]})
+    w = braid_or_knot("3_1")
+    base = cocycle_invariant(rep, kappa, w).entries
+    for _ in range(2):
+        with pytest.raises(CheckFailed, match="not a generalized quandle 2-cocycle"):
+            cocycle_invariant(rep, bad, w)
+        assert cocycle_invariant(rep, kappa, w).entries == base
+    assert rep._kept_cochain[0].verdicts == {("quandle", 0): True}
+
+
+def test_an_unchecked_call_records_no_verdict(monkeypatch):
+    """check=False fills the weights but never records a verdict: a checking
+    call on the same non-cocycle afterwards still walks the check and
+    refuses it."""
+    from quandlekit import homology
+    rep = make_conj_rep(permutation_rep_r3(3))
+    bad = Cochain(2, 3, 3, {(0, 1): [1, 0, 0]})
+    w = braid_or_knot("3_1")
+    cocycle_invariant(rep, bad, w, check=False)
+    kept = rep._kept_cochain[0]
+    assert kept.verdicts == {} and kept.weights
+    terms = _counted(monkeypatch, homology, "_boundary_terms")
+    with pytest.raises(CheckFailed):
+        cocycle_invariant(rep, bad, w)
+    assert terms and rep._kept_cochain[0] is kept
+    assert kept.verdicts == {("quandle", 0): False}
+
+
+@pytest.mark.parametrize("stage", ["mat_vec", "_coboundary_values"])
+def test_an_interrupted_fill_or_check_leaves_the_kept_cochain_sound(monkeypatch, stage):
+    """A KeyboardInterrupt while the weights are formed, after the check has
+    ended, keeps the weights formed before it and no other; one while the
+    check walks records no verdict.  Either way the next call on the same
+    rep gives the entries of a fresh rep, and a non-cocycle is still
+    refused."""
+    from quandlekit import homology, invariants
+    module = invariants if stage == "mat_vec" else homology
+    f, calls = getattr(module, stage), []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) == 3 or stage == "_coboundary_values":
+            raise KeyboardInterrupt
+        return f(*args)
+
+    rep, kappa = nontrivial_kappa()
+    w = braid_or_knot("k=3; 1 -2 1 -2 -2 1 -1 2")
+    fresh = cocycle_invariant(nontrivial_kappa()[0], kappa, w).entries
+    with monkeypatch.context() as patch:
+        patch.setattr(module, stage, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cocycle_invariant(rep, kappa, w)
+    kept = rep._kept_cochain[0]
+    if stage == "mat_vec":
+        assert kept.verdicts == {("quandle", 0): True} and len(kept.weights) == 2
+    else:
+        assert kept.verdicts == {} and kept.weights == {}
+    assert cocycle_invariant(rep, kappa, w).entries == fresh
+    bad = Cochain(2, 3, 3, {**kappa.values, (0, 1): [1, 0, 0]})
+    with monkeypatch.context() as patch:
+        patch.setattr(module, stage, interrupted)
+        calls.clear()
+        with pytest.raises(KeyboardInterrupt):
+            cocycle_invariant(rep, bad, w, check=stage != "mat_vec")
+    with pytest.raises(CheckFailed):
+        cocycle_invariant(rep, bad, w)
+
+
 def test_alexander_type_module_is_the_burau_cokernel():
     """For make_alexander_rep(q, N, t) the blocks are constant, so every
     coloring's entry is the one entry of the Burau module, the invariant
@@ -395,8 +583,9 @@ def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
     """cocycle_invariant forms path * kappa(x, y) once per distinct path
     action, by value, and source pair (x, y), found by the reference walk
     over every coloring: fewer than one per tuple of colors right of the
-    crossing, and far fewer than one per crossing.  The entries equal the
-    per-coloring reference."""
+    crossing, and far fewer than one per crossing.  The table is kept on the
+    rep with its cochain, so a second call with a fresh Cochain equal in
+    value forms none.  The entries equal the per-coloring reference."""
     from quandlekit import invariants
     calls = []
 
@@ -419,6 +608,10 @@ def test_cocycle_invariant_forms_each_weight_once(monkeypatch):
             by_tuple.add((right, pair))
     assert len(calls) == len(by_value) < len(by_tuple) < crossings
     assert inv.entries == _reference_cocycle(rep, kappa, w)
+    calls.clear()
+    equal = Cochain(2, 3, 3, {k: list(v) for k, v in kappa.values.items()})
+    assert cocycle_invariant(rep, equal, w, check=False).entries == inv.entries
+    assert calls == []
 
 
 def test_each_path_product_is_formed_once_per_rep(monkeypatch):
