@@ -71,7 +71,7 @@ from .errors import CheckFailed, InputError, charge
 from .groups import FiniteGroup
 from .linalg import (_require_modulus, identity, is_invertible_mod, mat_add,
                      mat_inv_mod, mat_mul, mat_scale, mat_sub)
-from .quandles import FiniteQuandle, ValidationReport, generating_set
+from .quandles import FiniteQuandle, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def check_group_rep(g: GroupRep) -> ValidationReport:
             return ValidationReport(False, [f"rho({x}) is not invertible mod {n}"])
     products = _Products(n)
     rho = [products.number(m) for m in g.rho]
-    failure = (_conjugation_failure(q.table, rho, products, generating_set(q.table))
+    failure = (_conjugation_failure(q.table, rho, products, q.generators)
                and _conjugation_failure(q.table, rho, products, range(q.size)))
     if failure:
         x, y = failure
@@ -361,7 +361,7 @@ def verify_relations(rep: AlgebraRep) -> ValidationReport:
     distinct = len(products.rows)
     matrices = (f"({distinct_eta} distinct eta among {distinct} distinct "
                 f"{m} x {m} matrices)")
-    gens = generating_set(table)
+    gens = q.generators
     charge((distinct_eta + min(distinct ** 2, 6 * len(gens) * size ** 2)) * m ** 3,
            f"steps of the relations at {len(gens)} of {size} elements z "
            f"{matrices}")

@@ -31,19 +31,21 @@ in one pass of `_crossings` over linear forms, the kernel comes from
 other quandle the search branches on at most k arcs, picked beforehand as
 those that force the most others, and propagates each color through the
 triples, so it reaches at most |X|^k leaves.  Over a one-element quandle
-the one coloring, all zeros, is returned without either.
+the one coloring, all zeros, is returned without either.  `coloring_count`
+counts them, over an affine quandle without listing, by |coker(M - I)|.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, getitem, mul
+from operator import add, getitem, mod, mul
 
 from .algebra import AlgebraRep, bar
 from .errors import InputError, charge, power_text
-from .linalg import Matrix, identity, kernel_mod, mat_add, mat_mul, mat_scale
+from .linalg import Matrix, cokernel_mod, identity, kernel_mod, mat_add, mat_scale, mat_sub
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -296,17 +298,34 @@ def colorings_of_closure(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]
     at each of the letters + 1 heights of the word, which is what
     `crossing_data`, `invariants.cocycle_invariant` and `colored_matrix`
     touch when they walk it through the word."""
+    _charge_colorings(q, w)
+    if q.size == 1:
+        return [(0,) * w.strands]
+    if q._affine_t is not None:
+        return _affine_colorings(q, w)
+    return _search_colorings(q, w)
+
+
+def coloring_count(q: FiniteQuandle, w: BraidWord) -> int:
+    """len(colorings_of_closure(q, w)) under the same guard charges; over an
+    affine quandle Z_n, |ker(M - I)| = |coker(M - I)|, with no listing."""
+    if q.size == 1 or q._affine_t is None:
+        return len(colorings_of_closure(q, w))
+    _charge_colorings(q, w)
+    a = mat_sub(_affine_burau(q, w), identity(w.strands), q.size)
+    return math.prod(cokernel_mod(a, q.size))
+
+
+def _charge_colorings(q: FiniteQuandle, w: BraidWord) -> None:
+    """The guard's charges for the colorings of the word's closure by q."""
     strands, letters = power_text(w.strands), len(w.letters)
     charge(q.size, "candidate colorings", w.strands)
     if q.size == 1:
         charge(w.strands * (letters + 1), f"entries of the one coloring on "
                f"{strands} strands through {letters} letters")
-        return [(0,) * w.strands]
-    charge(w.strands * (letters + 1) ** 2, f"steps of the search plan on "
-           f"{strands} strands and {letters} letters")
-    if q._affine_t is not None:
-        return _affine_colorings(q, w)
-    return _search_colorings(q, w)
+    else:
+        charge(w.strands * (letters + 1) ** 2, f"steps of the search plan on "
+               f"{strands} strands and {letters} letters")
 
 
 def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
@@ -353,8 +372,7 @@ def _affine_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     that is not yet in it, so no vector is made twice and the work is k
     entries per coloring."""
     n, k = q.size, w.strands
-    a = [[(x - (i == j)) % n for j, x in enumerate(row)]
-         for i, row in enumerate(_affine_burau(q, w))]
+    a = mat_sub(_affine_burau(q, w), identity(k), n)
     span = [(0,) * k]
     members = set(span)
     for g in map(tuple, kernel_mod(a, n)):
@@ -415,7 +433,7 @@ def crossing_blocks(rep: AlgebraRep, w: BraidWord, bottom) -> tuple[int, ...]:
     matrix.  When the rep's whole table is one pair (`AlgebraRep._one_pair`,
     as for an Alexander-type rep) the sequence depends only on the signs of
     the letters, so every coloring has the same one and
-    `invariants.module_invariant` walks only the first."""
+    `invariants.module_invariant` walks only the constant coloring."""
     cells, numbers, pairs = rep._crossing_blocks
     q, out = rep.quandle, []
     for e, _, x, y in _walk(q, w, list(bottom)):
@@ -441,19 +459,29 @@ def colored_matrix(rep: AlgebraRep, w: BraidWord, bottom, blocks=None) -> Matrix
     updates of its coefficient sequence `blocks`, which is
     crossing_blocks(rep, w, bottom) unless the caller has walked already.
     `_burau_rows` carries a row block per position; at either sign the under
-    strand leaves as eta * under + tau * over, by the crossing's pair."""
+    strand leaves as eta * under + tau * over, by the crossing's pair, each
+    row a sum of the rows at the nonzero entries of its row of (eta | tau)."""
     N, m = rep.modulus, rep.dim
     if blocks is None:
         blocks = crossing_blocks(rep, w, bottom)
     _, _, pairs = rep._crossing_blocks
     steps = map(pairs.__getitem__, blocks)
+    modulus, width = repeat(N), w.strands * m
 
     def leave(under, over):         # both crossing signs: the next block pair
         eta, tau = next(steps)
-        return mat_add(mat_mul(eta, under, N), mat_mul(tau, over, N), N)
+        rows, out = under + over, []
+        for coeffs in map(add, eta, tau):
+            acc = None
+            for c, row in zip(coeffs, rows):
+                if c:
+                    term = row if c == 1 else map(mul, row, repeat(c))
+                    acc = term if acc is None else map(add, acc, term)
+            out.append([0] * width if acc is None else list(map(mod, acc, modulus)))
+        return out
 
-    eye = identity(w.strands * m)
-    units = [eye[p:p + m] for p in range(0, len(eye), m)]
+    eye = identity(width)
+    units = [eye[p:p + m] for p in range(0, width, m)]
     return list(chain.from_iterable(_burau_rows(w, leave, leave, units)))
 
 

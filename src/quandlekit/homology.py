@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from .algebra import AlgebraRep
 from .errors import InputError, charge, power_text
 from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
-from .quandles import generating_set
 
 MAX_DEGREE = 3
 
@@ -336,8 +335,13 @@ def is_cocycle(cfg: ComplexConfig, kappa: Cochain, degree=None) -> bool:
     of a cochain and its few verdicts.  A verdict is recorded only once the
     walk has ended, so an interrupted check leaves none."""
     _require_module(cfg.rep, kappa, degree)
+    return _cocycle_verdict(cfg, kappa)
+
+
+def _cocycle_verdict(cfg: ComplexConfig, kappa: Cochain) -> bool:
+    """`is_cocycle` of a cochain that passed its fit check."""
     d, m, table = kappa.degree, cfg.rep.dim, cfg.rep.quandle.table
-    gens = generating_set(table)
+    gens = cfg.rep.quandle.generators
     weight = m * m * -(-(d + 1) // 16)
     charge(len(table) - (cfg.variant == "quandle"),
            f"boundary-term steps of the cocycle check (degree {d}: "
@@ -391,7 +395,7 @@ def _kernel_rows(cfg: ComplexConfig, degree: int) -> list[dict]:
     once the guard has taken the cells of the whole delta^degree."""
     charge(_basis_size(cfg, degree + 1) * _basis_size(cfg, degree)
            * cfg.rep.dim ** 2, "coboundary cells")
-    return _assemble(cfg, degree, generating_set(cfg.rep.quandle.table))
+    return _assemble(cfg, degree, cfg.rep.quandle.generators)
 
 
 def _basis_size(cfg: ComplexConfig, n: int) -> int:

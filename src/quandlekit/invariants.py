@@ -13,8 +13,8 @@ sequence, the (eta, tau) block pair met at each crossing
 (`braids.crossing_blocks`), so `module_invariant` builds one matrix and one
 cokernel per distinct sequence.  When the rep's whole table is one pair, as
 for an Alexander-type rep, every coloring has the sequence that the signs of
-the letters fix: the word is walked once, not once per coloring, and one
-matrix and one cokernel serve every coloring.
+the letters fix: the colorings are only counted (`braids.coloring_count`),
+and the constant coloring's one matrix and cokernel serve every coloring.
 
 `cocycle_invariant` walks all colorings at once through `braids._path_walk`,
 the one crossing rule with the one path rule on top, one column of colors
@@ -40,10 +40,10 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .braids import (BraidWord, _column_keys, _looked_up, _path_walk,
-                     _require_conj_type, colored_matrix, colorings_of_closure,
-                     crossing_blocks, crossing_data)
+                     _require_conj_type, colored_matrix, coloring_count,
+                     colorings_of_closure, crossing_blocks, crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
-from .homology import Cochain, ComplexConfig, _kept, _require_module, is_cocycle_2
+from .homology import Cochain, ComplexConfig, _cocycle_verdict, _kept, _require_module
 from .linalg import cokernel_mod, mat_vec
 from .quandles import FiniteQuandle, verify_axioms
 
@@ -67,10 +67,10 @@ def _require_cocycle_fit(rep: AlgebraRep, kappa: Cochain, check: bool) -> None:
     """kappa a 2-cochain that fits the rep and the rep of conjugation type,
     as diagram chains need its rho, then, with `check`, kappa a cocycle: the
     input rules before any work, the size^3 cocycle check before the
-    colorings."""
+    colorings, the fit tested once."""
     _require_module(rep, kappa, 2)
     _require_conj_type(rep)
-    if check and not is_cocycle_2(ComplexConfig(rep=rep, variant="quandle"), kappa):
+    if check and not _cocycle_verdict(ComplexConfig(rep=rep, variant="quandle"), kappa):
         raise CheckFailed("cochain is not a generalized quandle 2-cocycle")
 
 
@@ -139,22 +139,21 @@ def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
     not exceed the guard.  Colorings with the same coefficient sequence share
     one matrix and one cokernel.  When the rep's whole (eta, tau) table is
     one pair, as for an Alexander-type rep, the sequence depends only on the
-    signs of the letters, so one walk of the word gives it for every
-    coloring."""
+    signs of the letters: the colorings are only counted, and the constant
+    coloring is walked for all of them."""
     q, N = rep.quandle, rep.modulus
-    colorings = colorings_of_closure(q, w)
+    if rep._one_pair:
+        count, colorings = coloring_count(q, w), [(0,) * w.strands]
+    else:
+        count, colorings = 1, colorings_of_closure(q, w)
     charge(w.strands * rep.dim, "colored-matrix cells", 2)
     charge(len(w.letters) * w.strands * rep.dim ** 3, f"steps of the colored "
            f"matrix's block walk (letters * k * m^3, with {len(w.letters)} "
            f"letters, k = {w.strands} and m = {rep.dim})")
-    shared = None               # the one sequence of a one-pair table
-    if rep._one_pair:           # colorings holds the constant ones at least
-        shared = crossing_blocks(rep, w, colorings[0])
     entries = []
     cokernels: dict = {}        # coefficient sequence -> invariant factors
     for coloring in colorings:
-        blocks = (crossing_blocks(rep, w, coloring) if shared is None
-                  else shared)
+        blocks = crossing_blocks(rep, w, coloring)
         entry = cokernels.get(blocks)
         if entry is None:
             m = colored_matrix(rep, w, coloring, blocks)
@@ -162,7 +161,7 @@ def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
                 m[i][i] = (m[i][i] - 1) % N
             entry = cokernels[blocks] = tuple(cokernel_mod(m, N))
         entries.append(entry)
-    return ModuleInvariant(entries=tuple(sorted(entries)))
+    return ModuleInvariant(entries=tuple(sorted(entries)) * count)
 
 
 def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None):

@@ -76,10 +76,11 @@ def dumps_document(doc: dict) -> str:
     With an indent, `json` leaves its C encoder for a Python generator per
     value, which was the largest single cost of a round of colorings and
     module invariants.  So the document is written here: strings by the C
-    escaper that `json` uses, and a list of plain ints (`type(x) is int`,
-    so JSON true stays true), or a list of non-empty rows of them, by one
-    join per level, with the types checked by C-level passes.  Those lists are the colorings, multisets,
-    braids and tables that make up most documents.  Dicts take string keys;
+    escaper that `json` uses, a list of plain ints (`type(x) is int`, so
+    JSON true stays true) by one join, and a list of rows of them by one %d
+    template per row length and one format, with the types checked by C-level
+    passes.  Those lists are the colorings, multisets, braids and tables that
+    make up most documents.  Dicts take string keys;
     values are dicts, lists, tuples, strings, ints, booleans and None, and
     anything else, a float or a non-string key included, raises TypeError."""
     return _encode(doc, "") + "\n"
@@ -112,10 +113,11 @@ def _encode(o, indent: str) -> str:
     types = set(map(type, o))
     if types == _INT:
         body = sep.join(map(int.__repr__, o))
-    elif types <= _ROW and all(o) and set(map(type, chain.from_iterable(o))) == _INT:
+    elif types <= _ROW and set(map(type, flat := tuple(chain.from_iterable(o)))) <= _INT:
         row_sep, close = sep + " ", "\n" + inner + "]"
-        body = sep.join(["[\n " + inner + row_sep.join(map(int.__repr__, r)) + close
-                         for r in o])
+        forms = {n: "[\n " + inner + row_sep.join(["%d"] * n) + close if n else "[]"
+                 for n in set(map(len, o))}
+        body = sep.join(map(forms.__getitem__, map(len, o))) % flat
     else:
         body = sep.join([_encode(x, inner) for x in o])
     return "[\n" + inner + body + "\n" + indent + "]"

@@ -154,6 +154,11 @@ class FiniteQuandle:
         return self._inv_table[a][b]
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy `generating_set` of the table, found once."""
+        return tuple(generating_set(self.table))
+
+    @cached_property
     def _affine_t(self) -> int | None:
         """The t with a*b = t a + (1 - t) b mod n for all a, b, if the table
         is that affine one, else None: t = 1*0 is read off and every row

@@ -18,6 +18,7 @@ from quandlekit.braids import (
     act,
     braid_or_knot,
     colored_matrix,
+    coloring_count,
     colorings_of_closure,
     crossing_data,
     diagram_two_chain,
@@ -559,3 +560,51 @@ def test_search_on_its_own_stays_bounded(monkeypatch):
         assert calls == 0
         braids._search_colorings(r7, w)
         assert 0 < calls < stalled / 10
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from(_PROPERTY_QUANDLES + _AFFINE_QUANDLES + _NON_AFFINE_QUANDLES),
+       w=_braid_words(4, 10))
+@example(q=make_dihedral(12), w=_LONE_STRANDS[0])
+@example(q=make_trivial(1), w=_LONE_STRANDS[0])
+@example(q=_NON_AFFINE_QUANDLES[0], w=_LONE_STRANDS[1])
+def test_coloring_count_is_the_length_of_the_listing(q, w):
+    """coloring_count, the order of coker(M - I) over an affine quandle, the
+    search's length over any other and 1 over a one-element quandle, is the
+    number of colorings listed, on every Markov variant."""
+    for v in [w, *markov_moves(w)]:
+        assert coloring_count(q, v) == len(colorings_of_closure(q, v)), v
+
+
+def _guard_outcome(f, q, w, guard):
+    """The GuardExceeded text of f(q, w) under `guard`, or None if it passes."""
+    with guarded(guard):
+        try:
+            f(q, w)
+        except GuardExceeded as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("q, text", [
+    (make_dihedral(3), "k=2; 1 1 1"),                   # kernel route
+    (make_dihedral(7), "k=6; 1 -1"),
+    (_transpositions_quandle(), "k=3; 1 -2 1 -2"),      # search route
+    (make_trivial(1), "k=4; 1 2 3 -1"),                 # the one coloring
+])
+def test_coloring_count_is_charged_as_the_listing_is(q, text):
+    """One step either side of the |X|^k candidates and of the second charge,
+    the search plan's k (letters + 1)^2 steps (the one coloring's
+    k (letters + 1) entries when |X| = 1), the count and the listing raise
+    the same GuardExceeded text or both pass."""
+    w = parse_braid(text)
+    k, letters = w.strands, len(w.letters)
+    second = k * (letters + 1) ** (1 if q.size == 1 else 2)
+    for bound in (q.size ** k, second):
+        outcomes = [[_guard_outcome(f, q, w, guard)
+                     for f in (coloring_count, colorings_of_closure)]
+                    for guard in (bound - 1, bound, bound + 1)]
+        for count, listing in outcomes:
+            assert count == listing, (bound, count)
+        assert outcomes[0][0] is not None
+    assert _guard_outcome(coloring_count, q, w, max(q.size ** k, second)) is None

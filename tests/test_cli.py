@@ -688,7 +688,7 @@ def test_cocycle_invariant_without_rho_exits_2_unchecked(capsys, monkeypatch, tm
     assert wada.eta[0][0] != wada.eta[1][0]
     path = tmp_path / "wada.json"
     path.write_text(json.dumps(qio.rep_to_doc(wada)))
-    monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
+    monkeypatch.setattr(invariants, "_cocycle_verdict", cocycle_check)
     code = main(["invariant", "cocycle", "--quandle", "dihedral:3",
                  "--rep", str(path), "--cocycle", "zero", "--knot", "3_1"])
     out, err = capsys.readouterr()

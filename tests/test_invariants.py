@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quandlekit import braids
 from quandlekit.algebra import (
     AlgebraRep,
     bar,
     make_alexander_rep,
     make_conj_rep,
     make_group_rep,
+    make_rep,
     make_wada_rep,
     permutation_rep_r3,
     regular_group_rep,
@@ -37,7 +39,7 @@ from quandlekit.invariants import (
     module_invariant,
     multiset_contained,
 )
-from quandlekit.groups import cyclic_group, dihedral_group
+from quandlekit.groups import cyclic_group, dihedral_group, symmetric_group
 from quandlekit.io import load_rep
 from quandlekit.linalg import (cokernel_mod, identity, mat_add, mat_inv_mod,
                                mat_mul, mat_scale, mat_vec)
@@ -570,6 +572,111 @@ def test_one_pair_rep_walks_the_word_once(monkeypatch):
     assert len(calls) > 1
 
 
+def _listing_module_invariant(rep, w):
+    """module_invariant with every coloring listed: one colored matrix and
+    one cokernel per distinct coefficient sequence, each coloring walked."""
+    N, cokernels, entries = rep.modulus, {}, []
+    for coloring in colorings_of_closure(rep.quandle, w):
+        blocks = crossing_blocks(rep, w, coloring)
+        if blocks not in cokernels:
+            m = colored_matrix(rep, w, coloring, blocks)
+            for i in range(len(m)):
+                m[i][i] = (m[i][i] - 1) % N
+            cokernels[blocks] = tuple(cokernel_mod(m, N))
+        entries.append(cokernels[blocks])
+    return tuple(sorted(entries))
+
+
+def _s4_transpositions():
+    """The conjugation quandle of the six transpositions of S4, not affine."""
+    s4 = symmetric_group(4)
+    perms = sorted(itertools.permutations(range(4)))
+    return make_conj(s4, [a for a, p in enumerate(perms)
+                          if sum(i != j for i, j in enumerate(p)) == 2])
+
+
+# Alexander reps (t, matrix t too) and trivial-action reps (t = 1) on
+# affine quandles and on a non-affine one, whose colorings are searched
+_ONE_PAIR_REPS = [make_alexander_rep(q, n, t) for q, n, t in (
+    (make_dihedral(3), 3, 2), (make_dihedral(3), 9, 1), (make_dihedral(4), 5, 2),
+    (make_dihedral(4), 4, 3), (make_dihedral(6), 7, 1), (make_dihedral(9), 9, 2),
+    (make_alexander(5, 2), 5, 2), (make_alexander(5, 2), 5, 1),
+    (make_trivial(1), 5, 2), (make_trivial(3), 3, 2), (make_trivial(4), 6, 1),
+    (make_dihedral(3), 3, [[0, 1], [1, 1]]), (_s4_transpositions(), 5, 2),
+    (_s4_transpositions(), 3, 1))]
+
+
+@pytest.mark.parametrize("rep", _ONE_PAIR_REPS, ids=lambda rep: rep.quandle.label)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(w=_braid_words(4, 10))
+@example(w=BraidWord(4, (1, 1, 1)))
+@example(w=BraidWord(3, ()))
+def test_counted_module_invariant_is_the_listing_one(rep, w):
+    """A one-pair rep's module invariant, one cokernel times the counted
+    colorings, is the invariant of every listed coloring walked, over
+    affine quandles (counted by a cokernel) and over the transpositions of
+    S4 (counted by the search)."""
+    assert rep._one_pair
+    assert module_invariant(rep, w).entries == _listing_module_invariant(rep, w)
+
+
+def _mat_mul_colored_matrix(rep, w, bottom):
+    """colored_matrix with each crossing's under block leaving as
+    mat_mul(eta, under) + mat_mul(tau, over)."""
+    N, m = rep.modulus, rep.dim
+    _, _, pairs = rep._crossing_blocks
+    steps = map(pairs.__getitem__, crossing_blocks(rep, w, bottom))
+
+    def leave(under, over):
+        eta, tau = next(steps)
+        return mat_add(mat_mul(eta, under, N), mat_mul(tau, over, N), N)
+
+    eye = identity(w.strands * m)
+    units = [eye[p:p + m] for p in range(0, len(eye), m)]
+    return list(itertools.chain.from_iterable(braids._burau_rows(w, leave, leave, units)))
+
+
+def _unchecked_rep(etas, taus, seed):
+    """An unchecked 2-dimensional rep on R3 mod 6 whose cells are drawn
+    from `etas` and `taus`."""
+    rng = random.Random(seed)
+    return make_rep(make_dihedral(3), 6,
+                    [[rng.choice(etas) for _ in range(3)] for _ in range(3)],
+                    [[rng.choice(taus) for _ in range(3)] for _ in range(3)],
+                    check=False)
+
+
+_UNITS_MOD_6 = [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[5, 0], [2, 1]], [[0, 1], [1, 0]]]
+_NON_UNITS_MOD_6 = [[[0, 0], [0, 0]], [[2, 3], [0, 4]], [[3, 0], [0, 0]], [[1, 2], [1, 2]]]
+_S3, _D4 = symmetric_group(3), dihedral_group(4)
+# m = 1, 3, 6 and 8, the core Wada rep, and unchecked tables: unit eta with
+# zero and non-unit tau, and zero and non-unit eta, whose negative
+# crossings cannot be inverted, walked on positive words only
+_MATRIX_REPS = [
+    make_alexander_rep(make_dihedral(5), 5, 2),
+    make_conj_rep(permutation_rep_r3(3)),
+    make_conj_rep(regular_group_rep(_S3, make_conj(_S3), range(6), modulus=7)),
+    make_conj_rep(regular_group_rep(_D4, make_conj(_D4), range(8), modulus=7)),
+    make_wada_rep(regular_group_rep(cyclic_group(3), make_core(cyclic_group(3)),
+                                    range(3), modulus=5), "core"),
+    _unchecked_rep(_UNITS_MOD_6, _UNITS_MOD_6 + _NON_UNITS_MOD_6, 1),
+    _unchecked_rep(_UNITS_MOD_6 + _NON_UNITS_MOD_6, _NON_UNITS_MOD_6, 2)]
+
+
+@pytest.mark.parametrize("rep", _MATRIX_REPS, ids=lambda rep: rep.label or "unchecked")
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(w=_braid_words(4, 10), data=st.data())
+def test_colored_matrix_is_the_mat_mul_walk(rep, w, data):
+    """colored_matrix, which sums the under and over rows weighted by the
+    nonzero entries of each row of eta and tau, equals the walk by mat_mul
+    and mat_add at any bottom colors, not only at closure colorings."""
+    if rep is _MATRIX_REPS[-1]:
+        w = BraidWord(w.strands, tuple(map(abs, w.letters)))
+    bottom = data.draw(st.lists(st.integers(0, rep.quandle.size - 1),
+                                min_size=w.strands, max_size=w.strands))
+    assert colored_matrix(rep, w, bottom) == _mat_mul_colored_matrix(rep, w, bottom)
+
+
 def _path_value(rep, right):
     """rho(c_(k-1)) ... rho(c_(p+2)) mod N for the colors `right`, multiplied
     afresh and frozen."""
@@ -764,7 +871,7 @@ def test_cocycle_invariant_needs_rho_before_cocycle_check(monkeypatch):
     def cocycle_check(*args, **kwargs):
         raise AssertionError("cocycle checked before the rep's rho")
 
-    monkeypatch.setattr(invariants, "is_cocycle_2", cocycle_check)
+    monkeypatch.setattr(invariants, "_cocycle_verdict", cocycle_check)
     z3 = cyclic_group(3)
     rep = make_wada_rep(regular_group_rep(z3, make_core(z3), range(3), 5), "core")
     assert rep.rho is None
