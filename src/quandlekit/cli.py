@@ -37,21 +37,23 @@ checks of the extension.
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 guard
 exceeded.
 
-`main(argv)` may be called many times in one process: the argparse parser
-is built on the first call and reused, and a call parses its argv once, an
-argv that starts with a subcommand's name by that subcommand's parser alone,
-so a call costs its command and one parse.  Shorthand quandles and reps are
-built once per process, within the fixed bound `io.SHORTHANDS_KEPT`, and
-their memos are shared by later calls; a shorthand quandle's table cells
-are charged against --guard on every call all the same.  JSON inputs are
-read and checked on every call.
+`parse` reads argv in one walk, from the table COMMANDS.  It takes --name
+value, --name=value and unique prefixes of --name, the last of a repeated
+option, options before, between and after the positionals, negative numbers
+as values, and "--" to end the options.  A usage error (a negative --guard
+too) prints the usage line and the error and returns 2; -h or --help prints
+help from the table and returns 0.  `main(argv)` may be called many times
+in one process: shorthand quandles and reps are built once and kept within
+`io.KEPT_CELLS` table cells, though a shorthand quandle's cells are charged
+against --guard on every call, and JSON inputs are read on every call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import io as qio
 from .algebra import verify_relations
@@ -234,94 +236,153 @@ def _poly_str(poly) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The quandlekit parser, built on the first call and shared after it.
+# a positional or option: its type (str or int), default, choices, whether
+# it must be given, least int value, and its name in usage and errors
+Arg = namedtuple("Arg", "type default choices required low metavar",
+                 defaults=(str, None, (), False, None, ""))
 
-    Parsing leaves the parser unchanged (every argv gets a fresh Namespace),
-    the subcommands' `func` defaults are the module's cmd_* functions, and
-    its `commands` default maps each subcommand's name to its parser."""
-    parser = argparse.ArgumentParser(
-        prog="quandlekit",
-        description="quandle cocycle and module invariants of closed braids")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(commands=sub.choices)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="write the output document here")
-        p.add_argument("--jobs", type=int, default=1, help="accepted; no effect")
-        p.add_argument("--guard", type=int, default=GUARD)
+class Usage(Exception):
+    """A command line that ends its call, with args (code, text): help (0,
+    for stdout) or a usage error (2, for stderr)."""
 
-    p = sub.add_parser("check", help="validate a quandle, rep, or cocycle")
-    p.add_argument("kind", choices=["quandle", "rep", "cocycle"])
-    p.add_argument("target")
-    p.add_argument("--quandle", default=None)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--variant", choices=["rack", "quandle"], default="quandle")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("colorings", help="enumerate closure colorings")
-    p.add_argument("quandle")
-    p.add_argument("braid", help="braid text or knot name")
-    common(p)
-    p.set_defaults(func=cmd_colorings)
+_ON = {"quandle": Arg(), "rep": Arg()}
+_NEEDS = {"quandle": Arg(required=True), "rep": Arg(required=True)}
+_VARIANT = {"variant": Arg(default="quandle", choices=("rack", "quandle"))}
+_COMMON = {"out": Arg(), "jobs": Arg(int, 1), "guard": Arg(int, GUARD, low=0)}
+# subcommand -> (its function, help line, positionals, options)
+COMMANDS = {
+    "check": (cmd_check, "validate a quandle, rep, or cocycle",
+              {"kind": Arg(choices=("quandle", "rep", "cocycle")), "target": Arg()},
+              {**_ON, "degree": Arg(int), **_VARIANT, **_COMMON}),
+    "colorings": (cmd_colorings, "enumerate closure colorings",
+                  {"quandle": Arg(), "braid": Arg()}, _COMMON),
+    "search": (cmd_search, "generators of the cocycles over Z_N",
+               {"degree": Arg(int), "quandle": Arg(), "rep": Arg(),
+                "prime": Arg(int, metavar="modulus")}, {**_VARIANT, **_COMMON}),
+    "invariant": (cmd_invariant, "compute a link invariant",
+                  {"kind": Arg(choices=("cocycle", "module", "alexander"))},
+                  {**_ON, "cocycle": Arg(), "knot": Arg(), "braid": Arg(), **_COMMON}),
+    "homology": (cmd_homology, "cohomology invariant factors", {"degree": Arg(int)},
+                 {**_NEEDS, **_VARIANT, "basepoint": Arg(int, 0), **_COMMON}),
+    "compare": (cmd_compare, "multiset containment of two invariants",
+                {"a": Arg(), "b": Arg()}, _COMMON),
+    "extend": (cmd_extend, "dynamical extension quandle", {},
+               {**_NEEDS, "cocycle": Arg(), **_COMMON}),
+}
+# a negative number: a value, since no option looks like one
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("search", help="generators of the cocycles over Z_N")
-    p.add_argument("degree", type=int)
-    p.add_argument("quandle")
-    p.add_argument("rep")
-    p.add_argument("prime", type=int, metavar="modulus",
-                   help="N, any positive modulus; the JSON key is 'prime'")
-    p.add_argument("--variant", choices=["rack", "quandle"], default="quandle")
-    common(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("invariant", help="compute a link invariant")
-    p.add_argument("kind", choices=["cocycle", "module", "alexander"])
-    p.add_argument("--quandle", default=None)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--cocycle", default=None)
-    p.add_argument("--knot", default=None)
-    p.add_argument("--braid", default=None)
-    common(p)
-    p.set_defaults(func=cmd_invariant)
+def parse(argv) -> SimpleNamespace:
+    """argv's subcommand function as `func` and every field it reads, from
+    one walk of argv in the forms of this module's docstring; raises Usage."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and _option(argv[0], {})[0] == "help":
+            raise Usage(0, _help(None))
+        _fail(None, f"argument command: invalid choice: {argv[0]!r}" if argv
+              else "the following arguments are required: command")
+    name, (func, _, positionals, options) = argv[0], COMMANDS[argv[0]]
+    ns = SimpleNamespace(func=func, **{k: a.default for k, a in options.items()})
+    waiting, extras, given, args = [*positionals][::-1], [], set(), iter(argv[1:])
 
-    p = sub.add_parser("homology", help="cohomology invariant factors")
-    p.add_argument("degree", type=int)
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--variant", choices=["rack", "quandle"], default="quandle")
-    p.add_argument("--basepoint", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_homology)
+    def take(arg: str) -> None:
+        if not waiting:
+            return extras.append(arg)
+        key = waiting.pop()
+        spec = positionals[key]
+        setattr(ns, key, _value(name, spec.metavar or key, spec, arg))
 
-    p = sub.add_parser("compare", help="multiset containment of two invariants")
-    p.add_argument("a")
-    p.add_argument("b")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+    for arg in args:
+        key, text = _option(arg, options)
+        if arg == "--":
+            for arg in args:
+                take(arg)
+        elif key is None:
+            take(arg)
+        elif key == "help":
+            raise Usage(0, _help(name))
+        elif not key:
+            extras.append(arg)
+        else:                       # its value: after "=", or the next value
+            if text is None and ((text := next(args, "--")) == "--"
+                                 or _option(text, options)[0] is not None):
+                _fail(name, f"argument --{key}: expected one argument")
+            setattr(ns, key, _value(name, "--" + key, options[key], text))
+            given.add(key)
+    missing = [positionals[k].metavar or k for k in waiting[::-1]] + [
+        "--" + k for k, a in options.items() if a.required and k not in given]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(name, "unrecognized arguments: " + " ".join(extras))
+    return ns
 
-    p = sub.add_parser("extend", help="dynamical extension quandle")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--cocycle", default=None)
-    common(p)
-    p.set_defaults(func=cmd_extend)
-    return parser
+
+def _option(arg: str, options: dict) -> tuple:
+    """(name, `=` value or None) of the option, or "help", that `arg` names
+    in full or by a unique prefix; (None, None) for a value and ("", None)
+    for an unknown option."""
+    if arg[:1] != "-" or arg == "-":
+        return None, None
+    if arg == "-h" or len(arg) > 2 and "--help".startswith(arg):
+        return "help", None
+    head, eq, text = arg.partition("=")
+    hits = [head[2:]] if head[:2] == "--" and head[2:] in options else [
+        k for k in options if len(head) > 2 and ("--" + k).startswith(head)]
+    if len(hits) == 1:
+        return hits[0], text if eq else None
+    return None if _NUMBER.match(arg) or " " in arg else "", None
+
+
+def _value(name: str, label: str, spec: Arg, text: str):
+    """`text` read as argument `label` of subcommand `name`."""
+    try:
+        value = spec.type(text)
+    except ValueError:
+        _fail(name, f"argument {label}: invalid int value: {text!r}")
+    if spec.choices and value not in spec.choices:
+        _fail(name, f"argument {label}: invalid choice: {text!r} (choose from "
+              f"{', '.join(map(repr, spec.choices))})")
+    if spec.low is not None and value < spec.low:
+        _fail(name, f"argument {label}: must be >= {spec.low}, got {value}")
+    return value
+
+
+def _fail(name: str | None, message: str):
+    prog = f"quandlekit {name}" if name else "quandlekit"
+    raise Usage(2, f"{_usage(name)}\n{prog}: error: {message}\n")
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of subcommand `name`, or of the program for None."""
+    if name is None:
+        return "usage: quandlekit [-h] {%s} ..." % ",".join(COMMANDS)
+    _, _, positionals, options = COMMANDS[name]
+    shown = {k: "{%s}" % ",".join(a.choices) if a.choices else
+             a.metavar or (k.upper() if k in options else k)
+             for k, a in {**positionals, **options}.items()}
+    return " ".join(["usage: quandlekit", name, "[-h]"] + [
+        ("--%s %s" if a.required else "[--%s %s]") % (k, shown[k])
+        for k, a in options.items()] + [shown[k] for k in positionals])
+
+
+def _help(name: str | None) -> str:
+    """The usage line and the help lines of subcommand `name`, or of all."""
+    rows = COMMANDS.items() if name is None else [(name, COMMANDS[name])]
+    return _usage(name) + "\n\n" + "".join(f"  {k:<11}{c[1]}\n" for k, c in rows)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    commands = parser.get_default("commands")
-    if argv and argv[0] in commands:
-        parser, argv = commands[argv[0]], argv[1:]
-    args = parser.parse_args(argv)
     try:
+        args = parse(sys.argv[1:] if argv is None else list(argv))
         with guarded(args.guard):
             return args.func(args)
+    except Usage as exc:
+        code, text = exc.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
     except CheckFailed as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1

@@ -14,14 +14,13 @@ are refused by the rules of the types they build (`verify_axioms`,
 `algebra._freeze`, `_require_module`).
 
 Shorthand quandles and reps are built once per process (`_built`), within
-a fixed bound of SHORTHANDS_KEPT results, so a process that runs many
-commands, as `cli.main` may, builds and checks conj-rep:perm3 once.  JSON
+a bound of KEPT_CELLS table cells, so a process that runs many commands, as
+`cli.main` may, builds and checks conj-rep:perm3 once.  JSON
 quandles, reps and cochains are read and checked on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from collections import Counter
@@ -30,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3, verify_relations)
-from .errors import CheckFailed, InputError, charge
+from .errors import GUARD, CheckFailed, InputError, charge
 from .homology import Cochain, _require_module
 from .linalg import _require_modulus
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
@@ -39,33 +38,46 @@ from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
 _INT = {int}
 _ROW = {list, tuple}
 
-# the bound of `_built`: the 29 distinct shorthands of a round of Alexander
-# and Burau jobs fit with room to spare
-SHORTHANDS_KEPT = 32
+# the bound of `_built`: the table cells of the results it keeps, |X|^2 for
+# a quandle and |X|^2 (1 + 2 dim^2) for a rep (its quandle, eta and tau),
+# each plus 64 for the objects around them (a tiny rep takes 600 bytes)
+KEPT_CELLS = GUARD
+_kept: dict = {}                # (kind, *args) -> (result, cells), oldest first
 
 
-@functools.lru_cache(maxsize=SHORTHANDS_KEPT, typed=True)
 def _built(kind: str, *args):
     """The shorthand quandle or rep `kind` (a key of QUANDLE_SHORTHANDS,
     "alexander-rep" or "conj-rep") on `args`, formed on the first call with
-    them (typed: True is not 1) and returned again until SHORTHANDS_KEPT
-    later distinct calls push it out; a call that raises keeps nothing.
-    Every shorthand quandle and rep is built here.  The constructor is
-    looked up only to build, so a tracer that rebinds it keeps every entry.
-    No shorthand constructor charges the guard, so a hit skips no refusal.
+    them and returned again, by one dict lookup, while it is kept; a call
+    that raises keeps nothing.  Every shorthand quandle and rep is built
+    here.  The constructor is looked up only to build, so a tracer that
+    rebinds it keeps every entry.  No shorthand constructor charges the
+    guard, so a hit skips no refusal.
 
-    At most SHORTHANDS_KEPT results are kept.  In the worst case each is a
-    quandle with as many table cells as the guard in force when it was built
-    admitted (10^7 under the default guard), with its inverse table, or a
-    rep on such a quandle: about 40 bytes a cell (dihedral:1000 and its
-    inverse take 40 MB on CPython 3.11), so up to about 13 GB under the
-    default guard.  A kept rep also keeps the memos its invariants fill,
-    which grow only with the work already done on it."""
+    The kept results hold at most KEPT_CELLS table cells: a new one pushes
+    out the oldest until it fits, and one larger than the bound is not
+    kept.  At about 40 bytes a cell (dihedral:1000 and its inverse take
+    40 MB on CPython 3.11) that is about 400 MB, with the memos a kept rep's
+    invariants fill, which grow only with the work already done on it."""
+    if (hit := _kept.get((kind, *args))) is not None:
+        return hit[0]
     if kind == "alexander-rep":         # trivial-action:N too, as t = 1
-        return make_alexander_rep(*args)
-    if kind == "conj-rep":              # perm3, the one conj-rep shorthand
-        return make_conj_rep(permutation_rep_r3(*args))
-    return QUANDLE_SHORTHANDS[kind][0](*args)
+        built = make_alexander_rep(*args)
+    elif kind == "conj-rep":            # perm3, the one conj-rep shorthand
+        built = make_conj_rep(permutation_rep_r3(*args))
+    else:
+        built = QUANDLE_SHORTHANDS[kind][0](*args)
+    q = getattr(built, "quandle", built)
+    cells = q.size ** 2 * (1 + 2 * getattr(built, "dim", 0) ** 2) + 64
+    if cells <= KEPT_CELLS:
+        total = sum(c for _, c in _kept.values()) + cells
+        while total > KEPT_CELLS:
+            total -= _kept.pop(next(iter(_kept)))[1]
+        _kept[(kind, *args)] = built, cells
+    return built
+
+
+_built.cache_clear = _kept.clear
 
 
 def dumps_document(doc: dict) -> str:

@@ -1,4 +1,3 @@
-import argparse
 import json
 import random
 import time
@@ -15,6 +14,8 @@ from quandlekit.cli import main
 from quandlekit.errors import GuardExceeded, guarded
 from quandlekit.groups import cyclic_group
 from quandlekit.quandles import generating_set, make_core
+
+from argparse_oracle import oracle_parse
 
 
 def run(capsys, *argv):
@@ -1008,13 +1009,19 @@ def test_a_failing_rep_is_bounded_before_its_full_scan(capsys, tmp_path):
     assert code == 1 and "relation (3) fails at (x,y,z)=(0,0,0)" in json.loads(out)["failures"]
 
 
-def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
-                                                            monkeypatch):
-    """main reuses one parser: an interleaved sequence gives the outputs and
-    exit codes of runs with a freshly built parser, and an option given to
-    one call (--quandle, --guard) does not reach the next.  Each call parses
-    its argv once, and an unrecognized argument is reported with the
-    subcommand's usage line."""
+def test_main_parses_each_call_once_and_does_not_leak_arguments(capsys, tmp_path,
+                                                                monkeypatch):
+    """An interleaved sequence of calls in one process gives the exit codes
+    and outputs of fresh processes run in the same order, so an option given
+    to one call (--quandle, --guard) does not reach the next.  Each call
+    walks its argv once, by `cli.parse`, and leaves the table COMMANDS as
+    it was; an unrecognized argument is reported with the subcommand's
+    usage line."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     module = ["invariant", "module", "--rep", "alexander-rep:5:2", "--knot", "3_1"]
     sequence = [
@@ -1034,44 +1041,160 @@ def test_main_builds_one_parser_and_does_not_leak_arguments(capsys, tmp_path,
         ["colorings", "--help"],
         ["colorings", "dihedral:3", "3_1", "--frobnicate"],
     ]
+    parse, parsed = cli.parse, []
 
-    def outcomes():
-        seen = []
-        for argv in sequence:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            seen.append((code, *capsys.readouterr()))
-        return seen
+    def counted(argv):
+        parsed.append(list(argv))
+        return parse(argv)
 
-    built = []
-    init = argparse.ArgumentParser.__init__
+    table = repr(cli.COMMANDS)
+    monkeypatch.setattr(cli, "parse", counted)
+    seen = []
+    for argv in sequence:
+        seen.append((main(argv), *capsys.readouterr()))
+    assert parsed == sequence and repr(cli.COMMANDS) == table
+    assert [code for code, _, _ in seen] == [0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0,
+                                             0, 0, 0, 2]
+    assert seen[-1][2].startswith("usage: quandlekit colorings ")
+    assert "unrecognized arguments: --frobnicate" in seen[-1][2]
+    a.unlink()
+    b.unlink()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    fresh = [subprocess.run([sys.executable, "-m", "quandlekit.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in sequence]
+    assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == seen
 
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    parses = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+def test_importing_the_command_line_leaves_argparse_out():
+    """The package parses its command line itself: `import quandlekit.cli`
+    loads no argparse."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
-    def counted_parse(self, *args, **kwargs):
-        parses.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, quandlekit.cli; "
+                           "print('argparse' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
-    cli.build_parser.cache_clear()
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
-    reused = outcomes()
-    assert built.count("quandlekit") == 1 and len(built) == 8  # 7 subparsers
-    assert parses == [f"quandlekit {argv[0]}" for argv in sequence]
-    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0,
-                                               0, 0, 0, 2]
-    assert reused[-1][2].startswith("usage: quandlekit colorings ")
-    assert "unrecognized arguments: --frobnicate" in reused[-1][2]
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    assert outcomes() == reused
-    assert len(built) == 8 * (1 + len(sequence))
+
+# Values the grammar below draws for a str argument: a negative number, a
+# decimal and a text with a space that start with "-" are values too.
+_TEXTS = ["dihedral:3", "3_1", "k=3; 1 -2 1 -2", "a.json", "=x", "-7", "-1.5", "-1 -1 -1"]
+_BAD_INTS = ["x", "1.5", "1e3", "-1.5", "3_1"]
+
+
+@st.composite
+def _argv(draw):
+    """A command line from a grammar of the forms argparse reads alike on
+    Python 3.10 to 3.13: for a subcommand, valid and bad ints, valid and bad
+    choices, too few or too many positionals, options before, between and
+    after them as --name value, --name=value or a unique prefix of either,
+    repeated options, an option with no value, an unknown option, help
+    flags, negative numbers as values, and one "--" before the last
+    positionals, after every option; at the top, no argv, help or an unknown
+    subcommand.  Most draws are valid, so that about a third of the command
+    lines are accepted.
+
+    Left out: single-dash options other than -h, a help flag with an `=`
+    value, "--" as an option's value or more than once, an option after
+    "--", an empty `=` value, negative numbers other than -<digits> and
+    decimals, options before the subcommand's name, and a negative --guard
+    (refused, unlike argparse; pinned by its own test)."""
+    top = draw(st.sampled_from([None] * 16 + [[], ["--help"], ["-h"], ["--he"], ["frob", "x"]]))
+    if top is not None:
+        return top
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positionals_of, options_of = cli.COMMANDS[name]
+    rarely = st.integers(0, 9).map(lambda n: n == 0)
+
+    def value(key, spec):
+        if spec.choices:
+            return draw(st.sampled_from(spec.choices)) if not draw(rarely) else "frob"
+        if spec.type is int:
+            if draw(rarely):
+                return draw(st.sampled_from(_BAD_INTS))
+            return str(draw(st.integers(0 if key == "guard" else -30, 10 ** 8)))
+        return draw(st.sampled_from(_TEXTS))
+
+    positionals = [value(k, a) for k, a in positionals_of.items()]
+    if draw(rarely):
+        positionals = positionals[:draw(st.integers(0, len(positionals)))]
+    if draw(rarely) and len(positionals) == len(positionals_of):
+        positionals += draw(st.lists(st.sampled_from(_TEXTS), min_size=1, max_size=2))
+    options = []
+    for _ in range(draw(st.integers(0, 5))):
+        key = draw(st.sampled_from(list(options_of)))
+        if draw(rarely):
+            key = draw(st.sampled_from(["frobnicate", "help"]))
+        flag = "--" + key[:draw(st.integers(1, len(key)))] if key != "frobnicate" else "--frobnicate"
+        if key == "help":
+            options.append([draw(st.sampled_from(["-h", flag]))])
+            continue
+        text = value(key, options_of.get(key, cli.Arg()))
+        form = draw(st.sampled_from([[flag, text], [f"{flag}={text}"]]))
+        options.append([flag] if draw(rarely) else form)
+    dashes = draw(st.integers(0, len(positionals)))
+    slots = sorted(draw(st.integers(0, dashes)) for _ in options)
+    bare = {group[0] for group in options if len(group) == 1}
+    argv = [name]
+    for i, text in enumerate(positionals + [None]):
+        argv += [t for slot, group in zip(slots, options) if slot == i for t in group]
+        if i == dashes and text is not None and argv[-1] not in bare and draw(st.booleans()):
+            argv.append("--")
+        argv += [text] if text is not None else []
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(argv=_argv())
+def test_the_command_line_reads_argv_as_argparse_did(argv):
+    """`cli.parse` against the argparse parser it replaced
+    (tests/argparse_oracle.py): the same exit code (help 0, usage error 2)
+    for every drawn argv, and for an accepted one the same fields, which
+    are every field a cmd_* function reads."""
+    code, expected = oracle_parse(argv)
+    try:
+        ours, fields = None, vars(cli.parse(argv))
+    except cli.Usage as exc:
+        ours, fields = exc.args[0], None
+    assert ours == code
+    assert fields == (vars(expected) if expected else None)
+
+
+def test_usage_errors_name_the_argument(capsys):
+    """Our own error texts, each after the subcommand's usage line, for an
+    unrecognized argument, a missing option value, a bad int and a missing
+    required option; a negative --guard is refused at parse time, one step
+    below a guard of 0, which the colorings exceed."""
+    usage = ("usage: quandlekit colorings [-h] [--out OUT] [--jobs JOBS] "
+             "[--guard GUARD] quandle braid\n")
+    cases = [
+        (["colorings", "dihedral:3", "3_1", "--frobnicate"],
+         usage + "quandlekit colorings: error: unrecognized arguments: --frobnicate\n"),
+        (["colorings", "dihedral:3", "3_1", "--guard"],
+         usage + "quandlekit colorings: error: argument --guard: expected one argument\n"),
+        (["colorings", "dihedral:3", "--gu=x", "3_1"],
+         usage + "quandlekit colorings: error: argument --guard: invalid int value: 'x'\n"),
+        (["colorings", "dihedral:3", "3_1", "--guard", "-1"],
+         usage + "quandlekit colorings: error: argument --guard: must be >= 0, got -1\n"),
+    ]
+    for argv, err in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+    assert main(["homology", "2", "--rep", "trivial-action:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quandlekit homology [-h] --quandle QUANDLE --rep REP ")
+    assert err.endswith("\nquandlekit homology: error: the following arguments "
+                        "are required: --quandle\n")
+    assert main(["colorings", "dihedral:3", "3_1", "--guard", "0"]) == 3
+    assert capsys.readouterr().err == ("guard exceeded: 9 table cells of "
+                                       "'dihedral:3' exceed the guard of 0\n")
+    assert main(["invariant", "module", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: quandlekit invariant [-h] ") and err == ""
 
 
 def test_factoring_a_modulus_is_bounded(capsys):

@@ -71,7 +71,7 @@ def test_a_rebound_constructor_keeps_the_built_shorthands(monkeypatch):
     """`_built` is keyed by the shorthand's kind and arguments, not by the
     constructor object: with `io.make_alexander_rep` rebound to a counting
     wrapper, as a tracer wraps it, the kept quandle and reps come back as
-    the same objects with no new miss, and only a shorthand not yet built
+    the same objects with no new entry, and only a shorthand not yet built
     calls the wrapper."""
     qio._built.cache_clear()
     r5 = qio.load_quandle("dihedral:5")
@@ -84,15 +84,36 @@ def test_a_rebound_constructor_keeps_the_built_shorthands(monkeypatch):
         return make(*args)
 
     monkeypatch.setattr(qio, "make_alexander_rep", counted)
-    misses = qio._built.cache_info().misses
+    entries = len(qio._kept)
     assert qio.load_quandle("dihedral:5") is r5
     assert qio.load_rep("alexander-rep:5:2", quandle=r5) is kept
     assert qio.load_rep("trivial-action:5", quandle=r5) is trivial
     assert qio.load_rep("alexander-rep:5:1", quandle=r5) is trivial
-    assert (calls, qio._built.cache_info().misses) == ([], misses)
+    assert (calls, len(qio._kept)) == ([], entries)
     new = qio.load_rep("alexander-rep:5:3", quandle=r5)
     assert new.label == "alexander-rep(N=5,t=3)" and len(calls) == 1
-    assert qio._built.cache_info().misses == misses + 1
+    assert len(qio._kept) == entries + 1
+
+
+def test_the_built_shorthands_are_held_to_their_table_cells(monkeypatch):
+    """`_built` keeps at most KEPT_CELLS table cells: under a bound of
+    20,000 cells, loading 40 shorthand quandles of 1,600 to 6,241 cells and
+    an Alexander rep on each (3 cells a quandle cell) keeps the cells under the bound after every
+    load, pushes out the oldest results first and keeps the newest one; a
+    quandle larger than the bound is built on every load and never kept."""
+    monkeypatch.setattr(qio, "KEPT_CELLS", 20_000)
+    qio._built.cache_clear()
+    for n in range(40, 80):
+        q = qio.load_quandle(f"dihedral:{n}")
+        rep = qio.load_rep(f"alexander-rep:{n}:1", quandle=q)
+        assert sum(cells for _, cells in qio._kept.values()) <= 20_000
+        assert qio.load_rep(f"alexander-rep:{n}:1", quandle=q) is rep
+        assert list(qio._kept)[-1] == ("alexander-rep", q, n, 1)
+    assert ("dihedral", 40) not in qio._kept and len(qio._kept) < 10
+    big = qio.load_quandle("dihedral:150")
+    again = qio.load_quandle("dihedral:150")
+    assert big == again and big is not again
+    assert ("dihedral", 150) not in qio._kept
 
 
 def test_malformed_rep_and_cochain_entries_exit_2(tmp_path, capsys):
