@@ -18,8 +18,8 @@ pair, (eta, tau)[x][y] or its inverse pair `algebra.bar`, and `_path_walk`,
 the one path rule, which adds each crossing's path action, numbered by value
 per rep, for `crossing_data` and `invariants.cocycle_invariant`), linear
 forms (`_burau_rows`, the one linear-form walk: over Z_n for the colorings,
-over Z[t^+-1] for `fox.alexander_polynomial`, and as row blocks for
-`colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
+over Z[t^+-1] packed at t = 2^W for `fox.alexander_polynomial`, and as row
+blocks for `colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
 triples stand for the Wirtinger relators that `fox.twisted_matrix` reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
@@ -331,12 +331,13 @@ def _charge_colorings(q: FiniteQuandle, w: BraidWord) -> None:
 def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
     """The k x k Burau matrix M of the word over a ring, read in one walk of
     `_crossings`.  Each strand's color is a linear form over the bottom
-    colors, a k-tuple of ring elements starting from `units`, the unit
-    vectors; `op` applies a*b = t a + (1 - t) b entrywise and `inv_op` its
-    inverse a bar* b = t^-1 (a - (1 - t) b).  Row i of M is the form that
-    ends at top position i, so top colors are M * bottom.  Over Z_n it is
-    the colorings' matrix at t (`_affine_burau`), over Z[t^+-1] the
-    unreduced Burau matrix of `fox.alexander_polynomial`, and with a row
+    colors, starting from `units`, the unit vectors; `op` applies a*b =
+    t a + (1 - t) b entrywise and `inv_op` its inverse a bar* b =
+    t^-1 (a - (1 - t) b).  Row i of M is the form that ends at top position
+    i, so top colors are M * bottom.  Over Z_n it is the colorings' matrix
+    at t (`_affine_burau`), over Z[t^+-1], as ints at t = 2^W with a
+    coefficient bound and a lowest exponent per form, the unreduced Burau
+    matrix of `fox.alexander_polynomial`, and with a row
     block of the identity per position and each crossing's block pair as
     both operations, the colored matrix (`colored_matrix`)."""
     rows = list(units)

@@ -25,7 +25,7 @@ from itertools import compress
 from typing import Optional
 
 from .errors import GuardExceeded, InputError
-from .laurent import lp_det
+from .laurent import _bareiss
 
 Matrix = list[list[int]]
 
@@ -93,8 +93,8 @@ def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:
 
 
 def int_det(a: Matrix) -> int:
-    """Exact determinant: `laurent.lp_det` on constant polynomials."""
-    return lp_det([[{0: x} if x else {} for x in row] for row in a]).get(0, 0)
+    """Exact determinant: the package's one Bareiss loop, `laurent._bareiss`."""
+    return _bareiss(a)
 
 
 def _require_modulus(n) -> None:

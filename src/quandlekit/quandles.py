@@ -140,6 +140,15 @@ class FiniteQuandle:
         return self.table[a][b]
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.table, self.label))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of (table, label), computed once: `io._built`
+        hashes its key, this quandle among the arguments, on every hit."""
+        return self._hash
+
+    @cached_property
     def _inv_table(self) -> tuple[tuple[int, ...], ...]:
         # inv[a][b] = the unique c with c*b = a
         n = self.size

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandlekit.braids import (KNOT_TABLE, BraidWord, braid_or_knot,
+from quandlekit.braids import (KNOT_TABLE, BraidWord, _burau_rows, braid_or_knot,
                                colorings_of_closure, markov_moves, parse_braid)
 from quandlekit.errors import GUARD, InputError
 from quandlekit.fox import (
@@ -14,11 +14,12 @@ from quandlekit.fox import (
     wirtinger_from_braid,
 )
 from quandlekit import fox
-from quandlekit.laurent import (laurent_gcd_of_minors, lp_det, lp_eval, lp_mul,
-                                lp_normalize)
+from quandlekit.laurent import (_bareiss, _digits, laurent_gcd_of_minors, lp_det,
+                                lp_eval, lp_mul, lp_normalize)
 from quandlekit.linalg import kernel_mod_p
 from quandlekit.quandles import make_alexander, make_dihedral
 
+import alexander_oracle
 from fox_calculus import fox_derivative, reduce_word, ring_mul, word_inv, word_mul
 
 X = ((0, 1),)
@@ -136,10 +137,10 @@ def _alexander_by_gcd_of_minors(w):
 
 
 def test_alexander_matches_gcd_of_minors(monkeypatch):
-    """One first minor gives the gcd of all of them, with one lp_det call per
-    knot, of the k - 1 rows of the Burau minor on k strands: on 200 seeded
-    knots (2-5 strands, at most 14 letters), T(2, m) up to m = 21 and the
-    one-strand unknot."""
+    """One first minor gives the gcd of all of them, with one integer
+    Bareiss call per knot, on the k - 1 rows of the Burau minor on k
+    strands: on 200 seeded knots (2-5 strands, at most 14 letters), T(2, m)
+    up to m = 21 and the one-strand unknot."""
     rng = random.Random(20261019)
     knots = [BraidWord(1, ())] + [BraidWord(2, (1,) * m) for m in range(1, 22, 2)]
     while len(knots) < 212:
@@ -152,9 +153,9 @@ def test_alexander_matches_gcd_of_minors(monkeypatch):
 
     def counted(mat):
         calls.append(len(mat))
-        return lp_det(mat)
+        return _bareiss(mat)
 
-    monkeypatch.setattr(fox, "lp_det", counted)   # not the reference's
+    monkeypatch.setattr(fox, "_bareiss", counted)   # not the reference's
     nontrivial = 0
     for w in knots:
         calls.clear()
@@ -174,14 +175,10 @@ def _alexander_by_wirtinger_minor(w):
                                 for row in mat[:-1]]))
 
 
-@st.composite
-def _knots(draw):
-    """Braid words on 2-7 strands that close to a knot: at most 16 random
-    letters, then sigma_i^+-1 wherever strand i is not yet on the cycle of
-    strand 0 (the letter joins the two cycles), for i = 1 .. k - 1."""
-    k = draw(st.integers(2, 7))
-    letter = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([i, -i]))
-    letters = draw(st.lists(letter, max_size=16))
+def _joined(draw, k, letters):
+    """The word of the letters, then sigma_i^+-1 wherever strand i is not yet
+    on the cycle of strand 0 (the letter joins the two cycles), for i = 1 ..
+    k - 1: its closure is a knot."""
     for i in range(1, k):
         perm, cycle, s = BraidWord(k, tuple(letters)).permutation(), {0}, 0
         while perm[s]:
@@ -190,6 +187,110 @@ def _knots(draw):
         if i not in cycle:
             letters.append(draw(st.sampled_from([i, -i])))
     return BraidWord(k, tuple(letters))
+
+
+@st.composite
+def _knots(draw):
+    """Braid words on 2-7 strands that close to a knot: at most 16 random
+    letters, then the joining letters of `_joined`."""
+    k = draw(st.integers(2, 7))
+    letter = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return _joined(draw, k, draw(st.lists(letter, max_size=16)))
+
+
+@st.composite
+def _cancelling_knots(draw):
+    """Knots on 1-8 strands with at most 60 letters: at most 29 random
+    letters, with up to four words equal to 1 put in at random places (a
+    pair sigma_i^e sigma_i^-e, a braid relation sigma_i sigma_j sigma_i
+    (sigma_j sigma_i sigma_j)^-1 for |i - j| = 1, or a commutator of
+    distant generators), then the joining letters of `_joined`."""
+    k = draw(st.integers(1, 8))
+    if k == 1:
+        return BraidWord(1, ())
+    letter = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    letters = draw(st.lists(letter, max_size=29))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(1, k - 1)), draw(st.integers(1, k - 1))
+        e = draw(st.sampled_from([1, -1]))
+        if abs(i - j) == 1:
+            piece = [e * i, e * j, e * i, -e * j, -e * i, -e * j]
+        elif i != j:
+            piece = [e * i, e * j, -e * i, -e * j]
+        else:
+            piece = [e * i, -e * i]
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = piece
+    return _joined(draw, k, letters)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(w=_cancelling_knots())
+@example(w=BraidWord(3, (1, 2, 1, -2, -1, -2) * 9 + (1, 2)))
+@example(w=BraidWord(4, (1, 2, 3, -3, -2, -1) * 9 + (1, 2, 3)))
+def test_alexander_matches_the_dict_route(w):
+    """The packed walk and one integer Bareiss give the polynomial of the
+    dict route (`alexander_oracle`), on knots whose words are full of
+    cancelling pairs and braid relations."""
+    assert w.closure_components() == 1 and len(w.letters) <= 60
+    assert alexander_polynomial(w) == alexander_oracle.alexander_polynomial(w)
+
+
+def test_packed_walk_decodes_to_the_dict_burau_rows(monkeypatch):
+    """`_walk` at t = 2^8, 2^16 and 2^64 decodes, entry by entry, to the
+    Burau rows of the dict walk, and every coefficient is within its form's
+    bound, on 150 seeded words of 2-6 strands and up to 40 letters, of one
+    sign or of mixed signs.  At width 8 the bounds reach 2^7 - 1 within a
+    few letters, so the forms are renormalized often, and a word whose
+    coefficients do not fit raises _Narrow."""
+    rng = random.Random(20261021)
+    renormalized, narrow = [], 0
+    renormalize = fox._renormalize
+    monkeypatch.setattr(fox, "_renormalize",
+                        lambda *args: renormalized.append(args[2]) or renormalize(*args))
+    for _ in range(150):
+        k, sign = rng.randint(2, 6), rng.choice((1, -1, 0))   # 0: mixed signs
+        w = BraidWord(k, tuple((sign or rng.choice((1, -1))) * rng.randint(1, k - 1)
+                               for _ in range(rng.randint(0, 40))))
+        units = [tuple([{0: 1} if i == j else {} for j in range(k)]) for i in range(k)]
+        expected = _burau_rows(w, alexander_oracle._slide(1), alexander_oracle._slide(-1),
+                               units)
+        for width in (8, 16, 64):
+            try:
+                rows = fox._walk(w, width)
+            except fox._Narrow:
+                narrow += 1
+                continue
+            for (low, bound, ints), row in zip(rows, expected):
+                for x, entry in zip(ints, row):
+                    digits = _digits(x, width)
+                    assert {e + low: c for e, c in enumerate(digits) if c} == entry, w
+                    assert max(map(abs, digits)) <= bound, w
+    assert renormalized.count(8) >= 300 and narrow >= 3
+
+
+def test_renormalization_and_restart(monkeypatch):
+    """T(2, 101) outgrows its tracked bounds at W = 64 and is renormalized
+    without a restart.  (sigma_1 sigma_2^-1)^50, whose Delta has
+    coefficients over 2^63, still outgrows W = 64 after renormalizing and
+    is walked again at W = 128, then once more at W = 192, where the exact
+    L1 norms of its minor's rows fit."""
+    widths, renormalized = [], []
+    walk, renormalize = fox._walk, fox._renormalize
+    monkeypatch.setattr(fox, "_walk",
+                        lambda w, width: widths.append(width) or walk(w, width))
+    monkeypatch.setattr(fox, "_renormalize",
+                        lambda *args: renormalized.append(args[2]) or renormalize(*args))
+    assert alexander_polynomial(BraidWord(2, (1,) * 101)) == \
+        {i: (-1) ** i for i in range(101)}
+    assert widths == [64] and renormalized
+    widths.clear()
+    renormalized.clear()
+    w = BraidWord(3, (1, -2) * 50)
+    delta = alexander_polynomial(w)
+    assert delta == alexander_oracle.alexander_polynomial(w)
+    assert widths == [64, 128, 192] and 64 in renormalized
+    assert max(map(abs, delta.values())).bit_length() > 63
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

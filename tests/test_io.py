@@ -9,7 +9,8 @@ from quandlekit import io as qio
 from quandlekit.algebra import make_alexander_rep, make_conj_rep, permutation_rep_r3
 from quandlekit.errors import InputError
 from quandlekit.homology import Cochain, _require_module
-from quandlekit.quandles import make_dihedral, make_trivial, quandle_from_table, verify_axioms
+from quandlekit.quandles import (FiniteQuandle, make_dihedral, make_trivial, quandle_from_table,
+                                 verify_axioms)
 
 
 def test_quandle_round_trip(tmp_path):
@@ -93,6 +94,33 @@ def test_a_rebound_constructor_keeps_the_built_shorthands(monkeypatch):
     new = qio.load_rep("alexander-rep:5:3", quandle=r5)
     assert new.label == "alexander-rep(N=5,t=3)" and len(calls) == 1
     assert len(qio._kept) == entries + 1
+
+
+def test_a_kept_rep_hashes_its_quandle_once():
+    """`_built` keys a rep by its arguments, the quandle among them: a table
+    whose rows count their hashes and compares is hashed once over repeated
+    hits, and a hit on the same quandle object compares no row."""
+    hashes, compares = [], []
+
+    class Row(tuple):
+        def __hash__(self):
+            hashes.append(1)
+            return tuple.__hash__(self)
+
+        def __eq__(self, other):
+            compares.append(1)
+            return tuple.__eq__(self, other)
+
+    qio._built.cache_clear()
+    r5 = make_dihedral(5)
+    counted = FiniteQuandle(tuple(Row(row) for row in r5.table), r5.label)
+    kept = qio.load_rep("alexander-rep:7:2", quandle=counted)
+    assert len(hashes) == counted.size and not compares
+    for _ in range(5):
+        assert qio.load_rep("alexander-rep:7:2", quandle=counted) is kept
+    assert len(hashes) == counted.size and not compares
+    assert hash(counted) == hash(r5) and counted == r5
+    qio._built.cache_clear()
 
 
 def test_the_built_shorthands_are_held_to_their_table_cells(monkeypatch):

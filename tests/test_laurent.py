@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from quandlekit.laurent import (
-    _lp_div,
+    _digits,
+    _width,
     laurent_gcd_of_minors,
     lp,
     lp_add,
@@ -17,6 +18,9 @@ from quandlekit.laurent import (
     lp_mul,
     lp_normalize,
 )
+
+from alexander_oracle import _lp_div
+from alexander_oracle import lp_det as dict_det
 
 random.seed(7)
 
@@ -118,6 +122,55 @@ def test_det_matches_permutation_expansion():
         singular += not det
         assert det == _permutation_det(mat), mat
     assert singular >= 150
+
+
+def test_det_matches_the_dict_bareiss():
+    """The packed determinant against the dict Bareiss, on 300 seeded
+    matrices of sizes 0-6 with negative exponents, zero entries, entries 50
+    exponents apart, and coefficients up to 2^90, which need slots wider
+    than 64 bits."""
+    rng = random.Random(20261020)
+    wide = 0
+    for trial in range(300):
+        n, size = trial % 7, rng.choice((3, 1000, 1 << 40, 1 << 90))
+        shift = rng.choice((0, 0, 50, -50))
+
+        def entry():
+            low = rng.randint(-3, 2) + shift * rng.randint(0, 1)
+            return lp(*((e, rng.randint(-size, size))
+                        for e in range(low, low + rng.randint(0, 4))))
+
+        mat = [[entry() if rng.random() < 0.7 else {} for _ in range(n)]
+               for _ in range(n)]
+        wide += size > 1 << 20 and n > 0
+        assert lp_det(mat) == dict_det(mat), mat
+    assert wide >= 100
+    # det [[p, p], [p, -p]] = -2 p^2: its middle coefficient -16 c^2 needs
+    # slots of 192 bits, where c^2, the product of the rows' largest
+    # coefficients, would have asked for 128
+    c = (1 << 62) - 1
+    p = {e: c for e in range(8)}
+    assert lp_det([[p, p], [p, lp_mul(p, {0: -1})]]) == lp_mul(lp_mul(p, p), {0: -2})
+
+
+@pytest.mark.parametrize("width", [8, 64, 128, 192])
+def test_balanced_digits_at_the_edges(width):
+    """_digits reads back the extreme digits +-(2^(W - 1) - 1) in every
+    slot, the top one too, side by side with digits of either sign;
+    _width(b) is the least multiple of 64 whose digits hold +-b."""
+    edge = (1 << width - 1) - 1
+    rng = random.Random(width)
+    cases = [[edge], [-edge], [edge, -edge, edge], [-edge, 0, 0, -edge],
+             [0, edge], [1, -1, edge, -edge], [0]]
+    cases += [[rng.choice((edge, -edge, 0, 1, -1)) for _ in range(rng.randint(1, 12))]
+              for _ in range(300)]
+    for digits in cases:
+        x = sum(d << width * e for e, d in enumerate(digits))
+        got = _digits(x, width)
+        assert got[:len(digits)] == digits[:len(got)], digits
+        assert not any(got[len(digits):] + digits[len(got):]), digits
+    if width % 64 == 0:
+        assert _width(edge) == width and _width(edge + 1) == width + 64
 
 
 def test_lp_div_exact_and_rejects_non_divisors():

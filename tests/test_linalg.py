@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from alexander_oracle import lp_det as dict_det
 from quandlekit.errors import InputError
 from quandlekit.linalg import (
     _local_homology,
@@ -278,13 +279,23 @@ def test_mat_inv_mod():
 
 
 def test_int_det_matches_cofactor_expansion():
+    """int_det, the integer Bareiss, against the cofactor expansion and the
+    dict Bareiss on constant polynomials, with entries up to 2^80, zero
+    columns and repeated rows."""
     rng = random.Random(11)
     for k in range(7):
-        for _ in range(15):
-            a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        for trial in range(30):
+            size = 9 if trial % 2 else 1 << 80
+            a = [[rng.randint(-size, size) for _ in range(k)] for _ in range(k)]
             if k and rng.random() < 0.3:      # a repeated row: det 0
                 a[-1] = list(a[0])
+            elif k and rng.random() < 0.2:    # a zero column: det 0
+                col = rng.randrange(k)
+                for row in a:
+                    row[col] = 0
             assert int_det(a) == _det(a)
+            assert int_det(a) == dict_det([[{0: x} if x else {} for x in row]
+                                           for row in a]).get(0, 0)
 
 
 def test_mat_frac_inverse():
