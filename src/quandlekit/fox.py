@@ -111,10 +111,6 @@ def _settle(cell: Laurent, modulus) -> Laurent:
     return {e: c for e, c in cell.items() if c}
 
 
-def trivial_rho(pres: WirtingerPresentation):
-    return [[[1]] for _ in range(pres.generators)]
-
-
 def _free_reduce(letters: tuple) -> tuple:
     """The letters with every adjacent sigma_i sigma_i^-1 pair cancelled,
     also the pairs that meet once a pair between them is gone."""
@@ -226,8 +222,8 @@ def alexander_polynomial(w: BraidWord) -> Laurent:
     exceed the guard.  Each letter joins at most two strands, so more than
     letters + 1 strands close to a link; that is refused before the strand
     permutation is built.  The Wirtinger minor (`twisted_matrix` with
-    `trivial_rho`) gives the same polynomial, from a matrix as large as the
-    diagram's arcs."""
+    rho = 1 on every arc) gives the same polynomial, from a matrix as large
+    as the diagram's arcs."""
     k, n = w.strands, len(w.letters)
     if k > n + 1 or w.closure_components() != 1:
         raise InputError("closure is a link with more than one component")

@@ -249,31 +249,9 @@ def coboundary_matrix(cfg: ComplexConfig, degree: int) -> Matrix:
     return out
 
 
-def cochain_to_vector(cfg: ComplexConfig, kappa: Cochain) -> list[int]:
-    """kappa, which must fit the rep, in the basis of _basis; a value on a
-    tuple outside it, a degenerate tuple of the quandle complex, must be 0."""
-    _require_module(cfg.rep, kappa)
-    m, N = cfg.rep.dim, kappa.modulus
-    basis = _basis(cfg, kappa.degree)
-    vec = [0] * (len(basis) * m)
-    for key, v in kappa.values.items():
-        pos = basis.get(key)
-        if pos is not None:
-            vec[pos * m:(pos + 1) * m] = [x % N for x in v]
-        elif any(x % N for x in v):
-            raise InputError(f"cochain is nonzero at {key}, which is not a "
-                             f"tuple of the {cfg.variant} complex")
-    return vec
-
-
-def vector_to_cochain(cfg: ComplexConfig, degree: int, vec) -> Cochain:
-    """The degree-n cochain whose vector in the basis of _basis is `vec`."""
-    return _vector_to_cochain(cfg, degree, _basis(cfg, degree), vec)
-
-
 def _vector_to_cochain(cfg: ComplexConfig, degree: int, basis: dict,
                        vec) -> Cochain:
-    # vector_to_cochain with the basis listed by the caller, once for many vectors
+    """The degree-n cochain whose vector in `basis`, _basis(cfg, degree), is vec."""
     m, N = cfg.rep.dim, cfg.rep.modulus
     values = {}
     for key, pos in basis.items():
@@ -410,7 +388,7 @@ def _basis_size(cfg: ComplexConfig, n: int) -> int:
 
 def cohomology(cfg: ComplexConfig, degree: int) -> list[int]:
     """Invariant factors of ker(delta^degree)/im(delta^{degree-1}) in the
-    complex that cfg.variant selects, by `ker_mod_im`'s elimination over
+    complex that cfg.variant selects, by `_ker_mod_im`'s elimination over
     each Z/p^e in N, merged by CRT: on the whole of delta^{degree-1}, and on
     the rows of delta^degree at the tuples ending in the generating set S,
     which have its kernel (the generator rule in the module docstring).

@@ -145,18 +145,24 @@ def _load_json(path: str) -> dict:
             raise InputError(f"{path}: key {key!r} appears twice in one object")
         return obj
 
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=unique)
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError:                 # a directory, or a file it may not read
+        raise InputError(f"{path}: not a readable file") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
     except InputError:              # a key given twice, from `unique`
         raise
+    except UnicodeDecodeError:      # a ValueError too, so caught before it
+        raise InputError(f"{path}: the file is not UTF-8 text") from None
     except ValueError:              # an integer of more digits than int() reads
         raise InputError(f"{path}: a number has too many digits") from None
+    except RecursionError:
+        raise InputError(f"{path}: the JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top-level JSON value is not an object")
     return doc

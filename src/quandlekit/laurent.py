@@ -23,10 +23,11 @@ every map i -> j, the permutations among them.  No coefficient exceeds
 |det|, so once 2^(W - 1) exceeds the product of the rows' L1 norms, the
 digits of det(2^W) are the determinant's coefficients.
 
-The rational gcd of all k x k minors (`laurent_gcd_of_minors`, `lp_gcd`)
-has no caller in the package, since `fox.alexander_polynomial` takes one
-first minor, of the Burau matrix minus I: it is kept as a test reference
-until the benchmark's tracer stops naming it.
+The rational gcd of all k x k minors has no caller in the package, since
+`fox.alexander_polynomial` takes one first minor of the Burau matrix minus
+I.  Kept only while `bench/tracing.py` names them in LAYERS, as the tests'
+references: `laurent_gcd_of_minors`, `lp_gcd`, `lp_det`, `lp_normalize`,
+`_to_poly`, `_poly_mod` and `_poly_gcd`.
 """
 
 from __future__ import annotations
@@ -36,58 +37,6 @@ import math
 from fractions import Fraction
 
 Laurent = dict  # {exponent: coefficient}
-
-
-def lp(*pairs) -> Laurent:
-    """Build a Laurent polynomial from (exponent, coefficient) pairs."""
-    out: Laurent = {}
-    for e, c in pairs:
-        if c:
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-    return out
-
-
-def lp_const(c) -> Laurent:
-    return {0: c} if c else {}
-
-
-def lp_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def lp_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def lp_eval(a: Laurent, t0, mod: int | None = None):
-    """Evaluate at an integer t0; with a modulus, t0 must be a unit mod N."""
-    if mod is None:
-        return sum(c * t0 ** e if e >= 0 else Fraction(c, t0 ** (-e))
-                   for e, c in a.items())
-    tinv = pow(t0 % mod, -1, mod)
-    total = 0
-    for e, c in a.items():
-        p = pow(t0 % mod, e, mod) if e >= 0 else pow(tinv, -e, mod)
-        total = (total + c * p) % mod
-    return total
 
 
 def lp_normalize(a: Laurent) -> Laurent:

@@ -10,9 +10,11 @@ dense input is converted once.  It takes the p-valuations in turn, least
 first, and at valuation v the row with the fewest entries that has an
 entry of valuation v pivots, the first in row order on a tie, at its
 lowest column of valuation v; over a prime the pivot columns are the RREF's.
-The lattice route over Z and Q (`int_kernel` to
-`quotient_invariant_factors`) has no caller in the package: it is kept as a
-test reference until the benchmark's tracer stops naming it.
+The lattice route over Z and Q has no caller in the package.  Kept only
+while `bench/tracing.py` names them in LAYERS, as the tests' references:
+`smith_normal_form` with `SnfResult` and its five row and column helpers,
+`int_kernel`, `lattice_basis`, `solve_exact`, `quotient_invariant_factors`
+and `mat_frac_inverse`, with the `fractions` and `dataclass` imports.
 """
 
 from __future__ import annotations
@@ -424,17 +426,12 @@ def _local_homology(a: list, b: list, p: int, e: int, n: int,
     return [v for v in _eliminate(ct, [{}] * len(exps), p, e, None) if v], gens
 
 
-def ker_mod_im(a: Matrix, b: Matrix, modulus: int) -> list[int]:
+def _ker_mod_im(a: list, b: list, modulus: int) -> list[int]:
     """Invariant factors > 1 of ker(a)/im(b) over Z_N, ascending, given
-    a.b = 0 (mod N) with one row of b per column of a.
+    sparse rows with a.b = 0 (mod N) and one row of b per column of a.
 
     Computed over Z/p^e for each prime power of N, with the local factors
     multiplied together from the largest down (Chinese remaindering)."""
-    _require_modulus(modulus)
-    return _ker_mod_im(_sparse(a, modulus), _sparse(b, modulus), modulus)
-
-
-def _ker_mod_im(a: list, b: list, modulus: int) -> list[int]:
     factors: list[int] = []         # descending
     for p, e in _prime_powers(modulus).items():
         exps = sorted(_local_homology(a, b, p, e, modulus, False)[0], reverse=True)

@@ -5,11 +5,40 @@ test oracle.
 `fox` and `laurent` used to run, copied unchanged apart from the imports
 and the guard charge: Laurent linear forms walked by `braids._burau_rows`,
 Bareiss elimination over Z[t, 1/t] with exact long division, and
-`laurent.lp_normalize`.  The package itself keeps none of it."""
+`laurent.lp_normalize`.  The package itself keeps none of it, nor the dict
+ring operations `lp_const`, `lp_add` and `lp_mul` that it runs on."""
 
 from quandlekit.braids import BraidWord, _burau_rows
 from quandlekit.errors import InputError
-from quandlekit.laurent import Laurent, lp_add, lp_const, lp_mul, lp_normalize
+from quandlekit.laurent import Laurent, lp_normalize
+
+
+def lp_const(c) -> Laurent:
+    return {0: c} if c else {}
+
+
+def lp_add(a: Laurent, b: Laurent) -> Laurent:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def lp_mul(a: Laurent, b: Laurent) -> Laurent:
+    out: Laurent = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 def _slide(d: int):

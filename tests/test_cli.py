@@ -360,7 +360,8 @@ def test_search_over_composite_modulus(capsys, tmp_path):
     import math
     from quandlekit.homology import ComplexConfig, coboundary_matrix
     from quandlekit.io import load_quandle, load_rep
-    from quandlekit.linalg import cokernel_mod, ker_mod_im
+    from quandlekit.linalg import cokernel_mod
+    from dense_linalg import ker_mod_im
     args = ["dihedral:3", "alexander-rep:9:2", "9"]
     code, out = run(capsys, "search", "2", *args)
     assert code == 0

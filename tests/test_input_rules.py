@@ -19,11 +19,11 @@ from quandlekit.algebra import (make_alexander_rep, make_conj_rep, make_group_re
 from quandlekit.braids import braid_or_knot, colorings_of_closure
 from quandlekit.errors import InputError
 from quandlekit.fox import twisted_matrix, wirtinger_from_braid
-from quandlekit.linalg import (cokernel_mod, is_invertible_mod, ker_mod_im,
-                               kernel_mod, kernel_mod_p, mat_inv_mod)
+from quandlekit.linalg import (cokernel_mod, is_invertible_mod, kernel_mod,
+                               kernel_mod_p, mat_inv_mod)
 from quandlekit.groups import FiniteGroup, cyclic_group
 from quandlekit.homology import (Cochain, ComplexConfig, coboundary,
-                                 cochain_to_vector, is_cocycle_2, is_cocycle_3)
+                                 is_cocycle_2, is_cocycle_3)
 from quandlekit.invariants import (boltzmann_weight, cocycle_invariant,
                                    dynamical_extension)
 from quandlekit.quandles import make_dihedral, make_trivial
@@ -46,8 +46,6 @@ def _json(kappa: Cochain, tmp_path) -> str:
 # from a JSON file and is asked for degree 2
 CONSUMERS = {
     "coboundary": (2, False, lambda k, tmp: coboundary(ComplexConfig(rep=REP), k)),
-    "cochain_to_vector": (
-        2, False, lambda k, tmp: cochain_to_vector(ComplexConfig(rep=REP), k)),
     "is_cocycle_2": (2, True, lambda k, tmp: is_cocycle_2(ComplexConfig(rep=REP), k)),
     "is_cocycle_3": (3, True, lambda k, tmp: is_cocycle_3(ComplexConfig(rep=REP), k)),
     "cocycle_invariant": (2, True, lambda k, tmp: cocycle_invariant(REP, k, TREFOIL)),
@@ -214,7 +212,6 @@ MATRIX_CASES = {
     "kernel_mod": _modulus_cases(lambda n: kernel_mod([[1, 1]], n)),
     "kernel_mod_p": _modulus_cases(lambda n: kernel_mod_p([[1, 1]], n)),
     "cokernel_mod": _modulus_cases(lambda n: cokernel_mod([[2]], n)),
-    "ker_mod_im": _modulus_cases(lambda n: ker_mod_im([[1, 1]], [[1], [-1]], n)),
     "mat_inv_mod": _modulus_cases(lambda n: mat_inv_mod([[1]], n)),
     "is_invertible_mod": _modulus_cases(lambda n: is_invertible_mod([[1]], n)),
 }

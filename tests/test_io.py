@@ -292,6 +292,41 @@ def test_invalid_json_reports_location(tmp_path):
         qio.load_quandle(str(path))
 
 
+# a file that json cannot read: (how to make it, the message after its path)
+_UNREADABLE = {
+    "a directory": (lambda path: path.mkdir(), "not a readable file"),
+    # ff fe opens a UTF-16 file; UnicodeDecodeError is a ValueError, which
+    # once read as a number of too many digits
+    "UTF-16 bytes": (lambda path: path.write_bytes(b"\xff\xfe{}"),
+                     "the file is not UTF-8 text"),
+    "a deep table": (lambda path: path.write_text(
+        '{"size": 1, "table": ' + "[" * 100000 + "]" * 100000 + "}"),
+        "the JSON is nested too deeply"),
+}
+_READERS = {
+    "quandle": lambda bad: ["colorings", bad, "3_1"],
+    "--rep": lambda bad: ["homology", "2", "--quandle", "dihedral:3", "--rep", bad],
+    "--cocycle": lambda bad: ["invariant", "cocycle", "--quandle", "dihedral:3",
+                              "--rep", "conj-rep:perm3", "--cocycle", bad,
+                              "--knot", "3_1"],
+    "compare": lambda bad: ["compare", bad, bad],
+}
+
+
+@pytest.mark.parametrize("fault", _UNREADABLE)
+@pytest.mark.parametrize("reader", _READERS)
+def test_a_file_json_cannot_read_exits_2(tmp_path, capsys, reader, fault):
+    """A directory, bytes that are not UTF-8 and arrays nested past the
+    recursion limit are one input error line that names the path, not a
+    traceback, wherever a command reads a JSON file."""
+    from quandlekit.cli import main
+    make, message = _UNREADABLE[fault]
+    bad = tmp_path / "bad.json"
+    make(bad)
+    assert main(_READERS[reader](str(bad))) == 2
+    assert capsys.readouterr().err == f"input error: {bad}: {message}\n"
+
+
 def test_dumps_document_is_stable():
     doc = {"b": 1, "a": [3, 2], "nested": {"z": 0, "y": 1}}
     assert qio.dumps_document(doc) == qio.dumps_document(dict(reversed(doc.items())))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from alexander_oracle import lp_det as dict_det
+from dense_linalg import ker_mod_im
 from quandlekit.errors import InputError
 from quandlekit.linalg import (
     _local_homology,
@@ -14,7 +15,6 @@ from quandlekit.linalg import (
     int_det,
     int_kernel,
     is_invertible_mod,
-    ker_mod_im,
     kernel_mod,
     kernel_mod_p,
     lattice_basis,

@@ -1,14 +1,17 @@
 """The package has no runtime dependencies: every module under
 src/quandlekit imports only the standard library and quandlekit itself.
-No linter is a dependency either, so the unused-import and unused-helper
-checks are here too."""
+No linter is a dependency either, so the unused-import and unreached-
+definition checks are here too."""
 
 import ast
+import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quandlekit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "quandlekit"
+BENCH = ROOT / "bench"
 
 
 def test_package_imports_only_stdlib():
@@ -54,15 +57,45 @@ def _references(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_private_definition_is_used():
-    """Each private top-level function and class of the package is read, as
-    a name or an attribute, somewhere outside its own definition, so a
-    helper whose last caller went is deleted with it."""
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))]
-    everywhere = sum(map(_references, trees), Counter())
-    unused = [node.name for tree in trees for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name.startswith("_") and not node.name.startswith("__")
-              and everywhere[node.name] == _references(node)[node.name]]
-    assert not unused
+def _traced() -> dict:
+    """bench/tracing.py's LAYERS, the functions its tracer wraps by module,
+    loaded by path as tests/test_tracing_layers.py loads it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def test_every_definition_is_reached():
+    """Each top-level function and class of the package is read, as a name
+    or an attribute, by package code outside its own definition, so a helper
+    whose last caller went is deleted with it.  A public one may instead be
+    exported by __init__.py, read by a bench/*.py file or wrapped by its
+    module's LAYERS entry in bench/tracing.py; code kept only for the tests
+    lives under tests/, and code the tracer holds goes once LAYERS lets go
+    of it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bench = {node.id if isinstance(node, ast.Name) else node.attr
+             for path in sorted(BENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)}
+    traced = _traced()
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("__")):
+                continue
+            name = node.name
+            reached = everywhere[name] > _references(node)[name]
+            if not name.startswith("_"):
+                reached = (reached or name in exported or name in bench
+                           or name in traced.get(module, ()))
+            if not reached:
+                unreached.append(f"{module}.{name}")
+    assert not unreached
