@@ -67,7 +67,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Optional
 
-from .errors import CheckFailed, InputError, charge
+from .errors import CheckFailed, InputError, charge, quoted
 from .groups import FiniteGroup
 from .linalg import (_require_modulus, identity, is_invertible_mod, mat_add,
                      mat_inv_mod, mat_mul, mat_scale, mat_sub)
@@ -305,7 +305,8 @@ def regular_group_rep(group: FiniteGroup, quandle: FiniteQuandle,
     rho = []
     for e in elements:
         if n and not (type(e) is int and 0 <= e < n):
-            raise InputError(f"{e!r} is not an element of the group of order {n}")
+            raise InputError(f"{quoted(e)} is not an element of the group of "
+                             f"order {n}")
         m = [[0] * n for _ in range(n)]
         for h in range(n):
             m[group.mul[e][h]][h] = 1
@@ -516,7 +517,7 @@ def make_wada_rep(g: GroupRep, variant) -> AlgebraRep:
                 tau[x][y] = mat_sub(
                     geo, mat_mul(mat_mul(powers[m], g.rho[x], n), inv_geo, n), n)
     else:
-        raise InputError(f"unknown wada variant {variant!r}")
+        raise InputError(f"unknown wada variant {quoted(variant)}")
     return make_rep(q, n, eta, tau, label=f"wada-rep({variant},{g.label})")
 
 

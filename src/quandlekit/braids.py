@@ -17,22 +17,26 @@ at sigma_i and (v bar* u, u) at its inverse.  It carries quandle colors
 pair, (eta, tau)[x][y] or its inverse pair `algebra.bar`, and `_path_walk`,
 the one path rule, which adds each crossing's path action, numbered by value
 per rep, for `crossing_data` and `invariants.cocycle_invariant`), linear
-forms (`_burau_rows`, the one linear-form walk: over Z_n for the colorings,
-over Z[t^+-1] packed at t = 2^W for `fox.alexander_polynomial`, and as row
-blocks for `colored_matrix`) and arc ids (`closure_arcs`, whose (over, src, tgt)
-triples stand for the Wirtinger relators that `fox.twisted_matrix` reads).
+forms (`_burau_rows`, the one linear-form walk: over Z_n at a scalar t,
+`_scalar_burau`, for the colorings and for the module invariant of a
+one-pair rep of dimension 1, over Z[t^+-1] packed at t = 2^W for
+`fox.alexander_polynomial`, and as row blocks for `colored_matrix`, the
+block walk of every other rep) and arc ids (`closure_arcs`, whose (over,
+src, tgt) triples stand for the Wirtinger relators that `fox.twisted_matrix`
+reads).
 
 `colorings_of_closure` finds the closure colorings in one process, without
 testing every candidate.  Over an affine quandle Z_n, a*b = t a + (1 - t) b
 (R_n, the Alexander quandles, T_n), the word acts on bottom vectors by the
 Burau matrix M at t, so the colorings are ker(M - I) over Z_n: M is read
-in one pass of `_crossings` over linear forms, the kernel comes from
-`linalg.kernel_mod`, and its span is listed without repeats.  Over any
-other quandle the search branches on at most k arcs, picked beforehand as
-those that force the most others, and propagates each color through the
-triples, so it reaches at most |X|^k leaves.  Over a one-element quandle
-the one coloring, all zeros, is returned without either.  `coloring_count`
-counts them, over an affine quandle without listing, by |coker(M - I)|.
+in one pass of `_crossings` over linear forms (`_scalar_burau`), the
+kernel comes from `linalg.kernel_mod`, and its span is listed without
+repeats.  Over any other quandle the search branches on at most k arcs,
+picked beforehand as those that force the most others, and propagates each
+color through the triples, so it reaches at most |X|^k leaves.  Over a
+one-element quandle the one coloring, all zeros, is returned without
+either.  `coloring_count` counts them, over an affine quandle without
+listing, by |coker(M - I)|.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from itertools import chain, repeat
 from operator import add, getitem, mod, mul
 
 from .algebra import AlgebraRep, bar
-from .errors import InputError, charge, power_text
-from .linalg import Matrix, cokernel_mod, identity, kernel_mod, mat_add, mat_scale, mat_sub
+from .errors import InputError, charge, power_text, quoted
+from .linalg import (Matrix, cokernel_mod, identity, kernel_mod, mat_add, mat_scale,
+                     sub_identity)
 from .quandles import FiniteQuandle
 
 KNOT_TABLE = {
@@ -63,14 +68,15 @@ class BraidWord:
     def __post_init__(self):
         # type(...) is int: True is an int to isinstance
         if type(self.strands) is not int:
-            raise InputError(f"strand count {self.strands!r} is not an integer")
+            raise InputError(f"strand count {quoted(self.strands)} is not an "
+                             "integer")
         if self.strands < 1:
             raise InputError("strand count must be >= 1")
         if type(self.letters) is not tuple:
             raise InputError("letters must be a tuple of integers")
         for pos, e in enumerate(self.letters):
             if type(e) is not int:
-                raise InputError(f"letter {pos}: {e!r} is not an integer")
+                raise InputError(f"letter {pos}: {quoted(e)} is not an integer")
             if e == 0:
                 raise InputError(f"letter {pos}: zero generator index")
             if abs(e) > self.strands - 1:
@@ -107,23 +113,31 @@ class BraidWord:
         return comps
 
 
+_BRAID_TEXT = re.compile(r"\s*k\s*=\s*(\d+)\s*;(.*)$", re.S)
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse 'k=3; 1 -2 1 -2' (strand count, then whitespace-separated letters)."""
-    m = re.match(r"\s*k\s*=\s*(\d+)\s*;(.*)$", text, re.S)
+    m = _BRAID_TEXT.match(text)
     if not m:
-        raise InputError(f"cannot parse braid text {text!r}: expected 'k=<n>; ...'")
+        raise InputError(f"cannot parse braid text {quoted(text)}: expected "
+                         "'k=<n>; ...'")
     try:
         strands = int(m.group(1))
     except ValueError:              # over the int-string digit limit
         raise InputError(f"strand count of {len(m.group(1))} digits is too "
                          "long") from None
-    letters = []
-    for pos, tok in enumerate(m.group(2).split()):
-        try:
-            letters.append(int(tok))
-        except ValueError:
-            raise InputError(f"letter {pos}: {tok!r} is not an integer") from None
-    return BraidWord(strands=strands, letters=tuple(letters))
+    tokens = m.group(2).split()
+    try:
+        letters = tuple(map(int, tokens))
+    except ValueError:              # name the first token int() refuses
+        for pos, tok in enumerate(tokens):
+            try:
+                int(tok)
+            except ValueError:
+                raise InputError(f"letter {pos}: {quoted(tok)} is not an "
+                                 "integer") from None
+    return BraidWord(strands=strands, letters=letters)
 
 
 def braid_or_knot(text: str) -> BraidWord:
@@ -136,7 +150,7 @@ def _require_bottom(q: FiniteQuandle, w: BraidWord, colors: list[int]) -> None:
     if len(colors) != w.strands:
         raise InputError(f"expected {w.strands} bottom colors, got {len(colors)}")
     if not all(0 <= c < q.size for c in colors):
-        raise InputError(f"bottom colors {colors} outside 0..{q.size - 1}")
+        raise InputError(f"bottom colors {quoted(colors)} outside 0..{q.size - 1}")
 
 
 def _walk(q: FiniteQuandle, w: BraidWord, colors: list[int]):
@@ -312,7 +326,7 @@ def coloring_count(q: FiniteQuandle, w: BraidWord) -> int:
     if q.size == 1 or q._affine_t is None:
         return len(colorings_of_closure(q, w))
     _charge_colorings(q, w)
-    a = mat_sub(_affine_burau(q, w), identity(w.strands), q.size)
+    a = sub_identity(_scalar_burau(w, q._affine_t, q.size), q.size)
     return math.prod(cokernel_mod(a, q.size))
 
 
@@ -334,8 +348,8 @@ def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
     colors, starting from `units`, the unit vectors; `op` applies a*b =
     t a + (1 - t) b entrywise and `inv_op` its inverse a bar* b =
     t^-1 (a - (1 - t) b).  Row i of M is the form that ends at top position
-    i, so top colors are M * bottom.  Over Z_n it is the colorings' matrix
-    at t (`_affine_burau`), over Z[t^+-1], as ints at t = 2^W with a
+    i, so top colors are M * bottom.  Over Z_n it is the matrix at a scalar
+    t (`_scalar_burau`), over Z[t^+-1], as ints at t = 2^W with a
     coefficient bound and a lowest exponent per form, the unreduced Burau
     matrix of `fox.alexander_polynomial`, and with a row
     block of the identity per position and each crossing's block pair as
@@ -346,13 +360,20 @@ def _burau_rows(w: BraidWord, op, inv_op, units) -> list:
     return rows
 
 
-def _affine_burau(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
-    """`_burau_rows` over Z_n at the t of an affine quandle Z_n, a*b = t a +
-    (1 - t) b.  The inverse needs t to be a unit mod n, which it is for
-    every affine table that passes axiom II: a -> t a + (1 - t) b is a
+def _scalar_burau(w: BraidWord, t: int, n: int) -> list[tuple[int, ...]]:
+    """`_burau_rows` over Z_n at a scalar t: the Burau matrix of the word at
+    t, a*b = t a + (1 - t) b, as for the colorings by an affine quandle Z_n
+    and for the colored matrix of a one-pair rep of dimension 1.  t^-1 is
+    formed only when the word has a negative letter, so a non-unit t gives
+    the matrix of a positive word and InputError otherwise; t is a unit for
+    every affine table that passes axiom II, since a -> t a + (1 - t) b is a
     bijection of Z_n only when t is."""
-    n, k, t = q.size, w.strands, q._affine_t
-    s, t_inv = 1 - t, pow(t, -1, n)
+    k, s = w.strands, 1 - t
+    if min(w.letters, default=1) < 0:
+        try:
+            t_inv = pow(t, -1, n)
+        except ValueError:
+            raise InputError(f"matrix is not invertible mod {n}") from None
 
     def op(u, v):
         return tuple([(t * a + s * b) % n for a, b in zip(u, v)])
@@ -367,13 +388,13 @@ def _affine_burau(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
 def _affine_colorings(q: FiniteQuandle, w: BraidWord) -> list[tuple[int, ...]]:
     """The colorings by an affine quandle Z_n, a*b = t a + (1 - t) b: the
     crossing rule is linear, so the word acts on bottom vectors by the Burau
-    matrix M at t, read by `_affine_burau` in one walk of the word, and the
+    matrix M at t, read by `_scalar_burau` in one walk of the word, and the
     colorings are ker(M - I).  The span of the `kernel_mod` generators is
     listed one coset of the span so far per multiple of the next generator
     that is not yet in it, so no vector is made twice and the work is k
     entries per coloring."""
     n, k = q.size, w.strands
-    a = mat_sub(_affine_burau(q, w), identity(k), n)
+    a = sub_identity(_scalar_burau(w, q._affine_t, n), n)
     span = [(0,) * k]
     members = set(span)
     for g in map(tuple, kernel_mod(a, n)):

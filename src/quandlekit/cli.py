@@ -58,7 +58,8 @@ from types import SimpleNamespace
 from . import io as qio
 from .algebra import verify_relations
 from .braids import braid_or_knot, colorings_of_closure
-from .errors import GUARD, CheckFailed, GuardExceeded, InputError, guarded
+from .errors import (GUARD, CheckFailed, GuardExceeded, InputError, guarded,
+                     quoted)
 from .fox import alexander_polynomial
 from .homology import ComplexConfig, cocycle_space, cohomology, is_cocycle
 from .invariants import (cocycle_invariant, dynamical_extension,
@@ -73,7 +74,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write --out {out_path!r}: "
+            raise InputError(f"cannot write --out {quoted(out_path)}: "
                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
@@ -114,7 +115,7 @@ def cmd_check(args) -> int:
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
     else:
-        raise InputError(f"unknown check kind {kind!r}")
+        raise InputError(f"unknown check kind {quoted(kind)}")
     _emit({"check": kind, "target": args.target, "passed": report.passed,
            "failures": list(report.failures)}, args.out)
     if not report.passed:
@@ -176,7 +177,7 @@ def cmd_invariant(args) -> int:
                "colorings": len(inv.entries),
                "multiset": inv.entries}, args.out)
         return 0
-    raise InputError(f"unknown invariant kind {args.kind!r}")
+    raise InputError(f"unknown invariant kind {quoted(args.kind)}")
 
 
 def cmd_homology(args) -> int:
@@ -271,6 +272,9 @@ COMMANDS = {
     "extend": (cmd_extend, "dynamical extension quandle", {},
                {**_NEEDS, "cocycle": Arg(), **_COMMON}),
 }
+# subcommand -> {"--name": name} over its options, read before `_option`
+_FULL = {name: {"--" + k: k for k in options}
+         for name, (*_, options) in COMMANDS.items()}
 # a negative number: a value, since no option looks like one
 _NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -286,6 +290,7 @@ def parse(argv) -> SimpleNamespace:
     name, (func, _, positionals, options) = argv[0], COMMANDS[argv[0]]
     ns = SimpleNamespace(func=func, **{k: a.default for k, a in options.items()})
     waiting, extras, given, args = [*positionals][::-1], [], set(), iter(argv[1:])
+    full = _FULL[name]
 
     def take(arg: str) -> None:
         if not waiting:
@@ -295,7 +300,7 @@ def parse(argv) -> SimpleNamespace:
         setattr(ns, key, _value(name, spec.metavar or key, spec, arg))
 
     for arg in args:
-        key, text = _option(arg, options)
+        key, text = (full[arg], None) if arg in full else _option(arg, options)
         if arg == "--":
             for arg in args:
                 take(arg)

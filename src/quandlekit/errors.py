@@ -4,8 +4,8 @@ The CLI maps these onto exit codes: InputError -> 2, CheckFailed -> 1,
 GuardExceeded -> 3.
 """
 
-import contextlib
 import contextvars
+import reprlib
 
 
 class QuandleKitError(Exception):
@@ -31,15 +31,20 @@ GUARD = 10 ** 7
 _guard = contextvars.ContextVar("guard", default=GUARD)
 
 
-@contextlib.contextmanager
-def guarded(guard: int):
+class guarded:
     """Hold every `charge` inside the block to `guard`; the outer bound is
     restored on exit, also when the block raises."""
-    token = _guard.set(guard)
-    try:
-        yield
-    finally:
-        _guard.reset(token)
+
+    __slots__ = ("guard", "token")
+
+    def __init__(self, guard: int):
+        self.guard = guard
+
+    def __enter__(self):
+        self.token = _guard.set(self.guard)
+
+    def __exit__(self, *exc):
+        _guard.reset(self.token)
 
 
 def charge(count: int, what: str, exp: int = 1, times: int = 1) -> None:
@@ -51,6 +56,42 @@ def charge(count: int, what: str, exp: int = 1, times: int = 1) -> None:
     if times * count ** min(exp, guard.bit_length() + 1) > guard:
         raise GuardExceeded(f"{power_text(count, exp, times)} {what} exceed the "
                             f"guard of {guard}")
+
+
+# an input value is quoted in an error message in full up to QUOTED
+# characters of its repr, and cut past that
+QUOTED = 80
+
+
+class _Cut(reprlib.Repr):
+    def repr_int(self, x, level):
+        # repr refuses an int past 4300 digits
+        if x.bit_length() > 128:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+_CUT = _Cut()       # limits set as attributes, as Python 3.10 needs
+_CUT.maxlevel, _CUT.maxstring, _CUT.maxlong, _CUT.maxother = 2, 40, 40, 40
+_CUT.maxtuple = _CUT.maxlist = _CUT.maxdict = _CUT.maxset = 4
+_CUT.maxfrozenset = _CUT.maxdeque = _CUT.maxarray = 4
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message: in full while it is at most QUOTED
+    characters, else cut by reprlib and followed by the value's type and
+    length, so that no message line grows with the input it quotes."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):    # an int too long, deep nesting
+        text = None
+    if text is not None and len(text) <= QUOTED:
+        return text
+    try:
+        size = f" of length {len(value)}"
+    except TypeError:
+        size = ""
+    return f"{_CUT.repr(value)} ({type(value).__name__}{size})"
 
 
 def power_text(base: int, exp: int = 1, times: int = 1) -> str:

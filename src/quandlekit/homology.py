@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import AlgebraRep
-from .errors import InputError, charge, power_text
+from .errors import InputError, charge, power_text, quoted
 from .linalg import Matrix, _ker_mod_im, _kernel_by_column, identity
 
 MAX_DEGREE = 3
@@ -58,7 +58,7 @@ class ComplexConfig:
 
     def __post_init__(self):
         if self.variant not in ("quandle", "rack"):
-            raise InputError(f"unknown variant {self.variant!r}")
+            raise InputError(f"unknown variant {quoted(self.variant)}")
         if not (type(self.basepoint) is int
                 and 0 <= self.basepoint < self.rep.quandle.size):
             raise InputError("basepoint out of range")
@@ -87,25 +87,27 @@ def _require_module(rep: AlgebraRep, kappa: Cochain, degree=None) -> None:
     of m entries at each, every number an int (type(x) is int)."""
     size, m, d = rep.quandle.size, rep.dim, kappa.degree
     if degree is not None and (type(d) is not int or d != degree):
-        fault = f"is of degree {d!r}, not a degree-{degree} cochain"
+        fault = f"is of degree {quoted(d)}, not a degree-{degree} cochain"
     elif type(d) is not int or d < 0:
-        fault = f"is of degree {d!r}, not of degree >= 0"
+        fault = f"is of degree {quoted(d)}, not of degree >= 0"
     elif (type(kappa.modulus), type(kappa.dim)) != (int, int) or (
             kappa.modulus, kappa.dim) != (rep.modulus, m):
-        fault = (f"takes values in (Z_{kappa.modulus!r})^{kappa.dim!r}, not in the "
-                 f"rep's (Z_{rep.modulus})^{m}")
+        fault = (f"takes values in (Z_{quoted(kappa.modulus)})^"
+                 f"{quoted(kappa.dim)}, not in the rep's (Z_{rep.modulus})^{m}")
     elif type(kappa.values) is not dict:
-        fault = f"has the values {kappa.values!r}, not a dict of keys to values"
+        fault = (f"has the values {quoted(kappa.values)}, not a dict of keys to "
+                 "values")
     else:
         for k, v in kappa.values.items():
             if not (type(k) is tuple and len(k) == d
                     and all(type(x) is int and 0 <= x < size for x in k)):
-                fault = (f"has the key {k!r}, not a tuple of {d} elements of "
-                         f"0..{size - 1}")
+                fault = (f"has the key {quoted(k)}, not a tuple of {d} elements "
+                         f"of 0..{size - 1}")
                 break
             if not (type(v) in (list, tuple) and len(v) == m
                     and set(map(type, v)) == {int}):
-                fault = f"has the value {v!r} at {k}, not a list of {m} integers"
+                fault = (f"has the value {quoted(v)} at {quoted(k)}, not a list "
+                         f"of {m} integers")
                 break
         else:
             return

@@ -15,6 +15,10 @@ cokernel per distinct sequence.  When the rep's whole table is one pair, as
 for an Alexander-type rep, every coloring has the sequence that the signs of
 the letters fix: the colorings are only counted (`braids.coloring_count`),
 and the constant coloring's one matrix and cokernel serve every coloring.
+For such a rep of dimension 1, eta = t and tau = 1 - t, that matrix is the
+unreduced Burau matrix at t over Z_N, read by one `braids._scalar_burau`
+walk with no block walk; the block walk of `braids.colored_matrix` serves
+every other rep.
 
 `cocycle_invariant` walks all colorings at once through `braids._path_walk`,
 the one crossing rule with the one path rule on top, one column of colors
@@ -40,11 +44,12 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraRep
 from .braids import (BraidWord, _column_keys, _looked_up, _path_walk,
-                     _require_conj_type, colored_matrix, coloring_count,
-                     colorings_of_closure, crossing_blocks, crossing_data)
+                     _require_conj_type, _scalar_burau, colored_matrix,
+                     coloring_count, colorings_of_closure, crossing_blocks,
+                     crossing_data)
 from .errors import CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, _cocycle_verdict, _kept, _require_module
-from .linalg import cokernel_mod, mat_vec
+from .linalg import cokernel_mod, mat_vec, sub_identity
 from .quandles import FiniteQuandle, verify_axioms
 
 
@@ -140,7 +145,8 @@ def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
     one matrix and one cokernel.  When the rep's whole (eta, tau) table is
     one pair, as for an Alexander-type rep, the sequence depends only on the
     signs of the letters: the colorings are only counted, and the constant
-    coloring is walked for all of them."""
+    coloring is walked for all of them, for m = 1 as the Burau matrix at
+    the rep's one scalar t (`braids._scalar_burau`)."""
     q, N = rep.quandle, rep.modulus
     if rep._one_pair:
         count, colorings = coloring_count(q, w), [(0,) * w.strands]
@@ -150,15 +156,16 @@ def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
     charge(len(w.letters) * w.strands * rep.dim ** 3, f"steps of the colored "
            f"matrix's block walk (letters * k * m^3, with {len(w.letters)} "
            f"letters, k = {w.strands} and m = {rep.dim})")
+    if rep._one_pair and rep.dim == 1:
+        m = sub_identity(_scalar_burau(w, rep.rho[0][0][0], N), N)
+        return ModuleInvariant(entries=(tuple(cokernel_mod(m, N)),) * count)
     entries = []
     cokernels: dict = {}        # coefficient sequence -> invariant factors
     for coloring in colorings:
         blocks = crossing_blocks(rep, w, coloring)
         entry = cokernels.get(blocks)
         if entry is None:
-            m = colored_matrix(rep, w, coloring, blocks)
-            for i in range(len(m)):
-                m[i][i] = (m[i][i] - 1) % N
+            m = sub_identity(colored_matrix(rep, w, coloring, blocks), N)
             entry = cokernels[blocks] = tuple(cokernel_mod(m, N))
         entries.append(entry)
     return ModuleInvariant(entries=tuple(sorted(entries)) * count)

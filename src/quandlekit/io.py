@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3, verify_relations)
-from .errors import GUARD, CheckFailed, InputError, charge
+from .errors import GUARD, CheckFailed, InputError, charge, quoted
 from .homology import Cochain, _require_module
 from .linalg import _require_modulus
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
@@ -142,7 +142,8 @@ def _load_json(path: str) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-            raise InputError(f"{path}: key {key!r} appears twice in one object")
+            raise InputError(f"{path}: key {quoted(key)} appears twice in one "
+                             "object")
         return obj
 
     try:
@@ -207,10 +208,10 @@ def load_quandle(spec: str) -> FiniteQuandle:
     if kind not in QUANDLE_SHORTHANDS:
         return quandle_from_doc(_load_json(spec), label=os.path.basename(spec))
     if len(args) != QUANDLE_SHORTHANDS[kind][1]:
-        raise InputError(f"bad quandle shorthand {spec!r}")
+        raise InputError(f"bad quandle shorthand {quoted(spec)}")
     ints = _ints(spec, args)
     if ints[0] > 0:
-        charge(ints[0], f"table cells of {spec!r}", 2)
+        charge(ints[0], f"table cells of {quoted(spec)}", 2)
     return _built(kind, *ints)
 
 
@@ -257,7 +258,7 @@ def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,
                    label=doc.get("label", ""), check=False)
     # type(...) is int: a JSON true is an int to isinstance
     if (type(doc["dim"]), doc["dim"]) != (int, rep.dim):
-        raise InputError(f"rep 'dim' {doc['dim']!r} disagrees with its "
+        raise InputError(f"rep 'dim' {quoted(doc['dim'])} disagrees with its "
                          f"{rep.dim} x {rep.dim} matrices")
     if check:
         report = verify_relations(rep)
@@ -270,7 +271,7 @@ def _ints(spec: str, texts) -> list[int]:
     try:
         return [int(x) for x in texts]
     except ValueError:
-        raise InputError(f"bad shorthand {spec!r}") from None
+        raise InputError(f"bad shorthand {quoted(spec)}") from None
 
 
 def load_rep(spec: str, quandle: FiniteQuandle | None = None,
@@ -295,7 +296,7 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
     if kind == "conj-rep" and len(parts) in (2, 3) and parts[1] == "perm3":
         (n,) = _ints(spec, parts[2:]) or [3]
         rep = _built(kind, n)
-        _check_quandle(rep.quandle, quandle, f"rep {spec!r}")
+        _check_quandle(rep.quandle, quandle, f"rep {quoted(spec)}")
         return rep
     if kind == "trivial-action" and len(parts) <= 2:
         (n,) = _ints(spec, parts[1:]) or [modulus]
@@ -303,7 +304,7 @@ def load_rep(spec: str, quandle: FiniteQuandle | None = None,
             raise InputError("trivial-action shorthand needs a modulus")
         _require_modulus(n)             # a list would fail `_built`'s lookup
         return _built("alexander-rep", quandle, n, 1)
-    raise InputError(f"bad rep shorthand {spec!r}")
+    raise InputError(f"bad rep shorthand {quoted(spec)}")
 
 
 def cochain_to_doc(kappa: Cochain) -> dict:
@@ -329,7 +330,7 @@ def cochain_from_doc(doc: dict) -> Cochain:
         # spellings of one tuple could both load: only the one that
         # cochain_to_doc writes is accepted
         if parts is None or key != ",".join(map(str, parts)):
-            raise InputError(f"cochain key {key!r} is not 'x,y[,z]' with "
+            raise InputError(f"cochain key {quoted(key)} is not 'x,y[,z]' with "
                              "integer parts")
         values[parts] = vec
     return Cochain(degree=doc["degree"], modulus=doc["modulus"], dim=doc["dim"],

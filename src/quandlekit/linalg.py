@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Optional
 
-from .errors import GuardExceeded, InputError
+from .errors import GuardExceeded, InputError, quoted
 from .laurent import _bareiss
 
 Matrix = list[list[int]]
@@ -67,6 +67,15 @@ def mat_sub(a: Matrix, b: Matrix, mod: int) -> Matrix:
     return [[(x - y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def sub_identity(a: Matrix, mod: int) -> Matrix:
+    """a - I mod `mod`, as new lists, for a square matrix a with entries in
+    0..mod-1."""
+    out = list(map(list, a))
+    for i, row in enumerate(out):
+        row[i] = (row[i] - 1) % mod
+    return out
+
+
 def mat_scale(c: int, a: Matrix, mod: int) -> Matrix:
     return [[c * x % mod for x in row] for row in a]
 
@@ -105,7 +114,7 @@ def _require_modulus(n) -> None:
     modular entry point here and every table of matrices frozen mod n by
     `algebra._freeze` meets it before any entry is reduced."""
     if type(n) is not int or n < 1:
-        raise InputError(f"modulus {n!r} is not a positive integer")
+        raise InputError(f"modulus {quoted(n)} is not a positive integer")
 
 
 def mat_inv_mod(a: Matrix, n: int) -> Matrix:

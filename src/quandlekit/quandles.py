@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InputError, charge
+from .errors import InputError, charge, quoted
 from .groups import FiniteGroup
 
 
@@ -89,7 +89,8 @@ def verify_axioms(table) -> ValidationReport:
         if row and not (set(map(type, row)) == {int} and 0 <= min(row)
                         and max(row) < n):
             e = next(e for e in row if type(e) is not int or not 0 <= e < n)
-            raise InputError(f"table entry {e!r} is not an integer in 0..{n - 1}")
+            raise InputError(f"table entry {quoted(e)} is not an integer in "
+                             f"0..{n - 1}")
     charge(n, f"table cells of a quandle of size {n}", 2)
     failures = []
     for a in range(n):
@@ -222,7 +223,8 @@ def make_conj(g: FiniteGroup, subset=None, power: int = 1) -> FiniteQuandle:
     elems = list(range(g.size)) if subset is None else list(subset)
     for e in elems:
         if not (type(e) is int and 0 <= e < g.size):
-            raise InputError(f"{e!r} is not an element of the group of order {g.size}")
+            raise InputError(f"{quoted(e)} is not an element of the group of "
+                             f"order {g.size}")
     index = {e: i for i, e in enumerate(elems)}
     table = []
     for a in elems:

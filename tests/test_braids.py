@@ -435,7 +435,7 @@ def test_affine_route_matches_the_search(q, w):
     of k walks of `act` over the unit vectors."""
     for v in [w, *markov_moves(w)]:
         assert colorings_of_closure(q, v) == braids._search_colorings(q, v), v
-        assert braids._affine_burau(q, v) == _burau_by_act(q, v), v
+        assert braids._scalar_burau(v, q._affine_t, q.size) == _burau_by_act(q, v), v
 
 
 def test_burau_rows_by_other_routes():
@@ -449,14 +449,14 @@ def test_burau_rows_by_other_routes():
     for w in words:
         k, perm = w.strands, w.permutation()
         for n in (2, 3, 5):
-            rows = braids._affine_burau(make_trivial(n), w)
+            rows = braids._scalar_burau(w, 1, n)
             assert rows == [tuple(int(perm[i] == j) for j in range(k))
                             for i in range(k)]
             assert rows == _burau_by_act(make_trivial(n), w)
         for n, t in ((3, 2), (7, 6), (5, 2), (8, 3), (9, 2)):
             q = make_alexander(n, t)
             rep = make_alexander_rep(make_trivial(1), n, t)
-            rows = braids._affine_burau(q, w)
+            rows = braids._scalar_burau(w, t, n)
             assert [list(r) for r in rows] == colored_matrix(rep, w, (0,) * k)
             assert rows == _burau_by_act(q, w)
 

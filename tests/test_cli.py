@@ -1611,3 +1611,79 @@ def test_an_interrupted_state_sum_leaves_the_kept_cochain_sound(
     proc = subprocess.run([sys.executable, "-m", "quandlekit.cli", *good], env=env,
                           capture_output=True, text=True, check=True)
     assert kept == (0, proc.stdout, proc.stderr)
+
+
+def test_every_quoted_input_value_is_bounded(capsys, tmp_path):
+    """Each reader that quotes a bad input value in its error quotes a short
+    value in full and a long one cut, with its type and length: a large bad
+    value gives exit 2 and a message line of at most 300 bytes, where the
+    whole value once went to stderr.  Paths stay as given."""
+    big, long, deep = list(range(100000)), "x" * 100000, []
+    for _ in range(900):
+        deep = [deep]
+    r3 = {"size": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}
+
+    def doc(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"%s": 1, "%s": 2}' % (long, long))
+    cochain = {"degree": 2, "modulus": 3, "dim": 3, "values": {}}
+    rep = {"quandle": r3, "modulus": 5, "dim": 1,
+           "eta": [[[[2]]] * 3] * 3, "tau": [[[[4]]] * 3] * 3}
+    perm3 = ["--rep", "conj-rep:perm3", "--quandle", "dihedral:3"]
+    cases = [
+        (["check", "quandle", doc("entry.json", {"table": [[0, big], [1, 1]]})],
+         "table entry [0, 1, 2, 3, ...] (list of length 100000) is not"),
+        (["check", "quandle", doc("deep.json", {"table": [[0, deep], [1, 1]]})],
+         "table entry [[[...]]] (list of length 1) is not"),
+        (["check", "cocycle", doc("value.json", {**cochain, "values": {"0,1": big}}),
+          *perm3], "the cochain has the value [0, 1, 2, 3, ...] (list of length"),
+        (["check", "cocycle", doc("key.json", {**cochain, "values": {long: [0] * 3}}),
+          *perm3], "cochain key 'xxx"),
+        (["check", "cocycle", doc("modulus.json", {**cochain, "modulus": big}),
+          *perm3], "the cochain takes values in (Z_[0, 1, 2, 3, ...] (list of"),
+        (["check", "cocycle", doc("degree.json", {**cochain, "degree": long}),
+          *perm3], "the cochain is of degree 'xxx"),
+        (["check", "quandle", str(twice)], "twice.json: key 'xxx"),
+        (["check", "rep", doc("repmod.json", {**rep, "modulus": long})], "modulus 'xxx"),
+        (["check", "rep", doc("repdim.json", {**rep, "dim": big})], "rep 'dim' [0, 1,"),
+        (["invariant", "alexander", "--braid", long], "cannot parse braid text 'xxx"),
+        (["invariant", "alexander", "--braid", "k=2; 1 " + long], "letter 1: 'xxx"),
+        (["check", "quandle", "dihedral:" + long], "bad shorthand 'dihedral:xxx"),
+        (["check", "quandle", "dihedral:1:" + long], "bad quandle shorthand 'dih"),
+        (["check", "rep", "alexander-rep:5:" + long, "--quandle", "dihedral:3"],
+         "bad shorthand 'alexander-rep:5:x..."),
+        (["check", "rep", "alexander-rep:" + long, "--quandle", "dihedral:3"],
+         "bad rep shorthand 'alexander-rep:xxx..."),
+        (["invariant", "alexander", "--knot", "3_1", "--out", str(tmp_path / long)],
+         "cannot write --out '"),
+    ]
+    for argv, start in cases:
+        assert main(argv) == 2, argv[:2]
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and start in err, err[:300]
+        assert max(map(len, err.encode().splitlines())) <= 300, err[:300]
+
+
+def test_library_refusals_quote_bounded_values():
+    """The group-element and braid-word refusals of library calls quote a
+    long value cut, and a short one in full, as before."""
+    from quandlekit.braids import BraidWord
+    from quandlekit.errors import InputError
+    from quandlekit.groups import symmetric_group
+    from quandlekit.quandles import make_conj
+    big = list(range(100000))
+    s3 = symmetric_group(3)
+    calls = [lambda: make_conj(s3, [0, big]),
+             lambda: regular_group_rep(s3, make_conj(s3), [big], 5),
+             lambda: BraidWord(2, (1, tuple(big))),
+             lambda: BraidWord(big, ())]
+    for call in calls:
+        with pytest.raises(InputError, match=r"\((list|tuple) of length 100000\)") as refused:
+            call()
+        assert len(str(refused.value)) <= 200
+    with pytest.raises(InputError, match=r"^\[0, 99\] is not an element of the group"):
+        make_conj(s3, [0, [0, 99]])

@@ -513,47 +513,65 @@ def test_alexander_coloring_count_is_the_burau_module_order():
             assert len(colorings_of_closure(q, w)) == math.prod(factors), w
 
 
+def _spy(monkeypatch, module, name, calls, key=lambda *args: args):
+    """Rebind module.name to a wrapper that appends key(*args) to `calls`."""
+    f = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(key(*args))
+        return f(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_module_invariant_builds_one_matrix_per_coefficient_sequence(monkeypatch):
     """5_2 # 5_2 has 7^3 colorings by R7; over alexander-rep:7:2 they all
-    have one coefficient sequence, so one colored matrix and one cokernel
-    are built, and every entry is the Burau cokernel."""
+    have one coefficient sequence, so one matrix, the Burau matrix at t = 2
+    from one `_scalar_burau` walk, and one cokernel are built, with no block
+    walk and no colored matrix, and every entry is the cokernel of the
+    constant coloring's colored matrix minus I.  The colorings are counted
+    by one more walk, at R7's t = 6, and its cokernel in `braids`."""
     from quandlekit import invariants
-    calls = {"colored_matrix": 0, "cokernel_mod": 0}
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
+    calls = {"colored_matrix": [], "crossing_blocks": [], "cokernel_mod": []}
+    for name, seen in calls.items():
+        _spy(monkeypatch, invariants, name, seen)
+    walks = []
+    for module in (braids, invariants):
+        _spy(monkeypatch, module, "_scalar_burau", walks,
+             lambda w, t, n, name=module.__name__: (name, t, n))
     w = braid_or_knot("k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4")
-    inv = module_invariant(make_alexander_rep(make_dihedral(7), 7, 2), w)
+    rep = make_alexander_rep(make_dihedral(7), 7, 2)
+    inv = module_invariant(rep, w)
     assert len(inv.entries) == 7 ** 3
-    assert calls == {"colored_matrix": 1, "cokernel_mod": 1}
-    assert set(inv.entries) == set(
-        module_invariant(make_alexander_rep(make_trivial(1), 7, 2), w).entries)
+    assert walks == [("quandlekit.braids", 6, 7), ("quandlekit.invariants", 2, 7)]
+    assert {k: len(v) for k, v in calls.items()} == {
+        "colored_matrix": 0, "crossing_blocks": 0, "cokernel_mod": 1}
+    m = colored_matrix(rep, w, (0,) * 5)
+    for i in range(5):
+        m[i][i] = (m[i][i] - 1) % 7
+    assert calls["cokernel_mod"] == [(m, 7)]
+    assert inv.entries == (tuple(cokernel_mod(m, 7)),) * 7 ** 3
 
 
 def test_one_pair_rep_walks_the_word_once(monkeypatch):
-    """A rep whose whole (eta, tau) table is one pair walks the word once
-    for all colorings: alexander-rep:7:2 over the 7^3 R7 colorings of
-    5_2 # 5_2, and the same constant table built as an AlgebraRep with a
-    tuple of its own per cell, which is one pair by value and gives the same
-    entries.  conj-rep:perm3 on R3 walks each coloring."""
+    """A one-pair rep of dimension 1 walks the word once, as the Burau
+    matrix at its t, for all colorings, and walks no coloring's blocks:
+    alexander-rep:7:2 over the 7^3 R7 colorings of 5_2 # 5_2, and the same
+    constant table built as an AlgebraRep with a tuple of its own per cell,
+    which is one pair by value and gives the same entries.  A one-pair rep
+    of dimension 2 walks the blocks of the constant coloring only, and
+    conj-rep:perm3 on R3 walks each coloring; neither walks a scalar Burau
+    matrix."""
     from quandlekit import invariants
-    calls = []
-
-    def counted(rep, w, bottom):
-        calls.append(tuple(bottom))
-        return crossing_blocks(rep, w, bottom)
-
-    monkeypatch.setattr(invariants, "crossing_blocks", counted)
+    calls, walks = [], []
+    _spy(monkeypatch, invariants, "crossing_blocks", calls,
+         lambda rep, w, bottom, *_: tuple(bottom))
+    _spy(monkeypatch, invariants, "_scalar_burau", walks, lambda w, t, n: (t, n))
     w = braid_or_knot("k=5; 1 1 1 2 -1 2 3 3 3 4 -3 4")
     r7 = make_dihedral(7)
     inv = module_invariant(make_alexander_rep(r7, 7, 2), w)
-    assert len(inv.entries) == 7 ** 3 and len(calls) == 1
+    assert len(inv.entries) == 7 ** 3
+    assert (calls, walks) == ([], [(2, 7)])
 
     def cells(v):
         return tuple(tuple(tuple(map(tuple, [[v]])) for _ in range(7))
@@ -561,15 +579,20 @@ def test_one_pair_rep_walks_the_word_once(monkeypatch):
 
     fresh = AlgebraRep(quandle=r7, modulus=7, dim=1, eta=cells(2), tau=cells(6))
     assert fresh.eta[0][0] is not fresh.eta[0][1] and fresh._one_pair
-    calls.clear()
+    walks.clear()
     assert module_invariant(fresh, w) == inv
-    assert len(calls) == 1
+    assert (calls, walks) == ([], [(2, 7)])
+    walks.clear()
+    square = make_alexander_rep(make_dihedral(3), 3, [[0, 1], [1, 1]])
+    assert square._one_pair and square.dim == 2
+    module_invariant(square, w)
+    assert (calls, walks) == ([(0,) * 5], [])
     calls.clear()
     perm3 = make_conj_rep(permutation_rep_r3(3))
     assert not perm3._one_pair
     module_invariant(perm3, w)
     assert sorted(calls) == colorings_of_closure(perm3.quandle, w)
-    assert len(calls) > 1
+    assert len(calls) > 1 and walks == []
 
 
 def _listing_module_invariant(rep, w):
@@ -618,6 +641,79 @@ def test_counted_module_invariant_is_the_listing_one(rep, w):
     S4 (counted by the search)."""
     assert rep._one_pair
     assert module_invariant(rep, w).entries == _listing_module_invariant(rep, w)
+
+
+def _generic_module_invariant(rep, w):
+    """The module invariant by its definition: the sorted cokernels of
+    colored_matrix(rep, w, c) - I over every coloring c of the closure."""
+    N, entries = rep.modulus, []
+    for coloring in colorings_of_closure(rep.quandle, w):
+        m = colored_matrix(rep, w, coloring)
+        for i in range(len(m)):
+            m[i][i] = (m[i][i] - 1) % N
+        entries.append(tuple(cokernel_mod(m, N)))
+    return tuple(sorted(entries))
+
+
+@st.composite
+def _scalar_reps(draw):
+    """A one-pair rep of dimension 1: alexander-rep:N:t, or trivial-action:N
+    (t = 1), over R3, R5, R7, Alex(5, 2) or T1, with N among 1, 4, 9, 12,
+    2^89 - 1 and two primes, and t a unit mod N."""
+    q = draw(st.sampled_from([make_dihedral(3), make_dihedral(5), make_dihedral(7),
+                              make_alexander(5, 2), make_trivial(1)]))
+    n = draw(st.sampled_from((1, 4, 9, 12, 2 ** 89 - 1, 5, 7)))
+    t = draw(st.sampled_from([1, *(u for u in range(2, 14) if math.gcd(u, n) == 1)]))
+    return make_alexander_rep(q, n, t)
+
+
+@st.composite
+def _long_braid_words(draw):
+    """A word of 100 to 300 letters on 2 or 3 strands."""
+    k = draw(st.integers(2, 3))
+    letter = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return BraidWord(k, tuple(draw(st.lists(letter, min_size=100, max_size=300))))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(rep=_scalar_reps(), w=_braid_words(4, 12))
+@example(rep=make_alexander_rep(make_dihedral(7), 2 ** 89 - 1, 3),
+         w=BraidWord(3, (1, -2, 1, -2)))
+@example(rep=make_alexander_rep(make_trivial(1), 1, 1), w=BraidWord(3, (1, 1, -2)))
+def test_scalar_burau_module_invariant_is_the_generic_one(rep, w):
+    """For a one-pair rep of dimension 1, module_invariant, one scalar
+    Burau walk and one cokernel times the counted colorings, is the sorted
+    cokernels of each listed coloring's colored matrix minus I, on the word
+    and on every Markov variant of it."""
+    assert rep._one_pair and rep.dim == 1
+    for v in [w, *markov_moves(w)]:
+        assert module_invariant(rep, v).entries == _generic_module_invariant(rep, v), v
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(rep=_scalar_reps(), w=_long_braid_words(), data=st.data())
+def test_scalar_burau_module_invariant_on_long_words(rep, w, data):
+    """The same on words of up to 300 letters and three of their Markov
+    variants, drawn from `markov_moves`."""
+    moves = markov_moves(w)
+    for v in [w, *(data.draw(st.sampled_from(moves)) for _ in range(3))]:
+        assert module_invariant(rep, v).entries == _generic_module_invariant(rep, v), v
+
+
+def test_one_pair_rep_with_a_non_unit_t():
+    """An unchecked one-pair rep whose t is not a unit mod N, t = 2 and
+    tau = 5 mod 6, gets the Burau entry of a positive word, and a word with
+    a negative letter is refused as a matrix that is not invertible, as the
+    block walk refuses its negative block."""
+    rep = make_rep(make_trivial(1), 6, [[[[2]]]], [[[[5]]]], check=False)
+    assert rep._one_pair and rep.dim == 1
+    assert module_invariant(rep, parse_braid("k=2; 1 1 1")).entries == ((3, 6),)
+    assert _generic_module_invariant(rep, parse_braid("k=2; 1 1 1")) == ((3, 6),)
+    for text in ("k=2; -1", "k=3; 1 1 -2", "k=2; 1 -1 1"):
+        with pytest.raises(InputError, match="^matrix is not invertible mod 6$"):
+            module_invariant(rep, parse_braid(text))
+        with pytest.raises(InputError, match="^matrix is not invertible mod 6$"):
+            _generic_module_invariant(rep, parse_braid(text))
 
 
 def _mat_mul_colored_matrix(rep, w, bottom):
@@ -767,9 +863,11 @@ def test_each_path_product_is_formed_once_per_rep(monkeypatch):
 def test_each_distinct_negative_block_is_inverted_once(monkeypatch):
     """module_invariant inverts the block (eta, tau)[x][y] of a negative
     crossing with source pair (x, y) once per rep, however many crossings
-    and colorings meet it: once in all for the constant blocks of
-    alexander-rep:5:2 over the 25 R5 colorings of 4_1, and once per distinct
-    negative block, found by the reference walk, for conj-rep:perm3."""
+    and colorings meet it: never for alexander-rep:5:2 over the 25 R5
+    colorings of 4_1, whose entry is one scalar Burau walk, once in all for
+    the constant blocks of the 2-dimensional Alexander rep over the 3 R3
+    colorings, and once per distinct negative block, found by the reference
+    walk, for conj-rep:perm3."""
     from quandlekit import algebra
     inverted = []
 
@@ -781,7 +879,10 @@ def test_each_distinct_negative_block_is_inverted_once(monkeypatch):
     w = braid_or_knot("4_1")
     inv = module_invariant(make_alexander_rep(make_dihedral(5), 5, 2), w)
     assert inv.entries == ((5,),) * 25
-    assert inverted == [((2,),)]
+    assert inverted == []
+    inv = module_invariant(make_alexander_rep(make_dihedral(3), 3, [[0, 1], [1, 1]]), w)
+    assert len(inv.entries) == 3
+    assert inverted == [((0, 1), (1, 1))]
     inverted.clear()
     rep = make_conj_rep(permutation_rep_r3(3))
     module_invariant(rep, w)
