@@ -59,7 +59,7 @@ from . import io as qio
 from .algebra import verify_relations
 from .braids import braid_or_knot, colorings_of_closure
 from .errors import (GUARD, CheckFailed, GuardExceeded, InputError, guarded,
-                     quoted)
+                     quoted, shown)
 from .fox import alexander_polynomial
 from .homology import ComplexConfig, cocycle_space, cohomology, is_cocycle
 from .invariants import (cocycle_invariant, dynamical_extension,
@@ -195,13 +195,13 @@ def cmd_compare(args) -> int:
     for path in (args.a, args.b):
         doc = qio._load_json(path)
         if "multiset" not in doc:
-            raise InputError(f"{path} is not an invariant document")
+            raise InputError(f"{shown(path)} is not an invariant document")
         entries = doc["multiset"]
         modulus, dim = doc.get("modulus", 0), doc.get("dim", 0)
         rows_ok = isinstance(entries, list) and all(
             isinstance(e, list) and all(type(x) is int for x in e) for e in entries)
         if not (rows_ok and type(modulus) is int and type(dim) is int):
-            raise InputError(f"{path}: 'multiset' must be a list of integer lists "
+            raise InputError(f"{shown(path)}: 'multiset' must be a list of integer lists "
                              "and 'modulus' and 'dim' integers")
         docs.append(InvariantMultiset(tuple(tuple(e) for e in entries), modulus, dim))
     contained = multiset_contained(docs[0], docs[1])
@@ -365,12 +365,12 @@ def _usage(name: str | None) -> str:
     if name is None:
         return "usage: quandlekit [-h] {%s} ..." % ",".join(COMMANDS)
     _, _, positionals, options = COMMANDS[name]
-    shown = {k: "{%s}" % ",".join(a.choices) if a.choices else
+    names = {k: "{%s}" % ",".join(a.choices) if a.choices else
              a.metavar or (k.upper() if k in options else k)
              for k, a in {**positionals, **options}.items()}
     return " ".join(["usage: quandlekit", name, "[-h]"] + [
-        ("--%s %s" if a.required else "[--%s %s]") % (k, shown[k])
-        for k, a in options.items()] + [shown[k] for k in positionals])
+        ("--%s %s" if a.required else "[--%s %s]") % (k, names[k])
+        for k, a in options.items()] + [names[k] for k in positionals])
 
 
 def _help(name: str | None) -> str:

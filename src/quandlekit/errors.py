@@ -94,6 +94,14 @@ def quoted(value) -> str:
     return f"{_CUT.repr(value)} ({type(value).__name__}{size})"
 
 
+def shown(text) -> str:
+    """str(text) for an error message that shows it bare, as a path or a
+    label: in full while it is at most QUOTED characters, else in `quoted`'s
+    cut form with its length, so that the line stays short."""
+    text = str(text)
+    return text if len(text) <= QUOTED else quoted(text)
+
+
 def power_text(base: int, exp: int = 1, times: int = 1) -> str:
     """times * base^exp for a guard message: in decimal while it fits in 64
     bits, else as the product, such as 3^10000 or 5 * 3^10000, or as a lower

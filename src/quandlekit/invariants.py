@@ -34,15 +34,46 @@ actions) * |X|^2 vectors of m entries, and a call on a cochain equal in
 value forms none and walks no boundary term.  `crossing_data`, and through
 it `diagram_two_chain` and `boltzmann_weight`, walk a one-coloring column
 by the same rule.
+
+The extension criterion.  `dynamical_extension` builds
+E = G x_kappa X on G = (Z_N)^m with
+(a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y), and E
+is a quandle exactly when X is one, the rep satisfies relations (1)-(4) of
+`quandlekit.algebra` with every eta[x][y] invertible, and kappa is a
+normalized 2-cocycle: kappa(x, x) = 0 and
+eta[x*y][z] kappa(x, y) + kappa(x*y, z)
+  == eta[x*z][y*z] kappa(x, z) + tau[x*z][y*z] kappa(y, z) + kappa(x*z, y*z)
+(Andruskiewitsch-Grana; Carter-Elhamdadi-Nikiforou-Saito).  The second
+entries of E's products are X's, so E fails each axiom that X fails: a
+point x*x != x, a column of X that misses an element, or a failing triple
+(x, y, z) of X gives one in E over it.  Let X be a quandle.
+Axiom I at (a, x) reads (eta[x][x] + tau[x][x]) a + kappa(x, x) = a: at
+a = 0 it gives kappa(x, x) = 0, and then, at every a, relation (4).
+Axiom II: the column of (b, y) maps the fibre over x onto the fibre over
+x*y by a -> eta[x][y] a + tau[x][y] b + kappa(x, y), and x -> x*y is a
+bijection of X, so the column is a bijection exactly when every
+eta[x][y] is invertible mod N.  Axiom III at ((a, x), (b, y), (c, z)) is
+an identity in a, b and c: its two sides are
+eta[x*y][z] (eta[x][y] a + tau[x][y] b + kappa(x, y)) + tau[x*y][z] c
++ kappa(x*y, z) and eta[x*z][y*z] (eta[x][z] a + tau[x][z] c + kappa(x, z))
++ tau[x*z][y*z] (eta[y][z] b + tau[y][z] c + kappa(y, z)) + kappa(x*z, y*z).
+Compared at a = b = c = 0, and then at each unit vector in a, in b and in
+c, they agree for all a, b, c exactly when the coefficients of a, b and c
+and the constants agree: relations (1), (2), (3) and the 2-cocycle
+condition at (x, y, z).  The three checks are `verify_axioms` on X's table,
+`verify_relations`, and the cocycle check of the quandle complex
+(`homology._cocycle_verdict`), which also asks kappa(x, x) = 0; each runs
+on a generating set, so deciding the axioms costs far less than scanning
+E's |E|^2 columns.  A failing extension is scanned as before, for the
+report of its first failures, and so is one over N = 1, where E is X.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
-from .algebra import AlgebraRep
+from .algebra import AlgebraRep, verify_relations
 from .braids import (BraidWord, _column_keys, _looked_up, _path_walk,
                      _require_conj_type, _scalar_burau, colored_matrix,
                      coloring_count, colorings_of_closure, crossing_blocks,
@@ -50,7 +81,7 @@ from .braids import (BraidWord, _column_keys, _looked_up, _path_walk,
 from .errors import CheckFailed, InputError, charge, power_text
 from .homology import Cochain, ComplexConfig, _cocycle_verdict, _kept, _require_module
 from .linalg import cokernel_mod, mat_vec, sub_identity
-from .quandles import FiniteQuandle, verify_axioms
+from .quandles import FiniteQuandle, ValidationReport, verify_axioms
 
 
 @dataclass
@@ -172,49 +203,117 @@ def module_invariant(rep: AlgebraRep, w: BraidWord) -> ModuleInvariant:
 
 
 def dynamical_extension(rep: AlgebraRep, kappa: Cochain | None = None):
-    """Quandle structure on G x X, X = rep.quandle:
+    """Quandle structure on E = G x X, X = rep.quandle, G = (Z_N)^m:
     (a, x) * (b, y) = (eta[x][y] a + tau[x][y] b + kappa(x, y), x * y).
 
-    For each (x, y) the products eta[x][y] a and tau[x][y] b + kappa(x, y)
-    are formed once per module vector, and each cell adds two of them by a
-    table of vector sums.  Returns (table, report, quandle-or-None); the
-    quandle is built only when the axioms pass.  The size^3 axiom checks
-    must not exceed the guard: checked before the table is built, this bound
-    also covers verify_axioms' full scan of a failing table.  kappa, when
-    given, must be a 2-cochain that fits the rep (`homology._require_module`).
-    """
+    Returns (table, report, quandle-or-None); the quandle is built only when
+    the axioms pass.  The size^3 axiom checks must not exceed the guard,
+    charged before any work.  kappa, when given, must be a 2-cochain that
+    fits the rep (`homology._require_module`).
+
+    The table is built by linearity.  The vectors of G are numbered in
+    `itertools.product` order, and their sum table is built digit by digit.
+    For each (x, y), the numbers of eta a over all a, and of tau b + kappa(x, y)
+    over all b, are read from the images of the unit vectors through the sum
+    table, once per distinct matrix, so no matrix meets a vector.
+
+    The axioms are decided by the criterion of the module docstring: E is a
+    quandle exactly when X is one, the rep satisfies relations (1)-(4) with
+    every eta invertible, and kappa is a normalized 2-cocycle, checked by
+    `verify_axioms` on X, `verify_relations` and `_cocycle_verdict` in the
+    quandle variant.  Only if one of them fails is E's table scanned by
+    `verify_axioms`, so a failing extension gets the scan's report.  Over
+    N = 1, E is X and the scan is taken.  For N >= 2 every charge of the
+    three checks is at most the size^3 already charged."""
     q, N, m = rep.quandle, rep.modulus, rep.dim
     if kappa is not None:
         _require_module(rep, kappa, 2)
     total = N ** m * q.size
     charge(total, f"axiom checks of an extension of size {power_text(total)}",
            3)
-    vectors = list(itertools.product(range(N), repeat=m))
-    vindex = {v: i for i, v in enumerate(vectors)}
-    # sums[i][j] is the index of vectors[i] + vectors[j]
-    sums = [[vindex[tuple((s + t) % N for s, t in zip(u, v))] for v in vectors]
-            for u in vectors]
-    size = q.size
-    table = [[0] * total for _ in range(total)]
-    for x in range(size):
-        for y in range(size):
-            shift = [0] * m if kappa is None else kappa.value((x, y))
-            # eta a and tau b + kappa(x, y), once per module vector
-            eta_a = [vindex[tuple(mat_vec(rep.eta[x][y], a, N))] for a in vectors]
-            tau_b = [vindex[tuple((s + t) % N for s, t in
-                                  zip(mat_vec(rep.tau[x][y], b, N), shift))]
-                     for b in vectors]
-            xy = q.op(x, y)
-            for ai, ea in enumerate(eta_a):
-                # the cells (b, y) of row (a, x) sit at b * size + y
-                table[ai * size + x][y::size] = [sums[ea][tb] * size + xy
-                                                 for tb in tau_b]
-    report = verify_axioms(table)
+    table = _extension_table(rep, kappa)
+    if N > 1 and _is_extension(rep, kappa):
+        report = ValidationReport(True)
+    else:
+        report = verify_axioms(table)
     quandle = None
     if report:
         quandle = FiniteQuandle(tuple(tuple(r) for r in table),
                                 label=f"ext({q.label},{rep.label})")
     return table, report, quandle
+
+
+def _extension_table(rep: AlgebraRep, kappa: Cochain | None) -> list[list[int]]:
+    """The table of `dynamical_extension`: the cell of row (a, x) and
+    column (b, y), at a * |X| + x and b * |X| + y with a and b numbered in
+    `itertools.product` order, holds the number of
+    eta[x][y] a + tau[x][y] b + kappa(x, y) times |X| plus x * y."""
+    q, N, m = rep.quandle, rep.modulus, rep.dim
+    if N == 1:                  # G = 0 and E is X
+        return [list(row) for row in q.table]
+    size = q.size
+    # sums[i][j] is the number of vector i + vector j, one digit at a time
+    digit = [[(d + e) % N for e in range(N)] for d in range(N)]
+    sums = [[0]]
+    for _ in range(m):
+        sums = [[s * N + c for s in row for c in digit[d]]
+                for row in sums for d in range(N)]
+
+    def number(v) -> int:
+        i = 0
+        for e in v:
+            i = i * N + e % N
+        return i
+
+    images: dict = {}           # matrix -> the number of matrix * a, every a
+
+    def image(mat) -> list[int]:
+        found = images.get(mat)
+        if found is None:
+            found = [0]
+            for col in zip(*mat):       # a's next digit times unit vector k
+                unit = number(col)
+                steps = [0]
+                for _ in range(N - 1):
+                    steps.append(sums[steps[-1]][unit])
+                found = [row[i] for row in map(sums.__getitem__, found)
+                         for i in steps]
+            images[mat] = found
+        return found
+
+    cells: dict = {}            # x * y -> sums scaled to cells over x * y
+    total = len(sums) * size
+    table = [[0] * total for _ in range(total)]
+    for x in range(size):
+        rows = table[x::size]   # the rows (a, x), a in order
+        for y in range(size):
+            xy = q.op(x, y)
+            scaled = cells.get(xy)
+            if scaled is None:
+                scaled = cells[xy] = [[s * size + xy for s in row] for row in sums]
+            eta_a = image(rep.eta[x][y])
+            tau_b = image(rep.tau[x][y])
+            if kappa is not None and (shift := number(kappa.value((x, y)))):
+                tau_b = operator.itemgetter(*tau_b)(sums[shift])
+            cells_of = operator.itemgetter(*tau_b)
+            for row, ea in zip(rows, eta_a):
+                # the cells (b, y) of row (a, x) sit at b * size + y
+                row[y::size] = cells_of(scaled[ea])
+    return table
+
+
+def _is_extension(rep: AlgebraRep, kappa: Cochain | None) -> bool:
+    """The criterion of the module docstring: X a quandle, the rep's
+    relations, and kappa, if given, a quandle 2-cocycle.  A table of X that
+    `verify_axioms` refuses as malformed fails it."""
+    try:
+        if not verify_axioms(rep.quandle.table):
+            return False
+    except InputError:
+        return False
+    return bool(verify_relations(rep)) and (
+        kappa is None
+        or _cocycle_verdict(ComplexConfig(rep=rep, variant="quandle"), kappa))
 
 
 def multiset_contained(a: InvariantMultiset, b: InvariantMultiset) -> bool:

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
                       permutation_rep_r3, verify_relations)
-from .errors import GUARD, CheckFailed, InputError, charge, quoted
+from .errors import GUARD, CheckFailed, InputError, charge, quoted, shown
 from .homology import Cochain, _require_module
 from .linalg import _require_modulus
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
@@ -91,8 +91,9 @@ def dumps_document(doc: dict) -> str:
     escaper that `json` uses, a list of plain ints (`type(x) is int`, so
     JSON true stays true) by one join, and a list of rows of them by one %d
     template per row length and one format, with the types checked by C-level
-    passes.  Those lists are the colorings, multisets, braids and tables that
-    make up most documents.  Dicts take string keys;
+    passes; so is a dict of such rows, its keys in the template.  Those are
+    the colorings, multisets, braids, tables and cochain values that make up
+    most documents.  Dicts take string keys;
     values are dicts, lists, tuples, strings, ints, booleans and None, and
     anything else, a float or a non-string key included, raises TypeError."""
     return _encode(doc, "") + "\n"
@@ -115,8 +116,16 @@ def _encode(o, indent: str) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        body = sep.join([encode_basestring_ascii(k) + ": " + _encode(v, inner)
-                         for k, v in sorted(o.items())])
+        items = sorted(o.items())
+        if set(map(type, o.values())) <= _ROW and set(map(type, flat := tuple(
+                chain.from_iterable([v for _, v in items])))) <= _INT:
+            # a dict of int rows, as a cochain's values: one %d template
+            forms = _row_forms(o.values(), inner)
+            body = sep.join([encode_basestring_ascii(k).replace("%", "%%") + ": "
+                             + forms[len(v)] for k, v in items]) % flat
+        else:
+            body = sep.join([encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                             for k, v in items])
         return "{\n" + inner + body + "\n" + indent + "}"
     if not isinstance(o, (list, tuple)):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -126,23 +135,33 @@ def _encode(o, indent: str) -> str:
     if types == _INT:
         body = sep.join(map(int.__repr__, o))
     elif types <= _ROW and set(map(type, flat := tuple(chain.from_iterable(o)))) <= _INT:
-        row_sep, close = sep + " ", "\n" + inner + "]"
-        forms = {n: "[\n " + inner + row_sep.join(["%d"] * n) + close if n else "[]"
-                 for n in set(map(len, o))}
+        forms = _row_forms(o, inner)
         body = sep.join(map(forms.__getitem__, map(len, o))) % flat
     else:
         body = sep.join([_encode(x, inner) for x in o])
     return "[\n" + inner + body + "\n" + indent + "]"
 
 
+def _row_forms(rows, indent: str) -> dict:
+    """The %d template of a list of n ints at a nesting of `indent`, for
+    each length n in `rows`."""
+    inner = indent + " "
+    row_sep, close = ",\n" + inner, "\n" + indent + "]"
+    return {n: "[\n" + inner + row_sep.join(["%d"] * n) + close if n else "[]"
+            for n in set(map(len, rows))}
+
+
 def _load_json(path: str) -> dict:
     """The JSON object in the file at `path`; an object that gives one key
-    twice is refused, where `json` would keep the last value silently."""
+    twice is refused, where `json` would keep the last value silently.  Each
+    refusal names the path, cut past QUOTED characters (`errors.shown`)."""
+    name = shown(path)
+
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-            raise InputError(f"{path}: key {quoted(key)} appears twice in one "
+            raise InputError(f"{name}: key {quoted(key)} appears twice in one "
                              "object")
         return obj
 
@@ -150,22 +169,22 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
+        raise InputError(f"no such file: {name}") from None
     except OSError:                 # a directory, or a file it may not read
-        raise InputError(f"{path}: not a readable file") from None
+        raise InputError(f"{name}: not a readable file") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
+        raise InputError(f"{name}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
     except InputError:              # a key given twice, from `unique`
         raise
     except UnicodeDecodeError:      # a ValueError too, so caught before it
-        raise InputError(f"{path}: the file is not UTF-8 text") from None
+        raise InputError(f"{name}: the file is not UTF-8 text") from None
     except ValueError:              # an integer of more digits than int() reads
-        raise InputError(f"{path}: a number has too many digits") from None
+        raise InputError(f"{name}: a number has too many digits") from None
     except RecursionError:
-        raise InputError(f"{path}: the JSON is nested too deeply") from None
+        raise InputError(f"{name}: the JSON is nested too deeply") from None
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: the top-level JSON value is not an object")
+        raise InputError(f"{name}: the top-level JSON value is not an object")
     return doc
 
 
@@ -236,7 +255,7 @@ def rep_to_doc(rep: AlgebraRep) -> dict:
 
 def _check_quandle(own: FiniteQuandle, given: FiniteQuandle | None, what: str):
     if given is not None and own.table != given.table:
-        raise InputError(f"{what} lives on a quandle other than {given.label}")
+        raise InputError(f"{what} lives on a quandle other than {shown(given.label)}")
 
 
 def rep_from_doc(doc: dict, quandle: FiniteQuandle | None = None,

@@ -2,20 +2,21 @@
 
 `verify_axioms`, `verify_relations` and `dynamical_extension` do each
 distinct piece of work once; `verify_axioms` checks axiom III, and
-`verify_relations` relations (1)-(3), only on a generating set.  The loops
-below are the direct forms they replaced, kept as references: the reports
-must be identical, failures and their order included, and so must the
-extension tables.
+`verify_relations` relations (1)-(3), only on a generating set, and
+`dynamical_extension` builds its table by linearity and decides its axioms
+from X, the rep and kappa.  The loops below are the direct forms they
+replaced, kept as references: the reports must be identical, failures and
+their order included, and so must the extension tables.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandlekit import algebra
+from quandlekit import algebra, invariants
 from quandlekit import io as qio
 from quandlekit.algebra import (
     make_alexander_rep,
@@ -33,6 +34,7 @@ from quandlekit.invariants import dynamical_extension
 from quandlekit.linalg import (identity, is_invertible_mod, mat_add, mat_mul, mat_scale,
                                mat_vec)
 from quandlekit.quandles import (
+    FiniteQuandle,
     make_alexander,
     make_conj,
     make_core,
@@ -528,9 +530,141 @@ def test_cocycle_extension_matches_reference():
 
 
 def test_extension_has_ten_greedy_generators():
-    """The 81-element extension of R3 by perm3 with a cocycle passes its
-    axiom III check on 10 generators, not on all 81 columns."""
+    """The 81-element extension of R3 by perm3 with a cocycle is a quandle
+    that 10 greedy generators generate, so `verify_axioms` on its table
+    checks axiom III on 10 of its 81 columns and passes, as the criterion
+    that `dynamical_extension` decides it by says."""
     rep = _shorthand_rep("dihedral:3", "conj-rep:perm3")
     kappa = cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2)[0]
     table, report, _ = dynamical_extension(rep, kappa)
     assert report.passed and len(generating_set(table)) == 10
+    assert verify_axioms(table).passed
+
+
+# quandles, and tables that fail axiom I, axiom II, and axiom III alone
+_EXTENSION_BASES = [make_trivial(1), make_trivial(2), make_dihedral(3), make_trivial(3),
+                    FiniteQuandle(((1, 0), (0, 1))), FiniteQuandle(((0, 0), (0, 1))),
+                    FiniteQuandle(((0, 2, 0), (2, 1, 1), (1, 0, 2)))]
+# matrices invertible over every Z_N
+_UNIT_MATRICES = {1: [[[1]], [[-1]]],
+                  2: [[[1, 0], [0, 1]], [[0, 1], [1, 1]], [[1, 1], [0, 1]], [[2, 1], [1, 1]]]}
+
+
+@st.composite
+def _extension_inputs(draw):
+    """A rep over Z_N of dimension m, N in {1, 2, 4, 6, 9} and m in {1, 2},
+    on a quandle or a non-quandle table, with |E| <= 36: an Alexander rep,
+    a conjugation-type table of a drawn rho (singular or not), random
+    tables, or a mutant of a valid rep; and kappa None, a quandle or rack
+    2-cocycle (kappa(x, x) may be nonzero), a cocycle written unreduced, or
+    a random 2-cochain."""
+    n, m = draw(st.sampled_from([(n, m) for n in (1, 2, 4, 6, 9) for m in (1, 2)
+                                 if n ** m <= 36]))
+    q = draw(st.sampled_from([q for q in _EXTENSION_BASES if n ** m * q.size <= 36]))
+    size = q.size
+    entries = st.integers(-n, 2 * n)
+
+    def matrix():
+        return [[draw(entries) for _ in range(m)] for _ in range(m)]
+
+    unit = st.sampled_from(_UNIT_MATRICES[m])
+    kind = draw(st.sampled_from(["alexander", "conj", "random", "mutant"]))
+    if kind == "random":
+        rep = make_rep(q, n, [[matrix() for _ in range(size)] for _ in range(size)],
+                       [[matrix() for _ in range(size)] for _ in range(size)], check=False)
+    elif kind == "conj":
+        rho = [draw(unit) if draw(st.booleans()) else matrix() for _ in range(size)]
+        eta = [rho] * size
+        tau = [[mat_add(identity(m), mat_scale(-1, rho[q.op(x, y)], n), n)
+                for y in range(size)] for x in range(size)]
+        rep = make_rep(q, n, eta, tau, check=False)
+    else:
+        rep = make_alexander_rep(q, n, draw(unit))
+        if kind == "mutant":
+            rep = _mutant(rep, [(draw(st.sampled_from(["eta", "tau"])),
+                                 draw(st.integers(0, size - 1)),
+                                 draw(st.integers(0, size - 1)),
+                                 draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)),
+                                 draw(st.integers(0, n)))])
+    kappa_kind = draw(st.sampled_from(["none", "cocycle", "rack", "random"]))
+    if kappa_kind == "none":
+        return rep, None
+    values = {}
+    if kappa_kind == "random" or n == 1 or not verify_axioms(q.table):
+        for key in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                           st.integers(0, size - 1)), max_size=4)):
+            values[key] = [draw(st.integers(-2 * n, 2 * n)) for _ in range(m)]
+    else:
+        variant = "quandle" if kappa_kind == "cocycle" else "rack"
+        basis = cocycle_space(ComplexConfig(rep=rep, variant=variant), 2)
+        for c in draw(st.lists(st.sampled_from(basis), max_size=2)) if basis else []:
+            for key, v in c.values.items():
+                old = values.get(key, [0] * m)
+                values[key] = [a + b for a, b in zip(old, v)]
+        if draw(st.booleans()):         # the same cochain, written unreduced
+            values = {k: [e + n * draw(st.integers(-2, 2)) for e in v]
+                      for k, v in values.items()}
+    return rep, Cochain(degree=2, modulus=n, dim=m, values=values)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(case=_extension_inputs())
+# a rack cocycle with kappa(0, 0) != 0 over the trivial action: E fails axiom I
+@example(case=(make_alexander_rep(make_trivial(2), 2, 1), Cochain(2, 2, 1, {(0, 0): [1]})))
+def test_extension_matches_reference_route(case):
+    """The extension table by linearity, and the report of the criterion
+    with E's scan after a failure, are the reference route's: the table
+    with two matrix-vector products per cell and the a, b, c scan of it,
+    failures and their order included, and the same quandle."""
+    rep, kappa = case
+    table, report, ext = dynamical_extension(rep, kappa)
+    reference = _reference_extension(rep, kappa)
+    assert table == reference
+    passed, failures = _reference_axioms(reference)
+    assert (report.passed, report.failures) == (passed, failures)
+    if passed:
+        assert ext == FiniteQuandle(tuple(map(tuple, reference)),
+                                    label=f"ext({rep.quandle.label},{rep.label})")
+    else:
+        assert ext is None
+
+
+def test_extension_scans_its_table_only_after_a_failure(monkeypatch):
+    """A passing extension is decided on X's table, the rep and kappa:
+    `verify_axioms` sees X's table only.  If X, the rep or kappa fails, E's
+    table is scanned too, and its report is the one returned.  Over N = 1,
+    where E is X, only E's table is scanned.  No matrix meets a vector."""
+    seen = []
+
+    def spy(table):
+        seen.append(table)
+        return verify_axioms(table)
+
+    def refused(*args):
+        raise AssertionError("a matrix-vector product per module vector")
+
+    monkeypatch.setattr(invariants, "verify_axioms", spy)
+    monkeypatch.setattr(invariants, "mat_vec", refused)
+    perm3 = _shorthand_rep("dihedral:3", "conj-rep:perm3")
+    kappa = cocycle_space(ComplexConfig(rep=perm3, variant="quandle"), 2)[0]
+    broken = Cochain(2, 3, 3, {(0, 1): [1, 0, 0]})
+    singular = _mutant(perm3, [("eta", 0, 1, 0, 0, 1)])
+    not_a_quandle = FiniteQuandle(((0, 2, 0), (2, 1, 1), (1, 0, 2)))
+    cases = [(perm3, kappa, True), (perm3, None, True), (perm3, broken, False),
+             (singular, None, False),
+             (make_alexander_rep(not_a_quandle, 2, 1), None, False)]
+    for rep, k, passes in cases:
+        seen.clear()
+        table, report, ext = dynamical_extension(rep, k)
+        assert seen[0] is rep.quandle.table
+        if passes:
+            assert len(seen) == 1 and report.passed and ext is not None
+        else:
+            assert len(seen) == 2 and seen[1] is table
+            expected = verify_axioms(table)
+            assert not report.passed and report.failures == expected.failures
+    for passes, rep in ((True, make_alexander_rep(make_dihedral(3), 1, 1)),
+                        (False, make_alexander_rep(not_a_quandle, 1, 1))):
+        seen.clear()
+        table, report, _ = dynamical_extension(rep)
+        assert len(seen) == 1 and seen[0] is table and report.passed is passes

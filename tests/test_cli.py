@@ -1617,7 +1617,8 @@ def test_every_quoted_input_value_is_bounded(capsys, tmp_path):
     """Each reader that quotes a bad input value in its error quotes a short
     value in full and a long one cut, with its type and length: a large bad
     value gives exit 2 and a message line of at most 300 bytes, where the
-    whole value once went to stderr.  Paths stay as given."""
+    whole value once went to stderr.  So does a long path, cut with its
+    length where a path of at most 80 characters stays as given."""
     big, long, deep = list(range(100000)), "x" * 100000, []
     for _ in range(900):
         deep = [deep]
@@ -1660,12 +1661,26 @@ def test_every_quoted_input_value_is_bounded(capsys, tmp_path):
          "bad rep shorthand 'alexander-rep:xxx..."),
         (["invariant", "alexander", "--knot", "3_1", "--out", str(tmp_path / long)],
          "cannot write --out '"),
+        (["check", "quandle", long], "'xxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxxx' (str of "
+         "length 100000): not a readable file"),
+        (["homology", "2", "--quandle", "dihedral:3", "--rep", long],
+         "(str of length 100000)"),
+        (["extend", "--quandle", "dihedral:3", "--rep", "conj-rep:perm3", "--cocycle",
+          long], "(str of length 100000)"),
+        (["check", "cocycle", "x" * 81, *perm3], "no such file: 'xxxxxxxxxxxxxxxxx..."
+         "xxxxxxxxxxxxxxxxxx' (str of length 81)"),
+        (["check", "rep", doc("t3rep.json", {**rep, "quandle": {
+            "table": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]}}), "--quandle",
+          doc("label.json", {**r3, "label": long})],
+         "rep document lives on a quandle other than 'xxx"),
     ]
     for argv, start in cases:
         assert main(argv) == 2, argv[:2]
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and start in err, err[:300]
         assert max(map(len, err.encode().splitlines())) <= 300, err[:300]
+    assert main(["check", "cocycle", "x" * 80, *perm3]) == 2
+    assert capsys.readouterr().err == f"input error: no such file: {'x' * 80}\n"
 
 
 def test_library_refusals_quote_bounded_values():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.errors import GUARD, GuardExceeded, charge, guarded, power_text
+from quandlekit.errors import (GUARD, GuardExceeded, charge, guarded, power_text,
+                               shown)
 
 GUARDS = sorted({-1, 0, 1, 10 ** 7} | {2 ** j + d for j in range(1, 65)
                                       for d in (-1, 0, 1)})
@@ -54,3 +55,15 @@ def test_a_refusal_inside_a_block_restores_the_bound():
     charge(GUARD, "widgets")
     with pytest.raises(GuardExceeded, match=f"guard of {GUARD}$"):
         charge(GUARD + 1, "widgets")
+
+
+def test_shown_cuts_only_past_80_characters():
+    """A path is shown as given up to 80 characters, quotes, spaces and
+    escapes included, and past that cut, quoted, with its length."""
+    for text in ("notafile", "x" * 80, "a b/'c'\\d", ""):
+        assert shown(text) == text
+    assert shown("x" * 81) == ("'xxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxxx' "
+                               "(str of length 81)")
+    assert shown("é" * 10 ** 5).endswith(" (str of length 100000)")
+    assert len(shown("y" * 10 ** 6)) < 80
+

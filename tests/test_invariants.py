@@ -1070,6 +1070,34 @@ def test_dynamical_extension_guard_bounds_axiom_checks():
     assert len(table) == 15
 
 
+def _mod_2_reps():
+    """Reps over Z_2 of dimensions 1, 2 and 3 on R3 and Core(Z3): two
+    Alexander reps, perm3 mod 2, and a Wada rep, which is not of
+    conjugation type."""
+    r3, z3 = make_dihedral(3), cyclic_group(3)
+    core = regular_group_rep(z3, make_core(z3), range(3), 2)
+    return [make_alexander_rep(r3, 2, 1), make_alexander_rep(r3, 2, [[0, 1], [1, 1]]),
+            make_conj_rep(permutation_rep_r3(2)), make_wada_rep(core, "core")]
+
+
+@pytest.mark.parametrize("rep", _mod_2_reps(), ids=["m1", "m2", "perm3", "wada"])
+def test_dynamical_extension_guard_is_the_size_cubed(rep):
+    """Over N = 2 a guard of |E|^3 passes, with a quandle cocycle and
+    without, and |E|^3 - 1 is refused by the charge of the extension's
+    axiom checks: every charge that deciding the axioms from X, the rep and
+    kappa makes is at most |E|^3, so no refusal moves."""
+    assert rep.is_conj_type is not rep.label.startswith("wada")
+    size = 2 ** rep.dim * rep.quandle.size
+    basis = cocycle_space(ComplexConfig(rep=rep, variant="quandle"), 2)
+    for kappa in (None, basis[-1]):
+        with guarded(size ** 3):
+            table, report, quandle = dynamical_extension(rep, kappa)
+        assert report.passed and len(table) == size
+        with guarded(size ** 3 - 1), pytest.raises(GuardExceeded, match=(
+                f"^{size ** 3} axiom checks of an extension of size {size} exceed")):
+            dynamical_extension(rep, kappa)
+
+
 def test_dynamical_extension_guard_before_enumeration(monkeypatch):
     """The guard fires before the N^dim module vectors are enumerated."""
     def enumerate_module(*args, **kwargs):

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlekit import io as qio
@@ -348,9 +348,16 @@ def _seq(items, **kwargs):
 
 
 # flat int lists and int rows (empty, of unequal length, or holding true,
-# false or null among the ints) as the documents' payloads are, in any tree
-_PAYLOADS = (_seq(_INTS) | _seq(_seq(_INTS, max_size=4), max_size=4)
-             | _seq(_seq(_INTS | st.booleans() | st.none(), max_size=3), max_size=3))
+# false or null among the ints), in lists and in dicts keyed by strings
+# (a '%' among them), as the documents' payloads are, in any tree
+_ROWS = _seq(_INTS, max_size=4)
+_MIXED_ROWS = _seq(_INTS | st.booleans() | st.none(), max_size=3)
+_KEYS = _TEXT | st.sampled_from(["%", "%d", "0,1", "%%s"])
+_PAYLOADS = (_seq(_INTS) | _seq(_ROWS, max_size=4) | _seq(_MIXED_ROWS, max_size=3)
+             | st.dictionaries(_KEYS, _ROWS, max_size=4)
+             | st.dictionaries(_KEYS, _MIXED_ROWS, max_size=3)
+             | st.dictionaries(_KEYS, st.integers(0, 3).flatmap(
+                 lambda n: _seq(_INTS, min_size=n, max_size=n)), max_size=4))
 _TREES = st.recursive(_SCALARS | _PAYLOADS,
                       lambda kids: _seq(kids, max_size=4)
                       | st.dictionaries(_TEXT, kids, max_size=4),
@@ -359,6 +366,13 @@ _TREES = st.recursive(_SCALARS | _PAYLOADS,
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(doc=st.dictionaries(_TEXT, _TREES, max_size=4))
+# dicts of int rows, written by one template: equal and mixed lengths, empty
+# rows, keys holding '%', and a true or null among the ints
+@example(doc={"degree": 2, "values": {"0,1": [1, 0, 2], "1,0": [0, 0, 0],
+                                      "2,1": (5, 6, 7), "%d": [1, 2, 2 ** 70]}})
+@example(doc={"a": {"x": [], "y": []}, "b": {"x": [1], "y": [], "z": [2, -3]},
+              "c": {"%%": [3, 4], "%s%": []}})
+@example(doc={"a": {"x": [1, True], "y": [False, 0]}, "b": {"x": [1], "y": [None]}})
 def test_dumps_document_is_the_stdlib_encoding(doc):
     assert qio.dumps_document(doc) == _stdlib(doc)
 
