@@ -65,13 +65,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CheckFailed, InputError, charge, quoted
-from .groups import FiniteGroup
 from .linalg import (_require_modulus, identity, is_invertible_mod, mat_add,
                      mat_inv_mod, mat_mul, mat_scale, mat_sub)
 from .quandles import FiniteQuandle, ValidationReport
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,20 @@ import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, getitem, mod, mul
+from typing import TYPE_CHECKING
 
-from .algebra import AlgebraRep, bar
+from . import _deferred
 from .errors import InputError, charge, power_text, quoted
 from .linalg import (Matrix, cokernel_mod, identity, kernel_mod, mat_add, mat_scale,
                      sub_identity)
-from .quandles import FiniteQuandle
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraRep
+    from .quandles import FiniteQuandle
+
+# a rep's negative blocks, imported by its first call: colorings and the
+# Alexander polynomial load no `algebra`
+bar = _deferred(globals(), "algebra", "bar")
 
 KNOT_TABLE = {
     "3_1": "k=2; 1 1 1",

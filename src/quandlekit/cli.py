@@ -46,6 +46,10 @@ help from the table and returns 0.  `main(argv)` may be called many times
 in one process: shorthand quandles and reps are built once and kept within
 `io.KEPT_CELLS` table cells, though a shorthand quandle's cells are charged
 against --guard on every call, and JSON inputs are read on every call.
+This module imports only `errors` when loaded: each function of another
+layer that a command calls is a `_deferred` stand-in until its first call,
+so a one-shot command loads only the modules it runs and a later call runs
+no import.
 """
 
 from __future__ import annotations
@@ -55,20 +59,37 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from . import io as qio
-from .algebra import verify_relations
-from .braids import braid_or_knot, colorings_of_closure
+from . import _deferred
 from .errors import (GUARD, CheckFailed, GuardExceeded, InputError, guarded,
                      quoted, shown)
-from .fox import alexander_polynomial
-from .homology import ComplexConfig, cocycle_space, cohomology, is_cocycle
-from .invariants import (cocycle_invariant, dynamical_extension,
-                         module_invariant, multiset_contained)
-from .quandles import ValidationReport, verify_axioms
+
+# the layers the commands call, each imported by its first call
+load_cochain = _deferred(globals(), "io", "load_cochain")
+_load_json = _deferred(globals(), "io", "_load_json")
+load_quandle = _deferred(globals(), "io", "load_quandle")
+load_rep = _deferred(globals(), "io", "load_rep")
+load_table = _deferred(globals(), "io", "load_table")
+cochain_to_doc = _deferred(globals(), "io", "cochain_to_doc")
+dumps_document = _deferred(globals(), "io", "dumps_document")
+ValidationReport = _deferred(globals(), "quandles", "ValidationReport")
+verify_axioms = _deferred(globals(), "quandles", "verify_axioms")
+verify_relations = _deferred(globals(), "algebra", "verify_relations")
+braid_or_knot = _deferred(globals(), "braids", "braid_or_knot")
+colorings_of_closure = _deferred(globals(), "braids", "colorings_of_closure")
+alexander_polynomial = _deferred(globals(), "fox", "alexander_polynomial")
+ComplexConfig = _deferred(globals(), "homology", "ComplexConfig")
+cocycle_space = _deferred(globals(), "homology", "cocycle_space")
+cohomology = _deferred(globals(), "homology", "cohomology")
+is_cocycle = _deferred(globals(), "homology", "is_cocycle")
+InvariantMultiset = _deferred(globals(), "invariants", "InvariantMultiset")
+cocycle_invariant = _deferred(globals(), "invariants", "cocycle_invariant")
+dynamical_extension = _deferred(globals(), "invariants", "dynamical_extension")
+module_invariant = _deferred(globals(), "invariants", "module_invariant")
+multiset_contained = _deferred(globals(), "invariants", "multiset_contained")
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = qio.dumps_document(doc)
+    text = dumps_document(doc)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -93,8 +114,8 @@ def _rep_on_quandle(args, spec: str | None, **options):
     """The rep `spec` on --quandle, if one is given; `options` go to load_rep."""
     if spec is None:
         raise InputError("no --rep given")
-    quandle = qio.load_quandle(args.quandle) if args.quandle else None
-    return qio.load_rep(spec, quandle=quandle, **options)
+    quandle = load_quandle(args.quandle) if args.quandle else None
+    return load_rep(spec, quandle=quandle, **options)
 
 
 def cmd_check(args) -> int:
@@ -102,7 +123,7 @@ def cmd_check(args) -> int:
     if kind == "quandle":
         # verify the raw table so a failing table is a check failure, not an
         # input error; every table's check is bounded by --guard
-        table = qio.load_table(args.target)
+        table = load_table(args.target)
         report = verify_axioms(table)
     elif kind == "rep":
         # a rep that fails the relations prints its report and exits 1
@@ -110,7 +131,7 @@ def cmd_check(args) -> int:
     elif kind == "cocycle":
         rep = _rep_on_quandle(args, args.rep)
         # 'zero' takes --degree (2 without it); a file must be of it, if given
-        kappa = qio.load_cochain(args.target, rep=rep, degree=args.degree)
+        kappa = load_cochain(args.target, rep=rep, degree=args.degree)
         ok = is_cocycle(ComplexConfig(rep=rep, variant=args.variant), kappa)
         report = ValidationReport(
             ok, [] if ok else [f"degree-{kappa.degree} cocycle condition fails"])
@@ -124,7 +145,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    q = qio.load_quandle(args.quandle)
+    q = load_quandle(args.quandle)
     w = _load_word(args)
     cols = colorings_of_closure(q, w)
     _emit({"quandle": args.quandle, "braid": w.letters,
@@ -143,7 +164,7 @@ def cmd_search(args) -> int:
     _emit({"degree": args.degree, "quandle": args.quandle, "rep": args.rep,
            "prime": args.prime, "variant": args.variant,
            "dimension": len(basis),
-           "basis": [qio.cochain_to_doc(k) for k in basis]}, args.out)
+           "basis": [cochain_to_doc(k) for k in basis]}, args.out)
     return 0
 
 
@@ -170,7 +191,7 @@ def cmd_invariant(args) -> int:
     if args.kind == "cocycle":
         if args.cocycle is None:
             raise InputError("no --cocycle given")
-        kappa = qio.load_cochain(args.cocycle, rep=rep)
+        kappa = load_cochain(args.cocycle, rep=rep)
         inv = cocycle_invariant(rep, kappa, w)
         _emit({"invariant": "cocycle", **meta, "cocycle": args.cocycle,
                "modulus": inv.modulus, "dim": inv.dim,
@@ -190,10 +211,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .invariants import InvariantMultiset
     docs = []
     for path in (args.a, args.b):
-        doc = qio._load_json(path)
+        doc = _load_json(path)
         if "multiset" not in doc:
             raise InputError(f"{shown(path)} is not an invariant document")
         entries = doc["multiset"]
@@ -211,7 +231,7 @@ def cmd_compare(args) -> int:
 
 def cmd_extend(args) -> int:
     rep = _rep_on_quandle(args, args.rep)
-    kappa = qio.load_cochain(args.cocycle, rep=rep) if args.cocycle else None
+    kappa = load_cochain(args.cocycle, rep=rep) if args.cocycle else None
     table, report, _ = dynamical_extension(rep, kappa)
     _emit({"quandle": args.quandle, "rep": args.rep,
            "size": len(table), "passed": report.passed,
@@ -285,7 +305,7 @@ def parse(argv) -> SimpleNamespace:
     if not argv or argv[0] not in COMMANDS:
         if argv and _option(argv[0], {})[0] == "help":
             raise Usage(0, _help(None))
-        _fail(None, f"argument command: invalid choice: {argv[0]!r}" if argv
+        _fail(None, f"argument command: invalid choice: {quoted(argv[0])}" if argv
               else "the following arguments are required: command")
     name, (func, _, positionals, options) = argv[0], COMMANDS[argv[0]]
     ns = SimpleNamespace(func=func, **{k: a.default for k, a in options.items()})
@@ -321,7 +341,7 @@ def parse(argv) -> SimpleNamespace:
     if missing:
         _fail(name, "the following arguments are required: " + ", ".join(missing))
     if extras:
-        _fail(name, "unrecognized arguments: " + " ".join(extras))
+        _fail(name, "unrecognized arguments: " + shown(" ".join(extras)))
     return ns
 
 
@@ -346,12 +366,12 @@ def _value(name: str, label: str, spec: Arg, text: str):
     try:
         value = spec.type(text)
     except ValueError:
-        _fail(name, f"argument {label}: invalid int value: {text!r}")
+        _fail(name, f"argument {label}: invalid int value: {quoted(text)}")
     if spec.choices and value not in spec.choices:
-        _fail(name, f"argument {label}: invalid choice: {text!r} (choose from "
+        _fail(name, f"argument {label}: invalid choice: {quoted(text)} (choose from "
               f"{', '.join(map(repr, spec.choices))})")
     if spec.low is not None and value < spec.low:
-        _fail(name, f"argument {label}: must be >= {spec.low}, got {value}")
+        _fail(name, f"argument {label}: must be >= {spec.low}, got {quoted(value)}")
     return value
 
 

@@ -46,11 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import _freeze
+from . import _deferred
 from .braids import BraidWord, _burau_rows, closure_arcs
 from .errors import InputError, charge
 from .laurent import Laurent, _bareiss, _digits, _width
 from .linalg import identity, int_det, is_invertible_mod, mat_mul
+
+# twisted_matrix's one use of `algebra`, imported by its first call
+_freeze = _deferred(globals(), "algebra", "_freeze")
 
 
 @dataclass(frozen=True)

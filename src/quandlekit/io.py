@@ -26,14 +26,26 @@ import os
 from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from .algebra import (AlgebraRep, make_alexander_rep, make_conj_rep, make_rep,
-                      permutation_rep_r3, verify_relations)
+from . import _deferred
 from .errors import GUARD, CheckFailed, InputError, charge, quoted, shown
-from .homology import Cochain, _require_module
-from .linalg import _require_modulus
 from .quandles import (FiniteQuandle, make_alexander, make_dihedral,
                        make_trivial, quandle_from_table)
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraRep
+
+# what only reps and cochains need, imported by its first call, so that a
+# command that reads a quandle alone loads no `algebra` or `homology`
+make_alexander_rep = _deferred(globals(), "algebra", "make_alexander_rep")
+make_conj_rep = _deferred(globals(), "algebra", "make_conj_rep")
+make_rep = _deferred(globals(), "algebra", "make_rep")
+permutation_rep_r3 = _deferred(globals(), "algebra", "permutation_rep_r3")
+verify_relations = _deferred(globals(), "algebra", "verify_relations")
+Cochain = _deferred(globals(), "homology", "Cochain")
+_require_module = _deferred(globals(), "homology", "_require_module")
+_require_modulus = _deferred(globals(), "linalg", "_require_modulus")
 
 _INT = {int}
 _ROW = {list, tuple}

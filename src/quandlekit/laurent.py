@@ -27,14 +27,18 @@ The rational gcd of all k x k minors has no caller in the package, since
 `fox.alexander_polynomial` takes one first minor of the Burau matrix minus
 I.  Kept only while `bench/tracing.py` names them in LAYERS, as the tests'
 references: `laurent_gcd_of_minors`, `lp_gcd`, `lp_det`, `lp_normalize`,
-`_to_poly`, `_poly_mod` and `_poly_gcd`.
+`_to_poly`, `_poly_mod` and `_poly_gcd`.  The two of them that make a
+Fraction import `fractions` when they run, so no command loads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Laurent = dict  # {exponent: coefficient}
 
@@ -42,6 +46,7 @@ Laurent = dict  # {exponent: coefficient}
 def lp_normalize(a: Laurent) -> Laurent:
     """Canonical form up to units +-t^k: lowest exponent 0, integer primitive
     coefficients, positive leading coefficient."""
+    from fractions import Fraction
     if not a:
         return {}
     v = min(a)
@@ -61,6 +66,7 @@ def lp_normalize(a: Laurent) -> Laurent:
 
 def _to_poly(a: Laurent) -> list[Fraction]:
     """Dense coefficient list lowest-first, after shifting valuation to 0."""
+    from fractions import Fraction
     if not a:
         return []
     v = min(a)

@@ -14,7 +14,8 @@ The lattice route over Z and Q has no caller in the package.  Kept only
 while `bench/tracing.py` names them in LAYERS, as the tests' references:
 `smith_normal_form` with `SnfResult` and its five row and column helpers,
 `int_kernel`, `lattice_basis`, `solve_exact`, `quotient_invariant_factors`
-and `mat_frac_inverse`, with the `fractions` and `dataclass` imports.
+and `mat_frac_inverse`, with the `dataclass` import; `mat_frac_inverse`
+imports `fractions` when it runs, so no command loads it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import GuardExceeded, InputError, quoted
 from .laurent import _bareiss
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = list[list[int]]
 
@@ -86,6 +89,7 @@ def mat_vec(a: Matrix, v: list[int], mod: int) -> list[int]:
 
 def mat_frac_inverse(a: Matrix) -> list[list[Fraction]]:
     """Exact inverse over Q by Gauss-Jordan; raises on singular input."""
+    from fractions import Fraction
     n = len(a)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(a)]

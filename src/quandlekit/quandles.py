@@ -15,9 +15,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import InputError, charge, quoted
-from .groups import FiniteGroup
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 
 @dataclass

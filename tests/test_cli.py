@@ -11,7 +11,7 @@ import quandlekit.homology as homology
 from quandlekit import io as qio
 from quandlekit.algebra import make_alexander_rep, make_wada_rep, regular_group_rep
 from quandlekit.cli import main
-from quandlekit.errors import GuardExceeded, guarded
+from quandlekit.errors import GuardExceeded, guarded, quoted
 from quandlekit.groups import cyclic_group
 from quandlekit.quandles import generating_set, make_core
 
@@ -1185,6 +1185,29 @@ def test_usage_errors_name_the_argument(capsys):
     for argv, err in cases:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", err)
+    # a long value is quoted cut, with its type and length, not whole
+    long = "x" * 100_000
+    cut = quoted(long)
+    assert cut.endswith(" (str of length 100000)") and len(cut) < 80
+    cases = [
+        (["colorings", "dihedral:3", "3_1", "--guard", long],
+         usage + f"quandlekit colorings: error: argument --guard: invalid int value: {cut}\n"),
+        (["colorings", "dihedral:3", "3_1", long],
+         usage + f"quandlekit colorings: error: unrecognized arguments: {cut}\n"),
+        ([long], "usage: quandlekit [-h] {check,colorings,search,invariant,homology,"
+                 "compare,extend} ...\nquandlekit: error: argument command: invalid "
+                 f"choice: {cut}\n"),
+        (["colorings", "dihedral:3", "3_1", "--guard", "-" + "9" * 4000],
+         usage + "quandlekit colorings: error: argument --guard: must be >= 0, got "
+                 "<int of 13288 bits> (int)\n"),
+    ]
+    for argv, err in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+    assert main(["check", long, "x"]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"quandlekit check: error: argument kind: invalid choice: {cut} (choose from "
+        "'quandle', 'rep', 'cocycle')\n")
     assert main(["homology", "2", "--rep", "trivial-action:3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: quandlekit homology [-h] --quandle QUANDLE --rep REP ")

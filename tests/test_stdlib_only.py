@@ -9,6 +9,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import quandlekit
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quandlekit"
 BENCH = ROOT / "bench"
@@ -32,7 +34,9 @@ def test_package_imports_only_stdlib():
 
 def test_every_imported_name_is_read():
     """Each name a package module imports, outside __init__.py (which
-    re-exports) and __future__, is read somewhere in that module."""
+    re-exports) and __future__, or binds to a `_deferred` stand-in, is read
+    somewhere in that module; a stand-in is bound to the name it stands
+    for."""
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -44,6 +48,11 @@ def test_every_imported_name_is_read():
                 imported |= {a.asname or a.name.split(".")[0] for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported |= {a.asname or a.name for a in node.names}
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "_deferred"):
+                (target,) = node.targets
+                assert target.id == node.value.args[2].value, ast.unparse(node)
+                imported.add(target.id)
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
@@ -70,15 +79,14 @@ def test_every_definition_is_reached():
     """Each top-level function and class of the package is read, as a name
     or an attribute, by package code outside its own definition, so a helper
     whose last caller went is deleted with it.  A public one may instead be
-    exported by __init__.py, read by a bench/*.py file or wrapped by its
-    module's LAYERS entry in bench/tracing.py; code kept only for the tests
-    lives under tests/, and code the tracer holds goes once LAYERS lets go
-    of it."""
+    a key of __init__.py's export table, read by a bench/*.py file or
+    wrapped by its module's LAYERS entry in bench/tracing.py; code kept only
+    for the tests lives under tests/, and code the tracer holds goes once
+    LAYERS lets go of it."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum(map(_references, trees.values()), Counter())
-    exported = {alias.name for node in trees["__init__"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = set(quandlekit._EXPORTS)
     bench = {node.id if isinstance(node, ast.Name) else node.attr
              for path in sorted(BENCH.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
